@@ -3,7 +3,7 @@
 
 GEOLINT := $(CURDIR)/bin/geolint
 
-.PHONY: all build test check race churn tilecache lint hotlint escapecheck escapebaseline fuzz bench bench-smoke clean
+.PHONY: all build test check race churn tilecache lint hotlint escapecheck escapebaseline fuzz bench bench-smoke bench-e2e bench-e2e-quick clean
 
 all: build lint test
 
@@ -78,6 +78,16 @@ bench:
 bench-smoke:
 	go run ./cmd/benchrunner -suite hotloop -quick -out /tmp/BENCH_hotloop_smoke.json
 	go run ./cmd/benchrunner -suite ingest-churn -quick -out /tmp/BENCH_ingest_smoke.json
+
+# bench-e2e runs the end-to-end benchmark BENCHMARK.json declares: the
+# real geoselserver under closed-loop HTTP load, four workloads, one
+# JSON line of metrics at the end (bench/README.md). bench-e2e-quick is
+# its shrunk smoke shape.
+bench-e2e:
+	go run ./bench
+
+bench-e2e-quick:
+	go run ./bench -quick
 
 clean:
 	rm -rf bin

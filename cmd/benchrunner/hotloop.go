@@ -1,13 +1,12 @@
 package main
 
-// The hotloop suite: the data-oriented rewrite of the greedy steady
-// state measured as a matrix — GOMAXPROCS × {dense, pruned} × {AoS
-// baseline, SoA} — plus AoS-vs-SoA rows for the hybrid text metric,
-// written as BENCH_hotloop.json. Every cell runs the identical
-// workload, and the suite fails unless all cells return the
-// bitwise-identical selection: the performance matrix doubles as the
-// end-to-end proof that layout, stripe count and parallelism never leak
-// into results.
+// The hotloop suite: the greedy steady state measured as a matrix —
+// GOMAXPROCS × {dense, pruned} on a spatial metric — plus one row for
+// the hybrid text metric, written as BENCH_hotloop.json. Every cell
+// runs the identical workload, and the suite fails unless all cells of
+// a metric return the bitwise-identical selection: the performance
+// matrix doubles as the end-to-end proof that pruning, stripe count and
+// parallelism never leak into results.
 
 import (
 	"context"
@@ -25,23 +24,19 @@ import (
 
 // hotloopCell is one matrix cell of BENCH_hotloop.json.
 type hotloopCell struct {
-	// Metric is "euclid" for the main matrix, "hybrid" for the text-
-	// kernel rows.
+	// Metric is "euclid" for the main matrix, "hybrid" for the text
+	// row.
 	Metric string `json:"metric"`
 	// GOMAXPROCS is the requested scheduler width of this cell (also
 	// the selector's Parallelism); EffectiveProcs is what the runtime
 	// granted.
 	GOMAXPROCS     int    `json:"gomaxprocs"`
 	EffectiveProcs int    `json:"effective_procs"`
-	Layout         string `json:"layout"` // "aos" (DisableSoA) or "soa"
 	Engine         string `json:"engine"` // "dense" (DisablePrune) or "pruned"
 	NsOp           int64  `json:"ns_op"`
-	// SpeedupVsSerial is ns_op of the same metric/layout/engine at
+	// SpeedupVsSerial is ns_op of the same metric/engine at
 	// GOMAXPROCS=1 divided by this cell's ns_op.
 	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-	// SoASpeedup is the AoS ns_op of the same metric/procs/engine cell
-	// divided by this cell's ns_op; zero on AoS cells.
-	SoASpeedup float64 `json:"soa_speedup,omitempty"`
 }
 
 // hotloopReport is the BENCH_hotloop.json schema.
@@ -95,15 +90,14 @@ func runHotloopSuite(out string, seed int64, quick bool) error {
 	prevProcs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prevProcs)
 
-	run := func(m sim.Metric, cs []int, procs int, disableSoA, disablePrune bool) (*core.Result, int64, error) {
+	run := func(m sim.Metric, cs []int, procs int, disablePrune bool) (*core.Result, int64, error) {
 		runtime.GOMAXPROCS(procs)
 		best := int64(math.MaxInt64)
 		var res *core.Result
 		for rep := 0; rep < reps; rep++ {
 			s := &core.Selector{
 				Config: engine.Config{
-					K: k, Theta: theta, Metric: m, Parallelism: procs,
-					DisableSoA: disableSoA, DisablePrune: disablePrune,
+					K: k, Theta: theta, Metric: m, Parallelism: procs, DisablePrune: disablePrune,
 				},
 				Objects: objs, Candidates: cs,
 			}
@@ -124,23 +118,17 @@ func runHotloopSuite(out string, seed int64, quick bool) error {
 		Env: captureEnv(), N: n, Cands: len(cands), K: k, Theta: theta, Reps: reps,
 		IdenticalSelection: true,
 		Note: fmt.Sprintf("clustered UK-like dataset, seed %d, best of %d; euclid matrix uses a stride-%d candidate set, "+
-			"hybrid rows stride-%d at GOMAXPROCS=1; aos = DisableSoA (per-pair kernel closures), soa = flat-column engine; "+
+			"hybrid row stride-%d at GOMAXPROCS=1; "+
 			"speedup_vs_serial is bounded by env.num_cpu regardless of gomaxprocs", seed, reps, stride, hybridStride),
 	}
 
-	layouts := []struct {
-		name       string
-		disableSoA bool
-	}{{"aos", true}, {"soa", false}}
 	engines := []struct {
 		name         string
 		disablePrune bool
 	}{{"dense", true}, {"pruned", false}}
 
-	// serialNs[layout/engine] anchors speedup_vs_serial; aosNs[key of
-	// procs/engine] anchors soa_speedup.
+	// serialNs[engine] anchors speedup_vs_serial.
 	serialNs := map[string]int64{}
-	aosNs := map[string]int64{}
 	var ref *core.Result
 
 	check := func(name string, res *core.Result) error {
@@ -157,69 +145,38 @@ func runHotloopSuite(out string, seed int64, quick bool) error {
 
 	for _, procs := range procsAxis {
 		for _, eng := range engines {
-			for _, lay := range layouts {
-				res, ns, err := run(euclid, cands, procs, lay.disableSoA, eng.disablePrune)
-				if err != nil {
-					return err
-				}
-				name := fmt.Sprintf("euclid/p%d/%s/%s", procs, lay.name, eng.name)
-				if err := check(name, res); err != nil {
-					return err
-				}
-				cell := hotloopCell{
-					Metric: "euclid", GOMAXPROCS: procs, EffectiveProcs: runtime.GOMAXPROCS(0),
-					Layout: lay.name, Engine: eng.name, NsOp: ns,
-				}
-				serialKey := lay.name + "/" + eng.name
-				if procs == 1 {
-					serialNs[serialKey] = ns
-				}
-				if s, ok := serialNs[serialKey]; ok {
-					cell.SpeedupVsSerial = float64(s) / float64(ns)
-				}
-				aosKey := fmt.Sprintf("p%d/%s", procs, eng.name)
-				if lay.name == "aos" {
-					aosNs[aosKey] = ns
-				} else if a, ok := aosNs[aosKey]; ok {
-					cell.SoASpeedup = float64(a) / float64(ns)
-				}
-				report.Cells = append(report.Cells, cell)
-				fmt.Fprintf(os.Stderr, "[%s: %v]\n", name, time.Duration(ns).Round(time.Millisecond))
+			res, ns, err := run(euclid, cands, procs, eng.disablePrune)
+			if err != nil {
+				return err
 			}
+			name := fmt.Sprintf("euclid/p%d/%s", procs, eng.name)
+			if err := check(name, res); err != nil {
+				return err
+			}
+			if procs == 1 {
+				serialNs[eng.name] = ns
+			}
+			report.Cells = append(report.Cells, hotloopCell{
+				Metric: "euclid", GOMAXPROCS: procs, EffectiveProcs: runtime.GOMAXPROCS(0),
+				Engine: eng.name, NsOp: ns, SpeedupVsSerial: float64(serialNs[eng.name]) / float64(ns),
+			})
+			fmt.Fprintf(os.Stderr, "[%s: %v]\n", name, time.Duration(ns).Round(time.Millisecond))
 		}
 	}
 
-	// Hybrid rows: the packed-CSR cosine kernel is the SoA piece with
-	// the most to gain, measured at GOMAXPROCS=1 so the ratio isolates
-	// layout, not scheduling. The hybrid selection has its own
-	// reference (different metric ⇒ different picks).
-	refEuclid := ref
-	ref = nil
-	var hybridAos int64
-	for _, lay := range layouts {
-		// Hybrid-with-cosine has no bounded support radius, so these
-		// rows are dense by construction.
-		res, ns, err := run(hybrid, hybridCands, 1, lay.disableSoA, true)
-		if err != nil {
-			return err
-		}
-		name := "hybrid/p1/" + lay.name + "/dense"
-		if err := check(name, res); err != nil {
-			return err
-		}
-		cell := hotloopCell{
-			Metric: "hybrid", GOMAXPROCS: 1, EffectiveProcs: runtime.GOMAXPROCS(0),
-			Layout: lay.name, Engine: "dense", NsOp: ns, SpeedupVsSerial: 1,
-		}
-		if lay.name == "aos" {
-			hybridAos = ns
-		} else {
-			cell.SoASpeedup = float64(hybridAos) / float64(ns)
-		}
-		report.Cells = append(report.Cells, cell)
-		fmt.Fprintf(os.Stderr, "[%s: %v]\n", name, time.Duration(ns).Round(time.Millisecond))
+	// The hybrid row: the packed-CSR cosine rows at GOMAXPROCS=1.
+	// Hybrid-with-cosine has no bounded support radius, so it is dense
+	// by construction, and its picks differ from the euclid matrix's
+	// (different metric), so it is outside the cross-cell check.
+	_, ns, err := run(hybrid, hybridCands, 1, true)
+	if err != nil {
+		return err
 	}
-	ref = refEuclid
+	report.Cells = append(report.Cells, hotloopCell{
+		Metric: "hybrid", GOMAXPROCS: 1, EffectiveProcs: runtime.GOMAXPROCS(0),
+		Engine: "dense", NsOp: ns, SpeedupVsSerial: 1,
+	})
+	fmt.Fprintf(os.Stderr, "[hybrid/p1/dense: %v]\n", time.Duration(ns).Round(time.Millisecond))
 
 	return writeJSON(out, report)
 }

@@ -13,14 +13,14 @@ import (
 // steadyState builds a warmed-up lazy greedy run mid-flight: evaluator,
 // arena, initialized heap, and `warm` completed lazyStep rounds. It
 // mirrors runLazy's prologue so the test can drive individual steps.
-func steadyState(t *testing.T, n, warm int, theta, pruneEps float64) (*Selector, *evaluator, *runState, *Result) {
+func steadyState(t *testing.T, m sim.Metric, n, warm int, theta, pruneEps float64) (*Selector, *evaluator, *runState, *Result) {
 	t.Helper()
 	objs := testObjects(n, 123)
 	s := &Selector{
-		Config:  engine.Config{K: n, Theta: theta, Metric: sim.EuclideanProximity{MaxDist: 0.3}, Parallelism: 1, PruneEps: pruneEps},
+		Config:  engine.Config{K: n, Theta: theta, Metric: m, Parallelism: 1, PruneEps: pruneEps},
 		Objects: objs,
 	}
-	e := newEvaluator(context.Background(), objs, s.Metric, s.Agg, nil, false)
+	e := newEvaluator(context.Background(), objs, s.Metric, s.Agg, nil)
 	active := make([]int, n)
 	for i := range active {
 		active[i] = i
@@ -52,22 +52,26 @@ func steadyState(t *testing.T, n, warm int, theta, pruneEps float64) (*Selector,
 // TestGreedySteadyStateAllocs is the arena-reuse guard: once the run is
 // warm, a greedy iteration — pop, batched re-evaluation, absorb,
 // conflict removal — performs zero heap allocations, with and without
-// the conflict grid and with and without support-radius pruning.
+// the conflict grid, with and without support-radius pruning, and on
+// the metric the server runs (Cosine) as well as a spatial one.
 func TestGreedySteadyStateAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate their diagnostic arguments")
 	}
+	euclid := sim.EuclideanProximity{MaxDist: 0.3}
 	cases := []struct {
 		name  string
+		m     sim.Metric
 		theta float64
 		eps   float64
 	}{
-		{"gridless-dense", 0, 0},
-		{"grid-pruned", 0.01, 0},
+		{"gridless-dense", euclid, 0, 0},
+		{"grid-pruned", euclid, 0.01, 0},
+		{"cosine", sim.Cosine{}, 0.01, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s, e, st, res := steadyState(t, 2048, 100, c.theta, c.eps)
+			s, e, st, res := steadyState(t, c.m, 2048, 100, c.theta, c.eps)
 			avg := testing.AllocsPerRun(100, func() {
 				if done, err := s.lazyStep(e, res, st); err != nil || done {
 					t.Fatalf("measured step: done=%v err=%v", done, err)
@@ -88,7 +92,7 @@ func TestMarginalBatchReusesDst(t *testing.T) {
 		t.Skip("invariant assertions allocate their diagnostic arguments")
 	}
 	objs := testObjects(600, 5)
-	e := newEvaluator(nil, objs, sim.EuclideanProximity{MaxDist: 0.3}, AggMax, nil, false)
+	e := newEvaluator(nil, objs, sim.EuclideanProximity{MaxDist: 0.3}, AggMax, nil)
 	best := make([]float64, len(objs))
 	cs := []int{3, 77, 201, 550}
 	dst := make([]float64, len(cs))

@@ -11,9 +11,9 @@ import (
 	"geosel/internal/sim"
 )
 
-// soaTestMetrics are the built-in metrics with a fused SoA form, each
-// paired with the dimension label used in failure messages.
-func soaTestMetrics(t *testing.T) map[string]sim.Metric {
+// matrixMetrics are the built-in metrics, each paired with the
+// dimension label used in failure messages.
+func matrixMetrics(t *testing.T) map[string]sim.Metric {
 	t.Helper()
 	hybridGauss := sim.Hybrid{Alpha: 0.4, Text: sim.Cosine{}, Spatial: sim.GaussianProximity{Sigma: 0.2}}
 	return map[string]sim.Metric{
@@ -25,49 +25,103 @@ func soaTestMetrics(t *testing.T) map[string]sim.Metric {
 	}
 }
 
-// TestSoAMarginalBitwiseEqual checks the core bitwise contract at the
-// evaluator level: for every built-in metric the SoA reductions produce
-// exactly the floats of the kernel-closure path — marginal gains,
-// absorb states, and scores, dense and pruned.
-func TestSoAMarginalBitwiseEqual(t *testing.T) {
+// metricOracle recomputes the evaluator's passes the slow way: one
+// m.Sim interface call per pair, with the chunk-partial order spelled
+// out term by term. It shares nothing with the evaluator but the
+// neighbor index.
+type metricOracle struct {
+	objs []geodata.Object
+	m    sim.Metric
+	sum  bool
+	nbr  *neighborIndex
+}
+
+// visit calls f for every object a pass over c touches, in index order.
+func (o *metricOracle) visit(c int, f func(i int, v float64)) {
+	if o.nbr != nil {
+		if row, ok := o.nbr.row(c); ok {
+			for _, i := range row {
+				f(int(i), o.m.Sim(&o.objs[i], &o.objs[c]))
+			}
+			return
+		}
+	}
+	for i := range o.objs {
+		f(i, o.m.Sim(&o.objs[i], &o.objs[c]))
+	}
+}
+
+func (o *metricOracle) absorb(best []float64, sel int) {
+	o.visit(sel, func(i int, v float64) {
+		if o.sum {
+			best[i] += v
+		} else if v > best[i] {
+			best[i] = v
+		}
+	})
+}
+
+func (o *metricOracle) marginal(best []float64, c int) float64 {
+	var gain, part float64
+	chunk := 0
+	o.visit(c, func(i int, v float64) {
+		if nc := i / evalChunk; nc != chunk {
+			gain += part
+			part = 0
+			chunk = nc
+		}
+		if o.sum {
+			part += o.objs[i].Weight * v
+		} else if v > best[i] {
+			part += o.objs[i].Weight * (v - best[i])
+		}
+	})
+	return gain + part
+}
+
+// TestEvaluatorMatchesMetric checks the core bitwise contract at the
+// evaluator level: for every built-in metric and a custom one (the
+// generic sim.Rows kind), filling a row and reducing it produces
+// exactly the floats of per-pair m.Sim calls — marginal gains and
+// absorb states, dense and pruned.
+func TestEvaluatorMatchesMetric(t *testing.T) {
 	objs := testObjects(700, 31) // above serialCutoff so pruning engages
 	ids := make([]int, len(objs))
 	for i := range ids {
 		ids[i] = i
 	}
-	for name, m := range soaTestMetrics(t) {
+	metrics := matrixMetrics(t)
+	metrics["custom"] = sim.Func(sim.EuclideanProximity{MaxDist: 0.3}.Sim)
+	// Narrow enough that its eps radius beats the too-dense cutoff.
+	metrics["gauss-narrow"] = sim.GaussianProximity{Sigma: 0.05}
+	for name, m := range metrics {
 		for _, agg := range []Agg{AggMax, AggSum} {
 			for _, eps := range []float64{0, 1e-3} {
-				aos := newEvaluator(nil, objs, m, agg, nil, true)
-				soa := newEvaluator(nil, objs, m, agg, nil, false)
-				if soa.soa == nil {
-					t.Fatalf("%s: compileSoA returned nil for a built-in metric", name)
+				e := newEvaluator(nil, objs, m, agg, nil)
+				e.enablePruning(m, eps, ids)
+				if wantPruned := name == "euclid" || name == "gauss-narrow" && eps > 0; (e.nbr != nil) != wantPruned {
+					t.Fatalf("%s eps=%v: pruned = %v, want %v", name, eps, e.nbr != nil, wantPruned)
 				}
-				aos.enablePruning(m, eps, ids)
-				soa.enablePruning(m, eps, ids)
-				bestA := make([]float64, len(objs))
-				bestS := make([]float64, len(objs))
+				oracle := &metricOracle{objs: objs, m: m, sum: e.sumAgg(), nbr: e.nbr}
+				got := make([]float64, len(objs))
+				want := make([]float64, len(objs))
 				rng := rand.New(rand.NewSource(5))
 				for round := 0; round < 4; round++ {
 					sel := rng.Intn(len(objs))
-					aos.absorb(bestA, sel)
-					soa.absorb(bestS, sel)
-					for i := range bestA {
-						if bestA[i] != bestS[i] {
-							t.Fatalf("%s agg=%v eps=%v: absorb state[%d] %v (AoS) vs %v (SoA)",
-								name, agg, eps, i, bestA[i], bestS[i])
+					e.absorb(got, sel)
+					oracle.absorb(want, sel)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s agg=%v eps=%v: absorb state[%d] = %v, metric says %v",
+								name, agg, eps, i, got[i], want[i])
 						}
 					}
 					for probe := 0; probe < 20; probe++ {
 						c := rng.Intn(len(objs))
-						ga := aos.marginal(bestA, c)
-						gs := soa.marginal(bestS, c)
-						if ga != gs {
-							t.Fatalf("%s agg=%v eps=%v: marginal(%d) %v (AoS) vs %v (SoA)", name, agg, eps, c, ga, gs)
+						g, w := e.marginalBatch(nil, got, []int{c})[0], oracle.marginal(want, c)
+						if g != w {
+							t.Fatalf("%s agg=%v eps=%v: marginal(%d) = %v, metric says %v", name, agg, eps, c, g, w)
 						}
-					}
-					if sa, ss := aos.score(bestA, round+1), soa.score(bestS, round+1); sa != ss {
-						t.Fatalf("%s agg=%v eps=%v: score %v (AoS) vs %v (SoA)", name, agg, eps, sa, ss)
 					}
 				}
 			}
@@ -75,55 +129,33 @@ func TestSoAMarginalBitwiseEqual(t *testing.T) {
 	}
 }
 
-// TestCompileSoAFallback pins the fallback contract: metrics without a
-// flat-column form keep the kernel-closure path.
-func TestCompileSoAFallback(t *testing.T) {
-	objs := testObjects(10, 1)
-	custom := sim.Func(func(a, b *geodata.Object) float64 { return 0 })
-	if ops := compileSoA(custom, objs); ops != nil {
-		t.Error("custom sim.Func compiled to SoA")
-	}
-	weird := sim.Hybrid{Alpha: 0.5, Text: sim.EuclideanProximity{MaxDist: 1}, Spatial: sim.Cosine{}}
-	if ops := compileSoA(weird, objs); ops != nil {
-		t.Error("hybrid with non-cosine text compiled to SoA")
-	}
-	e := newEvaluator(nil, objs, sim.Cosine{}, AggMax, nil, true)
-	if e.soa != nil {
-		t.Error("DisableSoA did not disable the SoA path")
-	}
-}
-
 // runConfig is one cell of the equivalence matrix.
 type runConfig struct {
-	par        int
-	disableSoA bool
-	stripes    int
+	par     int
+	stripes int
 }
 
 // TestSelectionEquivalenceMatrix is the end-to-end determinism proof of
-// the data-oriented rewrite: across Parallelism × PruneEps × metric ×
-// {AoS, SoA} × stripe-count overrides, every Selector run returns the
-// identical selection, bitwise-identical score, and bitwise-identical
-// gain sequence. The reference cell is the serial AoS single-stripe run
-// — the pre-rewrite configuration.
+// the engine: across Parallelism × PruneEps × metric × stripe-count
+// overrides, every Selector run returns the identical selection,
+// bitwise-identical score, and bitwise-identical gain sequence. The
+// reference cell is the serial single-stripe run.
 func TestSelectionEquivalenceMatrix(t *testing.T) {
 	objs := testObjects(650, 77)
 	variants := []runConfig{
-		{par: 1, disableSoA: false, stripes: 0},
-		{par: 1, disableSoA: false, stripes: 3},
-		{par: 2, disableSoA: false, stripes: 0},
-		{par: 2, disableSoA: true, stripes: 0},
-		{par: 4, disableSoA: false, stripes: 7},
-		{par: 4, disableSoA: true, stripes: 2},
+		{par: 1, stripes: 0},
+		{par: 1, stripes: 3},
+		{par: 2, stripes: 0},
+		{par: 4, stripes: 7},
+		{par: 4, stripes: 2},
 	}
-	for name, m := range soaTestMetrics(t) {
+	for name, m := range matrixMetrics(t) {
 		for _, eps := range []float64{0, 1e-3} {
 			run := func(rc runConfig) *Result {
 				t.Helper()
 				sel := &Selector{
 					Config: engine.Config{
-						K: 9, Theta: 0.05, Metric: m, Parallelism: rc.par,
-						PruneEps: eps, DisableSoA: rc.disableSoA,
+						K: 9, Theta: 0.05, Metric: m, Parallelism: rc.par, PruneEps: eps,
 					},
 					Objects:      objs,
 					forceStripes: rc.stripes,
@@ -134,7 +166,7 @@ func TestSelectionEquivalenceMatrix(t *testing.T) {
 				}
 				return res
 			}
-			ref := run(runConfig{par: 1, disableSoA: true, stripes: 1})
+			ref := run(runConfig{par: 1, stripes: 1})
 			for _, rc := range variants {
 				got := run(rc)
 				if len(got.Selected) != len(ref.Selected) {
@@ -182,7 +214,7 @@ func TestSelectionEquivalenceWithBounds(t *testing.T) {
 	run := func(rc runConfig) *Result {
 		t.Helper()
 		sel := &Selector{
-			Config:       engine.Config{K: 7, Theta: 0.05, Metric: m, Parallelism: rc.par, DisableSoA: rc.disableSoA},
+			Config:       engine.Config{K: 7, Theta: 0.05, Metric: m, Parallelism: rc.par},
 			Objects:      objs,
 			Candidates:   cands,
 			InitialGains: bounds,
@@ -194,9 +226,9 @@ func TestSelectionEquivalenceWithBounds(t *testing.T) {
 		}
 		return res
 	}
-	ref := run(runConfig{par: 1, disableSoA: true, stripes: 1})
+	ref := run(runConfig{par: 1, stripes: 1})
 	for _, rc := range []runConfig{
-		{par: 1, stripes: 0}, {par: 2, stripes: 5}, {par: 4, disableSoA: true, stripes: 0},
+		{par: 1, stripes: 0}, {par: 2, stripes: 5}, {par: 4, stripes: 0},
 	} {
 		got := run(rc)
 		if len(got.Selected) != len(ref.Selected) || got.Score != ref.Score {

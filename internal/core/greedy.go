@@ -121,7 +121,7 @@ func (s *Selector) Run(ctx context.Context) (*Result, error) {
 		pool = parallel.New(s.Parallelism)
 		defer pool.Close()
 	}
-	e := newEvaluator(ctx, s.Objects, s.Metric, s.Agg, pool, s.DisableSoA)
+	e := newEvaluator(ctx, s.Objects, s.Metric, s.Agg, pool)
 
 	// best[i] = current Sim(o_i, S): the aggregation state per object.
 	// For AggSum/AggAvg it accumulates the sum of similarities.

@@ -8,7 +8,8 @@ import (
 	"geosel/internal/sim"
 )
 
-// evalChunk is the number of objects per reduction chunk. Chunk
+// evalChunk is the number of objects per reduction chunk, and the size
+// of the stack buffer one sim.Rows call fills. Chunk
 // boundaries depend only on the object count — never on the worker
 // count — which is what makes every reduction bitwise deterministic
 // across Parallelism settings: partial sums are always accumulated
@@ -17,7 +18,7 @@ import (
 // enough chunks to keep a many-core pool busy, and large enough that
 // the per-chunk scheduling cost (one atomic fetch-add) is noise next to
 // the hundreds of similarity evaluations inside.
-const evalChunk = 256
+const evalChunk = sim.RowBlock
 
 // serialCutoff is the object count below which Selector.Run skips the
 // worker pool entirely: a single chunk cannot be sharded, and for tiny
@@ -26,9 +27,8 @@ const evalChunk = 256
 const serialCutoff = 2 * evalChunk
 
 // evaluator is the parallel marginal-gain engine behind Selector.Run,
-// Score and Representatives: a similarity kernel compiled once per run
-// (sim.CompileKernel), flat SoA columns for the built-in metrics
-// (soa.go), the weight column extracted once, and a worker pool that
+// Score and Representatives: the metric compiled once per run into
+// sim.Rows, the weight column extracted once, and a worker pool that
 // shards every loop over the objects into fixed chunks.
 //
 // The steady-state greedy iteration runs allocation-free: all per-pass
@@ -39,14 +39,12 @@ type evaluator struct {
 	objs []geodata.Object
 	// w is the extracted weight column ω (the paper's mass), indexed
 	// like objs.
-	w    []float64
-	kern sim.Kernel
+	w []float64
+	// rows fills Sim(o_i, o_c) for a run of objects i against one c; the
+	// reductions of reduce.go consume what it writes.
+	rows *sim.Rows
 	agg  Agg
 	pool *parallel.Pool
-	// soa holds the fused structure-of-arrays reductions for built-in
-	// metrics; nil falls back to the per-pair kernel closure (custom
-	// metrics, or the DisableSoA ablation).
-	soa *soaOps
 	// ctx cancels the run; done caches ctx.Done() so the per-chunk
 	// cancellation probe in worker loops is one channel poll.
 	ctx  context.Context
@@ -90,11 +88,9 @@ type opState struct {
 	div  float64
 }
 
-// newEvaluator compiles the metric into a kernel (and, unless disabled,
-// its SoA columns) and binds the pool. A nil pool is valid and runs
-// everything serially; a nil ctx never cancels.
-func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric, agg Agg, pool *parallel.Pool, disableSoA bool) *evaluator {
-	kern, _ := sim.CompileKernel(m, objs)
+// newEvaluator compiles the metric into rows and binds the pool. A nil
+// pool is valid and runs everything serially; a nil ctx never cancels.
+func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric, agg Agg, pool *parallel.Pool) *evaluator {
 	w := make([]float64, len(objs))
 	for i := range objs {
 		w[i] = objs[i].Weight
@@ -107,16 +103,13 @@ func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric, agg 
 	e := &evaluator{
 		objs:     objs,
 		w:        w,
-		kern:     kern,
+		rows:     sim.NewRows(m, objs),
 		agg:      agg,
 		pool:     pool,
 		ctx:      ctx,
 		done:     done,
 		nChunks:  nChunks,
 		partials: make([]float64, nChunks),
-	}
-	if !disableSoA {
-		e.soa = compileSoA(m, objs)
 	}
 	e.absorbChunkFn = e.absorbChunkTask
 	e.absorbRowFn = e.absorbRowTask

@@ -11,8 +11,8 @@
 //
 // Pass parameters travel through e.op and the loop bodies are method
 // values bound once per evaluator, so the steady state allocates
-// nothing per pass; the chunk bodies dispatch to the fused SoA
-// reductions (soa.go) when the metric has a flat-column form.
+// nothing per pass; every chunk body fills one row of similarities and
+// hands it to a reduction of reduce.go.
 package core
 
 import "geosel/internal/invariant"
@@ -38,26 +38,13 @@ func (e *evaluator) absorb(best []float64, sel int) {
 //geolint:hotpath
 func (e *evaluator) absorbChunkTask(chunk int) {
 	lo, hi := chunkBounds(chunk, len(e.objs))
-	best, sel := e.op.best, e.op.sel
-	if e.soa != nil {
-		if e.sumAgg() {
-			e.soa.absorbSum(best, lo, hi, sel)
-		} else {
-			e.soa.absorbMax(best, lo, hi, sel)
-		}
-		return
-	}
-	kern := e.kern
+	var buf [evalChunk]float64
+	s := buf[:hi-lo]
+	e.rows.Fill(s, lo, hi, e.op.sel)
 	if e.sumAgg() {
-		for i := lo; i < hi; i++ {
-			best[i] += kern(i, sel)
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if v := kern(i, sel); v > best[i] {
-			best[i] = v
-		}
+		absorbSum(e.op.best[lo:hi], s)
+	} else {
+		absorbMax(e.op.best[lo:hi], s)
 	}
 }
 
@@ -65,28 +52,17 @@ func (e *evaluator) absorbChunkTask(chunk int) {
 // unnormalized marginal gain of candidate c: Σ ω_i·(Sim(o_i, S∪{c}) −
 // Sim(o_i, S)) restricted to the chunk, which for AggMax is
 // Σ ω·max(0, Sim(o_i, o_c) − best[i]).
+//
+//geolint:hotpath
 func (e *evaluator) marginalChunk(best []float64, c, chunk int) float64 {
 	lo, hi := chunkBounds(chunk, len(e.objs))
-	if e.soa != nil {
-		if e.sumAgg() {
-			return e.soa.marginalSum(e.w, lo, hi, c)
-		}
-		return e.soa.marginalMax(e.w, best, lo, hi, c)
-	}
-	kern, w := e.kern, e.w
-	var part float64
+	var buf [evalChunk]float64
+	s := buf[:hi-lo]
+	e.rows.Fill(s, lo, hi, c)
 	if e.sumAgg() {
-		for i := lo; i < hi; i++ {
-			part += w[i] * kern(i, c)
-		}
-		return part
+		return marginalSum(e.w[lo:hi], s)
 	}
-	for i := lo; i < hi; i++ {
-		if v := kern(i, c); v > best[i] {
-			part += w[i] * (v - best[i])
-		}
-	}
-	return part
+	return marginalMax(e.w[lo:hi], best[lo:hi], s)
 }
 
 // marginalChunkTask shards one candidate's gain across the pool.

@@ -107,7 +107,7 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 		{"euclidean", sim.EuclideanProximity{MaxDist: math.Sqrt2}},
 		{"gaussian", sim.GaussianProximity{Sigma: 0.25}},
 		{"hybrid", hybrid},
-		// A custom metric exercises the interface-fallback kernel under
+		// A custom metric exercises the generic sim.Rows kind under
 		// the pool (it must be pure/thread-safe, as documented).
 		{"custom", sim.Func(func(a, b *geodata.Object) float64 {
 			d := a.Loc.Dist(b.Loc)

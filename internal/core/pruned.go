@@ -33,7 +33,7 @@ type neighborIndex struct {
 	// rowOf maps an object index to its row, or -1 for objects without
 	// one (anything never used as a candidate or forced pick).
 	rowOf []int32
-	// exact records that the kernel is exactly zero beyond the radius,
+	// exact records that the metric is exactly zero beyond the radius,
 	// i.e. pruned results are bitwise-equal to dense ones.
 	exact bool
 	// epsBound is the additive error budget eps·Σω of one truncated
@@ -50,8 +50,8 @@ func (x *neighborIndex) row(id int) ([]int32, bool) {
 	return x.elems[x.offsets[k]:x.offsets[k+1]], true
 }
 
-// enablePruning compiles the metric's pruned kernel and, when it
-// certifies a usable support radius, builds the neighbor index for the
+// enablePruning resolves the metric's support radius and, when it
+// certifies a usable one, builds the neighbor index for the
 // given row ids (the candidates and forced picks of a run, or the
 // selection of a Score call). It must run before the first absorb. The
 // evaluator stays dense when the radius is unbounded at this eps,
@@ -62,26 +62,22 @@ func (e *evaluator) enablePruning(m sim.Metric, eps float64, rowIDs []int) {
 	if n < serialCutoff || len(rowIDs) == 0 || n > math.MaxInt32 {
 		return
 	}
-	pk := sim.CompilePruned(m, e.objs, eps)
-	if !pk.Bounded || pk.Radius <= 0 {
+	radius, exact, ok := sim.SupportRadius(m, eps)
+	if !ok {
 		return
 	}
-	nbr := e.buildNeighborIndex(rowIDs, pk.Radius)
+	nbr := e.buildNeighborIndex(rowIDs, radius)
 	if e.err != nil || nbr == nil {
 		return
 	}
-	nbr.exact = pk.Exact
-	if !pk.Exact {
+	nbr.exact = exact
+	if !exact {
 		var sumW float64
 		for _, w := range e.w {
 			sumW += w
 		}
 		nbr.epsBound = eps * sumW
 	}
-	// The pruned kernel is the one CompileKernel returns — swapping it
-	// in changes nothing but keeps the radius and the kernel from one
-	// compilation.
-	e.kern = pk.Kern
 	e.nbr = nbr
 }
 
@@ -155,61 +151,48 @@ func (e *evaluator) buildNeighborIndex(rowIDs []int, radius float64) *neighborIn
 }
 
 // marginalPruned computes candidate c's unnormalized marginal gain over
-// its neighbor row only. The loop emulates the dense chunked reduction
-// — accumulate a partial per evalChunk range of object indices, flush
-// partials in increasing chunk order — so on the exact path the result
-// is bitwise-identical to marginal/marginalLocal: each skipped term
-// would have contributed exactly +0.0 to its chunk partial, and an
-// all-skipped chunk would have contributed a +0.0 partial to the gain.
-// On the eps path the result undershoots the dense gain by at most
-// eps·Σω. Candidates without a row fall back to the dense local pass.
+// its neighbor row only. The row is sorted by object index, so it
+// splits into one run per dense chunk; each run is gathered and reduced
+// to that chunk's partial, and partials are added in increasing chunk
+// order — the dense reduction with its all-zero terms left out. On the
+// exact path the result is therefore bitwise-identical to
+// marginal/marginalLocal: each skipped term would have contributed
+// exactly +0.0 to its chunk partial, and an all-skipped chunk would have
+// contributed a +0.0 partial to the gain. On the eps path the result
+// undershoots the dense gain by at most eps·Σω. Candidates without a
+// row fall back to the dense local pass.
+//
+//geolint:hotpath
 func (e *evaluator) marginalPruned(best []float64, c int) float64 {
 	row, ok := e.nbr.row(c)
 	if !ok {
 		return e.marginalLocal(best, c)
 	}
-	// Row ops are nil for metrics without a bounded support radius —
-	// those never build a neighbor index, so this is pure defense.
-	if e.soa != nil && e.soa.rowMarginalSum != nil {
+	var buf [evalChunk]float64
+	var gain float64
+	for len(row) > 0 {
+		end := (int(row[0])/evalChunk + 1) * evalChunk
+		n := 1
+		for n < len(row) && int(row[n]) < end {
+			n++
+		}
+		idx, s := row[:n], buf[:n]
+		e.rows.Gather(s, idx, c)
 		if e.sumAgg() {
-			return e.soa.rowMarginalSum(e.w, row, c)
+			gain += marginalSumRow(e.w, idx, s)
+		} else {
+			gain += marginalMaxRow(e.w, best, idx, s)
 		}
-		return e.soa.rowMarginalMax(e.w, best, row, c)
+		row = row[n:]
 	}
-	kern, w := e.kern, e.w
-	var gain, part float64
-	chunk := 0
-	if e.sumAgg() {
-		for _, ei := range row {
-			i := int(ei)
-			if nc := i / evalChunk; nc != chunk {
-				gain += part
-				part = 0
-				chunk = nc
-			}
-			part += w[i] * kern(i, c)
-		}
-		return gain + part
-	}
-	for _, ei := range row {
-		i := int(ei)
-		if nc := i / evalChunk; nc != chunk {
-			gain += part
-			part = 0
-			chunk = nc
-		}
-		if v := kern(i, c); v > best[i] {
-			part += w[i] * (v - best[i])
-		}
-	}
-	return gain + part
+	return gain
 }
 
 // absorbPruned updates the aggregation state over sel's neighbor row.
 // Row chunks are independent (rows are duplicate-free and writes are
 // per-object), so the row is sharded across the pool like the dense
 // object range would be. Objects outside the row keep their state —
-// exactly what the dense pass would do with their zero kernel value.
+// exactly what the dense pass would do with their zero similarity.
 func (e *evaluator) absorbPruned(best []float64, sel int, row []int32) {
 	e.op.best, e.op.sel, e.op.row = best, sel, row
 	rowChunks := (len(row) + evalChunk - 1) / evalChunk
@@ -220,29 +203,13 @@ func (e *evaluator) absorbPruned(best []float64, sel int, row []int32) {
 //
 //geolint:hotpath
 func (e *evaluator) absorbRowTask(chunk int) {
-	row := e.op.row
-	lo, hi := chunkBounds(chunk, len(row))
-	best, sel := e.op.best, e.op.sel
-	if e.soa != nil && e.soa.rowAbsorbSum != nil {
-		if e.sumAgg() {
-			e.soa.rowAbsorbSum(best, row, lo, hi, sel)
-		} else {
-			e.soa.rowAbsorbMax(best, row, lo, hi, sel)
-		}
-		return
-	}
-	kern := e.kern
+	lo, hi := chunkBounds(chunk, len(e.op.row))
+	var buf [evalChunk]float64
+	idx, s := e.op.row[lo:hi], buf[:hi-lo]
+	e.rows.Gather(s, idx, e.op.sel)
 	if e.sumAgg() {
-		for k := lo; k < hi; k++ {
-			i := int(row[k])
-			best[i] += kern(i, sel)
-		}
-		return
-	}
-	for k := lo; k < hi; k++ {
-		i := int(row[k])
-		if v := kern(i, sel); v > best[i] {
-			best[i] = v
-		}
+		absorbSumRow(e.op.best, idx, s)
+	} else {
+		absorbMaxRow(e.op.best, idx, s)
 	}
 }

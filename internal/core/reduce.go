@@ -1,0 +1,118 @@
+// Fill a row, reduce it once. Algorithm 1 and Lemmas 5.1–5.3 consume
+// Sim in a single shape — one object c against a run of objects i — so
+// the evaluator separates the two halves of every pass: sim.Rows writes
+// the run's similarities into a stack buffer (the only metric-specific
+// code), and the functions below fold that buffer into the aggregation
+// state or a partial gain. There are four reductions, absorb and
+// marginal gain under sum and max aggregation, each written twice: over
+// a dense chunk, where the buffer lines up with pre-sliced columns, and
+// over a neighbor row, where idx names the objects. Every metric,
+// built-in or custom, dense or pruned, at any Parallelism, runs these
+// eight loops and no others.
+//
+// The buffer is evalChunk = sim.RowBlock = 256 float64s: one reduction
+// chunk, so chunk boundaries (and with them the floating-point
+// summation order) stay a function of the object count alone, and small
+// enough — 2 KiB — to live on the stack of the task that fills it.
+//
+// Bitwise contract: buffer entries are the bits m.Sim returns, and each
+// loop accumulates in index order, so a chunk partial is the same float
+// whichever pass computes it. Pruned passes leave out terms the dense
+// pass adds as exactly ±0.0, which cannot change the result:
+// accumulators start at +0.0, IEEE-754 addition yields −0.0 only from
+// two −0.0 operands, so an accumulator is never −0.0 and adding ±0.0 to
+// it is the identity. The max loops rely on best[i] >= 0, which holds
+// because max state starts at +0.0 and similarities are non-negative.
+package core
+
+// absorbSum adds the chunk's similarities s to its aggregation state.
+//
+//geolint:hotpath
+func absorbSum(best, s []float64) {
+	best = best[:len(s)]
+	for i, v := range s {
+		best[i] += v
+	}
+}
+
+// absorbMax raises the chunk's aggregation state to s where s exceeds
+// it.
+//
+//geolint:hotpath
+func absorbMax(best, s []float64) {
+	best = best[:len(s)]
+	for i, v := range s {
+		if v > best[i] {
+			best[i] = v
+		}
+	}
+}
+
+// marginalSum returns the chunk partial Σ ω_i·s_i.
+//
+//geolint:hotpath
+func marginalSum(w, s []float64) float64 {
+	w = w[:len(s)]
+	var part float64
+	for i, v := range s {
+		part += w[i] * v
+	}
+	return part
+}
+
+// marginalMax returns the chunk partial Σ ω_i·max(0, s_i − best_i).
+//
+//geolint:hotpath
+func marginalMax(w, best, s []float64) float64 {
+	w, best = w[:len(s)], best[:len(s)]
+	var part float64
+	for i, v := range s {
+		if v > best[i] {
+			part += w[i] * (v - best[i])
+		}
+	}
+	return part
+}
+
+// The row variants read s[k] as the similarity of object idx[k]; best
+// and w are whole columns.
+
+//geolint:hotpath
+func absorbSumRow(best []float64, idx []int32, s []float64) {
+	s = s[:len(idx)]
+	for k, i := range idx {
+		best[i] += s[k]
+	}
+}
+
+//geolint:hotpath
+func absorbMaxRow(best []float64, idx []int32, s []float64) {
+	s = s[:len(idx)]
+	for k, i := range idx {
+		if s[k] > best[i] {
+			best[i] = s[k]
+		}
+	}
+}
+
+//geolint:hotpath
+func marginalSumRow(w []float64, idx []int32, s []float64) float64 {
+	s = s[:len(idx)]
+	var part float64
+	for k, i := range idx {
+		part += w[i] * s[k]
+	}
+	return part
+}
+
+//geolint:hotpath
+func marginalMaxRow(w, best []float64, idx []int32, s []float64) float64 {
+	s = s[:len(idx)]
+	var part float64
+	for k, i := range idx {
+		if v := s[k]; v > best[i] {
+			part += w[i] * (v - best[i])
+		}
+	}
+	return part
+}

@@ -78,9 +78,7 @@ func Score(objs []geodata.Object, sel []int, m sim.Metric, agg Agg) float64 {
 		pool = parallel.New(0)
 		defer pool.Close()
 	}
-	// The SoA fast path stays on: its reductions are bitwise-equal to
-	// the kernel-closure ones, so the ground truth is unchanged.
-	e := newEvaluator(nil, objs, m, agg, pool, false)
+	e := newEvaluator(nil, objs, m, agg, pool)
 	// Exact-radius pruning only (eps = 0): Score is the ground truth the
 	// rest of the system is checked against, so it must stay bitwise
 	// equal to the dense evaluation.
@@ -127,16 +125,21 @@ func Representatives(objs []geodata.Object, sel []int, m sim.Metric) []int {
 	}
 	// The nil-ctx evaluator's run wrapper cannot fail, which keeps this
 	// loop free of an impossible error path.
-	e := newEvaluator(nil, objs, m, AggMax, pool, false)
+	e := newEvaluator(nil, objs, m, AggMax, pool)
 	n := len(objs)
 	e.run(e.nChunks, func(chunk int) {
 		lo, hi := chunkBounds(chunk, n)
-		for i := lo; i < hi; i++ {
-			rep[i] = -1
-			best := -1.0
-			for _, s := range sel {
-				if v := e.kern(i, s); v > best {
-					best, rep[i] = v, s
+		var buf, best [evalChunk]float64
+		for i := range rep[lo:hi] {
+			rep[lo+i], best[i] = -1, -1
+		}
+		// Ties go to the earliest member of sel: later ones must be
+		// strictly better.
+		for _, s := range sel {
+			e.rows.Fill(buf[:], lo, hi, s)
+			for i, v := range buf[:hi-lo] {
+				if v > best[i] {
+					best[i], rep[lo+i] = v, s
 				}
 			}
 		}

@@ -131,13 +131,6 @@ type Config struct {
 	// DisableGrid switches off the grid index for visibility-conflict
 	// removal and uses a linear scan instead. For ablation benchmarks.
 	DisableGrid bool
-	// DisableSoA switches off the structure-of-arrays fast path of the
-	// evaluation engine and falls back to the compiled per-pair kernel
-	// closures (the pre-SoA layout). Results are bitwise-identical either
-	// way — the SoA loops perform the same floating-point operations in
-	// the same order — so the knob trades wall-clock time only. For
-	// ablation benchmarks (the hotloop suite's AoS baseline).
-	DisableSoA bool
 
 	// MaxZoomOutScale bounds the zoom-out factor covered by prefetched
 	// zoom-out envelopes; zoom-outs beyond it fall back to a cold

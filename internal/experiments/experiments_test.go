@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -183,29 +184,41 @@ func TestSamplingSweepTable(t *testing.T) {
 }
 
 func TestPrefetchComparisonTable(t *testing.T) {
-	tab, err := tinyEnv().Run("fig13")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 9 {
-		t.Fatalf("%d rows, want 3 modes × 3 ops", len(tab.Rows))
-	}
 	// For each op: Pre response <= Greedy response <= Reselect response
 	// is the paper's shape; assert the weaker, robust property that Pre
-	// does not exceed Reselect.
-	byOp := map[string]map[string]float64{}
-	for _, row := range tab.Rows {
-		if byOp[row[0]] == nil {
-			byOp[row[0]] = map[string]float64{}
+	// does not exceed Reselect. The responses are wall-clock readings
+	// of about a millisecond, so one scheduler hiccup can invert a pair
+	// (it did in 13 of 80 runs on a 2-vCPU box): a reading only counts
+	// as a failure if it repeats.
+	const attempts = 5
+	var slow []string
+	for try := 0; try < attempts; try++ {
+		tab, err := tinyEnv().Run("fig13")
+		if err != nil {
+			t.Fatal(err)
 		}
-		mode := strings.SplitN(row[1], "-", 2)[0]
-		byOp[row[0]][mode] = parse(t, row[2])
-	}
-	for op, modes := range byOp {
-		if modes["Pre"] > modes["Reselect"]*1.5 {
-			t.Errorf("op %s: Pre %v much slower than Reselect %v", op, modes["Pre"], modes["Reselect"])
+		if len(tab.Rows) != 9 {
+			t.Fatalf("%d rows, want 3 modes × 3 ops", len(tab.Rows))
+		}
+		byOp := map[string]map[string]float64{}
+		for _, row := range tab.Rows {
+			if byOp[row[0]] == nil {
+				byOp[row[0]] = map[string]float64{}
+			}
+			mode := strings.SplitN(row[1], "-", 2)[0]
+			byOp[row[0]][mode] = parse(t, row[2])
+		}
+		slow = slow[:0]
+		for op, modes := range byOp {
+			if modes["Pre"] > modes["Reselect"]*1.5 {
+				slow = append(slow, fmt.Sprintf("op %s: Pre %v much slower than Reselect %v", op, modes["Pre"], modes["Reselect"]))
+			}
+		}
+		if len(slow) == 0 {
+			return
 		}
 	}
+	t.Errorf("in each of %d runs; the last: %v", attempts, slow)
 }
 
 func TestAblationsTable(t *testing.T) {

@@ -42,24 +42,33 @@ import (
 // CPUs, 1 = serial). A cancelled ctx aborts between rows and returns
 // ctx.Err().
 func PairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []int, m sim.Metric, workers int) (map[int]float64, error) {
-	sums := make([]float64, len(envelopePos))
-	objs := col.Objects
-	// One kernel compilation per pass (bitwise-identical to m.Sim by
-	// the CompileKernel contract) instead of one interface dispatch per
-	// pair — the same treatment the greedy core gives its hot loops.
-	kern, _ := sim.CompileKernel(m, objs)
+	// Everything below works on a gathered copy of the envelope, so a
+	// pass costs O(|envelope|) memory however large the collection is.
+	// Index equality in sub is object identity, which is all the
+	// built-in metrics need of the pointers m.Sim would see.
+	sub := col.Subset(envelopePos)
+	w := make([]float64, len(sub))
+	for i := range sub {
+		w[i] = sub[i].Weight
+	}
+	rows := sim.NewRows(m, sub)
+	sums := make([]float64, len(sub))
 	pool := parallel.New(workers)
 	defer pool.Close()
-	pruned, err := pairwiseBoundsPruned(ctx, objs, envelopePos, m, kern, pool, sums)
+	pruned, err := pairwiseBoundsPruned(ctx, sub, w, m, rows, pool, sums)
 	if err != nil {
 		return nil, err
 	}
 	if !pruned {
-		err := pool.Run(ctx, len(envelopePos), func(i int) { //geolint:hotpath
+		err := pool.Run(ctx, len(sub), func(i int) { //geolint:hotpath
+			var buf [sim.RowBlock]float64
 			var sum float64
-			p := envelopePos[i]
-			for _, q := range envelopePos {
-				sum += objs[q].Weight * kern(p, q)
+			for lo := 0; lo < len(sub); lo += sim.RowBlock {
+				hi := min(lo+sim.RowBlock, len(sub))
+				rows.Fill(buf[:], lo, hi, i)
+				for k, v := range buf[:hi-lo] {
+					sum += w[lo+k] * v
+				}
 			}
 			sums[i] = sum
 		})
@@ -68,7 +77,7 @@ func PairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []
 		}
 	}
 	if invariant.Enabled {
-		assertEnvelopeBounds(objs, envelopePos, m, sums, "prefetch: pairwise envelope bound")
+		assertEnvelopeBounds(col.Objects, envelopePos, m, sums, "prefetch: pairwise envelope bound")
 	}
 	out := make(map[int]float64, len(envelopePos))
 	for i, p := range envelopePos {
@@ -85,23 +94,24 @@ const pruneCutoff = 512
 // neighborhoods instead of the whole envelope when the metric certifies
 // an exact radius (eps truncation is never applied here: a truncated
 // envelope sum could fall below the exact in-region gain and break the
-// bound-domination contract of Lemmas 5.1–5.3). Each row's neighbor
-// list is sorted by envelope position, so the pruned sum adds the same
-// nonzero terms in the same order as the dense row — skipped terms are
-// exactly zero — and the bounds come out bitwise identical. Reports
-// whether it filled sums; false means the caller must run the dense
-// rows (unbounded metric or tiny envelope).
-func pairwiseBoundsPruned(ctx context.Context, objs []geodata.Object, envelopePos []int, m sim.Metric, kern sim.Kernel, pool *parallel.Pool, sums []float64) (bool, error) {
-	if len(envelopePos) < pruneCutoff {
+// bound-domination contract of Lemmas 5.1–5.3). sub holds the gathered
+// envelope objects and w their weights. Each row's neighbor list is
+// sorted by envelope order, so the pruned sum adds the same nonzero
+// terms in the same order as the dense row — skipped terms are exactly
+// zero — and the bounds come out bitwise identical. Reports whether it
+// filled sums; false means the caller must run the dense rows
+// (unbounded metric or tiny envelope).
+func pairwiseBoundsPruned(ctx context.Context, sub []geodata.Object, w []float64, m sim.Metric, rows *sim.Rows, pool *parallel.Pool, sums []float64) (bool, error) {
+	if len(sub) < pruneCutoff {
 		return false, nil
 	}
 	r, exact, ok := sim.SupportRadius(m, 0)
 	if !ok || !exact {
 		return false, nil
 	}
-	bounds := geo.Rect{Min: objs[envelopePos[0]].Loc, Max: objs[envelopePos[0]].Loc}
-	for _, p := range envelopePos[1:] {
-		bounds = bounds.Union(geo.Rect{Min: objs[p].Loc, Max: objs[p].Loc})
+	bounds := geo.Rect{Min: sub[0].Loc, Max: sub[0].Loc}
+	for i := 1; i < len(sub); i++ {
+		bounds = bounds.Union(geo.Rect{Min: sub[i].Loc, Max: sub[i].Loc})
 	}
 	if r >= bounds.Min.Dist(bounds.Max) {
 		return false, nil // the radius spans the envelope: nothing to prune
@@ -110,19 +120,25 @@ func pairwiseBoundsPruned(ctx context.Context, objs []geodata.Object, envelopePo
 	if err != nil {
 		return false, nil
 	}
-	// Keyed by index into envelopePos, so rows can be replayed in the
-	// dense iteration order.
-	for k, p := range envelopePos {
-		g.Insert(k, objs[p].Loc)
+	for i := range sub {
+		g.Insert(i, sub[i].Loc)
 	}
-	runErr := pool.Run(ctx, len(envelopePos), func(i int) { //geolint:hotpath
-		p := envelopePos[i]
-		ks := g.Neighbors(objs[p].Loc, r)
+	runErr := pool.Run(ctx, len(sub), func(i int) { //geolint:hotpath
+		ks := g.Neighbors(sub[i].Loc, r)
 		sort.Ints(ks)
+		var idx [sim.RowBlock]int32
+		var buf [sim.RowBlock]float64
 		var sum float64
-		for _, k := range ks {
-			q := envelopePos[k]
-			sum += objs[q].Weight * kern(p, q)
+		for len(ks) > 0 {
+			n := min(len(ks), sim.RowBlock)
+			for k, q := range ks[:n] {
+				idx[k] = int32(q)
+			}
+			rows.Gather(buf[:], idx[:n], i)
+			for k, v := range buf[:n] {
+				sum += w[idx[k]] * v
+			}
+			ks = ks[n:]
 		}
 		sums[i] = sum
 	})
@@ -192,12 +208,10 @@ func PanBounds(ctx context.Context, view geodata.View, vp geo.Viewport, m sim.Me
 		}
 	}
 	sums := make([]float64, len(envPos))
-	kern, _ := sim.CompileKernel(m, objs)
 	pool := parallel.New(workers)
 	defer pool.Close()
 	err := pool.Run(ctx, len(envPos), func(i int) { //geolint:hotpath
-		p := envPos[i]
-		o := &objs[p]
+		o := &objs[envPos[i]]
 		ro := geo.Rect{
 			Min: geo.Point{X: o.Loc.X - rw, Y: o.Loc.Y - rh},
 			Max: geo.Point{X: o.Loc.X + rw, Y: o.Loc.Y + rh},
@@ -209,7 +223,7 @@ func PanBounds(ctx context.Context, view geodata.View, vp geo.Viewport, m sim.Me
 		}
 		var sum float64
 		for _, q := range view.Region(window) {
-			sum += objs[q].Weight * kern(p, q)
+			sum += objs[q].Weight * m.Sim(o, &objs[q])
 		}
 		sums[i] = sum
 	})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"geosel/internal/dataset"
@@ -276,5 +277,38 @@ func TestPanBoundsSubsetOfPairwise(t *testing.T) {
 		if pan[p] > plain[p]+1e-9 {
 			t.Fatalf("pan bound %v exceeds plain envelope bound %v", pan[p], plain[p])
 		}
+	}
+}
+
+// TestBoundsCostIndependentOfCollection pins the compile scope of a
+// bound pass: it may allocate in proportion to its envelope, never to
+// the collection the envelope was cut from. A pass that compiled the
+// metric over all 100 000 objects copied ~5.6 MB of vector headers.
+func TestBoundsCostIndependentOfCollection(t *testing.T) {
+	store := testStore(t, 100000, 1)
+	// Grow a window around a cluster until it holds about 500 objects.
+	center := store.Collection().Objects[0].Loc
+	var region geo.Rect
+	for side := 0.001; ; side *= 1.1 {
+		region = geo.RectAround(center, side)
+		if n := len(store.Region(region)); n >= 450 {
+			if n > 700 {
+				t.Fatalf("window jumped to %d objects", n)
+			}
+			break
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bounds, err := ZoomInBounds(context.Background(), store, region, sim.Cosine{}, 1)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bounds) < 450 {
+		t.Fatalf("%d bounds", len(bounds))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("one ZoomInBounds over %d objects allocated %d bytes, want < 1 MiB", len(bounds), alloc)
 	}
 }

@@ -65,16 +65,13 @@ func NewTiled(ctx context.Context, col *geodata.Collection, envelopePos []int, e
 	for i := range t.contrib {
 		t.contrib[i] = arena[i*nt : (i+1)*nt]
 	}
-	// The compiled kernel is bitwise-identical to m.Sim on the same
-	// indices and skips the per-pair interface dispatch.
-	kern, _ := sim.CompileKernel(m, objs)
 	pool := parallel.New(workers)
 	defer pool.Close()
 	err := pool.Run(ctx, len(envelopePos), func(i int) { //geolint:hotpath
 		row := t.contrib[i]
-		p := envelopePos[i]
+		o := &objs[envelopePos[i]]
 		for j, q := range envelopePos {
-			row[tileOf[j]] += objs[q].Weight * kern(p, q)
+			row[tileOf[j]] += objs[q].Weight * m.Sim(o, &objs[q])
 		}
 	})
 	if err != nil {

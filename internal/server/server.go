@@ -241,7 +241,6 @@ type selectRequest struct {
 	Region    rectJSON `json:"region"`
 	K         int      `json:"k"`
 	ThetaFrac float64  `json:"thetaFrac"`
-	Sample    bool     `json:"sample"`
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {

@@ -153,6 +153,9 @@ func TestSelectValidation(t *testing.T) {
 	cases := []map[string]any{
 		{"region": map[string]float64{"minX": 1, "minY": 1, "maxX": 0, "maxY": 0}, "k": 5},
 		{"region": map[string]float64{"minX": 0, "minY": 0, "maxX": 1, "maxY": 1}, "k": 0},
+		// No sampled serving path exists: asking for one is an error,
+		// not a silent exact run.
+		{"region": map[string]float64{"minX": 0, "minY": 0, "maxX": 1, "maxY": 1}, "k": 5, "sample": true},
 	}
 	for i, c := range cases {
 		resp, _ := post(t, ts.URL+"/select", c)

@@ -89,33 +89,6 @@ func TestSupportRadiusHybridAndFallbacks(t *testing.T) {
 	}
 }
 
-func TestCompilePruned(t *testing.T) {
-	objs := []geodata.Object{
-		{Loc: geo.Pt(0, 0), Weight: 1},
-		{Loc: geo.Pt(0.05, 0), Weight: 1},
-		{Loc: geo.Pt(0.9, 0.9), Weight: 1},
-	}
-	pk := CompilePruned(EuclideanProximity{MaxDist: 0.1}, objs, 0)
-	if !pk.Bounded || !pk.Exact || pk.Radius != 0.1 || !pk.Compiled {
-		t.Fatalf("euclidean pruned kernel: %+v", pk)
-	}
-	// The kernel is the unpruned one: identical values pair by pair.
-	dense, _ := CompileKernel(EuclideanProximity{MaxDist: 0.1}, objs)
-	for i := range objs {
-		for j := range objs {
-			if pk.Kern(i, j) != dense(i, j) {
-				t.Fatalf("kernel mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-	if pk.Kern(0, 2) != 0 {
-		t.Fatalf("pair beyond the radius must be exactly zero, got %v", pk.Kern(0, 2))
-	}
-	if pk := CompilePruned(Cosine{}, objs, 0.5); pk.Bounded {
-		t.Fatalf("cosine must be unbounded: %+v", pk)
-	}
-}
-
 func TestPrecomputedForwardsSupportRadius(t *testing.T) {
 	objs := []geodata.Object{{Loc: geo.Pt(0, 0)}, {Loc: geo.Pt(1, 1)}}
 	p, err := NewPrecomputed(objs, EuclideanProximity{MaxDist: 0.5})

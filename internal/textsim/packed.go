@@ -1,5 +1,5 @@
-// Packed term vectors: the structure-of-arrays layout behind the greedy
-// core's SoA cosine kernel. A slice of Vectors is an array-of-structs —
+// Packed term vectors: the flat layout behind the cosine rows of
+// sim.Rows. A slice of Vectors is an array-of-structs —
 // every object carries two slice headers (IDs, Weights) pointing at its
 // own small allocations, so a cosine inner loop chases four pointers per
 // pair and streams four separate arrays. Packed flattens all vectors
@@ -74,12 +74,17 @@ func (p *Packed) Row(i int) []uint64 {
 	return p.Words[p.Off[i]:p.Off[i+1]]
 }
 
-// Dot returns the dot product of packed vectors i and j via the same
+// Dot returns the dot product of packed vectors i and j.
+func (p *Packed) Dot(i, j int) float64 {
+	return DotWords(p.Row(i), p.Row(j))
+}
+
+// DotWords returns the dot product of two packed term rows via the same
 // ascending-id merge as Vector.Dot; the result is bitwise-equal because
 // the operands and the accumulation order are identical.
-func (p *Packed) Dot(i, j int) float64 {
-	a := p.Words[p.Off[i]:p.Off[i+1]]
-	b := p.Words[p.Off[j]:p.Off[j+1]]
+//
+//geolint:hotpath
+func DotWords(a, b []uint64) float64 {
 	var dot float64
 	ai, bi := 0, 0
 	for ai < len(a) && bi < len(b) {
