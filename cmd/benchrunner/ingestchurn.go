@@ -84,9 +84,20 @@ type ingestReport struct {
 	Note string          `json:"note"`
 }
 
+// navStep is one scripted user action, derived from the current
+// viewport at execution time so the trace composes.
+type navStep struct {
+	op geo.Op
+	// scale is applied around the region center for zooms; delta is the
+	// pan offset as a fraction of the region width.
+	scale float64
+	delta geo.Point
+}
+
 // churnNavTrace is the scripted exploration used for the latency
-// comparison; same shape as the prefetch-overlap trace.
-var churnNavTrace = []overlapStep{
+// comparison: drill into the dense center, wander, back out, drill
+// elsewhere — every operation kind is exercised several times.
+var churnNavTrace = []navStep{
 	{op: geo.OpZoomIn, scale: 0.6},
 	{op: geo.OpPan, delta: geo.Pt(0.25, 0)},
 	{op: geo.OpZoomIn, scale: 0.6},

@@ -8,7 +8,6 @@
 //	benchrunner -exp fig7
 //	benchrunner -exp all -uk 100000 -us 400000 -poi 30000 -queries 3
 //	benchrunner -suite pruned-vs-dense
-//	benchrunner -suite prefetch-overlap
 //	benchrunner -suite ingest-churn [-quick]
 //	benchrunner -suite hotloop [-quick] [-cpuprofile cpu.out] [-memprofile mem.out]
 //	benchrunner -suite tilecache [-quick]
@@ -29,7 +28,7 @@ func main() {
 	var (
 		exp     = flag.String("exp", "", "exhibit id (table3, table4, fig7..fig14, fig18..fig23) or 'all'")
 		list    = flag.Bool("list", false, "list exhibit ids and exit")
-		suite   = flag.String("suite", "", "structured perf suite: pruned-vs-dense, prefetch-overlap, ingest-churn, hotloop or tilecache (writes BENCH_*.json)")
+		suite   = flag.String("suite", "", "structured perf suite: pruned-vs-dense, ingest-churn, hotloop or tilecache (writes BENCH_*.json)")
 		out     = flag.String("out", "", "output path for -suite (default BENCH_<suite>.json)")
 		quick   = flag.Bool("quick", false, "shrink -suite workloads for CI smoke runs (ingest-churn and hotloop)")
 		ukSize  = flag.Int("uk", 0, "UK-like dataset size (0 = default)")
@@ -83,8 +82,6 @@ func main() {
 		switch *suite {
 		case "pruned-vs-dense":
 			runner, dflt = runPrunedSuite, "BENCH_pruned.json"
-		case "prefetch-overlap":
-			runner, dflt = runOverlapSuite, "BENCH_prefetch_overlap.json"
 		case "ingest-churn":
 			q := *quick
 			runner = func(path string, seed int64) error { return runIngestSuite(path, seed, q) }

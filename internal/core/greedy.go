@@ -49,7 +49,9 @@ type Selector struct {
 	// Σ_o ω(o)·Sim(o, c); the pre-fetching strategy of Section 5
 	// computes them from a superset region. When set, the selector
 	// skips the O(|O|·|G|) exact heap initialization — the paper's
-	// main bottleneck — and lazily refines bounds instead.
+	// main bottleneck — and lazily refines bounds instead. A metric
+	// with linear row sums (Cosine) never pays it: the run bounds its
+	// own initial gains and keeps the lower bound per candidate.
 	InitialGains []float64
 
 	// ran flips on the first successful entry into Run, enforcing the
@@ -75,7 +77,9 @@ type Result struct {
 	// Evals counts full marginal-gain computations (each costing one
 	// metric call per object in O, or per support neighbor when the
 	// pruned engine is active) — the paper's n_c. Lazy forward
-	// keeps Evals far below |G|·K. With Parallelism > 1 the batched
+	// keeps Evals far below |G|·K; exact heap initialization adds |G|
+	// of them, seeding the heap with bounds (InitialGains, or the
+	// metric's own linear row sums) none. With Parallelism > 1 the batched
 	// re-evaluation of stale heap tops may refresh a few extra
 	// candidates per round, so Evals can exceed the serial count even
 	// though the selection is identical.
@@ -360,18 +364,28 @@ func (s *Selector) runLazy(e *evaluator, res *Result, best []float64, selected, 
 	if err != nil {
 		return err
 	}
+	// Self-seeding: on a metric with linear row sums the run bounds its
+	// own initial gains, Σ_{o∈O} ω·Sim(o, c) ≥ Δ(c | D), in one pass over
+	// O — at least as tight as any Lemma 5.1–5.3 envelope sum, up to
+	// rounding, so prefetched bounds are kept only where they are lower.
+	if seeds := make([]float64, len(active)); e.rows.RowSums(seeds, e.w, active) {
+		for i, b := range bounds {
+			seeds[i] = min(seeds[i], b)
+		}
+		bounds = seeds
+	}
 	if bounds != nil {
 		init := make([]lazyheap.Tuple, len(active))
 		for i, c := range active {
-			// Pre-fetched upper bound: mark stale (Iter -1) so it is
-			// re-evaluated before being trusted.
+			// An upper bound, not a gain: mark it stale (Iter -1) so it
+			// is re-evaluated before being trusted.
 			init[i] = lazyheap.Tuple{ID: c, Gain: bounds[i], Iter: -1}
 		}
 		st.h.Heapify(init, st.runFn)
 	} else if len(active) > 0 {
-		// Exact O(|O|·|G|) heap initialization — the paper's main
-		// bottleneck — evaluated with one candidate per worker task,
-		// then bulk-loaded stripe-by-stripe in O(n).
+		// Exact O(|O|·|G|) heap initialization, Algorithm 1 as published
+		// — the bottleneck on a metric without row sums — evaluated one
+		// candidate per worker task, then bulk-loaded per stripe in O(n).
 		gains := e.marginalBatch(nil, best, active)
 		if err := e.fail(); err != nil {
 			return err

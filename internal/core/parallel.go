@@ -4,8 +4,10 @@
 // score — runs on the evaluator's worker pool. Two sharding shapes are
 // used: loops over the objects split into fixed evalChunk-sized chunks
 // (absorb, marginal, score), and loops over candidates hand one
-// candidate to each worker (heap initialization, batched lazy
-// re-evaluation). Both produce bitwise-identical results for every pool
+// candidate to each worker (exact heap initialization — skipped when
+// the metric's row sums are linear and the run seeds its heap with
+// bounds instead, see runLazy — and batched lazy re-evaluation). Both
+// produce bitwise-identical results for every pool
 // size because all floating-point reductions accumulate per-chunk
 // partials and combine them in chunk order.
 //
@@ -123,8 +125,8 @@ func (e *evaluator) batchPrunedTask(k int) {
 
 // marginalBatch evaluates many candidates concurrently, one candidate
 // per worker task; the result's k-th entry is the gain of cs[k]. It
-// powers the exact heap initialization (the paper's O(|O|·|G|)
-// bottleneck) and the batched lazy re-evaluation of stale heap tops.
+// powers the exact O(|O|·|G|) heap initialization, for metrics that
+// need one, and the batched lazy re-evaluation of stale heap tops.
 // dst is an optional scratch buffer reused across iterations (arena
 // discipline: the steady state passes the same buffer every time and
 // never allocates); the filled slice is returned.

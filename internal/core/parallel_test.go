@@ -197,6 +197,65 @@ func TestParallelDeterminismWithBounds(t *testing.T) {
 	}
 }
 
+// TestSelfSeedingMatchesExactInit pins the contract of the linear row
+// sums: Cosine seeds its own heap with upper bounds (sim.Rows.RowSums),
+// the same metric behind an opaque sim.Func compiles to the generic
+// kind and pays the exact heap initialization, and the two runs agree
+// bitwise — picks, gains, score — whatever the shape of the run. The
+// eight-word vocabulary makes exact gain ties the common case, so the
+// heap's (gain, id) order is what decides most picks.
+func TestSelfSeedingMatchesExactInit(t *testing.T) {
+	objs := testObjects(700, 41)
+	const k, theta = 12, 0.03
+	opaque := sim.Func(sim.Cosine{}.Sim)
+	// Forced objects must be θ-separated: take two picks of a plain run.
+	forced := mustRun(t, &Selector{Config: engine.Config{K: 2, Theta: theta, Metric: opaque}, Objects: objs}).Selected
+	var cands []int
+	var bounds []float64
+	for c := range objs {
+		if c%3 == 0 {
+			continue
+		}
+		// A valid bound either side of the run's own row sum: Σω for
+		// every other candidate, nearly the exact row sum for the rest.
+		var b float64
+		for i := range objs {
+			if len(cands)%2 == 0 {
+				b += objs[i].Weight
+			} else {
+				b += objs[i].Weight * opaque.Sim(&objs[i], &objs[c])
+			}
+		}
+		cands = append(cands, c)
+		bounds = append(bounds, b*(1+1e-12))
+	}
+	shapes := map[string]Selector{
+		"plain":             {},
+		"forced+candidates": {Forced: forced, Candidates: cands},
+		"forced+bounds":     {Forced: forced, Candidates: cands, InitialGains: bounds},
+	}
+	for name, shape := range shapes {
+		for _, agg := range []Agg{AggMax, AggSum} {
+			for _, par := range []int{1, 2, 8} {
+				run := func(m sim.Metric) *Result {
+					s := shape
+					s.Objects = objs
+					s.Config = engine.Config{K: k, Theta: theta, Metric: m, Agg: agg, Parallelism: par}
+					return mustRun(t, &s)
+				}
+				want, got := run(opaque), run(sim.Cosine{})
+				assertIdenticalResults(t, want, got, name+"/"+agg.String(), 41, k, theta, par)
+				if len(got.Gains) != len(want.Gains) {
+					t.Fatalf("%s/%v p=%d: %d gains vs %d", name, agg, par, len(got.Gains), len(want.Gains))
+				}
+				if name == "plain" && par == 1 && got.Evals >= want.Evals {
+					t.Errorf("%s/%v: self-seeded run made %d evals, exact init %d", name, agg, got.Evals, want.Evals)
+				}
+			}
+		}
+	}
+}
+
 // TestParallelNaiveMatchesLazy pins the DisableLazy ablation to the
 // lazy path under parallel execution.
 func TestParallelNaiveMatchesLazy(t *testing.T) {

@@ -185,8 +185,8 @@ func TestSamplingSweepTable(t *testing.T) {
 
 func TestPrefetchComparisonTable(t *testing.T) {
 	// For each op: Pre response <= Greedy response <= Reselect response
-	// is the paper's shape; assert the weaker, robust property that Pre
-	// does not exceed Reselect. The responses are wall-clock readings
+	// is the paper's shape; assert the weaker, robust property that
+	// neither seeded mode (Pre, Self) exceeds Reselect. The responses are wall-clock readings
 	// of about a millisecond, so one scheduler hiccup can invert a pair
 	// (it did in 13 of 80 runs on a 2-vCPU box): a reading only counts
 	// as a failure if it repeats.
@@ -197,8 +197,8 @@ func TestPrefetchComparisonTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tab.Rows) != 9 {
-			t.Fatalf("%d rows, want 3 modes × 3 ops", len(tab.Rows))
+		if len(tab.Rows) != 12 {
+			t.Fatalf("%d rows, want 4 modes × 3 ops", len(tab.Rows))
 		}
 		byOp := map[string]map[string]float64{}
 		for _, row := range tab.Rows {
@@ -210,8 +210,10 @@ func TestPrefetchComparisonTable(t *testing.T) {
 		}
 		slow = slow[:0]
 		for op, modes := range byOp {
-			if modes["Pre"] > modes["Reselect"]*1.5 {
-				slow = append(slow, fmt.Sprintf("op %s: Pre %v much slower than Reselect %v", op, modes["Pre"], modes["Reselect"]))
+			for _, seeded := range []string{"Pre", "Self"} {
+				if modes[seeded] > modes["Reselect"]*1.5 {
+					slow = append(slow, fmt.Sprintf("op %s: %s %v much slower than Reselect %v", op, seeded, modes[seeded], modes["Reselect"]))
+				}
 			}
 		}
 		if len(slow) == 0 {

@@ -37,7 +37,10 @@ func newPrefetchState(version uint64) *prefetchState {
 // the current viewport, per Section 5. Call it after a selection while
 // the user is inspecting the view; the next matching operation seeds
 // the greedy heap from the cached bounds instead of paying the exact
-// O(|O|·|G|) initialization. With Config.AsyncPrefetch the session
+// O(|O|·|G|) initialization — on a metric that pays one: under Cosine
+// every selection already bounds its own heap from linear row sums, at
+// least as tightly, so prefetching buys nothing there and costs one
+// linear pass per operation. With Config.AsyncPrefetch the session
 // already does this on a background goroutine after every navigation —
 // an explicit Prefetch then first joins that background work (adopting
 // its result if it completed) and computes the requested ops

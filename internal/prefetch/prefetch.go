@@ -4,20 +4,24 @@
 // object that could participate in the next navigation operation
 // (Lemmas 5.1, 5.2 and 5.3 for zoom-in, zoom-out and panning). The
 // bounds seed the greedy algorithm's heap in O(1) per object, removing
-// its initialization bottleneck — the source of the paper's ~2 orders of
-// magnitude speedup (Figure 13).
+// the O(|O|·|G|) exact initialization — the source of the paper's ~2
+// orders of magnitude speedup (Figure 13) on a metric that pays it.
+// Cosine, the metric the server runs, does not: its row sums are linear
+// (sim.Rows.RowSums, DESIGN.md §5d), so a cold run bounds its own heap
+// as tightly as any envelope can, and a bound pass here is one sweep.
 //
 // All bounds are on the *unnormalized* marginal gain Σ ω(o')·Sim(o, o')
 // used inside core.Selector, so they can be passed directly as
 // Selector.InitialGains.
 //
-// The O(|envelope|²) bound computations run on the shared worker pool
-// of internal/parallel — the same engine that powers the greedy core —
-// one envelope row per worker task. Every function takes the pool size
-// (0 = all CPUs, 1 = serial) and a context: prefetch passes are exactly
-// the work a session abandons when the user navigates mid-computation,
-// so cancellation is checked before every bound row and a cancelled
-// pass returns ctx.Err() with its partial output discarded.
+// On every other metric the bound computations are O(|envelope|²) and
+// run on the shared worker pool of internal/parallel — the same engine
+// that powers the greedy core — one envelope row per worker task. Every
+// function takes the pool size (0 = all CPUs, 1 = serial) and a
+// context: prefetch passes are exactly the work a session abandons when
+// the user navigates mid-computation, so cancellation is checked before
+// every bound row and a cancelled pass returns ctx.Err() with its
+// partial output discarded (a linear pass has no rows to stop between).
 package prefetch
 
 import (
@@ -37,42 +41,36 @@ import (
 // marginal gain in any region whose objects are a subset of the
 // envelope. This is Lemma 5.1 with the envelope = current region Op
 // (zoom-in) and Lemma 5.2 with the envelope = union of all possible
-// zoom-out regions OA. Cost: O(|envelope|²) metric calls, paid while
-// the user is idle; rows are computed on workers goroutines (0 = all
-// CPUs, 1 = serial). A cancelled ctx aborts between rows and returns
-// ctx.Err().
+// zoom-out regions OA. Cost: O(|envelope|) on a metric with linear row
+// sums (sim.Rows.RowSums — Cosine), on the calling goroutine; otherwise
+// O(|envelope|²) metric calls, paid while the user is idle, with rows
+// computed on workers goroutines (0 = all CPUs, 1 = serial), a
+// cancelled ctx aborting between rows with ctx.Err().
 func PairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []int, m sim.Metric, workers int) (map[int]float64, error) {
+	return pairwiseBounds(ctx, col, envelopePos, m, workers, false)
+}
+
+// pairwiseBounds is PairwiseBounds; with linearOnly set it returns a
+// nil map instead of computing quadratic rows.
+func pairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []int, m sim.Metric, workers int, linearOnly bool) (map[int]float64, error) {
 	// Everything below works on a gathered copy of the envelope, so a
 	// pass costs O(|envelope|) memory however large the collection is.
 	// Index equality in sub is object identity, which is all the
 	// built-in metrics need of the pointers m.Sim would see.
 	sub := col.Subset(envelopePos)
 	w := make([]float64, len(sub))
+	all := make([]int, len(sub))
 	for i := range sub {
 		w[i] = sub[i].Weight
+		all[i] = i
 	}
 	rows := sim.NewRows(m, sub)
 	sums := make([]float64, len(sub))
-	pool := parallel.New(workers)
-	defer pool.Close()
-	pruned, err := pairwiseBoundsPruned(ctx, sub, w, m, rows, pool, sums)
-	if err != nil {
-		return nil, err
-	}
-	if !pruned {
-		err := pool.Run(ctx, len(sub), func(i int) { //geolint:hotpath
-			var buf [sim.RowBlock]float64
-			var sum float64
-			for lo := 0; lo < len(sub); lo += sim.RowBlock {
-				hi := min(lo+sim.RowBlock, len(sub))
-				rows.Fill(buf[:], lo, hi, i)
-				for k, v := range buf[:hi-lo] {
-					sum += w[lo+k] * v
-				}
-			}
-			sums[i] = sum
-		})
-		if err != nil {
+	if !rows.RowSums(sums, w, all) {
+		if linearOnly {
+			return nil, nil
+		}
+		if err := quadraticRows(ctx, sub, w, m, rows, workers, sums); err != nil {
 			return nil, err
 		}
 	}
@@ -84,6 +82,30 @@ func PairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []
 		out[p] = sums[i]
 	}
 	return out, nil
+}
+
+// quadraticRows fills sums[i] = Σ_j w[j]·Sim(sub[j], sub[i]) one Fill
+// row per worker task: over support neighborhoods when the metric
+// certifies an exact radius, over the whole envelope otherwise.
+func quadraticRows(ctx context.Context, sub []geodata.Object, w []float64, m sim.Metric, rows *sim.Rows, workers int, sums []float64) error {
+	pool := parallel.New(workers)
+	defer pool.Close()
+	pruned, err := pairwiseBoundsPruned(ctx, sub, w, m, rows, pool, sums)
+	if err != nil || pruned {
+		return err
+	}
+	return pool.Run(ctx, len(sub), func(i int) { //geolint:hotpath
+		var buf [sim.RowBlock]float64
+		var sum float64
+		for lo := 0; lo < len(sub); lo += sim.RowBlock {
+			hi := min(lo+sim.RowBlock, len(sub))
+			rows.Fill(buf[:], lo, hi, i)
+			for k, v := range buf[:hi-lo] {
+				sum += w[lo+k] * v
+			}
+		}
+		sums[i] = sum
+	})
 }
 
 // pruneCutoff is the envelope size below which the pruned bound rows
@@ -185,11 +207,17 @@ func ZoomOutBounds(ctx context.Context, view geodata.View, vp geo.Viewport, maxS
 // panned region containing o lies inside that intersection. Each worker
 // owns one envelope object: it performs the per-object window query
 // (views are immutable, so their region search is safe to share) and
-// accumulates that object's bound.
+// accumulates that object's bound. On a metric with linear row sums the
+// bound is the O(|rA|) sum over all of rA instead: a superset sum
+// dominates the window sum, so it is looser but still a bound, and core
+// tightens it against the new region's own row sum anyway.
 func PanBounds(ctx context.Context, view geodata.View, vp geo.Viewport, m sim.Metric, workers int) (map[int]float64, error) {
 	env := vp.PanEnvelope()
 	envPos := view.Region(env)
 	col := view.Collection()
+	if out, err := pairwiseBounds(ctx, col, envPos, m, workers, true); out != nil || err != nil {
+		return out, err
+	}
 	objs := col.Objects
 	w := vp.Region.Width()
 	h := vp.Region.Height()

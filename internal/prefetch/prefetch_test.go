@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"geosel/internal/dataset"
@@ -310,5 +311,87 @@ func TestBoundsCostIndependentOfCollection(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Fatalf("one ZoomInBounds over %d objects allocated %d bytes, want < 1 MiB", len(bounds), alloc)
+	}
+}
+
+// TestLinearBoundsSkipTheRows guards the cost model of a bound pass on
+// the served metric: Cosine's row sums are linear (sim.Rows.RowSums),
+// so a Lemma 5.2 pass over ~2000 objects evaluates no pair at all. It
+// shows as three things a row-by-row pass cannot do: it finishes under
+// a context that was cancelled before it began (rows are only ever
+// computed through pool.Run, which hands out no index once ctx is
+// done), it allocates under 1 MiB, and it starts no worker. The same
+// metric behind an opaque sim.Func is the control: n² spied calls, and
+// ctx.Err() when cancelled.
+func TestLinearBoundsSkipTheRows(t *testing.T) {
+	store := testStore(t, 30000, 5)
+	center := store.Collection().Objects[0].Loc
+	var vp geo.Viewport
+	n := 0
+	for side := 0.002; n < 1800; side *= 1.1 {
+		vp = geo.NewViewport(geo.WorldUnit, geo.RectAround(center, side))
+		n = len(store.Region(vp.ZoomOutEnvelope(2)))
+	}
+	if n > 3000 {
+		t.Fatalf("envelope jumped to %d objects", n)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	var before, after runtime.MemStats
+	goroutines := runtime.NumGoroutine()
+	runtime.ReadMemStats(&before)
+	linear, err := ZoomOutBounds(cancelled, store, vp, 2, sim.Cosine{}, 64)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(linear) != n {
+		t.Fatalf("Cosine pass under a cancelled ctx: %d of %d bounds, err = %v", len(linear), n, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("one ZoomOutBounds over %d objects allocated %d bytes, want < 1 MiB", n, alloc)
+	}
+	if g := runtime.NumGoroutine(); g > goroutines {
+		t.Errorf("the pass left %d goroutines running, %d before it", g, goroutines)
+	}
+
+	var calls atomic.Int64
+	spy := sim.Func(func(a, b *geodata.Object) float64 {
+		calls.Add(1)
+		return sim.Cosine{}.Sim(a, b)
+	})
+	if _, err := ZoomOutBounds(cancelled, store, vp, 2, spy, 2); err != context.Canceled {
+		t.Fatalf("opaque pass under a cancelled ctx: err = %v, want context.Canceled", err)
+	}
+	calls.Store(0)
+	quadratic, err := ZoomOutBounds(context.Background(), store, vp, 2, spy, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got < int64(n)*int64(n) {
+		t.Fatalf("the spy saw %d of %d pairs: the control measured nothing", got, n*n)
+	}
+	// Both are the Lemma 5.2 sum; the linear one is inflated by a few ulp.
+	for p, q := range quadratic {
+		if l := linear[p]; l < q || l > q*(1+1e-9) {
+			t.Fatalf("position %d: linear bound %v, row bound %v", p, l, q)
+		}
+	}
+
+	// Degenerate envelopes take the same path; an object alone in its
+	// envelope is bounded by its own weight.
+	objs := store.Collection().Objects
+	for _, envelope := range [][]int{nil, store.Region(vp.Region)[:1]} {
+		goroutines := runtime.NumGoroutine() // the control's workers may still be exiting
+		got, err := PairwiseBounds(cancelled, store.Collection(), envelope, sim.Cosine{}, 64)
+		if err != nil || len(got) != len(envelope) {
+			t.Fatalf("envelope of %d: %d bounds, err = %v", len(envelope), len(got), err)
+		}
+		if g := runtime.NumGoroutine(); g > goroutines {
+			t.Errorf("envelope of %d: %d goroutines running, %d before", len(envelope), g, goroutines)
+		}
+		for p, b := range got {
+			if w := objs[p].Weight; b < w || b > w*(1+1e-9) {
+				t.Errorf("one-object envelope: bound %v, want the object's weight %v", b, w)
+			}
+		}
 	}
 }

@@ -172,6 +172,85 @@ func (r *Rows) Gather(dst []float64, idx []int32, c int) {
 	}
 }
 
+// RowSums writes to dst[k], for each c = cs[k], an upper bound on the
+// weighted row sum Σ_i w[i]·Sim(o_i, o_c) over every compiled object —
+// o_c's initial marginal gain, or its Lemma 5.1–5.3 bound when the
+// objects are an envelope — in O(Σ nnz) instead of one Fill per c. It
+// reports false, with dst unspecified, when the metric has no such
+// shortcut; the caller then sums Fill rows as before.
+//
+// Only Cosine has one: its row sum is linear, ô_c·A with A = Σ_i w_i·ô_i
+// and ô = v/‖v‖. Three corrections keep the value above what the
+// chunked reductions make of Fill (DESIGN.md §5d). Sim(o_c, o_c) is
+// exactly 1 whatever the stored norm makes of v_c·v_c/‖v_c‖², so the
+// shortfall is added back (a zero-norm c gets w_c alone). Unclamped
+// quotients dominate Fill's [0, 1] clamp only if every dot is
+// non-negative, so a negative or NaN term weight, norm or w declines.
+// And either summation order is within n + maxnnz + 8 roundings of the
+// real sum, so the result is inflated by 1 + 4(n + maxnnz + 8)·2⁻⁵³.
+func (r *Rows) RowSums(dst, w []float64, cs []int) bool {
+	if r.kind != rowsCosine {
+		return false
+	}
+	p := &r.vecs
+	// A lives in an open-addressed table at load ≤ 1/2, so its size
+	// follows the region's terms, not the vocabulary's. slot finds a
+	// term's entry, claiming an empty one (key 0) on first sight.
+	shift := uint(63)
+	for 1<<(64-shift) < 2*len(p.Words) {
+		shift--
+	}
+	keys := make([]uint64, 1<<(64-shift))
+	acc := make([]float64, len(keys))
+	slot := func(word uint64) int {
+		key := word>>32 + 1
+		h := int(key * 0x9E3779B97F4A7C15 >> shift)
+		for keys[h] != key && keys[h] != 0 {
+			h = (h + 1) & (len(keys) - 1)
+		}
+		keys[h] = key
+		return h
+	}
+	maxnnz := 0
+	for i, ni := range p.Norms {
+		if !(w[i] >= 0 && ni >= 0) {
+			return false
+		}
+		row := p.Row(i)
+		maxnnz = max(maxnnz, len(row))
+		scale := 0.0
+		if ni > 0 {
+			scale = w[i] / ni
+		}
+		for _, word := range row {
+			x := float64(textsim.UnpackWeight(word))
+			if !(x >= 0) {
+				return false
+			}
+			acc[slot(word)] += scale * x
+		}
+	}
+	inflate := 1 + 4*float64(len(p.Norms)+maxnnz+8)*0x1p-53
+	for k, c := range cs {
+		b := w[c]
+		if nc := p.Norms[c]; nc > 0 {
+			var dot, self float64
+			for _, word := range p.Row(c) {
+				x := float64(textsim.UnpackWeight(word))
+				dot += x * acc[slot(word)]
+				self += x * x
+			}
+			b = dot/nc + w[c]*max(0, 1-self/(nc*nc))
+		}
+		b *= inflate
+		if !(b >= 0) {
+			return false // NaN out of an overflowed quotient
+		}
+		dst[k] = b
+	}
+	return true
+}
+
 // euclidSim is EuclideanProximity.Sim for MaxDist > 0. The builtin max
 // compiles branch-free, and 1−d/maxDist is never −0.0, so it returns
 // the bits of the metric's "if s < 0 { return 0 }".

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -117,4 +118,158 @@ func TestCompileKernelHybridNilParts(t *testing.T) {
 	if r := NewRows(Hybrid{Alpha: 0.5}, objs); r.kind != rowsGeneric {
 		t.Fatalf("nil-part hybrid compiled to kind %d", r.kind)
 	}
+}
+
+// chunkedRowSum is Σ_i w[i]·Sim(o_i, o_c) in the order internal/core
+// reduces it: Fill one RowBlock chunk, accumulate its partial in index
+// order, combine the partials in chunk order.
+func chunkedRowSum(r *Rows, n int, w []float64, c int) float64 {
+	var buf [RowBlock]float64
+	var sum float64
+	for lo := 0; lo < n; lo += RowBlock {
+		hi := min(lo+RowBlock, n)
+		r.Fill(buf[:], lo, hi, c)
+		var part float64
+		for k, v := range buf[:hi-lo] {
+			part += w[lo+k] * v
+		}
+		sum += part
+	}
+	return sum
+}
+
+// checkRowSums asserts the RowSums contract over objs for every index
+// (twice, so cs may repeat): each bound dominates the chunk-ordered
+// exact sum, and — when tight — exceeds it by rounding only.
+func checkRowSums(t *testing.T, objs []geodata.Object, tight bool) {
+	t.Helper()
+	n := len(objs)
+	w := make([]float64, n)
+	cs := make([]int, 0, 2*n)
+	for i := range objs {
+		w[i] = objs[i].Weight
+		cs = append(cs, i)
+	}
+	cs = append(cs, cs...)
+	r := NewRows(Cosine{}, objs)
+	dst := make([]float64, len(cs))
+	if !r.RowSums(dst, w, cs) {
+		t.Fatal("RowSums declined a non-negative Cosine instance")
+	}
+	for k, c := range cs {
+		exact := chunkedRowSum(r, n, w, c)
+		if dst[k] < exact {
+			t.Fatalf("c = %d: bound %v below the exact row sum %v", c, dst[k], exact)
+		}
+		if tight && dst[k] > exact*(1+1e-9) {
+			t.Fatalf("c = %d: bound %v more than 1e-9 above the exact row sum %v", c, dst[k], exact)
+		}
+	}
+}
+
+func TestRowSumsDominateExactRows(t *testing.T) {
+	// n is not a multiple of RowBlock; term weights are quarters, so the
+	// float32 packing is exact and the stored norms are consistent.
+	const n = 2*RowBlock + 88
+	rng := rand.New(rand.NewSource(19))
+	objs := make([]geodata.Object, n)
+	for i := range objs {
+		tf := make(map[int]float64)
+		for k := rng.Intn(6); k > 0; k-- {
+			tf[rng.Intn(40)*1000] = float64(1+rng.Intn(8)) / 4
+		}
+		objs[i] = geodata.Object{ID: i, Weight: rng.Float64(), Vec: textsim.NewVector(tf)}
+		switch rng.Intn(8) {
+		case 0:
+			objs[i].Weight = 0
+		case 1:
+			objs[i].Vec = textsim.Vector{} // zero norm
+		case 2:
+			if i > 0 {
+				objs[i].Vec = objs[rng.Intn(i)].Vec // duplicate
+			}
+		}
+	}
+	checkRowSums(t, objs, true)
+	checkRowSums(t, objs[:1], true)
+	checkRowSums(t, nil, true)
+
+	// Norms that disagree with their vectors move Sim off the quotient
+	// (the clamp, the exact self-similarity); the bound must still hold.
+	for i := range objs {
+		objs[i].Vec.Norm *= 0.5 + rng.Float64()
+	}
+	checkRowSums(t, objs, false)
+}
+
+func TestRowSumsDeclines(t *testing.T) {
+	objs := rowsTestObjects(40, 5)
+	hybrid, err := NewHybrid(0.4, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	precomputed, err := NewPrecomputed(objs, Cosine{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := func() []float64 {
+		w := make([]float64, len(objs))
+		for i := range w {
+			w[i] = 1
+		}
+		return w
+	}
+	cs := []int{0, 7, 39}
+	dst := make([]float64, len(cs))
+	for name, m := range map[string]Metric{
+		"euclidean":   EuclideanProximity{MaxDist: 0.7},
+		"gaussian":    GaussianProximity{Sigma: 0.2},
+		"hybrid":      hybrid,
+		"func":        Func(Cosine{}.Sim),
+		"precomputed": precomputed,
+	} {
+		if NewRows(m, objs).RowSums(dst, ones(), cs) {
+			t.Errorf("%s: RowSums answered for a metric with no linear row sum", name)
+		}
+	}
+	if !NewRows(Cosine{}, objs).RowSums(dst, ones(), cs) {
+		t.Fatal("RowSums declined the baseline instance")
+	}
+	for name, bad := range map[string]float64{"negative": -0.5, "NaN": math.NaN()} {
+		w := ones()
+		w[3] = bad // not in cs: every ω enters the aggregate
+		if NewRows(Cosine{}, objs).RowSums(dst, w, cs) {
+			t.Errorf("RowSums answered with a %s ω", name)
+		}
+		mod := append([]geodata.Object(nil), objs...)
+		mod[5].Vec = textsim.Vector{IDs: []int32{1, 2}, Weights: []float32{float32(bad), 1}, Norm: 1}
+		if NewRows(Cosine{}, mod).RowSums(dst, ones(), cs) {
+			t.Errorf("RowSums answered with a %s term weight", name)
+		}
+		mod[5].Vec = textsim.Vector{IDs: []int32{1}, Weights: []float32{1}, Norm: bad}
+		if NewRows(Cosine{}, mod).RowSums(dst, ones(), cs) {
+			t.Errorf("RowSums answered with a %s norm", name)
+		}
+	}
+}
+
+// FuzzRowSums decodes the input as objects of up to three (term,
+// weight) pairs plus an ω, so the fuzzer steers overlaps, duplicates,
+// empty vectors and zero weights directly.
+func FuzzRowSums(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte("the same seven bytes, the same seven bytes, and then some others"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var objs []geodata.Object
+		for ; len(data) >= 7; data = data[7:] {
+			tf := make(map[int]float64)
+			for k := 0; k < 6; k += 2 {
+				tf[int(data[k]%32)] = float64(data[k+1]%16) / 4 // 0 drops the term
+			}
+			objs = append(objs, geodata.Object{ID: len(objs), Weight: float64(data[6]) / 16, Vec: textsim.NewVector(tf)})
+		}
+		checkRowSums(t, objs, true)
+	})
 }
