@@ -26,10 +26,9 @@ func main() {
 	ctx := context.Background()
 	sess, err := geosel.NewSession(store, geosel.SessionConfig{
 		Config: geosel.EngineConfig{
-			K:            12,
-			ThetaFrac:    0.02,
-			Metric:       geosel.Cosine(),
-			TilesPerSide: 16, // tiled prefetch bounds
+			K:         12,
+			ThetaFrac: 0.02,
+			Metric:    geosel.Cosine(),
 		},
 	})
 	if err != nil {

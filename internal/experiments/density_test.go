@@ -35,16 +35,27 @@ func TestSharedTermDensity(t *testing.T) {
 			pos = store.Region(geo.RectAround(center, side))
 		}
 		shared, terms := 0, 0
+		df := make(map[uint64]int) // term id -> objects of the region holding it
 		for i, p := range pos {
-			terms += len(objs[p].Vec.IDs)
+			terms += len(objs[p].Vec.Words)
+			for _, word := range objs[p].Vec.Words {
+				df[word>>32]++
+			}
 			for _, q := range pos[:i] {
 				if objs[p].Vec.Dot(objs[q].Vec) > 0 {
 					shared++
 				}
 			}
 		}
+		// One evaluation of candidate c scatters over Σ_{t∈c} df(t)
+		// postings (sim.Rows.Fill); summed over every c that is Σ_t df(t)².
+		postings := 0
+		for _, d := range df {
+			postings += d * d
+		}
+		n := float64(len(pos))
 		density := float64(shared) / float64(len(pos)*(len(pos)-1)/2)
-		t.Logf("%4d objects, %.1f terms each: %.2f of pairs share a term", len(pos), float64(terms)/float64(len(pos)), density)
+		t.Logf("%4d objects, %.1f terms each: %.2f of pairs share a term, %.2f·|O| postings per evaluation", len(pos), float64(terms)/n, density, float64(postings)/(n*n))
 		mean += density / regions
 	}
 	if mean < 0.5 {

@@ -16,6 +16,8 @@
 // rebuilding the index — see grid.go and the ingest-churn benchmark
 // suite. Slots are never compacted, so memory grows with the total
 // mutation count, not the live count; Stats.DeadSlots tracks the cost.
+// The slot array is reserved at twice the seed size and doubles when
+// it fills.
 package livestore
 
 import (
@@ -106,8 +108,10 @@ func New(col *geodata.Collection, cfg engine.Config) (*Store, error) {
 		return nil, fmt.Errorf("livestore: IngestBatch = %d must be positive", cfg.IngestBatch)
 	}
 
+	// Every mutation but a delete appends a slot, so the array is
+	// reserved at twice the seed and doubled from there (applyLocked).
 	n := len(col.Objects)
-	objs := make([]geodata.Object, n, n+n/2+16)
+	objs := make([]geodata.Object, n, 2*n+16)
 	copy(objs, col.Objects)
 	vocab := col.Vocab
 	if vocab == nil {
@@ -312,6 +316,15 @@ func (s *Store) applyLocked(ctx context.Context, muts []Mutation) (uint64, Outco
 	// Point of no return: mutate writer state, then publish. Appends go
 	// strictly beyond every published snapshot's length, so concurrent
 	// readers of older epochs never observe them.
+	//
+	// Past the reserve the array doubles explicitly: older snapshots pin
+	// the array they were cut from, so every regrowth holds two arrays
+	// live, and append's 1.25× steps would regrow twice as often.
+	if need := baseN + len(appended); need > cap(s.objs) {
+		grown := make([]geodata.Object, baseN, max(need, 2*cap(s.objs)))
+		copy(grown, s.objs)
+		s.objs = grown
+	}
 	s.objs = append(s.objs, appended...)
 	n := len(s.objs)
 	for len(s.live) < (n+63)/64 {

@@ -318,6 +318,57 @@ func TestFreezePinsAVersion(t *testing.T) {
 	}
 }
 
+// The slot array is reserved at 2n+16 and doubles from there; a
+// snapshot cut from an outgrown array keeps reading that array.
+func TestSlotArrayDoublesPastTheReserve(t *testing.T) {
+	ctx := context.Background()
+	const n = 8
+	s := mustNew(t, testCollection(t, n, 4))
+	if got := cap(s.objs); got != 2*n+16 {
+		t.Fatalf("reserve = %d slots for %d objects, want %d", got, n, 2*n+16)
+	}
+	pinned := s.Current()
+	want := append([]geodata.Object(nil), pinned.Collection().Objects...)
+	regrowths := 0
+	for batch := 0; batch < 20; batch++ {
+		muts := make([]Mutation, 5)
+		for i := range muts {
+			muts[i] = Mutation{Op: OpInsert, ID: 100 + 5*batch + i, Loc: geo.Pt(0.5, 0.5), Weight: 0.5, Text: "late"}
+		}
+		before := cap(s.objs)
+		if _, _, err := s.Apply(ctx, muts); err != nil {
+			t.Fatal(err)
+		}
+		if after := cap(s.objs); after != before {
+			regrowths++
+			if after < 2*before {
+				t.Fatalf("batch %d: slot array grew %d -> %d, want at least doubled", batch, before, after)
+			}
+		}
+	}
+	if regrowths != 2 { // 32 -> 64 -> 128 for 108 slots
+		t.Fatalf("%d regrowths to reach %d slots from a reserve of %d, want 2", regrowths, n+100, 2*n+16)
+	}
+	got := pinned.Collection().Objects
+	if len(got) != len(want) {
+		t.Fatalf("pinned snapshot grew from %d to %d objects", len(want), len(got))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || got[i].Loc != want[i].Loc {
+			t.Fatalf("pinned snapshot's object %d changed under regrowth", i)
+		}
+	}
+	cur := s.Current().Collection().Objects
+	if len(cur) != n+100 {
+		t.Fatalf("current snapshot has %d slots, want %d", len(cur), n+100)
+	}
+	for i := range want {
+		if cur[i].ID != want[i].ID {
+			t.Fatalf("slot %d lost its object across regrowth", i)
+		}
+	}
+}
+
 func TestTraceRoundTrip(t *testing.T) {
 	in := []TimedMutation{
 		{Seq: 0, AtMs: 0, Mutation: Mutation{Op: OpInsert, ID: 1, Loc: geo.Pt(0.25, 0.75), Weight: 0.5, Text: "a b"}},

@@ -30,7 +30,8 @@ const (
 // per (metric, object slice) and writes Sim(&objs[i], &objs[c]) into a
 // caller-owned buffer — bitwise the value m.Sim returns — reading flat
 // columns for the built-in metrics: x/y for the proximity metrics, one
-// packed CSR term arena for Cosine, two nested Rows for Hybrid.
+// packed CSR term arena and its inverted index for Cosine, two nested
+// Rows for Hybrid.
 //
 // Rows is deliberately one concrete struct with a kind switch, called
 // statically: behind an interface or a func-valued field the caller's
@@ -50,8 +51,16 @@ type Rows struct {
 	xs, ys []float64
 	scale  float64
 
-	// Cosine: the packed term arena.
-	vecs textsim.Packed
+	// Cosine: the packed term arena; termOf, parallel to vecs.Words,
+	// renames each word's term to a dense region-local id; and the
+	// inverted index over those ids, term t's postings being
+	// posts[postOff[t]:postOff[t+1]] — one word per object holding t,
+	// the object index in the high 32 bits, ascending, and t's float32
+	// weight bits in that object's vector in the low 32.
+	vecs    textsim.Packed
+	termOf  []int32
+	postOff []int32
+	posts   []uint64
 
 	// Hybrid: alpha·text + (1−alpha)·spatial.
 	alpha         float64
@@ -64,11 +73,9 @@ type Rows struct {
 func NewRows(m Metric, objs []geodata.Object) *Rows {
 	switch mt := m.(type) {
 	case Cosine:
-		vecs := make([]textsim.Vector, len(objs))
-		for i := range objs {
-			vecs[i] = objs[i].Vec
+		if r := cosineRows(objs); r != nil {
+			return r
 		}
-		return &Rows{kind: rowsCosine, vecs: textsim.Pack(vecs)}
 	case EuclideanProximity:
 		if mt.MaxDist > 0 {
 			return spatialRows(rowsEuclid, objs, mt.MaxDist)
@@ -85,6 +92,69 @@ func NewRows(m Metric, objs []geodata.Object) *Rows {
 		}
 	}
 	return &Rows{kind: rowsGeneric, m: m, objs: objs}
+}
+
+// cosineRows packs the term vectors of objs and inverts them, in
+// O(Σ nnz). It returns nil when some vector's term ids are not strictly
+// ascending — NewVector's guarantee, and what makes the merge-join of
+// Cosine.Sim and the posting-list scatter of Fill sum the same products
+// in the same order; such objects keep the generic kind.
+func cosineRows(objs []geodata.Object) *Rows {
+	vecs := make([]textsim.Vector, len(objs))
+	for i := range objs {
+		vecs[i] = objs[i].Vec
+	}
+	r := &Rows{kind: rowsCosine, vecs: textsim.Pack(vecs)}
+	words := r.vecs.Words
+
+	// Localise the terms through an open-addressed table at load ≤ 1/2,
+	// so every size below follows the region's terms, not the
+	// vocabulary's. count[t] is term t's document frequency.
+	shift := uint(63)
+	for 1<<(64-shift) < 2*len(words) {
+		shift--
+	}
+	keys := make([]uint64, 1<<(64-shift))
+	local := make([]int32, len(keys))
+	var count []int32
+	r.termOf = make([]int32, len(words))
+	for i := range objs {
+		lo, hi := r.vecs.Off[i], r.vecs.Off[i+1]
+		for k := lo; k < hi; k++ {
+			key := words[k]>>32 + 1 // 0 marks an empty slot
+			if k > lo && key <= words[k-1]>>32+1 {
+				return nil
+			}
+			h := int(key * 0x9E3779B97F4A7C15 >> shift)
+			for keys[h] != key && keys[h] != 0 {
+				h = (h + 1) & (len(keys) - 1)
+			}
+			if keys[h] == 0 {
+				keys[h], local[h] = key, int32(len(count))
+				count = append(count, 0)
+			}
+			r.termOf[k] = local[h]
+			count[local[h]]++
+		}
+	}
+
+	// Counting sort by term. Objects are visited in index order, so each
+	// posting run comes out ascending.
+	r.postOff = make([]int32, len(count)+1)
+	for t, c := range count {
+		r.postOff[t+1] = r.postOff[t] + c
+	}
+	r.posts = make([]uint64, len(words))
+	next := count // reused as each run's write cursor
+	copy(next, r.postOff)
+	for i := range objs {
+		for k := r.vecs.Off[i]; k < r.vecs.Off[i+1]; k++ {
+			t := r.termOf[k]
+			r.posts[next[t]] = uint64(i)<<32 | words[k]&(1<<32-1)
+			next[t]++
+		}
+	}
+	return r
 }
 
 func spatialRows(kind rowsKind, objs []geodata.Object, scale float64) *Rows {
@@ -116,10 +186,7 @@ func (r *Rows) Fill(dst []float64, lo, hi, c int) {
 			dst[k] = gaussSim(xs[k]-xc, ys[k]-yc, sigma)
 		}
 	case rowsCosine:
-		cRow, cNorm := r.vecs.Row(c), r.vecs.Norms[c]
-		for k := range dst {
-			dst[k] = r.cosineSim(lo+k, c, cRow, cNorm)
-		}
+		r.fillCosine(dst, lo, hi, c)
 	case rowsHybrid:
 		var buf [RowBlock]float64
 		spatial := buf[:len(dst)]
@@ -193,41 +260,24 @@ func (r *Rows) RowSums(dst, w []float64, cs []int) bool {
 		return false
 	}
 	p := &r.vecs
-	// A lives in an open-addressed table at load ≤ 1/2, so its size
-	// follows the region's terms, not the vocabulary's. slot finds a
-	// term's entry, claiming an empty one (key 0) on first sight.
-	shift := uint(63)
-	for 1<<(64-shift) < 2*len(p.Words) {
-		shift--
-	}
-	keys := make([]uint64, 1<<(64-shift))
-	acc := make([]float64, len(keys))
-	slot := func(word uint64) int {
-		key := word>>32 + 1
-		h := int(key * 0x9E3779B97F4A7C15 >> shift)
-		for keys[h] != key && keys[h] != 0 {
-			h = (h + 1) & (len(keys) - 1)
-		}
-		keys[h] = key
-		return h
-	}
+	acc := make([]float64, len(r.postOff)-1) // A, by local term id
 	maxnnz := 0
 	for i, ni := range p.Norms {
 		if !(w[i] >= 0 && ni >= 0) {
 			return false
 		}
-		row := p.Row(i)
-		maxnnz = max(maxnnz, len(row))
+		lo, hi := p.Off[i], p.Off[i+1]
+		maxnnz = max(maxnnz, int(hi-lo))
 		scale := 0.0
 		if ni > 0 {
 			scale = w[i] / ni
 		}
-		for _, word := range row {
-			x := float64(textsim.UnpackWeight(word))
+		for k := lo; k < hi; k++ {
+			x := float64(textsim.UnpackWeight(p.Words[k]))
 			if !(x >= 0) {
 				return false
 			}
-			acc[slot(word)] += scale * x
+			acc[r.termOf[k]] += scale * x
 		}
 	}
 	inflate := 1 + 4*float64(len(p.Norms)+maxnnz+8)*0x1p-53
@@ -235,9 +285,9 @@ func (r *Rows) RowSums(dst, w []float64, cs []int) bool {
 		b := w[c]
 		if nc := p.Norms[c]; nc > 0 {
 			var dot, self float64
-			for _, word := range p.Row(c) {
-				x := float64(textsim.UnpackWeight(word))
-				dot += x * acc[slot(word)]
+			for k := p.Off[c]; k < p.Off[c+1]; k++ {
+				x := float64(textsim.UnpackWeight(p.Words[k]))
+				dot += x * acc[r.termOf[k]]
 				self += x * x
 			}
 			b = dot/nc + w[c]*max(0, 1-self/(nc*nc))
@@ -264,25 +314,57 @@ func gaussSim(dx, dy, sigma float64) float64 {
 	return math.Exp(-d * d)
 }
 
+// fillCosine is Fill for the Cosine kind. Instead of merge-joining c's
+// row with each of the hi−lo others, it scatters c's terms over their
+// posting runs inside [lo, hi): dst[i-lo] accumulates w_i·w_c for every
+// term i shares with c. Terms are walked in c's ascending id order and
+// every dst entry starts at +0.0, so each entry adds the products
+// DotWords(row_i, row_c) adds, in its order — the same float64, then
+// the same quotient and clamps as Cosine.Sim.
+//
+//geolint:hotpath
+func (r *Rows) fillCosine(dst []float64, lo, hi, c int) {
+	clear(dst)
+	words, termOf, posts := r.vecs.Words, r.termOf, r.posts
+	for k := r.vecs.Off[c]; k < r.vecs.Off[c+1]; k++ {
+		wc := float64(textsim.UnpackWeight(words[k]))
+		t := termOf[k]
+		run := posts[r.postOff[t]:r.postOff[t+1]]
+		// Skip to the first posting at or beyond lo.
+		a, b := 0, len(run)
+		for a < b {
+			m := int(uint(a+b) >> 1)
+			if int(run[m]>>32) < lo {
+				a = m + 1
+			} else {
+				b = m
+			}
+		}
+		for _, p := range run[a:] {
+			i := int(p >> 32)
+			if i >= hi {
+				break
+			}
+			dst[i-lo] += float64(textsim.UnpackWeight(p)) * wc
+		}
+	}
+	cNorm := r.vecs.Norms[c]
+	for k, ni := range r.vecs.Norms[lo:hi] {
+		dst[k] = textsim.CosineOf(dst[k], ni, cNorm)
+	}
+	if lo <= c && c < hi {
+		dst[c-lo] = 1
+	}
+}
+
 // cosineSim is Cosine.Sim(o_i, o_c) against c's hoisted packed row and
-// norm. The merge-join visits the same (id, weight) pairs in the same
-// order as Vector.Dot, and both products commute exactly in IEEE-754.
+// norm: the merge-join Gather keeps, its index lists being too sparse
+// for posting runs to pay.
 func (r *Rows) cosineSim(i, c int, cRow []uint64, cNorm float64) float64 {
 	if i == c {
 		return 1
 	}
-	ni := r.vecs.Norms[i]
-	if ni == 0 || cNorm == 0 {
-		return 0
-	}
-	v := textsim.DotWords(r.vecs.Row(i), cRow) / (ni * cNorm)
-	if v > 1 {
-		return 1
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
+	return textsim.CosineOf(textsim.DotWords(r.vecs.Row(i), cRow), r.vecs.Norms[i], cNorm)
 }
 
 // mix folds the spatial part into dst, which holds the text part.

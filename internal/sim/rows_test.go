@@ -31,6 +31,16 @@ func rowsTestObjects(n int, seed int64) []geodata.Object {
 	return objs
 }
 
+// rawVector hand-builds a vector NewVector would refuse: any ids in any
+// order, any weights, any norm.
+func rawVector(norm float64, ids []int32, weights []float32) textsim.Vector {
+	v := textsim.Vector{Words: make([]uint64, len(ids)), Norm: norm}
+	for k, id := range ids {
+		v.Words[k] = textsim.PackWord(id, weights[k])
+	}
+	return v
+}
+
 // The one oracle of pair evaluation: whatever Rows compiles a metric
 // into, Fill and Gather write bitwise the value of
 // m.Sim(&objs[i], &objs[c]) — for every pair including i == c, over
@@ -117,6 +127,109 @@ func TestCompileKernelHybridNilParts(t *testing.T) {
 	// not).
 	if r := NewRows(Hybrid{Alpha: 0.5}, objs); r.kind != rowsGeneric {
 		t.Fatalf("nil-part hybrid compiled to kind %d", r.kind)
+	}
+}
+
+// checkCosineRows compares Fill and Gather on the compiled Cosine rows
+// of objs with Cosine{}.Sim, bit for bit, for every c: over the RowBlock
+// chunk grid and over windows that start and end off it, so c falls
+// inside, before and after the window.
+func checkCosineRows(t *testing.T, objs []geodata.Object) {
+	t.Helper()
+	n := len(objs)
+	r := NewRows(Cosine{}, objs)
+	var windows [][2]int
+	for lo := 0; lo < n; lo += RowBlock {
+		windows = append(windows, [2]int{lo, min(lo+RowBlock, n)})
+	}
+	for _, lo := range []int{1, n / 3, n - n/4} {
+		for _, width := range []int{1, 13, RowBlock} {
+			if lo < n {
+				windows = append(windows, [2]int{lo, min(lo+width, n)})
+			}
+		}
+	}
+	idx := make([]int32, 0, RowBlock)
+	var buf [RowBlock]float64
+	for c := range objs {
+		for _, win := range windows {
+			lo, hi := win[0], win[1]
+			r.Fill(buf[:], lo, hi, c)
+			idx = idx[:0]
+			for i := hi - 1; i >= lo; i-- { // descending: Gather takes any order
+				idx = append(idx, int32(i))
+				want := Cosine{}.Sim(&objs[i], &objs[c])
+				if got := buf[i-lo]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Fill[%d,%d): (%d,%d) = %v, Sim = %v", lo, hi, i, c, got, want)
+				}
+			}
+			r.Gather(buf[:], idx, c)
+			for k, i := range idx {
+				want := Cosine{}.Sim(&objs[i], &objs[c])
+				if got := buf[k]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("Gather: (%d,%d) = %v, Sim = %v", i, c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// The posting-list scatter behind Cosine's Fill against the merge-join
+// of Cosine.Sim, on the vectors that set them apart: a term every
+// object holds (posting runs that span every window), a term only c
+// holds, empty vectors, a zero norm over real terms, and negative
+// weights, whose negative dot products clamp to 0.
+func TestFillCosineMatchesSim(t *testing.T) {
+	const n = 2*RowBlock + 88
+	const everywhere, unique = 77_000, 5
+	rng := rand.New(rand.NewSource(23))
+	objs := make([]geodata.Object, n)
+	for i := range objs {
+		tf := map[int]float64{everywhere: float64(1+rng.Intn(4)) / 2}
+		for k := rng.Intn(5); k > 0; k-- {
+			tf[10+rng.Intn(30)*100] = float64(1+rng.Intn(8)) / 4
+		}
+		objs[i] = geodata.Object{ID: i, Vec: textsim.NewVector(tf)}
+	}
+	for _, i := range []int{0, 100, RowBlock - 1, RowBlock, n - 1} {
+		objs[i].Vec = textsim.Vector{}
+	}
+	objs[300].Vec = textsim.NewVector(map[int]float64{unique: 2, everywhere: 1})
+	objs[301].Vec = rawVector(0, []int32{10, everywhere}, []float32{1, 1})
+	objs[40].Vec = rawVector(1.5, []int32{10, 110, everywhere}, []float32{-1, 0.5, -1})
+	objs[RowBlock+7].Vec = rawVector(1, []int32{everywhere}, []float32{-1})
+	if r := NewRows(Cosine{}, objs); r.kind != rowsCosine {
+		t.Fatalf("compiled to kind %d, want the Cosine kind", r.kind)
+	}
+	if dot := objs[40].Vec.Dot(objs[41].Vec); !(dot < 0) {
+		t.Fatalf("objects 40 and 41 have dot product %v, want one the clamp to 0 must catch", dot)
+	}
+	checkCosineRows(t, objs)
+	checkCosineRows(t, objs[:1])
+	checkCosineRows(t, nil)
+}
+
+// Scatter ≡ merge only over strictly ascending term ids. One hand-built
+// vector that breaks the order keeps the whole Rows — and a Hybrid's
+// text half — on the generic kind, where Fill is m.Sim by construction.
+func TestUnsortedVectorsStayGeneric(t *testing.T) {
+	for name, bad := range map[string]textsim.Vector{
+		"duplicate": rawVector(1, []int32{2, 2, 3}, []float32{1, 1, 1}),
+		"unsorted":  rawVector(1, []int32{3, 2}, []float32{1, 1}),
+	} {
+		objs := rowsTestObjects(RowBlock+20, 9)
+		for i := range objs {
+			objs[i].Vec = textsim.NewVector(map[int]float64{2: 1, 3 + i%3: 2})
+		}
+		objs[RowBlock+3].Vec = bad
+		if r := NewRows(Cosine{}, objs); r.kind != rowsGeneric {
+			t.Errorf("%s ids compiled to kind %d, want generic", name, r.kind)
+		}
+		hybrid := Hybrid{Alpha: 0.5, Text: Cosine{}, Spatial: EuclideanProximity{MaxDist: 1}}
+		if r := NewRows(hybrid, objs); r.text.kind != rowsGeneric {
+			t.Errorf("%s ids: hybrid text half compiled to kind %d, want generic", name, r.text.kind)
+		}
+		checkCosineRows(t, objs)
 	}
 }
 
@@ -242,34 +355,49 @@ func TestRowSumsDeclines(t *testing.T) {
 			t.Errorf("RowSums answered with a %s ω", name)
 		}
 		mod := append([]geodata.Object(nil), objs...)
-		mod[5].Vec = textsim.Vector{IDs: []int32{1, 2}, Weights: []float32{float32(bad), 1}, Norm: 1}
+		mod[5].Vec = rawVector(1, []int32{1, 2}, []float32{float32(bad), 1})
 		if NewRows(Cosine{}, mod).RowSums(dst, ones(), cs) {
 			t.Errorf("RowSums answered with a %s term weight", name)
 		}
-		mod[5].Vec = textsim.Vector{IDs: []int32{1}, Weights: []float32{1}, Norm: bad}
+		mod[5].Vec = rawVector(bad, []int32{1}, []float32{1})
 		if NewRows(Cosine{}, mod).RowSums(dst, ones(), cs) {
 			t.Errorf("RowSums answered with a %s norm", name)
 		}
 	}
 }
 
-// FuzzRowSums decodes the input as objects of up to three (term,
+// fuzzObjects decodes the input as objects of up to three (term,
 // weight) pairs plus an ω, so the fuzzer steers overlaps, duplicates,
 // empty vectors and zero weights directly.
-func FuzzRowSums(f *testing.F) {
+func fuzzObjects(data []byte) []geodata.Object {
+	var objs []geodata.Object
+	for ; len(data) >= 7; data = data[7:] {
+		tf := make(map[int]float64)
+		for k := 0; k < 6; k += 2 {
+			tf[int(data[k]%32)] = float64(data[k+1]%16) / 4 // 0 drops the term
+		}
+		objs = append(objs, geodata.Object{ID: len(objs), Weight: float64(data[6]) / 16, Vec: textsim.NewVector(tf)})
+	}
+	return objs
+}
+
+func addFuzzSeeds(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte("the same seven bytes, the same seven bytes, and then some others"))
+}
+
+func FuzzRowSums(f *testing.F) {
+	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var objs []geodata.Object
-		for ; len(data) >= 7; data = data[7:] {
-			tf := make(map[int]float64)
-			for k := 0; k < 6; k += 2 {
-				tf[int(data[k]%32)] = float64(data[k+1]%16) / 4 // 0 drops the term
-			}
-			objs = append(objs, geodata.Object{ID: len(objs), Weight: float64(data[6]) / 16, Vec: textsim.NewVector(tf)})
-		}
-		checkRowSums(t, objs, true)
+		checkRowSums(t, fuzzObjects(data), true)
+	})
+}
+
+func FuzzFillCosine(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkCosineRows(t, fuzzObjects(data))
 	})
 }

@@ -1,30 +1,26 @@
-// Packed term vectors: the flat layout behind the cosine rows of
-// sim.Rows. A slice of Vectors is an array-of-structs —
-// every object carries two slice headers (IDs, Weights) pointing at its
-// own small allocations, so a cosine inner loop chases four pointers per
-// pair and streams four separate arrays. Packed flattens all vectors
-// into one CSR arena of bit-packed (term id, weight) words plus one
-// norm column, so the merge-join streams exactly two contiguous runs.
+// The packed term layout. A Vector holds one word per term — the term
+// id in the high 32 bits, the weight's IEEE-754 float32 bit pattern in
+// the low 32 — sorted ascending by term id, so comparing the high bits
+// of two words compares their term ids and one merge-join (DotWords) is
+// the only dot-product loop of the package. Packed concatenates the
+// words of many vectors into one CSR arena plus a norm column: the flat
+// layout behind the cosine rows of sim.Rows, which streams contiguous
+// runs instead of chasing one slice header per object.
 //
-// The packing is lossless: the term id occupies the high 32 bits of
-// each word and the weight's IEEE-754 float32 bit pattern the low 32,
-// so unpacking returns the identical float32 the Vector held and every
-// dot product and cosine computed from the packed layout is
-// bitwise-equal to the Vector one. (A lossy b-bit quantization of the
-// weights would bound the per-term error by Δ/2 with Δ the quantization
-// step, giving |dot − dot_q| ≤ Δ·(‖a‖₁+‖b‖₁)/2; since weights are
-// already float32, packing their exact bits costs nothing extra and
-// keeps the error identically zero — see DESIGN.md §9.)
+// The weight bits are stored exactly, so every dot product and cosine
+// is the same float64 whichever container the words sit in. (A lossy
+// b-bit quantization of the weights would bound the per-term error by
+// Δ/2 with Δ the quantization step, giving |dot − dot_q| ≤
+// Δ·(‖a‖₁+‖b‖₁)/2; since weights are already float32, keeping their
+// exact bits costs nothing extra and keeps the error identically zero —
+// see DESIGN.md §9.)
 package textsim
 
 import "math"
 
-// Packed is a CSR arena of term vectors: vector i's terms are
-// Words[Off[i]:Off[i+1]], each word carrying the term id in its high 32
-// bits and the float32 weight bits in its low 32, sorted ascending by
-// term id (the id order is preserved by packing, and comparing the high
-// bits of two words compares their term ids). Norms[i] is the
-// precomputed Euclidean norm, copied from Vector.Norm.
+// Packed is a CSR arena of term vectors: vector i's words are
+// Words[Off[i]:Off[i+1]], in the Vector's own order, and Norms[i] is
+// its Vector.Norm.
 //
 //geolint:hotpath
 type Packed struct {
@@ -45,13 +41,11 @@ func UnpackWeight(word uint64) float32 {
 	return math.Float32frombits(uint32(word))
 }
 
-// Pack flattens vecs into the CSR arena layout. The term order within
-// each vector is preserved, so merge-joins over packed rows visit the
-// same (id, weight) pairs in the same order as Vector.Dot.
+// Pack concatenates vecs into the CSR arena layout.
 func Pack(vecs []Vector) Packed {
 	total := 0
 	for i := range vecs {
-		total += len(vecs[i].IDs)
+		total += len(vecs[i].Words)
 	}
 	p := Packed{
 		Off:   make([]int32, len(vecs)+1),
@@ -60,9 +54,7 @@ func Pack(vecs []Vector) Packed {
 	}
 	for i := range vecs {
 		p.Off[i] = int32(len(p.Words))
-		for k, id := range vecs[i].IDs {
-			p.Words = append(p.Words, PackWord(id, vecs[i].Weights[k]))
-		}
+		p.Words = append(p.Words, vecs[i].Words...)
 		p.Norms[i] = vecs[i].Norm
 	}
 	p.Off[len(vecs)] = int32(len(p.Words))
@@ -79,9 +71,9 @@ func (p *Packed) Dot(i, j int) float64 {
 	return DotWords(p.Row(i), p.Row(j))
 }
 
-// DotWords returns the dot product of two packed term rows via the same
-// ascending-id merge as Vector.Dot; the result is bitwise-equal because
-// the operands and the accumulation order are identical.
+// DotWords returns the dot product of two term rows via an
+// ascending-id merge: the products of the shared terms, float32 weights
+// widened to float64, summed from +0.0 in ascending term order.
 //
 //geolint:hotpath
 func DotWords(a, b []uint64) float64 {
@@ -106,16 +98,5 @@ func DotWords(a, b []uint64) float64 {
 // Cosine returns the cosine similarity of packed vectors i and j,
 // bitwise-equal to Vector.Cosine on the source vectors.
 func (p *Packed) Cosine(i, j int) float64 {
-	ni, nj := p.Norms[i], p.Norms[j]
-	if ni == 0 || nj == 0 {
-		return 0
-	}
-	c := p.Dot(i, j) / (ni * nj)
-	if c > 1 {
-		return 1
-	}
-	if c < 0 {
-		return 0
-	}
-	return c
+	return CosineOf(p.Dot(i, j), p.Norms[i], p.Norms[j])
 }

@@ -52,8 +52,8 @@ func TestPackedMatchesVector(t *testing.T) {
 		vecs := randomVectors(60, seed)
 		p := Pack(vecs)
 		for i := range vecs {
-			if len(p.Row(i)) != len(vecs[i].IDs) {
-				t.Fatalf("seed %d: row %d has %d words for %d terms", seed, i, len(p.Row(i)), len(vecs[i].IDs))
+			if len(p.Row(i)) != len(vecs[i].Words) {
+				t.Fatalf("seed %d: row %d has %d words for %d terms", seed, i, len(p.Row(i)), len(vecs[i].Words))
 			}
 			if p.Norms[i] != vecs[i].Norm {
 				t.Fatalf("seed %d: norm %d = %v, want %v", seed, i, p.Norms[i], vecs[i].Norm)

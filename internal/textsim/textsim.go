@@ -67,13 +67,15 @@ func (v *Vocabulary) Term(id int) (string, bool) {
 // Len reports the number of distinct terms seen.
 func (v *Vocabulary) Len() int { return len(v.terms) }
 
-// Vector is a sparse term-frequency vector: term ids sorted ascending,
-// parallel weights, and the precomputed Euclidean norm. Build one with
-// NewVector or FromText; the zero Vector is the empty vector.
+// Vector is a sparse term-frequency vector in the packed layout every
+// similarity loop reads (packed.go): one word per term, the term id in
+// the high 32 bits and the float32 weight bits in the low 32, sorted
+// strictly ascending by term id, plus the precomputed Euclidean norm.
+// Build one with NewVector or FromText; the zero Vector is the empty
+// vector.
 type Vector struct {
-	IDs     []int32
-	Weights []float32
-	Norm    float64
+	Words []uint64
+	Norm  float64
 }
 
 // NewVector builds a vector from a term-id -> weight map. Zero and
@@ -87,15 +89,11 @@ func NewVector(tf map[int]float64) Vector {
 		}
 	}
 	sort.Ints(ids)
-	v := Vector{
-		IDs:     make([]int32, len(ids)),
-		Weights: make([]float32, len(ids)),
-	}
+	v := Vector{Words: make([]uint64, len(ids))}
 	var norm2 float64
 	for i, id := range ids {
 		w := tf[id]
-		v.IDs[i] = int32(id)
-		v.Weights[i] = float32(w)
+		v.Words[i] = PackWord(int32(id), float32(w))
 		norm2 += w * w
 	}
 	v.Norm = math.Sqrt(norm2)
@@ -123,39 +121,31 @@ func FromTerms(vocab *Vocabulary, terms []string) Vector {
 }
 
 // IsZero reports whether the vector has no terms.
-func (a Vector) IsZero() bool { return len(a.IDs) == 0 }
+func (a Vector) IsZero() bool { return len(a.Words) == 0 }
 
 // Dot returns the dot product of a and b via a sorted merge.
 //
 //geolint:hotpath
-func (a Vector) Dot(b Vector) float64 {
-	var dot float64
-	i, j := 0, 0
-	for i < len(a.IDs) && j < len(b.IDs) {
-		switch {
-		case a.IDs[i] == b.IDs[j]:
-			dot += float64(a.Weights[i]) * float64(b.Weights[j])
-			i++
-			j++
-		case a.IDs[i] < b.IDs[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return dot
-}
+func (a Vector) Dot(b Vector) float64 { return DotWords(a.Words, b.Words) }
 
 // Cosine returns the cosine similarity of a and b in [0, 1]. The cosine
 // of anything with the zero vector is 0.
 //
 //geolint:hotpath
 func (a Vector) Cosine(b Vector) float64 {
-	if a.Norm == 0 || b.Norm == 0 {
+	return CosineOf(a.Dot(b), a.Norm, b.Norm)
+}
+
+// CosineOf turns a dot product and the two norms into the cosine every
+// layout reports: 0 against a zero norm, otherwise the quotient clamped
+// against floating-point drift beyond [0, 1].
+//
+//geolint:hotpath
+func CosineOf(dot, na, nb float64) float64 {
+	if na == 0 || nb == 0 {
 		return 0
 	}
-	c := a.Dot(b) / (a.Norm * b.Norm)
-	// Guard against floating-point drift beyond [0, 1].
+	c := dot / (na * nb)
 	if c > 1 {
 		return 1
 	}

@@ -65,11 +65,11 @@ func TestVocabulary(t *testing.T) {
 
 func TestNewVectorDropsNonPositive(t *testing.T) {
 	v := NewVector(map[int]float64{1: 2, 2: 0, 3: -1, 4: 1})
-	if len(v.IDs) != 2 {
-		t.Fatalf("ids = %v", v.IDs)
+	if len(v.Words) != 2 {
+		t.Fatalf("words = %x", v.Words)
 	}
-	if v.IDs[0] != 1 || v.IDs[1] != 4 {
-		t.Errorf("ids = %v, want sorted [1 4]", v.IDs)
+	if v.Words[0]>>32 != 1 || v.Words[1]>>32 != 4 {
+		t.Errorf("words = %x, want ids sorted [1 4]", v.Words)
 	}
 	wantNorm := math.Sqrt(2*2 + 1*1)
 	if math.Abs(v.Norm-wantNorm) > 1e-9 {
@@ -159,11 +159,11 @@ func TestFromText(t *testing.T) {
 	coffeeID, _ := vocab.Lookup("coffee")
 	// "coffee" should carry weight 2.
 	found := false
-	for i, id := range v.IDs {
-		if int(id) == coffeeID {
+	for _, word := range v.Words {
+		if int(word>>32) == coffeeID {
 			found = true
-			if v.Weights[i] != 2 {
-				t.Errorf("coffee weight = %v", v.Weights[i])
+			if w := UnpackWeight(word); w != 2 {
+				t.Errorf("coffee weight = %v", w)
 			}
 		}
 	}

@@ -7,8 +7,8 @@ import "math"
 func DocumentFrequencies(vecs []Vector, vocabSize int) []int {
 	df := make([]int, vocabSize)
 	for _, v := range vecs {
-		for _, id := range v.IDs {
-			if int(id) < vocabSize {
+		for _, word := range v.Words {
+			if id := int(word >> 32); id < vocabSize {
 				df[id]++
 			}
 		}
@@ -33,17 +33,15 @@ func IDF(df []int, n int) []float64 {
 // TF-IDF vectors, which sharpens cosine similarity on corpora where a
 // few terms dominate.
 func (v Vector) Reweight(factors []float64) Vector {
-	out := Vector{
-		IDs:     append([]int32(nil), v.IDs...),
-		Weights: make([]float32, len(v.Weights)),
-	}
+	out := Vector{Words: make([]uint64, len(v.Words))}
 	var norm2 float64
-	for i, id := range v.IDs {
-		w := float64(v.Weights[i])
+	for i, word := range v.Words {
+		id := int32(word >> 32)
+		w := float64(UnpackWeight(word))
 		if int(id) < len(factors) {
 			w *= factors[id]
 		}
-		out.Weights[i] = float32(w)
+		out.Words[i] = PackWord(id, float32(w))
 		norm2 += w * w
 	}
 	out.Norm = math.Sqrt(norm2)

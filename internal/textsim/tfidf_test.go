@@ -38,22 +38,22 @@ func TestIDFOrdering(t *testing.T) {
 func TestReweight(t *testing.T) {
 	v := NewVector(map[int]float64{0: 1, 1: 2})
 	w := v.Reweight([]float64{2, 0.5})
-	if w.Weights[0] != 2 || w.Weights[1] != 1 {
-		t.Errorf("weights = %v", w.Weights)
+	if UnpackWeight(w.Words[0]) != 2 || UnpackWeight(w.Words[1]) != 1 {
+		t.Errorf("words = %x", w.Words)
 	}
 	wantNorm := math.Sqrt(4 + 1)
 	if math.Abs(w.Norm-wantNorm) > 1e-6 {
 		t.Errorf("norm = %v, want %v", w.Norm, wantNorm)
 	}
 	// Original untouched.
-	if v.Weights[0] != 1 {
+	if UnpackWeight(v.Words[0]) != 1 {
 		t.Error("Reweight mutated the receiver")
 	}
 	// Out-of-range ids keep weights.
 	u := NewVector(map[int]float64{5: 3})
 	ru := u.Reweight([]float64{2})
-	if ru.Weights[0] != 3 {
-		t.Errorf("out-of-range weight changed: %v", ru.Weights)
+	if UnpackWeight(ru.Words[0]) != 3 {
+		t.Errorf("out-of-range weight changed: %x", ru.Words)
 	}
 }
 
