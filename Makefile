@@ -69,6 +69,7 @@ fuzz:
 	go test -run=NONE -fuzz=FuzzDeriveConsistency -fuzztime=10s ./internal/isos
 	go test -run=NONE -fuzz=FuzzRowSums -fuzztime=10s ./internal/sim
 	go test -run=NONE -fuzz=FuzzFillCosine -fuzztime=10s ./internal/sim
+	go test -run=NONE -fuzz=FuzzResidualWalk -fuzztime=10s ./internal/core
 
 bench:
 	go test -run=NONE -bench=. -benchmem ./internal/core ./internal/prefetch

@@ -4,49 +4,52 @@ import (
 	"context"
 	"testing"
 
+	"geosel/internal/dataset"
 	"geosel/internal/engine"
+	"geosel/internal/geodata"
 	"geosel/internal/invariant"
-	"geosel/internal/lazyheap"
 	"geosel/internal/sim"
 )
 
-// steadyState builds a warmed-up lazy greedy run mid-flight: evaluator,
-// arena, initialized heap, and `warm` completed lazyStep rounds. It
-// mirrors runLazy's prologue so the test can drive individual steps.
-func steadyState(t *testing.T, m sim.Metric, n, warm int, theta, pruneEps float64) (*Selector, *evaluator, *runState, *Result) {
+// steadyState builds a lazy greedy run mid-flight — evaluator, forced
+// set absorbed, arena, seeded heap (Selector.startLazy), as Run does
+// with every other object a candidate and θ = 0 around the forced ones
+// — and completes `warm` lazyStep rounds, so a test can drive and
+// inspect individual steps.
+func steadyState(t testing.TB, ctx context.Context, s *Selector, warm int) (*evaluator, *runState, *Result) {
 	t.Helper()
-	objs := testObjects(n, 123)
-	s := &Selector{
-		Config:  engine.Config{K: n, Theta: theta, Metric: m, Parallelism: 1, PruneEps: pruneEps},
-		Objects: objs,
+	n := len(s.Objects)
+	e := newEvaluator(ctx, s.Objects, s.Metric, s.Agg, nil)
+	forced := make(map[int]bool)
+	for _, f := range s.Forced {
+		forced[f] = true
 	}
-	e := newEvaluator(context.Background(), objs, s.Metric, s.Agg, nil)
-	active := make([]int, n)
-	for i := range active {
-		active[i] = i
+	active := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		if !forced[i] {
+			active = append(active, i)
+		}
 	}
 	if !s.DisablePrune {
-		e.enablePruning(s.Metric, s.PruneEps, active)
+		e.enablePruning(s.Metric, s.PruneEps, append(active, s.Forced...))
 	}
 	best := make([]float64, n)
-	st, err := s.newRunState(e, best, make([]int, 0, s.K), active)
+	selected := make([]int, 0, s.K)
+	for _, f := range s.Forced {
+		selected = append(selected, f)
+		e.absorb(best, f)
+	}
+	res := &Result{}
+	st, err := s.startLazy(e, res, best, selected, active, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &Result{}
-	gains := e.marginalBatch(nil, best, active)
-	heapInit := make([]lazyheap.Tuple, len(active))
-	for i, c := range active {
-		heapInit[i] = lazyheap.Tuple{ID: c, Gain: gains[i], Iter: 0}
-	}
-	st.h.Heapify(heapInit, st.runFn)
-	res.Gains = make([]float64, 0, s.K)
 	for i := 0; i < warm; i++ {
 		if done, err := s.lazyStep(e, res, st); err != nil || done {
 			t.Fatalf("warmup step %d: done=%v err=%v", i, done, err)
 		}
 	}
-	return s, e, st, res
+	return e, st, res
 }
 
 // TestGreedySteadyStateAllocs is the arena-reuse guard: once the run is
@@ -54,24 +57,43 @@ func steadyState(t *testing.T, m sim.Metric, n, warm int, theta, pruneEps float6
 // conflict removal — performs zero heap allocations, with and without
 // the conflict grid, with and without support-radius pruning, and on
 // the metric the server runs (Cosine) as well as a spatial one.
+//
+// The dense rows evaluate through the residual-support lists, whose
+// arena grows a block at a time while candidates are still being
+// evaluated for the first time. The Cosine row runs a 2000-object
+// region of the end-to-end benchmark's fixture and warms up past that
+// phase, so its measured steps are walks and picks over an arena that
+// holds its blocks: no allocation at all, and no new block. Run to its
+// end, the arena must have allocated little more than it recorded.
 func TestGreedySteadyStateAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate their diagnostic arguments")
 	}
+	store, err := dataset.GenerateStore(dataset.POISpec(100000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, side := benchRegion(t, store, 2000)
 	euclid := sim.EuclideanProximity{MaxDist: 0.3}
 	cases := []struct {
 		name  string
 		m     sim.Metric
+		objs  []geodata.Object
 		theta float64
-		eps   float64
+		warm  int
 	}{
-		{"gridless-dense", euclid, 0, 0},
-		{"grid-pruned", euclid, 0.01, 0},
-		{"cosine", sim.Cosine{}, 0.01, 0},
+		{"gridless-dense", euclid, testObjects(2048, 123), 0, 100},
+		{"grid-pruned", euclid, testObjects(2048, 123), 0.01, 100},
+		{"cosine", sim.Cosine{}, region, 0.003 * side, 2 * len(region)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s, e, st, res := steadyState(t, c.m, 2048, 100, c.theta, c.eps)
+			s := &Selector{
+				Config:  engine.Config{K: len(c.objs), Theta: c.theta, Metric: c.m, Parallelism: 1},
+				Objects: c.objs,
+			}
+			e, st, res := steadyState(t, context.Background(), s, c.warm)
+			blocks := len(st.res.blocks)
 			avg := testing.AllocsPerRun(100, func() {
 				if done, err := s.lazyStep(e, res, st); err != nil || done {
 					t.Fatalf("measured step: done=%v err=%v", done, err)
@@ -79,6 +101,25 @@ func TestGreedySteadyStateAllocs(t *testing.T) {
 			})
 			if avg != 0 {
 				t.Fatalf("steady-state lazyStep allocates %v per iteration, want 0", avg)
+			}
+			if c.name != "cosine" {
+				return
+			}
+			if got := listed(st.res); blocks == 0 || len(st.res.blocks) != blocks || got < len(c.objs)/2 {
+				t.Fatalf("arena went from %d to %d blocks over the measured steps with %d of %d candidates listed; want it warm and still",
+					blocks, len(st.res.blocks), got, len(c.objs))
+			}
+			finishRun(t, s, e, st, res)
+			recorded := 0
+			for _, b := range st.res.blocks {
+				recorded += b.used
+			}
+			// A block's unused tail is shorter than the support that did
+			// not fit, at most |O|/residualShare of residualBlock pairs;
+			// the blocks before the first full-sized one add up to one more.
+			slack := float64(residualBlock) / float64(residualBlock-len(c.objs)/residualShare)
+			if limit := int(slack*float64(recorded)) + 2*residualBlock; st.res.pairs > limit {
+				t.Fatalf("arena allocated %d pairs in %d blocks for %d recorded, want at most %d", st.res.pairs, len(st.res.blocks), recorded, limit)
 			}
 		})
 	}

@@ -63,6 +63,11 @@ type Selector struct {
 	// stripe-count-invariant, and the equivalence suite proves it by
 	// forcing mismatched counts.
 	forceStripes int
+	// residualPairs overrides the residual-support arena's pair cap
+	// (residual.go); negative switches the lists off, so that every
+	// evaluation is the dense pass. Test-only: results do not depend on
+	// it, and the equivalence suite proves that by comparing the two.
+	residualPairs int
 }
 
 // Result is the outcome of a selection run.
@@ -74,9 +79,12 @@ type Result struct {
 	// Score is the normalized representative score Sim(O, S) of the
 	// full selection (Equation 2).
 	Score float64
-	// Evals counts full marginal-gain computations (each costing one
-	// metric call per object in O, or per support neighbor when the
-	// pruned engine is active) — the paper's n_c. Lazy forward
+	// Evals counts marginal-gain computations — the paper's n_c. A
+	// candidate's first costs one metric call per object in O (per
+	// support neighbor when the pruned engine is active); on a dense
+	// max-aggregation run its later ones walk the candidate's recorded
+	// residual support instead and call the metric not at all, but each
+	// still counts as one. Lazy forward
 	// keeps Evals far below |G|·K; exact heap initialization adds |G|
 	// of them, seeding the heap with bounds (InitialGains, or the
 	// metric's own linear row sums) none. With Parallelism > 1 the batched
@@ -282,6 +290,9 @@ type runState struct {
 	active   []int
 	selected []int
 	best     []float64
+	// res evaluates gains against best, through the run's
+	// residual-support lists where it keeps them.
+	res      *residual
 	iter     int
 	maxBatch int
 	// batch/ids/gains are the lazy re-evaluation scratch; doomed is the
@@ -338,6 +349,7 @@ func (s *Selector) newRunState(e *evaluator, best []float64, selected, active []
 		active:   active,
 		selected: selected,
 		best:     best,
+		res:      newResidual(e, best, maxBatch, s.residualPairs),
 		maxBatch: maxBatch,
 		batch:    make([]lazyheap.Tuple, 0, maxBatch),
 		ids:      make([]int, 0, maxBatch),
@@ -360,9 +372,28 @@ func (s *Selector) newRunState(e *evaluator, best []float64, selected, active []
 // pop order — and therefore the selection — is bitwise-identical for
 // every stripe count.
 func (s *Selector) runLazy(e *evaluator, res *Result, best []float64, selected, active []int, bounds []float64) error {
-	st, err := s.newRunState(e, best, selected, active)
+	st, err := s.startLazy(e, res, best, selected, active, bounds)
 	if err != nil {
 		return err
+	}
+	for len(st.selected) < s.K && st.h.Len() > 0 {
+		done, err := s.lazyStep(e, res, st)
+		if err != nil {
+			return err
+		}
+		if done {
+			break
+		}
+	}
+	return s.finish(e, res, best, st.selected)
+}
+
+// startLazy builds the run's arena and seeds its heap, leaving the run
+// ready for its first lazyStep.
+func (s *Selector) startLazy(e *evaluator, res *Result, best []float64, selected, active []int, bounds []float64) (*runState, error) {
+	st, err := s.newRunState(e, best, selected, active)
+	if err != nil {
+		return nil, err
 	}
 	// Self-seeding: on a metric with linear row sums the run bounds its
 	// own initial gains, Σ_{o∈O} ω·Sim(o, c) ≥ Δ(c | D), in one pass over
@@ -386,9 +417,13 @@ func (s *Selector) runLazy(e *evaluator, res *Result, best []float64, selected, 
 		// Exact O(|O|·|G|) heap initialization, Algorithm 1 as published
 		// — the bottleneck on a metric without row sums — evaluated one
 		// candidate per worker task, then bulk-loaded per stripe in O(n).
+		// It runs on the bare evaluator and records no residual support:
+		// a task per candidate has no slot to capture into, and against
+		// the forced set alone a support is most of what the candidate
+		// resembles — too long to keep.
 		gains := e.marginalBatch(nil, best, active)
 		if err := e.fail(); err != nil {
-			return err
+			return nil, err
 		}
 		res.Evals += len(active)
 		init := make([]lazyheap.Tuple, len(active))
@@ -398,20 +433,10 @@ func (s *Selector) runLazy(e *evaluator, res *Result, best []float64, selected, 
 		st.h.Heapify(init, st.runFn)
 	}
 	if err := e.fail(); err != nil {
-		return err
+		return nil, err
 	}
 	res.Gains = make([]float64, 0, s.K)
-
-	for len(st.selected) < s.K && st.h.Len() > 0 {
-		done, err := s.lazyStep(e, res, st)
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
-	}
-	return s.finish(e, res, best, st.selected)
+	return st, nil
 }
 
 // lazyStep performs one round of the lazy greedy loop: pop the top,
@@ -440,7 +465,7 @@ func (s *Selector) lazyStep(e *evaluator, res *Result, st *runState) (bool, erro
 		for _, u := range st.batch {
 			st.ids = append(st.ids, u.ID)
 		}
-		st.gains = e.marginalBatch(st.gains, st.best, st.ids)
+		st.gains = st.res.marginalBatch(st.gains, st.ids)
 		if err := e.fail(); err != nil {
 			return false, err
 		}
@@ -486,9 +511,10 @@ func (s *Selector) lazyStep(e *evaluator, res *Result, st *runState) (bool, erro
 // path's tie-breaking.
 func (s *Selector) runNaive(e *evaluator, res *Result, best []float64, selected, active []int) error {
 	alive := append([]int(nil), active...)
+	r := newResidual(e, best, e.pool.Workers(), s.residualPairs)
 	var gains []float64
 	for len(selected) < s.K && len(alive) > 0 {
-		gains = e.marginalBatch(gains, best, alive)
+		gains = r.marginalBatch(gains, alive)
 		if err := e.fail(); err != nil {
 			return err
 		}

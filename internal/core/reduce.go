@@ -8,7 +8,8 @@
 // a dense chunk, where the buffer lines up with pre-sliced columns, and
 // over a neighbor row, where idx names the objects. Every metric,
 // built-in or custom, dense or pruned, at any Parallelism, runs these
-// eight loops and no others.
+// eight loops — and, where a run keeps residual-support lists
+// (residual.go), the dense max-marginal loop's recording twin.
 //
 // The buffer is evalChunk = sim.RowBlock = 256 float64s: one reduction
 // chunk, so chunk boundaries (and with them the floating-point
@@ -72,6 +73,25 @@ func marginalMax(w, best, s []float64) float64 {
 		}
 	}
 	return part
+}
+
+// marginalMaxRecord is marginalMax that also records the chunk's
+// residual support — the objects whose term was added — as (i, s_i)
+// pairs at the front of at and val, and returns how many (residual.go).
+// The partial is the same float: same terms, same order.
+//
+//geolint:hotpath
+func marginalMaxRecord(w, best, s []float64, at []uint8, val []float64) (part float64, n int) {
+	w, best = w[:len(s)], best[:len(s)]
+	at, val = at[:len(s)], val[:len(s)]
+	for i, v := range s {
+		if v > best[i] {
+			part += w[i] * (v - best[i])
+			at[n], val[n] = uint8(i), v
+			n++
+		}
+	}
+	return part, n
 }
 
 // The row variants read s[k] as the similarity of object idx[k]; best

@@ -1,13 +1,46 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"geosel/internal/core"
 	"geosel/internal/dataset"
+	"geosel/internal/engine"
 	"geosel/internal/geo"
+	"geosel/internal/geodata"
+	"geosel/internal/lazyheap"
+	"geosel/internal/sim"
 )
+
+// benchLikeRegions returns the bench fixture and 15 object-centred
+// squares of it holding 100–1400 objects on a log grid, as positions
+// into the fixture, each with its side length.
+func benchLikeRegions(t *testing.T) (col *geodata.Collection, regions [][]int, sides []float64) {
+	t.Helper()
+	store, err := dataset.GenerateStore(dataset.POISpec(100000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col = store.Collection()
+	objs := col.Objects
+	rng := rand.New(rand.NewSource(1))
+	const n = 15
+	for r := 0; r < n; r++ {
+		target := int(100 * math.Pow(14, float64(r)/(n-1)))
+		center := objs[rng.Intn(len(objs))].Loc
+		var pos []int
+		half := 0.001
+		for ; len(pos) < target; half *= 1.1 {
+			pos = store.Region(geo.RectAround(center, half))
+		}
+		regions = append(regions, pos)
+		sides = append(sides, 2*half/1.1)
+	}
+	return col, regions, sides
+}
 
 // TestSharedTermDensity keeps ROADMAP item 3 (posting-list neighbor
 // lists for Cosine) closed as a negative result: on object-centred
@@ -19,21 +52,10 @@ func TestSharedTermDensity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the 100k-object bench fixture")
 	}
-	store, err := dataset.GenerateStore(dataset.POISpec(100000, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	objs := store.Collection().Objects
-	rng := rand.New(rand.NewSource(1))
-	const regions = 15
+	col, regions, _ := benchLikeRegions(t)
+	objs := col.Objects
 	var mean float64
-	for r := 0; r < regions; r++ {
-		target := int(100 * math.Pow(14, float64(r)/(regions-1)))
-		center := objs[rng.Intn(len(objs))].Loc
-		var pos []int
-		for side := 0.001; len(pos) < target; side *= 1.1 {
-			pos = store.Region(geo.RectAround(center, side))
-		}
+	for _, pos := range regions {
 		shared, terms := 0, 0
 		df := make(map[uint64]int) // term id -> objects of the region holding it
 		for i, p := range pos {
@@ -56,9 +78,150 @@ func TestSharedTermDensity(t *testing.T) {
 		n := float64(len(pos))
 		density := float64(shared) / float64(len(pos)*(len(pos)-1)/2)
 		t.Logf("%4d objects, %.1f terms each: %.2f of pairs share a term, %.2f·|O| postings per evaluation", len(pos), float64(terms)/n, density, float64(postings)/(n*n))
-		mean += density / regions
+		mean += density / float64(len(regions))
 	}
 	if mean < 0.5 {
 		t.Errorf("mean shared-term density %.2f is under 0.5: posting-list pruning for Cosine may now pay (ROADMAP item 3)", mean)
+	}
+}
+
+// TestResidualSupport measures, on the same regions, the traffic
+// core's residual-support lists (core/residual.go) rest on, with a
+// replica of the lazy greedy written out here — Cosine, max
+// aggregation, k = 100, θ = 0.003·side, the heap seeded with the
+// metric's row sums, one re-evaluation at a time — that counts what
+// core does not report: how many evaluations are a candidate's first
+// and how many a repeat, and how much of the region is still in the
+// candidate's residual support {i : Sim(o_i, c) > best_i} at each. The
+// replica is checked against core.Selector pick for pick and
+// evaluation for evaluation. The lists turn a repeat evaluation from
+// |O| similarities into a walk of that support, so they earn their keep
+// while candidates are re-evaluated at least as often as they are
+// evaluated and the supports they walk are short; if a later change —
+// tighter bounds, say — stops the re-evaluations, this test says so.
+func TestResidualSupport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the 100k-object bench fixture")
+	}
+	const k, share = 100, 4 // share: core's residualShare
+	col, regions, sides := benchLikeRegions(t)
+	var firsts, repeats int
+	var repeatSupport float64
+	for r, pos := range regions {
+		objs := col.Subset(pos)
+		n := len(objs)
+		theta := 0.003 * sides[r]
+		want, err := (&core.Selector{
+			Config:  engine.Config{K: k, Theta: theta, Metric: sim.Cosine{}, Parallelism: 1},
+			Objects: objs,
+		}).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		rows := sim.NewRows(sim.Cosine{}, objs)
+		w, ids := make([]float64, n), make([]int, n)
+		for i := range objs {
+			w[i], ids[i] = objs[i].Weight, i
+		}
+		seeds := make([]float64, n)
+		if !rows.RowSums(seeds, w, ids) {
+			t.Fatal("Cosine rows have no linear row sums")
+		}
+		init := make([]lazyheap.Tuple, n)
+		for i := range init {
+			init[i] = lazyheap.Tuple{ID: i, Gain: seeds[i], Iter: -1}
+		}
+		h := lazyheap.NewStriped(n, 1, func(int) int { return 0 })
+		h.Heapify(init, nil)
+		// row fills Sim(o_i, c) for every i, a block at a time.
+		row := make([]float64, n)
+		fill := func(c int) {
+			for lo := 0; lo < n; lo += sim.RowBlock {
+				hi := min(lo+sim.RowBlock, n)
+				rows.Fill(row[lo:hi], lo, hi, c)
+			}
+		}
+		best := make([]float64, n)
+		seen := make([]bool, n)   // evaluated before
+		support := make([]int, n) // recorded support length, -1 while unrecorded
+		for i := range support {
+			support[i] = -1
+		}
+		var selected []int
+		var first, repeat, walks, recorded int
+		var firstShare, repeatShare float64
+		for iter := 0; len(selected) < k && h.Len() > 0; {
+			top, _ := h.Pop()
+			if top.Iter == iter {
+				selected = append(selected, top.ID)
+				fill(top.ID)
+				for i, v := range row {
+					best[i] = max(best[i], v)
+				}
+				for c := range objs {
+					if h.Contains(c) && objs[c].Loc.Dist(objs[top.ID].Loc) < theta {
+						h.Remove(c)
+					}
+				}
+				iter++
+				continue
+			}
+			c := top.ID
+			fill(c)
+			// The gain in core's summation order: a partial per block.
+			var gain float64
+			size := 0
+			for lo := 0; lo < n; lo += sim.RowBlock {
+				var part float64
+				for i := lo; i < min(lo+sim.RowBlock, n); i++ {
+					if row[i] > best[i] {
+						part += w[i] * (row[i] - best[i])
+						size++
+					}
+				}
+				gain += part
+			}
+			if seen[c] {
+				repeat++
+				repeatShare += float64(size) / float64(n)
+			} else {
+				first++
+				firstShare += float64(size) / float64(n)
+			}
+			seen[c] = true
+			if support[c] >= 0 {
+				walks++
+				support[c] = size
+			} else if size <= n/share {
+				recorded += size
+				support[c] = size
+			}
+			h.Push(lazyheap.Tuple{ID: c, Gain: gain, Iter: iter})
+		}
+		if first+repeat != want.Evals || len(selected) != len(want.Selected) {
+			t.Fatalf("region %d: the replica made %d evaluations and %d picks, core %d and %d", r, first+repeat, len(selected), want.Evals, len(want.Selected))
+		}
+		for i, c := range selected {
+			if c != want.Selected[i] {
+				t.Fatalf("region %d: the replica's pick %d is %d, core's %d", r, i, c, want.Selected[i])
+			}
+		}
+		live := 0
+		for _, m := range support {
+			live += max(m, 0)
+		}
+		t.Logf("%4d objects: %.2f·|O| evaluations = %d first (support %.3f·|O|) + %d repeat (%.3f·|O|), %d of them walks; %d pairs recorded (%.3f·|O|²), %d live at the end",
+			n, float64(first+repeat)/float64(n), first, firstShare/float64(first), repeat, repeatShare/float64(max(repeat, 1)), walks,
+			recorded, float64(recorded)/float64(n*n), live)
+		firsts += first
+		repeats += repeat
+		repeatSupport += repeatShare
+	}
+	if repeats < firsts {
+		t.Errorf("%d repeat evaluations against %d first ones: the lists save less than one dense row per candidate", repeats, firsts)
+	}
+	if mean := repeatSupport / float64(repeats); mean >= 0.1 {
+		t.Errorf("a repeat evaluation's residual support is %.3f·|O| in the mean, want under 0.1: walking it is no longer much cheaper than a dense row", mean)
 	}
 }

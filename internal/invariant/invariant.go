@@ -15,7 +15,10 @@
 // tag, which is why the nopanic analyzer does not see them.
 package invariant
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Enabled reports whether assertions are compiled in. Gate every call
 // site on it so release builds pay nothing:
@@ -127,6 +130,17 @@ func PrunedGain(pruned, dense float64, exact bool, epsBound float64, what string
 	}
 	if dense > pruned+epsBound+tol(pruned, dense) {
 		panic(fmt.Sprintf("geoselcheck: %s: dense gain %v exceeds pruned gain %v by more than the eps budget %v", what, dense, pruned, epsBound))
+	}
+}
+
+// ResidualGain asserts the residual-support contract on one marginal
+// gain: walking a candidate's recorded support must return, bit for
+// bit, what the dense pass returns against the same aggregation state —
+// the walk adds the same terms in the same order into the same chunk
+// partials, and the chunks it skips contribute exactly +0.0.
+func ResidualGain(walked, dense float64, what string) {
+	if math.Float64bits(walked) != math.Float64bits(dense) {
+		panic(fmt.Sprintf("geoselcheck: %s: walked gain %v differs bitwise from dense gain %v", what, walked, dense))
 	}
 }
 

@@ -76,3 +76,13 @@ func TestSortedByGainDesc(t *testing.T) {
 		SortedByGainDesc([]int{2, 1}, []float64{3, 3}, "tie broken wrong")
 	})
 }
+
+func TestResidualGain(t *testing.T) {
+	ResidualGain(0, 0, "zero")
+	ResidualGain(2.5, 2.5, "equal")
+	// Bitwise, not within tolerance: one ulp apart is a reordered sum.
+	expectPanic(t, "differs bitwise from dense gain", func() {
+		ResidualGain(math.Nextafter(1, 2), 1, "one ulp")
+	})
+	expectPanic(t, "differs bitwise from dense gain", func() { ResidualGain(0, 0.25, "dropped term") })
+}
