@@ -23,20 +23,17 @@ race:
 
 # churn runs the snapshot-isolation suite — sessions navigating while
 # the live store ingests — under the race detector with the runtime
-# invariants compiled in, then smoke-tests the ingest benchmark.
+# invariants compiled in.
 churn:
 	go test -race -tags geoselcheck -run Churn -count=1 ./internal/livestore ./internal/isos ./internal/tilecache
-	go run ./cmd/benchrunner -suite ingest-churn -quick -out /tmp/BENCH_ingest_smoke.json
 
 # tilecache runs the tile-grain cache suite — stitched-serving property
-# tests with the runtime invariants on, the invalidation churn test
-# under the race detector, then the cold-vs-warm benchmark in its
-# shrunk CI shape. The full benchmark is
-# `go run ./cmd/benchrunner -suite tilecache` (writes BENCH_tilecache.json).
+# tests with the runtime invariants on, then the invalidation churn test
+# under the race detector. Cold-vs-warm serving is measured end to end
+# by `make bench-e2e` (workloads viewport_warm and mixed_live).
 tilecache:
 	go test -tags geoselcheck ./internal/tilecache
 	go test -race -run Churn -count=1 ./internal/tilecache
-	go run ./cmd/benchrunner -suite tilecache -quick -out /tmp/BENCH_tilecache_smoke.json
 
 # lint runs the project's own analyzers (tools/geolint) through the
 # go vet driver, plus the stock vet checks.
@@ -80,7 +77,6 @@ bench:
 # `go run ./cmd/benchrunner -suite hotloop` (writes BENCH_hotloop.json).
 bench-smoke:
 	go run ./cmd/benchrunner -suite hotloop -quick -out /tmp/BENCH_hotloop_smoke.json
-	go run ./cmd/benchrunner -suite ingest-churn -quick -out /tmp/BENCH_ingest_smoke.json
 
 # bench-e2e runs the end-to-end benchmark BENCHMARK.json declares: the
 # real geoselserver under closed-loop HTTP load, four workloads, one

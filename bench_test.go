@@ -8,11 +8,9 @@ package geosel
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"geosel/internal/engine"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -212,9 +210,6 @@ func BenchmarkFig13Navigation(b *testing.B) {
 func benchNavigate(b *testing.B, e *benchEnv, mode, opName string) int64 {
 	b.Helper()
 	cfg := isos.Config{Config: engine.Config{K: 100, ThetaFrac: 0.003, Metric: e.metric, MaxZoomOutScale: 2}}
-	if mode == "Pre" {
-		cfg.TilesPerSide = 16
-	}
 	var target geo.Rect
 	switch opName {
 	case "in":
@@ -441,71 +436,6 @@ func BenchmarkParallelEngine(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestEmitParallelBench measures the serial-versus-parallel selection
-// wall-clock on the BenchmarkParallelEngine workload and writes
-// BENCH_parallel.json at the repo root. Gated behind GEOSEL_EMIT_BENCH=1
-// so ordinary test runs stay fast:
-//
-//	GEOSEL_EMIT_BENCH=1 go test -run TestEmitParallelBench .
-func TestEmitParallelBench(t *testing.T) {
-	if os.Getenv("GEOSEL_EMIT_BENCH") == "" {
-		t.Skip("set GEOSEL_EMIT_BENCH=1 to measure and write BENCH_parallel.json")
-	}
-	objs, cands, k, theta := parallelBenchInstance()
-	type run struct {
-		Workers         int     `json:"workers"`
-		Ns              int64   `json:"ns"`
-		SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-	}
-	report := struct {
-		Cores      int    `json:"cores"`
-		Objects    int    `json:"objects"`
-		Candidates int    `json:"candidates"`
-		K          int    `json:"k"`
-		Runs       []run  `json:"runs"`
-		Note       string `json:"note"`
-	}{
-		Cores:      runtime.NumCPU(),
-		Objects:    len(objs),
-		Candidates: len(cands),
-		K:          k,
-		Note: "best of 2 per worker count; workers=0 means all CPUs; " +
-			"all worker counts return the identical selection",
-	}
-	measure := func(workers int) int64 {
-		best := int64(1) << 62
-		for rep := 0; rep < 2; rep++ {
-			start := time.Now()
-			if _, err := runParallelBench(objs, cands, k, theta, workers); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start).Nanoseconds(); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	serial := measure(1)
-	for _, w := range []int{1, 2, 4, 0} {
-		ns := serial
-		if w != 1 {
-			ns = measure(w)
-		}
-		report.Runs = append(report.Runs, run{
-			Workers: w, Ns: ns,
-			SpeedupVsSerial: float64(serial) / float64(ns),
-		})
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_parallel.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_parallel.json: %s", buf)
 }
 
 // BenchmarkAblationSpatialIndex compares the R-tree the paper uses

@@ -8,9 +8,7 @@
 //	benchrunner -exp fig7
 //	benchrunner -exp all -uk 100000 -us 400000 -poi 30000 -queries 3
 //	benchrunner -suite pruned-vs-dense
-//	benchrunner -suite ingest-churn [-quick]
 //	benchrunner -suite hotloop [-quick] [-cpuprofile cpu.out] [-memprofile mem.out]
-//	benchrunner -suite tilecache [-quick]
 package main
 
 import (
@@ -28,9 +26,9 @@ func main() {
 	var (
 		exp     = flag.String("exp", "", "exhibit id (table3, table4, fig7..fig14, fig18..fig23) or 'all'")
 		list    = flag.Bool("list", false, "list exhibit ids and exit")
-		suite   = flag.String("suite", "", "structured perf suite: pruned-vs-dense, ingest-churn, hotloop or tilecache (writes BENCH_*.json)")
+		suite   = flag.String("suite", "", "structured perf suite: pruned-vs-dense or hotloop (writes BENCH_*.json)")
 		out     = flag.String("out", "", "output path for -suite (default BENCH_<suite>.json)")
-		quick   = flag.Bool("quick", false, "shrink -suite workloads for CI smoke runs (ingest-churn and hotloop)")
+		quick   = flag.Bool("quick", false, "shrink the hotloop suite for CI smoke runs")
 		ukSize  = flag.Int("uk", 0, "UK-like dataset size (0 = default)")
 		usSize  = flag.Int("us", 0, "US-like dataset size (0 = default)")
 		poiSize = flag.Int("poi", 0, "POI-like dataset size (0 = default)")
@@ -82,18 +80,10 @@ func main() {
 		switch *suite {
 		case "pruned-vs-dense":
 			runner, dflt = runPrunedSuite, "BENCH_pruned.json"
-		case "ingest-churn":
-			q := *quick
-			runner = func(path string, seed int64) error { return runIngestSuite(path, seed, q) }
-			dflt = "BENCH_ingest.json"
 		case "hotloop":
 			q := *quick
 			runner = func(path string, seed int64) error { return runHotloopSuite(path, seed, q) }
 			dflt = "BENCH_hotloop.json"
-		case "tilecache":
-			q := *quick
-			runner = func(path string, seed int64) error { return runTilecacheSuite(path, seed, q) }
-			dflt = "BENCH_tilecache.json"
 		default:
 			fmt.Fprintf(os.Stderr, "benchrunner: unknown suite %q\n", *suite)
 			os.Exit(2)

@@ -104,7 +104,7 @@ type Metric = sim.Metric
 // EngineConfig is the unified configuration of the selection engine:
 // selection shape (K, Theta/ThetaFrac, Metric), execution knobs
 // (Parallelism, PruneEps, DisableLazy/DisableGrid), interactive-session
-// tuning (MaxZoomOutScale, TilesPerSide, AsyncPrefetch) and serving
+// tuning (MaxZoomOutScale, AsyncPrefetch) and serving
 // limits (RequestTimeout, SessionTTL, MaxSessions). See engine.Config
 // for per-field documentation.
 type EngineConfig = engine.Config
@@ -210,7 +210,6 @@ func Select(ctx context.Context, store *Store, region Rect, opts Options) (*Resu
 		}
 		regionPos = kept
 	}
-	objs := store.Collection().Subset(regionPos)
 	cfg := opts.Config
 	if cfg.Theta <= 0 {
 		side := region.Width()
@@ -234,6 +233,7 @@ func Select(ctx context.Context, store *Store, region Rect, opts Options) (*Resu
 		if rng == nil {
 			rng = rand.New(rand.NewSource(1))
 		}
+		objs := store.Collection().Subset(regionPos)
 		sres, err := sampling.Run(ctx, objs, sampling.Config{
 			Config: cfg, Eps: eps, Delta: delta, Rng: rng,
 		})
@@ -248,15 +248,11 @@ func Select(ctx context.Context, store *Store, region Rect, opts Options) (*Resu
 		return out, nil
 	}
 
-	sel := &core.Selector{Config: cfg, Objects: objs}
-	res, err := sel.Run(ctx)
+	res, err := core.SelectRegion(ctx, cfg, store.Collection(), regionPos, cfg.K, cfg.Theta, nil, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range res.Selected {
-		out.Positions = append(out.Positions, regionPos[s])
-	}
-	out.Score = res.Score
+	out.Positions, out.Score = res.Positions, res.Score
 	return out, nil
 }
 

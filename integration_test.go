@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,6 +26,7 @@ import (
 	"geosel/internal/sampling"
 	"geosel/internal/server"
 	"geosel/internal/sim"
+	"geosel/internal/tilecache"
 	"geosel/internal/viz"
 )
 
@@ -293,4 +295,100 @@ func TestPipelineSamplingAtScale(t *testing.T) {
 	if sampledScore < fres.Score*0.5 {
 		t.Errorf("sampled score %v below half of exact %v", sampledScore, fres.Score)
 	}
+}
+
+// TestOneSelectionAcrossEntryPoints asks the same question — one
+// region, k, θ — at the four doors of the serving stack: POST /select
+// on a server without a cache, the tile cache made to fall back, a
+// session's Start, and the facade's Select. All four go through
+// core.SelectRegion, so they must name the same positions in the same
+// order and report the same score, bit for bit.
+func TestOneSelectionAcrossEntryPoints(t *testing.T) {
+	store, err := dataset.GenerateStore(dataset.POISpec(8000, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Corners exact in binary, so Width, Height and the session's
+	// longest side are one number and every door derives the same θ.
+	region := Rect{Min: Pt(0.125, 0.5625), Max: Pt(0.375, 0.8125)}
+	const k, thetaFrac = 20, 0.05
+	theta := thetaFrac * region.Width()
+
+	want, err := Select(ctx, store, region, Options{Config: engine.Config{K: k, ThetaFrac: thetaFrac, Metric: Cosine()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Positions) != k {
+		t.Fatalf("facade selected %d objects, want a full k = %d", len(want.Positions), k)
+	}
+	same := func(door string, positions []int, score float64) {
+		t.Helper()
+		if !slices.Equal(positions, want.Positions) {
+			t.Errorf("%s selected %v, facade %v", door, positions, want.Positions)
+		}
+		if math.Float64bits(score) != math.Float64bits(want.Score) {
+			t.Errorf("%s score %v, facade %v", door, score, want.Score)
+		}
+	}
+
+	srv, err := server.New(store, engine.Config{Metric: sim.Cosine{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(map[string]any{
+		"region": map[string]float64{"minX": region.Min.X, "minY": region.Min.Y, "maxX": region.Max.X, "maxY": region.Max.Y},
+		"k":      k, "thetaFrac": thetaFrac,
+	})
+	resp, err := http.Post(ts.URL+"/select", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var served struct {
+		Objects []struct{ ID int }
+		Score   float64
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /select: status %d, %v", resp.StatusCode, err)
+	}
+	posOf := make(map[int]int)
+	for p, o := range store.Collection().Objects {
+		posOf[o.ID] = p
+	}
+	var servedPos []int
+	for _, o := range served.Objects {
+		servedPos = append(servedPos, posOf[o.ID])
+	}
+	same("/select", servedPos, served.Score)
+
+	// A repair budget of nearly nothing: the first seam conflict sends
+	// the viewport to the cache's fallback.
+	cache, err := tilecache.New(engine.Config{Metric: sim.Cosine{}, TileRepairBudget: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, version := store.Snapshot()
+	cached, err := cache.Select(ctx, view, version, region, k, theta, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cached.Fallback {
+		t.Fatal("the tile cache stitched the viewport; this test needs its fallback")
+	}
+	same("tilecache fallback", cached.Positions, cached.Score)
+
+	sess, err := NewSession(store, SessionConfig{Config: engine.Config{K: k, ThetaFrac: thetaFrac, Metric: Cosine()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	started, err := sess.Start(ctx, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("session Start", started.Positions, started.Score)
 }

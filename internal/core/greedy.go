@@ -24,8 +24,8 @@ type Selector struct {
 	// Config carries the unified engine knobs. Layers above forward
 	// their embedded config here wholesale, with Theta resolved to an
 	// absolute distance; core ignores the session/serving fields
-	// (ThetaFrac, MaxZoomOutScale, TilesPerSide, AsyncPrefetch,
-	// RequestTimeout, SessionTTL, MaxSessions).
+	// (ThetaFrac, MaxZoomOutScale, AsyncPrefetch, RequestTimeout,
+	// SessionTTL, MaxSessions).
 	engine.Config
 
 	// Objects is the set O of geospatial objects in the region of
@@ -138,7 +138,6 @@ func (s *Selector) Run(ctx context.Context) (*Result, error) {
 	// best[i] = current Sim(o_i, S): the aggregation state per object.
 	// For AggSum/AggAvg it accumulates the sum of similarities.
 	best := make([]float64, n)
-	selected := make([]int, 0, s.K)
 
 	candidates := s.Candidates
 	if candidates == nil {
@@ -194,7 +193,10 @@ func (s *Selector) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// Seed with the forced set D.
+	// Seed with the forced set D. The selection holds at most every
+	// forced and active object, so K — a request number — never sizes an
+	// allocation on its own.
+	selected := make([]int, 0, min(s.K, len(s.Forced)+len(active)))
 	for _, f := range s.Forced {
 		selected = append(selected, f)
 		e.absorb(best, f)
@@ -435,7 +437,7 @@ func (s *Selector) startLazy(e *evaluator, res *Result, best []float64, selected
 	if err := e.fail(); err != nil {
 		return nil, err
 	}
-	res.Gains = make([]float64, 0, s.K)
+	res.Gains = make([]float64, 0, min(s.K-len(selected), len(active)))
 	return st, nil
 }
 

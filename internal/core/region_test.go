@@ -1,0 +1,204 @@
+package core
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"geosel/internal/engine"
+	"geosel/internal/geodata"
+	"geosel/internal/sim"
+)
+
+// byHand is the sequence SelectRegion replaced, written out the way its
+// five callers used to: Subset, a position → subset-index map, D and G
+// re-indexed (strangers dropped, D trimmed to k), one Selector, and the
+// selection mapped back.
+func byHand(t *testing.T, cfg engine.Config, col *geodata.Collection, pos []int, k int, theta float64, forced, cands []int, bounds map[int]float64) (*Result, []int) {
+	t.Helper()
+	cfg.K, cfg.Theta = k, theta
+	sel := &Selector{Config: cfg, Objects: col.Subset(pos)}
+	subsetOf := make(map[int]int, len(pos))
+	for i, p := range pos {
+		subsetOf[p] = i
+	}
+	for _, p := range forced {
+		if i, ok := subsetOf[p]; ok {
+			sel.Forced = append(sel.Forced, i)
+		}
+	}
+	if len(sel.Forced) > k {
+		sel.Forced = sel.Forced[:k]
+	}
+	if cands != nil {
+		sel.Candidates = []int{}
+		for _, p := range cands {
+			i, ok := subsetOf[p]
+			if !ok {
+				continue
+			}
+			sel.Candidates = append(sel.Candidates, i)
+			if bounds != nil {
+				sel.InitialGains = append(sel.InitialGains, bounds[p])
+			}
+		}
+	}
+	res := mustRun(t, sel)
+	positions := make([]int, len(res.Selected))
+	for i, s := range res.Selected {
+		positions[i] = pos[s]
+	}
+	return res, positions
+}
+
+// TestSelectRegionMatchesSelector pins the seam's contract: whatever
+// the shape of the problem, SelectRegion returns bitwise what the
+// hand-written sequence returns — positions, gains, score and
+// evaluation count — at every Parallelism.
+func TestSelectRegionMatchesSelector(t *testing.T) {
+	col := &geodata.Collection{Objects: testObjects(1500, 91)}
+	rng := rand.New(rand.NewSource(92))
+	// The region: 700 of the 1500 positions (above serialCutoff, so the
+	// pool engages), ascending the way a grid scan might return them.
+	sorted := rng.Perm(len(col.Objects))[:700]
+	slices.Sort(sorted)
+	shuffled := slices.Clone(sorted)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	inRegion := make(map[int]bool, len(sorted))
+	var wsum float64
+	for _, p := range sorted {
+		inRegion[p] = true
+		wsum += col.Objects[p].Weight
+	}
+
+	const k, theta = 12, 0.03
+	// D: a θ-separated set inside the region — the first picks of a
+	// plain run. G: every other region object, plus strangers. The
+	// bounds are the trivial ones (Sim <= 1).
+	plain, err := SelectRegion(context.Background(), engine.Config{Metric: sim.Cosine{}, Parallelism: 1},
+		col, sorted, k, theta, nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := slices.Clone(plain.Positions[:6])
+	var strangers []int
+	for p := range col.Objects {
+		if !inRegion[p] {
+			strangers = append(strangers, p)
+		}
+	}
+	g := slices.Clone(strangers[:40])
+	bounds := make(map[int]float64)
+	for _, p := range sorted {
+		if !slices.Contains(d, p) {
+			g = append(g, p)
+		}
+	}
+	for _, p := range g {
+		bounds[p] = wsum
+	}
+	dWithStrangers := append(slices.Clone(strangers[40:43]), d...)
+
+	cases := []struct {
+		name          string
+		pos           []int
+		k             int
+		forced, cands []int
+		bounds        map[int]float64
+		wantForced    int
+		wantCands     int
+	}{
+		{name: "plain", pos: sorted, k: k, wantCands: 700},
+		{name: "D+G", pos: sorted, k: k, forced: d, cands: g, wantForced: 6, wantCands: 694},
+		{name: "D+G+bounds", pos: sorted, k: k, forced: d, cands: g, bounds: bounds, wantForced: 6, wantCands: 694},
+		{name: "D partly outside pos", pos: sorted, k: k, forced: dWithStrangers, cands: g, wantForced: 6, wantCands: 694},
+		{name: "|D| > k", pos: sorted, k: 4, forced: d, cands: g, wantForced: 4, wantCands: 694},
+		{name: "empty G", pos: sorted, k: k, forced: d, cands: []int{}, wantForced: 6},
+		{name: "pos unsorted", pos: shuffled, k: k, forced: d, cands: g, bounds: bounds, wantForced: 6, wantCands: 694},
+	}
+	for name, m := range map[string]sim.Metric{"cosine": sim.Cosine{}, "hybrid": hybridMetric(t)} {
+		for _, par := range []int{1, 2} {
+			cfg := engine.Config{Metric: m, Parallelism: par, K: 999, Theta: 9, ThetaFrac: 9} // all three overridden
+			for _, tc := range cases {
+				want, wantPos := byHand(t, cfg, col, tc.pos, tc.k, theta, tc.forced, tc.cands, tc.bounds)
+				got, err := SelectRegion(context.Background(), cfg, col, tc.pos, tc.k, theta, tc.forced, tc.cands, tc.bounds, nil)
+				if err != nil {
+					t.Fatalf("%s p=%d %s: %v", name, par, tc.name, err)
+				}
+				if !slices.Equal(got.Positions, wantPos) {
+					t.Errorf("%s p=%d %s: positions %v, by hand %v", name, par, tc.name, got.Positions, wantPos)
+				}
+				if !slices.Equal(got.Gains, want.Gains) {
+					t.Errorf("%s p=%d %s: gains differ by bits", name, par, tc.name)
+				}
+				if math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+					t.Errorf("%s p=%d %s: score %v, by hand %v", name, par, tc.name, got.Score, want.Score)
+				}
+				if got.Evals != want.Evals || got.Rounds != want.Rounds {
+					t.Errorf("%s p=%d %s: evals/rounds %d/%d, by hand %d/%d", name, par, tc.name,
+						got.Evals, got.Rounds, want.Evals, want.Rounds)
+				}
+				if got.RegionObjects != 700 || got.ForcedCount != tc.wantForced || got.CandidateCount != tc.wantCands {
+					t.Errorf("%s p=%d %s: |O|, |D|, |G| = %d, %d, %d, want 700, %d, %d", name, par, tc.name,
+						got.RegionObjects, got.ForcedCount, got.CandidateCount, tc.wantForced, tc.wantCands)
+				}
+			}
+		}
+	}
+}
+
+// TestSelectRegionAppendsToDst checks the buffer contract the tile
+// cache's fallback relies on: positions land after what dst already
+// holds, in dst's own backing array when it has room.
+func TestSelectRegionAppendsToDst(t *testing.T) {
+	col := &geodata.Collection{Objects: testObjects(200, 93)}
+	pos := make([]int, 100)
+	for i := range pos {
+		pos[i] = 2 * i
+	}
+	cfg := engine.Config{Metric: sim.Cosine{}, Parallelism: 1}
+	fresh, err := SelectRegion(context.Background(), cfg, col, pos, 5, 0.05, nil, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]int, 1, 16)
+	buf[0] = -7
+	got, err := SelectRegion(context.Background(), cfg, col, pos, 5, 0.05, nil, nil, nil, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Positions[0] != -7 || !slices.Equal(got.Positions[1:], fresh.Positions) {
+		t.Errorf("appended %v to [-7], want %v after it", got.Positions, fresh.Positions)
+	}
+	if &got.Positions[0] != &buf[0] {
+		t.Error("positions left the caller's buffer although it had room")
+	}
+}
+
+// TestHugeKReservesNothing: K arrives from requests, so it must not
+// size an allocation. K = 1<<40 over 50 objects selects what K = 50
+// selects; before the capacities were capped at the number of objects
+// that can be selected, this died with "runtime: out of memory".
+func TestHugeKReservesNothing(t *testing.T) {
+	objs := testObjects(50, 94)
+	for _, lazy := range []bool{true, false} {
+		run := func(k int) *Result {
+			return mustRun(t, &Selector{
+				Config:  engine.Config{K: k, Theta: 0.02, Metric: sim.Cosine{}, Parallelism: 1, DisableLazy: !lazy},
+				Objects: objs, Forced: []int{3},
+			})
+		}
+		want, got := run(50), run(1<<40)
+		if !slices.Equal(got.Selected, want.Selected) || !slices.Equal(got.Gains, want.Gains) || got.Score != want.Score {
+			t.Errorf("lazy=%v: K = 1<<40 selected %v, K = 50 selected %v", lazy, got.Selected, want.Selected)
+		}
+		if c := cap(got.Selected); c > len(objs) {
+			t.Errorf("lazy=%v: Selected reserved %d slots for %d objects", lazy, c, len(objs))
+		}
+		if c := cap(got.Gains); c > 2*len(objs) {
+			t.Errorf("lazy=%v: Gains reserved %d slots for %d objects", lazy, c, len(objs))
+		}
+	}
+}

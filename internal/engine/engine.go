@@ -136,10 +136,6 @@ type Config struct {
 	// zoom-out envelopes; zoom-outs beyond it fall back to a cold
 	// selection. 0 means DefaultMaxZoomOutScale.
 	MaxZoomOutScale float64
-	// TilesPerSide switches prefetching to tiled bounds with a T×T grid
-	// over the envelope (see prefetch.Tiled). 0 keeps the paper's plain
-	// Lemma 5.1–5.3 bounds.
-	TilesPerSide int
 	// AsyncPrefetch makes sessions compute prefetch bounds in a
 	// background goroutine launched after each navigation response,
 	// cancelled and superseded the moment the user navigates again.
@@ -216,9 +212,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxZoomOutScale != 0 && c.MaxZoomOutScale < 1 {
 		return fmt.Errorf("engine: MaxZoomOutScale must be >= 1, got %v", c.MaxZoomOutScale)
-	}
-	if c.TilesPerSide < 0 {
-		return fmt.Errorf("engine: TilesPerSide = %d must be non-negative", c.TilesPerSide)
 	}
 	if c.RequestTimeout < 0 {
 		return fmt.Errorf("engine: RequestTimeout = %v must be non-negative", c.RequestTimeout)

@@ -46,7 +46,6 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{"negative PruneEps", func(c *Config) { c.PruneEps = -0.1 }, "PruneEps"},
 		{"PruneEps at 1", func(c *Config) { c.PruneEps = 1 }, "PruneEps"},
 		{"MaxZoomOutScale below 1", func(c *Config) { c.MaxZoomOutScale = 0.5 }, "MaxZoomOutScale"},
-		{"negative TilesPerSide", func(c *Config) { c.TilesPerSide = -4 }, "TilesPerSide"},
 		{"negative RequestTimeout", func(c *Config) { c.RequestTimeout = -time.Second }, "RequestTimeout"},
 		{"negative MaxSessions", func(c *Config) { c.MaxSessions = -1 }, "MaxSessions"},
 		{"negative TileCacheCapacity", func(c *Config) { c.TileCacheCapacity = -1 }, "TileCacheCapacity"},

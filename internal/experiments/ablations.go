@@ -137,33 +137,28 @@ func (e *Env) Ablations(id string) (*Table, error) {
 	})
 	t.AddRow("spatial-index", "quadtree", fdur(dBuild), fmt.Sprintf("build; query100 %s, %d hits", fdur(dQuery), got))
 
-	// Plain vs tiled prefetch bounds for a zoom-in (selection identical;
-	// runtime includes the query-time bound assembly for tiled).
+	// Lemma 5.1–5.3 prefetch bounds for a zoom-in: what the bound pass
+	// costs and what the bound-seeded response then takes.
 	inner, err := dataset.RandomZoomIn(region, DefaultZoomInScale, rng)
 	if err != nil {
 		return nil, err
 	}
-	for _, variant := range []struct {
-		name  string
-		tiles int
-	}{{"plain-lemma", 0}, {"tiled-16", 16}} {
-		resp, pf, err := e.isosTrialPrefetch(store, region, inner, variant.tiles)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow("prefetch-bounds", variant.name, fdur(resp), fmt.Sprintf("prefetch cost %s", fdur(pf)))
+	resp, pf, err := e.isosTrialPrefetch(store, region, inner)
+	if err != nil {
+		return nil, err
 	}
+	t.AddRow("prefetch-bounds", "plain-lemma", fdur(resp), fmt.Sprintf("prefetch cost %s", fdur(pf)))
 	return t, nil
 }
 
-// isosTrialPrefetch runs one prefetched zoom-in with the given tiling
-// and returns (response, prefetch cost).
-func (e *Env) isosTrialPrefetch(store *geodata.Store, region, inner geo.Rect, tiles int) (time.Duration, time.Duration, error) {
+// isosTrialPrefetch runs one prefetched zoom-in and returns (response,
+// prefetch cost).
+func (e *Env) isosTrialPrefetch(store *geodata.Store, region, inner geo.Rect) (time.Duration, time.Duration, error) {
 	// Timed single-threaded, matching the paper's measurement setup.
 	ctx := context.Background()
 	sess, err := isos.NewSession(store, isos.Config{
 		Config: engine.Config{K: DefaultK, ThetaFrac: DefaultThetaFrac,
-			Metric: Metric(), TilesPerSide: tiles},
+			Metric: Metric()},
 	})
 	if err != nil {
 		return 0, 0, err

@@ -66,9 +66,6 @@ func (e *Env) isosTrial(store *geodata.Store, mode isosMode, op geo.Op, region g
 	rng := e.rng(rngID)
 	// Plain Lemma 5.1-5.3 bounds, as in the paper: their bound map is
 	// fully precomputed, so the response path pays nothing for them.
-	// (The tiled refinement is available as a library option and is
-	// ablated in bench_test.go; it trades query-time tile sums for
-	// tighter bounds.)
 	// Timed single-threaded, matching the paper's measurement setup.
 	ctx := context.Background()
 	cfg := isos.Config{Config: engine.Config{

@@ -355,10 +355,10 @@ func TestPrefetchReducesEvals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(m sim.Metric, tiles int, usePrefetch bool) *Selection {
+	run := func(m sim.Metric, usePrefetch bool) *Selection {
 		// Parallelism 1: batched stale re-evaluation can inflate Evals on
 		// multi-core runners, and this test compares exact eval counts.
-		cfg := Config{Config: engine.Config{K: 10, ThetaFrac: 0.003, Metric: m, TilesPerSide: tiles, Parallelism: 1}}
+		cfg := Config{Config: engine.Config{K: 10, ThetaFrac: 0.003, Metric: m, Parallelism: 1}}
 		s, err := NewSession(store, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -385,24 +385,16 @@ func TestPrefetchReducesEvals(t *testing.T) {
 	// into: the opaque wrapper compiles to the generic Rows kind, whose
 	// cold run pays the exact heap initialization of Algorithm 1.
 	opaque := sim.Func(sim.Cosine{}.Sim)
-	cold := run(opaque, 0, false)
-	plain := run(opaque, 0, true).Evals
-	tiled := run(opaque, 16, true).Evals
-	if plain > cold.Evals {
+	cold := run(opaque, false)
+	if plain := run(opaque, true).Evals; plain > cold.Evals {
 		t.Errorf("plain prefetch evals %d exceed cold %d", plain, cold.Evals)
-	}
-	if tiled >= cold.Evals {
-		t.Errorf("tiled prefetch evals %d not below cold %d", tiled, cold.Evals)
-	}
-	if tiled > plain {
-		t.Errorf("tiled evals %d exceed plain %d (tiled bounds are tighter)", tiled, plain)
 	}
 	// Cosine seeds its own heap from the region's row sums, which no
 	// envelope bound can beat: a cold run needs no more evaluations
 	// than a prefetched one, and skips most of the initialization the
 	// opaque cold run paid for.
-	self := run(sim.Cosine{}, 0, false)
-	if pre := run(sim.Cosine{}, 0, true).Evals; self.Evals > pre {
+	self := run(sim.Cosine{}, false)
+	if pre := run(sim.Cosine{}, true).Evals; self.Evals > pre {
 		t.Errorf("self-seeded cold evals %d exceed prefetched %d", self.Evals, pre)
 	}
 	if self.Evals > cold.Evals-self.CandidateCount/2 {

@@ -19,7 +19,6 @@ import (
 type prefetchState struct {
 	version uint64
 	plain   map[geo.Op]map[int]float64
-	tiled   map[geo.Op]*prefetch.Tiled
 	env     map[geo.Op]geo.Rect
 }
 
@@ -27,7 +26,6 @@ func newPrefetchState(version uint64) *prefetchState {
 	return &prefetchState{
 		version: version,
 		plain:   make(map[geo.Op]map[int]float64),
-		tiled:   make(map[geo.Op]*prefetch.Tiled),
 		env:     make(map[geo.Op]geo.Rect),
 	}
 }
@@ -49,11 +47,6 @@ func newPrefetchState(version uint64) *prefetchState {
 // ctx cancels the computation cooperatively; bounds for operations
 // completed before the cancellation are kept (they remain valid), the
 // interrupted operation's partial rows are discarded.
-//
-// With Config.TilesPerSide > 0 the bounds are tiled (see
-// prefetch.Tiled): tighter than the plain Lemma 5.1–5.3 sums at the
-// same prefetch cost, which lets lazy forward prune far more candidates
-// in the first iteration.
 func (s *Session) Prefetch(ctx context.Context, ops ...geo.Op) error {
 	if err := s.requireStarted(); err != nil {
 		return err
@@ -85,15 +78,6 @@ func (s *Session) computePrefetch(ctx context.Context, st *prefetchState, view g
 		case geo.OpPan:
 			env = vp.PanEnvelope()
 		default:
-			continue
-		}
-		if s.cfg.TilesPerSide > 0 {
-			t, err := prefetch.NewTiled(ctx, view.Collection(), view.Region(env), env, s.cfg.TilesPerSide, s.cfg.Metric, s.cfg.Parallelism)
-			if err != nil {
-				return err
-			}
-			st.tiled[op] = t
-			st.env[op] = env
 			continue
 		}
 		var m map[int]float64
@@ -133,12 +117,8 @@ func (s *Session) prefetchBounds(op geo.Op, region geo.Rect, g []int) map[int]fl
 	if !ok || !env.ContainsRect(region.Expand(-1e-12)) {
 		return nil
 	}
-	var m map[int]float64
-	if t, ok := s.prefetch.tiled[op]; ok {
-		m = t.BoundsFor(region)
-	} else if pm, ok := s.prefetch.plain[op]; ok {
-		m = pm
-	} else {
+	m, ok := s.prefetch.plain[op]
+	if !ok {
 		return nil
 	}
 	for _, p := range g {

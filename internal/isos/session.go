@@ -10,14 +10,13 @@ import (
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
 	"geosel/internal/invariant"
-	"geosel/internal/sim"
 )
 
 // Config parameterizes a Session. The shared engine knobs — K,
 // ThetaFrac, Metric, Agg, Parallelism, PruneEps, MaxZoomOutScale,
-// TilesPerSide, AsyncPrefetch — live in the embedded engine.Config (see
-// that package for per-field semantics) and are forwarded wholesale to
-// every selection the session runs; the fields declared here are
+// AsyncPrefetch — live in the embedded engine.Config (see that package
+// for per-field semantics) and are forwarded wholesale to every
+// selection the session runs; the fields declared here are
 // session-specific.
 //
 // Of particular session relevance in engine.Config:
@@ -376,24 +375,6 @@ func (s *Session) regionObjects(region geo.Rect) []int {
 	return out
 }
 
-// assertBoundsDominate checks, under the geoselcheck tag, the heart of
-// Lemmas 5.1–5.3: every prefetched upper bound handed to the greedy as
-// an InitialGain must dominate the exact unnormalized initial gain
-// Σ ω(o)·Sim(c, o) of its candidate over the region's objects — the
-// value exact initialization would have computed. The envelope sums
-// dominate because the region is contained in the prefetched envelope
-// and all terms are non-negative.
-func assertBoundsDominate(objs []geodata.Object, cands []int, gains []float64, m sim.Metric) {
-	for j, i := range cands {
-		c := &objs[i]
-		var exact float64
-		for q := range objs {
-			exact += objs[q].Weight * m.Sim(c, &objs[q])
-		}
-		invariant.UpperBound(exact, gains[j], "isos: prefetched bound vs exact initial gain (Lemmas 5.1-5.3)")
-	}
-}
-
 // selectIn runs the constrained greedy for region. When unconstrained
 // is true, all region objects are candidates (the plain sos problem).
 // bounds, if non-nil, maps collection positions in G to prefetched
@@ -402,83 +383,35 @@ func (s *Session) selectIn(ctx context.Context, region geo.Rect, d Derivation, u
 	if sel, ok := s.tryWarm(ctx, region, d, unconstrained); ok {
 		return sel, nil
 	}
-	regionPos := s.regionObjects(region)
-	col := s.view.Collection()
-	objs := col.Subset(regionPos)
-
-	// Map collection positions to subset positions.
-	subsetOf := make(map[int]int, len(regionPos))
-	for i, p := range regionPos {
-		subsetOf[p] = i
-	}
-
-	// Forward the whole engine config; only Theta needs resolving from
-	// the viewport-relative ThetaFrac to an absolute distance.
-	cfg := s.cfg.Config
-	cfg.Theta = s.theta(region)
-	selector := &core.Selector{
-		Config:  cfg,
-		Objects: objs,
-	}
-	forcedCount, candCount := 0, len(regionPos)
+	var forced, cands []int
 	if !unconstrained {
-		forced := make([]int, 0, len(d.D))
-		for _, p := range d.D {
-			if i, ok := subsetOf[p]; ok {
-				forced = append(forced, i)
-			}
-		}
-		cands := make([]int, 0, len(d.G))
-		var gains []float64
-		if bounds != nil {
-			gains = make([]float64, 0, len(d.G))
-		}
-		for _, p := range d.G {
-			i, ok := subsetOf[p]
-			if !ok {
-				continue
-			}
-			cands = append(cands, i)
-			if bounds != nil {
-				gains = append(gains, bounds[p])
-			}
-		}
-		// Forced objects that exceed K are trimmed deterministically;
-		// this can only happen when K shrinks between operations.
-		if len(forced) > s.cfg.K {
-			forced = forced[:s.cfg.K]
-		}
-		selector.Forced = forced
-		selector.Candidates = cands
-		selector.InitialGains = gains
-		forcedCount, candCount = len(forced), len(cands)
-		if invariant.Enabled && bounds != nil {
-			assertBoundsDominate(objs, cands, gains, s.cfg.Metric)
+		forced, cands = d.D, d.G
+		if cands == nil {
+			cands = []int{} // an empty G is still the whole candidate set
 		}
 	}
-
+	pos := s.regionObjects(region)
+	// Forward the whole engine config; θ is resolved from the
+	// viewport-relative ThetaFrac to an absolute distance.
 	start := time.Now()
-	res, err := selector.Run(ctx)
+	res, err := core.SelectRegion(ctx, s.cfg.Config, s.view.Collection(), pos,
+		s.cfg.K, s.theta(region), forced, cands, bounds, nil)
 	if err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-
-	out := &Selection{
+	s.visible = append([]int(nil), res.Positions...)
+	s.visibleVersion = s.version
+	return &Selection{
+		Positions:      res.Positions,
 		Score:          res.Score,
-		RegionObjects:  len(regionPos),
-		ForcedCount:    forcedCount,
-		CandidateCount: candCount,
+		RegionObjects:  res.RegionObjects,
+		ForcedCount:    res.ForcedCount,
+		CandidateCount: res.CandidateCount,
 		Evals:          res.Evals,
 		Elapsed:        elapsed,
 		Prefetched:     bounds != nil,
-	}
-	for _, i := range res.Selected {
-		out.Positions = append(out.Positions, regionPos[i])
-	}
-	s.visible = append([]int(nil), out.Positions...)
-	s.visibleVersion = s.version
-	return out, nil
+	}, nil
 }
 
 // tryWarm offers the navigation to the configured Warmer. ok = false

@@ -5,7 +5,7 @@
 // id slice with the previous epoch's grid. A full rebuild — what the
 // static path pays — walks every live object; the incremental commit is
 // O(batch + cells), which is what makes high-frequency small batches
-// affordable (see the ingest-churn suite, BENCH_ingest.json).
+// affordable (see BenchmarkEpochCommit and BenchmarkApply).
 package livestore
 
 import (

@@ -13,9 +13,9 @@
 // length, so there is no write under any reader's feet). The spatial
 // index is maintained incrementally: an epoch commit clones the grid's
 // cell-header table and rewrites only dirty cells, instead of
-// rebuilding the index — see grid.go and the ingest-churn benchmark
-// suite. Slots are never compacted, so memory grows with the total
-// mutation count, not the live count; Stats.DeadSlots tracks the cost.
+// rebuilding the index — see grid.go and BenchmarkEpochCommit. Slots
+// are never compacted, so memory grows with the total mutation count,
+// not the live count; Stats.DeadSlots tracks the cost.
 // The slot array is reserved at twice the seed size and doubles when
 // it fills.
 package livestore
@@ -83,8 +83,7 @@ type Stats struct {
 	Mutations uint64
 	// IndexCommitNs accumulates wall time spent inside the incremental
 	// grid commit across all epochs — the index-maintenance share of
-	// Apply, which the ingest-churn suite compares against a full
-	// rebuild.
+	// Apply.
 	IndexCommitNs int64
 	// Totals accumulates the per-batch outcomes since construction.
 	Totals Outcome

@@ -181,8 +181,8 @@ func Freeze(sn *Snapshot) geodata.Source { return frozen{sn: sn} }
 
 // RebuildIndex builds the snapshot's spatial index from scratch — the
 // full-rebuild cost that incremental epoch commits avoid — and returns
-// the number of entries indexed. It exists for the ingest-churn
-// benchmark suite and for tests; the returned work is discarded.
+// the number of entries indexed. It exists for tests; the returned
+// work is discarded.
 func RebuildIndex(sn *Snapshot) int {
 	live := sn.live
 	if sn.base != nil {

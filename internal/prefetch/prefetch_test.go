@@ -2,7 +2,6 @@ package prefetch
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -145,104 +144,6 @@ func TestPanBoundsAreUpperBounds(t *testing.T) {
 				t.Fatalf("bound %v below true marginal %v", b, g)
 			}
 		}
-	}
-}
-
-func TestTiledBoundsAreUpperBoundsAndTighter(t *testing.T) {
-	store := testStore(t, 3000, 7)
-	col := store.Collection()
-	m := sim.Cosine{}
-	rng := rand.New(rand.NewSource(8))
-	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.2)
-	envPos := store.Region(region)
-	plain, err := PairwiseBounds(context.Background(), col, envPos, m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiled, err := NewTiled(context.Background(), col, envPos, region, 8, m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 10; trial++ {
-		inner, err := dataset.RandomZoomIn(region, 0.2+rng.Float64()*0.6, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb := tiled.BoundsFor(inner)
-		onPos := store.Region(inner)
-		for _, c := range onPos {
-			b, ok := tb[c]
-			if !ok {
-				t.Fatalf("object %d missing from tiled bounds", c)
-			}
-			if g := exactMarginal(col, onPos, nil, c, m); b < g-1e-9 {
-				t.Fatalf("tiled bound %v below true marginal %v", b, g)
-			}
-			if b > plain[c]+1e-9 {
-				t.Fatalf("tiled bound %v exceeds plain bound %v", b, plain[c])
-			}
-		}
-	}
-	// Full-envelope query: tiled equals plain.
-	full := tiled.BoundsFor(region)
-	for _, p := range envPos {
-		if math.Abs(full[p]-plain[p]) > 1e-6 {
-			t.Fatalf("full-envelope tiled %v != plain %v", full[p], plain[p])
-		}
-	}
-}
-
-func TestTiledFinerTilesTighter(t *testing.T) {
-	store := testStore(t, 2000, 9)
-	col := store.Collection()
-	m := sim.Cosine{}
-	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.2)
-	envPos := store.Region(region)
-	coarse, err := NewTiled(context.Background(), col, envPos, region, 4, m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine, err := NewTiled(context.Background(), col, envPos, region, 16, m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An inner region deliberately misaligned with the 4×4 tile grid, so
-	// the coarse cover overshoots where the fine cover does not.
-	inner := geo.RectAround(geo.Pt(0.52, 0.47), 0.07)
-	cb := coarse.BoundsFor(inner)
-	fb := fine.BoundsFor(inner)
-	sumCoarse, sumFine := 0.0, 0.0
-	for _, p := range envPos {
-		if fb[p] > cb[p]+1e-9 {
-			t.Fatalf("finer tiles gave looser bound: %v > %v", fb[p], cb[p])
-		}
-		sumCoarse += cb[p]
-		sumFine += fb[p]
-	}
-	if sumFine >= sumCoarse {
-		t.Error("finer tiling should be strictly tighter in aggregate")
-	}
-}
-
-func TestNewTiledValidation(t *testing.T) {
-	store := testStore(t, 100, 10)
-	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.2)
-	if _, err := NewTiled(context.Background(), store.Collection(), nil, region, 0, sim.Cosine{}, 0); err == nil {
-		t.Error("tilesPerSide 0 should fail")
-	}
-	bad := geo.Rect{Min: geo.Pt(1, 1), Max: geo.Pt(0, 0)}
-	if _, err := NewTiled(context.Background(), store.Collection(), nil, bad, 4, sim.Cosine{}, 0); err == nil {
-		t.Error("invalid envelope should fail")
-	}
-	tl, err := NewTiled(context.Background(), store.Collection(), nil, region, 4, sim.Cosine{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.Envelope() != region {
-		t.Error("Envelope mismatch")
-	}
-	if got := tl.BoundsFor(region); len(got) != 0 {
-		t.Errorf("empty position list should give empty bounds, got %d", len(got))
 	}
 }
 

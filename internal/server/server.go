@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -249,14 +250,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	region := req.Region.rect()
-	if !region.Valid() || region.Width() <= 0 || region.Height() <= 0 {
-		writeError(w, http.StatusBadRequest, "invalid region")
+	if reject(w, checkRegion(region), checkK(req.K), checkTheta("thetaFrac", req.ThetaFrac)) {
 		return
 	}
-	if req.K <= 0 {
-		writeError(w, http.StatusBadRequest, "k must be positive")
-		return
-	}
+	theta := req.ThetaFrac * region.Width()
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	// Pin one snapshot for the whole request: region fetch, selection
@@ -264,7 +261,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	// /ingest commits new epochs concurrently.
 	view, version := s.src.Snapshot()
 	if s.cache != nil {
-		res, err := s.cache.Select(ctx, view, version, region, req.K, req.ThetaFrac*region.Width(), nil)
+		res, err := s.cache.Select(ctx, view, version, region, req.K, theta, nil)
 		if err != nil {
 			writeError(w, ctxStatus(err), err.Error())
 			return
@@ -278,38 +275,30 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	regionPos := view.Region(region)
-	objs := view.Collection().Subset(regionPos)
-	cfg := s.cfg
-	cfg.K = req.K
-	cfg.Theta = req.ThetaFrac * region.Width()
-	sel := &core.Selector{Config: cfg, Objects: objs}
-	res, err := sel.Run(ctx)
+	res, err := core.SelectRegion(ctx, s.cfg, view.Collection(), view.Region(region), req.K, theta, nil, nil, nil, nil)
 	if err != nil {
 		writeError(w, ctxStatus(err), err.Error())
 		return
 	}
-	positions := make([]int, len(res.Selected))
-	for i, p := range res.Selected {
-		positions[i] = regionPos[p]
-	}
 	writeJSON(w, http.StatusOK, selectionJSON{
-		Objects:       objectsFor(view, positions),
+		Objects:       objectsFor(view, res.Positions),
 		Score:         res.Score,
-		RegionObjects: len(regionPos),
+		RegionObjects: res.RegionObjects,
 	})
 }
 
 // createSessionRequest is the /sessions body.
 type createSessionRequest struct {
-	K            int     `json:"k"`
-	ThetaFrac    float64 `json:"thetaFrac"`
-	TilesPerSide int     `json:"tilesPerSide"`
+	K         int     `json:"k"`
+	ThetaFrac float64 `json:"thetaFrac"`
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req createSessionRequest
 	if !decode(w, r, &req) {
+		return
+	}
+	if reject(w, checkK(req.K), checkTheta("thetaFrac", req.ThetaFrac)) {
 		return
 	}
 	cfg := isos.Config{Config: s.cfg}
@@ -319,9 +308,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		// Assign only through the nil check: a typed-nil *Cache inside the
 		// interface would defeat the session's Warmer == nil test.
 		cfg.Warmer = s.cache
-	}
-	if req.TilesPerSide > 0 {
-		cfg.TilesPerSide = req.TilesPerSide
 	}
 	sess, err := isos.NewSession(s.src, cfg)
 	if err != nil {
@@ -412,6 +398,13 @@ func (s *Server) sessionOp(kind opKind) http.HandlerFunc {
 		}
 		var req opRequest
 		if !decode(w, r, &req) {
+			return
+		}
+		bad := checkRegion(req.Region.rect())
+		if kind == opPan {
+			bad = checkDelta(req.DX, req.DY)
+		}
+		if reject(w, bad) {
 			return
 		}
 		ctx, cancel := s.requestContext(r)
@@ -697,6 +690,9 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		}
 		theta = tilecache.DefaultTileTheta(int32(z), frac)
 	}
+	if reject(w, checkK(k), checkTheta("theta", theta)) {
+		return
+	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	view, version := s.src.Snapshot()
@@ -725,6 +721,60 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.cache.Stats())
+}
+
+// maxK bounds the k a request may ask for: 40× the paper's k = 100, and
+// small enough that no request-sized number reaches an allocation or is
+// truncated into a tile key.
+const maxK = 4096
+
+// The request-number checks, one per kind of number a route accepts.
+// Handlers run them before pinning a snapshot, so a NaN, an infinity or
+// an absurd k costs a 400 and nothing else.
+
+func checkK(k int) error {
+	if k <= 0 || k > maxK {
+		return fmt.Errorf("k = %d outside [1, %d]", k, maxK)
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// checkTheta accepts a finite, non-negative θ or θ-fraction.
+func checkTheta(name string, v float64) error {
+	if !finite(v) || v < 0 {
+		return fmt.Errorf("%s = %v must be finite and non-negative", name, v)
+	}
+	return nil
+}
+
+// checkRegion accepts a rectangle of finite, positive width and height
+// — which only finite corners give.
+func checkRegion(r geo.Rect) error {
+	if w, h := r.Width(), r.Height(); !finite(w) || !finite(h) || w <= 0 || h <= 0 {
+		return fmt.Errorf("invalid region %v", r)
+	}
+	return nil
+}
+
+func checkDelta(dx, dy float64) error {
+	if !finite(dx) || !finite(dy) {
+		return fmt.Errorf("dx = %v, dy = %v must be finite", dx, dy)
+	}
+	return nil
+}
+
+// reject answers 400 with the first non-nil error and reports whether
+// it did.
+func reject(w http.ResponseWriter, errs ...error) bool {
+	for _, err := range errs {
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return true
+		}
+	}
+	return false
 }
 
 // decode reads a JSON body into dst, writing a 400 on failure.

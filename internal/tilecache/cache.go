@@ -297,13 +297,8 @@ func (c *Cache) computeTile(ctx context.Context, view geodata.View, version uint
 		return nil, fmt.Errorf("tilecache: tile K = %d must be positive", key.K)
 	}
 	start := time.Now()
-	tilePos := view.Region(key.T.Rect())
-	cfg := c.cfg
-	cfg.K = int(key.K)
-	cfg.Theta = bandTheta(key.T.Z, key.Band, c.bands)
-	cfg.ThetaFrac = 0
-	sel := &core.Selector{Config: cfg, Objects: view.Collection().Subset(tilePos)}
-	res, err := sel.Run(ctx)
+	res, err := core.SelectRegion(ctx, c.cfg, view.Collection(), view.Region(key.T.Rect()),
+		int(key.K), bandTheta(key.T.Z, key.Band, c.bands), nil, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -312,12 +307,12 @@ func (c *Cache) computeTile(ctx context.Context, view geodata.View, version uint
 		born:  version,
 		ver:   version,
 		score: res.Score,
-		count: int32(len(tilePos)),
-		pos:   make([]int32, len(res.Selected)),
+		count: int32(res.RegionObjects),
+		pos:   make([]int32, len(res.Positions)),
 		gains: append([]float64(nil), res.Gains...),
 	}
-	for i, s := range res.Selected {
-		ent.pos[i] = int32(tilePos[s])
+	for i, p := range res.Positions {
+		ent.pos[i] = int32(p)
 	}
 	c.stats.coldNs.observe(time.Since(start))
 	return ent, nil

@@ -134,29 +134,19 @@ func normalizeGain(gain float64, regionObjects int) float64 {
 	return gain / float64(regionObjects)
 }
 
-// fallbackSelect is the uncached path, constructed exactly like the
-// server's direct /select handler so the results are bitwise-identical:
-// same region fetch, same Subset, same Selector configuration.
+// fallbackSelect is the uncached path: the same core.SelectRegion call
+// over the same region fetch as the server's direct /select handler, so
+// the results are bitwise-identical.
 func (c *Cache) fallbackSelect(ctx context.Context, view geodata.View, version uint64, region geo.Rect, k int, theta float64, dst []int) (Result, error) {
-	regionPos := view.Region(region)
-	objs := view.Collection().Subset(regionPos)
-	cfg := c.cfg
-	cfg.K = k
-	cfg.Theta = theta
-	cfg.ThetaFrac = 0
-	sel := &core.Selector{Config: cfg, Objects: objs}
-	res, err := sel.Run(ctx)
+	res, err := core.SelectRegion(ctx, c.cfg, view.Collection(), view.Region(region), k, theta, nil, nil, nil, dst)
 	if err != nil {
 		return Result{}, err
 	}
-	for _, p := range res.Selected {
-		dst = append(dst, regionPos[p])
-	}
 	return Result{
-		Positions:     dst,
+		Positions:     res.Positions,
 		Score:         res.Score,
 		Fallback:      true,
-		RegionObjects: len(regionPos),
+		RegionObjects: res.RegionObjects,
 		Version:       version,
 	}, nil
 }
