@@ -67,9 +67,11 @@ fuzz:
 	go test -run=NONE -fuzz=FuzzRowSums -fuzztime=10s ./internal/sim
 	go test -run=NONE -fuzz=FuzzFillCosine -fuzztime=10s ./internal/sim
 	go test -run=NONE -fuzz=FuzzResidualWalk -fuzztime=10s ./internal/core
+	go test -run=NONE -fuzz=FuzzAppendObjectJSON -fuzztime=10s ./internal/geodata
 
 bench:
 	go test -run=NONE -bench=. -benchmem ./internal/core ./internal/prefetch
+	go test -run=NONE -bench=WarmSelectHandler -benchmem ./internal/server
 
 # bench-smoke runs the hot-loop matrix in its shrunk CI shape: every
 # cell still runs (and still cross-checks that all cells pick the same

@@ -2,10 +2,14 @@ package server
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"geosel/internal/dataset"
 	"geosel/internal/engine"
+	"geosel/internal/livestore"
+	"geosel/internal/sim"
 )
 
 // TestRequestNumbersRejected drives every route that takes a number
@@ -13,9 +17,26 @@ import (
 // that would size a multi-gigabyte allocation, corners whose width
 // overflows — and expects a prompt 400 each time, then checks the
 // server still answers. At k = 8589934592 the parent of this test's
-// commit died with "runtime: out of memory".
+// commit died with "runtime: out of memory". The last rows are bodies
+// with data after their one JSON value, on a live store so that /ingest
+// reaches its decoder.
 func TestRequestNumbersRejected(t *testing.T) {
-	_, ts := newTestServer(t, engine.Config{TileCache: true})
+	col, err := dataset.Generate(dataset.POISpec(5000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.Config{Metric: sim.Cosine{}, TileCache: true}
+	live, err := livestore.New(col, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(live, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 	id := createSession(t, ts)
 	if got := startStatus(t, ts, id); got != http.StatusOK {
 		t.Fatalf("start: status %d", got)
@@ -51,6 +72,11 @@ func TestRequestNumbersRejected(t *testing.T) {
 		{"GET", "/tiles/3/2/2?k=0", ""},
 		{"GET", "/tiles/3/2/2?k=4097", ""},
 		{"GET", "/tiles/3/2/2?k=8589934592", ""},
+		{"POST", "/select", `{"region":` + unit + `,"k":8,"thetaFrac":0.003}{"k":2}`},
+		{"POST", "/select", `{"region":` + unit + `,"k":8,"thetaFrac":0.003} garbage`},
+		{"POST", "/sessions", `{"k":8,"thetaFrac":0.003}{"k":9}`},
+		{"POST", "/sessions/" + id + "/pan", `{"dx":0.05,"dy":0}]`},
+		{"POST", "/ingest", `{"mutations":[]}{"mutations":[]}`},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))

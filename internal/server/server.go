@@ -4,6 +4,14 @@
 // (the isos problem), matching how a map frontend would consume the
 // library. It uses only net/http and encoding/json.
 //
+// Every selection response — /select cached or not, the four session
+// steps, /back — is built by writeSelection: the whole body appended
+// into a pooled buffer out of geodata's one object renderer (or, on the
+// warm path, out of the tile cache's pre-rendered fragments), then sent
+// with its Content-Length in one Write. The bytes are what
+// encoding/json would write for the same values; the same request on
+// the same data gets the same bytes.
+//
 // Every request runs under its context: the client disconnecting (or a
 // server Shutdown draining) cancels the selection within one evaluation
 // chunk, and engine.Config.RequestTimeout adds a server-side deadline
@@ -18,9 +26,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -188,43 +198,95 @@ func (r rectJSON) rect() geo.Rect {
 	return geo.Rect{Min: geo.Pt(r.MinX, r.MinY), Max: geo.Pt(r.MaxX, r.MaxY)}
 }
 
-// objectJSON is the wire form of a selected object.
-type objectJSON struct {
-	ID     int     `json:"id"`
-	X      float64 `json:"x"`
-	Y      float64 `json:"y"`
-	Weight float64 `json:"weight"`
-	Text   string  `json:"text,omitempty"`
+// selectionMeta is what a selection response carries besides its
+// objects, in wire order: score, regionObjects, then prefetched,
+// responseMs, warm and scoreApprox, each left out at its zero value.
+type selectionMeta struct {
+	score         float64
+	regionObjects int
+	prefetched    bool
+	responseMs    float64
+	// warm reports the selection was stitched from the tile cache; its
+	// score is then the gain-mass approximation (scoreApprox).
+	warm        bool
+	scoreApprox bool
 }
 
-// selectionJSON is the wire form of a selection result.
-type selectionJSON struct {
-	Objects       []objectJSON `json:"objects"`
-	Score         float64      `json:"score"`
-	RegionObjects int          `json:"regionObjects"`
-	Prefetched    bool         `json:"prefetched,omitempty"`
-	ResponseMs    float64      `json:"responseMs,omitempty"`
-	// Warm reports the selection was stitched from the tile cache; its
-	// score is then the gain-mass approximation (ScoreApprox).
-	Warm        bool `json:"warm,omitempty"`
-	ScoreApprox bool `json:"scoreApprox,omitempty"`
+// selectionOpen starts every selection body; the objects array follows.
+const selectionOpen = `{"objects":`
+
+// bodyBuf is a pooled response body under construction.
+type bodyBuf struct{ b []byte }
+
+var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+// getBody takes a body from the pool, holding selectionOpen: the
+// objects array is appended next. The caller puts it back.
+func getBody() *bodyBuf {
+	bb := bodyPool.Get().(*bodyBuf)
+	bb.b = append(bb.b[:0], selectionOpen...)
+	return bb
 }
 
-// objectsFor renders positions against the view they were selected on.
-// Passing the pinned view (not a fresh source snapshot) matters under
-// live ingestion: positions must be resolved on a snapshot at least as
-// new as the one that produced them, which the pinned view is by
-// construction.
-func objectsFor(view geodata.View, positions []int) []objectJSON {
-	objs := view.Collection().Objects
-	out := make([]objectJSON, 0, len(positions))
-	for _, p := range positions {
-		o := &objs[p]
-		out = append(out, objectJSON{
-			ID: o.ID, X: o.Loc.X, Y: o.Loc.Y, Weight: o.Weight, Text: o.Text,
-		})
+// appendMeta closes a selection body after its objects array the way
+// encoding/json ends the struct, newline included. ok is false when the
+// score is one JSON cannot carry (NaN, ±Inf); responseMs, a duration in
+// milliseconds, is always finite.
+//
+//geolint:hotpath
+func appendMeta(dst []byte, m selectionMeta) (_ []byte, ok bool) {
+	if !finite(m.score) {
+		return dst, false
 	}
-	return out
+	dst = append(dst, `,"score":`...)
+	dst = geodata.AppendJSONFloat(dst, m.score)
+	dst = append(dst, `,"regionObjects":`...)
+	dst = strconv.AppendInt(dst, int64(m.regionObjects), 10)
+	if m.prefetched {
+		dst = append(dst, `,"prefetched":true`...)
+	}
+	if m.responseMs != 0 {
+		dst = append(dst, `,"responseMs":`...)
+		dst = geodata.AppendJSONFloat(dst, m.responseMs)
+	}
+	if m.warm {
+		dst = append(dst, `,"warm":true`...)
+	}
+	if m.scoreApprox {
+		dst = append(dst, `,"scoreApprox":true`...)
+	}
+	return append(dst, '}', '\n'), true
+}
+
+// writeSelection completes and sends a selection body: bb holds
+// selectionOpen and the objects array, the meta fields are appended,
+// and only a complete body is committed — with its Content-Length, in
+// one Write. A value JSON cannot carry is a 500, not a 200 cut short.
+func writeSelection(w http.ResponseWriter, bb *bodyBuf, m selectionMeta) {
+	var ok bool
+	if bb.b, ok = appendMeta(bb.b, m); !ok {
+		writeError(w, http.StatusInternalServerError, fmt.Sprintf("selection score %v cannot be encoded as JSON", m.score))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(bb.b)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(bb.b); err != nil {
+		// Client went away mid-body; nothing more to do.
+		return
+	}
+}
+
+// writePositions renders positions against the view they were selected
+// on and sends the selection. Passing the pinned view (not a fresh
+// source snapshot) matters under live ingestion: positions must be
+// resolved on a snapshot at least as new as the one that produced them,
+// which the pinned view is by construction.
+func writePositions(w http.ResponseWriter, view geodata.View, positions []int, m selectionMeta) {
+	bb := getBody()
+	defer bodyPool.Put(bb)
+	bb.b = geodata.AppendObjectsJSON(bb.b, view.Collection().Objects, positions)
+	writeSelection(w, bb, m)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -246,7 +308,7 @@ type selectRequest struct {
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req selectRequest
-	if !decode(w, r, &req) {
+	if !decode(w, r, maxBodyBytes, &req) {
 		return
 	}
 	region := req.Region.rect()
@@ -261,17 +323,19 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	// /ingest commits new epochs concurrently.
 	view, version := s.src.Snapshot()
 	if s.cache != nil {
-		res, err := s.cache.Select(ctx, view, version, region, req.K, theta, nil)
+		bb := getBody()
+		defer bodyPool.Put(bb)
+		body, res, err := s.cache.AppendSelectJSON(ctx, view, version, region, req.K, theta, bb.b)
+		bb.b = body
 		if err != nil {
 			writeError(w, ctxStatus(err), err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, selectionJSON{
-			Objects:       objectsFor(view, res.Positions),
-			Score:         res.Score,
-			RegionObjects: res.RegionObjects,
-			Warm:          !res.Fallback,
-			ScoreApprox:   res.ScoreApprox,
+		writeSelection(w, bb, selectionMeta{
+			score:         res.Score,
+			regionObjects: res.RegionObjects,
+			warm:          !res.Fallback,
+			scoreApprox:   res.ScoreApprox,
 		})
 		return
 	}
@@ -280,11 +344,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, ctxStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, selectionJSON{
-		Objects:       objectsFor(view, res.Positions),
-		Score:         res.Score,
-		RegionObjects: res.RegionObjects,
-	})
+	writePositions(w, view, res.Positions, selectionMeta{score: res.Score, regionObjects: res.RegionObjects})
 }
 
 // createSessionRequest is the /sessions body.
@@ -295,7 +355,7 @@ type createSessionRequest struct {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req createSessionRequest
-	if !decode(w, r, &req) {
+	if !decode(w, r, maxBodyBytes, &req) {
 		return
 	}
 	if reject(w, checkK(req.K), checkTheta("thetaFrac", req.ThetaFrac)) {
@@ -397,7 +457,7 @@ func (s *Server) sessionOp(kind opKind) http.HandlerFunc {
 			return
 		}
 		var req opRequest
-		if !decode(w, r, &req) {
+		if !decode(w, r, maxBodyBytes, &req) {
 			return
 		}
 		bad := checkRegion(req.Region.rect())
@@ -428,14 +488,13 @@ func (s *Server) sessionOp(kind opKind) http.HandlerFunc {
 			writeError(w, ctxStatus(err), err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, selectionJSON{
-			Objects:       objectsFor(view, sel.Positions),
-			Score:         sel.Score,
-			RegionObjects: sel.RegionObjects,
-			Prefetched:    sel.Prefetched,
-			ResponseMs:    float64(sel.Elapsed.Microseconds()) / 1000,
-			Warm:          sel.Warm,
-			ScoreApprox:   sel.Warm,
+		writePositions(w, view, sel.Positions, selectionMeta{
+			score:         sel.Score,
+			regionObjects: sel.RegionObjects,
+			prefetched:    sel.Prefetched,
+			responseMs:    float64(sel.Elapsed.Microseconds()) / 1000,
+			warm:          sel.Warm,
+			scoreApprox:   sel.Warm,
 		})
 	}
 }
@@ -452,7 +511,7 @@ func (s *Server) handlePrefetch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req prefetchRequest
-	if !decode(w, r, &req) {
+	if !decode(w, r, maxBodyBytes, &req) {
 		return
 	}
 	var ops []geo.Op
@@ -495,10 +554,7 @@ func (s *Server) handleBack(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, selectionJSON{
-		Objects:       objectsFor(view, sel.Positions),
-		RegionObjects: sel.RegionObjects,
-	})
+	writePositions(w, view, sel.Positions, selectionMeta{regionObjects: sel.RegionObjects})
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
@@ -556,10 +612,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decode(w, r, maxIngestBodyBytes, &req) {
 		return
 	}
 	muts := make([]livestore.Mutation, 0, len(req.Mutations))
@@ -696,23 +749,42 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	view, version := s.src.Snapshot()
-	payload, etag, err := s.cache.TilePayload(ctx, view, version, z, x, y, theta, k, nil)
+	tile, err := s.cache.Tile(ctx, view, version, z, x, y, theta, k)
 	if err != nil {
 		writeError(w, ctxStatus(err), err.Error())
 		return
 	}
+	etag := tile.ETag()
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "no-cache")
-	if r.Header.Get("If-None-Match") == etag {
+	if noneMatchHolds(r.Header.Values("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	payload := tile.AppendPayload(nil)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 	if _, err := w.Write(payload); err != nil {
 		// Client went away mid-body; nothing more to do.
 		return
 	}
+}
+
+// noneMatchHolds reports whether an If-None-Match header (RFC 9110
+// §13.1.2) names etag: as "*", or as a member of its comma-separated
+// list, compared weakly (a W/ prefix is ignored).
+func noneMatchHolds(values []string, etag string) bool {
+	for _, list := range values {
+		for list != "" {
+			var tag string
+			tag, list, _ = strings.Cut(list, ",")
+			tag = strings.TrimSpace(tag)
+			if tag == "*" || strings.TrimPrefix(tag, "W/") == etag {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
@@ -777,12 +849,18 @@ func reject(w http.ResponseWriter, errs ...error) bool {
 	return false
 }
 
-// decode reads a JSON body into dst, writing a 400 on failure.
-func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decode reads a body of at most limit bytes holding exactly one JSON
+// value into dst, writing a 400 on failure — also when anything but
+// white space follows the value.
+func decode(w http.ResponseWriter, r *http.Request, limit int64, dst any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, "bad request body: data after the JSON value")
 		return false
 	}
 	return true

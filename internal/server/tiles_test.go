@@ -88,6 +88,50 @@ func TestTilesEndpoint(t *testing.T) {
 	}
 }
 
+// TestTileRevalidationRendersNothing: If-None-Match is honoured in all
+// its forms — the tag alone, inside a list, weak, "*" — and a request it
+// answers with 304 never renders the payload it would not send.
+func TestTileRevalidationRendersNothing(t *testing.T) {
+	srv, ts := newTestServer(t, engine.Config{TileCache: true})
+	const path = "/tiles/2/1/1?k=10"
+	first := get(t, ts.URL+path, nil)
+	etag := first.Header.Get("ETag")
+	if first.StatusCode != http.StatusOK || etag == "" {
+		t.Fatalf("status %d, ETag %q", first.StatusCode, etag)
+	}
+	rendered := srv.cache.Stats().TilePayloads
+	if rendered != 1 {
+		t.Fatalf("one 200 rendered %d payloads", rendered)
+	}
+	for _, h := range []http.Header{
+		{"If-None-Match": {etag}},
+		{"If-None-Match": {`"other", ` + etag + ` , "third"`}},
+		{"If-None-Match": {`"other"`, etag}},
+		{"If-None-Match": {"W/" + etag}},
+		{"If-None-Match": {"*"}},
+	} {
+		resp := get(t, ts.URL+path, h)
+		if resp.StatusCode != http.StatusNotModified {
+			t.Errorf("If-None-Match %q: status %d, want 304", h["If-None-Match"], resp.StatusCode)
+		}
+		if resp.Header.Get("ETag") != etag {
+			t.Errorf("If-None-Match %q: 304 carries ETag %q, want %q", h["If-None-Match"], resp.Header.Get("ETag"), etag)
+		}
+	}
+	if got := srv.cache.Stats().TilePayloads; got != rendered {
+		t.Errorf("five 304s rendered %d payloads", got-rendered)
+	}
+	for _, h := range []http.Header{
+		{"If-None-Match": {`"other", "third"`}},
+		{"If-None-Match": {etag[:len(etag)-2] + `9"`}},
+		{"If-None-Match": {""}},
+	} {
+		if resp := get(t, ts.URL+path, h); resp.StatusCode != http.StatusOK {
+			t.Errorf("If-None-Match %q: status %d, want 200", h["If-None-Match"], resp.StatusCode)
+		}
+	}
+}
+
 func TestTileEndpointsDisabledWithoutCache(t *testing.T) {
 	ts := testServer(t)
 	for _, path := range []string{"/tiles/1/0/0", "/cache/stats"} {

@@ -1,7 +1,9 @@
 package tilecache
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -28,8 +30,8 @@ type DirtyView interface {
 // power of two so shard selection is a mask.
 const numShards = 16
 
-// entry is one materialized tile selection. pos/gains/score/count are
-// immutable after insert; ver advances under the shard lock when an
+// entry is one materialized tile selection. pos/gains/frag/score/count
+// are immutable after insert; ver advances under the shard lock when an
 // epoch sweep proves the tile untouched, so readers copy nothing.
 type entry struct {
 	key Key
@@ -44,6 +46,14 @@ type entry struct {
 	// gains the matching unnormalized marginal gains.
 	pos   []int32
 	gains []float64
+	// frag holds the members' rendered wire forms
+	// (geodata.AppendObjectJSON) back to back, member i at
+	// frag[fragOff[i]:fragOff[i+1]], so a stitched serve copies bytes
+	// instead of formatting numbers. An entry outlives its version only
+	// while no epoch touched its tile — while none of its members
+	// changed — so the bytes stay valid exactly as long as pos does.
+	frag    []byte
+	fragOff []int32
 	// score is the tile-normalized selection score, count the number of
 	// objects in the tile at compute time.
 	score float64
@@ -53,10 +63,11 @@ type entry struct {
 }
 
 // flight coalesces concurrent computes of one key: latecomers wait for
-// the leader and then re-read the shard map.
+// the leader and then re-read the shard map. The leader sets err and
+// then closes done.
 type flight struct {
-	wg  sync.WaitGroup
-	err error
+	done chan struct{}
+	err  error
 }
 
 type shard struct {
@@ -214,8 +225,11 @@ func (c *Cache) entryValid(e *entry, dv DirtyView, version uint64, sc *scratch) 
 // getTile returns the materialized selection for key at the serving
 // version, computing and caching it on a miss. hit reports whether the
 // entry came out of the cache. Concurrent misses of one key are
-// coalesced; a request pinned to an older version than a cached entry
-// computes uncached instead of thrashing the newer entry.
+// coalesced: a waiter gives up only on its own ctx, and a leader that
+// failed on *its* ctx (its client left, its deadline passed) fails no
+// one else — the waiters go round again and one of them leads. A
+// request pinned to an older version than a cached entry computes
+// uncached instead of thrashing the newer entry.
 func (c *Cache) getTile(ctx context.Context, view geodata.View, dv DirtyView, version uint64, key Key, sc *scratch) (e *entry, hit bool, err error) {
 	sh := &c.shards[key.hash()&(numShards-1)]
 	var lead *flight
@@ -241,15 +255,21 @@ func (c *Cache) getTile(ctx context.Context, view geodata.View, dv DirtyView, ve
 		}
 		f := sh.flights[key]
 		if f == nil {
-			lead = &flight{}
-			lead.wg.Add(1)
+			lead = &flight{done: make(chan struct{})}
 			sh.flights[key] = lead
 			sh.mu.Unlock()
 			break // this goroutine computes
 		}
 		sh.mu.Unlock()
-		f.wg.Wait()
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
 		if f.err != nil {
+			if isContextErr(f.err) && ctx.Err() == nil {
+				continue
+			}
 			return nil, false, f.err
 		}
 		c.stats.coalesced.Add(1)
@@ -265,7 +285,7 @@ func (c *Cache) getTile(ctx context.Context, view geodata.View, dv DirtyView, ve
 			// A sweep-surviving or competing entry; keep the newer one.
 			if old.born >= ent.born {
 				sh.mu.Unlock()
-				lead.wg.Done()
+				close(lead.done)
 				c.stats.tileMisses.Add(1)
 				return ent, false, nil
 			}
@@ -281,7 +301,7 @@ func (c *Cache) getTile(ctx context.Context, view geodata.View, dv DirtyView, ve
 	}
 	sh.mu.Unlock()
 	lead.err = err
-	lead.wg.Done()
+	close(lead.done)
 	if err != nil {
 		return nil, false, err
 	}
@@ -289,9 +309,14 @@ func (c *Cache) getTile(ctx context.Context, view geodata.View, dv DirtyView, ve
 	return ent, false, nil
 }
 
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // computeTile runs the ordinary greedy selection over the tile's
-// objects with the band-representative θ. The resulting entry depends
-// only on (tile contents at version, key), never on request order.
+// objects with the band-representative θ and renders the members' wire
+// forms. The resulting entry depends only on (tile contents at version,
+// key), never on request order.
 func (c *Cache) computeTile(ctx context.Context, view geodata.View, version uint64, key Key) (*entry, error) {
 	if key.K <= 0 {
 		return nil, fmt.Errorf("tilecache: tile K = %d must be positive", key.K)
@@ -303,17 +328,26 @@ func (c *Cache) computeTile(ctx context.Context, view geodata.View, version uint
 		return nil, err
 	}
 	ent := &entry{
-		key:   key,
-		born:  version,
-		ver:   version,
-		score: res.Score,
-		count: int32(res.RegionObjects),
-		pos:   make([]int32, len(res.Positions)),
-		gains: append([]float64(nil), res.Gains...),
+		key:     key,
+		born:    version,
+		ver:     version,
+		score:   res.Score,
+		count:   int32(res.RegionObjects),
+		pos:     make([]int32, len(res.Positions)),
+		gains:   append([]float64(nil), res.Gains...),
+		fragOff: make([]int32, len(res.Positions)+1),
 	}
+	objs := view.Collection().Objects
+	// An object renders to ~115 bytes; one allocation here, not a chain
+	// of doublings.
+	frag := make([]byte, 0, 128*len(res.Positions))
 	for i, p := range res.Positions {
 		ent.pos[i] = int32(p)
+		frag = geodata.AppendObjectJSON(frag, &objs[p])
+		ent.fragOff[i+1] = int32(len(frag))
 	}
+	// The entry keeps a copy without append's spare capacity.
+	ent.frag = bytes.Clone(frag)
 	c.stats.coldNs.observe(time.Since(start))
 	return ent, nil
 }

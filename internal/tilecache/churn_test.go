@@ -6,8 +6,14 @@ package tilecache
 // (`go test -race -run Churn -tags geoselcheck`) picks them up.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +21,7 @@ import (
 	"geosel/internal/core"
 	"geosel/internal/engine"
 	"geosel/internal/geo"
+	"geosel/internal/geodata"
 	"geosel/internal/livestore"
 	"geosel/internal/sim"
 )
@@ -170,5 +177,297 @@ func TestChurnDirtyTilesNeverServedStale(t *testing.T) {
 		if !grow.Contains(m.Loc) {
 			t.Fatalf("member at %v outside the hot tile: stale position pointing at a recycled slot", m.Loc)
 		}
+	}
+}
+
+// bodyObjects splits a JSON array of objects as AppendSelectJSON emits
+// it into the raw bytes and the id of each object.
+func bodyObjects(t *testing.T, body []byte) ([]json.RawMessage, []int) {
+	t.Helper()
+	var raws []json.RawMessage
+	if err := json.Unmarshal(body, &raws); err != nil {
+		t.Fatalf("served body is not a JSON array: %v: %s", err, body)
+	}
+	ids := make([]int, len(raws))
+	for i, raw := range raws {
+		var o struct {
+			ID int `json:"id"`
+		}
+		if err := json.Unmarshal(raw, &o); err != nil {
+			t.Fatalf("served object %s: %v", raw, err)
+		}
+		ids[i] = o.ID
+	}
+	return raws, ids
+}
+
+// checkBodyAgainstView holds a served body to the pinned view: every
+// object in it is a live object of the viewport on that view, and its
+// bytes are what a fresh render of that object gives — a fragment
+// rendered before the object changed cannot pass.
+func checkBodyAgainstView(t *testing.T, body []byte, view geodata.View, region geo.Rect) {
+	t.Helper()
+	objs := view.Collection().Objects
+	posOf := make(map[int]int)
+	for _, p := range view.Region(region) {
+		posOf[objs[p].ID] = p
+	}
+	raws, ids := bodyObjects(t, body)
+	for i, raw := range raws {
+		p, ok := posOf[ids[i]]
+		if !ok {
+			t.Errorf("served object %s is not in the viewport on the request's own snapshot", raw)
+			return
+		}
+		if fresh := geodata.AppendObjectJSON(nil, &objs[p]); !bytes.Equal(raw, fresh) {
+			t.Errorf("stale bytes served:\n got %s\nwant %s", raw, fresh)
+			return
+		}
+	}
+}
+
+// TestChurnUpdatedMemberServesNewBytes: the text and location of a
+// cached tile member change; the next serve carries the new bytes, and
+// is in every byte what a cache that never saw the old version serves.
+func TestChurnUpdatedMemberServesNewBytes(t *testing.T) {
+	// Three words out of forty: objects with identical term vectors tie
+	// in gain, and a tie is broken by position, which an update changes.
+	// The member updated below is one whose vector nothing else shares.
+	rng := rand.New(rand.NewSource(5))
+	col := geodata.NewCollection()
+	bags := make(map[string]int)
+	bag := func(text string) string {
+		words := strings.Fields(strings.ToLower(strings.Trim(text, "<>")))
+		sort.Strings(words)
+		return strings.Join(words, " ")
+	}
+	for i := 0; i < 3000; i++ {
+		text := fmt.Sprintf("w%d w%d w%d", rng.Intn(40), rng.Intn(40), rng.Intn(40))
+		col.Add(i, geo.Pt(rng.Float64(), rng.Float64()), 0.2+0.8*rng.Float64(), text)
+		bags[bag(text)]++
+	}
+	ls, err := livestore.New(col, engine.Config{Metric: sim.Cosine{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCache(t, engine.Config{})
+	ctx := context.Background()
+	region := geo.Rect{Min: geo.Pt(0.2, 0.2), Max: geo.Pt(0.45, 0.4)}
+	theta := 0.003 * region.Width()
+	const k = 12
+
+	view1, v1 := ls.Snapshot()
+	var before []byte
+	for i := 0; i < 2; i++ { // fill, then serve from the filled tiles
+		var res Result
+		if before, res, err = c.AppendSelectJSON(ctx, view1, v1, region, k, theta, nil); err != nil || res.Fallback {
+			t.Fatalf("serve at v1: err=%v fallback=%v", err, res.Fallback)
+		}
+	}
+	raws, ids := bodyObjects(t, before)
+	var oldBytes []byte
+	var old geodata.Object
+	for i, id := range ids {
+		if o := view1.Collection().Objects[id]; bags[bag(o.Text)] == 1 { // ids are positions at v1
+			oldBytes, old = raws[i], o
+			break
+		}
+	}
+	if oldBytes == nil {
+		t.Fatal("no served member has a term vector of its own")
+	}
+	id := old.ID
+	// Same terms (the tokenizer lowercases and drops punctuation), so the
+	// selection keeps the member; different bytes, escapes included.
+	moved := geo.Pt(old.Loc.X+1e-4, old.Loc.Y-1e-4)
+	renamed := "<" + strings.ToUpper(old.Text) + ">"
+	v2 := applyEpoch(t, ls, []livestore.Mutation{{
+		Op: livestore.OpUpdate, ID: id, Loc: moved, Weight: old.Weight, Text: renamed,
+	}})
+	view2, _ := ls.Snapshot()
+
+	after, res, err := c.AppendSelectJSON(ctx, view2, v2, region, k, theta, nil)
+	if err != nil || res.Fallback {
+		t.Fatalf("serve at v2: err=%v fallback=%v", err, res.Fallback)
+	}
+	if res.TileMisses == 0 {
+		t.Fatal("the tile of the updated member was served from the cache")
+	}
+	if bytes.Contains(after, oldBytes) {
+		t.Fatalf("old bytes %s served after the update", oldBytes)
+	}
+	want := geodata.AppendObjectJSON(nil, &geodata.Object{ID: id, Loc: moved, Weight: old.Weight, Text: renamed})
+	if !bytes.Contains(after, want) {
+		t.Fatalf("updated member's new bytes %s not served: %s", want, after)
+	}
+	checkBodyAgainstView(t, after, view2, region)
+	fresh, _, err := newTestCache(t, engine.Config{}).AppendSelectJSON(ctx, view2, v2, region, k, theta, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, fresh) {
+		t.Fatalf("serve after the update differs from a fresh cache's:\n got %s\nwant %s", after, fresh)
+	}
+}
+
+// TestChurnCleanEpochKeepsEntryAndBytes: an epoch that dirties only
+// other cells leaves the viewport's entries where they are — same
+// entries, born unchanged, nothing recomputed — and the served bytes
+// identical.
+func TestChurnCleanEpochKeepsEntryAndBytes(t *testing.T) {
+	ls, err := livestore.New(testCollection(3000, 5), engine.Config{Metric: sim.Cosine{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCache(t, engine.Config{})
+	ctx := context.Background()
+	region := geo.Rect{Min: geo.Pt(0.6, 0.6), Max: geo.Pt(0.85, 0.82)}
+	theta := 0.003 * region.Width()
+	const k = 12
+
+	view1, v1 := ls.Snapshot()
+	before, res, err := c.AppendSelectJSON(ctx, view1, v1, region, k, theta, nil)
+	if err != nil || res.Fallback {
+		t.Fatalf("serve at v1: err=%v fallback=%v", err, res.Fallback)
+	}
+	entries := func() map[*entry]uint64 {
+		out := make(map[*entry]uint64)
+		for i := range c.shards {
+			sh := &c.shards[i]
+			sh.mu.Lock()
+			for _, e := range sh.entries {
+				out[e] = e.born
+			}
+			sh.mu.Unlock()
+		}
+		return out
+	}
+	had := entries()
+
+	far := view1.Region(geo.Rect{Min: geo.Pt(0.05, 0.05), Max: geo.Pt(0.15, 0.15)})
+	if len(far) == 0 {
+		t.Fatal("no object in the far cell")
+	}
+	o := view1.Collection().Objects[far[0]]
+	v2 := applyEpoch(t, ls, []livestore.Mutation{{
+		Op: livestore.OpUpdate, ID: o.ID, Loc: geo.Pt(0.1, 0.1), Weight: 0.9, Text: "far away",
+	}})
+	view2, _ := ls.Snapshot()
+	after, res, err := c.AppendSelectJSON(ctx, view2, v2, region, k, theta, nil)
+	if err != nil || res.Fallback {
+		t.Fatalf("serve at v2: err=%v fallback=%v", err, res.Fallback)
+	}
+	if res.TileMisses != 0 {
+		t.Errorf("%d tiles recomputed by an epoch that touched none of them", res.TileMisses)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("bytes changed across a clean epoch:\n was %s\n now %s", before, after)
+	}
+	have := entries()
+	for e, born := range had {
+		if b, ok := have[e]; !ok || b != born || born != v1 {
+			t.Errorf("entry %+v: born %d → %d (still cached: %v), want %d kept", e.key, born, b, ok, v1)
+		}
+	}
+	checkBodyAgainstView(t, after, view2, region)
+}
+
+// TestChurnWarmBodiesMatchPinnedView serves rendered bodies from reader
+// goroutines while a writer commits epochs that rewrite the text and
+// location of one hot cell's objects. Every body — stitched from
+// fragments rendered at whatever version their tile was computed — must
+// equal, object for object, a fresh render against the request's own
+// pinned view.
+func TestChurnWarmBodiesMatchPinnedView(t *testing.T) {
+	ls, err := livestore.New(testCollection(2500, 17), engine.Config{Metric: sim.Cosine{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCache(t, engine.Config{TileCacheCapacity: 256})
+	ctx := context.Background()
+	hot := geo.Rect{Min: geo.Pt(0.15, 0.15), Max: geo.Pt(0.35, 0.35)}
+	done := make(chan struct{})
+	var served, warm atomic.Int64
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // writer
+		defer wg.Done()
+		defer close(done)
+		rng := rand.New(rand.NewSource(41))
+		view, _ := ls.Snapshot()
+		var hotIDs []int
+		for _, p := range view.Region(hot) {
+			hotIDs = append(hotIDs, view.Collection().Objects[p].ID)
+		}
+		if len(hotIDs) < 4 {
+			t.Error("hot cell too empty to churn")
+			return
+		}
+		for epoch := 0; epoch < 40; epoch++ {
+			// Pace the epochs on the readers, so that every epoch is
+			// served from, warm and cold, before the next one lands.
+			for served.Load() < int64(6*epoch) && !t.Failed() {
+				runtime.Gosched()
+			}
+			muts := make([]livestore.Mutation, 0, 4)
+			for i := 0; i < 4; i++ {
+				muts = append(muts, livestore.Mutation{
+					Op: livestore.OpUpdate, ID: hotIDs[rng.Intn(len(hotIDs))],
+					Loc: geo.Pt(
+						hot.Min.X+rng.Float64()*(hot.Max.X-hot.Min.X),
+						hot.Min.Y+rng.Float64()*(hot.Max.Y-hot.Min.Y),
+					),
+					Weight: 0.5 + 0.5*rng.Float64(),
+					Text:   fmt.Sprintf("cafe pier epoch%d <%d>", epoch, i),
+				})
+			}
+			if _, _, err := ls.Apply(ctx, muts); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	viewports := []geo.Rect{
+		{Min: geo.Pt(0.1, 0.1), Max: geo.Pt(0.4, 0.38)},  // overlaps the hot cell
+		{Min: geo.Pt(0.2, 0.05), Max: geo.Pt(0.45, 0.3)}, // overlaps the hot cell
+		{Min: geo.Pt(0.6, 0.6), Max: geo.Pt(0.85, 0.82)}, // clean
+	}
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(seed int64) { // reader
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var buf []byte
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				region := viewports[rng.Intn(len(viewports))]
+				view, version := ls.Snapshot()
+				var res Result
+				var err error
+				buf, res, err = c.AppendSelectJSON(ctx, view, version, region, 12, 0.01*region.Width(), buf[:0])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				checkBodyAgainstView(t, buf, view, region)
+				if t.Failed() {
+					return
+				}
+				served.Add(1)
+				if !res.Fallback && res.TileMisses == 0 {
+					warm.Add(1)
+				}
+			}
+		}(int64(43 + r))
+	}
+	wg.Wait()
+	if !t.Failed() && (served.Load() == 0 || warm.Load() == 0) {
+		t.Errorf("%d bodies checked, %d of them fully warm: the test measured nothing", served.Load(), warm.Load())
 	}
 }

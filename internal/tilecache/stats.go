@@ -51,6 +51,7 @@ type counters struct {
 	invalidations atomic.Uint64 // entries dropped by epoch dirt
 
 	repairDropped atomic.Uint64 // members dropped by seam repair
+	tilePayloads  atomic.Uint64 // tiles rendered into the wire format
 
 	coldNs   histogram // per-tile compute latency
 	repairNs histogram // stitch+repair pass latency
@@ -108,6 +109,9 @@ type Stats struct {
 	Invalidations uint64 `json:"invalidations"`
 
 	RepairDropped uint64 `json:"repairDropped"`
+	// TilePayloads counts tiles rendered into the wire format; a /tiles
+	// revalidation answered 304 renders none.
+	TilePayloads uint64 `json:"tilePayloads"`
 
 	ColdComputeNs HistogramStats `json:"coldComputeNs"`
 	RepairNs      HistogramStats `json:"repairNs"`
@@ -139,6 +143,7 @@ func (c *Cache) Stats() Stats {
 		Evictions:       c.stats.evictions.Load(),
 		Invalidations:   c.stats.invalidations.Load(),
 		RepairDropped:   c.stats.repairDropped.Load(),
+		TilePayloads:    c.stats.tilePayloads.Load(),
 		ColdComputeNs:   c.stats.coldNs.snapshot(),
 		RepairNs:        c.stats.repairNs.snapshot(),
 	}

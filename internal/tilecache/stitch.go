@@ -18,13 +18,18 @@ type scratch struct {
 	tiles   []*entry
 	members []member
 	keptPos []int32
+	keptRef []int32
 	keptLoc []geo.Point
 	rects   []geo.Rect
 }
 
-// member is one cached tile-selection member inside the viewport.
+// member is one cached tile-selection member inside the viewport. ref
+// says where it came from: its index in the concatenation of the
+// covering tiles' member lists (scratch.tiles order), which is how the
+// emit loop finds its rendered fragment again.
 type member struct {
 	pos  int32
+	ref  int32
 	gain float64
 	loc  geo.Point
 }
@@ -34,7 +39,8 @@ type Result struct {
 	// Positions are collection positions in serve order (forced set
 	// first, then stitched members by descending recorded gain; on
 	// fallback, greedy selection order). It aliases the dst buffer
-	// passed to Select.
+	// passed to Select; AppendSelectJSON, which hands out the rendered
+	// objects instead, leaves it nil.
 	Positions []int
 	// Score is the selection's representative score. On the stitched
 	// path it is the gain-mass approximation Σ kept gains / |O_region|
@@ -81,14 +87,63 @@ type stitchInfo struct {
 // entries cached at other versions are revalidated against the view's
 // dirty-cell history, never served stale.
 func (c *Cache) Select(ctx context.Context, view geodata.View, version uint64, region geo.Rect, k int, theta float64, dst []int) (Result, error) {
+	sc, info, err := c.stitchViewport(ctx, view, version, region, k, theta)
+	if err != nil {
+		return Result{}, err
+	}
+	if sc == nil {
+		return c.fallbackSelect(ctx, view, version, region, k, theta, dst)
+	}
+	for _, p := range sc.keptPos {
+		dst = append(dst, int(p))
+	}
+	c.putScratch(sc)
+	res := c.warmResult(view, version, region, info)
+	res.Positions = dst
+	return res, nil
+}
+
+// AppendSelectJSON is Select for a caller that wants the response, not
+// the positions: the same viewport, served the same way, comes back as
+// the JSON array of the selected objects (geodata.AppendObjectsJSON's
+// bytes) appended to dst. On the stitched path that is one copy per
+// kept member out of the tile entries' fragments; the fallback renders
+// its positions.
+func (c *Cache) AppendSelectJSON(ctx context.Context, view geodata.View, version uint64, region geo.Rect, k int, theta float64, dst []byte) ([]byte, Result, error) {
+	sc, info, err := c.stitchViewport(ctx, view, version, region, k, theta)
+	if err != nil {
+		return dst, Result{}, err
+	}
+	objs := view.Collection().Objects
+	if sc == nil {
+		res, err := c.fallbackSelect(ctx, view, version, region, k, theta, nil)
+		if err != nil {
+			return dst, Result{}, err
+		}
+		dst = geodata.AppendObjectsJSON(dst, objs, res.Positions)
+		res.Positions = nil
+		return dst, res, nil
+	}
+	dst = appendKept(dst, sc, objs)
+	c.putScratch(sc)
+	return dst, c.warmResult(view, version, region, info), nil
+}
+
+// stitchViewport is the part Select and AppendSelectJSON share: check
+// the request, bring the cache to the serving version and stitch. A nil
+// scratch (with a nil error) means the viewport cannot be served from
+// tiles and the caller falls back; otherwise the kept members are in
+// the returned scratch, which the caller puts back once it has emitted
+// them.
+func (c *Cache) stitchViewport(ctx context.Context, view geodata.View, version uint64, region geo.Rect, k int, theta float64) (*scratch, stitchInfo, error) {
 	if k <= 0 {
-		return Result{}, fmt.Errorf("tilecache: k = %d must be positive", k)
+		return nil, stitchInfo{}, fmt.Errorf("tilecache: k = %d must be positive", k)
 	}
 	if theta < 0 {
-		return Result{}, fmt.Errorf("tilecache: theta = %v must be non-negative", theta)
+		return nil, stitchInfo{}, fmt.Errorf("tilecache: theta = %v must be non-negative", theta)
 	}
 	if !region.Valid() {
-		return Result{}, fmt.Errorf("tilecache: invalid region %v", region)
+		return nil, stitchInfo{}, fmt.Errorf("tilecache: invalid region %v", region)
 	}
 	c.stats.requests.Add(1)
 	dv, _ := view.(DirtyView)
@@ -96,21 +151,21 @@ func (c *Cache) Select(ctx context.Context, view geodata.View, version uint64, r
 
 	sc := c.getScratch()
 	info, ok, err := c.stitchRegion(ctx, view, dv, version, region, k, theta, nil, nil, sc)
-	if err != nil {
+	if err != nil || !ok {
 		c.putScratch(sc)
-		return Result{}, err
+		if err == nil {
+			c.stats.fallbacks.Add(1)
+		}
+		return nil, info, err
 	}
-	if !ok {
-		c.putScratch(sc)
-		c.stats.fallbacks.Add(1)
-		return c.fallbackSelect(ctx, view, version, region, k, theta, dst)
-	}
-	for _, p := range sc.keptPos {
-		dst = append(dst, int(p))
-	}
+	c.stats.warmServes.Add(1)
+	return sc, info, nil
+}
+
+// warmResult describes a stitched serve (all of Result but Positions).
+func (c *Cache) warmResult(view geodata.View, version uint64, region geo.Rect, info stitchInfo) Result {
 	regionObjects := view.CountRegion(region)
 	res := Result{
-		Positions:     dst,
 		Score:         normalizeGain(info.keptGain, regionObjects),
 		ScoreApprox:   true,
 		RegionObjects: regionObjects,
@@ -122,9 +177,33 @@ func (c *Cache) Select(ctx context.Context, view geodata.View, version uint64, r
 	if info.totalGain > 0 {
 		res.RepairDroppedGainFrac = info.droppedGain / info.totalGain
 	}
-	c.putScratch(sc)
-	c.stats.warmServes.Add(1)
-	return res, nil
+	return res
+}
+
+// appendKept appends the kept members as a JSON array: a cached
+// member's bytes come out of its tile entry, a forced one — which no
+// covering tile need hold — is rendered from its position.
+//
+//geolint:hotpath
+func appendKept(dst []byte, sc *scratch, objs []geodata.Object) []byte {
+	dst = append(dst, '[')
+	for i, ref := range sc.keptRef {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if ref < 0 {
+			dst = geodata.AppendObjectJSON(dst, &objs[sc.keptPos[i]])
+			continue
+		}
+		t := 0
+		for ref >= int32(len(sc.tiles[t].pos)) {
+			ref -= int32(len(sc.tiles[t].pos))
+			t++
+		}
+		e := sc.tiles[t]
+		dst = append(dst, e.frag[e.fragOff[ref]:e.fragOff[ref+1]]...)
+	}
+	return append(dst, ']')
 }
 
 func normalizeGain(gain float64, regionObjects int) float64 {
@@ -152,8 +231,8 @@ func (c *Cache) fallbackSelect(ctx context.Context, view geodata.View, version u
 }
 
 // stitchRegion fetches the covering tiles and runs the repair pass into
-// sc.keptPos/keptLoc. ok = false means the viewport cannot be served
-// from tiles (objects outside the tiled unit square, a degenerate
+// sc.keptPos/keptRef/keptLoc. ok = false means the viewport cannot be
+// served from tiles (objects outside the tiled unit square, a degenerate
 // cover, or a repair budget violation) and the caller must fall back.
 func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyView, version uint64, region geo.Rect, k int, theta float64, forced []int, gset map[int32]struct{}, sc *scratch) (stitchInfo, bool, error) {
 	var info stitchInfo
@@ -215,20 +294,24 @@ func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyVie
 //geolint:hotpath
 func (c *Cache) stitch(sc *scratch, objs []geodata.Object, region geo.Rect, k int, theta float64, forced []int, gset map[int32]struct{}, info *stitchInfo) bool {
 	sc.members = sc.members[:0]
+	base := int32(0)
 	for _, e := range sc.tiles {
 		for i, p := range e.pos {
 			loc := objs[p].Loc
 			if region.Contains(loc) {
-				sc.members = append(sc.members, member{pos: p, gain: e.gains[i], loc: loc})
+				sc.members = append(sc.members, member{pos: p, ref: base + int32(i), gain: e.gains[i], loc: loc})
 			}
 		}
+		base += int32(len(e.pos))
 	}
 	sortMembers(sc.members)
 
 	sc.keptPos = sc.keptPos[:0]
+	sc.keptRef = sc.keptRef[:0]
 	sc.keptLoc = sc.keptLoc[:0]
 	for _, f := range forced {
 		sc.keptPos = append(sc.keptPos, int32(f))
+		sc.keptRef = append(sc.keptRef, -1)
 		sc.keptLoc = append(sc.keptLoc, objs[f].Loc)
 	}
 	th2 := theta * theta
@@ -270,6 +353,7 @@ func (c *Cache) stitch(sc *scratch, objs []geodata.Object, region geo.Rect, k in
 			continue
 		}
 		sc.keptPos = append(sc.keptPos, m.pos)
+		sc.keptRef = append(sc.keptRef, m.ref)
 		sc.keptLoc = append(sc.keptLoc, m.loc)
 		info.keptGain += m.gain
 	}

@@ -30,12 +30,15 @@ import (
 )
 
 // hotPackages is the default enforcement surface: the packages on the
-// greedy selection hot path (see DESIGN.md §10).
+// greedy selection hot path and on the warm serving path (see DESIGN.md
+// §10).
 var hotPackages = []string{
 	"./internal/core",
+	"./internal/geodata",
 	"./internal/lazyheap",
 	"./internal/parallel",
 	"./internal/prefetch",
+	"./internal/server",
 	"./internal/sim",
 	"./internal/textsim",
 	"./internal/tilecache",
