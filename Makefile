@@ -3,7 +3,7 @@
 
 GEOLINT := $(CURDIR)/bin/geolint
 
-.PHONY: all build test check race churn tilecache lint hotlint escapecheck escapebaseline fuzz bench bench-smoke bench-e2e bench-e2e-quick clean
+.PHONY: all build test check race churn tilecache lint hotlint escapecheck escapebaseline fuzz bench bench-e2e bench-e2e-quick clean
 
 all: build lint test
 
@@ -68,17 +68,11 @@ fuzz:
 	go test -run=NONE -fuzz=FuzzFillCosine -fuzztime=10s ./internal/sim
 	go test -run=NONE -fuzz=FuzzResidualWalk -fuzztime=10s ./internal/core
 	go test -run=NONE -fuzz=FuzzAppendObjectJSON -fuzztime=10s ./internal/geodata
+	go test -run=NONE -fuzz=FuzzDecodeTile -fuzztime=10s ./internal/tilecache
 
 bench:
 	go test -run=NONE -bench=. -benchmem ./internal/core ./internal/prefetch
 	go test -run=NONE -bench=WarmSelectHandler -benchmem ./internal/server
-
-# bench-smoke runs the hot-loop matrix in its shrunk CI shape: every
-# cell still runs (and still cross-checks that all cells pick the same
-# selection), just on a smaller instance. The full matrix is
-# `go run ./cmd/benchrunner -suite hotloop` (writes BENCH_hotloop.json).
-bench-smoke:
-	go run ./cmd/benchrunner -suite hotloop -quick -out /tmp/BENCH_hotloop_smoke.json
 
 # bench-e2e runs the end-to-end benchmark BENCHMARK.json declares: the
 # real geoselserver under closed-loop HTTP load, four workloads, one

@@ -7,8 +7,7 @@
 //	benchrunner -list
 //	benchrunner -exp fig7
 //	benchrunner -exp all -uk 100000 -us 400000 -poi 30000 -queries 3
-//	benchrunner -suite pruned-vs-dense
-//	benchrunner -suite hotloop [-quick] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	benchrunner -exp fig13 [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
 
 import (
@@ -26,9 +25,6 @@ func main() {
 	var (
 		exp     = flag.String("exp", "", "exhibit id (table3, table4, fig7..fig14, fig18..fig23) or 'all'")
 		list    = flag.Bool("list", false, "list exhibit ids and exit")
-		suite   = flag.String("suite", "", "structured perf suite: pruned-vs-dense or hotloop (writes BENCH_*.json)")
-		out     = flag.String("out", "", "output path for -suite (default BENCH_<suite>.json)")
-		quick   = flag.Bool("quick", false, "shrink the hotloop suite for CI smoke runs")
 		ukSize  = flag.Int("uk", 0, "UK-like dataset size (0 = default)")
 		usSize  = flag.Int("us", 0, "US-like dataset size (0 = default)")
 		poiSize = flag.Int("poi", 0, "POI-like dataset size (0 = default)")
@@ -72,31 +68,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "benchrunner: -memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *suite != "" {
-		var runner func(string, int64) error
-		var dflt string
-		switch *suite {
-		case "pruned-vs-dense":
-			runner, dflt = runPrunedSuite, "BENCH_pruned.json"
-		case "hotloop":
-			q := *quick
-			runner = func(path string, seed int64) error { return runHotloopSuite(path, seed, q) }
-			dflt = "BENCH_hotloop.json"
-		default:
-			fmt.Fprintf(os.Stderr, "benchrunner: unknown suite %q\n", *suite)
-			os.Exit(2)
-		}
-		path := *out
-		if path == "" {
-			path = dflt
-		}
-		if err := runner(path, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %s: %v\n", *suite, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *list {

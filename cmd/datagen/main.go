@@ -7,8 +7,8 @@
 //
 // With -churn M it instead emits a timestamped mutation trace of M
 // insert/update/delete operations over the (regenerated, not written)
-// base dataset, as JSON Lines — the workload cmd/benchrunner's
-// ingest-churn suite and the live server's /ingest endpoint replay:
+// base dataset, as JSON Lines — the workload the live server's /ingest
+// endpoint replays:
 //
 //	datagen -preset poi -n 100000 -churn 10000 -churn-rate 5000 -o trace.jsonl
 package main

@@ -39,16 +39,15 @@ func main() {
 		sample    = flag.Bool("sample", false, "use SaSS sampling (for dense regions)")
 		showMap   = flag.Bool("map", false, "print an ASCII map of the selection")
 		par       = flag.Int("parallelism", 0, "marginal-gain evaluation workers (0 = all CPUs, 1 = serial)")
-		pruneEps  = flag.Float64("prune-eps", 0, "support-radius pruning mode: 0 = exact-only (bitwise-identical), (0,1) = eps-pruning for eps-support metrics")
 	)
 	flag.Parse()
-	if err := run(*data, *preset, *n, *seed, *cx, *cy, *side, *k, *thetaFrac, *sample, *showMap, *par, *pruneEps); err != nil {
+	if err := run(*data, *preset, *n, *seed, *cx, *cy, *side, *k, *thetaFrac, *sample, *showMap, *par); err != nil {
 		fmt.Fprintln(os.Stderr, "geosel:", err)
 		os.Exit(1)
 	}
 }
 
-func run(data, preset string, n int, seed int64, cx, cy, side float64, k int, thetaFrac float64, sample, showMap bool, parallelism int, pruneEps float64) error {
+func run(data, preset string, n int, seed int64, cx, cy, side float64, k int, thetaFrac float64, sample, showMap bool, parallelism int) error {
 	col, err := loadOrGenerate(data, preset, n, seed)
 	if err != nil {
 		return err
@@ -63,8 +62,7 @@ func run(data, preset string, n int, seed int64, cx, cy, side float64, k int, th
 	theta := thetaFrac * side
 	metric := sim.Cosine{}
 
-	cfg := engine.Config{K: k, Theta: theta, Metric: metric,
-		Parallelism: parallelism, PruneEps: pruneEps}
+	cfg := engine.Config{K: k, Theta: theta, Metric: metric, Parallelism: parallelism}
 	ctx := context.Background()
 
 	var selected []int

@@ -14,6 +14,7 @@
 //	POST /sessions/{id}/zoomin        navigate (consistency-aware)
 //	POST /sessions/{id}/zoomout
 //	POST /sessions/{id}/pan
+//	POST /sessions/{id}/back          return to the previous viewport
 //	POST /sessions/{id}/prefetch      warm the next operation
 //	DELETE /sessions/{id}
 //	GET  /store/stats                 store counters, snapshot version, uptime
@@ -65,7 +66,6 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		tfidf       = flag.Bool("tfidf", false, "apply TF-IDF reweighting to the term vectors")
 		par         = flag.Int("parallelism", 0, "selection worker goroutines: 0 = all CPUs, 1 = serial")
-		pruneEps    = flag.Float64("prune-eps", 0, "support-radius pruning mode: 0 = exact-only (bitwise-identical), (0,1) = eps-pruning for eps-support metrics")
 		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "per-request selection deadline (0 = none)")
 		sessionTTL  = flag.Duration("session-ttl", engine.DefaultSessionTTL, "evict sessions idle for this long (negative = never)")
 		maxSessions = flag.Int("max-sessions", engine.DefaultMaxSessions, "maximum live sessions; the idlest is evicted beyond this")
@@ -109,7 +109,6 @@ func main() {
 	cfg := engine.Config{
 		Metric:            sim.Cosine{},
 		Parallelism:       *par,
-		PruneEps:          *pruneEps,
 		AsyncPrefetch:     *asyncPre,
 		RequestTimeout:    *reqTimeout,
 		SessionTTL:        *sessionTTL,

@@ -26,8 +26,8 @@
 //	sess.Prefetch(ctx)            // while the user inspects the view
 //	sess.ZoomIn(ctx, subRegion)   // consistency-aware, prefetch-accelerated
 //
-// All engine knobs (K, θ, metric, parallelism, pruning, prefetch
-// behavior, serving limits) live in one EngineConfig struct, embedded
+// All engine knobs (K, θ, metric, parallelism, prefetch behavior,
+// serving limits) live in one EngineConfig struct, embedded
 // by Options and SessionConfig and validated in one place. Every entry
 // point takes a context.Context: cancel it (or let a deadline expire)
 // and the selection stops cooperatively within one evaluation chunk,
@@ -103,7 +103,7 @@ type Metric = sim.Metric
 
 // EngineConfig is the unified configuration of the selection engine:
 // selection shape (K, Theta/ThetaFrac, Metric), execution knobs
-// (Parallelism, PruneEps, DisableLazy/DisableGrid), interactive-session
+// (Parallelism, DisableLazy/DisableGrid), interactive-session
 // tuning (MaxZoomOutScale, AsyncPrefetch) and serving
 // limits (RequestTimeout, SessionTTL, MaxSessions). See engine.Config
 // for per-field documentation.
@@ -150,7 +150,7 @@ func MetricFunc(f func(a, b *Object) float64) Metric { return sim.Func(f) }
 
 // Options parameterizes a one-shot Select: the embedded EngineConfig
 // carries the selection shape and execution knobs (K, Theta/ThetaFrac,
-// Metric, MinGain, Parallelism, PruneEps, ...); the remaining fields
+// Metric, MinGain, Parallelism, ...); the remaining fields
 // are Select-specific.
 //
 // In Select, ThetaFrac is interpreted against the longest side of the

@@ -30,9 +30,6 @@ func steadyState(t testing.TB, ctx context.Context, s *Selector, warm int) (*eva
 			active = append(active, i)
 		}
 	}
-	if !s.DisablePrune {
-		e.enablePruning(s.Metric, s.PruneEps, append(active, s.Forced...))
-	}
 	best := make([]float64, n)
 	selected := make([]int, 0, s.K)
 	for _, f := range s.Forced {
@@ -55,10 +52,10 @@ func steadyState(t testing.TB, ctx context.Context, s *Selector, warm int) (*eva
 // TestGreedySteadyStateAllocs is the arena-reuse guard: once the run is
 // warm, a greedy iteration — pop, batched re-evaluation, absorb,
 // conflict removal — performs zero heap allocations, with and without
-// the conflict grid, with and without support-radius pruning, and on
-// the metric the server runs (Cosine) as well as a spatial one.
+// the conflict grid, and on the metric the server runs (Cosine) as well
+// as a spatial one.
 //
-// The dense rows evaluate through the residual-support lists, whose
+// Every row evaluates through the residual-support lists, whose
 // arena grows a block at a time while candidates are still being
 // evaluated for the first time. The Cosine row runs a 2000-object
 // region of the end-to-end benchmark's fixture and warms up past that
@@ -83,7 +80,7 @@ func TestGreedySteadyStateAllocs(t *testing.T) {
 		warm  int
 	}{
 		{"gridless-dense", euclid, testObjects(2048, 123), 0, 100},
-		{"grid-pruned", euclid, testObjects(2048, 123), 0.01, 100},
+		{"grid-dense", euclid, testObjects(2048, 123), 0.01, 100},
 		{"cosine", sim.Cosine{}, region, 0.003 * side, 2 * len(region)},
 	}
 	for _, c := range cases {

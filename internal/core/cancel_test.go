@@ -130,13 +130,13 @@ func TestRunDeadline(t *testing.T) {
 func TestConfigValidationThroughSelector(t *testing.T) {
 	objs := testObjects(10, 7)
 	bad := &Selector{
-		Config:  engine.Config{K: 3, Metric: sim.Cosine{}, PruneEps: 1.5},
+		Config:  engine.Config{K: 3, Theta: -1, Metric: sim.Cosine{}},
 		Objects: objs,
 	}
 	if _, err := bad.Run(context.Background()); err == nil {
-		t.Fatal("PruneEps out of range should fail validation")
+		t.Fatal("Theta out of range should fail validation")
 	}
-	bad.PruneEps = 0
+	bad.Theta = 0
 	if _, err := bad.Run(context.Background()); err != nil {
 		t.Fatalf("Run after fixing validation error: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"geosel/internal/dataset"
 	"geosel/internal/engine"
 	"geosel/internal/geodata"
 	"geosel/internal/sim"
@@ -27,25 +28,15 @@ func matrixMetrics(t *testing.T) map[string]sim.Metric {
 
 // metricOracle recomputes the evaluator's passes the slow way: one
 // m.Sim interface call per pair, with the chunk-partial order spelled
-// out term by term. It shares nothing with the evaluator but the
-// neighbor index.
+// out term by term. It shares nothing with the evaluator.
 type metricOracle struct {
 	objs []geodata.Object
 	m    sim.Metric
 	sum  bool
-	nbr  *neighborIndex
 }
 
 // visit calls f for every object a pass over c touches, in index order.
 func (o *metricOracle) visit(c int, f func(i int, v float64)) {
-	if o.nbr != nil {
-		if row, ok := o.nbr.row(c); ok {
-			for _, i := range row {
-				f(int(i), o.m.Sim(&o.objs[i], &o.objs[c]))
-			}
-			return
-		}
-	}
 	for i := range o.objs {
 		f(i, o.m.Sim(&o.objs[i], &o.objs[c]))
 	}
@@ -83,45 +74,34 @@ func (o *metricOracle) marginal(best []float64, c int) float64 {
 // evaluator level: for every built-in metric and a custom one (the
 // generic sim.Rows kind), filling a row and reducing it produces
 // exactly the floats of per-pair m.Sim calls — marginal gains and
-// absorb states, dense and pruned.
+// absorb states.
 func TestEvaluatorMatchesMetric(t *testing.T) {
-	objs := testObjects(700, 31) // above serialCutoff so pruning engages
-	ids := make([]int, len(objs))
-	for i := range ids {
-		ids[i] = i
-	}
+	objs := testObjects(700, 31) // three chunks
 	metrics := matrixMetrics(t)
 	metrics["custom"] = sim.Func(sim.EuclideanProximity{MaxDist: 0.3}.Sim)
-	// Narrow enough that its eps radius beats the too-dense cutoff.
 	metrics["gauss-narrow"] = sim.GaussianProximity{Sigma: 0.05}
 	for name, m := range metrics {
 		for _, agg := range []Agg{AggMax, AggSum} {
-			for _, eps := range []float64{0, 1e-3} {
-				e := newEvaluator(nil, objs, m, agg, nil)
-				e.enablePruning(m, eps, ids)
-				if wantPruned := name == "euclid" || name == "gauss-narrow" && eps > 0; (e.nbr != nil) != wantPruned {
-					t.Fatalf("%s eps=%v: pruned = %v, want %v", name, eps, e.nbr != nil, wantPruned)
-				}
-				oracle := &metricOracle{objs: objs, m: m, sum: e.sumAgg(), nbr: e.nbr}
-				got := make([]float64, len(objs))
-				want := make([]float64, len(objs))
-				rng := rand.New(rand.NewSource(5))
-				for round := 0; round < 4; round++ {
-					sel := rng.Intn(len(objs))
-					e.absorb(got, sel)
-					oracle.absorb(want, sel)
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s agg=%v eps=%v: absorb state[%d] = %v, metric says %v",
-								name, agg, eps, i, got[i], want[i])
-						}
+			e := newEvaluator(nil, objs, m, agg, nil)
+			oracle := &metricOracle{objs: objs, m: m, sum: e.sumAgg()}
+			got := make([]float64, len(objs))
+			want := make([]float64, len(objs))
+			rng := rand.New(rand.NewSource(5))
+			for round := 0; round < 4; round++ {
+				sel := rng.Intn(len(objs))
+				e.absorb(got, sel)
+				oracle.absorb(want, sel)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s agg=%v: absorb state[%d] = %v, metric says %v",
+							name, agg, i, got[i], want[i])
 					}
-					for probe := 0; probe < 20; probe++ {
-						c := rng.Intn(len(objs))
-						g, w := e.marginalBatch(nil, got, []int{c})[0], oracle.marginal(want, c)
-						if g != w {
-							t.Fatalf("%s agg=%v eps=%v: marginal(%d) = %v, metric says %v", name, agg, eps, c, g, w)
-						}
+				}
+				for probe := 0; probe < 20; probe++ {
+					c := rng.Intn(len(objs))
+					g, w := e.marginalBatch(nil, got, []int{c})[0], oracle.marginal(want, c)
+					if g != w {
+						t.Fatalf("%s agg=%v: marginal(%d) = %v, metric says %v", name, agg, c, g, w)
 					}
 				}
 			}
@@ -129,64 +109,117 @@ func TestEvaluatorMatchesMetric(t *testing.T) {
 	}
 }
 
+// shortSupportMetrics are zero, or nearly, on almost every pair of
+// clusteredObjects: the instances on which a row of similarities is
+// mostly zeros and a residual support a handful of neighbours.
+func shortSupportMetrics() map[string]sim.Metric {
+	euclid := sim.EuclideanProximity{MaxDist: 0.04}
+	return map[string]sim.Metric{
+		"euclid-short":   euclid,
+		"gauss-short":    sim.GaussianProximity{Sigma: 0.04},
+		"hybrid-spatial": sim.Hybrid{Alpha: 0, Text: sim.Cosine{}, Spatial: euclid},
+	}
+}
+
+// clusteredObjects returns n objects of the UK-like generator: dense
+// urban clusters over a sparse background, in the unit square.
+func clusteredObjects(t testing.TB, n int, seed int64) []geodata.Object {
+	t.Helper()
+	col, err := dataset.Generate(dataset.UKSpec(n, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col.Objects
+}
+
 // runConfig is one cell of the equivalence matrix.
 type runConfig struct {
 	par     int
 	stripes int
+	naive   bool
 }
 
 // TestSelectionEquivalenceMatrix is the end-to-end determinism proof of
-// the engine: across Parallelism × PruneEps × metric × stripe-count
-// overrides, every Selector run returns the identical selection,
+// the engine: across Parallelism × metric × stripe-count overrides,
+// every Selector run returns the identical selection,
 // bitwise-identical score, and bitwise-identical gain sequence. The
-// reference cell is the serial single-stripe run.
+// reference cell is the serial single-stripe run. The short-support
+// rows also hold the lazy run to the naive sweep and to the same metric
+// behind an opaque sim.Func, at Parallelism 1, 2 and 8.
 func TestSelectionEquivalenceMatrix(t *testing.T) {
-	objs := testObjects(650, 77)
+	type row struct {
+		m     sim.Metric
+		objs  []geodata.Object
+		theta float64
+		short bool
+	}
+	rows := make(map[string]row)
+	uniform := testObjects(650, 77)
+	for name, m := range matrixMetrics(t) {
+		rows[name] = row{m: m, objs: uniform, theta: 0.05}
+	}
+	clustered := clusteredObjects(t, 2048, 77)
+	for name, m := range shortSupportMetrics() {
+		rows[name] = row{m: m, objs: clustered, theta: 0.01, short: true}
+	}
 	variants := []runConfig{
 		{par: 1, stripes: 0},
 		{par: 1, stripes: 3},
 		{par: 2, stripes: 0},
 		{par: 4, stripes: 7},
 		{par: 4, stripes: 2},
+		{par: 8, stripes: 0},
 	}
-	for name, m := range matrixMetrics(t) {
-		for _, eps := range []float64{0, 1e-3} {
-			run := func(rc runConfig) *Result {
-				t.Helper()
-				sel := &Selector{
-					Config: engine.Config{
-						K: 9, Theta: 0.05, Metric: m, Parallelism: rc.par, PruneEps: eps,
-					},
-					Objects:      objs,
-					forceStripes: rc.stripes,
-				}
-				res, err := sel.Run(context.Background())
-				if err != nil {
-					t.Fatalf("%s eps=%v %+v: %v", name, eps, rc, err)
-				}
-				return res
+	for name, r := range rows {
+		run := func(m sim.Metric, rc runConfig) *Result {
+			t.Helper()
+			sel := &Selector{
+				Config: engine.Config{
+					K: 9, Theta: r.theta, Metric: m, Parallelism: rc.par, DisableLazy: rc.naive,
+				},
+				Objects:      r.objs,
+				forceStripes: rc.stripes,
 			}
-			ref := run(runConfig{par: 1, stripes: 1})
-			for _, rc := range variants {
-				got := run(rc)
-				if len(got.Selected) != len(ref.Selected) {
-					t.Fatalf("%s eps=%v %+v: %d selected, ref %d", name, eps, rc, len(got.Selected), len(ref.Selected))
-				}
-				for i := range ref.Selected {
-					if got.Selected[i] != ref.Selected[i] {
-						t.Fatalf("%s eps=%v %+v: pick %d = %d, ref %d", name, eps, rc, i, got.Selected[i], ref.Selected[i])
-					}
-				}
-				if got.Score != ref.Score {
-					t.Fatalf("%s eps=%v %+v: score %v, ref %v (diff %v)",
-						name, eps, rc, got.Score, ref.Score, math.Abs(got.Score-ref.Score))
-				}
-				for i := range ref.Gains {
-					if got.Gains[i] != ref.Gains[i] {
-						t.Fatalf("%s eps=%v %+v: gain %d = %v, ref %v", name, eps, rc, i, got.Gains[i], ref.Gains[i])
-					}
+			res, err := sel.Run(context.Background())
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, rc, err)
+			}
+			return res
+		}
+		ref := run(r.m, runConfig{par: 1, stripes: 1})
+		same := func(what string, m sim.Metric, rc runConfig) {
+			t.Helper()
+			got := run(m, rc)
+			if len(got.Selected) != len(ref.Selected) {
+				t.Fatalf("%s %s %+v: %d selected, ref %d", name, what, rc, len(got.Selected), len(ref.Selected))
+			}
+			for i := range ref.Selected {
+				if got.Selected[i] != ref.Selected[i] {
+					t.Fatalf("%s %s %+v: pick %d = %d, ref %d", name, what, rc, i, got.Selected[i], ref.Selected[i])
 				}
 			}
+			if got.Score != ref.Score {
+				t.Fatalf("%s %s %+v: score %v, ref %v (diff %v)",
+					name, what, rc, got.Score, ref.Score, math.Abs(got.Score-ref.Score))
+			}
+			for i := range ref.Gains {
+				if got.Gains[i] != ref.Gains[i] {
+					t.Fatalf("%s %s %+v: gain %d = %v, ref %v", name, what, rc, i, got.Gains[i], ref.Gains[i])
+				}
+			}
+		}
+		for _, rc := range variants {
+			same("lazy", r.m, rc)
+		}
+		if !r.short {
+			continue
+		}
+		if len(ref.Selected) != 9 || ref.Gains[8] <= 0 {
+			t.Fatalf("%s: reference run picked %d with last gain %v; the instance is degenerate", name, len(ref.Selected), ref.Gains)
+		}
+		for _, par := range []int{1, 2, 8} {
+			same("naive", r.m, runConfig{par: par, naive: true})
+			same("func", sim.Func(r.m.Sim), runConfig{par: par})
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // Selector configures one run of the greedy selection algorithm. The
-// shared knobs — K, Theta, Metric, Agg, MinGain, Parallelism, PruneEps
-// and the Disable* ablation switches — live in the embedded
+// shared knobs — K, Theta, Metric, Agg, MinGain, Parallelism and the
+// Disable* ablation switches — live in the embedded
 // engine.Config (see that package for per-field semantics); the fields
 // declared here are the per-run inputs. The zero value is not runnable;
 // populate at least Objects and Config{K, Theta, Metric}. A Selector is
@@ -80,17 +80,15 @@ type Result struct {
 	// full selection (Equation 2).
 	Score float64
 	// Evals counts marginal-gain computations — the paper's n_c. A
-	// candidate's first costs one metric call per object in O (per
-	// support neighbor when the pruned engine is active); on a dense
+	// candidate's first costs one metric call per object in O; on a
 	// max-aggregation run its later ones walk the candidate's recorded
 	// residual support instead and call the metric not at all, but each
-	// still counts as one. Lazy forward
-	// keeps Evals far below |G|·K; exact heap initialization adds |G|
-	// of them, seeding the heap with bounds (InitialGains, or the
-	// metric's own linear row sums) none. With Parallelism > 1 the batched
-	// re-evaluation of stale heap tops may refresh a few extra
-	// candidates per round, so Evals can exceed the serial count even
-	// though the selection is identical.
+	// still counts as one. Lazy forward keeps Evals far below |G|·K;
+	// exact heap initialization adds |G| of them, seeding the heap with
+	// bounds (InitialGains, or the metric's own linear row sums) none.
+	// With Parallelism > 1 the batched re-evaluation of stale heap tops
+	// may refresh a few extra candidates per round, so Evals can exceed
+	// the serial count even though the selection is identical.
 	Evals int
 	// Rounds is the number of greedy iterations performed.
 	Rounds int
@@ -178,21 +176,6 @@ func (s *Selector) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// Support-radius pruning: build neighbor lists for every id the run
-	// will evaluate or absorb — the active candidates (picks come from
-	// them) and the forced set — before the first absorb touches the
-	// aggregation state.
-	if !s.DisablePrune {
-		rowIDs := active
-		if len(s.Forced) > 0 {
-			rowIDs = append(append(make([]int, 0, len(active)+len(s.Forced)), active...), s.Forced...)
-		}
-		e.enablePruning(s.Metric, s.PruneEps, rowIDs)
-		if err := e.fail(); err != nil {
-			return nil, err
-		}
-	}
-
 	// Seed with the forced set D. The selection holds at most every
 	// forced and active object, so K — a request number — never sizes an
 	// allocation on its own.
@@ -218,7 +201,7 @@ func (s *Selector) Run(ctx context.Context) (*Result, error) {
 }
 
 func (s *Selector) validate() error {
-	// Shared knob ranges (K, Theta, Metric, PruneEps, ...) are validated
+	// Shared knob ranges (K, Theta, Metric, ...) are validated
 	// once, in the engine package; only the per-run inputs are checked
 	// here.
 	if err := s.Config.Validate(); err != nil {

@@ -58,9 +58,6 @@ type evaluator struct {
 	// partials holds one partial sum per chunk; reused by the
 	// single-orchestrator reductions (marginal, score).
 	partials []float64
-	// nbr is the support-radius neighbor index (pruned.go); nil keeps
-	// every pass dense.
-	nbr *neighborIndex
 
 	// op carries the parameters of the pass currently running on the
 	// pool. Fields are written by the orchestrator before e.run and are
@@ -69,10 +66,8 @@ type evaluator struct {
 	// Pre-bound loop bodies, created once so the steady state never
 	// allocates a closure per pass.
 	absorbChunkFn   func(int)
-	absorbRowFn     func(int)
 	marginalChunkFn func(int)
 	batchFn         func(int)
-	batchPrunedFn   func(int)
 	scoreChunkFn    func(int)
 }
 
@@ -84,7 +79,6 @@ type opState struct {
 	c    int
 	cs   []int
 	out  []float64
-	row  []int32
 	div  float64
 }
 
@@ -112,10 +106,8 @@ func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric, agg 
 		partials: make([]float64, nChunks),
 	}
 	e.absorbChunkFn = e.absorbChunkTask
-	e.absorbRowFn = e.absorbRowTask
 	e.marginalChunkFn = e.marginalChunkTask
 	e.batchFn = e.batchTask
-	e.batchPrunedFn = e.batchPrunedTask
 	e.scoreChunkFn = e.scoreChunkTask
 	return e
 }

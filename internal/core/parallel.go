@@ -17,25 +17,15 @@
 // hands it to a reduction of reduce.go.
 package core
 
-import "geosel/internal/invariant"
-
 // absorb updates the per-object aggregation state after adding object
 // sel to the selection. Writes are per-object, so chunks are
-// independent. With a neighbor index, only sel's support neighborhood
-// is visited; ids without a row (never the case in a well-formed run)
-// fall through to the dense pass.
+// independent.
 func (e *evaluator) absorb(best []float64, sel int) {
-	if e.nbr != nil {
-		if row, ok := e.nbr.row(sel); ok {
-			e.absorbPruned(best, sel, row)
-			return
-		}
-	}
 	e.op.best, e.op.sel = best, sel
 	e.run(e.nChunks, e.absorbChunkFn)
 }
 
-// absorbChunkTask is the dense absorb loop body for one chunk.
+// absorbChunkTask is the absorb loop body for one chunk.
 //
 //geolint:hotpath
 func (e *evaluator) absorbChunkTask(chunk int) {
@@ -108,19 +98,11 @@ func (e *evaluator) marginalLocal(best []float64, c int) float64 {
 	return gain
 }
 
-// batchTask evaluates one candidate of the current batch densely.
+// batchTask evaluates one candidate of the current batch.
 //
 //geolint:hotpath
 func (e *evaluator) batchTask(k int) {
 	e.op.out[k] = e.marginalLocal(e.op.best, e.op.cs[k])
-}
-
-// batchPrunedTask evaluates one candidate of the current batch over its
-// neighbor row.
-//
-//geolint:hotpath
-func (e *evaluator) batchPrunedTask(k int) {
-	e.op.out[k] = e.marginalPruned(e.op.best, e.op.cs[k])
 }
 
 // marginalBatch evaluates many candidates concurrently, one candidate
@@ -139,27 +121,6 @@ func (e *evaluator) marginalBatch(dst, best []float64, cs []int) []float64 {
 		dst = make([]float64, len(cs)) //geolint:coldpath
 	}
 	out := dst[:len(cs)]
-	if e.nbr != nil {
-		// Pruned rows are short, so even a lone candidate runs its row
-		// locally instead of sharding the dense chunks — the emulated
-		// chunk order keeps the value bitwise-identical either way.
-		if len(cs) == 1 {
-			out[0] = e.marginalPruned(best, cs[0])
-		} else {
-			e.op.best, e.op.cs, e.op.out = best, cs, out
-			e.run(len(cs), e.batchPrunedFn)
-		}
-		if invariant.Enabled {
-			// The pruning contract: dense recomputation agrees bitwise
-			// on an exact radius and exceeds the pruned gain by at most
-			// the truncation budget otherwise.
-			for k, c := range cs {
-				invariant.PrunedGain(out[k], e.marginalLocal(best, c), e.nbr.exact, e.nbr.epsBound,
-					"core: support-radius pruned marginal gain")
-			}
-		}
-		return out
-	}
 	if len(cs) == 1 {
 		// A lone candidate still gets the chunk-sharded path.
 		out[0] = e.marginal(best, cs[0])

@@ -4,12 +4,11 @@
 // the run's similarities into a stack buffer (the only metric-specific
 // code), and the functions below fold that buffer into the aggregation
 // state or a partial gain. There are four reductions, absorb and
-// marginal gain under sum and max aggregation, each written twice: over
-// a dense chunk, where the buffer lines up with pre-sliced columns, and
-// over a neighbor row, where idx names the objects. Every metric,
-// built-in or custom, dense or pruned, at any Parallelism, runs these
-// eight loops — and, where a run keeps residual-support lists
-// (residual.go), the dense max-marginal loop's recording twin.
+// marginal gain under sum and max aggregation, each over a chunk whose
+// buffer lines up with pre-sliced columns. Every metric, built-in or
+// custom, at any Parallelism, runs these four loops — and, where a run
+// keeps residual-support lists (residual.go), the max-marginal loop's
+// recording twin.
 //
 // The buffer is evalChunk = sim.RowBlock = 256 float64s: one reduction
 // chunk, so chunk boundaries (and with them the floating-point
@@ -18,12 +17,9 @@
 //
 // Bitwise contract: buffer entries are the bits m.Sim returns, and each
 // loop accumulates in index order, so a chunk partial is the same float
-// whichever pass computes it. Pruned passes leave out terms the dense
-// pass adds as exactly ±0.0, which cannot change the result:
-// accumulators start at +0.0, IEEE-754 addition yields −0.0 only from
-// two −0.0 operands, so an accumulator is never −0.0 and adding ±0.0 to
-// it is the identity. The max loops rely on best[i] >= 0, which holds
-// because max state starts at +0.0 and similarities are non-negative.
+// whichever pass computes it. The max loops rely on best[i] >= 0, which
+// holds because max state starts at +0.0 and similarities are
+// non-negative.
 package core
 
 // absorbSum adds the chunk's similarities s to its aggregation state.
@@ -92,47 +88,4 @@ func marginalMaxRecord(w, best, s []float64, at []uint8, val []float64) (part fl
 		}
 	}
 	return part, n
-}
-
-// The row variants read s[k] as the similarity of object idx[k]; best
-// and w are whole columns.
-
-//geolint:hotpath
-func absorbSumRow(best []float64, idx []int32, s []float64) {
-	s = s[:len(idx)]
-	for k, i := range idx {
-		best[i] += s[k]
-	}
-}
-
-//geolint:hotpath
-func absorbMaxRow(best []float64, idx []int32, s []float64) {
-	s = s[:len(idx)]
-	for k, i := range idx {
-		if s[k] > best[i] {
-			best[i] = s[k]
-		}
-	}
-}
-
-//geolint:hotpath
-func marginalSumRow(w []float64, idx []int32, s []float64) float64 {
-	s = s[:len(idx)]
-	var part float64
-	for k, i := range idx {
-		part += w[i] * s[k]
-	}
-	return part
-}
-
-//geolint:hotpath
-func marginalMaxRow(w, best []float64, idx []int32, s []float64) float64 {
-	s = s[:len(idx)]
-	var part float64
-	for k, i := range idx {
-		if v := s[k]; v > best[i] {
-			part += w[i] * (v - best[i])
-		}
-	}
-	return part
 }

@@ -49,9 +49,8 @@
 // off the pool altogether: a list is a few dozen pairs, less work than
 // one dispatch.
 //
-// Only dense max-aggregation runs keep lists. AggSum/AggAvg gains do
-// not depend on best, and the pruned engine's neighbor rows are already
-// short; both pass straight through to evaluator.marginalBatch.
+// Only max-aggregation runs keep lists. AggSum/AggAvg gains do not
+// depend on best and pass straight through to evaluator.marginalBatch.
 package core
 
 import "geosel/internal/invariant"
@@ -131,7 +130,7 @@ type residual struct {
 // lists off — the test-only Selector.residualPairs.
 func newResidual(e *evaluator, best []float64, slots, pairs int) *residual {
 	r := &residual{e: e, best: best}
-	if pairs < 0 || e.sumAgg() || e.nbr != nil {
+	if pairs < 0 || e.sumAgg() {
 		return r
 	}
 	r.limit = residualMaxPairs

@@ -79,10 +79,6 @@ func Score(objs []geodata.Object, sel []int, m sim.Metric, agg Agg) float64 {
 		defer pool.Close()
 	}
 	e := newEvaluator(nil, objs, m, agg, pool)
-	// Exact-radius pruning only (eps = 0): Score is the ground truth the
-	// rest of the system is checked against, so it must stay bitwise
-	// equal to the dense evaluation.
-	e.enablePruning(m, 0, sel)
 	best := make([]float64, len(objs))
 	for _, s := range sel {
 		e.absorb(best, s)

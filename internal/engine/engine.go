@@ -112,18 +112,6 @@ type Config struct {
 	// the Metric must be safe for concurrent use; all metrics in
 	// internal/sim are.
 	Parallelism int
-	// PruneEps selects the support-radius pruning mode. The default 0
-	// permits exact pruning only: gain passes iterate grid neighbor
-	// lists instead of all of O whenever the metric's similarity is
-	// exactly zero beyond a finite radius, with bitwise-identical
-	// results guaranteed. A value in (0, 1) additionally admits metrics
-	// that certify an eps-support radius, trading an additive score
-	// error of at most PruneEps·Σω/|O| for the same neighbor-list
-	// speedup. Metrics without bounded support always evaluate densely.
-	PruneEps float64
-	// DisablePrune switches off support-radius pruning entirely, even
-	// for metrics with an exact radius. For ablation benchmarks.
-	DisablePrune bool
 	// DisableLazy switches off the lazy-forward strategy and recomputes
 	// every candidate's marginal gain in every iteration (the "naive
 	// idea" the paper rejects). For ablation benchmarks.
@@ -206,9 +194,6 @@ func (c Config) Validate() error {
 	}
 	if c.Metric == nil {
 		return fmt.Errorf("engine: Metric must not be nil")
-	}
-	if c.PruneEps < 0 || c.PruneEps >= 1 {
-		return fmt.Errorf("engine: PruneEps = %v outside [0, 1)", c.PruneEps)
 	}
 	if c.MaxZoomOutScale != 0 && c.MaxZoomOutScale < 1 {
 		return fmt.Errorf("engine: MaxZoomOutScale must be >= 1, got %v", c.MaxZoomOutScale)

@@ -19,7 +19,6 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	// The serving fields' zero values are valid too.
 	cfg := validConfig()
 	cfg.Parallelism = 0
-	cfg.PruneEps = 0
 	cfg.RequestTimeout = 0
 	cfg.SessionTTL = 0
 	cfg.MaxSessions = 0
@@ -43,8 +42,6 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{"negative Theta", func(c *Config) { c.Theta = -0.1 }, "Theta"},
 		{"negative ThetaFrac", func(c *Config) { c.ThetaFrac = -0.1 }, "ThetaFrac"},
 		{"nil Metric", func(c *Config) { c.Metric = nil }, "Metric"},
-		{"negative PruneEps", func(c *Config) { c.PruneEps = -0.1 }, "PruneEps"},
-		{"PruneEps at 1", func(c *Config) { c.PruneEps = 1 }, "PruneEps"},
 		{"MaxZoomOutScale below 1", func(c *Config) { c.MaxZoomOutScale = 0.5 }, "MaxZoomOutScale"},
 		{"negative RequestTimeout", func(c *Config) { c.RequestTimeout = -time.Second }, "RequestTimeout"},
 		{"negative MaxSessions", func(c *Config) { c.MaxSessions = -1 }, "MaxSessions"},
@@ -88,7 +85,7 @@ func TestWithDefaults(t *testing.T) {
 		t.Errorf("TileRepairBudget = %v, want %v", got.TileRepairBudget, DefaultTileRepairBudget)
 	}
 	// Selection fields keep their meaningful zero values.
-	if got.K != 10 || got.Parallelism != 0 || got.PruneEps != 0 {
+	if got.K != 10 || got.Parallelism != 0 {
 		t.Errorf("selection fields altered: %+v", got)
 	}
 	// TileCache stays an explicit opt-in: WithDefaults never flips it.

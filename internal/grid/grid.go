@@ -144,23 +144,12 @@ func (g *Grid) Within(q geo.Point, d float64, fn func(id int, p geo.Point) bool)
 	}
 }
 
-// Neighbors returns the ids of all stored points within Euclidean
-// distance r of center (inclusive) — the bulk radius query behind the
-// greedy core's support-radius neighbor lists. The ids come back in
-// grid-cell order, not sorted; r = 0 matches only points at exactly
-// center, and r < 0 matches nothing (callers wanting "degenerate radius
-// means everything" must fall back to dense iteration themselves, as
-// core does).
-func (g *Grid) Neighbors(center geo.Point, r float64) []int {
-	return g.AppendWithin(nil, center, r)
-}
-
-// AppendWithin is Neighbors with caller-managed allocation: it appends
-// the ids within distance d of q to dst and returns the extended slice,
-// letting bulk builders reuse one buffer per worker. The cell walk is
-// inlined rather than delegated to Within so a reused buffer makes the
-// whole query allocation-free (the greedy steady state calls this once
-// per pick).
+// AppendWithin appends the ids of all stored points within Euclidean
+// distance d of q (inclusive) to dst and returns the extended slice, in
+// grid-cell order, not sorted; d = 0 matches only points at exactly q,
+// and d < 0 matches nothing. The cell walk is inlined rather than
+// delegated to Within so a reused buffer makes the whole query
+// allocation-free (the greedy steady state calls this once per pick).
 func (g *Grid) AppendWithin(dst []int, q geo.Point, d float64) []int {
 	if d < 0 {
 		return dst

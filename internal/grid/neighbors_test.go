@@ -29,7 +29,7 @@ func TestNeighborsCellBoundaries(t *testing.T) {
 	}
 	for _, q := range pts {
 		for _, r := range []float64{0, 0.05, 0.1, 0.1000000001, 0.2} {
-			got := g.Neighbors(q, r)
+			got := g.AppendWithin(nil, q, r)
 			sort.Ints(got)
 			var want []int
 			for id, p := range pts {
@@ -60,36 +60,35 @@ func TestNeighborsWholeGridRadius(t *testing.T) {
 		g.Insert(id, geo.Pt(rng.Float64(), rng.Float64()))
 	}
 	for _, r := range []float64{math.Sqrt2, 10, 1e18, math.Inf(1)} {
-		got := g.Neighbors(geo.Pt(0.5, 0.5), r)
+		got := g.AppendWithin(nil, geo.Pt(0.5, 0.5), r)
 		if len(got) != n {
 			t.Fatalf("r=%v: %d of %d points found", r, len(got), n)
 		}
 	}
 	// A query point far outside the bounds must still see everything.
-	if got := g.Neighbors(geo.Pt(-50, 80), math.Inf(1)); len(got) != n {
+	if got := g.AppendWithin(nil, geo.Pt(-50, 80), math.Inf(1)); len(got) != n {
 		t.Fatalf("outside query: %d of %d points found", len(got), n)
 	}
 }
 
-// TestNeighborsDegenerateRadius pins the contract the core's dense
-// fallback relies on: r = 0 matches only exact-location points, r < 0
-// matches nothing — neither may be mistaken for "no pruning".
+// TestNeighborsDegenerateRadius pins the degenerate radii: r = 0
+// matches only exact-location points, r < 0 matches nothing.
 func TestNeighborsDegenerateRadius(t *testing.T) {
 	g := mustGrid(t, geo.WorldUnit, 0.1)
 	g.Insert(1, geo.Pt(0.5, 0.5))
 	g.Insert(2, geo.Pt(0.5, 0.5))
 	g.Insert(3, geo.Pt(0.50001, 0.5))
-	got := g.Neighbors(geo.Pt(0.5, 0.5), 0)
+	got := g.AppendWithin(nil, geo.Pt(0.5, 0.5), 0)
 	sort.Ints(got)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("r=0: %v", got)
 	}
-	if got := g.Neighbors(geo.Pt(0.5, 0.5), -1); len(got) != 0 {
+	if got := g.AppendWithin(nil, geo.Pt(0.5, 0.5), -1); len(got) != 0 {
 		t.Fatalf("r<0: %v", got)
 	}
 }
 
-// TestAppendWithinReusesBuffer checks the bulk-builder contract:
+// TestAppendWithinReusesBuffer checks the caller-owned-buffer contract:
 // appends extend dst without clobbering its prefix.
 func TestAppendWithinReusesBuffer(t *testing.T) {
 	g := mustGrid(t, geo.WorldUnit, 0.1)

@@ -112,27 +112,6 @@ func PackingBound(k int, dist func(i, j int) float64, theta float64, what string
 	}
 }
 
-// PrunedGain asserts the support-radius pruning contract on one
-// marginal gain: on an exact radius the pruned value must equal its
-// dense recomputation bitwise (skipped terms are exactly zero and the
-// pruned loop emulates the dense chunk order); on an eps radius the
-// pruned value may only undershoot, and by no more than the truncation
-// budget epsBound = eps·Σω.
-func PrunedGain(pruned, dense float64, exact bool, epsBound float64, what string) {
-	if exact {
-		if pruned != dense {
-			panic(fmt.Sprintf("geoselcheck: %s: pruned gain %v differs bitwise from dense gain %v on an exact support radius", what, pruned, dense))
-		}
-		return
-	}
-	if pruned > dense+tol(pruned, dense) {
-		panic(fmt.Sprintf("geoselcheck: %s: pruned gain %v exceeds dense gain %v (truncation can only undershoot)", what, pruned, dense))
-	}
-	if dense > pruned+epsBound+tol(pruned, dense) {
-		panic(fmt.Sprintf("geoselcheck: %s: dense gain %v exceeds pruned gain %v by more than the eps budget %v", what, dense, pruned, epsBound))
-	}
-}
-
 // ResidualGain asserts the residual-support contract on one marginal
 // gain: walking a candidate's recorded support must return, bit for
 // bit, what the dense pass returns against the same aggregation state —

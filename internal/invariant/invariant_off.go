@@ -25,9 +25,6 @@ func PairwiseSeparated(k int, dist func(i, j int) float64, theta float64, what s
 // PackingBound does nothing in release builds.
 func PackingBound(k int, dist func(i, j int) float64, theta float64, what string) {}
 
-// PrunedGain does nothing in release builds.
-func PrunedGain(pruned, dense float64, exact bool, epsBound float64, what string) {}
-
 // ResidualGain does nothing in release builds.
 func ResidualGain(walked, dense float64, what string) {}
 

@@ -181,7 +181,7 @@ func TestChurnRepinFiltersVisible(t *testing.T) {
 // bitwise identical" acceptance criterion: the same exploration over a
 // static geodata.Store and an untouched livestore must produce equal
 // Positions and bit-for-bit equal Scores in every cell of the
-// Parallelism × PruneEps × sync/async-prefetch matrix.
+// Parallelism × sync/async-prefetch matrix.
 func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 	const n, seed = 1500, 44
 	rng := rand.New(rand.NewSource(seed))
@@ -228,32 +228,29 @@ func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 	}
 
 	for _, par := range []int{1, 0} {
-		for _, eps := range []float64{0, 1e-3} {
-			for _, async := range []bool{false, true} {
-				name := fmt.Sprintf("par=%d/eps=%g/async=%v", par, eps, async)
-				cfg := testConfig(t)
-				cfg.Parallelism = par
-				cfg.PruneEps = eps
-				cfg.AsyncPrefetch = async
-				want := explore(static, cfg)
-				got := explore(live, cfg)
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d steps vs %d", name, len(got), len(want))
+		for _, async := range []bool{false, true} {
+			name := fmt.Sprintf("par=%d/async=%v", par, async)
+			cfg := testConfig(t)
+			cfg.Parallelism = par
+			cfg.AsyncPrefetch = async
+			want := explore(static, cfg)
+			got := explore(live, cfg)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d steps vs %d", name, len(got), len(want))
+			}
+			for i := range want {
+				if len(got[i].positions) != len(want[i].positions) {
+					t.Fatalf("%s step %d: %d positions vs %d", name, i, len(got[i].positions), len(want[i].positions))
 				}
-				for i := range want {
-					if len(got[i].positions) != len(want[i].positions) {
-						t.Fatalf("%s step %d: %d positions vs %d", name, i, len(got[i].positions), len(want[i].positions))
+				for j := range want[i].positions {
+					if got[i].positions[j] != want[i].positions[j] {
+						t.Fatalf("%s step %d: positions differ at %d: %d vs %d",
+							name, i, j, got[i].positions[j], want[i].positions[j])
 					}
-					for j := range want[i].positions {
-						if got[i].positions[j] != want[i].positions[j] {
-							t.Fatalf("%s step %d: positions differ at %d: %d vs %d",
-								name, i, j, got[i].positions[j], want[i].positions[j])
-						}
-					}
-					if got[i].score != want[i].score {
-						t.Fatalf("%s step %d: score %v vs %v (must be bitwise equal)",
-							name, i, got[i].score, want[i].score)
-					}
+				}
+				if got[i].score != want[i].score {
+					t.Fatalf("%s step %d: score %v vs %v (must be bitwise equal)",
+						name, i, got[i].score, want[i].score)
 				}
 			}
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 // Config parameterizes a Session. The shared engine knobs — K,
-// ThetaFrac, Metric, Agg, Parallelism, PruneEps, MaxZoomOutScale,
+// ThetaFrac, Metric, Agg, Parallelism, MaxZoomOutScale,
 // AsyncPrefetch — live in the embedded engine.Config (see that package
 // for per-field semantics) and are forwarded wholesale to every
 // selection the session runs; the fields declared here are
@@ -24,9 +24,6 @@ import (
 //   - ThetaFrac expresses the visibility threshold θ as a fraction of
 //     the viewport side length, so the on-screen separation is constant
 //     across zoom levels.
-//   - PruneEps tunes core's support-radius pruning; prefetch bound rows
-//     always prune exactly, regardless of this knob, so the Lemma
-//     5.1–5.3 domination contract is never eps-weakened.
 //   - AsyncPrefetch launches the background prefetch goroutine after
 //     every navigation (see Prefetch for the sync API and async.go for
 //     the join protocol).

@@ -7,10 +7,13 @@ import (
 	"testing/quick"
 )
 
+// flat returns a one-stripe heap over ids in [0, idSpace).
+func flat(idSpace int) *Striped { return NewStriped(idSpace, 1, nil) }
+
 func TestEmpty(t *testing.T) {
-	var h Heap
+	h := flat(4)
 	if h.Len() != 0 {
-		t.Error("zero heap should be empty")
+		t.Error("new heap should be empty")
 	}
 	if _, ok := h.Peek(); ok {
 		t.Error("Peek on empty should report false")
@@ -21,15 +24,17 @@ func TestEmpty(t *testing.T) {
 	if h.Remove(1) {
 		t.Error("Remove on empty should report false")
 	}
-	// Zero value must accept pushes.
+	if h.Contains(1) {
+		t.Error("Contains on empty should report false")
+	}
 	h.Push(Tuple{ID: 1, Gain: 0.5})
-	if h.Len() != 1 {
-		t.Error("push into zero heap failed")
+	if h.Len() != 1 || !h.Contains(1) {
+		t.Error("push into empty heap failed")
 	}
 }
 
 func TestPopOrder(t *testing.T) {
-	h := New(8)
+	h := flat(8)
 	gains := []float64{0.3, 0.9, 0.1, 0.7, 0.5}
 	for i, g := range gains {
 		h.Push(Tuple{ID: i, Gain: g})
@@ -50,7 +55,7 @@ func TestPopOrder(t *testing.T) {
 }
 
 func TestTieBreakDeterministic(t *testing.T) {
-	h := New(4)
+	h := flat(8)
 	h.Push(Tuple{ID: 7, Gain: 0.5})
 	h.Push(Tuple{ID: 3, Gain: 0.5})
 	h.Push(Tuple{ID: 5, Gain: 0.5})
@@ -65,7 +70,7 @@ func TestTieBreakDeterministic(t *testing.T) {
 }
 
 func TestPushUpdatesExisting(t *testing.T) {
-	h := New(4)
+	h := flat(8)
 	h.Push(Tuple{ID: 1, Gain: 0.9, Iter: 0})
 	h.Push(Tuple{ID: 2, Gain: 0.5, Iter: 0})
 	// Re-push id 1 with lower gain, as lazy-forward does after
@@ -85,7 +90,7 @@ func TestPushUpdatesExisting(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	h := New(8)
+	h := flat(8)
 	for i := 0; i < 6; i++ {
 		h.Push(Tuple{ID: i, Gain: float64(i)})
 	}
@@ -112,7 +117,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestGainLookup(t *testing.T) {
-	h := New(2)
+	h := flat(64)
 	h.Push(Tuple{ID: 42, Gain: 0.25})
 	if g, ok := h.Gain(42); !ok || g != 0.25 {
 		t.Errorf("Gain(42) = %v, %v", g, ok)
@@ -123,7 +128,7 @@ func TestGainLookup(t *testing.T) {
 }
 
 func TestIDs(t *testing.T) {
-	h := New(4)
+	h := flat(64)
 	for i := 0; i < 4; i++ {
 		h.Push(Tuple{ID: i * 10, Gain: float64(i)})
 	}
@@ -141,10 +146,11 @@ func TestIDs(t *testing.T) {
 // pops always come out in descending gain order among the live entries.
 func TestAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	h := New(0)
+	const steps = 5000
+	h := flat(steps) // at most one new id per step
 	live := map[int]float64{}
 	nextID := 0
-	for step := 0; step < 5000; step++ {
+	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
 		case op < 6: // push new
 			g := rng.Float64()
@@ -184,7 +190,7 @@ func TestAgainstSort(t *testing.T) {
 
 func TestQuickHeapProperty(t *testing.T) {
 	f := func(gains []float64) bool {
-		h := New(len(gains))
+		h := flat(len(gains))
 		for i, g := range gains {
 			h.Push(Tuple{ID: i, Gain: g})
 		}

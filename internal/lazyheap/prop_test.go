@@ -20,6 +20,29 @@ func modelMax(model map[int]Tuple) (Tuple, bool) {
 	return best, ok
 }
 
+// flatModel is the flat-map reference the property tests hold Striped to:
+// the live tuple per id, its maximum found by a scan (modelMax).
+type flatModel map[int]Tuple
+
+func (m flatModel) push(t Tuple) { m[t.ID] = t }
+
+func (m flatModel) pop() (Tuple, bool) {
+	t, ok := modelMax(m)
+	delete(m, t.ID)
+	return t, ok
+}
+
+func (m flatModel) remove(id int) bool {
+	_, ok := m[id]
+	delete(m, id)
+	return ok
+}
+
+func (m flatModel) gain(id int) (float64, bool) {
+	t, ok := m[id]
+	return t.Gain, ok
+}
+
 // randomKey picks a uniformly random id from the model, deterministically
 // given the rng (map iteration order must not leak into the test).
 func randomKey(model map[int]Tuple, rng *rand.Rand) int {
@@ -31,8 +54,9 @@ func randomKey(model map[int]Tuple, rng *rand.Rand) int {
 	return keys[rng.Intn(len(keys))]
 }
 
-// TestRandomInterleavings drives the heap through random interleavings
-// of push, replace, pop and remove against a flat map model. It checks
+// TestRandomInterleavings drives the heap, at one stripe and at four,
+// through random interleavings of push, replace, pop and remove against
+// a flat map model. It checks
 // the two contracts the lazy-forward greedy depends on: pops follow the
 // deterministic (gain desc, id asc) order, and a popped gain never
 // exceeds the highest gain ever recorded for that id — the heap
@@ -40,8 +64,10 @@ func randomKey(model map[int]Tuple, rng *rand.Rand) int {
 // upper bound re-evaluated) must never resurface above its bound.
 func TestRandomInterleavings(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	const steps = 500
 	for trial := 0; trial < 40; trial++ {
-		h := New(0)
+		// Ids stay below steps; the absent-id probe reaches 1000 past them.
+		h := NewStriped(steps+1001, 1+3*(trial%2), refStripeOf(int64(trial)))
 		model := make(map[int]Tuple)
 		bound := make(map[int]float64) // highest gain ever pushed per id
 		nextID := 0
@@ -54,7 +80,7 @@ func TestRandomInterleavings(t *testing.T) {
 		// Quantized gains force ties so the id tiebreak is exercised.
 		gain := func() float64 { return math.Round(rng.Float64()*8) / 2 }
 
-		for step := 0; step < 500; step++ {
+		for step := 0; step < steps; step++ {
 			switch r := rng.Intn(10); {
 			case r < 4:
 				tu := Tuple{ID: nextID, Gain: gain(), Iter: step}

@@ -1,32 +1,50 @@
-// The striped lazy heap: one max-heap per spatial stripe with a
-// pop-best-of-tops merge. The single Heap re-inserts every refreshed
-// tuple serially on the orchestrating goroutine — the last serial
-// section of the greedy steady state. Striping makes re-insertion
-// shardable (each stripe is owned by exactly one worker during a
-// batched push, because the stripe of an id is a pure function of the
-// id) while preserving the exact pop order: the (gain desc, id asc)
-// ordering is total, so the best of the stripe tops is the same tuple
-// the single heap would pop, no matter how entries are partitioned.
-// Stripes also line up with spatial shards — the same partitioning a
-// distributed frontier merge would use (ROADMAP item 1).
+// Package lazyheap implements the max-heap of ⟨object, Δ, iter⟩ tuples
+// that powers the paper's "lazy forward" (CELF-style) greedy selection
+// (Algorithm 1), with removal of arbitrary entries by id, which the
+// greedy algorithm needs when discarding candidates that violate the
+// visibility constraint after a selection.
 //
-// Unlike Heap, Striped is built for a dense id space (object positions
-// of one run): membership and position live in flat int32 columns
-// instead of a map, and the sift loops are hand-rolled rather than
-// container/heap, so no per-push interface boxing — the greedy steady
-// state performs zero heap allocations.
+// The heap is striped: one max-heap per spatial stripe with a
+// pop-best-of-tops merge. Re-inserting every refreshed tuple serially
+// on the orchestrating goroutine would be the last serial section of
+// the greedy steady state; striping makes re-insertion shardable (each
+// stripe is owned by exactly one worker during a batched push, because
+// the stripe of an id is a pure function of the id) while preserving
+// the exact pop order: the (gain desc, id asc) ordering is total, so
+// the best of the stripe tops is the tuple one heap over all entries
+// would pop, no matter how they are partitioned. Stripes also line up
+// with spatial shards — the same partitioning a distributed frontier
+// merge would use (ROADMAP item 1).
+//
+// Striped is built for a dense id space (object positions of one run):
+// membership and position live in flat int32 columns instead of a map,
+// and the sift loops are hand-rolled rather than container/heap, so no
+// per-push interface boxing — the greedy steady state performs zero
+// heap allocations.
 package lazyheap
 
 import "geosel/internal/invariant"
+
+// Tuple is one heap entry: a candidate object id, an upper bound (or
+// exact value) of its marginal gain Δ, and the greedy iteration at which
+// that Δ was computed. A Δ computed at an earlier iteration is only an
+// upper bound on the current marginal gain (submodularity, Lemma 4.1 of
+// the paper), so the algorithm re-evaluates a popped tuple whose Iter is
+// stale before trusting it.
+type Tuple struct {
+	ID   int
+	Gain float64
+	Iter int
+}
 
 // Runner executes fn(i) for every i in [0, n), possibly concurrently.
 // The greedy core passes its pool-backed runner; nil runs serially.
 type Runner func(n int, fn func(int))
 
 // Striped is a collection of per-stripe max-heaps over a dense id
-// space, popping globally in (gain desc, id asc) order — bitwise the
-// same sequence as a single Heap holding the same tuples. The zero
-// value is not usable; construct with NewStriped.
+// space, popping globally in (gain desc, id asc) order whatever the
+// stripe count. The zero value is not usable; construct with
+// NewStriped.
 //
 //geolint:hotpath
 type Striped struct {
@@ -276,8 +294,9 @@ func (h *Striped) Pop() (Tuple, bool) {
 	}
 	h.removeAt(&h.stripes[bi], 0)
 	if invariant.Enabled {
-		// Deterministic pop-order contract, as for the single heap: the
-		// popped tuple dominates every remaining top.
+		// Deterministic pop-order contract: the popped tuple dominates
+		// every remaining top under the (gain desc, id asc) ordering
+		// that makes every selection reproducible.
 		if u, ok := h.Peek(); ok {
 			invariant.Assertf(tupleLess(bt, u),
 				"lazyheap: striped pop (id %d, gain %v) does not dominate the remaining top (id %d, gain %v)",
@@ -346,7 +365,7 @@ func (h *Striped) removeAt(s *stripeHeap, i int) {
 }
 
 // tupleLess reports whether a sorts before b: a max-heap by gain with
-// ties broken by smaller id, exactly Heap's ordering.
+// ties broken by smaller id.
 func tupleLess(a, b Tuple) bool {
 	if a.Gain != b.Gain {
 		return a.Gain > b.Gain

@@ -17,9 +17,9 @@ func refStripeOf(seed int64) func(int) int {
 	}
 }
 
-// TestStripedMatchesHeapModel drives a single Heap and Striped heaps of
-// several stripe counts through an identical random operation sequence
-// and asserts the observable behavior — pop order, membership, stored
+// TestStripedMatchesHeapModel drives the flat-map model and Striped
+// heaps of several stripe counts through an identical random operation
+// sequence and asserts the observable behavior — pop order, membership, stored
 // gains, length — never diverges. This is the stripe-count-invariance
 // contract: the (gain desc, id asc) order is total, so partitioning the
 // entries can never change which tuple is globally best.
@@ -28,16 +28,16 @@ func TestStripedMatchesHeapModel(t *testing.T) {
 	for _, stripes := range []int{1, 2, 3, 8, 64} {
 		for seed := int64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			ref := New(idSpace)
+			ref := flatModel{}
 			st := NewStriped(idSpace, stripes, refStripeOf(seed))
 			for op := 0; op < 3000; op++ {
 				switch rng.Intn(5) {
 				case 0, 1: // push (may replace)
 					tu := Tuple{ID: rng.Intn(idSpace), Gain: float64(rng.Intn(50)), Iter: rng.Intn(4)}
-					ref.Push(tu)
+					ref.push(tu)
 					st.Push(tu)
 				case 2: // pop
-					rt, rok := ref.Pop()
+					rt, rok := ref.pop()
 					gt, gok := st.Pop()
 					if rok != gok || rt != gt {
 						t.Fatalf("stripes=%d seed=%d op %d: pop mismatch ref (%v,%v) striped (%v,%v)",
@@ -45,7 +45,7 @@ func TestStripedMatchesHeapModel(t *testing.T) {
 					}
 				case 3: // remove arbitrary id
 					id := rng.Intn(idSpace)
-					if ref.Remove(id) != st.Remove(id) {
+					if ref.remove(id) != st.Remove(id) {
 						t.Fatalf("stripes=%d seed=%d op %d: remove(%d) mismatch", stripes, seed, op, id)
 					}
 				case 4: // batched push of fresh tuples
@@ -55,19 +55,19 @@ func TestStripedMatchesHeapModel(t *testing.T) {
 						batch = append(batch, Tuple{ID: rng.Intn(idSpace), Gain: rng.Float64() * 40, Iter: rng.Intn(4)})
 					}
 					for _, tu := range batch {
-						ref.Push(tu)
+						ref.push(tu)
 					}
 					st.PushBatch(batch, nil)
 				}
-				if ref.Len() != st.Len() {
-					t.Fatalf("stripes=%d seed=%d op %d: len mismatch %d vs %d", stripes, seed, op, ref.Len(), st.Len())
+				if len(ref) != st.Len() {
+					t.Fatalf("stripes=%d seed=%d op %d: len mismatch %d vs %d", stripes, seed, op, len(ref), st.Len())
 				}
 				if op%100 == 0 {
 					id := rng.Intn(idSpace)
-					if ref.Contains(id) != st.Contains(id) {
+					if _, in := ref[id]; in != st.Contains(id) {
 						t.Fatalf("stripes=%d seed=%d: contains(%d) mismatch", stripes, seed, id)
 					}
-					rg, rok := ref.Gain(id)
+					rg, rok := ref.gain(id)
 					gg, gok := st.Gain(id)
 					if rok != gok || rg != gg {
 						t.Fatalf("stripes=%d seed=%d: gain(%d) mismatch (%v,%v) vs (%v,%v)", stripes, seed, id, rg, rok, gg, gok)
@@ -76,7 +76,7 @@ func TestStripedMatchesHeapModel(t *testing.T) {
 			}
 			// Drain: the full residual pop sequences must agree too.
 			for {
-				rt, rok := ref.Pop()
+				rt, rok := ref.pop()
 				gt, gok := st.Pop()
 				if rok != gok || rt != gt {
 					t.Fatalf("stripes=%d seed=%d drain: (%v,%v) vs (%v,%v)", stripes, seed, rt, rok, gt, gok)
@@ -148,11 +148,11 @@ func goRunner(n int, fn func(int)) {
 }
 
 // TestStripedPushBatchConcurrent checks PushBatch under a real
-// goroutine-per-stripe runner against the single-heap model.
+// goroutine-per-stripe runner against the flat-map model.
 func TestStripedPushBatchConcurrent(t *testing.T) {
 	const idSpace = 300
 	rng := rand.New(rand.NewSource(21))
-	ref := New(idSpace)
+	ref := flatModel{}
 	st := NewStriped(idSpace, 8, refStripeOf(21))
 	for round := 0; round < 60; round++ {
 		batch := make([]Tuple, 0, 16)
@@ -164,11 +164,11 @@ func TestStripedPushBatchConcurrent(t *testing.T) {
 			batch = append(batch, Tuple{ID: id, Gain: rng.Float64() * 30})
 		}
 		for _, tu := range batch {
-			ref.Push(tu)
+			ref.push(tu)
 		}
 		st.PushBatch(batch, goRunner)
 		for k := 0; k < 5; k++ {
-			rt, rok := ref.Pop()
+			rt, rok := ref.pop()
 			gt, gok := st.Pop()
 			if rok != gok || rt != gt {
 				t.Fatalf("round %d: pop mismatch (%v,%v) vs (%v,%v)", round, rt, rok, gt, gok)

@@ -26,11 +26,9 @@ package prefetch
 
 import (
 	"context"
-	"sort"
 
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
-	"geosel/internal/grid"
 	"geosel/internal/invariant"
 	"geosel/internal/parallel"
 	"geosel/internal/sim"
@@ -70,7 +68,7 @@ func pairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []
 		if linearOnly {
 			return nil, nil
 		}
-		if err := quadraticRows(ctx, sub, w, m, rows, workers, sums); err != nil {
+		if err := quadraticRows(ctx, sub, w, rows, workers, sums); err != nil {
 			return nil, err
 		}
 	}
@@ -84,16 +82,11 @@ func pairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []
 	return out, nil
 }
 
-// quadraticRows fills sums[i] = Σ_j w[j]·Sim(sub[j], sub[i]) one Fill
-// row per worker task: over support neighborhoods when the metric
-// certifies an exact radius, over the whole envelope otherwise.
-func quadraticRows(ctx context.Context, sub []geodata.Object, w []float64, m sim.Metric, rows *sim.Rows, workers int, sums []float64) error {
+// quadraticRows fills sums[i] = Σ_j w[j]·Sim(sub[j], sub[i]), one
+// envelope row per worker task.
+func quadraticRows(ctx context.Context, sub []geodata.Object, w []float64, rows *sim.Rows, workers int, sums []float64) error {
 	pool := parallel.New(workers)
 	defer pool.Close()
-	pruned, err := pairwiseBoundsPruned(ctx, sub, w, m, rows, pool, sums)
-	if err != nil || pruned {
-		return err
-	}
 	return pool.Run(ctx, len(sub), func(i int) { //geolint:hotpath
 		var buf [sim.RowBlock]float64
 		var sum float64
@@ -106,68 +99,6 @@ func quadraticRows(ctx context.Context, sub []geodata.Object, w []float64, m sim
 		}
 		sums[i] = sum
 	})
-}
-
-// pruneCutoff is the envelope size below which the pruned bound rows
-// are not worth a grid build; mirrors the greedy core's serial cutoff.
-const pruneCutoff = 512
-
-// pairwiseBoundsPruned computes the Lemma 5.1/5.2 rows over support
-// neighborhoods instead of the whole envelope when the metric certifies
-// an exact radius (eps truncation is never applied here: a truncated
-// envelope sum could fall below the exact in-region gain and break the
-// bound-domination contract of Lemmas 5.1–5.3). sub holds the gathered
-// envelope objects and w their weights. Each row's neighbor list is
-// sorted by envelope order, so the pruned sum adds the same nonzero
-// terms in the same order as the dense row — skipped terms are exactly
-// zero — and the bounds come out bitwise identical. Reports whether it
-// filled sums; false means the caller must run the dense rows
-// (unbounded metric or tiny envelope).
-func pairwiseBoundsPruned(ctx context.Context, sub []geodata.Object, w []float64, m sim.Metric, rows *sim.Rows, pool *parallel.Pool, sums []float64) (bool, error) {
-	if len(sub) < pruneCutoff {
-		return false, nil
-	}
-	r, exact, ok := sim.SupportRadius(m, 0)
-	if !ok || !exact {
-		return false, nil
-	}
-	bounds := geo.Rect{Min: sub[0].Loc, Max: sub[0].Loc}
-	for i := 1; i < len(sub); i++ {
-		bounds = bounds.Union(geo.Rect{Min: sub[i].Loc, Max: sub[i].Loc})
-	}
-	if r >= bounds.Min.Dist(bounds.Max) {
-		return false, nil // the radius spans the envelope: nothing to prune
-	}
-	g, err := grid.New(bounds, r)
-	if err != nil {
-		return false, nil
-	}
-	for i := range sub {
-		g.Insert(i, sub[i].Loc)
-	}
-	runErr := pool.Run(ctx, len(sub), func(i int) { //geolint:hotpath
-		ks := g.Neighbors(sub[i].Loc, r)
-		sort.Ints(ks)
-		var idx [sim.RowBlock]int32
-		var buf [sim.RowBlock]float64
-		var sum float64
-		for len(ks) > 0 {
-			n := min(len(ks), sim.RowBlock)
-			for k, q := range ks[:n] {
-				idx[k] = int32(q)
-			}
-			rows.Gather(buf[:], idx[:n], i)
-			for k, v := range buf[:n] {
-				sum += w[idx[k]] * v
-			}
-			ks = ks[n:]
-		}
-		sums[i] = sum
-	})
-	if runErr != nil {
-		return false, runErr
-	}
-	return true, nil
 }
 
 // assertEnvelopeBounds checks, under the geoselcheck tag, that every
@@ -221,28 +152,14 @@ func PanBounds(ctx context.Context, view geodata.View, vp geo.Viewport, m sim.Me
 	objs := col.Objects
 	w := vp.Region.Width()
 	h := vp.Region.Height()
-	// An exact support radius shrinks each per-object window: objects
-	// beyond it contribute exactly zero to the Lemma 5.3 sum, so
-	// clipping ro to the radius square changes only which zero terms
-	// the R-tree hands back. The bound stays a valid upper bound (eps
-	// truncation is deliberately never applied to prefetch rows).
-	rw, rh := w, h
-	if r, exact, ok := sim.SupportRadius(m, 0); ok && exact {
-		if r < rw {
-			rw = r
-		}
-		if r < rh {
-			rh = r
-		}
-	}
 	sums := make([]float64, len(envPos))
 	pool := parallel.New(workers)
 	defer pool.Close()
 	err := pool.Run(ctx, len(envPos), func(i int) { //geolint:hotpath
 		o := &objs[envPos[i]]
 		ro := geo.Rect{
-			Min: geo.Point{X: o.Loc.X - rw, Y: o.Loc.Y - rh},
-			Max: geo.Point{X: o.Loc.X + rw, Y: o.Loc.Y + rh},
+			Min: geo.Point{X: o.Loc.X - w, Y: o.Loc.Y - h},
+			Max: geo.Point{X: o.Loc.X + w, Y: o.Loc.Y + h},
 		}
 		window, ok := env.Intersect(ro)
 		if !ok {

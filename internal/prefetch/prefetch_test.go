@@ -296,3 +296,84 @@ func TestLinearBoundsSkipTheRows(t *testing.T) {
 		}
 	}
 }
+
+// TestShortSupportBoundsAreTheLemmaSums holds the bound passes, on a
+// metric that is zero on almost every pair of a clustered instance, to
+// the sums Lemmas 5.1 and 5.3 write down: every term, zeros included,
+// added in envelope (5.1) or window (5.3) order — bit for bit, at any
+// pool size.
+func TestShortSupportBoundsAreTheLemmaSums(t *testing.T) {
+	store, err := dataset.GenerateStore(dataset.UKSpec(2048, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := store.Collection().Objects
+	m := sim.EuclideanProximity{MaxDist: 0.04}
+	ctx := context.Background()
+
+	envPos := store.Region(geo.WorldUnit)
+	if len(envPos) != len(objs) {
+		t.Fatalf("envelope holds %d of %d objects", len(envPos), len(objs))
+	}
+	pairwise := make(map[int]float64, len(envPos))
+	zeros := 0
+	for _, i := range envPos {
+		var sum float64
+		for _, j := range envPos {
+			v := m.Sim(&objs[j], &objs[i])
+			if v == 0 {
+				zeros++
+			}
+			sum += objs[j].Weight * v
+		}
+		pairwise[i] = sum
+	}
+	if zeros < len(envPos)*len(envPos)/2 {
+		t.Fatalf("only %d of %d pairs are zero; the instance is not short-support", zeros, len(envPos)*len(envPos))
+	}
+
+	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.1)
+	vp := geo.NewViewport(geo.WorldUnit, region)
+	env := vp.PanEnvelope()
+	pan := make(map[int]float64)
+	for _, p := range store.Region(env) {
+		o := &objs[p]
+		reach := geo.Pt(region.Width(), region.Height())
+		window, ok := env.Intersect(geo.Rect{Min: o.Loc.Sub(reach), Max: o.Loc.Add(reach)})
+		if !ok {
+			t.Fatalf("object %d of the pan envelope has no window in it", p)
+		}
+		var sum float64
+		for _, q := range store.Region(window) {
+			sum += objs[q].Weight * m.Sim(o, &objs[q])
+		}
+		pan[p] = sum
+	}
+	if len(pan) < 50 {
+		t.Fatalf("pan envelope holds %d objects", len(pan))
+	}
+
+	same := func(what string, got, want map[int]float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d bounds, want %d", what, len(got), len(want))
+		}
+		for p, w := range want {
+			if g, ok := got[p]; !ok || g != w {
+				t.Fatalf("%s: bound of position %d = %v (present %v), the lemma's sum is %v", what, p, g, ok, w)
+			}
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		got, err := PairwiseBounds(ctx, store.Collection(), envPos, m, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("PairwiseBounds", got, pairwise)
+		got, err = PanBounds(ctx, store, vp, m, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("PanBounds", got, pan)
+	}
+}

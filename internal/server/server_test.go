@@ -90,9 +90,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(store, engine.Config{}); err == nil {
 		t.Error("nil metric should fail")
 	}
-	if _, err := New(store, engine.Config{Metric: sim.Cosine{}, PruneEps: 2}); err == nil {
-		t.Error("out-of-range PruneEps should fail")
-	}
 	if _, err := New(store, engine.Config{Metric: sim.Cosine{}, RequestTimeout: -time.Second}); err == nil {
 		t.Error("negative RequestTimeout should fail")
 	}

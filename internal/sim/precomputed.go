@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"geosel/internal/geodata"
 )
@@ -61,14 +60,4 @@ func (p *Precomputed) Sim(a, b *geodata.Object) float64 {
 		return p.vals[i*p.n+j]
 	}
 	return p.base.Sim(a, b)
-}
-
-// SupportRadius implements SupportRadiused by delegating to the base
-// metric: the matrix caches base values exactly, so the base's support
-// radius holds verbatim. Unbounded when the base certifies no radius.
-func (p *Precomputed) SupportRadius(eps float64) (r float64, exact bool) {
-	if sr, ok := p.base.(SupportRadiused); ok {
-		return sr.SupportRadius(eps)
-	}
-	return math.Inf(1), false
 }

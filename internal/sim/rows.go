@@ -7,8 +7,8 @@ import (
 	"geosel/internal/textsim"
 )
 
-// RowBlock is the largest number of similarities one Fill or Gather
-// call may write. It equals the evaluation chunk of internal/core, so a
+// RowBlock is the largest number of similarities one Fill call may
+// write. It equals the evaluation chunk of internal/core, so a
 // caller's row buffer is a fixed-size stack array.
 const RowBlock = 256
 
@@ -201,44 +201,6 @@ func (r *Rows) Fill(dst []float64, lo, hi, c int) {
 	}
 }
 
-// Gather writes Sim(o_idx[k], o_c) to dst[k] for every k. len(idx)
-// must not exceed RowBlock or len(dst).
-//
-//geolint:hotpath
-func (r *Rows) Gather(dst []float64, idx []int32, c int) {
-	dst = dst[:len(idx)]
-	switch r.kind {
-	case rowsEuclid:
-		xc, yc, maxDist := r.xs[c], r.ys[c], r.scale
-		xs, ys := r.xs, r.ys
-		for k, i := range idx {
-			dst[k] = euclidSim(xs[i]-xc, ys[i]-yc, maxDist)
-		}
-	case rowsGauss:
-		xc, yc, sigma := r.xs[c], r.ys[c], r.scale
-		xs, ys := r.xs, r.ys
-		for k, i := range idx {
-			dst[k] = gaussSim(xs[i]-xc, ys[i]-yc, sigma)
-		}
-	case rowsCosine:
-		cRow, cNorm := r.vecs.Row(c), r.vecs.Norms[c]
-		for k, i := range idx {
-			dst[k] = r.cosineSim(int(i), c, cRow, cNorm)
-		}
-	case rowsHybrid:
-		var buf [RowBlock]float64
-		spatial := buf[:len(dst)]
-		r.text.Gather(dst, idx, c)
-		r.spatial.Gather(spatial, idx, c)
-		r.mix(dst, spatial)
-	default:
-		oc := &r.objs[c]
-		for k, i := range idx {
-			dst[k] = r.m.Sim(&r.objs[i], oc)
-		}
-	}
-}
-
 // RowSums writes to dst[k], for each c = cs[k], an upper bound on the
 // weighted row sum Σ_i w[i]·Sim(o_i, o_c) over every compiled object —
 // o_c's initial marginal gain, or its Lemma 5.1–5.3 bound when the
@@ -355,16 +317,6 @@ func (r *Rows) fillCosine(dst []float64, lo, hi, c int) {
 	if lo <= c && c < hi {
 		dst[c-lo] = 1
 	}
-}
-
-// cosineSim is Cosine.Sim(o_i, o_c) against c's hoisted packed row and
-// norm: the merge-join Gather keeps, its index lists being too sparse
-// for posting runs to pay.
-func (r *Rows) cosineSim(i, c int, cRow []uint64, cNorm float64) float64 {
-	if i == c {
-		return 1
-	}
-	return textsim.CosineOf(textsim.DotWords(r.vecs.Row(i), cRow), r.vecs.Norms[i], cNorm)
 }
 
 // mix folds the spatial part into dst, which holds the text part.

@@ -42,7 +42,7 @@ func rawVector(norm float64, ids []int32, weights []float32) textsim.Vector {
 }
 
 // The one oracle of pair evaluation: whatever Rows compiles a metric
-// into, Fill and Gather write bitwise the value of
+// into, Fill writes bitwise the value of
 // m.Sim(&objs[i], &objs[c]) — for every pair including i == c, over
 // blocks that do not divide the object count, and for degenerate
 // parameters. (The test names predate Rows; the test floor list pins
@@ -76,12 +76,6 @@ func TestCompileKernelMatchesInterface(t *testing.T) {
 		{"custom", Func(func(a, b *geodata.Object) float64 { return a.Loc.X * b.Loc.X }), rowsGeneric},
 		{"precomputed", precomputed, rowsGeneric},
 	}
-	// A shuffled index list, so Gather sees c itself and both textless
-	// objects at arbitrary offsets.
-	perm := make([]int32, n)
-	for i, p := range rand.New(rand.NewSource(11)).Perm(n) {
-		perm[i] = int32(p)
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRows(tc.m, objs)
@@ -98,21 +92,12 @@ func TestCompileKernelMatchesInterface(t *testing.T) {
 							t.Fatalf("Fill: (%d,%d) = %v, Sim = %v", i, c, got, want)
 						}
 					}
-					idx := perm[lo:hi]
-					r.Gather(buf[:], idx, c)
-					for k, i := range idx {
-						if got, want := buf[k], tc.m.Sim(&objs[i], &objs[c]); got != want {
-							t.Fatalf("Gather: (%d,%d) = %v, Sim = %v", i, c, got, want)
-						}
-					}
 				}
 			}
 			// Empty ranges write nothing, with or without a buffer.
 			buf[0] = -1
 			r.Fill(buf[:], 5, 5, 3)
 			r.Fill(nil, n, n, 3)
-			r.Gather(buf[:], nil, 3)
-			r.Gather(nil, nil, 3)
 			if buf[0] != -1 {
 				t.Fatal("an empty range wrote to the buffer")
 			}
@@ -130,8 +115,7 @@ func TestCompileKernelHybridNilParts(t *testing.T) {
 	}
 }
 
-// checkCosineRows compares Fill and Gather on the compiled Cosine rows
-// of objs with Cosine{}.Sim, bit for bit, for every c: over the RowBlock
+// checkCosineRows compares Fill on the compiled Cosine rows of objs with Cosine{}.Sim, bit for bit, for every c: over the RowBlock
 // chunk grid and over windows that start and end off it, so c falls
 // inside, before and after the window.
 func checkCosineRows(t *testing.T, objs []geodata.Object) {
@@ -149,25 +133,15 @@ func checkCosineRows(t *testing.T, objs []geodata.Object) {
 			}
 		}
 	}
-	idx := make([]int32, 0, RowBlock)
 	var buf [RowBlock]float64
 	for c := range objs {
 		for _, win := range windows {
 			lo, hi := win[0], win[1]
 			r.Fill(buf[:], lo, hi, c)
-			idx = idx[:0]
-			for i := hi - 1; i >= lo; i-- { // descending: Gather takes any order
-				idx = append(idx, int32(i))
+			for i := lo; i < hi; i++ {
 				want := Cosine{}.Sim(&objs[i], &objs[c])
 				if got := buf[i-lo]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("Fill[%d,%d): (%d,%d) = %v, Sim = %v", lo, hi, i, c, got, want)
-				}
-			}
-			r.Gather(buf[:], idx, c)
-			for k, i := range idx {
-				want := Cosine{}.Sim(&objs[i], &objs[c])
-				if got := buf[k]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("Gather: (%d,%d) = %v, Sim = %v", i, c, got, want)
 				}
 			}
 		}

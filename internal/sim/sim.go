@@ -28,38 +28,6 @@ type Func func(a, b *geodata.Object) float64
 // Sim implements Metric.
 func (f Func) Sim(a, b *geodata.Object) float64 { return f(a, b) }
 
-// SupportRadiused is implemented by metrics whose similarity has bounded
-// spatial support: beyond distance r the similarity is exactly zero
-// (exact = true) or provably below eps (exact = false). A non-finite or
-// non-positive radius means the support is unbounded at that eps and the
-// caller must fall back to dense evaluation. Support radii are what turn
-// each O(|O|) marginal-gain pass of the greedy core into an
-// O(neighbors) pass over a grid neighbor list.
-type SupportRadiused interface {
-	// SupportRadius returns the smallest distance the implementation can
-	// certify such that Sim(a, b) is zero (exact) or < eps (approximate)
-	// whenever the two locations are farther apart than r. eps <= 0 asks
-	// for an exact radius only.
-	SupportRadius(eps float64) (r float64, exact bool)
-}
-
-// SupportRadius resolves the support radius of an arbitrary metric: it
-// reports ok = false — dense evaluation required — when the metric does
-// not implement SupportRadiused or certifies no finite positive radius
-// at this eps. Cosine and custom Func metrics are always unbounded
-// (textual similarity does not decay with distance).
-func SupportRadius(m Metric, eps float64) (r float64, exact, ok bool) {
-	sr, is := m.(SupportRadiused)
-	if !is {
-		return math.Inf(1), false, false
-	}
-	r, exact = sr.SupportRadius(eps)
-	if math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
-		return r, exact, false
-	}
-	return r, exact, true
-}
-
 // Cosine measures similarity as the cosine of the objects' term vectors
 // — the metric used for the Twitter and POI datasets in Section 7.1.
 // Two textless objects have similarity 1 if they are the same object and
@@ -97,18 +65,6 @@ func (m EuclideanProximity) Sim(a, b *geodata.Object) float64 {
 	return s
 }
 
-// SupportRadius implements SupportRadiused: similarity is exactly zero
-// beyond MaxDist regardless of eps, so the metric always offers an exact
-// radius (and the pruned engine stays bitwise-identical at any eps). A
-// degenerate MaxDist reports no finite support — the metric is then
-// identically zero and pruning is pointless.
-func (m EuclideanProximity) SupportRadius(eps float64) (r float64, exact bool) {
-	if m.MaxDist <= 0 {
-		return math.Inf(1), false
-	}
-	return m.MaxDist, true
-}
-
 // GaussianProximity maps spatial distance to similarity as
 // exp(-(dist/Sigma)²), a smooth alternative to EuclideanProximity.
 type GaussianProximity struct {
@@ -125,23 +81,6 @@ func (m GaussianProximity) Sim(a, b *geodata.Object) float64 {
 	}
 	d := a.Loc.Dist(b.Loc) / m.Sigma
 	return math.Exp(-d * d)
-}
-
-// SupportRadius implements SupportRadiused: exp(-(r/Sigma)²) < eps
-// exactly when r > Sigma·sqrt(ln(1/eps)), so for eps in (0, 1) the
-// metric offers an approximate radius. It never reaches zero, so no
-// exact radius exists (eps <= 0 reports unbounded support); the
-// degenerate Sigma <= 0 indicator metric reports radius 0, which
-// callers must treat as "no usable support" rather than an empty
-// neighborhood.
-func (m GaussianProximity) SupportRadius(eps float64) (r float64, exact bool) {
-	if m.Sigma <= 0 {
-		return 0, true
-	}
-	if eps <= 0 || eps >= 1 {
-		return math.Inf(1), false
-	}
-	return m.Sigma * math.Sqrt(math.Log(1/eps)), false
 }
 
 // Hybrid mixes a textual and a spatial metric with weight Alpha on the
@@ -170,38 +109,6 @@ func NewHybrid(alpha, maxDist float64) (Hybrid, error) {
 // Sim implements Metric.
 func (m Hybrid) Sim(a, b *geodata.Object) float64 {
 	return m.Alpha*m.Text.Sim(a, b) + (1-m.Alpha)*m.Spatial.Sim(a, b)
-}
-
-// SupportRadius implements SupportRadiused by combining the parts:
-// beyond the larger of the two part radii both components are zero
-// (or < eps), so the mixture Alpha·Text + (1-Alpha)·Sim is too. A part
-// with zero mixing weight is ignored; a weighted part without bounded
-// support makes the hybrid unbounded (Cosine text similarity does not
-// decay with distance, so the common Alpha > 0 hybrid is dense).
-func (m Hybrid) SupportRadius(eps float64) (r float64, exact bool) {
-	r, exact = 0, true
-	parts := []struct {
-		weight float64
-		metric Metric
-	}{{m.Alpha, m.Text}, {1 - m.Alpha, m.Spatial}}
-	for _, p := range parts {
-		if p.weight == 0 {
-			continue
-		}
-		pr, pexact, ok := SupportRadius(p.metric, eps)
-		if !ok {
-			return math.Inf(1), false
-		}
-		if pr > r {
-			r = pr
-		}
-		exact = exact && pexact
-	}
-	if r == 0 {
-		// No weighted part certified a positive radius.
-		return math.Inf(1), false
-	}
-	return r, exact
 }
 
 // Distance converts a similarity into a dissimilarity 1-Sim(a,b), which

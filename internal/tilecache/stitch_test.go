@@ -13,14 +13,14 @@ import (
 )
 
 // TestStitchedSelectionProperties is the acceptance property of the
-// stitched serving path, swept across the Parallelism × PruneEps
-// engine matrix: every selection served through the cache — stitched
-// or fallen back — satisfies θ-separation, stays inside the viewport,
+// stitched serving path, at Parallelism 1 and all CPUs: every
+// selection served through the cache — stitched or fallen back —
+// satisfies θ-separation, stays inside the viewport,
 // and its true representative score (core.Score, the geoselcheck
 // ground truth) is within the greedy 1/8 bound of the direct uncached
-// run. The matrix matters because tile selections are computed through
-// the same engine the direct path uses: a stitched result must hold
-// its properties no matter which kernel variant filled the cache.
+// run. Tile selections are computed through the same engine the direct
+// path uses: a stitched result must hold its properties whatever the
+// pool size that filled the cache.
 func TestStitchedSelectionProperties(t *testing.T) {
 	store := testStore(t, 3000, 11)
 	view, version := store.Snapshot()
@@ -28,74 +28,72 @@ func TestStitchedSelectionProperties(t *testing.T) {
 	ctx := context.Background()
 	const k = 20
 	for _, par := range []int{1, 0} {
-		for _, eps := range []float64{0, 0.05} {
-			t.Run(fmt.Sprintf("par=%d,eps=%v", par, eps), func(t *testing.T) {
-				cfg := engine.Config{Metric: sim.Cosine{}, Parallelism: par, PruneEps: eps}
-				c := newTestCache(t, cfg)
-				rng := rand.New(rand.NewSource(23))
-				warm := 0
-				for q := 0; q < 6; q++ {
-					side := 0.12 + 0.25*rng.Float64()
-					min := geo.Pt(rng.Float64()*(1-side), rng.Float64()*(1-side))
-					region := geo.Rect{Min: min, Max: geo.Pt(min.X+side, min.Y+side)}
-					theta := 0.01 * side
-					// Twice: the second serve is the warm stitched path.
-					if _, err := c.Select(ctx, view, version, region, k, theta, nil); err != nil {
-						t.Fatal(err)
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			cfg := engine.Config{Metric: sim.Cosine{}, Parallelism: par}
+			c := newTestCache(t, cfg)
+			rng := rand.New(rand.NewSource(23))
+			warm := 0
+			for q := 0; q < 6; q++ {
+				side := 0.12 + 0.25*rng.Float64()
+				min := geo.Pt(rng.Float64()*(1-side), rng.Float64()*(1-side))
+				region := geo.Rect{Min: min, Max: geo.Pt(min.X+side, min.Y+side)}
+				theta := 0.01 * side
+				// Twice: the second serve is the warm stitched path.
+				if _, err := c.Select(ctx, view, version, region, k, theta, nil); err != nil {
+					t.Fatal(err)
+				}
+				res, err := c.Select(ctx, view, version, region, k, theta, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Fallback {
+					warm++
+				}
+				if len(res.Positions) == 0 || len(res.Positions) > k {
+					t.Fatalf("q%d: selection size %d outside (0, %d]", q, len(res.Positions), k)
+				}
+				for _, p := range res.Positions {
+					if !region.Contains(objs[p].Loc) {
+						t.Fatalf("q%d: position %d outside the viewport", q, p)
 					}
-					res, err := c.Select(ctx, view, version, region, k, theta, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !res.Fallback {
-						warm++
-					}
-					if len(res.Positions) == 0 || len(res.Positions) > k {
-						t.Fatalf("q%d: selection size %d outside (0, %d]", q, len(res.Positions), k)
-					}
-					for _, p := range res.Positions {
-						if !region.Contains(objs[p].Loc) {
-							t.Fatalf("q%d: position %d outside the viewport", q, p)
-						}
-					}
-					if !core.SatisfiesVisibility(objs, res.Positions, theta) {
-						t.Fatalf("q%d: served selection violates θ-separation", q)
-					}
+				}
+				if !core.SatisfiesVisibility(objs, res.Positions, theta) {
+					t.Fatalf("q%d: served selection violates θ-separation", q)
+				}
 
-					// Ground-truth score bound against the direct path.
-					regionPos := view.Region(region)
-					sub := view.Collection().Subset(regionPos)
-					local := make(map[int]int, len(regionPos))
-					for i, p := range regionPos {
-						local[p] = i
-					}
-					sel := make([]int, len(res.Positions))
-					for i, p := range res.Positions {
-						li, ok := local[p]
-						if !ok {
-							t.Fatalf("q%d: position %d not in the region fetch", q, p)
-						}
-						sel[i] = li
-					}
-					dcfg := cfg.WithDefaults()
-					dcfg.K = k
-					dcfg.Theta = theta
-					dcfg.ThetaFrac = 0
-					direct, err := (&core.Selector{Config: dcfg, Objects: sub}).Run(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					served := core.Score(sub, sel, dcfg.Metric, dcfg.Agg)
-					if served < direct.Score/8-1e-12 {
-						t.Fatalf("q%d: served score %v below direct/8 = %v (direct %v)",
-							q, served, direct.Score/8, direct.Score)
-					}
+				// Ground-truth score bound against the direct path.
+				regionPos := view.Region(region)
+				sub := view.Collection().Subset(regionPos)
+				local := make(map[int]int, len(regionPos))
+				for i, p := range regionPos {
+					local[p] = i
 				}
-				if warm == 0 {
-					t.Error("every viewport fell back; the stitched path went untested")
+				sel := make([]int, len(res.Positions))
+				for i, p := range res.Positions {
+					li, ok := local[p]
+					if !ok {
+						t.Fatalf("q%d: position %d not in the region fetch", q, p)
+					}
+					sel[i] = li
 				}
-			})
-		}
+				dcfg := cfg.WithDefaults()
+				dcfg.K = k
+				dcfg.Theta = theta
+				dcfg.ThetaFrac = 0
+				direct, err := (&core.Selector{Config: dcfg, Objects: sub}).Run(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				served := core.Score(sub, sel, dcfg.Metric, dcfg.Agg)
+				if served < direct.Score/8-1e-12 {
+					t.Fatalf("q%d: served score %v below direct/8 = %v (direct %v)",
+						q, served, direct.Score/8, direct.Score)
+				}
+			}
+			if warm == 0 {
+				t.Error("every viewport fell back; the stitched path went untested")
+			}
+		})
 	}
 }
 

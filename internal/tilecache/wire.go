@@ -35,6 +35,10 @@ import (
 // layout change.
 const wireMagic = "GST1"
 
+// minMemberBytes is the shortest a member can be on the wire: two
+// one-byte varints and four 4-byte floats.
+const minMemberBytes = 2 + 4*4
+
 // TileData is the decoded form of one tile payload.
 type TileData struct {
 	Tile    Tile
@@ -92,26 +96,27 @@ func DecodeTile(data []byte) (*TileData, error) {
 	}
 	r := wireReader{buf: data[len(wireMagic):]}
 	d := &TileData{}
-	d.Tile.Z = int32(r.uvarint())
-	d.Tile.X = int32(r.uvarint())
-	d.Tile.Y = int32(r.uvarint())
-	d.Band = int32(r.varint())
-	d.K = int32(r.uvarint())
+	d.Tile.Z = r.uint31()
+	d.Tile.X = r.uint31()
+	d.Tile.Y = r.uint31()
+	d.Band = r.int32()
+	d.K = r.uint31()
 	d.Version = r.uvarint()
-	d.TileObjects = int32(r.uvarint())
+	d.TileObjects = r.uint31()
 	n := r.uvarint()
 	d.Score = math.Float64frombits(r.u64())
 	if r.err != nil {
 		return nil, r.err
 	}
-	const maxMembers = 1 << 20 // far beyond any real K; bounds hostile input
-	if n > maxMembers {
-		return nil, fmt.Errorf("tilecache: tile payload claims %d members", n)
+	// The claimed count sizes an allocation, so hold it to what the
+	// remaining bytes can carry.
+	if n > uint64(len(r.buf)/minMemberBytes) {
+		return nil, fmt.Errorf("tilecache: tile payload claims %d members in %d bytes", n, len(r.buf))
 	}
 	d.Members = make([]TileMember, 0, n)
 	for i := uint64(0); i < n; i++ {
 		m := TileMember{
-			Pos: int32(r.uvarint()),
+			Pos: r.uint31(),
 			ID:  int(r.varint()),
 		}
 		m.Loc.X = float64(math.Float32frombits(r.u32()))
@@ -146,6 +151,24 @@ func (r *wireReader) uvarint() uint64 {
 	}
 	r.buf = r.buf[n:]
 	return v
+}
+
+// uint31 reads a uvarint destined for a non-negative int32 field.
+func (r *wireReader) uint31() int32 {
+	v := r.uvarint()
+	if v > math.MaxInt32 {
+		r.err = fmt.Errorf("tilecache: tile payload field %d overflows int32", v)
+	}
+	return int32(v)
+}
+
+// int32 reads a varint destined for an int32 field.
+func (r *wireReader) int32() int32 {
+	v := r.varint()
+	if int64(int32(v)) != v {
+		r.err = fmt.Errorf("tilecache: tile payload field %d overflows int32", v)
+	}
+	return int32(v)
 }
 
 func (r *wireReader) varint() int64 {
