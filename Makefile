@@ -69,6 +69,8 @@ fuzz:
 	go test -run=NONE -fuzz=FuzzResidualWalk -fuzztime=10s ./internal/core
 	go test -run=NONE -fuzz=FuzzAppendObjectJSON -fuzztime=10s ./internal/geodata
 	go test -run=NONE -fuzz=FuzzDecodeTile -fuzztime=10s ./internal/tilecache
+	go test -run=NONE -fuzz=FuzzRequestBodies -fuzztime=10s ./internal/server
+	go test -run=NONE -fuzz=FuzzReadTrace -fuzztime=10s ./internal/livestore
 
 bench:
 	go test -run=NONE -bench=. -benchmem ./internal/core ./internal/prefetch

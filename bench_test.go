@@ -49,7 +49,7 @@ func env(b *testing.B) *benchEnv {
 }
 
 // envShared builds the benchmark environment on first use; it is shared
-// by the benchmarks and by the BENCH_parallel.json emission test.
+// by the benchmarks and by the parallel-engine benchmark instance.
 func envShared() *benchEnv {
 	benchOnce.Do(func() {
 		spec := dataset.UKSpec(60000, 1)

@@ -1,6 +1,5 @@
 // Command benchrunner regenerates the paper's tables and figures on the
-// synthetic datasets and prints each as an aligned text table (or CSV),
-// and hosts the repo's structured perf suites (BENCH_*.json).
+// synthetic datasets and prints each as an aligned text table (or CSV).
 //
 // Usage:
 //

@@ -65,7 +65,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "generation seed")
 		addr        = flag.String("addr", ":8080", "listen address")
 		tfidf       = flag.Bool("tfidf", false, "apply TF-IDF reweighting to the term vectors")
-		par         = flag.Int("parallelism", 0, "selection worker goroutines: 0 = all CPUs, 1 = serial")
 		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "per-request selection deadline (0 = none)")
 		sessionTTL  = flag.Duration("session-ttl", engine.DefaultSessionTTL, "evict sessions idle for this long (negative = never)")
 		maxSessions = flag.Int("max-sessions", engine.DefaultMaxSessions, "maximum live sessions; the idlest is evicted beyond this")
@@ -107,8 +106,10 @@ func main() {
 		col.ApplyTFIDF()
 	}
 	cfg := engine.Config{
-		Metric:            sim.Cosine{},
-		Parallelism:       *par,
+		Metric: sim.Cosine{},
+		// A server's parallelism is its concurrent requests: every
+		// selection runs serially on its own one (DESIGN.md §5b).
+		Parallelism:       1,
 		AsyncPrefetch:     *asyncPre,
 		RequestTimeout:    *reqTimeout,
 		SessionTTL:        *sessionTTL,

@@ -28,30 +28,35 @@ func benchRegion(tb testing.TB, store *geodata.Store, target int) ([]geodata.Obj
 
 // BenchmarkSelectCosineCold is one cold /select of the end-to-end
 // benchmark's select_cold workload, in process: k = 100, θ = 0.003·side,
-// Cosine, at the workload's median region (374 objects) and its
-// largest (1400). Parallelism 1, so ns/op is CPU time per run.
+// Cosine, at the workload's median region (374 objects), its largest
+// (1400) and a larger one (3100). At parallelism=1 ns/op is CPU time per
+// run; parallelism=2 adds the per-run worker pool, and the pair is the
+// measurement behind running the server's selections serially
+// (DESIGN.md §5b) — rerun it on another machine to revisit that choice.
 func BenchmarkSelectCosineCold(b *testing.B) {
 	store, err := dataset.GenerateStore(dataset.POISpec(100000, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, target := range []int{374, 1400} {
+	for _, target := range []int{374, 1400, 3100} {
 		objs, side := benchRegion(b, store, target)
-		b.Run(fmt.Sprintf("objects=%d", target), func(b *testing.B) {
-			b.ReportAllocs()
-			var evals int
-			for i := 0; i < b.N; i++ {
-				s := &Selector{
-					Config:  engine.Config{K: 100, Theta: 0.003 * side, Metric: sim.Cosine{}, Parallelism: 1},
-					Objects: objs,
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("objects=%d/parallelism=%d", target, par), func(b *testing.B) {
+				b.ReportAllocs()
+				var evals int
+				for i := 0; i < b.N; i++ {
+					s := &Selector{
+						Config:  engine.Config{K: 100, Theta: 0.003 * side, Metric: sim.Cosine{}, Parallelism: par},
+						Objects: objs,
+					}
+					res, err := s.Run(context.Background())
+					if err != nil {
+						b.Fatal(err)
+					}
+					evals = res.Evals
 				}
-				res, err := s.Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				evals = res.Evals
-			}
-			b.ReportMetric(float64(evals), "evals/op")
-		})
+				b.ReportMetric(float64(evals), "evals/op")
+			})
+		}
 	}
 }

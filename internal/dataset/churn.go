@@ -11,7 +11,7 @@ import (
 
 // ChurnSpec parameterizes a synthetic mutation trace over a base
 // collection — the workload the live store ingests in the churn tests
-// and the ingest-churn benchmark suite.
+// and that cmd/datagen -churn writes out.
 type ChurnSpec struct {
 	// Mutations is the trace length.
 	Mutations int

@@ -298,7 +298,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		if a.ID != b.ID || a.Loc != b.Loc || a.Weight != b.Weight || a.Text != b.Text {
 			t.Fatalf("object %d differs after round trip: %+v vs %+v", i, a, b)
 		}
-		if c := a.Vec.Cosine(b.Vec); math.Abs(c-1) > 1e-9 && !a.Vec.IsZero() {
+		if c := a.Vec.Cosine(b.Vec); c < 1-0x1p-20 && !a.Vec.IsZero() {
 			t.Fatalf("object %d term vector changed: cosine %v", i, c)
 		}
 	}

@@ -11,8 +11,7 @@ import (
 
 // TimedMutation is one entry of a churn trace: a mutation plus its
 // position and offset on the trace's timeline. Traces are what
-// cmd/datagen -churn emits and what the benchrunner ingest-churn suite
-// and the HTTP ingest endpoint replay.
+// cmd/datagen -churn emits and what the churn tests replay.
 type TimedMutation struct {
 	// Seq is the 0-based position in the trace.
 	Seq int

@@ -209,54 +209,48 @@ func (r *Rows) Fill(dst []float64, lo, hi, c int) {
 // shortcut; the caller then sums Fill rows as before.
 //
 // Only Cosine has one: its row sum is linear, ô_c·A with A = Σ_i w_i·ô_i
-// and ô = v/‖v‖. Three corrections keep the value above what the
-// chunked reductions make of Fill (DESIGN.md §5d). Sim(o_c, o_c) is
-// exactly 1 whatever the stored norm makes of v_c·v_c/‖v_c‖², so the
-// shortfall is added back (a zero-norm c gets w_c alone). Unclamped
-// quotients dominate Fill's [0, 1] clamp only if every dot is
-// non-negative, so a negative or NaN term weight, norm or w declines.
-// And either summation order is within n + maxnnz + 8 roundings of the
-// real sum, so the result is inflated by 1 + 4(n + maxnnz + 8)·2⁻⁵³.
+// over the stored unit vectors ô. Three corrections keep the value above
+// what the chunked reductions make of Fill (DESIGN.md §5d). Sim(o_c, o_c)
+// is exactly 1 whatever float32 rounding makes of ô_c·ô_c, so the
+// shortfall is added back (an empty c gets w_c alone). A dot dominates
+// Fill's [0, 1] clamp only if it is non-negative, so a negative or NaN
+// term weight or w declines. And either summation order is within
+// n + maxnnz + 8 roundings of the real sum, so the result is inflated by
+// 1 + 4(n + maxnnz + 8)·2⁻⁵³.
 func (r *Rows) RowSums(dst, w []float64, cs []int) bool {
 	if r.kind != rowsCosine {
 		return false
 	}
 	p := &r.vecs
+	n := len(p.Off) - 1
 	acc := make([]float64, len(r.postOff)-1) // A, by local term id
 	maxnnz := 0
-	for i, ni := range p.Norms {
-		if !(w[i] >= 0 && ni >= 0) {
+	for i := range n {
+		wi := w[i]
+		if !(wi >= 0) {
 			return false
 		}
 		lo, hi := p.Off[i], p.Off[i+1]
 		maxnnz = max(maxnnz, int(hi-lo))
-		scale := 0.0
-		if ni > 0 {
-			scale = w[i] / ni
-		}
 		for k := lo; k < hi; k++ {
 			x := float64(textsim.UnpackWeight(p.Words[k]))
 			if !(x >= 0) {
 				return false
 			}
-			acc[r.termOf[k]] += scale * x
+			acc[r.termOf[k]] += wi * x
 		}
 	}
-	inflate := 1 + 4*float64(len(p.Norms)+maxnnz+8)*0x1p-53
+	inflate := 1 + 4*float64(n+maxnnz+8)*0x1p-53
 	for k, c := range cs {
-		b := w[c]
-		if nc := p.Norms[c]; nc > 0 {
-			var dot, self float64
-			for k := p.Off[c]; k < p.Off[c+1]; k++ {
-				x := float64(textsim.UnpackWeight(p.Words[k]))
-				dot += x * acc[r.termOf[k]]
-				self += x * x
-			}
-			b = dot/nc + w[c]*max(0, 1-self/(nc*nc))
+		var dot, self float64
+		for k := p.Off[c]; k < p.Off[c+1]; k++ {
+			x := float64(textsim.UnpackWeight(p.Words[k]))
+			dot += x * acc[r.termOf[k]]
+			self += x * x
 		}
-		b *= inflate
+		b := (dot + w[c]*max(0, 1-self)) * inflate
 		if !(b >= 0) {
-			return false // NaN out of an overflowed quotient
+			return false // NaN out of an overflowed product
 		}
 		dst[k] = b
 	}
@@ -278,11 +272,12 @@ func gaussSim(dx, dy, sigma float64) float64 {
 
 // fillCosine is Fill for the Cosine kind. Instead of merge-joining c's
 // row with each of the hi−lo others, it scatters c's terms over their
-// posting runs inside [lo, hi): dst[i-lo] accumulates w_i·w_c for every
+// posting runs inside [lo, hi): dst[i-lo] accumulates ô_i·ô_c for every
 // term i shares with c. Terms are walked in c's ascending id order and
 // every dst entry starts at +0.0, so each entry adds the products
-// DotWords(row_i, row_c) adds, in its order — the same float64, then
-// the same quotient and clamps as Cosine.Sim.
+// DotWords(row_i, row_c) adds, in its order — the same float64, then the
+// same clamp as Cosine.Sim (the vectors are unit-length, so the clamped
+// dot is the cosine).
 //
 //geolint:hotpath
 func (r *Rows) fillCosine(dst []float64, lo, hi, c int) {
@@ -310,9 +305,8 @@ func (r *Rows) fillCosine(dst []float64, lo, hi, c int) {
 			dst[i-lo] += float64(textsim.UnpackWeight(p)) * wc
 		}
 	}
-	cNorm := r.vecs.Norms[c]
-	for k, ni := range r.vecs.Norms[lo:hi] {
-		dst[k] = textsim.CosineOf(dst[k], ni, cNorm)
+	for k, d := range dst {
+		dst[k] = textsim.Clamp01(d)
 	}
 	if lo <= c && c < hi {
 		dst[c-lo] = 1

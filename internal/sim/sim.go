@@ -30,9 +30,11 @@ func (f Func) Sim(a, b *geodata.Object) float64 { return f(a, b) }
 
 // Cosine measures similarity as the cosine of the objects' term vectors
 // — the metric used for the Twitter and POI datasets in Section 7.1.
-// Two textless objects have similarity 1 if they are the same object and
-// 0 otherwise (the zero vector's cosine with anything is 0; identity is
-// special-cased to keep the self-similarity axiom).
+// The vectors are stored unit-length, so the cosine is their dot
+// product clamped to [0, 1]. Identity is special-cased to keep the
+// self-similarity axiom: an object scores exactly 1 with itself, while
+// two distinct objects of identical text score within float32 rounding
+// of 1 (at least 1 − 2⁻²⁰), and two textless objects score 0.
 type Cosine struct{}
 
 // Sim implements Metric.

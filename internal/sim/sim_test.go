@@ -24,8 +24,8 @@ func TestCosineMetric(t *testing.T) {
 	b := obj(vocab, 1, 1, "coffee shop downtown")
 	c := obj(vocab, 0, 0, "museum of art")
 	m := Cosine{}
-	if got := m.Sim(a, b); math.Abs(got-1) > 1e-9 {
-		t.Errorf("identical text: %v", got)
+	if got := m.Sim(a, b); got > 1 || got < 1-0x1p-20 {
+		t.Errorf("identical text: %v, want within 2⁻²⁰ of 1", got)
 	}
 	if got := m.Sim(a, c); got != 0 {
 		t.Errorf("disjoint text: %v", got)
@@ -41,6 +41,43 @@ func TestCosineMetric(t *testing.T) {
 	}
 	if got := m.Sim(e1, e2); got != 0 {
 		t.Errorf("textless pair: %v", got)
+	}
+}
+
+// Cosine over unit vectors is a clamped dot product: bitwise symmetric,
+// in [0, 1], exactly 1 for an object with itself, and within float32
+// rounding (2⁻²⁰) of 1 for two distinct objects with identical text.
+func TestCosineIsAClampedUnitDot(t *testing.T) {
+	vocab := textsim.NewVocabulary()
+	words := []string{"cafe", "bar", "park", "gym", "zoo", "pier", "art"}
+	rng := rand.New(rand.NewSource(41))
+	text := func() string {
+		s := ""
+		for k := rng.Intn(9); k > 0; k-- {
+			s += words[rng.Intn(len(words))] + " "
+		}
+		return s
+	}
+	m := Cosine{}
+	for i := 0; i < 2000; i++ {
+		a, b := obj(vocab, 0, 0, text()), obj(vocab, 0, 0, text())
+		ab, ba := m.Sim(a, b), m.Sim(b, a)
+		if math.Float64bits(ab) != math.Float64bits(ba) {
+			t.Fatalf("%q vs %q: asymmetric %v / %v", a.Text, b.Text, ab, ba)
+		}
+		if !(ab >= 0 && ab <= 1) {
+			t.Fatalf("%q vs %q: %v outside [0, 1]", a.Text, b.Text, ab)
+		}
+		if m.Sim(a, a) != 1 {
+			t.Fatalf("%q: self-similarity %v", a.Text, m.Sim(a, a))
+		}
+		if a.Vec.IsZero() {
+			continue
+		}
+		twin := obj(vocab, 1, 1, a.Text)
+		if got := m.Sim(a, twin); got < 1-0x1p-20 {
+			t.Fatalf("%q: identical text scores %v, below 1 − 2⁻²⁰", a.Text, got)
+		}
 	}
 }
 

@@ -1,32 +1,32 @@
 // The packed term layout. A Vector holds one word per term — the term
-// id in the high 32 bits, the weight's IEEE-754 float32 bit pattern in
-// the low 32 — sorted ascending by term id, so comparing the high bits
-// of two words compares their term ids and one merge-join (DotWords) is
-// the only dot-product loop of the package. Packed concatenates the
-// words of many vectors into one CSR arena plus a norm column: the flat
+// id in the high 32 bits, the normalized weight's IEEE-754 float32 bit
+// pattern in the low 32 — sorted ascending by term id, so comparing the
+// high bits of two words compares their term ids and one merge-join
+// (DotWords) is the only dot-product loop of the package. Packed
+// concatenates the words of many vectors into one CSR arena: the flat
 // layout behind the cosine rows of sim.Rows, which streams contiguous
 // runs instead of chasing one slice header per object.
 //
-// The weight bits are stored exactly, so every dot product and cosine
-// is the same float64 whichever container the words sit in. (A lossy
-// b-bit quantization of the weights would bound the per-term error by
-// Δ/2 with Δ the quantization step, giving |dot − dot_q| ≤
-// Δ·(‖a‖₁+‖b‖₁)/2; since weights are already float32, keeping their
-// exact bits costs nothing extra and keeps the error identically zero —
-// see DESIGN.md §9.)
+// A weight is normalized once, when its vector is built, and rounded to
+// float32 there; from then on its bits are stored exactly, so every dot
+// product and cosine is the same float64 whichever container the words
+// sit in, and no norm travels with them. (The one rounding moves a
+// cosine by about 2⁻²³ relative, and two distinct vectors of identical
+// text may dot to within 2⁻²⁰ of 1 rather than exactly 1. A lossy b-bit
+// quantization of the weights would bound the per-term error by Δ/2
+// with Δ the quantization step, giving |dot − dot_q| ≤ Δ·(‖a‖₁+‖b‖₁)/2;
+// float32 bits cost nothing extra — see DESIGN.md §9.)
 package textsim
 
 import "math"
 
 // Packed is a CSR arena of term vectors: vector i's words are
-// Words[Off[i]:Off[i+1]], in the Vector's own order, and Norms[i] is
-// its Vector.Norm.
+// Words[Off[i]:Off[i+1]], in the Vector's own order.
 //
 //geolint:hotpath
 type Packed struct {
 	Off   []int32
 	Words []uint64
-	Norms []float64
 }
 
 // PackWord packs one (term id, weight) pair into a CSR word.
@@ -50,12 +50,10 @@ func Pack(vecs []Vector) Packed {
 	p := Packed{
 		Off:   make([]int32, len(vecs)+1),
 		Words: make([]uint64, 0, total),
-		Norms: make([]float64, len(vecs)),
 	}
 	for i := range vecs {
 		p.Off[i] = int32(len(p.Words))
 		p.Words = append(p.Words, vecs[i].Words...)
-		p.Norms[i] = vecs[i].Norm
 	}
 	p.Off[len(vecs)] = int32(len(p.Words))
 	return p
@@ -98,5 +96,5 @@ func DotWords(a, b []uint64) float64 {
 // Cosine returns the cosine similarity of packed vectors i and j,
 // bitwise-equal to Vector.Cosine on the source vectors.
 func (p *Packed) Cosine(i, j int) float64 {
-	return CosineOf(p.Dot(i, j), p.Norms[i], p.Norms[j])
+	return Clamp01(p.Dot(i, j))
 }

@@ -55,9 +55,6 @@ func TestPackedMatchesVector(t *testing.T) {
 			if len(p.Row(i)) != len(vecs[i].Words) {
 				t.Fatalf("seed %d: row %d has %d words for %d terms", seed, i, len(p.Row(i)), len(vecs[i].Words))
 			}
-			if p.Norms[i] != vecs[i].Norm {
-				t.Fatalf("seed %d: norm %d = %v, want %v", seed, i, p.Norms[i], vecs[i].Norm)
-			}
 			for j := range vecs {
 				if got, want := p.Dot(i, j), vecs[i].Dot(vecs[j]); got != want {
 					t.Fatalf("seed %d: Dot(%d,%d) = %v, want %v", seed, i, j, got, want)

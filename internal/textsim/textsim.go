@@ -1,6 +1,7 @@
 // Package textsim provides the textual-similarity substrate: a
-// tokenizer, a vocabulary that interns terms to dense ids, sparse term
-// vectors with precomputed norms, and cosine similarity. The paper
+// tokenizer, a vocabulary that interns terms to dense ids, unit-length
+// sparse term vectors, and cosine similarity as their clamped dot
+// product. The paper
 // measures the similarity of two geo-tagged tweets or POIs by the cosine
 // similarity of their keyword vectors (Section 7.1); this package makes
 // that metric cheap enough to sit inside the greedy algorithm's inner
@@ -67,20 +68,21 @@ func (v *Vocabulary) Term(id int) (string, bool) {
 // Len reports the number of distinct terms seen.
 func (v *Vocabulary) Len() int { return len(v.terms) }
 
-// Vector is a sparse term-frequency vector in the packed layout every
+// Vector is a unit-length sparse term vector in the packed layout every
 // similarity loop reads (packed.go): one word per term, the term id in
-// the high 32 bits and the float32 weight bits in the low 32, sorted
-// strictly ascending by term id, plus the precomputed Euclidean norm.
-// Build one with NewVector or FromText; the zero Vector is the empty
-// vector.
+// the high 32 bits and the float32 bits of the normalized weight
+// ŵ = w/‖w‖ in the low 32, sorted strictly ascending by term id. A
+// Vector is unit-length (Σŵ² = 1 up to float32 rounding) or empty, so
+// the cosine of two vectors is their dot product. Build one with
+// NewVector or FromText; the zero Vector is the empty vector.
 type Vector struct {
 	Words []uint64
-	Norm  float64
 }
 
-// NewVector builds a vector from a term-id -> weight map. Zero and
-// negative weights are dropped (cosine over non-negative term frequencies
-// is the intended use, keeping similarities in [0, 1]).
+// NewVector builds the unit vector of a term-id -> weight map. Zero,
+// negative and NaN weights are dropped (cosine over non-negative term
+// frequencies is the intended use, keeping similarities in [0, 1]); a
+// map with no positive weight gives the empty vector.
 func NewVector(tf map[int]float64) Vector {
 	ids := make([]int, 0, len(tf))
 	for id, w := range tf {
@@ -89,14 +91,17 @@ func NewVector(tf map[int]float64) Vector {
 		}
 	}
 	sort.Ints(ids)
-	v := Vector{Words: make([]uint64, len(ids))}
 	var norm2 float64
-	for i, id := range ids {
-		w := tf[id]
-		v.Words[i] = PackWord(int32(id), float32(w))
-		norm2 += w * w
+	for _, id := range ids {
+		norm2 += tf[id] * tf[id]
 	}
-	v.Norm = math.Sqrt(norm2)
+	norm := math.Sqrt(norm2)
+	v := Vector{Words: make([]uint64, 0, len(ids))}
+	for _, id := range ids {
+		if u := float32(tf[id] / norm); u > 0 {
+			v.Words = append(v.Words, PackWord(int32(id), u))
+		}
+	}
 	return v
 }
 
@@ -128,29 +133,23 @@ func (a Vector) IsZero() bool { return len(a.Words) == 0 }
 //geolint:hotpath
 func (a Vector) Dot(b Vector) float64 { return DotWords(a.Words, b.Words) }
 
-// Cosine returns the cosine similarity of a and b in [0, 1]. The cosine
-// of anything with the zero vector is 0.
+// Cosine returns the cosine similarity of a and b in [0, 1]: their dot
+// product, clamped. The cosine of anything with the empty vector is 0.
 //
 //geolint:hotpath
-func (a Vector) Cosine(b Vector) float64 {
-	return CosineOf(a.Dot(b), a.Norm, b.Norm)
-}
+func (a Vector) Cosine(b Vector) float64 { return Clamp01(a.Dot(b)) }
 
-// CosineOf turns a dot product and the two norms into the cosine every
-// layout reports: 0 against a zero norm, otherwise the quotient clamped
-// against floating-point drift beyond [0, 1].
+// Clamp01 turns the dot product of two unit vectors into the cosine
+// every layout reports: the dot clamped against float32 rounding (and
+// hand-built vectors) beyond [0, 1]. A NaN stays NaN.
 //
 //geolint:hotpath
-func CosineOf(dot, na, nb float64) float64 {
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	c := dot / (na * nb)
-	if c > 1 {
+func Clamp01(dot float64) float64 {
+	if dot > 1 {
 		return 1
 	}
-	if c < 0 {
+	if dot < 0 {
 		return 0
 	}
-	return c
+	return dot
 }

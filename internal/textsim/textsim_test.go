@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -71,17 +72,75 @@ func TestNewVectorDropsNonPositive(t *testing.T) {
 	if v.Words[0]>>32 != 1 || v.Words[1]>>32 != 4 {
 		t.Errorf("words = %x, want ids sorted [1 4]", v.Words)
 	}
-	wantNorm := math.Sqrt(2*2 + 1*1)
-	if math.Abs(v.Norm-wantNorm) > 1e-9 {
-		t.Errorf("norm = %v, want %v", v.Norm, wantNorm)
+	// The kept weights 2 and 1 are stored divided by their norm √5.
+	for k, want := range []float64{2 / math.Sqrt(5), 1 / math.Sqrt(5)} {
+		if got := UnpackWeight(v.Words[k]); got != float32(want) {
+			t.Errorf("weight %d = %v, want float32(%v)", k, got, want)
+		}
+	}
+}
+
+// checkUnit asserts the Vector contract: empty, or strictly ascending ids
+// with strictly positive finite weights whose squares sum to 1 within
+// nnz·2⁻²³ — float32 rounding moves each square by at most 2⁻²³
+// relative.
+func checkUnit(t *testing.T, name string, v Vector) {
+	t.Helper()
+	var sum float64
+	for k, word := range v.Words {
+		if k > 0 && word>>32 <= v.Words[k-1]>>32 {
+			t.Fatalf("%s: ids not strictly ascending: %x", name, v.Words)
+		}
+		w := float64(UnpackWeight(word))
+		if !(w > 0) || math.IsInf(w, 0) {
+			t.Fatalf("%s: weight %d = %v, want positive and finite", name, k, w)
+		}
+		sum += w * w
+	}
+	if len(v.Words) > 0 && math.Abs(sum-1) > float64(len(v.Words))*0x1p-23 {
+		t.Fatalf("%s: Σŵ² = %v, more than %d·2⁻²³ off 1", name, sum, len(v.Words))
+	}
+}
+
+// Every constructor returns a unit vector or the empty one, and
+// Reweight never turns a zero, negative or NaN factor into a NaN weight.
+func TestVectorsAreUnit(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	vocab := NewVocabulary()
+	words := []string{"a", "b", "c", "d", "e", "f", "g"}
+	for i := 0; i < 300; i++ {
+		tf := make(map[int]float64)
+		var terms []string
+		for k := rng.Intn(8); k > 0; k-- {
+			tf[rng.Intn(50)] = []float64{-1, 0, 1e-30, 0.25, 1, 3, 1e30, math.NaN()}[rng.Intn(8)]
+			terms = append(terms, words[rng.Intn(len(words))])
+		}
+		v := NewVector(tf)
+		checkUnit(t, "NewVector", v)
+		checkUnit(t, "FromTerms", FromTerms(vocab, terms))
+		checkUnit(t, "FromText", FromText(vocab, strings.Join(terms, " ")))
+		factors := make([]float64, 40)
+		for id := range factors {
+			factors[id] = []float64{0, -2, math.NaN(), 0.5, 1, 7}[rng.Intn(6)]
+		}
+		checkUnit(t, "Reweight", v.Reweight(factors))
+	}
+	for name, factors := range map[string][]float64{
+		"zero":     {0, 0, 0},
+		"negative": {-1, -1, -1},
+		"NaN":      {math.NaN(), math.NaN(), math.NaN()},
+	} {
+		if r := NewVector(map[int]float64{0: 1, 2: 3}).Reweight(factors); !r.IsZero() {
+			t.Errorf("%s factors: Reweight = %x, want the empty vector", name, r.Words)
+		}
 	}
 }
 
 func TestCosineKnownValues(t *testing.T) {
 	a := NewVector(map[int]float64{0: 1, 1: 1})
 	b := NewVector(map[int]float64{0: 1, 1: 1})
-	if got := a.Cosine(b); math.Abs(got-1) > 1e-9 {
-		t.Errorf("identical vectors: cosine = %v", got)
+	if got := a.Cosine(b); got > 1 || got < 1-0x1p-20 {
+		t.Errorf("identical vectors: cosine = %v, want within 2⁻²⁰ of 1", got)
 	}
 	c := NewVector(map[int]float64{2: 1, 3: 1})
 	if got := a.Cosine(c); got != 0 {
@@ -136,11 +195,16 @@ func TestDotAgainstDense(t *testing.T) {
 	f := func(aw, bw [16]uint8) bool {
 		ta := map[int]float64{}
 		tb := map[int]float64{}
-		var dense float64
+		var dense, na, nb float64
 		for i := 0; i < 16; i++ {
 			ta[i] = float64(aw[i])
 			tb[i] = float64(bw[i])
 			dense += float64(aw[i]) * float64(bw[i])
+			na += float64(aw[i]) * float64(aw[i])
+			nb += float64(bw[i]) * float64(bw[i])
+		}
+		if na > 0 && nb > 0 {
+			dense /= math.Sqrt(na * nb) // the vectors are stored unit-length
 		}
 		got := NewVector(ta).Dot(NewVector(tb))
 		return math.Abs(got-dense) < 1e-6
@@ -157,12 +221,12 @@ func TestFromText(t *testing.T) {
 		t.Fatalf("vocab len = %d", vocab.Len())
 	}
 	coffeeID, _ := vocab.Lookup("coffee")
-	// "coffee" should carry weight 2.
+	// "coffee" should carry weight 2, normalized by the norm √5.
 	found := false
 	for _, word := range v.Words {
 		if int(word>>32) == coffeeID {
 			found = true
-			if w := UnpackWeight(word); w != 2 {
+			if w := UnpackWeight(word); w != float32(2/math.Sqrt(5)) {
 				t.Errorf("coffee weight = %v", w)
 			}
 		}
@@ -184,8 +248,8 @@ func TestFromTerms(t *testing.T) {
 	vocab := NewVocabulary()
 	a := FromTerms(vocab, []string{"x", "y", "x"})
 	b := FromText(vocab, "x y x")
-	if got := a.Cosine(b); math.Abs(got-1) > 1e-9 {
-		t.Errorf("FromTerms and FromText disagree: cosine = %v", got)
+	if !reflect.DeepEqual(a.Words, b.Words) {
+		t.Errorf("FromTerms and FromText disagree: %x vs %x", a.Words, b.Words)
 	}
 	empty := FromTerms(vocab, nil)
 	if !empty.IsZero() {

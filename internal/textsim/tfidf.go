@@ -27,23 +27,20 @@ func IDF(df []int, n int) []float64 {
 	return idf
 }
 
-// Reweight returns a copy of v with each term's weight multiplied by
-// factors[id] (terms whose id is out of range keep their weight). The
-// norm is recomputed. Used to turn raw term-frequency vectors into
-// TF-IDF vectors, which sharpens cosine similarity on corpora where a
-// few terms dominate.
+// Reweight returns NewVector of v's weights each multiplied by
+// factors[id] (terms whose id is out of range keep their weight):
+// renormalized, with every term whose weight is no longer positive
+// dropped. Used to turn raw term-frequency vectors into TF-IDF vectors,
+// which sharpens cosine similarity on corpora where a few terms
+// dominate.
 func (v Vector) Reweight(factors []float64) Vector {
-	out := Vector{Words: make([]uint64, len(v.Words))}
-	var norm2 float64
-	for i, word := range v.Words {
-		id := int32(word >> 32)
-		w := float64(UnpackWeight(word))
-		if int(id) < len(factors) {
-			w *= factors[id]
+	tf := make(map[int]float64, len(v.Words))
+	for _, word := range v.Words {
+		id := int(word >> 32)
+		tf[id] = float64(UnpackWeight(word))
+		if id < len(factors) {
+			tf[id] *= factors[id]
 		}
-		out.Words[i] = PackWord(id, float32(w))
-		norm2 += w * w
 	}
-	out.Norm = math.Sqrt(norm2)
-	return out
+	return NewVector(tf)
 }

@@ -36,24 +36,29 @@ func TestIDFOrdering(t *testing.T) {
 }
 
 func TestReweight(t *testing.T) {
+	// (1, 2)/√5 reweighted by (2, 0.5) is (2, 1)/√5, renormalized: the
+	// norm is 1 up to float32 rounding, so the weights stay within it.
 	v := NewVector(map[int]float64{0: 1, 1: 2})
 	w := v.Reweight([]float64{2, 0.5})
-	if UnpackWeight(w.Words[0]) != 2 || UnpackWeight(w.Words[1]) != 1 {
-		t.Errorf("words = %x", w.Words)
-	}
-	wantNorm := math.Sqrt(4 + 1)
-	if math.Abs(w.Norm-wantNorm) > 1e-6 {
-		t.Errorf("norm = %v, want %v", w.Norm, wantNorm)
+	for k, want := range []float64{2 / math.Sqrt(5), 1 / math.Sqrt(5)} {
+		if got := float64(UnpackWeight(w.Words[k])); math.Abs(got-want) > 2*0x1p-24 {
+			t.Errorf("weight %d = %v, want %v", k, got, want)
+		}
 	}
 	// Original untouched.
-	if UnpackWeight(v.Words[0]) != 1 {
+	if UnpackWeight(v.Words[0]) != float32(1/math.Sqrt(5)) {
 		t.Error("Reweight mutated the receiver")
 	}
-	// Out-of-range ids keep weights.
+	// Out-of-range ids keep weights: a lone term stays at 1.
 	u := NewVector(map[int]float64{5: 3})
 	ru := u.Reweight([]float64{2})
-	if UnpackWeight(ru.Words[0]) != 3 {
+	if UnpackWeight(ru.Words[0]) != 1 {
 		t.Errorf("out-of-range weight changed: %x", ru.Words)
+	}
+	// A term reweighted to zero is dropped, and the rest renormalized.
+	z := v.Reweight([]float64{0, 1})
+	if len(z.Words) != 1 || z.Words[0]>>32 != 1 || UnpackWeight(z.Words[0]) != 1 {
+		t.Errorf("zeroed term kept: %x", z.Words)
 	}
 }
 
