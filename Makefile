@@ -22,10 +22,10 @@ race:
 	go test -race ./internal/...
 
 # churn runs the snapshot-isolation suite — sessions navigating while
-# the live store ingests — under the race detector with the runtime
-# invariants compiled in.
+# the live store ingests and compacts — under the race detector with the
+# runtime invariants compiled in.
 churn:
-	go test -race -tags geoselcheck -run Churn -count=1 ./internal/livestore ./internal/isos ./internal/tilecache
+	go test -race -tags geoselcheck -run 'Churn|Compaction' -count=1 ./internal/livestore ./internal/isos ./internal/tilecache
 
 # tilecache runs the tile-grain cache suite — stitched-serving property
 # tests with the runtime invariants on, then the invalidation churn test
@@ -62,6 +62,8 @@ escapecheck:
 escapebaseline:
 	go run ./tools/escapediff -update
 
+# A -fuzz pattern must match exactly one target in its package, hence
+# the anchors where several targets share one.
 fuzz:
 	go test -run=NONE -fuzz=FuzzDeriveConsistency -fuzztime=10s ./internal/isos
 	go test -run=NONE -fuzz=FuzzRowSums -fuzztime=10s ./internal/sim
@@ -71,6 +73,11 @@ fuzz:
 	go test -run=NONE -fuzz=FuzzDecodeTile -fuzztime=10s ./internal/tilecache
 	go test -run=NONE -fuzz=FuzzRequestBodies -fuzztime=10s ./internal/server
 	go test -run=NONE -fuzz=FuzzReadTrace -fuzztime=10s ./internal/livestore
+	go test -run=NONE -fuzz='^FuzzReadCSV$$' -fuzztime=10s ./internal/dataset
+	go test -run=NONE -fuzz='^FuzzReadJSONL$$' -fuzztime=10s ./internal/dataset
+	go test -run=NONE -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/dataset
+	go test -run=NONE -fuzz='^FuzzReadAuto$$' -fuzztime=10s ./internal/dataset
+	go test -run=NONE -fuzz='^FuzzTokenize$$' -fuzztime=10s ./internal/textsim
 
 bench:
 	go test -run=NONE -bench=. -benchmem ./internal/core ./internal/prefetch

@@ -286,8 +286,12 @@ func NewSession(src Source, cfg SessionConfig) (*Session, error) {
 
 // NewLiveStore builds a mutable, versioned store seeded with the
 // collection's objects (copied; the vocabulary becomes writer-owned).
-// With no mutations applied, selections over it are bitwise-identical
-// to selections over NewStore of the same collection. cfg supplies
+// Its regions come back in ascending position order, where NewStore's
+// R-tree answers in leaf order, and a selection's float sums follow
+// that order: with no mutations applied the two agree except at
+// near-ties, where identical-text twins can swap or, rarely, the
+// greedy path differs. Its memory follows the live objects (see
+// LiveStore.Stats). cfg supplies
 // Parallelism (incremental index maintenance for large batches) and
 // IngestBatch (the Enqueue auto-flush threshold); zero values take the
 // engine defaults.

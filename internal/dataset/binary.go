@@ -67,6 +67,11 @@ func WriteBinary(w io.Writer, col *geodata.Collection) error {
 				return fmt.Errorf("dataset: object %d floats: %w", i, err)
 			}
 		}
+		if len(o.Text) > maxBinaryText {
+			// ReadBinary refuses such a length, so writing it would
+			// produce a snapshot nothing can load.
+			return fmt.Errorf("dataset: object %d text length %d exceeds limit %d", i, len(o.Text), maxBinaryText)
+		}
 		if err := putUvarint(uint64(len(o.Text))); err != nil {
 			return fmt.Errorf("dataset: object %d text length: %w", i, err)
 		}

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -429,6 +430,25 @@ func TestReadBinaryErrors(t *testing.T) {
 	evil.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // huge text length
 	if _, err := ReadBinary(&evil); err == nil {
 		t.Error("oversized text length accepted")
+	}
+}
+
+// WriteBinary refuses a text ReadBinary would refuse to load, rather
+// than writing a snapshot nothing can read back.
+func TestWriteBinaryRejectsUnreadableText(t *testing.T) {
+	col := geodata.NewCollection()
+	col.Objects = append(col.Objects, geodata.Object{ID: 1, Text: strings.Repeat("a", maxBinaryText+1)})
+	if err := WriteBinary(io.Discard, col); err == nil {
+		t.Fatal("text over the reader's limit written")
+	}
+	col.Objects[0].Text = col.Objects[0].Text[:maxBinaryText]
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, col); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadBinary(&buf)
+	if err != nil || len(back.Objects) != 1 || back.Objects[0].Text != col.Objects[0].Text {
+		t.Fatalf("text at the limit did not round-trip: err %v", err)
 	}
 }
 

@@ -44,13 +44,14 @@ type Source interface {
 	Snapshot() (View, uint64)
 }
 
-// LiveView is implemented by views whose position space can lose members
-// across versions (deletes, updates that supersede a slot). LivePos lets
-// a session translate positions pinned at an older version: positions
-// are stable — a slot is never reused — so a position either still
-// refers to the same object here, or the object is gone and LivePos
-// reports false.
+// LiveView is implemented by views whose position space changes across
+// versions: deletes and updates that supersede a slot lose members, and
+// a live store's compaction renumbers the survivors. LivePos lets a
+// session carry positions pinned at an older version into this one: it
+// returns the position of the same object here, or ok = false when the
+// object is gone. A view may also report positions pinned too far back
+// (for livestore, before its previous compaction) as gone.
 type LiveView interface {
 	View
-	LivePos(pos int) bool
+	LivePos(pos int, pinned uint64) (int, bool)
 }

@@ -1,15 +1,17 @@
 package isos
 
 // Version-awareness tests for live stores: stale prefetch discard
-// (async and sync), repin filtering, and the acceptance-criterion
-// matrix proving a mutation-free live store selects bitwise-identically
-// to the static store engine. Named *Churn* so CI's churn-stress job
+// (async and sync), repin filtering and translation across compactions,
+// and the matrix proving a mutation-free live store selects
+// bitwise-identically to the static store engine given the same region
+// order. Named *Churn* so CI's churn-stress job
 // (`go test -race -run Churn -tags geoselcheck`) picks them up.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"geosel/internal/engine"
@@ -161,13 +163,13 @@ func TestChurnRepinFiltersVisible(t *testing.T) {
 	}
 	lv := s.view.(geodata.LiveView)
 	for _, p := range s.visible {
-		if !lv.LivePos(p) {
+		if _, ok := lv.LivePos(p, s.version); !ok {
 			t.Fatalf("visible position %d is dead in the repinned view", p)
 		}
 	}
 	for i, h := range s.history {
 		for _, p := range h.visible {
-			if !lv.LivePos(p) {
+			if _, ok := lv.LivePos(p, s.version); !ok {
 				t.Fatalf("history[%d] position %d is dead in the repinned view", i, p)
 			}
 		}
@@ -177,11 +179,151 @@ func TestChurnRepinFiltersVisible(t *testing.T) {
 	}
 }
 
+// compactOnce churns the objects whose IDs are in far, moving each
+// within the strip x < 0.1, until the store compacts once more.
+func compactOnce(t *testing.T, ls *livestore.Store, far []int, rng *rand.Rand) {
+	t.Helper()
+	want := ls.Stats().Compactions + 1
+	for ls.Stats().Compactions < want {
+		muts := make([]livestore.Mutation, 100)
+		for i := range muts {
+			muts[i] = livestore.Mutation{Op: livestore.OpUpdate, ID: far[rng.Intn(len(far))],
+				Loc: geo.Pt(0.1*rng.Float64(), rng.Float64()), Weight: rng.Float64(), Text: "dock moved"}
+		}
+		if _, _, err := ls.Apply(context.Background(), muts); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestChurnSessionAcrossCompactions navigates a session while churn far
+// from its viewport compacts the store. Across one compaction the
+// visible set and history are carried onto the renumbered positions of
+// the same objects, and the step honors the consistency constraints
+// against that carried set. Across two compactions without a
+// navigation in between the session has nothing to carry — its pinned
+// positions predate the previous compaction — so it drops its visible
+// set and history, as if every pinned object had died, and the step is
+// consistent against the empty set.
+func TestChurnSessionAcrossCompactions(t *testing.T) {
+	ctx := context.Background()
+	ls := testLiveStore(t, 3000, 46)
+	var far []int
+	for _, o := range ls.Current().Collection().Objects {
+		if o.Loc.X < 0.15 {
+			far = append(far, o.ID)
+		}
+	}
+	rng := rand.New(rand.NewSource(47))
+	s, err := NewSession(ls, testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.2)
+	if _, err := s.Start(ctx, region); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ZoomIn(ctx, region.ScaleAroundCenter(0.8)); err != nil {
+		t.Fatal(err)
+	}
+	locate := func(p int) geo.Point { return s.view.Collection().Objects[p].Loc }
+
+	// One compaction.
+	oldRegion, oldVisible, pinned := s.Viewport().Region, s.Visible(), s.version
+	oldHistory := append([]int(nil), s.history[0].visible...)
+	compactOnce(t, ls, far, rng)
+	cur := ls.Current()
+	carry := func(pos []int) []int {
+		var out []int
+		for _, p := range pos {
+			q, ok := cur.LivePos(p, pinned)
+			if !ok {
+				t.Fatalf("position %d of an untouched object did not survive the compaction", p)
+			}
+			out = append(out, q)
+		}
+		return out
+	}
+	carried, carriedHistory := carry(oldVisible), carry(oldHistory)
+	moved := false
+	for i := range carried {
+		moved = moved || carried[i] != oldVisible[i]
+	}
+	if !moved {
+		t.Fatal("the compaction renumbered none of the visible positions; the test proves nothing")
+	}
+	newRegion := oldRegion.ScaleAroundCenter(0.7)
+	sel, err := s.ZoomIn(ctx, newRegion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.version != cur.Version() {
+		t.Fatalf("session pinned version %d, want the compaction epoch %d", s.version, cur.Version())
+	}
+	if err := CheckTransition(geo.OpZoomIn, oldRegion, newRegion, carried, sel.Positions, locate); err != nil {
+		t.Fatalf("across one compaction: %v", err)
+	}
+	if got := s.history[len(s.history)-1].visible; !equalInts(got, carried) {
+		t.Fatalf("history's newest entry %v, want the carried visible set %v", got, carried)
+	}
+	if got := s.history[0].visible; !equalInts(got, carriedHistory) {
+		t.Fatalf("history's oldest entry %v, want it carried to %v", got, carriedHistory)
+	}
+
+	// Two compactions between navigations.
+	oldRegion = s.Viewport().Region
+	compactOnce(t, ls, far, rng)
+	compactOnce(t, ls, far, rng)
+	sel, err = s.Pan(ctx, geo.Pt(0.02, -0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckTransition(geo.OpPan, oldRegion, s.Viewport().Region, nil, sel.Positions, locate); err != nil {
+		t.Fatalf("across two compactions: %v", err)
+	}
+	if sel.ForcedCount != 0 {
+		t.Fatalf("%d objects forced from a visible set pinned before the previous compaction", sel.ForcedCount)
+	}
+	for i, h := range s.history {
+		if len(h.visible) != 0 {
+			t.Fatalf("history[%d] kept %d positions pinned before the previous compaction", i, len(h.visible))
+		}
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// ascendingStore is a static store whose Region answers in ascending
+// position order — the order the live store's grid answers in — so a
+// selection over it stages each region exactly as a live snapshot does.
+type ascendingStore struct{ *geodata.Store }
+
+func (a ascendingStore) Region(r geo.Rect) []int {
+	pos := a.Store.Region(r)
+	sort.Ints(pos)
+	return pos
+}
+
+func (a ascendingStore) Snapshot() (geodata.View, uint64) { return a, 0 }
+
 // TestChurnFreeLiveStoreMatchesStaticMatrix is the "no mutations →
-// bitwise identical" acceptance criterion: the same exploration over a
-// static geodata.Store and an untouched livestore must produce equal
-// Positions and bit-for-bit equal Scores in every cell of the
-// Parallelism × sync/async-prefetch matrix.
+// bitwise identical" criterion: the same exploration over a static
+// store answering regions in ascending order and over an untouched live
+// store must produce equal Positions and bit-for-bit equal Scores in
+// every cell of the Parallelism × sync/async-prefetch matrix. The live
+// store's version 0 reads its grid, not an R-tree, so the static side
+// is held to the grid's order rather than the R-tree's leaf order.
 func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 	const n, seed = 1500, 44
 	rng := rand.New(rand.NewSource(seed))
@@ -191,10 +333,11 @@ func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 		text := words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))]
 		col.Add(i, geo.Pt(rng.Float64(), rng.Float64()), rng.Float64(), text)
 	}
-	static, err := geodata.NewStore(col)
+	store, err := geodata.NewStore(col)
 	if err != nil {
 		t.Fatal(err)
 	}
+	static := ascendingStore{store}
 	live, err := livestore.New(col, engine.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -140,36 +140,41 @@ func NewSession(src geodata.Source, cfg Config) (*Session, error) {
 func (s *Session) View() (geodata.View, uint64) { return s.view, s.version }
 
 // repin pins the source's current snapshot for the operation starting
-// now. When ingestion advanced the version since the visible set was
-// selected, positions that died (deleted, or superseded by an update)
-// are dropped from the visible set and from history — their objects no
+// now. When ingestion advanced the version since the last pin, the
+// visible set and history are carried into the new version's position
+// space through LiveView.LivePos: positions whose objects died
+// (deleted, or superseded by an update) are dropped — their objects no
 // longer exist, so no consistency constraint can force them onto the
-// next view. Surviving positions are untouched: slots are immutable, so
-// their locations (and thus every pairwise θ-separation already
-// established) carry over to the new version verbatim.
+// next view — and survivors are renumbered if a compaction moved them.
+// A survivor's slot is copied verbatim, so its location (and thus
+// every pairwise θ-separation already established) carries over. A
+// session pinned before the store's previous compaction loses its
+// whole visible set and history, as if every pinned object had died.
 func (s *Session) repin() {
 	view, ver := s.src.Snapshot()
 	s.view = view
 	if ver == s.version {
 		return
 	}
+	pinned := s.version
 	s.version = ver
 	lv, ok := view.(geodata.LiveView)
 	if !ok {
 		return
 	}
-	s.visible = filterLive(s.visible, lv)
+	s.visible = translateLive(s.visible, lv, pinned)
 	for i := range s.history {
-		s.history[i].visible = filterLive(s.history[i].visible, lv)
+		s.history[i].visible = translateLive(s.history[i].visible, lv, pinned)
 	}
 }
 
-// filterLive drops dead positions in place.
-func filterLive(pos []int, lv geodata.LiveView) []int {
+// translateLive maps positions pinned at version pinned into lv's
+// position space in place, dropping the dead ones.
+func translateLive(pos []int, lv geodata.LiveView, pinned uint64) []int {
 	out := pos[:0]
 	for _, p := range pos {
-		if lv.LivePos(p) {
-			out = append(out, p)
+		if q, ok := lv.LivePos(p, pinned); ok {
+			out = append(out, q)
 		}
 	}
 	return out
@@ -347,10 +352,9 @@ func (s *Session) requireStarted() error {
 	return nil
 }
 
-// locate returns the location of a collection position. Slots are
-// immutable across versions (append-plus-tombstone storage), so
-// positions recorded under an older pinned version still resolve to the
-// same location here.
+// locate returns the location of a collection position in the pinned
+// view. repin carries recorded positions into that view's position
+// space, so they resolve to the same locations they had when recorded.
 func (s *Session) locate(pos int) geo.Point {
 	return s.view.Collection().Objects[pos].Loc
 }

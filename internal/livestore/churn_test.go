@@ -1,8 +1,9 @@
 package livestore_test
 
 // Snapshot-isolation tests: sessions navigating while the store ingests
-// concurrently. These run under -race in CI (the churn-stress job runs
-// `go test -race -run Churn -tags geoselcheck ./...`): epoch pinning
+// and compacts concurrently. These run under -race in CI (the
+// churn-stress job runs `go test -race -run 'Churn|Compaction' -tags
+// geoselcheck` over the live packages): epoch pinning
 // means the navigation path takes no locks, so any missing
 // happens-before edge between the writer and a reader is a race-report,
 // not a flake.
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"geosel/internal/core"
 	"geosel/internal/dataset"
 	"geosel/internal/engine"
 	"geosel/internal/geo"
@@ -136,10 +138,10 @@ func TestChurnNavigateWhileIngesting(t *testing.T) {
 		if sel == nil {
 			continue
 		}
-		view, _ := s.View()
+		view, ver := s.View()
 		lv := view.(geodata.LiveView)
 		for _, p := range sel.Positions {
-			if !lv.LivePos(p) {
+			if q, ok := lv.LivePos(p, ver); !ok || q != p {
 				t.Fatalf("step %d: selected position %d is not live in the pinned view", i, p)
 			}
 		}
@@ -315,6 +317,159 @@ func TestChurnConcurrentReadersOneWriter(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+}
+
+// TestChurnCapacityPlateaus upserts ten times the seed size in random
+// batches while readers query concurrently. The store compacts again
+// and again, and after every commit its capacity stays within twice the
+// live count plus one batch. Every snapshot keeps answering from its own
+// epoch, a snapshot frozen before the churn reads what it read then,
+// and each compaction carries the positions pinned just before it onto
+// the same objects.
+func TestChurnCapacityPlateaus(t *testing.T) {
+	const n, batch = 1000, 64
+	col := churnCollection(t, n, 9)
+	ls, err := livestore.New(col, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}
+	frozen := ls.Current()
+	frozenRegion := frozen.Region(world)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for ctx.Err() == nil {
+				sn := ls.Current()
+				q := geo.RectAround(geo.Pt(rng.Float64(), rng.Float64()), 0.2)
+				objs := sn.Collection().Objects
+				for _, p := range sn.Region(q) {
+					if !q.Contains(objs[p].Loc) {
+						t.Errorf("version %d: position %d outside the query", sn.Version(), p)
+						return
+					}
+					if got, ok := sn.LivePos(p, sn.Version()); !ok || got != p {
+						t.Errorf("version %d: region position %d not live in its own snapshot", sn.Version(), p)
+						return
+					}
+				}
+			}
+		}(int64(20 + r))
+	}
+
+	rng := rand.New(rand.NewSource(10))
+	for done := 0; done < 10*n; done += batch {
+		before := ls.Current()
+		compactions := ls.Stats().Compactions
+		muts := make([]livestore.Mutation, batch)
+		for i := range muts {
+			muts[i] = livestore.Mutation{Op: livestore.OpInsert, ID: rng.Intn(n),
+				Loc: geo.Pt(rng.Float64(), rng.Float64()), Weight: rng.Float64(), Text: "cafe upsert"}
+		}
+		if _, _, err := ls.Apply(ctx, muts); err != nil {
+			t.Fatal(err)
+		}
+		st := ls.Stats()
+		if st.Live != n {
+			t.Fatalf("after %d upserts: %d live, want %d", done+batch, st.Live, n)
+		}
+		if st.Capacity > 2*st.Live+batch {
+			t.Fatalf("after %d upserts: capacity %d above 2 x %d live + %d", done+batch, st.Capacity, st.Live, batch)
+		}
+		if st.Compactions == compactions {
+			continue
+		}
+		cur := ls.Current()
+		bobjs, cobjs := before.Collection().Objects, cur.Collection().Objects
+		for p := range bobjs {
+			q, ok := cur.LivePos(p, before.Version())
+			if ok && (cobjs[q].ID != bobjs[p].ID || cobjs[q].Loc != bobjs[p].Loc || cobjs[q].Weight != bobjs[p].Weight) {
+				t.Fatalf("compaction at version %d: position %d carried to %d holds another object", cur.Version(), p, q)
+			}
+		}
+	}
+	cancel()
+	wg.Wait()
+
+	if st := ls.Stats(); st.Compactions < 5 {
+		t.Fatalf("%d compactions over %d upserts, want several", st.Compactions, 10*n)
+	}
+	if got := frozen.Region(world); !equalPositions(got, frozenRegion) {
+		t.Fatal("a snapshot frozen before the churn changed its region answer")
+	}
+}
+
+// TestChurnSelectionBitwiseAcrossCompaction: a compaction keeps the
+// survivors' relative order, so a region untouched by the compacting
+// churn stages the same objects in the same order and selects bit for
+// bit the same — positions carried through LivePos, gains, score and
+// evaluation count.
+func TestChurnSelectionBitwiseAcrossCompaction(t *testing.T) {
+	const n = 2000
+	col := churnCollection(t, n, 11)
+	ls, err := livestore.New(col, engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := geo.Rect{Min: geo.Pt(0.3, 0.3), Max: geo.Pt(0.7, 0.7)}
+	// Churn only objects outside the region, moving them to the corner
+	// strip so the region's object set never changes.
+	var outside []int
+	for _, o := range col.Objects {
+		if !region.Contains(o.Loc) {
+			outside = append(outside, o.ID)
+		}
+	}
+	cfg := engine.Config{Metric: sim.Cosine{}}
+	selectAt := func(sn *livestore.Snapshot) core.RegionResult {
+		t.Helper()
+		res, err := core.SelectRegion(context.Background(), cfg, sn.Collection(), sn.Region(region),
+			20, 0.01, nil, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(12))
+	for ls.Stats().Compactions == 0 {
+		muts := make([]livestore.Mutation, 50)
+		for i := range muts {
+			muts[i] = livestore.Mutation{Op: livestore.OpUpdate, ID: outside[rng.Intn(len(outside))],
+				Loc: geo.Pt(0.05*rng.Float64(), rng.Float64()), Weight: rng.Float64(), Text: "bar moved"}
+		}
+		before := ls.Current()
+		want := selectAt(before)
+		if _, _, err := ls.Apply(ctx, muts); err != nil {
+			t.Fatal(err)
+		}
+		if ls.Stats().Compactions == 0 {
+			continue
+		}
+		after := ls.Current()
+		got := selectAt(after)
+		if len(got.Positions) != len(want.Positions) || got.Evals != want.Evals || got.Score != want.Score {
+			t.Fatalf("across compaction: %d picks, %d evals, score %v; want %d, %d, %v",
+				len(got.Positions), got.Evals, got.Score, len(want.Positions), want.Evals, want.Score)
+		}
+		for i, p := range want.Positions {
+			if q, ok := after.LivePos(p, before.Version()); !ok || q != got.Positions[i] {
+				t.Fatalf("pick %d: position %d carried to (%d, %v), selected %d", i, p, q, ok, got.Positions[i])
+			}
+			if got.Gains[i] != want.Gains[i] {
+				t.Fatalf("pick %d: gain %v vs %v (must be bitwise equal)", i, got.Gains[i], want.Gains[i])
+			}
+		}
+		if len(after.Collection().Objects) >= len(before.Collection().Objects) {
+			t.Fatal("compaction did not shrink the slot array")
+		}
+	}
 }
 
 func equalPositions(a, b []int) bool {

@@ -78,7 +78,10 @@ func BenchmarkApply(b *testing.B) {
 // BenchmarkEpochCommit measures the incremental grid commit against the
 // full rebuild at a 1%-of-N mutation batch, without the Apply overhead
 // around it; the bar for copy-on-write index maintenance is a >= 5x
-// speedup.
+// speedup. The compaction case is the commit a batch pays instead when
+// it overflows an array with a quarter of its slots dead (the least
+// dead share that compacts, so the most survivors to copy): the new
+// array, bitset, ID index and grid, as one epoch.
 func BenchmarkEpochCommit(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	s := benchStore(b, rng)
@@ -91,7 +94,7 @@ func BenchmarkEpochCommit(b *testing.B) {
 		dels = append(dels, posLoc{pos: int32(p), loc: objs[p].Loc})
 		adds = append(adds, posLoc{pos: int32(benchN + i), loc: geo.Pt(rng.Float64(), rng.Float64())})
 	}
-	gr := s.gr // the writer's current grid (v0 snapshots read the R-tree)
+	gr := s.gr
 	ctx := context.Background()
 
 	b.Run("incremental", func(b *testing.B) {
@@ -109,14 +112,25 @@ func BenchmarkEpochCommit(b *testing.B) {
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {
-		// The v0 snapshot keeps no bitset; build the all-live set the
-		// way RebuildIndex does, outside the timed loop.
-		live := make([]uint64, (len(objs)+63)/64)
-		for i := range objs {
-			setBit(live, i)
+		for i := 0; i < b.N; i++ {
+			rebuildGrid(objs, s.live)
+		}
+	})
+	b.Run("compaction", func(b *testing.B) {
+		live := make([]uint64, len(s.live))
+		copy(live, s.live)
+		for _, p := range rng.Perm(benchN)[:benchN/4] {
+			clearBit(live, p)
+		}
+		appended := make([]geodata.Object, onePct/2)
+		appendedLive := make([]bool, len(appended))
+		for i := range appended {
+			appended[i] = geodata.Object{ID: 2*benchN + i, Loc: geo.Pt(rng.Float64(), rng.Float64())}
+			appendedLive[i] = true
 		}
 		for i := 0; i < b.N; i++ {
-			rebuildGrid(objs, live)
+			c := &Store{objs: objs, live: live, liveCount: benchN - benchN/4}
+			c.compact(1, nil, appended, appendedLive)
 		}
 	})
 }

@@ -112,11 +112,13 @@ func TestDirtyCellsAccumulateAcrossEpochs(t *testing.T) {
 
 func TestDirtyCellsHistoryCap(t *testing.T) {
 	ctx := context.Background()
-	s := mustNew(t, testCollection(t, 200, 9))
+	// Large enough that the epochs' superseded slots never reach the
+	// compaction threshold, which would restart the history.
+	s := mustNew(t, testCollection(t, 2000, 9))
 	v0 := s.Current().Version()
 	for i := 0; i < maxDirtyHistory+5; i++ {
 		if _, _, err := s.Apply(ctx, []Mutation{
-			{Op: OpUpdate, ID: i % 200, Loc: geo.Pt(0.5, 0.5), Weight: 0.5, Text: "churn"},
+			{Op: OpUpdate, ID: i, Loc: geo.Pt(0.5, 0.5), Weight: 0.5, Text: "churn"},
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -148,8 +148,8 @@ func (g *cowGrid) cellRect(k int) geo.Rect {
 }
 
 // rebuildGrid builds a grid from scratch over the live objects — the
-// cost an epoch commit avoids. Used once at store construction and by
-// RebuildIndex as the benchmark comparator.
+// cost an epoch commit avoids. Used at store construction, at every
+// compaction, and by RebuildIndex as the benchmark comparator.
 func rebuildGrid(objs []geodata.Object, live []uint64) *cowGrid {
 	b := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}
 	first := true

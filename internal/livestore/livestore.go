@@ -6,18 +6,23 @@
 // against a pinned consistent epoch with zero read-path locking; the
 // current snapshot is swapped in with one atomic pointer store.
 //
-// Storage is append-plus-tombstone: object slots are only ever appended
-// and never reused, deletes and updates tombstone the old slot, and
-// older snapshots keep reading their shorter prefix of the shared
-// backing array (the writer appends strictly beyond every published
-// length, so there is no write under any reader's feet). The spatial
-// index is maintained incrementally: an epoch commit clones the grid's
+// Storage is append-plus-tombstone between compactions: deletes and
+// updates tombstone the old slot, inserts and updates append, and older
+// snapshots keep reading their shorter prefix of the shared backing
+// array (the writer appends strictly beyond every published length, so
+// there is no write under any reader's feet). The spatial index is
+// maintained incrementally: an epoch commit clones the grid's
 // cell-header table and rewrites only dirty cells, instead of
-// rebuilding the index — see grid.go and BenchmarkEpochCommit. Slots
-// are never compacted, so memory grows with the total mutation count,
-// not the live count; Stats.DeadSlots tracks the cost.
-// The slot array is reserved at twice the seed size and doubles when
-// it fills.
+// rebuilding the index — see grid.go and BenchmarkEpochCommit.
+//
+// Memory follows the live objects. The seed array holds exactly the
+// seed; a batch that does not fit either grows the array by half or,
+// when at least a quarter of its slots are dead, compacts: the live
+// slots (in position order) and the batch move to a fresh array with
+// half again as much headroom, indexed by the same build as version 0.
+// Both copy amortized O(1) slots per mutation. Pinned snapshots keep
+// the arrays they were cut from. A compaction renumbers positions;
+// Snapshot.LivePos and Snapshot.DirtyCells carry readers across it.
 package livestore
 
 import (
@@ -44,13 +49,14 @@ type Store struct {
 
 	// Writer-owned state, guarded by mu. objs is the append head over
 	// the shared backing array; every published snapshot holds a
-	// full-length-capped prefix of it.
+	// full-length-capped prefix of it. comp is the latest compaction.
 	objs      []geodata.Object
 	vocab     *textsim.Vocabulary
 	live      []uint64
 	liveCount int
 	byID      map[int]int32
 	gr        *cowGrid
+	comp      *compaction
 
 	parallelism int
 	ingestBatch int
@@ -59,6 +65,7 @@ type Store struct {
 
 	batches       uint64
 	mutations     uint64
+	compactions   uint64
 	indexCommitNs int64
 	totals        Outcome
 }
@@ -72,9 +79,13 @@ type Stats struct {
 	Live int
 	// Slots is the total slot count, live plus tombstoned.
 	Slots int
-	// DeadSlots counts tombstoned slots; they are never reclaimed (see
-	// the package comment), so this is the append-only memory overhead.
+	// DeadSlots counts tombstoned slots awaiting the next compaction.
 	DeadSlots int
+	// Capacity is the slot array's allocated length; Slots grows into it
+	// before the next regrowth or compaction (see the package comment).
+	Capacity int
+	// Compactions counts compaction epochs since construction.
+	Compactions uint64
 	// Pending is the number of queued mutations not yet committed.
 	Pending int
 	// Batches and Mutations count committed epochs and the mutations
@@ -82,17 +93,18 @@ type Stats struct {
 	Batches   uint64
 	Mutations uint64
 	// IndexCommitNs accumulates wall time spent inside the incremental
-	// grid commit across all epochs — the index-maintenance share of
-	// Apply.
+	// grid commit (or a compaction's rebuild) across all epochs — the
+	// index-maintenance share of Apply.
 	IndexCommitNs int64
 	// Totals accumulates the per-batch outcomes since construction.
 	Totals Outcome
 }
 
 // New builds a live store seeded with the collection's objects and
-// publishes its version-0 snapshot. The objects (and the grid geometry,
-// which is fixed at construction) are copied out of col, so the caller
-// keeps ownership of its collection; the vocabulary is shared and
+// publishes its version-0 snapshot. The objects are copied out of col
+// (and the grid geometry derived from them, as again at every
+// compaction), so the caller keeps ownership of its collection, which
+// must pass geodata.Collection.Validate; the vocabulary is shared and
 // becomes writer-owned — the caller must not tokenize against it, and
 // must call ApplyTFIDF before New or never (reweighting under live
 // readers would race).
@@ -106,52 +118,63 @@ func New(col *geodata.Collection, cfg engine.Config) (*Store, error) {
 	if cfg.IngestBatch <= 0 {
 		return nil, fmt.Errorf("livestore: IngestBatch = %d must be positive", cfg.IngestBatch)
 	}
-
-	// Every mutation but a delete appends a slot, so the array is
-	// reserved at twice the seed and doubled from there (applyLocked).
-	n := len(col.Objects)
-	objs := make([]geodata.Object, n, 2*n+16)
+	if err := col.Validate(); err != nil {
+		return nil, err
+	}
+	objs := make([]geodata.Object, len(col.Objects))
 	copy(objs, col.Objects)
 	vocab := col.Vocab
 	if vocab == nil {
 		vocab = textsim.NewVocabulary()
 	}
-
-	byID := make(map[int]int32, n)
-	for i, o := range objs {
-		if prev, dup := byID[o.ID]; dup {
-			return nil, fmt.Errorf("livestore: duplicate external id %d at positions %d and %d", o.ID, prev, i)
-		}
-		byID[o.ID] = int32(i)
-	}
-
-	live := make([]uint64, (n+63)/64)
-	for i := 0; i < n; i++ {
-		setBit(live, i)
-	}
-
-	// Version 0 delegates reads to a bulk-loaded R-tree over the same
-	// objects, so an unmutated live store is bitwise-identical to the
-	// static engine (see Snapshot). The grid is still built now: its
-	// geometry is frozen here and every later epoch derives from it.
-	snapCol := &geodata.Collection{Objects: objs[:n:n], Vocab: vocab}
-	base, err := geodata.NewStore(snapCol)
-	if err != nil {
-		return nil, err
-	}
-
 	s := &Store{
-		objs:        objs,
 		vocab:       vocab,
-		live:        live,
-		liveCount:   n,
-		byID:        byID,
-		gr:          rebuildGrid(objs, live),
 		parallelism: cfg.Parallelism,
 		ingestBatch: cfg.IngestBatch,
 	}
-	s.cur.Store(&Snapshot{version: 0, col: snapCol, liveCount: n, base: base})
+	s.seed(objs)
+	if len(s.byID) != len(objs) { // a repeated ID kept only its last position
+		for i, o := range objs {
+			if p := int(s.byID[o.ID]); p != i {
+				return nil, fmt.Errorf("livestore: duplicate external id %d at positions %d and %d", o.ID, i, p)
+			}
+		}
+	}
+	s.publish(0, nil)
 	return s, nil
+}
+
+// seed makes objs, every slot live, the writer's state: a full bitset,
+// the ID index and a grid built from scratch. It is version 0's
+// construction and every compaction's.
+func (s *Store) seed(objs []geodata.Object) {
+	byID := make(map[int]int32, len(objs))
+	for i, o := range objs {
+		byID[o.ID] = int32(i)
+	}
+	live := make([]uint64, (len(objs)+63)/64)
+	for i := range objs {
+		setBit(live, i)
+	}
+	s.objs, s.live, s.liveCount, s.byID = objs, live, len(objs), byID
+	s.gr = rebuildGrid(objs, live)
+}
+
+// publish cuts the writer's state into the snapshot of the given
+// version and swaps it in.
+func (s *Store) publish(version uint64, dirty []epochDirty) {
+	n := len(s.objs)
+	live := make([]uint64, len(s.live))
+	copy(live, s.live)
+	s.cur.Store(&Snapshot{
+		version:   version,
+		col:       &geodata.Collection{Objects: s.objs[:n:n], Vocab: s.vocab},
+		live:      live,
+		liveCount: s.liveCount,
+		gr:        s.gr,
+		comp:      s.comp,
+		dirty:     dirty,
+	})
 }
 
 // Snapshot implements geodata.Source: the currently published view and
@@ -173,6 +196,8 @@ func (s *Store) Stats() Stats {
 		Live:          s.liveCount,
 		Slots:         len(s.objs),
 		DeadSlots:     len(s.objs) - s.liveCount,
+		Capacity:      cap(s.objs),
+		Compactions:   s.compactions,
 		Pending:       len(s.pending),
 		Batches:       s.batches,
 		Mutations:     s.mutations,
@@ -282,73 +307,28 @@ func (s *Store) applyLocked(ctx context.Context, muts []Mutation) (uint64, Outco
 		return cur.version, out, nil
 	}
 
-	// Grid delta. Dead staged slots (insert-then-delete within the
-	// batch) still occupy a position but never enter the index.
-	dels := make([]posLoc, 0, len(delSet))
-	for pos := range delSet {
-		dels = append(dels, posLoc{pos: pos, loc: s.objs[pos].Loc})
-	}
-	adds := make([]posLoc, 0, len(appended))
-	for i, ob := range appended {
-		if appendedLive[i] {
-			adds = append(adds, posLoc{pos: int32(baseN + i), loc: ob.Loc})
+	// A batch that does not fit the array compacts it when at least a
+	// quarter of its slots are dead once the batch lands, and otherwise
+	// grows it (commitLocked).
+	version := cur.version + 1
+	dead := baseN - s.liveCount + len(delSet)
+	var dirty []epochDirty
+	if baseN+len(appended) > cap(s.objs) && dead > 0 && 4*dead >= baseN {
+		start := time.Now()
+		s.compact(version, delSet, appended, appendedLive)
+		s.indexCommitNs += time.Since(start).Nanoseconds()
+	} else {
+		d, err := s.commitLocked(ctx, delSet, appended, appendedLive)
+		if err != nil {
+			return cur.version, Outcome{}, err
 		}
-	}
-
-	// The only fallible step, run before any writer state changes so a
-	// cancelled commit leaves the store exactly as it was.
-	commitStart := time.Now()
-	nextGr, dirtyKeys, err := s.gr.commit(ctx, dels, adds, s.parallelism)
-	if err != nil {
-		return cur.version, Outcome{}, err
-	}
-	s.indexCommitNs += time.Since(commitStart).Nanoseconds()
-
-	// The epoch's dirty-cell set as world rectangles, recorded on the
-	// next snapshot's capped history so readers (the tile cache) can ask
-	// "what changed since version V" without holding the writer lock.
-	dirtyCells := make([]geo.Rect, len(dirtyKeys))
-	for i, k := range dirtyKeys {
-		dirtyCells[i] = s.gr.cellRect(k)
-	}
-
-	// Point of no return: mutate writer state, then publish. Appends go
-	// strictly beyond every published snapshot's length, so concurrent
-	// readers of older epochs never observe them.
-	//
-	// Past the reserve the array doubles explicitly: older snapshots pin
-	// the array they were cut from, so every regrowth holds two arrays
-	// live, and append's 1.25× steps would regrow twice as often.
-	if need := baseN + len(appended); need > cap(s.objs) {
-		grown := make([]geodata.Object, baseN, max(need, 2*cap(s.objs)))
-		copy(grown, s.objs)
-		s.objs = grown
-	}
-	s.objs = append(s.objs, appended...)
-	n := len(s.objs)
-	for len(s.live) < (n+63)/64 {
-		s.live = append(s.live, 0)
-	}
-	for pos := range delSet {
-		clearBit(s.live, int(pos))
-		s.liveCount--
-	}
-	for i, ob := range appended {
-		pos := baseN + i
-		if appendedLive[i] {
-			setBit(s.live, pos)
-			s.liveCount++
-		}
-		// byID tracks the newest slot for the ID even when it is dead;
-		// the overlay below fixes up deletions.
-		s.byID[ob.ID] = int32(pos)
+		dirty = appendDirtyEpoch(cur.dirty, version, d)
 	}
 	for id, pos := range overlay {
 		if pos < 0 {
 			delete(s.byID, id)
 		}
 	}
-	s.gr = nextGr
 	s.batches++
 	s.mutations += uint64(len(muts))
 	s.totals.add(out)
@@ -362,23 +342,117 @@ func (s *Store) applyLocked(ctx context.Context, muts []Mutation) (uint64, Outco
 		}
 		invariant.Assertf(pop == s.liveCount,
 			"livestore: live bitset popcount %d disagrees with liveCount %d at version %d",
-			pop, s.liveCount, cur.version+1)
+			pop, s.liveCount, version)
 		invariant.Assertf(len(s.byID) == s.liveCount,
 			"livestore: byID size %d disagrees with liveCount %d", len(s.byID), s.liveCount)
 	}
+	s.publish(version, dirty)
+	return version, out, nil
+}
 
-	liveCopy := make([]uint64, len(s.live))
-	copy(liveCopy, s.live)
-	next := &Snapshot{
-		version:   cur.version + 1,
-		col:       &geodata.Collection{Objects: s.objs[:n:n], Vocab: s.vocab},
-		live:      liveCopy,
-		liveCount: s.liveCount,
-		gr:        s.gr,
-		dirty:     appendDirtyEpoch(cur.dirty, cur.version+1, dirtyCells),
+// commitLocked applies a staged batch in place: the grid commit, the
+// appends (growing the array by half when they do not fit) and the
+// bitset and ID-index updates. It returns the epoch's dirty cells. The
+// grid commit is the only fallible step and runs before any writer
+// state changes, so a cancelled commit leaves the store exactly as it
+// was.
+func (s *Store) commitLocked(ctx context.Context, delSet map[int32]bool, appended []geodata.Object, appendedLive []bool) ([]geo.Rect, error) {
+	// Grid delta. Dead staged slots (insert-then-delete within the
+	// batch) still occupy a position but never enter the index.
+	baseN := len(s.objs)
+	dels := make([]posLoc, 0, len(delSet))
+	for pos := range delSet {
+		dels = append(dels, posLoc{pos: pos, loc: s.objs[pos].Loc})
 	}
-	s.cur.Store(next)
-	return next.version, out, nil
+	adds := make([]posLoc, 0, len(appended))
+	for i, ob := range appended {
+		if appendedLive[i] {
+			adds = append(adds, posLoc{pos: int32(baseN + i), loc: ob.Loc})
+		}
+	}
+	commitStart := time.Now()
+	nextGr, dirtyKeys, err := s.gr.commit(ctx, dels, adds, s.parallelism)
+	if err != nil {
+		return nil, err
+	}
+	s.indexCommitNs += time.Since(commitStart).Nanoseconds()
+
+	// The epoch's dirty-cell set as world rectangles, recorded on the
+	// next snapshot's capped history so readers (the tile cache) can ask
+	// "what changed since version V" without holding the writer lock.
+	dirtyCells := make([]geo.Rect, len(dirtyKeys))
+	for i, k := range dirtyKeys {
+		dirtyCells[i] = s.gr.cellRect(k)
+	}
+
+	// Point of no return. Appends go strictly beyond every published
+	// snapshot's length, so concurrent readers of older epochs never
+	// observe them. A regrowth is explicit: older snapshots pin the
+	// array they were cut from, so append's 1.25× steps would regrow
+	// (and hold two arrays live) more often.
+	if need := baseN + len(appended); need > cap(s.objs) {
+		grown := make([]geodata.Object, baseN, max(need, cap(s.objs)+cap(s.objs)/2))
+		copy(grown, s.objs)
+		s.objs = grown
+	}
+	s.objs = append(s.objs, appended...)
+	for len(s.live) < (len(s.objs)+63)/64 {
+		s.live = append(s.live, 0)
+	}
+	for pos := range delSet {
+		clearBit(s.live, int(pos))
+		s.liveCount--
+	}
+	for i, ob := range appended {
+		pos := baseN + i
+		if appendedLive[i] {
+			setBit(s.live, pos)
+			s.liveCount++
+		}
+		// byID tracks the newest slot for the ID even when it is dead;
+		// the caller's overlay pass fixes up deletions.
+		s.byID[ob.ID] = int32(pos)
+	}
+	s.gr = nextGr
+	return dirtyCells, nil
+}
+
+// compact applies a staged batch by moving the surviving slots, in
+// position order, and then the batch's live slots into a fresh array
+// with half again as much room, rebuilt by seed. It records the old →
+// new position table for the compaction epoch of the given version;
+// the snapshot published for it starts an empty dirty history, which
+// tells DirtyCells readers that every position moved.
+func (s *Store) compact(version uint64, delSet map[int32]bool, appended []geodata.Object, appendedLive []bool) {
+	baseN := len(s.objs)
+	n := s.liveCount - len(delSet)
+	for _, l := range appendedLive {
+		if l {
+			n++
+		}
+	}
+	objs := make([]geodata.Object, 0, n+n/2)
+	remap := make([]int32, baseN)
+	for pos := range remap {
+		if !bitSet(s.live, pos) || delSet[int32(pos)] {
+			remap[pos] = -1
+			continue
+		}
+		remap[pos] = int32(len(objs))
+		objs = append(objs, s.objs[pos])
+	}
+	for i, ob := range appended {
+		if appendedLive[i] {
+			objs = append(objs, ob)
+		}
+	}
+	var since uint64
+	if s.comp != nil {
+		since = s.comp.version
+	}
+	s.seed(objs)
+	s.comp = &compaction{version: version, since: since, remap: remap}
+	s.compactions++
 }
 
 // appendDirtyEpoch extends a snapshot's dirty-epoch history with one

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -33,12 +34,18 @@ func mustNew(t *testing.T, col *geodata.Collection) *Store {
 	return s
 }
 
+// isLive reports whether position i is live in sn's own position space.
+func isLive(sn *Snapshot, i int) bool {
+	_, ok := sn.LivePos(i, sn.Version())
+	return ok
+}
+
 // refRegion is the reference implementation Region is checked against:
 // a linear scan over live slots, ascending.
 func refRegion(sn *Snapshot, r geo.Rect) []int {
 	var out []int
 	for i, o := range sn.Collection().Objects {
-		if sn.LivePos(i) && r.Contains(o.Loc) {
+		if isLive(sn, i) && r.Contains(o.Loc) {
 			out = append(out, i)
 		}
 	}
@@ -94,7 +101,7 @@ func TestApplySemantics(t *testing.T) {
 	objs := sn.Collection().Objects
 	found := false
 	for i := range objs {
-		if objs[i].ID == 3 && sn.LivePos(i) {
+		if objs[i].ID == 3 && isLive(sn, i) {
 			found = true
 			if objs[i].Text != "upsert" || objs[i].Loc != geo.Pt(0.2, 0.2) {
 				t.Fatalf("id 3 final state = %+v", objs[i])
@@ -127,7 +134,7 @@ func TestInsertThenDeleteInOneBatch(t *testing.T) {
 	if got := refRegion(sn, geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}); len(got) != 5 {
 		t.Fatalf("region sees %d objects, want 5", len(got))
 	}
-	if sn.LivePos(5) {
+	if isLive(sn, 5) {
 		t.Fatal("staged-then-deleted slot reported live")
 	}
 }
@@ -170,6 +177,22 @@ func TestDuplicateSeedIDRejected(t *testing.T) {
 	col.Add(1, geo.Pt(0.2, 0.2), 0.5, "")
 	if _, err := New(col, engine.Config{}); err == nil {
 		t.Fatal("want duplicate-id error")
+	}
+}
+
+// The seed is held to the same value contract as a static store's and
+// as every later mutation.
+func TestInvalidSeedRejected(t *testing.T) {
+	for name, o := range map[string]geodata.Object{
+		"weight":   {ID: 2, Loc: geo.Pt(0.5, 0.5), Weight: 1.5},
+		"location": {ID: 2, Loc: geo.Pt(math.NaN(), 0.5), Weight: 0.5},
+	} {
+		col := geodata.NewCollection()
+		col.Add(1, geo.Pt(0.1, 0.1), 0.5, "")
+		col.Objects = append(col.Objects, o)
+		if _, err := New(col, engine.Config{}); err == nil {
+			t.Errorf("seed with an invalid %s accepted", name)
+		}
 	}
 }
 
@@ -216,7 +239,7 @@ func TestRegionMatchesReferenceAcrossEpochs(t *testing.T) {
 		got, ok := sn.Nearest(p)
 		bestPos, bestD2 := -1, 0.0
 		for i, o := range sn.Collection().Objects {
-			if !sn.LivePos(i) {
+			if !isLive(sn, i) {
 				continue
 			}
 			d2 := o.Loc.Dist2(p)
@@ -318,22 +341,43 @@ func TestFreezePinsAVersion(t *testing.T) {
 	}
 }
 
-// The slot array is reserved at 2n+16 and doubles from there; a
-// snapshot cut from an outgrown array keeps reading that array.
-func TestSlotArrayDoublesPastTheReserve(t *testing.T) {
+// checkPinned fails unless sn still reads exactly the objects in want.
+func checkPinned(t *testing.T, sn *Snapshot, want []geodata.Object) {
+	t.Helper()
+	got := sn.Collection().Objects
+	if len(got) != len(want) {
+		t.Fatalf("pinned snapshot went from %d to %d slots", len(want), len(got))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || got[i].Loc != want[i].Loc || got[i].Text != want[i].Text {
+			t.Fatalf("pinned snapshot's slot %d changed", i)
+		}
+	}
+}
+
+// The slot array holds exactly the seed, grows by half while few slots
+// are dead, and compacts once a quarter are: the survivors keep their
+// relative order, LivePos translates across one compaction and reports
+// everything gone across two, DirtyCells fences the compaction epoch,
+// and a snapshot pinned before any of it keeps reading its old array.
+func TestSlotArrayGrowthAndCompactionPolicy(t *testing.T) {
 	ctx := context.Background()
-	const n = 8
+	const n, batch = 8, 5
 	s := mustNew(t, testCollection(t, n, 4))
-	if got := cap(s.objs); got != 2*n+16 {
-		t.Fatalf("reserve = %d slots for %d objects, want %d", got, n, 2*n+16)
+	if st := s.Stats(); st.Capacity != n || cap(s.objs) != n {
+		t.Fatalf("seed capacity = %d slots for %d objects, want exactly %d", st.Capacity, n, n)
 	}
 	pinned := s.Current()
 	want := append([]geodata.Object(nil), pinned.Collection().Objects...)
+
+	// Inserts only: nothing is dead, so every overflow grows by half.
+	nextID := 100
 	regrowths := 0
-	for batch := 0; batch < 20; batch++ {
-		muts := make([]Mutation, 5)
+	for b := 0; b < 20; b++ {
+		muts := make([]Mutation, batch)
 		for i := range muts {
-			muts[i] = Mutation{Op: OpInsert, ID: 100 + 5*batch + i, Loc: geo.Pt(0.5, 0.5), Weight: 0.5, Text: "late"}
+			muts[i] = Mutation{Op: OpInsert, ID: nextID, Loc: geo.Pt(0.5, 0.5), Weight: 0.5, Text: "late"}
+			nextID++
 		}
 		before := cap(s.objs)
 		if _, _, err := s.Apply(ctx, muts); err != nil {
@@ -341,32 +385,104 @@ func TestSlotArrayDoublesPastTheReserve(t *testing.T) {
 		}
 		if after := cap(s.objs); after != before {
 			regrowths++
-			if after < 2*before {
-				t.Fatalf("batch %d: slot array grew %d -> %d, want at least doubled", batch, before, after)
+			if after < before+before/2 {
+				t.Fatalf("batch %d: slot array grew %d -> %d, want at least 1.5x", b, before, after)
 			}
 		}
 	}
-	if regrowths != 2 { // 32 -> 64 -> 128 for 108 slots
-		t.Fatalf("%d regrowths to reach %d slots from a reserve of %d, want 2", regrowths, n+100, 2*n+16)
+	st := s.Stats()
+	if st.Compactions != 0 || st.DeadSlots != 0 || st.Slots != n+20*batch {
+		t.Fatalf("insert-only stats %+v", st)
 	}
-	got := pinned.Collection().Objects
-	if len(got) != len(want) {
-		t.Fatalf("pinned snapshot grew from %d to %d objects", len(want), len(got))
+	if regrowths != 7 { // 8 -> 13 -> 19 -> 28 -> 42 -> 63 -> 94 -> 141
+		t.Fatalf("%d regrowths to reach %d slots from %d, want 7", regrowths, st.Slots, n)
 	}
-	for i := range want {
-		if got[i].ID != want[i].ID || got[i].Loc != want[i].Loc {
-			t.Fatalf("pinned snapshot's object %d changed under regrowth", i)
+	if st.Capacity > 2*st.Live+batch {
+		t.Fatalf("capacity %d above 2 x live %d + one batch", st.Capacity, st.Live)
+	}
+	checkPinned(t, pinned, want)
+
+	// Updates supersede slots; the overflow that finds a quarter of the
+	// array dead compacts instead of growing.
+	update := func() (before *Snapshot) {
+		t.Helper()
+		for {
+			before = s.Current()
+			compactions := s.Stats().Compactions
+			muts := make([]Mutation, batch)
+			for i := range muts {
+				id := 100 + (int(before.Version())*batch+i)%(nextID-100)
+				muts[i] = Mutation{Op: OpUpdate, ID: id, Loc: geo.Pt(0.25, 0.75), Weight: 0.25, Text: "moved"}
+			}
+			if _, _, err := s.Apply(ctx, muts); err != nil {
+				t.Fatal(err)
+			}
+			if s.Stats().Compactions > compactions {
+				return before
+			}
 		}
 	}
-	cur := s.Current().Collection().Objects
-	if len(cur) != n+100 {
-		t.Fatalf("current snapshot has %d slots, want %d", len(cur), n+100)
+	pre := update()
+	st = s.Stats()
+	if st.DeadSlots != 0 || st.Slots != st.Live || st.Capacity != st.Live+st.Live/2 {
+		t.Fatalf("after compaction: %+v, want no dead slots and capacity 1.5 x live", st)
 	}
-	for i := range want {
-		if cur[i].ID != want[i].ID {
-			t.Fatalf("slot %d lost its object across regrowth", i)
+	// The batch's five updates supersede five more live slots.
+	if slots, dead := len(pre.Collection().Objects), len(pre.Collection().Objects)-pre.Len()+batch; 4*dead < slots {
+		t.Fatalf("compacted with %d of %d slots dead, under a quarter", dead, slots)
+	}
+	cur := s.Current()
+	last := -1
+	for p, o := range pre.Collection().Objects {
+		q, ok := cur.LivePos(p, pre.Version())
+		if !isLive(pre, p) {
+			if ok {
+				t.Fatalf("dead position %d translated to %d", p, q)
+			}
+			continue
+		}
+		if !ok {
+			continue // superseded by the compacting batch itself
+		}
+		if q <= last {
+			t.Fatalf("compaction reordered survivors: %d -> %d after %d", p, q, last)
+		}
+		last = q
+		if got := cur.Collection().Objects[q]; got.ID != o.ID || got.Loc != o.Loc || got.Text != o.Text {
+			t.Fatalf("position %d translated to %d holding a different object", p, q)
 		}
 	}
+	if _, ok := cur.DirtyCells(pre.Version(), nil); ok {
+		t.Fatal("DirtyCells covered an interval across a compaction epoch")
+	}
+	if _, ok := cur.DirtyCells(cur.Version(), nil); !ok {
+		t.Fatal("DirtyCells at the compaction epoch itself reported truncation")
+	}
+	checkPinned(t, pinned, want)
+
+	// A second compaction: positions pinned between the two translate,
+	// positions pinned before the first are gone.
+	mid := s.Current()
+	update()
+	cur = s.Current()
+	for p := range pinned.Collection().Objects {
+		if _, ok := cur.LivePos(p, pinned.Version()); ok {
+			t.Fatalf("position %d pinned before the previous compaction still translates", p)
+		}
+	}
+	translated := 0
+	for p := range mid.Collection().Objects {
+		if q, ok := cur.LivePos(p, mid.Version()); ok {
+			translated++
+			if cur.Collection().Objects[q].ID != mid.Collection().Objects[p].ID {
+				t.Fatalf("position %d translated to another object", p)
+			}
+		}
+	}
+	if translated == 0 {
+		t.Fatal("no position survived the second compaction")
+	}
+	checkPinned(t, pinned, want)
 }
 
 func TestTraceRoundTrip(t *testing.T) {

@@ -13,36 +13,53 @@ import (
 // against a static geodata.Store — pinned, consistent, and with zero
 // locking on the read path.
 //
-// Position space: positions are stable across epochs. A slot is
-// appended per insert (and per update, which supersedes the old slot)
-// and never reused; deletes and updates tombstone the old slot. A
-// position pinned at version V therefore either refers to the same
-// object at every later version, or LivePos reports false there.
+// Position space: a slot is appended per insert (and per update, which
+// supersedes the old slot); deletes and updates tombstone the old slot.
+// Between two compactions positions are stable: a position pinned at
+// version V either refers to the same object at every later version,
+// or the object is gone. A compaction epoch (see Store.Apply) renumbers
+// the survivors, keeping their relative order, and publishes the
+// old → new table; LivePos translates a position pinned at an older
+// version through it.
 //
-// The version-0 snapshot of a freshly built store delegates its region
-// queries to the same bulk-loaded R-tree a static geodata.Store uses,
-// so with no mutations applied every selection is bitwise-identical to
-// the static engine — same positions, same iteration order, same
-// floating-point sums. From the first committed epoch on, queries go
-// through the incrementally maintained uniform grid, whose Region
-// results are sorted ascending (a deterministic order per snapshot).
+// Every version, 0 included, answers its region queries from the
+// incrementally maintained uniform grid, whose Region results are
+// sorted ascending (a deterministic order per snapshot). Because a
+// compaction keeps relative order, a region's staged order — and so its
+// selection — is the same before and after one.
 type Snapshot struct {
 	version   uint64
 	col       *geodata.Collection
 	live      []uint64
 	liveCount int
+	gr        *cowGrid
 
-	// Exactly one of base (version 0) and gr (version >= 1) is non-nil.
-	base *geodata.Store
-	gr   *cowGrid
+	// comp is the most recent compaction at or before this version, nil
+	// if the store never compacted.
+	comp *compaction
 
 	// dirty is the capped per-epoch dirty-cell history ending at this
-	// snapshot's version, newest last; see DirtyCells.
+	// snapshot's version, newest last; see DirtyCells. A compaction
+	// epoch starts an empty history.
 	dirty []epochDirty
 
 	boundsOnce sync.Once
 	boundsRect geo.Rect
 	boundsOK   bool
+}
+
+// Sessions find LivePos by a type check on the view; this keeps a
+// signature drift from silently switching their translation off.
+var _ geodata.LiveView = (*Snapshot)(nil)
+
+// compaction records one compaction epoch: positions pinned at a
+// version in [since, version) translate through remap (old position →
+// new, -1 = dead at the compaction); positions pinned before since
+// predate the previous compaction and no longer translate at all.
+type compaction struct {
+	version uint64
+	since   uint64
+	remap   []int32
 }
 
 // epochDirty records the grid cells one epoch's commit rewrote, as
@@ -71,49 +88,45 @@ func (sn *Snapshot) Collection() *geodata.Collection { return sn.col }
 // Len reports the number of live objects.
 func (sn *Snapshot) Len() int { return sn.liveCount }
 
-// LivePos reports whether the position still refers to a live object in
-// this snapshot; positions from older snapshots are valid inputs.
-func (sn *Snapshot) LivePos(pos int) bool {
-	if pos < 0 || pos >= len(sn.col.Objects) {
-		return false
+// LivePos translates a position pinned at an older (or this) version
+// to this snapshot's position space: it returns the position of the
+// same object here, or ok = false when the object is gone. Between
+// compactions the position is returned unchanged if still live. Across
+// the latest compaction it goes through that compaction's table; a
+// position pinned before the previous compaction is reported gone, as
+// if every object pinned then had died.
+func (sn *Snapshot) LivePos(pos int, pinned uint64) (int, bool) {
+	if c := sn.comp; c != nil && pinned < c.version {
+		if pinned < c.since || pos < 0 || pos >= len(c.remap) {
+			return -1, false
+		}
+		pos = int(c.remap[pos])
 	}
-	if sn.base != nil {
-		return true // version 0: every slot is live
+	if pos < 0 || pos >= len(sn.col.Objects) || !bitSet(sn.live, pos) {
+		return -1, false
 	}
-	return bitSet(sn.live, pos)
+	return pos, true
 }
 
 // Region returns the positions of all live objects inside r.
 func (sn *Snapshot) Region(r geo.Rect) []int {
-	if sn.base != nil {
-		return sn.base.Region(r)
-	}
 	return sn.gr.region(sn.col.Objects, r, nil)
 }
 
 // CountRegion counts the live objects inside r.
 func (sn *Snapshot) CountRegion(r geo.Rect) int {
-	if sn.base != nil {
-		return sn.base.CountRegion(r)
-	}
 	return sn.gr.countRegion(sn.col.Objects, r)
 }
 
 // Nearest returns the position of the live object closest to p; ok is
 // false for an empty snapshot.
 func (sn *Snapshot) Nearest(p geo.Point) (int, bool) {
-	if sn.base != nil {
-		return sn.base.Nearest(p)
-	}
 	return sn.gr.nearest(sn.col.Objects, p)
 }
 
 // Bounds returns the exact bounding rectangle of the live objects,
 // computed lazily once per snapshot; ok is false when empty.
 func (sn *Snapshot) Bounds() (geo.Rect, bool) {
-	if sn.base != nil {
-		return sn.base.Bounds()
-	}
 	sn.boundsOnce.Do(func() {
 		objs := sn.col.Objects
 		first := true
@@ -138,10 +151,11 @@ func (sn *Snapshot) Bounds() (geo.Rect, bool) {
 // whether the snapshot's history actually covers that whole interval.
 // ok = false means the history was truncated (the store committed more
 // than maxDirtyHistory epochs since sinceVersion, or sinceVersion
-// predates the retained horizon): the caller must then assume every
-// region changed. A sinceVersion at or beyond the snapshot's own version
-// returns dst unchanged with ok = true — nothing happened in an empty
-// interval.
+// predates the retained horizon) or a compaction epoch lies in the
+// interval, which renumbered every position: the caller must then
+// assume every region changed. A sinceVersion at or beyond the
+// snapshot's own version returns dst unchanged with ok = true — nothing
+// happened in an empty interval.
 //
 // Rectangles are cell-granular and may overlap; edge cells extend to an
 // effectively unbounded rect on their outer sides because out-of-bounds
@@ -184,15 +198,7 @@ func Freeze(sn *Snapshot) geodata.Source { return frozen{sn: sn} }
 // the number of entries indexed. It exists for tests; the returned
 // work is discarded.
 func RebuildIndex(sn *Snapshot) int {
-	live := sn.live
-	if sn.base != nil {
-		// Version 0 keeps no bitset; every slot is live.
-		live = make([]uint64, (len(sn.col.Objects)+63)/64)
-		for i := range sn.col.Objects {
-			setBit(live, i)
-		}
-	}
-	g := rebuildGrid(sn.col.Objects, live)
+	g := rebuildGrid(sn.col.Objects, sn.live)
 	n := 0
 	for _, cell := range g.cells {
 		n += len(cell)

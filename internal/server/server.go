@@ -677,6 +677,8 @@ func (s *Server) handleStoreStats(w http.ResponseWriter, _ *http.Request) {
 		out["live"] = st.Live
 		out["slots"] = st.Slots
 		out["deadSlots"] = st.DeadSlots
+		out["capacity"] = st.Capacity
+		out["compactions"] = st.Compactions
 		out["pending"] = st.Pending
 		out["batches"] = st.Batches
 		out["mutations"] = st.Mutations

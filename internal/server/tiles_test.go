@@ -2,15 +2,21 @@ package server
 
 // HTTP surface of the tile cache: GET /tiles/{z}/{x}/{y} with ETag
 // revalidation, GET /cache/stats, the cache-aware /select path, and
-// the static-capable GET /store/stats.
+// the static- and live-capable GET /store/stats.
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"geosel/internal/dataset"
 	"geosel/internal/engine"
+	"geosel/internal/livestore"
+	"geosel/internal/sim"
 	"geosel/internal/tilecache"
 )
 
@@ -207,5 +213,83 @@ func TestStoreStatsOnStaticStore(t *testing.T) {
 	}
 	if up := field[float64](t, out, "uptimeSeconds"); up < 0 {
 		t.Errorf("negative uptime %v", up)
+	}
+}
+
+// TestStoreStatsAfterCompactingIngest: one /ingest batch that updates
+// every object leaves every original slot dead, so the commit compacts;
+// /store/stats reports the compaction and the memory it left — no dead
+// slots, half again the live count in capacity — and the server keeps
+// selecting over the renumbered store.
+func TestStoreStatsAfterCompactingIngest(t *testing.T) {
+	const n = 400
+	col, err := dataset.Generate(dataset.POISpec(n, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.Config{Metric: sim.Cosine{}, TileCache: true}
+	live, err := livestore.New(col, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(live, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	stats := func() map[string]json.RawMessage {
+		t.Helper()
+		resp := get(t, ts.URL+"/store/stats", nil)
+		defer resp.Body.Close()
+		var out map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := stats()
+	if c, k := field[int](t, before, "capacity"), field[uint64](t, before, "compactions"); c != n || k != 0 {
+		t.Fatalf("fresh store: capacity %d, compactions %d; want %d and 0", c, k, n)
+	}
+
+	var body strings.Builder
+	body.WriteString(`{"mutations":[`)
+	for i, o := range col.Objects {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"op":"update","id":%d,"x":%g,"y":%g,"weight":0.5,"text":"moved"}`, o.ID, o.Loc.Y, o.Loc.X)
+	}
+	body.WriteString(`]}`)
+	resp, err := http.Post(ts.URL+"/ingest", "application/json", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+
+	after := stats()
+	if k := field[uint64](t, after, "compactions"); k != 1 {
+		t.Fatalf("compactions %d after an ingest that superseded every slot, want 1", k)
+	}
+	if l, sl, d := field[int](t, after, "live"), field[int](t, after, "slots"), field[int](t, after, "deadSlots"); l != n || sl != n || d != 0 {
+		t.Fatalf("after compaction: live %d, slots %d, dead %d; want %d, %d, 0", l, sl, d, n, n)
+	}
+	if c := field[int](t, after, "capacity"); c != n+n/2 {
+		t.Fatalf("capacity %d after compaction, want %d", c, n+n/2)
+	}
+	sel, err := http.Post(ts.URL+"/select", "application/json",
+		strings.NewReader(`{"region":{"minX":0.2,"minY":0.2,"maxX":0.8,"maxY":0.8},"k":8,"thetaFrac":0.003}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel.Body.Close()
+	if sel.StatusCode != http.StatusOK {
+		t.Fatalf("select after compaction: status %d", sel.StatusCode)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"geosel/internal/engine"
 	"geosel/internal/geo"
@@ -196,9 +197,10 @@ func gatedTile(ctx context.Context, c *Cache, view geodata.View) error {
 }
 
 // TestCancelledLeaderFailsNoWaiter: the leader of a coalesced tile
-// compute is cancelled mid-compute. Its cancellation is its own: every
-// waiter still gets the tile — one of them computes it, the others
-// coalesce on that compute and are counted as coalesced.
+// compute is cancelled mid-compute. Its cancellation is its own: the
+// compute runs on under the cache's budget and fills the entry, every
+// waiter gets the tile from that one compute (counted as coalesced), and
+// the next request hits.
 func TestCancelledLeaderFailsNoWaiter(t *testing.T) {
 	view, _ := testStore(t, 1500, 21).Snapshot()
 	c := newTestCache(t, engine.Config{})
@@ -211,45 +213,66 @@ func TestCancelledLeaderFailsNoWaiter(t *testing.T) {
 	<-leaderView.entered
 
 	const waiters = 6
-	// Whichever waiter takes the compute over is held too, so that the
-	// others provably coalesce on it instead of arriving to a cache hit.
-	waiterView := newGatedView(view)
 	spies := make([]*doneSpy, waiters)
 	errs := make(chan error, waiters)
 	for i := range spies {
 		spies[i] = &doneSpy{Context: context.Background()}
-		go func(ctx context.Context) { errs <- gatedTile(ctx, c, waiterView) }(spies[i])
+		go func(ctx context.Context) { errs <- gatedTile(ctx, c, view) }(spies[i])
 	}
-	parked := func(times int32) int {
-		n := 0
+	for parked := 0; parked < waiters; { // all waiting on the leader's flight
+		runtime.Gosched()
+		parked = 0
 		for _, s := range spies {
-			if s.calls.Load() >= times {
-				n++
+			if s.calls.Load() >= 1 {
+				parked++
 			}
 		}
-		return n
-	}
-	for parked(1) < waiters { // all waiting on the leader's flight
-		runtime.Gosched()
 	}
 
 	cancelLeader()
-	close(leaderView.gate)
-	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled leader returned %v", err)
+	close(leaderView.gate) // the compute resumes with its requester gone
+	if err := <-leaderErr; err != nil {
+		t.Fatalf("cancelled leader's compute failed: %v", err)
 	}
-	<-waiterView.entered
-	for parked(2) < waiters-1 { // all but the new leader wait again
-		runtime.Gosched()
-	}
-	close(waiterView.gate)
 	for i := 0; i < waiters; i++ {
 		if err := <-errs; err != nil {
 			t.Errorf("waiter failed with the leader's cancellation: %v", err)
 		}
 	}
-	if st := c.Stats(); st.Coalesced != waiters-1 || st.TileMisses != 1 {
-		t.Errorf("coalesced = %d, tile misses = %d; want %d and 1", st.Coalesced, st.TileMisses, waiters-1)
+	if st := c.Stats(); st.Coalesced != waiters || st.TileMisses != 1 {
+		t.Errorf("coalesced = %d, tile misses = %d; want %d and 1", st.Coalesced, st.TileMisses, waiters)
+	}
+	if err := gatedTile(context.Background(), c, view); err != nil {
+		t.Fatal(err)
+	}
+	// Each waiter re-read the filled entry (a hit), and so does the
+	// request after them.
+	if st := c.Stats(); st.TileHits != waiters+1 || st.TileMisses != 1 {
+		t.Errorf("after the fill: tile hits = %d, misses = %d; want %d and 1", st.TileHits, st.TileMisses, waiters+1)
+	}
+}
+
+// TestDetachedComputeFillsWithoutWaiters: a cold compute whose only
+// requester is cancelled mid-compute still fills its entry, so the next
+// request for the tile hits instead of starting over.
+func TestDetachedComputeFillsWithoutWaiters(t *testing.T) {
+	view, _ := testStore(t, 1500, 23).Snapshot()
+	c := newTestCache(t, engine.Config{RequestTimeout: time.Minute})
+	gv := newGatedView(view)
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- gatedTile(ctx, c, gv) }()
+	<-gv.entered
+	cancel()
+	close(gv.gate)
+	if err := <-errc; err != nil {
+		t.Fatalf("compute of a cancelled requester failed: %v", err)
+	}
+	if err := gatedTile(context.Background(), c, view); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.TileMisses != 1 || st.TileHits != 1 {
+		t.Fatalf("misses %d, hits %d; want the one compute and then a hit", st.TileMisses, st.TileHits)
 	}
 }
 
