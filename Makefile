@@ -46,11 +46,11 @@ $(GEOLINT): FORCE
 
 FORCE:
 
-# hotlint runs only the hot-path enforcement analyzers (call-graph
-# allocation discipline and pool aliasing) — a faster inner loop than
-# the full suite when iterating on kernel code. See DESIGN.md §10.
+# hotlint runs only the hot-path enforcement analyzer (call-graph
+# allocation discipline) — a faster inner loop than the full suite
+# when iterating on kernel code. See DESIGN.md §10.
 hotlint:
-	go run ./tools/geolint -analyzers=hotalloc,poolshare ./...
+	go run ./tools/geolint -analyzers=hotalloc ./...
 
 # escapecheck diffs the compiler's escape analysis over the hot-path
 # packages against the committed baseline; new heap escapes inside

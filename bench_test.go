@@ -8,10 +8,8 @@ package geosel
 
 import (
 	"context"
-	"fmt"
 	"geosel/internal/engine"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -395,47 +393,6 @@ func BenchmarkSubstrateCosine(b *testing.B) {
 		acc += m.Sim(a, c)
 	}
 	_ = acc
-}
-
-// parallelBenchInstance is the workload for the parallel-engine
-// benchmarks: the full 60k-object collection as O (every marginal gain
-// costs |O| metric calls) with a strided candidate subset, so one
-// selection does tens of millions of similarity evaluations — enough to
-// expose the evaluation-engine scaling without taking minutes per run.
-func parallelBenchInstance() (objs []geodata.Object, cands []int, k int, theta float64) {
-	e := envShared()
-	objs = e.store.Collection().Objects
-	for c := 0; c < len(objs); c += 120 {
-		cands = append(cands, c)
-	}
-	return objs, cands, 50, e.theta
-}
-
-func runParallelBench(objs []geodata.Object, cands []int, k int, theta float64, workers int) (*core.Result, error) {
-	s := &core.Selector{Config: engine.Config{K: k, Theta: theta, Metric: sim.Cosine{}, Parallelism: workers}, Objects: objs, Candidates: cands}
-	return s.Run(context.Background())
-}
-
-// BenchmarkParallelEngine times the same large selection with the
-// marginal-gain engine at 1, 2, 4 and all-CPU workers. All variants
-// return the identical selection; ns/op isolates the evaluation-engine
-// scaling. (On a single-core runner the variants coincide.)
-func BenchmarkParallelEngine(b *testing.B) {
-	objs, cands, k, theta := parallelBenchInstance()
-	b.ReportMetric(float64(len(objs)), "objects")
-	for _, w := range []int{1, 2, 4, 0} {
-		name := fmt.Sprintf("workers-%d", w)
-		if w == 0 {
-			name = fmt.Sprintf("workers-all-%d", runtime.NumCPU())
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := runParallelBench(objs, cands, k, theta, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationSpatialIndex compares the R-tree the paper uses

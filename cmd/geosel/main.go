@@ -38,16 +38,15 @@ func main() {
 		thetaFrac = flag.Float64("theta", 0.003, "visibility threshold as a fraction of the region side")
 		sample    = flag.Bool("sample", false, "use SaSS sampling (for dense regions)")
 		showMap   = flag.Bool("map", false, "print an ASCII map of the selection")
-		par       = flag.Int("parallelism", 0, "marginal-gain evaluation workers (0 = all CPUs, 1 = serial)")
 	)
 	flag.Parse()
-	if err := run(*data, *preset, *n, *seed, *cx, *cy, *side, *k, *thetaFrac, *sample, *showMap, *par); err != nil {
+	if err := run(*data, *preset, *n, *seed, *cx, *cy, *side, *k, *thetaFrac, *sample, *showMap); err != nil {
 		fmt.Fprintln(os.Stderr, "geosel:", err)
 		os.Exit(1)
 	}
 }
 
-func run(data, preset string, n int, seed int64, cx, cy, side float64, k int, thetaFrac float64, sample, showMap bool, parallelism int) error {
+func run(data, preset string, n int, seed int64, cx, cy, side float64, k int, thetaFrac float64, sample, showMap bool) error {
 	col, err := loadOrGenerate(data, preset, n, seed)
 	if err != nil {
 		return err
@@ -62,7 +61,7 @@ func run(data, preset string, n int, seed int64, cx, cy, side float64, k int, th
 	theta := thetaFrac * side
 	metric := sim.Cosine{}
 
-	cfg := engine.Config{K: k, Theta: theta, Metric: metric, Parallelism: parallelism}
+	cfg := engine.Config{K: k, Theta: theta, Metric: metric}
 	ctx := context.Background()
 
 	var selected []int

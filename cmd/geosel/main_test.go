@@ -26,14 +26,14 @@ func silence(t *testing.T) {
 
 func TestRunGenerated(t *testing.T) {
 	silence(t)
-	if err := run("", "poi", 2000, 1, 0.5, 0.5, 0.2, 5, 0.003, false, true, 0); err != nil {
+	if err := run("", "poi", 2000, 1, 0.5, 0.5, 0.2, 5, 0.003, false, true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSampled(t *testing.T) {
 	silence(t)
-	if err := run("", "uk", 3000, 2, 0.5, 0.5, 0.3, 5, 0.003, true, false, 0); err != nil {
+	if err := run("", "uk", 3000, 2, 0.5, 0.5, 0.3, 5, 0.003, true, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,16 +53,16 @@ func TestRunFromCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := run(path, "", 0, 4, 0.5, 0.5, 0.4, 3, 0.003, false, false, 1); err != nil {
+	if err := run(path, "", 0, 4, 0.5, 0.5, 0.4, 3, 0.003, false, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "atlantis", 100, 1, 0.5, 0.5, 0.1, 3, 0.003, false, false, 1); err == nil {
+	if err := run("", "atlantis", 100, 1, 0.5, 0.5, 0.1, 3, 0.003, false, false); err == nil {
 		t.Error("unknown preset should fail")
 	}
-	if err := run("/no/such/file.csv", "", 0, 1, 0.5, 0.5, 0.1, 3, 0.003, false, false, 1); err == nil {
+	if err := run("/no/such/file.csv", "", 0, 1, 0.5, 0.5, 0.1, 3, 0.003, false, false); err == nil {
 		t.Error("missing file should fail")
 	}
 }

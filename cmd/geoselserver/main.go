@@ -106,10 +106,7 @@ func main() {
 		col.ApplyTFIDF()
 	}
 	cfg := engine.Config{
-		Metric: sim.Cosine{},
-		// A server's parallelism is its concurrent requests: every
-		// selection runs serially on its own one (DESIGN.md §5b).
-		Parallelism:       1,
+		Metric:            sim.Cosine{},
 		AsyncPrefetch:     *asyncPre,
 		RequestTimeout:    *reqTimeout,
 		SessionTTL:        *sessionTTL,

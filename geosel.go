@@ -26,8 +26,8 @@
 //	sess.Prefetch(ctx)            // while the user inspects the view
 //	sess.ZoomIn(ctx, subRegion)   // consistency-aware, prefetch-accelerated
 //
-// All engine knobs (K, θ, metric, parallelism, prefetch behavior,
-// serving limits) live in one EngineConfig struct, embedded
+// All engine knobs (K, θ, metric, prefetch behavior, serving limits)
+// live in one EngineConfig struct, embedded
 // by Options and SessionConfig and validated in one place. Every entry
 // point takes a context.Context: cancel it (or let a deadline expire)
 // and the selection stops cooperatively within one evaluation chunk,
@@ -102,11 +102,11 @@ const (
 type Metric = sim.Metric
 
 // EngineConfig is the unified configuration of the selection engine:
-// selection shape (K, Theta/ThetaFrac, Metric), execution knobs
-// (Parallelism, DisableLazy/DisableGrid), interactive-session
-// tuning (MaxZoomOutScale, AsyncPrefetch) and serving
-// limits (RequestTimeout, SessionTTL, MaxSessions). See engine.Config
-// for per-field documentation.
+// selection shape (K, Theta/ThetaFrac, Metric), ablation switches
+// (DisableLazy/DisableGrid), interactive-session tuning
+// (MaxZoomOutScale, AsyncPrefetch) and serving limits (RequestTimeout,
+// SessionTTL, MaxSessions). Every selection runs on one core, the
+// caller's goroutine. See engine.Config for per-field documentation.
 type EngineConfig = engine.Config
 
 // SessionConfig configures an interactive session; see isos.Config.
@@ -150,8 +150,7 @@ func MetricFunc(f func(a, b *Object) float64) Metric { return sim.Func(f) }
 
 // Options parameterizes a one-shot Select: the embedded EngineConfig
 // carries the selection shape and execution knobs (K, Theta/ThetaFrac,
-// Metric, MinGain, Parallelism, ...); the remaining fields
-// are Select-specific.
+// Metric, MinGain, ...); the remaining fields are Select-specific.
 //
 // In Select, ThetaFrac is interpreted against the longest side of the
 // queried region, and Theta overrides it when positive.
@@ -291,10 +290,8 @@ func NewSession(src Source, cfg SessionConfig) (*Session, error) {
 // that order: with no mutations applied the two agree except at
 // near-ties, where identical-text twins can swap or, rarely, the
 // greedy path differs. Its memory follows the live objects (see
-// LiveStore.Stats). cfg supplies
-// Parallelism (incremental index maintenance for large batches) and
-// IngestBatch (the Enqueue auto-flush threshold); zero values take the
-// engine defaults.
+// LiveStore.Stats). cfg supplies IngestBatch (the Enqueue auto-flush
+// threshold); its zero value takes the engine default.
 func NewLiveStore(col *Collection, cfg EngineConfig) (*LiveStore, error) {
 	return livestore.New(col, cfg)
 }

@@ -19,7 +19,7 @@ import (
 func steadyState(t testing.TB, ctx context.Context, s *Selector, warm int) (*evaluator, *runState, *Result) {
 	t.Helper()
 	n := len(s.Objects)
-	e := newEvaluator(ctx, s.Objects, s.Metric, s.Agg, nil)
+	e := newEvaluator(ctx, s.Objects, s.Metric, s.Agg)
 	forced := make(map[int]bool)
 	for _, f := range s.Forced {
 		forced[f] = true
@@ -50,8 +50,8 @@ func steadyState(t testing.TB, ctx context.Context, s *Selector, warm int) (*eva
 }
 
 // TestGreedySteadyStateAllocs is the arena-reuse guard: once the run is
-// warm, a greedy iteration — pop, batched re-evaluation, absorb,
-// conflict removal — performs zero heap allocations, with and without
+// warm, a greedy iteration — pop, re-evaluation, absorb, conflict
+// removal — performs zero heap allocations, with and without
 // the conflict grid, and on the metric the server runs (Cosine) as well
 // as a spatial one.
 //
@@ -86,7 +86,7 @@ func TestGreedySteadyStateAllocs(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			s := &Selector{
-				Config:  engine.Config{K: len(c.objs), Theta: c.theta, Metric: c.m, Parallelism: 1},
+				Config:  engine.Config{K: len(c.objs), Theta: c.theta, Metric: c.m},
 				Objects: c.objs,
 			}
 			e, st, res := steadyState(t, context.Background(), s, c.warm)
@@ -122,22 +122,27 @@ func TestGreedySteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestMarginalBatchReusesDst pins the arena contract of the batched
-// marginal evaluation: with a caller-provided buffer it never
+// TestMarginalBatchReusesDst pins the arena contract of the bare
+// marginal evaluation, which the exact heap initialization runs once
+// per candidate: its row buffer lives on the stack, so it never
 // allocates.
 func TestMarginalBatchReusesDst(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("invariant assertions allocate their diagnostic arguments")
 	}
 	objs := testObjects(600, 5)
-	e := newEvaluator(nil, objs, sim.EuclideanProximity{MaxDist: 0.3}, AggMax, nil)
+	e := newEvaluator(nil, objs, sim.EuclideanProximity{MaxDist: 0.3}, AggMax)
 	best := make([]float64, len(objs))
-	cs := []int{3, 77, 201, 550}
-	dst := make([]float64, len(cs))
+	var sum float64
 	avg := testing.AllocsPerRun(100, func() {
-		dst = e.marginalBatch(dst, best, cs)
+		for _, c := range []int{3, 77, 201, 550} {
+			sum += e.marginal(best, c)
+		}
 	})
 	if avg != 0 {
-		t.Fatalf("marginalBatch with reused dst allocates %v, want 0", avg)
+		t.Fatalf("marginal allocates %v per four candidates, want 0", avg)
+	}
+	if sum <= 0 {
+		t.Fatal("the measured evaluations gained nothing")
 	}
 }

@@ -29,10 +29,7 @@ func benchRegion(tb testing.TB, store *geodata.Store, target int) ([]geodata.Obj
 // BenchmarkSelectCosineCold is one cold /select of the end-to-end
 // benchmark's select_cold workload, in process: k = 100, θ = 0.003·side,
 // Cosine, at the workload's median region (374 objects), its largest
-// (1400) and a larger one (3100). At parallelism=1 ns/op is CPU time per
-// run; parallelism=2 adds the per-run worker pool, and the pair is the
-// measurement behind running the server's selections serially
-// (DESIGN.md §5b) — rerun it on another machine to revisit that choice.
+// (1400) and a larger one (3100). ns/op is CPU time per run.
 func BenchmarkSelectCosineCold(b *testing.B) {
 	store, err := dataset.GenerateStore(dataset.POISpec(100000, 1))
 	if err != nil {
@@ -40,23 +37,21 @@ func BenchmarkSelectCosineCold(b *testing.B) {
 	}
 	for _, target := range []int{374, 1400, 3100} {
 		objs, side := benchRegion(b, store, target)
-		for _, par := range []int{1, 2} {
-			b.Run(fmt.Sprintf("objects=%d/parallelism=%d", target, par), func(b *testing.B) {
-				b.ReportAllocs()
-				var evals int
-				for i := 0; i < b.N; i++ {
-					s := &Selector{
-						Config:  engine.Config{K: 100, Theta: 0.003 * side, Metric: sim.Cosine{}, Parallelism: par},
-						Objects: objs,
-					}
-					res, err := s.Run(context.Background())
-					if err != nil {
-						b.Fatal(err)
-					}
-					evals = res.Evals
+		b.Run(fmt.Sprintf("objects=%d", target), func(b *testing.B) {
+			b.ReportAllocs()
+			var evals int
+			for i := 0; i < b.N; i++ {
+				s := &Selector{
+					Config:  engine.Config{K: 100, Theta: 0.003 * side, Metric: sim.Cosine{}},
+					Objects: objs,
 				}
-				b.ReportMetric(float64(evals), "evals/op")
-			})
-		}
+				res, err := s.Run(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				evals = res.Evals
+			}
+			b.ReportMetric(float64(evals), "evals/op")
+		})
 	}
 }

@@ -41,40 +41,38 @@ func TestRunCancelledMidway(t *testing.T) {
 	// Reference: total metric calls without cancellation.
 	var full atomic.Int64
 	ref := &Selector{
-		Config:  engine.Config{K: 20, Theta: 0.02, Metric: countingMetric{calls: &full, inner: base}, Parallelism: 2},
+		Config:  engine.Config{K: 20, Theta: 0.02, Metric: countingMetric{calls: &full, inner: base}},
 		Objects: objs,
 	}
 	if _, err := ref.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, par := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var calls atomic.Int64
-		cutoff := full.Load() / 10
-		m := countingMetric{calls: &calls, inner: base, trigger: func(n int64) {
-			if n == cutoff {
-				cancel()
-			}
-		}}
-		sel := &Selector{
-			Config:  engine.Config{K: 20, Theta: 0.02, Metric: m, Parallelism: par},
-			Objects: objs,
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	cutoff := full.Load() / 10
+	m := countingMetric{calls: &calls, inner: base, trigger: func(n int64) {
+		if n == cutoff {
+			cancel()
 		}
-		res, err := sel.Run(ctx)
-		cancel()
-		if res != nil {
-			t.Fatalf("p=%d: cancelled Run returned a result", par)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("p=%d: err = %v, want context.Canceled", par, err)
-		}
-		// Cancellation latency is bounded by one chunk per worker, so the
-		// cancelled run must do far less work than the full run.
-		if got := calls.Load(); got >= full.Load()/2 {
-			t.Fatalf("p=%d: cancelled run made %d of %d metric calls — did not stop early",
-				par, got, full.Load())
-		}
+	}}
+	sel := &Selector{
+		Config:  engine.Config{K: 20, Theta: 0.02, Metric: m},
+		Objects: objs,
+	}
+	res, err := sel.Run(ctx)
+	if res != nil {
+		t.Fatal("cancelled Run returned a result")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// Cancellation latency is bounded by one chunk, so the cancelled run
+	// stops within evalChunk metric calls of the cutoff.
+	if got := calls.Load(); got > cutoff+evalChunk {
+		t.Fatalf("cancelled at call %d, the run made %d of %d metric calls — did not stop within a chunk",
+			cutoff, got, full.Load())
 	}
 }
 
@@ -88,7 +86,7 @@ func TestRunPreCancelled(t *testing.T) {
 	var calls atomic.Int64
 	sel := &Selector{
 		Config: engine.Config{K: 10, Theta: 0.02,
-			Metric: countingMetric{calls: &calls, inner: sim.Cosine{}}, Parallelism: 2},
+			Metric: countingMetric{calls: &calls, inner: sim.Cosine{}}},
 		Objects: objs,
 	}
 	if _, err := sel.Run(ctx); !errors.Is(err, context.Canceled) {
@@ -111,7 +109,7 @@ func TestRunDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	sel := &Selector{
-		Config:  engine.Config{K: 50, Theta: 0.01, Metric: slow, Parallelism: 2},
+		Config:  engine.Config{K: 50, Theta: 0.01, Metric: slow},
 		Objects: objs,
 	}
 	start := time.Now()

@@ -704,7 +704,7 @@ func TestPaperWorkedExample(t *testing.T) {
 		t.Errorf("second pick id = %d, want o4", second)
 	}
 	// The paper's marginal for o1: (1+0.9+0.2+0.5+0+0) = 2.6.
-	e := newEvaluator(nil, objs, metric, AggMax, nil)
+	e := newEvaluator(nil, objs, metric, AggMax)
 	if g := e.marginal(make([]float64, 6), 0); math.Abs(g-2.6) > 1e-9 {
 		t.Errorf("initial marginal of o1 = %v, want 2.6", g)
 	}

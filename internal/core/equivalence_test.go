@@ -82,7 +82,7 @@ func TestEvaluatorMatchesMetric(t *testing.T) {
 	metrics["gauss-narrow"] = sim.GaussianProximity{Sigma: 0.05}
 	for name, m := range metrics {
 		for _, agg := range []Agg{AggMax, AggSum} {
-			e := newEvaluator(nil, objs, m, agg, nil)
+			e := newEvaluator(nil, objs, m, agg)
 			oracle := &metricOracle{objs: objs, m: m, sum: e.sumAgg()}
 			got := make([]float64, len(objs))
 			want := make([]float64, len(objs))
@@ -99,7 +99,7 @@ func TestEvaluatorMatchesMetric(t *testing.T) {
 				}
 				for probe := 0; probe < 20; probe++ {
 					c := rng.Intn(len(objs))
-					g, w := e.marginalBatch(nil, got, []int{c})[0], oracle.marginal(want, c)
+					g, w := e.marginal(got, c), oracle.marginal(want, c)
 					if g != w {
 						t.Fatalf("%s agg=%v: marginal(%d) = %v, metric says %v", name, agg, c, g, w)
 					}
@@ -132,20 +132,13 @@ func clusteredObjects(t testing.TB, n int, seed int64) []geodata.Object {
 	return col.Objects
 }
 
-// runConfig is one cell of the equivalence matrix.
-type runConfig struct {
-	par     int
-	stripes int
-	naive   bool
-}
-
-// TestSelectionEquivalenceMatrix is the end-to-end determinism proof of
-// the engine: across Parallelism × metric × stripe-count overrides,
-// every Selector run returns the identical selection,
-// bitwise-identical score, and bitwise-identical gain sequence. The
-// reference cell is the serial single-stripe run. The short-support
-// rows also hold the lazy run to the naive sweep and to the same metric
-// behind an opaque sim.Func, at Parallelism 1, 2 and 8.
+// TestSelectionEquivalenceMatrix is the end-to-end equivalence proof
+// of the engine: for every metric row, the lazy run, the naive sweep
+// and the same metric behind an opaque sim.Func (the generic sim.Rows
+// kind, with the exact heap initialization) return the identical
+// selection, bitwise-identical score and bitwise-identical gain
+// sequence. The short-support rows run a clustered instance on which
+// most similarities are zero.
 func TestSelectionEquivalenceMatrix(t *testing.T) {
 	type row struct {
 		m     sim.Metric
@@ -162,72 +155,52 @@ func TestSelectionEquivalenceMatrix(t *testing.T) {
 	for name, m := range shortSupportMetrics() {
 		rows[name] = row{m: m, objs: clustered, theta: 0.01, short: true}
 	}
-	variants := []runConfig{
-		{par: 1, stripes: 0},
-		{par: 1, stripes: 3},
-		{par: 2, stripes: 0},
-		{par: 4, stripes: 7},
-		{par: 4, stripes: 2},
-		{par: 8, stripes: 0},
-	}
 	for name, r := range rows {
-		run := func(m sim.Metric, rc runConfig) *Result {
+		run := func(m sim.Metric, naive bool) *Result {
 			t.Helper()
 			sel := &Selector{
-				Config: engine.Config{
-					K: 9, Theta: r.theta, Metric: m, Parallelism: rc.par, DisableLazy: rc.naive,
-				},
-				Objects:      r.objs,
-				forceStripes: rc.stripes,
+				Config:  engine.Config{K: 9, Theta: r.theta, Metric: m, DisableLazy: naive},
+				Objects: r.objs,
 			}
 			res, err := sel.Run(context.Background())
 			if err != nil {
-				t.Fatalf("%s %+v: %v", name, rc, err)
+				t.Fatalf("%s naive=%v: %v", name, naive, err)
 			}
 			return res
 		}
-		ref := run(r.m, runConfig{par: 1, stripes: 1})
-		same := func(what string, m sim.Metric, rc runConfig) {
+		ref := run(r.m, false)
+		same := func(what string, got *Result) {
 			t.Helper()
-			got := run(m, rc)
 			if len(got.Selected) != len(ref.Selected) {
-				t.Fatalf("%s %s %+v: %d selected, ref %d", name, what, rc, len(got.Selected), len(ref.Selected))
+				t.Fatalf("%s %s: %d selected, ref %d", name, what, len(got.Selected), len(ref.Selected))
 			}
 			for i := range ref.Selected {
 				if got.Selected[i] != ref.Selected[i] {
-					t.Fatalf("%s %s %+v: pick %d = %d, ref %d", name, what, rc, i, got.Selected[i], ref.Selected[i])
+					t.Fatalf("%s %s: pick %d = %d, ref %d", name, what, i, got.Selected[i], ref.Selected[i])
 				}
 			}
 			if got.Score != ref.Score {
-				t.Fatalf("%s %s %+v: score %v, ref %v (diff %v)",
-					name, what, rc, got.Score, ref.Score, math.Abs(got.Score-ref.Score))
+				t.Fatalf("%s %s: score %v, ref %v (diff %v)",
+					name, what, got.Score, ref.Score, math.Abs(got.Score-ref.Score))
 			}
 			for i := range ref.Gains {
 				if got.Gains[i] != ref.Gains[i] {
-					t.Fatalf("%s %s %+v: gain %d = %v, ref %v", name, what, rc, i, got.Gains[i], ref.Gains[i])
+					t.Fatalf("%s %s: gain %d = %v, ref %v", name, what, i, got.Gains[i], ref.Gains[i])
 				}
 			}
 		}
-		for _, rc := range variants {
-			same("lazy", r.m, rc)
-		}
-		if !r.short {
-			continue
-		}
-		if len(ref.Selected) != 9 || ref.Gains[8] <= 0 {
+		if r.short && (len(ref.Selected) != 9 || ref.Gains[8] <= 0) {
 			t.Fatalf("%s: reference run picked %d with last gain %v; the instance is degenerate", name, len(ref.Selected), ref.Gains)
 		}
-		for _, par := range []int{1, 2, 8} {
-			same("naive", r.m, runConfig{par: par, naive: true})
-			same("func", sim.Func(r.m.Sim), runConfig{par: par})
-		}
+		same("naive", run(r.m, true))
+		same("func", run(sim.Func(r.m.Sim), false))
 	}
 }
 
 // TestSelectionEquivalenceWithBounds repeats the matrix check on the
 // prefetched-bounds path (InitialGains + Heapify with Iter -1), where
-// the striped heap is seeded with stale upper bounds instead of exact
-// gains.
+// the heap is seeded with stale upper bounds instead of exact gains:
+// the selection must be the plain run's.
 func TestSelectionEquivalenceWithBounds(t *testing.T) {
 	objs := testObjects(650, 78)
 	m := hybridMetric(t)
@@ -244,34 +217,26 @@ func TestSelectionEquivalenceWithBounds(t *testing.T) {
 	for i := range bounds {
 		bounds[i] = sumW
 	}
-	run := func(rc runConfig) *Result {
+	run := func(gains []float64) *Result {
 		t.Helper()
-		sel := &Selector{
-			Config:       engine.Config{K: 7, Theta: 0.05, Metric: m, Parallelism: rc.par},
+		res, err := (&Selector{
+			Config:       engine.Config{K: 7, Theta: 0.05, Metric: m},
 			Objects:      objs,
 			Candidates:   cands,
-			InitialGains: bounds,
-			forceStripes: rc.stripes,
-		}
-		res, err := sel.Run(context.Background())
+			InitialGains: gains,
+		}).Run(context.Background())
 		if err != nil {
-			t.Fatalf("%+v: %v", rc, err)
+			t.Fatal(err)
 		}
 		return res
 	}
-	ref := run(runConfig{par: 1, stripes: 1})
-	for _, rc := range []runConfig{
-		{par: 1, stripes: 0}, {par: 2, stripes: 5}, {par: 4, stripes: 0},
-	} {
-		got := run(rc)
-		if len(got.Selected) != len(ref.Selected) || got.Score != ref.Score {
-			t.Fatalf("%+v: selection/score diverged: %v/%v vs %v/%v",
-				rc, got.Selected, got.Score, ref.Selected, ref.Score)
-		}
-		for i := range ref.Selected {
-			if got.Selected[i] != ref.Selected[i] {
-				t.Fatalf("%+v: pick %d = %d, ref %d", rc, i, got.Selected[i], ref.Selected[i])
-			}
+	ref, got := run(nil), run(bounds)
+	if len(got.Selected) != len(ref.Selected) || got.Score != ref.Score {
+		t.Fatalf("selection/score diverged: %v/%v vs %v/%v", got.Selected, got.Score, ref.Selected, ref.Score)
+	}
+	for i := range ref.Selected {
+		if got.Selected[i] != ref.Selected[i] {
+			t.Fatalf("pick %d = %d, ref %d", i, got.Selected[i], ref.Selected[i])
 		}
 	}
 }

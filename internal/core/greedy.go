@@ -9,12 +9,11 @@ import (
 	"geosel/internal/grid"
 	"geosel/internal/invariant"
 	"geosel/internal/lazyheap"
-	"geosel/internal/parallel"
 )
 
 // Selector configures one run of the greedy selection algorithm. The
-// shared knobs — K, Theta, Metric, Agg, MinGain, Parallelism and the
-// Disable* ablation switches — live in the embedded
+// shared knobs — K, Theta, Metric, Agg, MinGain and the Disable*
+// ablation switches — live in the embedded
 // engine.Config (see that package for per-field semantics); the fields
 // declared here are the per-run inputs. The zero value is not runnable;
 // populate at least Objects and Config{K, Theta, Metric}. A Selector is
@@ -58,11 +57,6 @@ type Selector struct {
 	// single-use contract.
 	ran bool
 
-	// forceStripes overrides the lazy heap's stripe count (normally
-	// derived from the worker count). Test-only: the pop order is
-	// stripe-count-invariant, and the equivalence suite proves it by
-	// forcing mismatched counts.
-	forceStripes int
 	// residualPairs overrides the residual-support arena's pair cap
 	// (residual.go); negative switches the lists off, so that every
 	// evaluation is the dense pass. Test-only: results do not depend on
@@ -86,9 +80,6 @@ type Result struct {
 	// still counts as one. Lazy forward keeps Evals far below |G|·K;
 	// exact heap initialization adds |G| of them, seeding the heap with
 	// bounds (InitialGains, or the metric's own linear row sums) none.
-	// With Parallelism > 1 the batched re-evaluation of stale heap tops
-	// may refresh a few extra candidates per round, so Evals can exceed
-	// the serial count even though the selection is identical.
 	Evals int
 	// Rounds is the number of greedy iterations performed.
 	Rounds int
@@ -104,9 +95,10 @@ type Result struct {
 // conflicting forced objects, mis-sized InitialGains) and when called a
 // second time on the same Selector.
 //
-// ctx cancels the run cooperatively: the context is checked at every
-// evaluation-chunk boundary, so a cancelled run stops within one chunk
-// of work per worker and returns ctx.Err(). A nil ctx never cancels.
+// The run is one serial loop on the calling goroutine. ctx cancels it
+// cooperatively: the context is checked at every evaluation-chunk
+// boundary, so a cancelled run stops within one chunk of work and
+// returns ctx.Err(). A nil ctx never cancels.
 // Cancellation does not affect determinism — a run either completes
 // with the exact same result as every other completed run, or returns
 // an error and no result.
@@ -123,15 +115,7 @@ func (s *Selector) Run(ctx context.Context) (*Result, error) {
 	}
 	n := len(s.Objects)
 	res := &Result{}
-
-	// One pool per run, reused by every absorb/marginal pass across all
-	// greedy iterations; tiny instances skip the pool entirely.
-	var pool *parallel.Pool
-	if n >= serialCutoff && s.Parallelism != 1 {
-		pool = parallel.New(s.Parallelism)
-		defer pool.Close()
-	}
-	e := newEvaluator(ctx, s.Objects, s.Metric, s.Agg, pool)
+	e := newEvaluator(ctx, s.Objects, s.Metric, s.Agg)
 
 	// best[i] = current Sim(o_i, S): the aggregation state per object.
 	// For AggSum/AggAvg it accumulates the sum of similarities.
@@ -260,102 +244,47 @@ func (s *Selector) finish(e *evaluator, res *Result, best []float64, selected []
 	return nil
 }
 
-// maxStripes bounds the lazy heap's stripe count: every Pop scans one
-// top per stripe, so stripes beyond the worker count only add scan cost.
-const maxStripes = 64
-
-// runState is the arena of one lazy greedy run: the striped heap, the
-// conflict grid, and every scratch buffer the steady-state iteration
-// touches. All buffers are sized once; after the first few iterations a
-// lazyStep performs zero heap allocations (guarded by
+// runState is the arena of one lazy greedy run: the heap, the conflict
+// grid, and every scratch buffer the steady-state iteration touches.
+// All buffers are sized once; after the first few iterations a lazyStep
+// performs zero heap allocations (guarded by
 // TestGreedySteadyStateAllocs).
 type runState struct {
-	h        *lazyheap.Striped
+	h        *lazyheap.Heap
 	cg       *grid.Grid
 	active   []int
 	selected []int
 	best     []float64
 	// res evaluates gains against best, through the run's
 	// residual-support lists where it keeps them.
-	res      *residual
-	iter     int
-	maxBatch int
-	// batch/ids/gains are the lazy re-evaluation scratch; doomed is the
-	// conflict-removal scratch.
-	batch  []lazyheap.Tuple
-	ids    []int
-	gains  []float64
+	res  *residual
+	iter int
+	// doomed is the conflict-removal scratch.
 	doomed []int
-	// runFn adapts the evaluator's pool to the heap's Runner for
-	// sharded pushes, bound once per run.
-	runFn lazyheap.Runner
 }
 
-// newRunState builds the arena: the spatially-striped heap (one stripe
-// per worker, stripes = horizontal bands over the candidates' Y extent,
-// matching the grid partitioning a distributed frontier would use), the
-// conflict grid, and the reusable scratch buffers.
+// newRunState builds the arena: the heap, the conflict grid, and the
+// reusable scratch buffers.
 func (s *Selector) newRunState(e *evaluator, best []float64, selected, active []int) (*runState, error) {
 	cg, err := s.conflictGrid(active)
 	if err != nil {
 		return nil, err
 	}
-	nStripes := 1
-	if w := e.pool.Workers(); w > 1 {
-		nStripes = w
-		if nStripes > maxStripes {
-			nStripes = maxStripes
-		}
-	}
-	if s.forceStripes > 0 {
-		nStripes = s.forceStripes
-	}
-	stripeOf := func(int) int { return 0 }
-	if nStripes > 1 && len(active) > 0 {
-		b := geoBounds(s.Objects, active)
-		if h := b.Height(); h > 0 {
-			objs, minY, scale, n := s.Objects, b.Min.Y, float64(nStripes)/b.Height(), nStripes
-			stripeOf = func(id int) int {
-				k := int((objs[id].Loc.Y - minY) * scale)
-				if k < 0 {
-					return 0
-				}
-				if k >= n {
-					return n - 1
-				}
-				return k
-			}
-		}
-	}
-	maxBatch := e.pool.Workers()
-	st := &runState{
-		h:        lazyheap.NewStriped(len(s.Objects), nStripes, stripeOf),
+	return &runState{
+		h:        lazyheap.New(len(s.Objects)),
 		cg:       cg,
 		active:   active,
 		selected: selected,
 		best:     best,
-		res:      newResidual(e, best, maxBatch, s.residualPairs),
-		maxBatch: maxBatch,
-		batch:    make([]lazyheap.Tuple, 0, maxBatch),
-		ids:      make([]int, 0, maxBatch),
-		gains:    make([]float64, 0, maxBatch),
-		runFn:    func(n int, fn func(int)) { e.run(n, fn) },
-	}
-	return st, nil
+		res:      newResidual(e, best, s.residualPairs),
+	}, nil
 }
 
 // runLazy is Algorithm 1: heap of ⟨o, Δ(o), Iter⟩ tuples, re-evaluating
-// only stale tops, with grid-accelerated conflict removal. Stale tops
-// are refreshed in batches of up to one per pool worker, which
-// parallelizes the re-evaluation while provably preserving the serial
-// pick order: refreshed gains are exact, stale gains are upper bounds
-// (submodularity), so the first fresh tuple to surface is the true
-// argmax under the heap's deterministic (gain, id) ordering no matter
-// how many extra tuples were refreshed along the way. The heap itself
-// is striped (one spatial stripe per worker) with heap construction and
-// batched re-insertion sharded stripe-by-stripe across the pool; the
-// pop order — and therefore the selection — is bitwise-identical for
-// every stripe count.
+// only stale tops, with grid-accelerated conflict removal. A refreshed
+// gain is exact and a stale one an upper bound (submodularity), so the
+// first fresh tuple to surface is the true argmax under the heap's
+// deterministic (gain, id) ordering.
 func (s *Selector) runLazy(e *evaluator, res *Result, best []float64, selected, active []int, bounds []float64) error {
 	st, err := s.startLazy(e, res, best, selected, active, bounds)
 	if err != nil {
@@ -397,25 +326,22 @@ func (s *Selector) startLazy(e *evaluator, res *Result, best []float64, selected
 			// is re-evaluated before being trusted.
 			init[i] = lazyheap.Tuple{ID: c, Gain: bounds[i], Iter: -1}
 		}
-		st.h.Heapify(init, st.runFn)
+		st.h.Heapify(init)
 	} else if len(active) > 0 {
 		// Exact O(|O|·|G|) heap initialization, Algorithm 1 as published
-		// — the bottleneck on a metric without row sums — evaluated one
-		// candidate per worker task, then bulk-loaded per stripe in O(n).
-		// It runs on the bare evaluator and records no residual support:
-		// a task per candidate has no slot to capture into, and against
-		// the forced set alone a support is most of what the candidate
-		// resembles — too long to keep.
-		gains := e.marginalBatch(nil, best, active)
+		// — the bottleneck on a metric without row sums — then bulk-loaded
+		// in O(n). It runs on the bare evaluator and records no residual
+		// support: against the forced set alone a support is most of what
+		// the candidate resembles — too long to keep.
+		init := make([]lazyheap.Tuple, len(active))
+		for i, c := range active {
+			init[i] = lazyheap.Tuple{ID: c, Gain: e.marginal(best, c), Iter: 0}
+		}
 		if err := e.fail(); err != nil {
 			return nil, err
 		}
 		res.Evals += len(active)
-		init := make([]lazyheap.Tuple, len(active))
-		for i, c := range active {
-			init[i] = lazyheap.Tuple{ID: c, Gain: gains[i], Iter: 0}
-		}
-		st.h.Heapify(init, st.runFn)
+		st.h.Heapify(init)
 	}
 	if err := e.fail(); err != nil {
 		return nil, err
@@ -425,7 +351,7 @@ func (s *Selector) startLazy(e *evaluator, res *Result, best []float64, selected
 }
 
 // lazyStep performs one round of the lazy greedy loop: pop the top,
-// either refresh a batch of stale tuples or select the fresh winner.
+// either refresh it if stale or select it if fresh.
 // It reports done = true when the MinGain cutoff fires. The steady
 // state allocates nothing — every buffer it touches lives in st.
 //
@@ -433,44 +359,20 @@ func (s *Selector) startLazy(e *evaluator, res *Result, best []float64, selected
 func (s *Selector) lazyStep(e *evaluator, res *Result, st *runState) (bool, error) {
 	t, _ := st.h.Pop()
 	if t.Iter != st.iter {
-		// Batched lazy re-evaluation: refresh up to maxBatch stale
-		// tuples from the top of the heap concurrently. Collection
-		// stops at the first fresh tuple — everything below it is
-		// bounded above by its gain and cannot win this round.
-		st.batch = append(st.batch[:0], t)
-		for len(st.batch) < st.maxBatch {
-			u, ok := st.h.Peek()
-			if !ok || u.Iter == st.iter {
-				break
-			}
-			st.h.Pop()
-			st.batch = append(st.batch, u)
-		}
-		st.ids = st.ids[:0]
-		for _, u := range st.batch {
-			st.ids = append(st.ids, u.ID)
-		}
-		st.gains = st.res.marginalBatch(st.gains, st.ids)
+		// Lazy re-evaluation: refresh the stale top and push it back;
+		// everything below it is bounded above by its old gain.
+		gain := st.res.marginal(t.ID)
 		if err := e.fail(); err != nil {
 			return false, err
 		}
-		res.Evals += len(st.batch)
+		res.Evals++
 		if invariant.Enabled {
 			// Lemma 4.1 (submodularity) for stale heap entries, and
 			// Lemmas 5.1–5.3 for prefetched bounds (Iter -1): the
 			// recorded gain must upper-bound the fresh exact gain.
-			for k := range st.batch {
-				invariant.UpperBound(st.gains[k], st.batch[k].Gain,
-					"core: lazy re-evaluation of candidate gain")
-			}
+			invariant.UpperBound(gain, t.Gain, "core: lazy re-evaluation of candidate gain")
 		}
-		for k := range st.batch {
-			st.batch[k] = lazyheap.Tuple{ID: st.batch[k].ID, Gain: st.gains[k], Iter: st.iter}
-		}
-		st.h.PushBatch(st.batch, st.runFn)
-		if err := e.fail(); err != nil {
-			return false, err
-		}
+		st.h.Push(lazyheap.Tuple{ID: t.ID, Gain: gain, Iter: st.iter})
 		return false, nil
 	}
 	if s.MinGain > 0 && t.Gain < s.MinGain {
@@ -491,25 +393,22 @@ func (s *Selector) lazyStep(e *evaluator, res *Result, st *runState) (bool, erro
 
 // runNaive recomputes every remaining candidate's marginal gain each
 // iteration — the strawman the lazy-forward strategy improves on. The
-// per-iteration sweep is batched across the pool; the winner is the
-// smallest-id candidate among the maximal gains, matching the lazy
-// path's tie-breaking.
+// winner is the smallest-id candidate among the maximal gains, matching
+// the lazy path's tie-breaking.
 func (s *Selector) runNaive(e *evaluator, res *Result, best []float64, selected, active []int) error {
 	alive := append([]int(nil), active...)
-	r := newResidual(e, best, e.pool.Workers(), s.residualPairs)
-	var gains []float64
+	r := newResidual(e, best, s.residualPairs)
 	for len(selected) < s.K && len(alive) > 0 {
-		gains = r.marginalBatch(gains, alive)
+		bestC, bestGain := -1, -1.0
+		for _, c := range alive {
+			if g := r.marginal(c); g > bestGain || (g == bestGain && c < bestC) {
+				bestC, bestGain = c, g
+			}
+		}
 		if err := e.fail(); err != nil {
 			return err
 		}
 		res.Evals += len(alive)
-		bestC, bestGain := -1, -1.0
-		for k, c := range alive {
-			if gains[k] > bestGain || (gains[k] == bestGain && c < bestC) {
-				bestC, bestGain = c, gains[k]
-			}
-		}
 		if s.MinGain > 0 && bestGain < s.MinGain {
 			break
 		}

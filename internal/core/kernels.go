@@ -1,40 +1,30 @@
+// The evaluation engine: every O(|O|) pass of the greedy algorithm —
+// absorbing a pick into the aggregation state, evaluating a candidate's
+// marginal gain, computing the final score — is a loop over the objects
+// split into fixed evalChunk-sized chunks, run on the calling goroutine.
+// Every chunk body fills one row of similarities and hands it to a
+// reduction of reduce.go; every floating-point reduction accumulates a
+// per-chunk partial from +0.0 and adds the partials in chunk order, so
+// a pass's bits are a function of the object order alone.
 package core
 
 import (
 	"context"
 
 	"geosel/internal/geodata"
-	"geosel/internal/parallel"
 	"geosel/internal/sim"
 )
 
 // evalChunk is the number of objects per reduction chunk, and the size
-// of the stack buffer one sim.Rows call fills. Chunk
-// boundaries depend only on the object count — never on the worker
-// count — which is what makes every reduction bitwise deterministic
-// across Parallelism settings: partial sums are always accumulated
-// within [lo, hi) chunks and combined in chunk order. The size is small
-// enough that instances of a few thousand objects still split into
-// enough chunks to keep a many-core pool busy, and large enough that
-// the per-chunk scheduling cost (one atomic fetch-add) is noise next to
-// the hundreds of similarity evaluations inside.
+// of the stack buffer one sim.Rows call fills. Chunk boundaries depend
+// only on the object count, which fixes the summation order of every
+// reduction. A chunk is also the unit of cancellation: the run's
+// context is probed at every chunk boundary.
 const evalChunk = sim.RowBlock
 
-// serialCutoff is the object count below which Selector.Run skips the
-// worker pool entirely: a single chunk cannot be sharded, and for tiny
-// instances the pool's channel round-trips would dominate the work.
-// Results are unaffected — the reduction order is fixed either way.
-const serialCutoff = 2 * evalChunk
-
-// evaluator is the parallel marginal-gain engine behind Selector.Run,
-// Score and Representatives: the metric compiled once per run into
-// sim.Rows, the weight column extracted once, and a worker pool that
-// shards every loop over the objects into fixed chunks.
-//
-// The steady-state greedy iteration runs allocation-free: all per-pass
-// parameters travel through the op scratch struct, and the loop bodies
-// handed to the pool are method values bound once at construction —
-// never per-pass closures.
+// evaluator is the marginal-gain engine behind Selector.Run and Score:
+// the metric compiled once per run into sim.Rows and the weight column
+// extracted once.
 type evaluator struct {
 	objs []geodata.Object
 	// w is the extracted weight column ω (the paper's mass), indexed
@@ -44,47 +34,19 @@ type evaluator struct {
 	// reductions of reduce.go consume what it writes.
 	rows *sim.Rows
 	agg  Agg
-	pool *parallel.Pool
 	// ctx cancels the run; done caches ctx.Done() so the per-chunk
-	// cancellation probe in worker loops is one channel poll.
+	// cancellation probe is one channel poll.
 	ctx  context.Context
 	done <-chan struct{}
-	// err records the first pool-run failure (always a context error).
-	// Only the orchestrating goroutine reads or writes it; once set, the
-	// aggregation state is garbage and the run must abort.
+	// err latches the first context error a chunk boundary saw. Once
+	// set, the aggregation state is garbage and the run must abort.
 	err error
 	// nChunks = ceil(len(objs)/evalChunk).
 	nChunks int
-	// partials holds one partial sum per chunk; reused by the
-	// single-orchestrator reductions (marginal, score).
-	partials []float64
-
-	// op carries the parameters of the pass currently running on the
-	// pool. Fields are written by the orchestrator before e.run and are
-	// read-only to workers for the duration of the pass.
-	op opState
-	// Pre-bound loop bodies, created once so the steady state never
-	// allocates a closure per pass.
-	absorbChunkFn   func(int)
-	marginalChunkFn func(int)
-	batchFn         func(int)
-	scoreChunkFn    func(int)
 }
 
-// opState is the per-pass parameter block of the evaluator: one
-// mutable scratch area instead of per-pass closure captures.
-type opState struct {
-	best []float64
-	sel  int
-	c    int
-	cs   []int
-	out  []float64
-	div  float64
-}
-
-// newEvaluator compiles the metric into rows and binds the pool. A nil
-// pool is valid and runs everything serially; a nil ctx never cancels.
-func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric, agg Agg, pool *parallel.Pool) *evaluator {
+// newEvaluator compiles the metric into rows. A nil ctx never cancels.
+func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric, agg Agg) *evaluator {
 	w := make([]float64, len(objs))
 	for i := range objs {
 		w[i] = objs[i].Weight
@@ -93,55 +55,41 @@ func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric, agg 
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	nChunks := (len(objs) + evalChunk - 1) / evalChunk
-	e := &evaluator{
-		objs:     objs,
-		w:        w,
-		rows:     sim.NewRows(m, objs),
-		agg:      agg,
-		pool:     pool,
-		ctx:      ctx,
-		done:     done,
-		nChunks:  nChunks,
-		partials: make([]float64, nChunks),
+	return &evaluator{
+		objs:    objs,
+		w:       w,
+		rows:    sim.NewRows(m, objs),
+		agg:     agg,
+		ctx:     ctx,
+		done:    done,
+		nChunks: (len(objs) + evalChunk - 1) / evalChunk,
 	}
-	e.absorbChunkFn = e.absorbChunkTask
-	e.marginalChunkFn = e.marginalChunkTask
-	e.batchFn = e.batchTask
-	e.scoreChunkFn = e.scoreChunkTask
-	return e
 }
 
-// run executes fn over [0, n) on the pool, latching the first context
-// error into e.err. Once a run has failed, subsequent runs are no-ops —
-// callers check e.fail() at their next synchronization point instead of
-// threading errors through every pass.
-func (e *evaluator) run(n int, fn func(int)) {
+// stop is the chunk-boundary probe: it reports whether the run must
+// stop, latching a context error into e.err the first time it sees one.
+// Once a run has failed every pass is a no-op — callers check e.fail()
+// at their next synchronization point instead of threading errors
+// through every pass.
+func (e *evaluator) stop() bool {
 	if e.err != nil {
-		return
+		return true
 	}
-	if err := e.pool.Run(e.ctx, n, fn); err != nil {
-		e.err = err
+	if e.done == nil {
+		return false
+	}
+	select {
+	case <-e.done:
+		e.err = e.ctx.Err()
+		return true
+	default:
+		return false
 	}
 }
 
 // fail reports the latched context error, if any.
 func (e *evaluator) fail() error {
 	return e.err
-}
-
-// cancelled polls the run's cancellation signal. Safe from worker
-// goroutines (unlike e.err, which is orchestrator-only state).
-func (e *evaluator) cancelled() bool {
-	if e.done == nil {
-		return false
-	}
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // sumAgg reports whether the aggregation accumulates sums (AggSum and
@@ -158,4 +106,76 @@ func chunkBounds(chunk, n int) (lo, hi int) {
 		hi = n
 	}
 	return lo, hi
+}
+
+// absorb updates the per-object aggregation state after adding object
+// sel to the selection.
+//
+//geolint:hotpath
+func (e *evaluator) absorb(best []float64, sel int) {
+	var buf [evalChunk]float64
+	for chunk := 0; chunk < e.nChunks && !e.stop(); chunk++ {
+		lo, hi := chunkBounds(chunk, len(e.objs))
+		s := buf[:hi-lo]
+		e.rows.Fill(s, lo, hi, sel)
+		if e.sumAgg() {
+			absorbSum(best[lo:hi], s)
+		} else {
+			absorbMax(best[lo:hi], s)
+		}
+	}
+}
+
+// marginalChunk accumulates one chunk's contribution to the
+// unnormalized marginal gain of candidate c: Σ ω_i·(Sim(o_i, S∪{c}) −
+// Sim(o_i, S)) restricted to the chunk, which for AggMax is
+// Σ ω·max(0, Sim(o_i, o_c) − best[i]).
+//
+//geolint:hotpath
+func (e *evaluator) marginalChunk(best []float64, c, chunk int) float64 {
+	lo, hi := chunkBounds(chunk, len(e.objs))
+	var buf [evalChunk]float64
+	s := buf[:hi-lo]
+	e.rows.Fill(s, lo, hi, c)
+	if e.sumAgg() {
+		return marginalSum(e.w[lo:hi], s)
+	}
+	return marginalMax(e.w[lo:hi], best[lo:hi], s)
+}
+
+// marginal returns the unnormalized marginal gain of candidate c
+// against the aggregation state best. It powers the exact O(|O|·|G|)
+// heap initialization, for metrics that need one; on a cancelled run
+// the value is garbage and e.fail() says so.
+//
+//geolint:hotpath
+func (e *evaluator) marginal(best []float64, c int) float64 {
+	var gain float64
+	for chunk := 0; chunk < e.nChunks && !e.stop(); chunk++ {
+		gain += e.marginalChunk(best, c, chunk)
+	}
+	return gain
+}
+
+// score computes the normalized representative score from the
+// aggregation state (Equation 2).
+func (e *evaluator) score(best []float64, nSelected int) float64 {
+	n := len(e.objs)
+	if n == 0 {
+		return 0
+	}
+	div := 1.0
+	if e.agg == AggAvg && nSelected > 0 {
+		div = float64(nSelected)
+	}
+	var total float64
+	for chunk := 0; chunk < e.nChunks && !e.stop(); chunk++ {
+		lo, hi := chunkBounds(chunk, n)
+		var part float64
+		for i := lo; i < hi; i++ {
+			part += e.w[i] * best[i] / div
+		}
+		total += part
+	}
+	return total / float64(n)
 }

@@ -10,15 +10,23 @@ import (
 	"geosel/internal/sim"
 )
 
-// assertMatchesReference replays a Result against the pre-parallel-engine
-// arithmetic: a single goroutine, straight left-to-right sums, metric
-// interface calls, no kernels. Every engine pick must be the straight-sum
-// argmax of the surviving candidates (ties broken by smallest id), and
-// the reported gains and score must match the straight-sum values within
+// assertMatchesReference replays a Result against the textbook
+// arithmetic: straight left-to-right sums, metric interface calls, no
+// kernels, no chunks. Every engine pick must be the straight-sum argmax
+// of the surviving candidates (ties broken by smallest id), and the
+// reported gains and score must match the straight-sum values within
 // 1e-9. Exact ties at ulp scale — e.g. two objects with identical term
 // vectors, whose gains differ only through summation order — may resolve
 // to either object, so an argmax mismatch is accepted only when the two
 // straight-sum gains agree within 1e-12.
+//
+// Alongside, the replay runs lazy forward on its own straight-sum heap:
+// seeded with each candidate's linear row sum where the metric has one
+// (the engine seeds Cosine's heap from its row sums) and with exact
+// gains otherwise, refreshing every stale top it pops, and following the
+// engine's picks. A round refreshes exactly the stale entries that rank
+// above its winner, whatever order it pops them in, so Evals and Rounds
+// must match the engine's too.
 func assertMatchesReference(t *testing.T, objs []geodata.Object, k int, theta float64, m sim.Metric, res *Result) {
 	t.Helper()
 	n := len(objs)
@@ -37,6 +45,45 @@ func assertMatchesReference(t *testing.T, objs []geodata.Object, k int, theta fl
 	for i := range alive {
 		alive[i] = true
 	}
+
+	// The lazy replay's heap: one (gain, iteration) entry per candidate.
+	w := make([]float64, n)
+	all := make([]int, n)
+	for i := range objs {
+		w[i], all[i] = objs[i].Weight, i
+	}
+	linear := sim.NewRows(m, objs).RowSums(make([]float64, n), w, all)
+	gain := make([]float64, n)
+	iter := make([]int, n)
+	evals := 0
+	for c := range objs {
+		if linear {
+			for i := range objs {
+				gain[c] += objs[i].Weight * m.Sim(&objs[i], &objs[c])
+			}
+			iter[c] = -1
+		} else {
+			gain[c] = marginal(c)
+			evals++
+		}
+	}
+	// lazyRound pops and refreshes stale tops until a fresh one surfaces.
+	lazyRound := func(round int) {
+		for {
+			top := -1
+			for c := 0; c < n; c++ {
+				if alive[c] && (top < 0 || gain[c] > gain[top]) {
+					top = c
+				}
+			}
+			if iter[top] == round {
+				return
+			}
+			gain[top], iter[top] = marginal(top), round
+			evals++
+		}
+	}
+
 	if len(res.Selected) > k {
 		t.Fatalf("selected %d objects for K = %d", len(res.Selected), k)
 	}
@@ -61,6 +108,7 @@ func assertMatchesReference(t *testing.T, objs []geodata.Object, k int, theta fl
 		if math.Abs(pickGain-res.Gains[pi]) > 1e-9 {
 			t.Fatalf("pick %d gain = %v, reference straight-sum gain %v", pi, res.Gains[pi], pickGain)
 		}
+		lazyRound(pi)
 		for i := range objs {
 			if v := m.Sim(&objs[i], &objs[pick]); v > best[i] {
 				best[i] = v
@@ -76,6 +124,12 @@ func assertMatchesReference(t *testing.T, objs []geodata.Object, k int, theta fl
 	if len(res.Selected) < k && nAlive > 0 {
 		t.Fatalf("stopped at %d of %d picks with %d candidates still alive", len(res.Selected), k, nAlive)
 	}
+	if res.Rounds != len(res.Selected) {
+		t.Fatalf("%d rounds for %d picks", res.Rounds, len(res.Selected))
+	}
+	if res.Evals != evals {
+		t.Fatalf("%d evals, the straight-sum lazy replay made %d", res.Evals, evals)
+	}
 	var total float64
 	for i := range objs {
 		total += objs[i].Weight * best[i]
@@ -90,10 +144,10 @@ func assertMatchesReference(t *testing.T, objs []geodata.Object, k int, theta fl
 }
 
 // TestParallelDeterminismMatrix is the determinism guarantee of the
-// parallel engine: for a grid of seeds × (K, θ, metric) configurations,
-// Parallelism 1 and Parallelism N return bitwise-identical Selected,
-// Score and Gains (fixed chunk-ordered partial-sum reduction), and the
-// selections match the pre-parallel serial implementation.
+// engine: for a grid of seeds × (K, θ, metric) configurations, two runs
+// return bitwise-identical Selected, Score, Gains, Evals and Rounds
+// (fixed chunk-ordered partial-sum reduction), and the selections and
+// evaluation counts match the straight-sum replay.
 func TestParallelDeterminismMatrix(t *testing.T) {
 	hybrid, err := sim.NewHybrid(0.5, math.Sqrt2)
 	if err != nil {
@@ -111,8 +165,7 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 		{name: "euclidean", m: sim.EuclideanProximity{MaxDist: math.Sqrt2}},
 		{name: "gaussian", m: sim.GaussianProximity{Sigma: 0.25}},
 		{name: "hybrid", m: hybrid},
-		// A custom metric exercises the generic sim.Rows kind under
-		// the pool (it must be pure/thread-safe, as documented).
+		// A custom metric exercises the generic sim.Rows kind.
 		{name: "custom", m: sim.Func(func(a, b *geodata.Object) float64 {
 			d := a.Loc.Dist(b.Loc)
 			return 1 / (1 + 4*d)
@@ -122,31 +175,30 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 		metrics = append(metrics, metricCase{name, m, true})
 	}
 	clustered := clusteredObjects(t, 2048, 900)
-	// n = 700 spans three chunks, so the chunked reductions and the
-	// cross-worker batch paths all engage.
+	// n = 700 spans three chunks, so the chunked reductions engage.
 	for seed := int64(0); seed < 3; seed++ {
 		uniform := testObjects(700, 900+seed)
 		for _, mc := range metrics {
-			objs, pars := uniform, []int{3, 8}
+			objs := uniform
 			if mc.short {
 				if seed > 0 {
 					continue // one 2048-object instance is enough
 				}
-				objs, pars = clustered, []int{2, 8}
+				objs = clustered
 			}
 			for _, k := range []int{6, 25} {
 				for _, theta := range []float64{0, 0.04} {
-					serial := mustRun(t, &Selector{Config: engine.Config{K: k, Theta: theta, Metric: mc.m, Parallelism: 1}, Objects: objs})
-					for _, par := range pars {
-						got := mustRun(t, &Selector{Config: engine.Config{K: k, Theta: theta, Metric: mc.m, Parallelism: par}, Objects: objs})
-						assertIdenticalResults(t, serial, got, mc.name, seed, k, theta, par)
+					run := func() *Result {
+						return mustRun(t, &Selector{Config: engine.Config{K: k, Theta: theta, Metric: mc.m}, Objects: objs})
 					}
+					first := run()
+					assertIdenticalResults(t, first, run(), mc.name, seed, k, theta)
 					// The O(n²·k) reference replay is expensive; one seed
 					// and one K per (metric, θ) cell — one θ on the larger
 					// short-support instance — keeps the matrix fast while
 					// every cell kind is still certified.
 					if seed == 0 && k == 6 && !(mc.short && theta == 0) {
-						assertMatchesReference(t, objs, k, theta, mc.m, serial)
+						assertMatchesReference(t, objs, k, theta, mc.m, first)
 					}
 				}
 			}
@@ -163,34 +215,34 @@ func mustRun(t *testing.T, s *Selector) *Result {
 	return res
 }
 
-func assertIdenticalResults(t *testing.T, want, got *Result, metric string, seed int64, k int, theta float64, par int) {
+func assertIdenticalResults(t *testing.T, want, got *Result, metric string, seed int64, k int, theta float64) {
 	t.Helper()
 	if len(want.Selected) != len(got.Selected) {
-		t.Fatalf("%s seed=%d k=%d θ=%v p=%d: selected %d vs %d objects",
-			metric, seed, k, theta, par, len(want.Selected), len(got.Selected))
+		t.Fatalf("%s seed=%d k=%d θ=%v: selected %d vs %d objects",
+			metric, seed, k, theta, len(want.Selected), len(got.Selected))
 	}
 	for i := range want.Selected {
 		if want.Selected[i] != got.Selected[i] {
-			t.Fatalf("%s seed=%d k=%d θ=%v p=%d: pick %d differs: %d vs %d",
-				metric, seed, k, theta, par, i, want.Selected[i], got.Selected[i])
+			t.Fatalf("%s seed=%d k=%d θ=%v: pick %d differs: %d vs %d",
+				metric, seed, k, theta, i, want.Selected[i], got.Selected[i])
 		}
 	}
 	if want.Score != got.Score {
-		t.Fatalf("%s seed=%d k=%d θ=%v p=%d: score not bitwise equal: %v vs %v",
-			metric, seed, k, theta, par, want.Score, got.Score)
+		t.Fatalf("%s seed=%d k=%d θ=%v: score not bitwise equal: %v vs %v",
+			metric, seed, k, theta, want.Score, got.Score)
 	}
 	for i := range want.Gains {
 		if want.Gains[i] != got.Gains[i] {
-			t.Fatalf("%s seed=%d k=%d θ=%v p=%d: gain %d not bitwise equal: %v vs %v",
-				metric, seed, k, theta, par, i, want.Gains[i], got.Gains[i])
+			t.Fatalf("%s seed=%d k=%d θ=%v: gain %d not bitwise equal: %v vs %v",
+				metric, seed, k, theta, i, want.Gains[i], got.Gains[i])
 		}
 	}
 }
 
-// TestParallelDeterminismWithBounds covers the batched lazy
-// re-evaluation under prefetched upper bounds: loose bounds force every
-// candidate through the stale-refresh path, which with Parallelism > 1
-// runs in cross-worker batches; the selection must not change.
+// TestParallelDeterminismWithBounds covers the lazy re-evaluation
+// under prefetched upper bounds: loose bounds force every candidate
+// through the stale-refresh path, and the selection must be bitwise
+// the one the exact heap initialization makes.
 func TestParallelDeterminismWithBounds(t *testing.T) {
 	objs := testObjects(600, 77)
 	m := hybridMetric(t)
@@ -206,11 +258,9 @@ func TestParallelDeterminismWithBounds(t *testing.T) {
 	for i := range bounds {
 		bounds[i] = wsum // trivially valid upper bound (Sim <= 1)
 	}
-	serial := mustRun(t, &Selector{Config: engine.Config{K: 12, Theta: 0.03, Metric: m, Parallelism: 1}, Objects: objs, Candidates: cands, InitialGains: bounds})
-	for _, par := range []int{2, 8} {
-		got := mustRun(t, &Selector{Config: engine.Config{K: 12, Theta: 0.03, Metric: m, Parallelism: par}, Objects: objs, Candidates: cands, InitialGains: bounds})
-		assertIdenticalResults(t, serial, got, "bounded", 77, 12, 0.03, par)
-	}
+	exact := mustRun(t, &Selector{Config: engine.Config{K: 12, Theta: 0.03, Metric: m}, Objects: objs, Candidates: cands})
+	bounded := mustRun(t, &Selector{Config: engine.Config{K: 12, Theta: 0.03, Metric: m}, Objects: objs, Candidates: cands, InitialGains: bounds})
+	assertIdenticalResults(t, exact, bounded, "bounded", 77, 12, 0.03)
 }
 
 // TestSelfSeedingMatchesExactInit pins the contract of the linear row
@@ -252,34 +302,32 @@ func TestSelfSeedingMatchesExactInit(t *testing.T) {
 	}
 	for name, shape := range shapes {
 		for _, agg := range []Agg{AggMax, AggSum} {
-			for _, par := range []int{1, 2, 8} {
-				run := func(m sim.Metric) *Result {
-					s := shape
-					s.Objects = objs
-					s.Config = engine.Config{K: k, Theta: theta, Metric: m, Agg: agg, Parallelism: par}
-					return mustRun(t, &s)
-				}
-				want, got := run(opaque), run(sim.Cosine{})
-				assertIdenticalResults(t, want, got, name+"/"+agg.String(), 41, k, theta, par)
-				if len(got.Gains) != len(want.Gains) {
-					t.Fatalf("%s/%v p=%d: %d gains vs %d", name, agg, par, len(got.Gains), len(want.Gains))
-				}
-				if name == "plain" && par == 1 && got.Evals >= want.Evals {
-					t.Errorf("%s/%v: self-seeded run made %d evals, exact init %d", name, agg, got.Evals, want.Evals)
-				}
+			run := func(m sim.Metric) *Result {
+				s := shape
+				s.Objects = objs
+				s.Config = engine.Config{K: k, Theta: theta, Metric: m, Agg: agg}
+				return mustRun(t, &s)
+			}
+			want, got := run(opaque), run(sim.Cosine{})
+			assertIdenticalResults(t, want, got, name+"/"+agg.String(), 41, k, theta)
+			if len(got.Gains) != len(want.Gains) {
+				t.Fatalf("%s/%v: %d gains vs %d", name, agg, len(got.Gains), len(want.Gains))
+			}
+			if name == "plain" && got.Evals >= want.Evals {
+				t.Errorf("%s/%v: self-seeded run made %d evals, exact init %d", name, agg, got.Evals, want.Evals)
 			}
 		}
 	}
 }
 
 // TestParallelNaiveMatchesLazy pins the DisableLazy ablation to the
-// lazy path under parallel execution.
+// lazy path bit for bit on a three-chunk instance.
 func TestParallelNaiveMatchesLazy(t *testing.T) {
 	objs := testObjects(600, 31)
 	m := hybridMetric(t)
-	lazy := mustRun(t, &Selector{Config: engine.Config{K: 10, Theta: 0.05, Metric: m, Parallelism: 4}, Objects: objs})
-	naive := mustRun(t, &Selector{Config: engine.Config{K: 10, Theta: 0.05, Metric: m, Parallelism: 4, DisableLazy: true}, Objects: objs})
-	assertIdenticalResults(t, lazy, naive, "naive-vs-lazy", 31, 10, 0.05, 4)
+	lazy := mustRun(t, &Selector{Config: engine.Config{K: 10, Theta: 0.05, Metric: m}, Objects: objs})
+	naive := mustRun(t, &Selector{Config: engine.Config{K: 10, Theta: 0.05, Metric: m, DisableLazy: true}, Objects: objs})
+	assertIdenticalResults(t, lazy, naive, "naive-vs-lazy", 31, 10, 0.05)
 }
 
 // TestSelectorSingleUse enforces the documented contract: a Selector
@@ -312,28 +360,25 @@ func TestSelectorSingleUse(t *testing.T) {
 // selections).
 func TestGreedyThetaZeroGridless(t *testing.T) {
 	objs := testObjects(120, 55)
-	for _, par := range []int{1, 4} {
-		sel := &Selector{Config: engine.Config{K: 15, Theta: 0, Metric: sim.Cosine{}, Parallelism: par}, Objects: objs}
-		res, err := sel.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
+	sel := &Selector{Config: engine.Config{K: 15, Theta: 0, Metric: sim.Cosine{}}, Objects: objs}
+	res, err := sel.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Selected) != 15 {
+		t.Fatalf("selected %d of 15 with vacuous visibility", len(res.Selected))
+	}
+	seen := make(map[int]bool, len(res.Selected))
+	for _, s := range res.Selected {
+		if seen[s] {
+			t.Fatalf("object %d selected twice", s)
 		}
-		if len(res.Selected) != 15 {
-			t.Fatalf("p=%d: selected %d of 15 with vacuous visibility", par, len(res.Selected))
-		}
-		seen := make(map[int]bool, len(res.Selected))
-		for _, s := range res.Selected {
-			if seen[s] {
-				t.Fatalf("p=%d: object %d selected twice", par, s)
-			}
-			seen[s] = true
-		}
+		seen[s] = true
 	}
 }
 
-// TestScoreRepresentativesParallelPath pushes Score and Representatives
-// over their parallel cutoff and checks them against the serial
-// definitions.
+// TestScoreRepresentativesParallelPath checks Score and Representatives
+// on a five-chunk instance against their definitions.
 func TestScoreRepresentativesParallelPath(t *testing.T) {
 	objs := testObjects(1200, 66)
 	m := hybridMetric(t)
@@ -341,16 +386,13 @@ func TestScoreRepresentativesParallelPath(t *testing.T) {
 	for i := range sel {
 		sel[i] = i * 57 % len(objs)
 	}
-	if got := len(objs) * len(sel); got < scoreParallelCutoff {
-		t.Fatalf("instance too small to engage the parallel path: %d", got)
-	}
 	var want float64
 	for i := range objs {
 		want += objs[i].Weight * SimToSet(objs, i, sel, m, AggMax)
 	}
 	want /= float64(len(objs))
 	if got := Score(objs, sel, m, AggMax); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("parallel Score = %v, serial definition %v", got, want)
+		t.Fatalf("Score = %v, definition %v", got, want)
 	}
 	rep := Representatives(objs, sel, m)
 	for i := range objs {

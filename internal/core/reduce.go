@@ -6,14 +6,14 @@
 // state or a partial gain. There are four reductions, absorb and
 // marginal gain under sum and max aggregation, each over a chunk whose
 // buffer lines up with pre-sliced columns. Every metric, built-in or
-// custom, at any Parallelism, runs these four loops — and, where a run
-// keeps residual-support lists (residual.go), the max-marginal loop's
+// custom, runs these four loops — and, where a run keeps
+// residual-support lists (residual.go), the max-marginal loop's
 // recording twin.
 //
 // The buffer is evalChunk = sim.RowBlock = 256 float64s: one reduction
 // chunk, so chunk boundaries (and with them the floating-point
 // summation order) stay a function of the object count alone, and small
-// enough — 2 KiB — to live on the stack of the task that fills it.
+// enough — 2 KiB — to live on the stack of the pass that fills it.
 //
 // Bitwise contract: buffer entries are the bits m.Sim returns, and each
 // loop accumulates in index order, so a chunk partial is the same float

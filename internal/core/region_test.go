@@ -56,12 +56,12 @@ func byHand(t *testing.T, cfg engine.Config, col *geodata.Collection, pos []int,
 // TestSelectRegionMatchesSelector pins the seam's contract: whatever
 // the shape of the problem, SelectRegion returns bitwise what the
 // hand-written sequence returns — positions, gains, score and
-// evaluation count — at every Parallelism.
+// evaluation count.
 func TestSelectRegionMatchesSelector(t *testing.T) {
 	col := &geodata.Collection{Objects: testObjects(1500, 91)}
 	rng := rand.New(rand.NewSource(92))
-	// The region: 700 of the 1500 positions (above serialCutoff, so the
-	// pool engages), ascending the way a grid scan might return them.
+	// The region: 700 of the 1500 positions (three chunks), ascending
+	// the way a grid scan might return them.
 	sorted := rng.Perm(len(col.Objects))[:700]
 	slices.Sort(sorted)
 	shuffled := slices.Clone(sorted)
@@ -77,7 +77,7 @@ func TestSelectRegionMatchesSelector(t *testing.T) {
 	// D: a θ-separated set inside the region — the first picks of a
 	// plain run. G: every other region object, plus strangers. The
 	// bounds are the trivial ones (Sim <= 1).
-	plain, err := SelectRegion(context.Background(), engine.Config{Metric: sim.Cosine{}, Parallelism: 1},
+	plain, err := SelectRegion(context.Background(), engine.Config{Metric: sim.Cosine{}},
 		col, sorted, k, theta, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -119,31 +119,29 @@ func TestSelectRegionMatchesSelector(t *testing.T) {
 		{name: "pos unsorted", pos: shuffled, k: k, forced: d, cands: g, bounds: bounds, wantForced: 6, wantCands: 694},
 	}
 	for name, m := range map[string]sim.Metric{"cosine": sim.Cosine{}, "hybrid": hybridMetric(t)} {
-		for _, par := range []int{1, 2} {
-			cfg := engine.Config{Metric: m, Parallelism: par, K: 999, Theta: 9, ThetaFrac: 9} // all three overridden
-			for _, tc := range cases {
-				want, wantPos := byHand(t, cfg, col, tc.pos, tc.k, theta, tc.forced, tc.cands, tc.bounds)
-				got, err := SelectRegion(context.Background(), cfg, col, tc.pos, tc.k, theta, tc.forced, tc.cands, tc.bounds, nil)
-				if err != nil {
-					t.Fatalf("%s p=%d %s: %v", name, par, tc.name, err)
-				}
-				if !slices.Equal(got.Positions, wantPos) {
-					t.Errorf("%s p=%d %s: positions %v, by hand %v", name, par, tc.name, got.Positions, wantPos)
-				}
-				if !slices.Equal(got.Gains, want.Gains) {
-					t.Errorf("%s p=%d %s: gains differ by bits", name, par, tc.name)
-				}
-				if math.Float64bits(got.Score) != math.Float64bits(want.Score) {
-					t.Errorf("%s p=%d %s: score %v, by hand %v", name, par, tc.name, got.Score, want.Score)
-				}
-				if got.Evals != want.Evals || got.Rounds != want.Rounds {
-					t.Errorf("%s p=%d %s: evals/rounds %d/%d, by hand %d/%d", name, par, tc.name,
-						got.Evals, got.Rounds, want.Evals, want.Rounds)
-				}
-				if got.RegionObjects != 700 || got.ForcedCount != tc.wantForced || got.CandidateCount != tc.wantCands {
-					t.Errorf("%s p=%d %s: |O|, |D|, |G| = %d, %d, %d, want 700, %d, %d", name, par, tc.name,
-						got.RegionObjects, got.ForcedCount, got.CandidateCount, tc.wantForced, tc.wantCands)
-				}
+		cfg := engine.Config{Metric: m, K: 999, Theta: 9, ThetaFrac: 9} // all three overridden
+		for _, tc := range cases {
+			want, wantPos := byHand(t, cfg, col, tc.pos, tc.k, theta, tc.forced, tc.cands, tc.bounds)
+			got, err := SelectRegion(context.Background(), cfg, col, tc.pos, tc.k, theta, tc.forced, tc.cands, tc.bounds, nil)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, tc.name, err)
+			}
+			if !slices.Equal(got.Positions, wantPos) {
+				t.Errorf("%s %s: positions %v, by hand %v", name, tc.name, got.Positions, wantPos)
+			}
+			if !slices.Equal(got.Gains, want.Gains) {
+				t.Errorf("%s %s: gains differ by bits", name, tc.name)
+			}
+			if math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+				t.Errorf("%s %s: score %v, by hand %v", name, tc.name, got.Score, want.Score)
+			}
+			if got.Evals != want.Evals || got.Rounds != want.Rounds {
+				t.Errorf("%s %s: evals/rounds %d/%d, by hand %d/%d", name, tc.name,
+					got.Evals, got.Rounds, want.Evals, want.Rounds)
+			}
+			if got.RegionObjects != 700 || got.ForcedCount != tc.wantForced || got.CandidateCount != tc.wantCands {
+				t.Errorf("%s %s: |O|, |D|, |G| = %d, %d, %d, want 700, %d, %d", name, tc.name,
+					got.RegionObjects, got.ForcedCount, got.CandidateCount, tc.wantForced, tc.wantCands)
 			}
 		}
 	}
@@ -158,7 +156,7 @@ func TestSelectRegionAppendsToDst(t *testing.T) {
 	for i := range pos {
 		pos[i] = 2 * i
 	}
-	cfg := engine.Config{Metric: sim.Cosine{}, Parallelism: 1}
+	cfg := engine.Config{Metric: sim.Cosine{}}
 	fresh, err := SelectRegion(context.Background(), cfg, col, pos, 5, 0.05, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +184,7 @@ func TestHugeKReservesNothing(t *testing.T) {
 	for _, lazy := range []bool{true, false} {
 		run := func(k int) *Result {
 			return mustRun(t, &Selector{
-				Config:  engine.Config{K: k, Theta: 0.02, Metric: sim.Cosine{}, Parallelism: 1, DisableLazy: !lazy},
+				Config:  engine.Config{K: k, Theta: 0.02, Metric: sim.Cosine{}, DisableLazy: !lazy},
 				Objects: objs, Forced: []int{3},
 			})
 		}

@@ -9,7 +9,7 @@
 // 4.1) already skips candidates whose stale gain cannot win; this file
 // skips, inside a candidate it does re-evaluate, the objects that can
 // no longer add to it. A dense evaluation of c (fill a row, reduce it,
-// chunk by chunk — the values of parallel.go) also records R_c as
+// chunk by chunk — the values of kernels.go) also records R_c as
 // ascending (i, Sim(o_i, c)) pairs, chunk by chunk, and every later
 // evaluation of c walks the recorded pairs only, dropping the ones best
 // has overtaken.
@@ -31,26 +31,23 @@
 // with an empty run are the ones whose dense partial is +0.0, and
 // reduce.go's header shows adding +0.0 to an accumulator is the
 // identity. So a walked gain is the float the dense pass would
-// return against the same best, at every Parallelism, and Selected,
-// Gains, Score and Evals do not move; under the geoselcheck tag every
-// walk is recomputed densely and compared (invariant.ResidualGain).
+// return against the same best, and Selected, Gains, Score and Evals do
+// not move; under the geoselcheck tag every walk is recomputed densely
+// and compared (invariant.ResidualGain).
 //
 // Ownership. A list is valid only against a best that has not fallen
-// since it was recorded. evaluator.marginalBatch takes best as a
-// parameter and is called with unrelated vectors (tests, Score's
-// evaluator), so the lists do not live there: a residual is bound to
-// one aggregation state for its lifetime — the run's — and its entry
-// point takes no best.
+// since it was recorded. evaluator.marginal takes best as a parameter
+// and is called with unrelated vectors (tests, Score's evaluator), so
+// the lists do not live there: a residual is bound to one aggregation
+// state for its lifetime — the run's — and its entry point takes no
+// best.
 //
-// Single writer. Workers evaluate densely into per-slot scratch; the
-// orchestrating goroutine copies what they captured into the arena
-// after the pool pass returns and is the only goroutine that walks,
-// compacts or grows. There is no lock and no atomic here. Walks stay
-// off the pool altogether: a list is a few dozen pairs, less work than
-// one dispatch.
+// A dense evaluation captures into one scratch buffer of |O| pairs,
+// which record then copies into the arena when the support is short
+// enough to keep.
 //
 // Only max-aggregation runs keep lists. AggSum/AggAvg gains do not
-// depend on best and pass straight through to evaluator.marginalBatch.
+// depend on best and pass straight through to evaluator.marginal.
 package core
 
 import "geosel/internal/invariant"
@@ -107,28 +104,17 @@ type residual struct {
 	// pairs is the arena's allocated capacity, bounded by limit.
 	pairs, limit int
 
-	// Capture scratch: slot k of a pool pass owns at/val[k·|O| :
-	// (k+1)·|O|], chunk j of it writes from k·|O| + j·evalChunk and
-	// leaves its count in cnt[k·nChunks + j].
-	slots int
-	at    []uint8
-	val   []float64
-	cnt   []uint16
-
-	// Pass parameters, read-only to workers while a pass runs: dense
-	// holds the positions in cs that have no list.
-	cs      []int
-	out     []float64
-	dense   []int
-	chunkFn func(int)
-	batchFn func(int)
+	// Capture scratch of a dense evaluation: chunk j writes at/val from
+	// j·evalChunk and leaves its count in cnt[j].
+	at  []uint8
+	val []float64
+	cnt []uint16
 }
 
-// newResidual binds the lists to best. slots is the number of dense
-// evaluations one pool pass may run side by side. pairs overrides the
-// arena cap (0: residualMaxPairs) and, when negative, switches the
-// lists off — the test-only Selector.residualPairs.
-func newResidual(e *evaluator, best []float64, slots, pairs int) *residual {
+// newResidual binds the lists to best. pairs overrides the arena cap
+// (0: residualMaxPairs) and, when negative, switches the lists off —
+// the test-only Selector.residualPairs.
+func newResidual(e *evaluator, best []float64, pairs int) *residual {
 	r := &residual{e: e, best: best}
 	if pairs < 0 || e.sumAgg() {
 		return r
@@ -139,123 +125,65 @@ func newResidual(e *evaluator, best []float64, slots, pairs int) *residual {
 	}
 	n := len(e.objs)
 	r.lists = make([]resList, n)
-	r.slots = slots
-	r.at = make([]uint8, slots*n)
-	r.val = make([]float64, slots*n)
-	r.cnt = make([]uint16, slots*e.nChunks)
-	r.dense = make([]int, 0, slots)
-	r.chunkFn = r.chunkTask
-	r.batchFn = r.batchTask
+	r.at = make([]uint8, n)
+	r.val = make([]float64, n)
+	r.cnt = make([]uint16, e.nChunks)
 	return r
 }
 
-// marginalBatch is evaluator.marginalBatch against the run's state:
-// out[k] is the unnormalized marginal gain of cs[k]. Candidates with a
-// recorded support are walked inline; the rest are evaluated densely
-// on the pool, up to one per slot at a time, and recorded.
+// marginal is evaluator.marginal against the run's state: the
+// unnormalized marginal gain of c, walked from its recorded support
+// when it has one, else evaluated densely and recorded.
 //
 //geolint:hotpath
-func (r *residual) marginalBatch(dst []float64, cs []int) []float64 {
+func (r *residual) marginal(c int) float64 {
 	e := r.e
 	if r.lists == nil {
-		return e.marginalBatch(dst, r.best, cs)
+		return e.marginal(r.best, c)
 	}
-	if cap(dst) < len(cs) {
-		// Grow-once fallback, as in evaluator.marginalBatch.
-		dst = make([]float64, len(cs)) //geolint:coldpath
+	if l := &r.lists[c]; l.blk != 0 {
+		// A walk crosses no chunk boundary, where a cancelled context is
+		// otherwise noticed: probe once per walk.
+		if e.stop() {
+			return 0
+		}
+		gain := r.walk(l)
+		if invariant.Enabled {
+			invariant.ResidualGain(gain, e.marginal(r.best, c),
+				"core: residual-support walk of candidate gain")
+		}
+		return gain
 	}
-	out := dst[:len(cs)]
-	// Walks never reach the pool, whose dispatch is where a cancelled
-	// context is otherwise noticed: probe once per call.
-	if e.err == nil && e.cancelled() {
-		e.err = e.ctx.Err()
-	}
-	r.cs, r.out = cs, out
-	for k := 0; k < len(cs) && e.err == nil; {
-		r.dense = r.dense[:0]
-		for ; k < len(cs) && len(r.dense) < r.slots; k++ {
-			l := &r.lists[cs[k]]
-			if l.blk == 0 {
-				r.dense = append(r.dense, k)
-				continue
-			}
-			out[k] = r.walk(l)
-			if invariant.Enabled {
-				invariant.ResidualGain(out[k], e.marginalLocal(r.best, cs[k]),
-					"core: residual-support walk of candidate gain")
-			}
-		}
-		switch len(r.dense) {
-		case 0:
-			continue
-		case 1:
-			// A lone dense candidate shards its chunks over the pool.
-			e.run(e.nChunks, r.chunkFn)
-			var gain float64
-			for _, p := range e.partials {
-				gain += p
-			}
-			out[r.dense[0]] = gain
-		default:
-			e.run(len(r.dense), r.batchFn)
-		}
-		if e.err != nil {
-			break // cancelled mid-pass: the scratch is garbage
-		}
-		for slot, pos := range r.dense {
-			r.record(slot, cs[pos])
-		}
-	}
-	return out
-}
-
-// chunkTask evaluates one chunk of the pass's lone dense candidate.
-//
-//geolint:hotpath
-func (r *residual) chunkTask(chunk int) {
-	r.e.partials[chunk] = r.denseChunk(0, r.cs[r.dense[0]], chunk)
-}
-
-// batchTask evaluates the pass's slot-th dense candidate on the calling
-// worker, in the chunk order of the sharded pass — bitwise the same
-// gain. Cancellation is probed per chunk, as in marginalLocal.
-//
-//geolint:hotpath
-func (r *residual) batchTask(slot int) {
-	e := r.e
-	pos := r.dense[slot]
 	var gain float64
 	for chunk := 0; chunk < e.nChunks; chunk++ {
-		if e.cancelled() {
-			return
+		if e.stop() {
+			return 0 // cancelled mid-row: the scratch is garbage
 		}
-		gain += r.denseChunk(slot, r.cs[pos], chunk)
+		gain += r.denseChunk(c, chunk)
 	}
-	r.out[pos] = gain
+	r.record(c)
+	return gain
 }
 
 // denseChunk is marginalChunk under max aggregation that also captures
-// the chunk's residual support into the slot's scratch.
+// the chunk's residual support into the scratch.
 //
 //geolint:hotpath
-func (r *residual) denseChunk(slot, c, chunk int) float64 {
+func (r *residual) denseChunk(c, chunk int) float64 {
 	e := r.e
 	lo, hi := chunkBounds(chunk, len(e.objs))
 	var buf [evalChunk]float64
 	s := buf[:hi-lo]
 	e.rows.Fill(s, lo, hi, c)
-	from := slot*len(e.objs) + lo
-	part, n := marginalMaxRecord(e.w[lo:hi], r.best[lo:hi], s, r.at[from:from+hi-lo], r.val[from:from+hi-lo])
-	r.cnt[slot*e.nChunks+chunk] = uint16(n)
+	part, n := marginalMaxRecord(e.w[lo:hi], r.best[lo:hi], s, r.at[lo:hi], r.val[lo:hi])
+	r.cnt[chunk] = uint16(n)
 	return part
 }
 
-// record moves what slot captured for candidate c into the arena,
-// unless the support is still too long or the arena is full. Only the
-// orchestrating goroutine calls it, after the pool pass has returned.
-func (r *residual) record(slot, c int) {
-	e := r.e
-	cnt := r.cnt[slot*e.nChunks : (slot+1)*e.nChunks]
+// record moves what the scratch captured for candidate c into the
+// arena, unless the support is still too long or the arena is full.
+func (r *residual) record(c int) {
+	e, cnt := r.e, r.cnt
 	total := 0
 	for _, m := range cnt {
 		total += int(m)
@@ -274,7 +202,7 @@ func (r *residual) record(slot, c int) {
 	}
 	off := b.used
 	for chunk, m := range cnt {
-		from := slot*len(e.objs) + chunk*evalChunk
+		from := chunk * evalChunk
 		copy(b.at[b.used:], r.at[from:from+int(m)])
 		copy(b.val[b.used:], r.val[from:from+int(m)])
 		b.used += int(m)

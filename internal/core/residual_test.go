@@ -68,9 +68,9 @@ func assertSameRun(t *testing.T, want, got *Result, what string) {
 // lists switched off (Selector.residualPairs < 0: every evaluation is
 // the dense pass of the parent commit) and on, a run returns the same
 // Selected, Gains, Score, Evals and Rounds — on every dense
-// max-aggregation metric kind, at every Parallelism, with and without
-// forced objects and prefetched bounds, and at object counts either
-// side of a chunk edge.
+// max-aggregation metric kind, lazy and naive, with and without forced
+// objects and prefetched bounds, and at object counts either side of a
+// chunk edge.
 func TestResidualMatchesDense(t *testing.T) {
 	const k, theta = 12, 0.03
 	for _, n := range []int{255, 256, 257, 1000} {
@@ -104,23 +104,21 @@ func TestResidualMatchesDense(t *testing.T) {
 			"forced+candidates": {Forced: forced, Candidates: cands},
 			"forced+bounds":     {Forced: forced, Candidates: cands, InitialGains: bounds},
 		}
-		run := func(shape Selector, m sim.Metric, par, pairs int, naive bool) *Result {
+		run := func(shape Selector, m sim.Metric, pairs int, naive bool) *Result {
 			s := shape
 			s.Objects = objs
-			s.Config = engine.Config{K: k, Theta: theta, Metric: m, Parallelism: par, DisableLazy: naive}
+			s.Config = engine.Config{K: k, Theta: theta, Metric: m, DisableLazy: naive}
 			s.residualPairs = pairs
 			return mustRun(t, &s)
 		}
 		for mname, m := range metrics {
 			for sname, shape := range shapes {
-				for _, par := range []int{1, 2, 8} {
-					what := fmt.Sprintf("n=%d %s %s p=%d", n, mname, sname, par)
-					assertSameRun(t, run(shape, m, par, -1, false), run(shape, m, par, 0, false), what)
-				}
+				what := fmt.Sprintf("n=%d %s %s", n, mname, sname)
+				assertSameRun(t, run(shape, m, -1, false), run(shape, m, 0, false), what)
 			}
 		}
-		assertSameRun(t, run(shapes["plain"], sim.Cosine{}, 2, -1, true), run(shapes["plain"], sim.Cosine{}, 2, 0, true),
-			fmt.Sprintf("n=%d cosine naive p=2", n))
+		assertSameRun(t, run(shapes["plain"], sim.Cosine{}, -1, true), run(shapes["plain"], sim.Cosine{}, 0, true),
+			fmt.Sprintf("n=%d cosine naive", n))
 	}
 }
 
@@ -156,7 +154,7 @@ func TestResidualArenaFull(t *testing.T) {
 	objs := listObjects(900, 9)
 	sel := func(pairs int) *Selector {
 		return &Selector{
-			Config:        engine.Config{K: 25, Theta: 0.02, Metric: sim.Cosine{}, Parallelism: 1},
+			Config:        engine.Config{K: 25, Theta: 0.02, Metric: sim.Cosine{}},
 			Objects:       objs,
 			residualPairs: pairs,
 		}
@@ -201,7 +199,7 @@ func TestResidualLongListsStayDense(t *testing.T) {
 	}
 	sel := func(pairs int) *Selector {
 		return &Selector{
-			Config:        engine.Config{K: 2, Metric: sim.Cosine{}, Parallelism: 1},
+			Config:        engine.Config{K: 2, Metric: sim.Cosine{}},
 			Objects:       objs,
 			Forced:        []int{0},
 			residualPairs: pairs,
@@ -222,15 +220,23 @@ func TestResidualLongListsStayDense(t *testing.T) {
 	}
 }
 
+// marginals evaluates every candidate of cs with f, in order.
+func marginals(f func(c int) float64, cs []int) []float64 {
+	out := make([]float64, len(cs))
+	for k, c := range cs {
+		out[k] = f(c)
+	}
+	return out
+}
+
 // TestMarginalBatchIgnoresListsAcrossBests pins the ownership rule: the
 // lists belong to a residual bound to one aggregation state, and the
-// bare evaluator — whose marginalBatch takes any best — never sees
-// them. After a residual has recorded and walked supports against a
+// bare evaluator — whose marginal takes any best — never sees them. After a residual has recorded and walked supports against a
 // high state, the evaluator asked about a lower one returns the dense
 // value, which the recorded supports (too short for it) would not give.
 func TestMarginalBatchIgnoresListsAcrossBests(t *testing.T) {
 	objs := listObjects(700, 5)
-	e := newEvaluator(nil, objs, sim.Cosine{}, AggMax, nil)
+	e := newEvaluator(nil, objs, sim.Cosine{}, AggMax)
 	low := make([]float64, len(objs))
 	e.absorb(low, 11)
 	high := append([]float64(nil), low...)
@@ -242,22 +248,25 @@ func TestMarginalBatchIgnoresListsAcrossBests(t *testing.T) {
 		cs = append(cs, c)
 	}
 
-	r := newResidual(e, high, 2, 0)
-	recorded := append([]float64(nil), r.marginalBatch(nil, cs)...)
+	r := newResidual(e, high, 0)
+	recorded := marginals(r.marginal, cs)
 	if listed(r) == 0 {
 		t.Fatal("nothing recorded against the high state")
 	}
-	walked := r.marginalBatch(nil, cs)
-	fresh := newEvaluator(nil, objs, sim.Cosine{}, AggMax, nil)
-	for k, g := range fresh.marginalBatch(nil, high, cs) {
+	walked := marginals(r.marginal, cs)
+	fresh := newEvaluator(nil, objs, sim.Cosine{}, AggMax)
+	dense := func(best []float64) func(int) float64 {
+		return func(c int) float64 { return fresh.marginal(best, c) }
+	}
+	for k, g := range marginals(dense(high), cs) {
 		if recorded[k] != g || walked[k] != g {
 			t.Fatalf("candidate %d against the bound state: recorded %v, walked %v, dense %v", cs[k], recorded[k], walked[k], g)
 		}
 	}
 
-	got := e.marginalBatch(nil, low, cs)
+	got := marginals(func(c int) float64 { return e.marginal(low, c) }, cs)
 	larger := 0
-	for k, g := range fresh.marginalBatch(nil, low, cs) {
+	for k, g := range marginals(dense(low), cs) {
 		if got[k] != g {
 			t.Fatalf("candidate %d against a lower state: evaluator returned %v, dense %v", cs[k], got[k], g)
 		}
@@ -272,14 +281,14 @@ func TestMarginalBatchIgnoresListsAcrossBests(t *testing.T) {
 
 // TestResidualWalkCancelled cancels the context between the dense
 // evaluation that records a candidate's support and the evaluation
-// that would walk it: no metric call and no pool dispatch stands
+// that would walk it: no metric call and no chunk boundary stands
 // between the two, and the step must still fail with ctx.Err() rather
 // than hand a gain back to the heap.
 func TestResidualWalkCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s := &Selector{
-		Config:  engine.Config{K: 50, Theta: 0.02, Metric: sim.Cosine{}, Parallelism: 1},
+		Config:  engine.Config{K: 50, Theta: 0.02, Metric: sim.Cosine{}},
 		Objects: listObjects(900, 21),
 	}
 	e, st, res := steadyState(t, ctx, s, 0)
@@ -344,21 +353,14 @@ func FuzzResidualWalk(f *testing.F) {
 		if len(objs) == 0 {
 			return
 		}
-		e := newEvaluator(nil, objs, sim.Cosine{}, AggMax, nil)
+		e := newEvaluator(nil, objs, sim.Cosine{}, AggMax)
 		best := make([]float64, len(objs))
-		r := newResidual(e, best, 3, 0)
-		cs := make([]int, len(objs))
-		for i := range cs {
-			cs[i] = i
-		}
-		var got, want []float64
+		r := newResidual(e, best, 0)
 		for j := 0; j < len(data) && j < 6; j++ {
 			e.absorb(best, (int(data[j])*131+j*17)%len(objs))
-			got = r.marginalBatch(got, cs)
-			want = e.marginalBatch(want, best, cs)
-			for c := range cs {
-				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
-					t.Fatalf("after pick %d, candidate %d of %d: lists %v, dense %v", j, c, len(objs), got[c], want[c])
+			for c := range objs {
+				if got, want := r.marginal(c), e.marginal(best, c); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("after pick %d, candidate %d of %d: lists %v, dense %v", j, c, len(objs), got, want)
 				}
 			}
 		}

@@ -9,7 +9,6 @@ package core
 import (
 	"geosel/internal/engine"
 	"geosel/internal/geodata"
-	"geosel/internal/parallel"
 	"geosel/internal/sim"
 )
 
@@ -52,33 +51,20 @@ func SimToSet(objs []geodata.Object, o int, sel []int, m sim.Metric, agg Agg) fl
 	}
 }
 
-// scoreParallelCutoff is the number of metric evaluations below which
-// Score and Representatives stay serial: spinning up a pool costs more
-// than the work. Above it they use all CPUs. Either way the value is
-// identical — the reduction order is fixed by the evaluator's chunking.
-const scoreParallelCutoff = 1 << 14
-
 // Score returns the representative score of selection sel over objs
-// (Equation 2): the weighted mean over all objects of Sim(o, S). Large
-// instances are evaluated on all CPUs via the parallel engine.
+// (Equation 2): the weighted mean over all objects of Sim(o, S), by the
+// evaluator's chunked reductions.
 //
 // Score is deliberately context-free: it is the ground-truth check the
 // rest of the system is measured against, it performs one bounded
 // reduction (no open-ended iteration to cancel), and threading a
 // context through its ~25 call sites would buy one chunk of latency at
 // most. Wrap it in a goroutine if a caller ever needs to abandon it.
-//
-//geolint:noctx
 func Score(objs []geodata.Object, sel []int, m sim.Metric, agg Agg) float64 {
 	if len(objs) == 0 {
 		return 0
 	}
-	var pool *parallel.Pool
-	if work := len(objs) * len(sel); work >= scoreParallelCutoff {
-		pool = parallel.New(0)
-		defer pool.Close()
-	}
-	e := newEvaluator(nil, objs, m, agg, pool)
+	e := newEvaluator(nil, objs, m, agg)
 	best := make([]float64, len(objs))
 	for _, s := range sel {
 		e.absorb(best, s)
@@ -110,36 +96,26 @@ func SatisfiesVisibility(objs []geodata.Object, sel []int, theta float64) bool {
 // Like Score, Representatives is deliberately context-free: a bounded
 // ground-truth reduction whose call sites are overwhelmingly tests and
 // experiments.
-//
-//geolint:noctx
 func Representatives(objs []geodata.Object, sel []int, m sim.Metric) []int {
 	rep := make([]int, len(objs))
-	var pool *parallel.Pool
-	if work := len(objs) * len(sel); work >= scoreParallelCutoff {
-		pool = parallel.New(0)
-		defer pool.Close()
-	}
-	// The nil-ctx evaluator's run wrapper cannot fail, which keeps this
-	// loop free of an impossible error path.
-	e := newEvaluator(nil, objs, m, AggMax, pool)
-	n := len(objs)
-	e.run(e.nChunks, func(chunk int) {
-		lo, hi := chunkBounds(chunk, n)
-		var buf, best [evalChunk]float64
+	rows := sim.NewRows(m, objs)
+	var buf, best [evalChunk]float64
+	for lo := 0; lo < len(objs); lo += evalChunk {
+		hi := min(lo+evalChunk, len(objs))
 		for i := range rep[lo:hi] {
 			rep[lo+i], best[i] = -1, -1
 		}
 		// Ties go to the earliest member of sel: later ones must be
 		// strictly better.
 		for _, s := range sel {
-			e.rows.Fill(buf[:], lo, hi, s)
+			rows.Fill(buf[:], lo, hi, s)
 			for i, v := range buf[:hi-lo] {
 				if v > best[i] {
 					best[i], rep[lo+i] = v, s
 				}
 			}
 		}
-	})
+	}
 	return rep
 }
 

@@ -103,15 +103,6 @@ type Config struct {
 	// pins, but only ones that still add representativeness.
 	MinGain float64
 
-	// Parallelism is the number of worker goroutines evaluating
-	// marginal gains and prefetch bound rows: 0 (or negative) selects
-	// runtime.NumCPU(), 1 runs fully serial. Every setting returns
-	// identical selections, scores and gains — all floating-point
-	// reductions combine fixed-size chunk partials in a fixed order —
-	// so the knob trades wall-clock time only. With Parallelism != 1
-	// the Metric must be safe for concurrent use; all metrics in
-	// internal/sim are.
-	Parallelism int
 	// DisableLazy switches off the lazy-forward strategy and recomputes
 	// every candidate's marginal gain in every iteration (the "naive
 	// idea" the paper rejects). For ablation benchmarks.
@@ -222,7 +213,7 @@ func (c Config) Validate() error {
 // WithDefaults returns the config with zero-valued session and serving
 // fields replaced by their documented defaults. Selection fields are
 // never touched: their zero values are meaningful (K = 0 selects
-// nothing, Parallelism = 0 selects all CPUs).
+// nothing, MinGain = 0 never stops early).
 func (c Config) WithDefaults() Config {
 	if c.MaxZoomOutScale == 0 {
 		c.MaxZoomOutScale = DefaultMaxZoomOutScale

@@ -18,7 +18,6 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	}
 	// The serving fields' zero values are valid too.
 	cfg := validConfig()
-	cfg.Parallelism = 0
 	cfg.RequestTimeout = 0
 	cfg.SessionTTL = 0
 	cfg.MaxSessions = 0
@@ -85,7 +84,7 @@ func TestWithDefaults(t *testing.T) {
 		t.Errorf("TileRepairBudget = %v, want %v", got.TileRepairBudget, DefaultTileRepairBudget)
 	}
 	// Selection fields keep their meaningful zero values.
-	if got.K != 10 || got.Parallelism != 0 {
+	if got.K != 10 || got.MinGain != 0 {
 		t.Errorf("selection fields altered: %+v", got)
 	}
 	// TileCache stays an explicit opt-in: WithDefaults never flips it.

@@ -112,7 +112,7 @@ func TestResidualSupport(t *testing.T) {
 		n := len(objs)
 		theta := 0.003 * sides[r]
 		want, err := (&core.Selector{
-			Config:  engine.Config{K: k, Theta: theta, Metric: sim.Cosine{}, Parallelism: 1},
+			Config:  engine.Config{K: k, Theta: theta, Metric: sim.Cosine{}},
 			Objects: objs,
 		}).Run(context.Background())
 		if err != nil {
@@ -132,8 +132,8 @@ func TestResidualSupport(t *testing.T) {
 		for i := range init {
 			init[i] = lazyheap.Tuple{ID: i, Gain: seeds[i], Iter: -1}
 		}
-		h := lazyheap.NewStriped(n, 1, func(int) int { return 0 })
-		h.Heapify(init, nil)
+		h := lazyheap.New(n)
+		h.Heapify(init)
 		// row fills Sim(o_i, c) for every i, a block at a time.
 		row := make([]float64, n)
 		fill := func(c int) {

@@ -2,9 +2,7 @@
 
 // Release-build stubs: see invariant.go for the real assertions. With
 // Enabled a compile-time false constant, every `if invariant.Enabled`
-// call site is dead code and the library pays nothing — verified by
-// BenchmarkParallelEngine staying flat with and without this file's
-// sibling compiled in.
+// call site is dead code and the library pays nothing.
 package invariant
 
 // Enabled reports whether assertions are compiled in.

@@ -321,7 +321,7 @@ func (a ascendingStore) Snapshot() (geodata.View, uint64) { return a, 0 }
 // bitwise identical" criterion: the same exploration over a static
 // store answering regions in ascending order and over an untouched live
 // store must produce equal Positions and bit-for-bit equal Scores in
-// every cell of the Parallelism × sync/async-prefetch matrix. The live
+// both sync- and async-prefetch sessions. The live
 // store's version 0 reads its grid, not an R-tree, so the static side
 // is held to the grid's order rather than the R-tree's leaf order.
 func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
@@ -370,31 +370,28 @@ func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 		return out
 	}
 
-	for _, par := range []int{1, 0} {
-		for _, async := range []bool{false, true} {
-			name := fmt.Sprintf("par=%d/async=%v", par, async)
-			cfg := testConfig(t)
-			cfg.Parallelism = par
-			cfg.AsyncPrefetch = async
-			want := explore(static, cfg)
-			got := explore(live, cfg)
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d steps vs %d", name, len(got), len(want))
+	for _, async := range []bool{false, true} {
+		name := fmt.Sprintf("async=%v", async)
+		cfg := testConfig(t)
+		cfg.AsyncPrefetch = async
+		want := explore(static, cfg)
+		got := explore(live, cfg)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d steps vs %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if len(got[i].positions) != len(want[i].positions) {
+				t.Fatalf("%s step %d: %d positions vs %d", name, i, len(got[i].positions), len(want[i].positions))
 			}
-			for i := range want {
-				if len(got[i].positions) != len(want[i].positions) {
-					t.Fatalf("%s step %d: %d positions vs %d", name, i, len(got[i].positions), len(want[i].positions))
+			for j := range want[i].positions {
+				if got[i].positions[j] != want[i].positions[j] {
+					t.Fatalf("%s step %d: positions differ at %d: %d vs %d",
+						name, i, j, got[i].positions[j], want[i].positions[j])
 				}
-				for j := range want[i].positions {
-					if got[i].positions[j] != want[i].positions[j] {
-						t.Fatalf("%s step %d: positions differ at %d: %d vs %d",
-							name, i, j, got[i].positions[j], want[i].positions[j])
-					}
-				}
-				if got[i].score != want[i].score {
-					t.Fatalf("%s step %d: score %v vs %v (must be bitwise equal)",
-						name, i, got[i].score, want[i].score)
-				}
+			}
+			if got[i].score != want[i].score {
+				t.Fatalf("%s step %d: score %v vs %v (must be bitwise equal)",
+					name, i, got[i].score, want[i].score)
 			}
 		}
 	}

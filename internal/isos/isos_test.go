@@ -356,9 +356,7 @@ func TestPrefetchReducesEvals(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(m sim.Metric, usePrefetch bool) *Selection {
-		// Parallelism 1: batched stale re-evaluation can inflate Evals on
-		// multi-core runners, and this test compares exact eval counts.
-		cfg := Config{Config: engine.Config{K: 10, ThetaFrac: 0.003, Metric: m, Parallelism: 1}}
+		cfg := Config{Config: engine.Config{K: 10, ThetaFrac: 0.003, Metric: m}}
 		s, err := NewSession(store, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -84,11 +84,11 @@ func (s *Session) computePrefetch(ctx context.Context, st *prefetchState, view g
 		var err error
 		switch op {
 		case geo.OpZoomIn:
-			m, err = prefetch.ZoomInBounds(ctx, view, vp.Region, s.cfg.Metric, s.cfg.Parallelism)
+			m, err = prefetch.ZoomInBounds(ctx, view, vp.Region, s.cfg.Metric)
 		case geo.OpZoomOut:
-			m, err = prefetch.ZoomOutBounds(ctx, view, vp, s.cfg.MaxZoomOutScale, s.cfg.Metric, s.cfg.Parallelism)
+			m, err = prefetch.ZoomOutBounds(ctx, view, vp, s.cfg.MaxZoomOutScale, s.cfg.Metric)
 		case geo.OpPan:
-			m, err = prefetch.PanBounds(ctx, view, vp, s.cfg.Metric, s.cfg.Parallelism)
+			m, err = prefetch.PanBounds(ctx, view, vp, s.cfg.Metric)
 		}
 		if err != nil {
 			return err

@@ -13,8 +13,7 @@ import (
 )
 
 // Config parameterizes a Session. The shared engine knobs — K,
-// ThetaFrac, Metric, Agg, Parallelism, MaxZoomOutScale,
-// AsyncPrefetch — live in the embedded engine.Config (see that package
+// ThetaFrac, Metric, Agg, MaxZoomOutScale, AsyncPrefetch — live in the embedded engine.Config (see that package
 // for per-field semantics) and are forwarded wholesale to every
 // selection the session runs; the fields declared here are
 // session-specific.

@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 )
 
-// flat returns a one-stripe heap over ids in [0, idSpace).
-func flat(idSpace int) *Striped { return NewStriped(idSpace, 1, nil) }
+// flat returns a heap over ids in [0, idSpace).
+func flat(idSpace int) *Heap { return New(idSpace) }
 
 func TestEmpty(t *testing.T) {
 	h := flat(4)

@@ -20,7 +20,7 @@ func modelMax(model map[int]Tuple) (Tuple, bool) {
 	return best, ok
 }
 
-// flatModel is the flat-map reference the property tests hold Striped to:
+// flatModel is the flat-map reference the property tests hold Heap to:
 // the live tuple per id, its maximum found by a scan (modelMax).
 type flatModel map[int]Tuple
 
@@ -54,9 +54,9 @@ func randomKey(model map[int]Tuple, rng *rand.Rand) int {
 	return keys[rng.Intn(len(keys))]
 }
 
-// TestRandomInterleavings drives the heap, at one stripe and at four,
-// through random interleavings of push, replace, pop and remove against
-// a flat map model. It checks
+// TestRandomInterleavings drives the heap through random
+// interleavings of push, replace, pop and remove against a flat map
+// model. It checks
 // the two contracts the lazy-forward greedy depends on: pops follow the
 // deterministic (gain desc, id asc) order, and a popped gain never
 // exceeds the highest gain ever recorded for that id — the heap
@@ -67,7 +67,7 @@ func TestRandomInterleavings(t *testing.T) {
 	const steps = 500
 	for trial := 0; trial < 40; trial++ {
 		// Ids stay below steps; the absent-id probe reaches 1000 past them.
-		h := NewStriped(steps+1001, 1+3*(trial%2), refStripeOf(int64(trial)))
+		h := New(steps + 1001)
 		model := make(map[int]Tuple)
 		bound := make(map[int]float64) // highest gain ever pushed per id
 		nextID := 0

@@ -95,20 +95,10 @@ func BenchmarkEpochCommit(b *testing.B) {
 		adds = append(adds, posLoc{pos: int32(benchN + i), loc: geo.Pt(rng.Float64(), rng.Float64())})
 	}
 	gr := s.gr
-	ctx := context.Background()
 
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := gr.commit(ctx, dels, adds, s.parallelism); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("incremental-serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := gr.commit(ctx, dels, adds, 1); err != nil {
-				b.Fatal(err)
-			}
+			gr.commit(dels, adds)
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {

@@ -9,12 +9,10 @@
 package livestore
 
 import (
-	"context"
 	"sort"
 
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
-	"geosel/internal/parallel"
 )
 
 // Grid sizing: cells are chosen so the average live cell holds a few
@@ -26,10 +24,6 @@ const (
 	minCells      = 16
 	maxCells      = 1 << 16
 )
-
-// parallelCellCutoff is the number of dirty cells above which an epoch
-// commit rewrites cells on the shared worker pool instead of serially.
-const parallelCellCutoff = 256
 
 // cowGrid is one epoch's immutable uniform grid over live positions.
 // The cells table is private to its snapshot; the id slices inside it
@@ -189,10 +183,8 @@ type posLoc struct {
 // delta applied cell by cell, and the keys of the cells the delta
 // touched (the epoch's dirty-cell set, which the snapshot exports
 // through DirtyCells). dels and adds carry the positions leaving and
-// entering the index with their locations. Dirty cells are rewritten
-// on the pool when the delta is large; each task owns one distinct cell,
-// so the parallel path is race-free by partitioning.
-func (g *cowGrid) commit(ctx context.Context, dels, adds []posLoc, workers int) (*cowGrid, []int, error) {
+// entering the index with their locations.
+func (g *cowGrid) commit(dels, adds []posLoc) (*cowGrid, []int) {
 	next := &cowGrid{bounds: g.bounds, cell: g.cell, nx: g.nx, ny: g.ny}
 	next.cells = make([][]int32, len(g.cells))
 	copy(next.cells, g.cells)
@@ -226,44 +218,28 @@ func (g *cowGrid) commit(ctx context.Context, dels, adds []posLoc, workers int) 
 		d.adds = append(d.adds, pl.pos)
 	}
 
-	// One arena backs every rewritten cell: each dirty cell owns the
-	// disjoint region [offs[i], offs[i+1]) sized to its upper bound
-	// (old length + adds), so the parallel path is race-free by
-	// partitioning and the whole rewrite costs one allocation.
-	offs := make([]int, len(deltas)+1)
+	// One arena backs every rewritten cell: each dirty cell takes the
+	// next region sized to its upper bound (old length + adds), so the
+	// whole rewrite costs one allocation.
+	size := 0
 	for i := range deltas {
-		offs[i+1] = offs[i] + len(next.cells[deltas[i].key]) + len(deltas[i].adds)
+		size += len(next.cells[deltas[i].key]) + len(deltas[i].adds)
 	}
-	arena := make([]int32, offs[len(deltas)])
-
-	rewrite := func(i int) {
-		d := &deltas[i]
-		out := arena[offs[i]:offs[i]:offs[i+1]]
-		for _, id := range next.cells[d.key] {
-			if contains32(d.dels, id) {
-				continue
-			}
-			out = append(out, id)
-		}
-		out = append(out, d.adds...)
-		next.cells[d.key] = out
-	}
-	if len(deltas) >= parallelCellCutoff && workers != 1 {
-		pool := parallel.New(workers)
-		defer pool.Close()
-		if err := pool.Run(ctx, len(deltas), rewrite); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		for i := range deltas {
-			rewrite(i)
-		}
-	}
+	arena := make([]int32, 0, size)
 	dirty := make([]int, len(deltas))
 	for i := range deltas {
-		dirty[i] = deltas[i].key
+		d := &deltas[i]
+		start := len(arena)
+		for _, id := range next.cells[d.key] {
+			if !contains32(d.dels, id) {
+				arena = append(arena, id)
+			}
+		}
+		arena = append(arena, d.adds...)
+		next.cells[d.key] = arena[start:len(arena):len(arena)]
+		dirty[i] = d.key
 	}
-	return next, dirty, nil
+	return next, dirty
 }
 
 // contains32 reports whether v occurs in s (small-slice membership).

@@ -58,7 +58,6 @@ type Store struct {
 	gr        *cowGrid
 	comp      *compaction
 
-	parallelism int
 	ingestBatch int
 
 	pending []Mutation
@@ -129,7 +128,6 @@ func New(col *geodata.Collection, cfg engine.Config) (*Store, error) {
 	}
 	s := &Store{
 		vocab:       vocab,
-		parallelism: cfg.Parallelism,
 		ingestBatch: cfg.IngestBatch,
 	}
 	s.seed(objs)
@@ -208,10 +206,11 @@ func (s *Store) Stats() Stats {
 
 // Apply commits one batch of mutations as a single epoch and publishes
 // the resulting snapshot, returning its version and what the batch did.
-// Batches are atomic: every mutation is validated up front and a failed
-// batch (invalid mutation, cancelled context) changes nothing. A batch
-// that turns out to be a no-op (empty, or all Missed) publishes nothing
-// and returns the current version.
+// Batches are atomic: every mutation is validated up front and a batch
+// with an invalid mutation changes nothing. A batch that turns out to be
+// a no-op (empty, or all Missed) publishes nothing and returns the
+// current version. A commit is O(batch + dirty cells) on the calling
+// goroutine and runs to completion: ctx is not consulted.
 //
 // Mutations are applied in order within the batch, so a later mutation
 // sees the staged effect of an earlier one (insert then delete of the
@@ -219,10 +218,10 @@ func (s *Store) Stats() Stats {
 func (s *Store) Apply(ctx context.Context, muts []Mutation) (uint64, Outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyLocked(ctx, muts)
+	return s.applyLocked(muts)
 }
 
-func (s *Store) applyLocked(ctx context.Context, muts []Mutation) (uint64, Outcome, error) {
+func (s *Store) applyLocked(muts []Mutation) (uint64, Outcome, error) {
 	cur := s.cur.Load()
 	for i, m := range muts {
 		if err := m.validate(); err != nil {
@@ -318,11 +317,7 @@ func (s *Store) applyLocked(ctx context.Context, muts []Mutation) (uint64, Outco
 		s.compact(version, delSet, appended, appendedLive)
 		s.indexCommitNs += time.Since(start).Nanoseconds()
 	} else {
-		d, err := s.commitLocked(ctx, delSet, appended, appendedLive)
-		if err != nil {
-			return cur.version, Outcome{}, err
-		}
-		dirty = appendDirtyEpoch(cur.dirty, version, d)
+		dirty = appendDirtyEpoch(cur.dirty, version, s.commitLocked(delSet, appended, appendedLive))
 	}
 	for id, pos := range overlay {
 		if pos < 0 {
@@ -352,11 +347,8 @@ func (s *Store) applyLocked(ctx context.Context, muts []Mutation) (uint64, Outco
 
 // commitLocked applies a staged batch in place: the grid commit, the
 // appends (growing the array by half when they do not fit) and the
-// bitset and ID-index updates. It returns the epoch's dirty cells. The
-// grid commit is the only fallible step and runs before any writer
-// state changes, so a cancelled commit leaves the store exactly as it
-// was.
-func (s *Store) commitLocked(ctx context.Context, delSet map[int32]bool, appended []geodata.Object, appendedLive []bool) ([]geo.Rect, error) {
+// bitset and ID-index updates. It returns the epoch's dirty cells.
+func (s *Store) commitLocked(delSet map[int32]bool, appended []geodata.Object, appendedLive []bool) []geo.Rect {
 	// Grid delta. Dead staged slots (insert-then-delete within the
 	// batch) still occupy a position but never enter the index.
 	baseN := len(s.objs)
@@ -371,10 +363,7 @@ func (s *Store) commitLocked(ctx context.Context, delSet map[int32]bool, appende
 		}
 	}
 	commitStart := time.Now()
-	nextGr, dirtyKeys, err := s.gr.commit(ctx, dels, adds, s.parallelism)
-	if err != nil {
-		return nil, err
-	}
+	nextGr, dirtyKeys := s.gr.commit(dels, adds)
 	s.indexCommitNs += time.Since(commitStart).Nanoseconds()
 
 	// The epoch's dirty-cell set as world rectangles, recorded on the
@@ -385,7 +374,7 @@ func (s *Store) commitLocked(ctx context.Context, delSet map[int32]bool, appende
 		dirtyCells[i] = s.gr.cellRect(k)
 	}
 
-	// Point of no return. Appends go strictly beyond every published
+	// Appends go strictly beyond every published
 	// snapshot's length, so concurrent readers of older epochs never
 	// observe them. A regrowth is explicit: older snapshots pin the
 	// array they were cut from, so append's 1.25× steps would regrow
@@ -414,7 +403,7 @@ func (s *Store) commitLocked(ctx context.Context, delSet map[int32]bool, appende
 		s.byID[ob.ID] = int32(pos)
 	}
 	s.gr = nextGr
-	return dirtyCells, nil
+	return dirtyCells
 }
 
 // compact applies a staged batch by moving the surviving slots, in
@@ -484,7 +473,7 @@ func (s *Store) Enqueue(ctx context.Context, m Mutation) (uint64, bool, Outcome,
 	if len(s.pending) < s.ingestBatch {
 		return s.cur.Load().version, false, Outcome{}, nil
 	}
-	v, out, err := s.flushLocked(ctx)
+	v, out, err := s.flushLocked()
 	return v, err == nil, out, err
 }
 
@@ -492,18 +481,18 @@ func (s *Store) Enqueue(ctx context.Context, m Mutation) (uint64, bool, Outcome,
 func (s *Store) Flush(ctx context.Context) (uint64, Outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.flushLocked(ctx)
+	return s.flushLocked()
 }
 
-func (s *Store) flushLocked(ctx context.Context) (uint64, Outcome, error) {
+func (s *Store) flushLocked() (uint64, Outcome, error) {
 	if len(s.pending) == 0 {
 		return s.cur.Load().version, Outcome{}, nil
 	}
 	batch := s.pending
-	v, out, err := s.applyLocked(ctx, batch)
+	v, out, err := s.applyLocked(batch)
 	if err != nil {
-		// The batch failed atomically; keep it queued so a retryable
-		// failure (context cancellation) is not silently dropped.
+		// The batch failed atomically; keep it queued rather than drop
+		// it silently.
 		return v, out, err
 	}
 	s.pending = s.pending[:0]

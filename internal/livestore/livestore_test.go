@@ -526,12 +526,12 @@ func TestRebuildIndexCountsLiveObjects(t *testing.T) {
 	}
 }
 
-// TestLargeBatchParallelCommit pushes a batch large enough to cross the
-// parallel dirty-cell rewrite cutoff with Parallelism 0 (all CPUs).
+// TestLargeBatchParallelCommit pushes one batch that dirties hundreds
+// of cells through the commit and checks the index against a scan.
 func TestLargeBatchParallelCommit(t *testing.T) {
 	ctx := context.Background()
 	col := testCollection(t, 5000, 5)
-	s, err := New(col, engine.Config{Parallelism: 0})
+	s, err := New(col, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func TestLargeBatchParallelCommit(t *testing.T) {
 	got := sn.Region(world)
 	want := refRegion(sn, world)
 	if !equalInts(got, want) {
-		t.Fatalf("parallel commit region mismatch: %d vs %d entries", len(got), len(want))
+		t.Fatalf("large commit region mismatch: %d vs %d entries", len(got), len(want))
 	}
 	if !sort.IntsAreSorted(got) {
 		t.Fatal("Region result not ascending")

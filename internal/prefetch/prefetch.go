@@ -14,14 +14,13 @@
 // used inside core.Selector, so they can be passed directly as
 // Selector.InitialGains.
 //
-// On every other metric the bound computations are O(|envelope|²) and
-// run on the shared worker pool of internal/parallel — the same engine
-// that powers the greedy core — one envelope row per worker task. Every
-// function takes the pool size (0 = all CPUs, 1 = serial) and a
-// context: prefetch passes are exactly the work a session abandons when
-// the user navigates mid-computation, so cancellation is checked before
-// every bound row and a cancelled pass returns ctx.Err() with its
-// partial output discarded (a linear pass has no rows to stop between).
+// On every other metric the bound computations are O(|envelope|²), one
+// envelope row at a time on the calling goroutine. Every function takes
+// a context: prefetch passes are exactly the work a session abandons
+// when the user navigates mid-computation, so cancellation is checked
+// before every bound row and a cancelled pass returns ctx.Err() with
+// its partial output discarded (a linear pass has no rows to stop
+// between).
 package prefetch
 
 import (
@@ -30,7 +29,6 @@ import (
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
 	"geosel/internal/invariant"
-	"geosel/internal/parallel"
 	"geosel/internal/sim"
 )
 
@@ -41,16 +39,15 @@ import (
 // (zoom-in) and Lemma 5.2 with the envelope = union of all possible
 // zoom-out regions OA. Cost: O(|envelope|) on a metric with linear row
 // sums (sim.Rows.RowSums — Cosine), on the calling goroutine; otherwise
-// O(|envelope|²) metric calls, paid while the user is idle, with rows
-// computed on workers goroutines (0 = all CPUs, 1 = serial), a
-// cancelled ctx aborting between rows with ctx.Err().
-func PairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []int, m sim.Metric, workers int) (map[int]float64, error) {
-	return pairwiseBounds(ctx, col, envelopePos, m, workers, false)
+// O(|envelope|²) metric calls, paid while the user is idle, a cancelled
+// ctx aborting between rows with ctx.Err().
+func PairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []int, m sim.Metric) (map[int]float64, error) {
+	return pairwiseBounds(ctx, col, envelopePos, m, false)
 }
 
 // pairwiseBounds is PairwiseBounds; with linearOnly set it returns a
 // nil map instead of computing quadratic rows.
-func pairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []int, m sim.Metric, workers int, linearOnly bool) (map[int]float64, error) {
+func pairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []int, m sim.Metric, linearOnly bool) (map[int]float64, error) {
 	// Everything below works on a gathered copy of the envelope, so a
 	// pass costs O(|envelope|) memory however large the collection is.
 	// Index equality in sub is object identity, which is all the
@@ -68,7 +65,7 @@ func pairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []
 		if linearOnly {
 			return nil, nil
 		}
-		if err := quadraticRows(ctx, sub, w, rows, workers, sums); err != nil {
+		if err := quadraticRows(ctx, sub, w, rows, sums); err != nil {
 			return nil, err
 		}
 	}
@@ -83,12 +80,15 @@ func pairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []
 }
 
 // quadraticRows fills sums[i] = Σ_j w[j]·Sim(sub[j], sub[i]), one
-// envelope row per worker task.
-func quadraticRows(ctx context.Context, sub []geodata.Object, w []float64, rows *sim.Rows, workers int, sums []float64) error {
-	pool := parallel.New(workers)
-	defer pool.Close()
-	return pool.Run(ctx, len(sub), func(i int) { //geolint:hotpath
-		var buf [sim.RowBlock]float64
+// envelope row at a time, checking ctx before each.
+//
+//geolint:hotpath
+func quadraticRows(ctx context.Context, sub []geodata.Object, w []float64, rows *sim.Rows, sums []float64) error {
+	var buf [sim.RowBlock]float64
+	for i := range sub {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		var sum float64
 		for lo := 0; lo < len(sub); lo += sim.RowBlock {
 			hi := min(lo+sim.RowBlock, len(sub))
@@ -98,7 +98,8 @@ func quadraticRows(ctx context.Context, sub []geodata.Object, w []float64, rows 
 			}
 		}
 		sums[i] = sum
-	})
+	}
+	return nil
 }
 
 // assertEnvelopeBounds checks, under the geoselcheck tag, that every
@@ -119,61 +120,57 @@ func assertEnvelopeBounds(objs []geodata.Object, envelopePos []int, m sim.Metric
 // view is any pinned geodata.View — a static store or one livestore
 // snapshot; bounds are only valid against the exact view they were
 // computed from (the session discards them on a version change).
-func ZoomInBounds(ctx context.Context, view geodata.View, region geo.Rect, m sim.Metric, workers int) (map[int]float64, error) {
-	return PairwiseBounds(ctx, view.Collection(), view.Region(region), m, workers)
+func ZoomInBounds(ctx context.Context, view geodata.View, region geo.Rect, m sim.Metric) (map[int]float64, error) {
+	return PairwiseBounds(ctx, view.Collection(), view.Region(region), m)
 }
 
 // ZoomOutBounds precomputes upper bounds for all objects of the
 // zoom-out envelope (the union of all possible zoom-out regions up to
 // maxScale× the current side length), per Lemma 5.2.
-func ZoomOutBounds(ctx context.Context, view geodata.View, vp geo.Viewport, maxScale float64, m sim.Metric, workers int) (map[int]float64, error) {
+func ZoomOutBounds(ctx context.Context, view geodata.View, vp geo.Viewport, maxScale float64, m sim.Metric) (map[int]float64, error) {
 	env := vp.ZoomOutEnvelope(maxScale)
-	return PairwiseBounds(ctx, view.Collection(), view.Region(env), m, workers)
+	return PairwiseBounds(ctx, view.Collection(), view.Region(env), m)
 }
 
 // PanBounds precomputes upper bounds for all objects of the panning
 // envelope rA (3× the viewport on each axis), per Lemma 5.3: for each
 // object o the sum runs only over rA ∩ ro, where ro is the square
 // centered at o with twice the old region's width — every possible
-// panned region containing o lies inside that intersection. Each worker
-// owns one envelope object: it performs the per-object window query
-// (views are immutable, so their region search is safe to share) and
-// accumulates that object's bound. On a metric with linear row sums the
+// panned region containing o lies inside that intersection: one window
+// query per envelope object, ctx checked before each. On a metric with
+// linear row sums the
 // bound is the O(|rA|) sum over all of rA instead: a superset sum
 // dominates the window sum, so it is looser but still a bound, and core
 // tightens it against the new region's own row sum anyway.
-func PanBounds(ctx context.Context, view geodata.View, vp geo.Viewport, m sim.Metric, workers int) (map[int]float64, error) {
+func PanBounds(ctx context.Context, view geodata.View, vp geo.Viewport, m sim.Metric) (map[int]float64, error) {
 	env := vp.PanEnvelope()
 	envPos := view.Region(env)
 	col := view.Collection()
-	if out, err := pairwiseBounds(ctx, col, envPos, m, workers, true); out != nil || err != nil {
+	if out, err := pairwiseBounds(ctx, col, envPos, m, true); out != nil || err != nil {
 		return out, err
 	}
 	objs := col.Objects
 	w := vp.Region.Width()
 	h := vp.Region.Height()
 	sums := make([]float64, len(envPos))
-	pool := parallel.New(workers)
-	defer pool.Close()
-	err := pool.Run(ctx, len(envPos), func(i int) { //geolint:hotpath
-		o := &objs[envPos[i]]
+	for i, p := range envPos {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		o := &objs[p]
 		ro := geo.Rect{
 			Min: geo.Point{X: o.Loc.X - w, Y: o.Loc.Y - h},
 			Max: geo.Point{X: o.Loc.X + w, Y: o.Loc.Y + h},
 		}
 		window, ok := env.Intersect(ro)
 		if !ok {
-			sums[i] = 0
-			return
+			continue
 		}
 		var sum float64
 		for _, q := range view.Region(window) {
 			sum += objs[q].Weight * m.Sim(o, &objs[q])
 		}
 		sums[i] = sum
-	})
-	if err != nil {
-		return nil, err
 	}
 	if invariant.Enabled {
 		assertEnvelopeBounds(objs, envPos, m, sums, "prefetch: pan envelope bound")

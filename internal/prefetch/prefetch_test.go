@@ -49,7 +49,7 @@ func TestZoomInBoundsAreUpperBounds(t *testing.T) {
 	m := sim.Cosine{}
 	rng := rand.New(rand.NewSource(2))
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.2)
-	bounds, err := ZoomInBounds(context.Background(), store, region, m, 0)
+	bounds, err := ZoomInBounds(context.Background(), store, region, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestZoomOutBoundsAreUpperBounds(t *testing.T) {
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.1)
 	vp := geo.NewViewport(geo.WorldUnit, region)
 	const maxScale = 2
-	bounds, err := ZoomOutBounds(context.Background(), store, vp, maxScale, m, 0)
+	bounds, err := ZoomOutBounds(context.Background(), store, vp, maxScale, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPanBoundsAreUpperBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.12)
 	vp := geo.NewViewport(geo.WorldUnit, region)
-	bounds, err := PanBounds(context.Background(), store, vp, m, 0)
+	bounds, err := PanBounds(context.Background(), store, vp, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPanBoundsAreUpperBounds(t *testing.T) {
 
 func TestPairwiseBoundsEmpty(t *testing.T) {
 	store := testStore(t, 10, 11)
-	got, err := PairwiseBounds(context.Background(), store.Collection(), nil, sim.Cosine{}, 0)
+	got, err := PairwiseBounds(context.Background(), store.Collection(), nil, sim.Cosine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestPanBoundsSubsetOfPairwise(t *testing.T) {
 	vp := geo.NewViewport(geo.WorldUnit, region)
 	env := vp.PanEnvelope()
 	envPos := store.Region(env)
-	plain, err := PairwiseBounds(context.Background(), store.Collection(), envPos, m, 0)
+	plain, err := PairwiseBounds(context.Background(), store.Collection(), envPos, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pan, err := PanBounds(context.Background(), store, vp, m, 0)
+	pan, err := PanBounds(context.Background(), store, vp, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestBoundsCostIndependentOfCollection(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	bounds, err := ZoomInBounds(context.Background(), store, region, sim.Cosine{}, 1)
+	bounds, err := ZoomInBounds(context.Background(), store, region, sim.Cosine{})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -218,12 +218,11 @@ func TestBoundsCostIndependentOfCollection(t *testing.T) {
 // TestLinearBoundsSkipTheRows guards the cost model of a bound pass on
 // the served metric: Cosine's row sums are linear (sim.Rows.RowSums),
 // so a Lemma 5.2 pass over ~2000 objects evaluates no pair at all. It
-// shows as three things a row-by-row pass cannot do: it finishes under
-// a context that was cancelled before it began (rows are only ever
-// computed through pool.Run, which hands out no index once ctx is
-// done), it allocates under 1 MiB, and it starts no worker. The same
-// metric behind an opaque sim.Func is the control: n² spied calls, and
-// ctx.Err() when cancelled.
+// shows as two things a row-by-row pass cannot do: it finishes under a
+// context that was cancelled before it began (ctx is checked before
+// every row), and it allocates under 1 MiB. The same metric behind an
+// opaque sim.Func is the control: n² spied calls, and ctx.Err() when
+// cancelled.
 func TestLinearBoundsSkipTheRows(t *testing.T) {
 	store := testStore(t, 30000, 5)
 	center := store.Collection().Objects[0].Loc
@@ -240,9 +239,8 @@ func TestLinearBoundsSkipTheRows(t *testing.T) {
 	cancel()
 
 	var before, after runtime.MemStats
-	goroutines := runtime.NumGoroutine()
 	runtime.ReadMemStats(&before)
-	linear, err := ZoomOutBounds(cancelled, store, vp, 2, sim.Cosine{}, 64)
+	linear, err := ZoomOutBounds(cancelled, store, vp, 2, sim.Cosine{})
 	runtime.ReadMemStats(&after)
 	if err != nil || len(linear) != n {
 		t.Fatalf("Cosine pass under a cancelled ctx: %d of %d bounds, err = %v", len(linear), n, err)
@@ -250,20 +248,17 @@ func TestLinearBoundsSkipTheRows(t *testing.T) {
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Errorf("one ZoomOutBounds over %d objects allocated %d bytes, want < 1 MiB", n, alloc)
 	}
-	if g := runtime.NumGoroutine(); g > goroutines {
-		t.Errorf("the pass left %d goroutines running, %d before it", g, goroutines)
-	}
 
 	var calls atomic.Int64
 	spy := sim.Func(func(a, b *geodata.Object) float64 {
 		calls.Add(1)
 		return sim.Cosine{}.Sim(a, b)
 	})
-	if _, err := ZoomOutBounds(cancelled, store, vp, 2, spy, 2); err != context.Canceled {
+	if _, err := ZoomOutBounds(cancelled, store, vp, 2, spy); err != context.Canceled {
 		t.Fatalf("opaque pass under a cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	calls.Store(0)
-	quadratic, err := ZoomOutBounds(context.Background(), store, vp, 2, spy, 2)
+	quadratic, err := ZoomOutBounds(context.Background(), store, vp, 2, spy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +283,9 @@ func TestLinearBoundsSkipTheRows(t *testing.T) {
 	// envelope is bounded by its own weight, up to the same slack at n = 1.
 	objs := store.Collection().Objects
 	for _, envelope := range [][]int{nil, store.Region(vp.Region)[:1]} {
-		goroutines := runtime.NumGoroutine() // the control's workers may still be exiting
-		got, err := PairwiseBounds(cancelled, store.Collection(), envelope, sim.Cosine{}, 64)
+		got, err := PairwiseBounds(cancelled, store.Collection(), envelope, sim.Cosine{})
 		if err != nil || len(got) != len(envelope) {
 			t.Fatalf("envelope of %d: %d bounds, err = %v", len(envelope), len(got), err)
-		}
-		if g := runtime.NumGoroutine(); g > goroutines {
-			t.Errorf("envelope of %d: %d goroutines running, %d before", len(envelope), g, goroutines)
 		}
 		for p, b := range got {
 			if w := objs[p].Weight; b < w || b > w*(1+float64(1+maxnnz)*0x1p-23) {
@@ -307,8 +298,7 @@ func TestLinearBoundsSkipTheRows(t *testing.T) {
 // TestShortSupportBoundsAreTheLemmaSums holds the bound passes, on a
 // metric that is zero on almost every pair of a clustered instance, to
 // the sums Lemmas 5.1 and 5.3 write down: every term, zeros included,
-// added in envelope (5.1) or window (5.3) order — bit for bit, at any
-// pool size.
+// added in envelope (5.1) or window (5.3) order — bit for bit.
 func TestShortSupportBoundsAreTheLemmaSums(t *testing.T) {
 	store, err := dataset.GenerateStore(dataset.UKSpec(2048, 9))
 	if err != nil {
@@ -371,16 +361,14 @@ func TestShortSupportBoundsAreTheLemmaSums(t *testing.T) {
 			}
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		got, err := PairwiseBounds(ctx, store.Collection(), envPos, m, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same("PairwiseBounds", got, pairwise)
-		got, err = PanBounds(ctx, store, vp, m, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same("PanBounds", got, pan)
+	got, err := PairwiseBounds(ctx, store.Collection(), envPos, m)
+	if err != nil {
+		t.Fatal(err)
 	}
+	same("PairwiseBounds", got, pairwise)
+	got, err = PanBounds(ctx, store, vp, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("PanBounds", got, pan)
 }

@@ -41,7 +41,7 @@ func fuzzServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := engine.Config{Metric: sim.Cosine{}, Parallelism: 1, TileCache: true, TileCacheCapacity: 64}
+	cfg := engine.Config{Metric: sim.Cosine{}, TileCache: true, TileCacheCapacity: 64}
 	live, err := livestore.New(col, cfg)
 	if err != nil {
 		t.Fatal(err)

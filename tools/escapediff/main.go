@@ -36,7 +36,6 @@ var hotPackages = []string{
 	"./internal/core",
 	"./internal/geodata",
 	"./internal/lazyheap",
-	"./internal/parallel",
 	"./internal/prefetch",
 	"./internal/server",
 	"./internal/sim",

@@ -1,20 +1,11 @@
-// Package floatorder guards the parallel engine's determinism
-// invariant: every floating-point reduction in the hot-path packages
-// must combine partials in a fixed order, so that every Parallelism
-// setting produces bit-identical selections (DESIGN.md §5b). Two
-// patterns break that promise and are reported:
-//
-//  1. accumulating into a float across a range over a map — map
-//     iteration order is randomized, so the sum's rounding depends on
-//     the schedule;
-//  2. accumulating into a float captured from an enclosing scope inside
-//     a worker-pool loop body (a func literal passed to a Run method) —
-//     the combination order then depends on goroutine scheduling (and
-//     is a data race besides).
-//
-// Per-index writes (out[i] = ..., out[i] += ...) stay deterministic and
-// are not flagged; the blessed pattern is per-chunk partials combined in
-// chunk order.
+// Package floatorder guards the engine's determinism invariant: every
+// floating-point reduction in the hot-path packages must combine its
+// terms in a fixed order, so that a selection's bits are a function of
+// its input alone (DESIGN.md §5b). Accumulating into a float across a
+// range over a map breaks that promise — map iteration order is
+// randomized, so the sum's rounding changes from run to run — and is
+// reported. The blessed pattern is per-chunk partials combined in chunk
+// order over a slice.
 package floatorder
 
 import (
@@ -29,9 +20,9 @@ import (
 // Analyzer is the floatorder check.
 var Analyzer = &analysis.Analyzer{
 	Name: "floatorder",
-	Doc:  "flags nondeterministically ordered float64 accumulation (map ranges, cross-worker captures) in the parallel hot paths",
+	Doc:  "flags float64 accumulation over map iteration order in the hot-path packages",
 	PkgFilter: func(pkgPath string) bool {
-		for _, p := range []string{"internal/core", "internal/prefetch", "internal/parallel", "internal/sampling", "internal/isos"} {
+		for _, p := range []string{"internal/core", "internal/prefetch", "internal/sampling", "internal/isos"} {
 			if strings.HasSuffix(pkgPath, p) || strings.Contains(pkgPath, p+"/") {
 				return true
 			}
@@ -44,11 +35,8 @@ var Analyzer = &analysis.Analyzer{
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.RangeStmt:
-				checkMapRange(pass, n)
-			case *ast.CallExpr:
-				checkPoolRun(pass, n)
+			if rng, ok := n.(*ast.RangeStmt); ok {
+				checkMapRange(pass, rng)
 			}
 			return true
 		})
@@ -68,23 +56,6 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 	}
 	reportEscapingFloatAccum(pass, rng.Body, rng.Pos(), rng.End(),
 		"float accumulation over map iteration order is nondeterministic; iterate a sorted slice or accumulate per-chunk partials")
-}
-
-// checkPoolRun reports float accumulators captured by a loop body handed
-// to a worker pool's Run method.
-func checkPoolRun(pass *analysis.Pass, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Run" {
-		return
-	}
-	for _, arg := range call.Args {
-		fn, ok := arg.(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		reportEscapingFloatAccum(pass, fn.Body, fn.Pos(), fn.End(),
-			"float accumulation into a captured variable inside a pool.Run body is schedule-ordered (and racy); write per-index partials and combine them in chunk order")
-	}
 }
 
 // reportEscapingFloatAccum reports compound float assignments inside

@@ -2,15 +2,6 @@
 // (plus negative cases that must stay silent).
 package core
 
-// pool mimics parallel.Pool's Run shape without importing it.
-type pool struct{}
-
-func (pool) Run(n int, fn func(int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
 // mapOrderSum is the seeded violation: a float64 reduction whose
 // rounding depends on randomized map iteration order.
 func mapOrderSum(m map[string]float64) float64 {
@@ -21,30 +12,11 @@ func mapOrderSum(m map[string]float64) float64 {
 	return sum
 }
 
-// capturedAccum is the seeded violation for the cross-worker shape: a
-// captured accumulator mutated inside a pool.Run body.
-func capturedAccum(p pool, xs []float64) float64 {
-	var total float64
-	p.Run(len(xs), func(i int) {
-		total += xs[i] // want `captured variable inside a pool.Run body`
-	})
-	return total
-}
-
-// chunkedSum is the blessed pattern: per-index partials combined in
-// chunk order. It must not be flagged.
-func chunkedSum(p pool, xs []float64) float64 {
-	partials := make([]float64, 4)
-	p.Run(4, func(chunk int) {
-		var part float64 // chunk-local accumulator: fixed order within the chunk
-		for i := chunk; i < len(xs); i += 4 {
-			part += xs[i]
-		}
-		partials[chunk] = part
-	})
+// sliceSum accumulates over a slice, whose order is fixed; silent.
+func sliceSum(xs []float64) float64 {
 	var sum float64
-	for _, p := range partials {
-		sum += p
+	for _, v := range xs {
+		sum += v
 	}
 	return sum
 }
@@ -58,12 +30,12 @@ func mapKeysOnly(m map[string]float64) int {
 	return n
 }
 
-// perIndex writes per-element inside the worker body; deterministic and
+// perKey writes per-element inside a map range; deterministic and
 // silent.
-func perIndex(p pool, out, xs []float64) {
-	p.Run(len(xs), func(i int) {
-		out[i] += xs[i] * 2
-	})
+func perKey(out []float64, m map[int]float64) {
+	for k, v := range m {
+		out[k] += v
+	}
 }
 
 // suppressed shows the escape hatch.

@@ -1,14 +1,14 @@
 // Package knobplumb verifies that every library-side construction of a
 // configuration struct built around the unified engine.Config embed
 // actually forwards that embed. Earlier revisions hand-copied each
-// performance knob (Parallelism and its kin) through every layer and this
-// analyzer policed the copies field by field; with the engine refactor
-// there is exactly one thing to forward — the embedded engine.Config —
-// so the per-knob table is gone and the check is structural: a keyed
-// composite literal of an embedding struct that sets other fields but
-// omits the Config key silently pins every engine knob (metric, K, θ,
-// parallelism, prefetch tuning, serving limits) to its zero
-// value, which is exactly the drift the embed was introduced to kill.
+// engine knob through every layer and this analyzer policed the copies
+// field by field; with the engine refactor there is exactly one thing
+// to forward — the embedded engine.Config — so the per-knob table is
+// gone and the check is structural: a keyed composite literal of an
+// embedding struct that sets other fields but omits the Config key
+// silently pins every engine knob (metric, K, θ, prefetch tuning,
+// serving limits) to its zero value, which is exactly the drift the
+// embed was introduced to kill.
 // A deliberate all-defaults construction carries a
 // "//geolint:defaults" annotation.
 package knobplumb

@@ -12,20 +12,15 @@
 //
 // Analyzers:
 //
-//	floatorder  nondeterministically ordered float accumulation in the
-//	            parallel hot paths (map ranges, cross-worker captures)
+//	floatorder  float accumulation over map iteration order in the
+//	            hot-path packages
 //	knobplumb   config literals that bypass the embedded engine.Config
-//	ctxflow     exported pool-dispatching functions that fail to accept
-//	            or thread a context.Context
 //	errlite     silently discarded errors outside tests
 //	nopanic     panic in library packages
 //	snapfreeze  mutation of snapshot-owned collections or slices
 //	            obtained from a geodata.View outside the owning packages
 //	hotalloc    allocation-inducing constructs reachable from
 //	            //geolint:hotpath roots (//geolint:coldpath opts out)
-//	poolshare   pool-task closures capturing loop variables, writing
-//	            shared non-task-partitioned state, or re-reading
-//	            livestore snapshots (//geolint:owner acknowledges)
 //
 // Standalone mode accepts -analyzers=a,b to run a subset; the package
 // graph is loaded once and shared across the selected analyzers.
@@ -37,13 +32,11 @@ import (
 	"strings"
 
 	"geosel/tools/geolint/internal/analysis"
-	"geosel/tools/geolint/internal/analyzers/ctxflow"
 	"geosel/tools/geolint/internal/analyzers/errlite"
 	"geosel/tools/geolint/internal/analyzers/floatorder"
 	"geosel/tools/geolint/internal/analyzers/hotalloc"
 	"geosel/tools/geolint/internal/analyzers/knobplumb"
 	"geosel/tools/geolint/internal/analyzers/nopanic"
-	"geosel/tools/geolint/internal/analyzers/poolshare"
 	"geosel/tools/geolint/internal/analyzers/snapfreeze"
 )
 
@@ -51,12 +44,10 @@ import (
 var All = []*analysis.Analyzer{
 	floatorder.Analyzer,
 	knobplumb.Analyzer,
-	ctxflow.Analyzer,
 	errlite.Analyzer,
 	nopanic.Analyzer,
 	snapfreeze.Analyzer,
 	hotalloc.Analyzer,
-	poolshare.Analyzer,
 }
 
 func main() {

@@ -49,7 +49,7 @@ func TestAllocGuardsCoverHotRoots(t *testing.T) {
 	}
 	// Guard the guard: if parsing ever stops finding the known roots,
 	// this test would pass vacuously.
-	for _, must := range []string{"lazyStep", "marginalBatch"} {
+	for _, must := range []string{"lazyStep", "marginal"} {
 		if !guarded[must] {
 			t.Errorf("expected AllocsPerRun guard driving %s in alloc_test.go; the extraction is broken or the guard was removed", must)
 		}
