@@ -72,7 +72,8 @@ fuzz:
 	go test -run=NONE -fuzz=FuzzAppendObjectJSON -fuzztime=10s ./internal/geodata
 	go test -run=NONE -fuzz=FuzzDecodeTile -fuzztime=10s ./internal/tilecache
 	go test -run=NONE -fuzz=FuzzRequestBodies -fuzztime=10s ./internal/server
-	go test -run=NONE -fuzz=FuzzReadTrace -fuzztime=10s ./internal/livestore
+	go test -run=NONE -fuzz='^FuzzReadTrace$$' -fuzztime=10s ./internal/livestore
+	go test -run=NONE -fuzz='^FuzzRegionOrder$$' -fuzztime=10s ./internal/livestore
 	go test -run=NONE -fuzz='^FuzzReadCSV$$' -fuzztime=10s ./internal/dataset
 	go test -run=NONE -fuzz='^FuzzReadJSONL$$' -fuzztime=10s ./internal/dataset
 	go test -run=NONE -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/dataset

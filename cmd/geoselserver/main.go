@@ -19,8 +19,10 @@
 //	DELETE /sessions/{id}
 //	GET  /store/stats                 store counters, snapshot version, uptime
 //
-// With -live, the dataset is mutable and two more endpoints are
-// active (they answer 501 otherwise):
+// Every mode reads one index, the live store's grid; without -live the
+// server serves its version 0 frozen. With -live, the dataset is
+// mutable and two more endpoints are active (they answer 501
+// otherwise):
 //
 //	POST   /ingest                    commit a mutation batch as one epoch
 //	DELETE /objects/{id}              delete one object by external id
@@ -69,12 +71,10 @@ func main() {
 		sessionTTL  = flag.Duration("session-ttl", engine.DefaultSessionTTL, "evict sessions idle for this long (negative = never)")
 		maxSessions = flag.Int("max-sessions", engine.DefaultMaxSessions, "maximum live sessions; the idlest is evicted beyond this")
 		asyncPre    = flag.Bool("async-prefetch", true, "compute next-operation bounds on a background goroutine after each navigation")
-		live        = flag.Bool("live", false, "serve a mutable live store: enables POST /ingest and DELETE /objects/{id}")
-		ingestBatch = flag.Int("ingest-batch", engine.DefaultIngestBatch, "live-store ingest queue auto-flush threshold")
+		live        = flag.Bool("live", false, "make the store mutable: enables POST /ingest and DELETE /objects/{id}")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled")
 		tileCache   = flag.Bool("tilecache", false, "materialize selections per map tile: warm /select and session serving, enables GET /tiles/{z}/{x}/{y} and GET /cache/stats")
 		tileCap     = flag.Int("tilecache-capacity", 0, "cached tile entries across all shards (0 = engine default)")
-		tileBands   = flag.Int("tile-theta-bands", 0, "θ quantization bands per octave for tile cache keys (0 = engine default)")
 		tileBudget  = flag.Float64("tile-repair-budget", 0, "seam-repair gain budget as a fraction of stitched gain mass before falling back to full greedy (0 = engine default)")
 	)
 	flag.Parse()
@@ -111,36 +111,25 @@ func main() {
 		RequestTimeout:    *reqTimeout,
 		SessionTTL:        *sessionTTL,
 		MaxSessions:       *maxSessions,
-		IngestBatch:       *ingestBatch,
 		TileCache:         *tileCache,
 		TileCacheCapacity: *tileCap,
-		TileThetaBands:    *tileBands,
 		TileRepairBudget:  *tileBudget,
 	}
-	var src geodata.Source
-	if *live {
-		ls, err := livestore.New(col, cfg)
-		if err != nil {
-			log.Fatal("geoselserver: ", err)
-		}
-		src = ls
-	} else {
-		store, err := geodata.NewStore(col)
-		if err != nil {
-			log.Fatal("geoselserver: ", err)
-		}
-		src = store
+	// A frozen snapshot is not a *livestore.Store, so without -live the
+	// write routes answer 501.
+	ls, err := livestore.New(col, cfg)
+	if err != nil {
+		log.Fatal("geoselserver: ", err)
+	}
+	var src geodata.Source = ls
+	if !*live {
+		src = livestore.Freeze(ls.Current())
 	}
 	srv, err := server.New(src, cfg)
 	if err != nil {
 		log.Fatal("geoselserver: ", err)
 	}
-	view, version := src.Snapshot()
-	mode := "static"
-	if *live {
-		mode = "live"
-	}
-	log.Printf("serving %d objects (%s store, version %d) on %s", view.Len(), mode, version, *addr)
+	log.Printf("serving %d objects (live %v) on %s", ls.Current().Len(), *live, *addr)
 	httpServer := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),

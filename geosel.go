@@ -285,13 +285,9 @@ func NewSession(src Source, cfg SessionConfig) (*Session, error) {
 
 // NewLiveStore builds a mutable, versioned store seeded with the
 // collection's objects (copied; the vocabulary becomes writer-owned).
-// Its regions come back in ascending position order, where NewStore's
-// R-tree answers in leaf order, and a selection's float sums follow
-// that order: with no mutations applied the two agree except at
-// near-ties, where identical-text twins can swap or, rarely, the
-// greedy path differs. Its memory follows the live objects (see
-// LiveStore.Stats). cfg supplies IngestBatch (the Enqueue auto-flush
-// threshold); its zero value takes the engine default.
-func NewLiveStore(col *Collection, cfg EngineConfig) (*LiveStore, error) {
-	return livestore.New(col, cfg)
+// Its regions come back in ascending position order, as NewStore's do,
+// so with no mutations applied the two select bit for bit alike. Its
+// memory follows the live objects (see LiveStore.Stats).
+func NewLiveStore(col *Collection) (*LiveStore, error) {
+	return livestore.New(col, EngineConfig{})
 }

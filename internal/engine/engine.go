@@ -59,15 +59,9 @@ const (
 	// DefaultMaxSessions is the server session-count bound when
 	// MaxSessions is zero.
 	DefaultMaxSessions = 1024
-	// DefaultIngestBatch is the auto-flush threshold of the live-ingest
-	// queue when IngestBatch is zero.
-	DefaultIngestBatch = 1024
 	// DefaultTileCacheCapacity is the materialized-tile entry bound used
 	// when TileCacheCapacity is zero.
 	DefaultTileCacheCapacity = 4096
-	// DefaultTileThetaBands is the θ-banding resolution (bands per
-	// halving of θ) used when TileThetaBands is zero.
-	DefaultTileThetaBands = 4
 	// DefaultTileRepairBudget is the seam-repair gain-loss fraction
 	// beyond which stitched serving falls back to a full greedy run,
 	// used when TileRepairBudget is zero — the 1/8 of the greedy
@@ -125,12 +119,6 @@ type Config struct {
 	// explicit synchronous Prefetch calls, exactly as before.
 	AsyncPrefetch bool
 
-	// IngestBatch is the auto-flush threshold of the live-ingest queue
-	// (livestore.Store.Enqueue): buffered mutations are committed as one
-	// epoch once the buffer reaches this size. 0 means
-	// DefaultIngestBatch; ignored by layers without an ingest path.
-	IngestBatch int
-
 	// TileCache enables the tile-grain materialized selection cache
 	// (internal/tilecache): selections are memoized per XYZ tile and
 	// viewports are served by stitching cached tiles plus a seam-repair
@@ -141,13 +129,6 @@ type Config struct {
 	// across the cache's shards; the least recently used entries are
 	// evicted beyond it. 0 means DefaultTileCacheCapacity.
 	TileCacheCapacity int
-	// TileThetaBands is the θ-quantization resolution of the tile key:
-	// requested visibility thresholds are rounded up to the nearest of
-	// TileThetaBands logarithmic bands per halving of θ, so
-	// near-duplicate viewports share cached tiles while every served
-	// tile is at least as separated as requested. 0 means
-	// DefaultTileThetaBands.
-	TileThetaBands int
 	// TileRepairBudget is the largest fraction of the stitched tiles'
 	// total recorded gain that the seam-repair pass may drop before the
 	// cache declares the stitch unsalvageable and falls back to a full
@@ -195,14 +176,8 @@ func (c Config) Validate() error {
 	if c.MaxSessions < 0 {
 		return fmt.Errorf("engine: MaxSessions = %d must be non-negative", c.MaxSessions)
 	}
-	if c.IngestBatch < 0 {
-		return fmt.Errorf("engine: IngestBatch = %d must be non-negative", c.IngestBatch)
-	}
 	if c.TileCacheCapacity < 0 {
 		return fmt.Errorf("engine: TileCacheCapacity = %d must be non-negative", c.TileCacheCapacity)
-	}
-	if c.TileThetaBands < 0 {
-		return fmt.Errorf("engine: TileThetaBands = %d must be non-negative", c.TileThetaBands)
 	}
 	if c.TileRepairBudget < 0 || c.TileRepairBudget >= 1 {
 		return fmt.Errorf("engine: TileRepairBudget = %v outside [0, 1)", c.TileRepairBudget)
@@ -224,14 +199,8 @@ func (c Config) WithDefaults() Config {
 	if c.MaxSessions == 0 {
 		c.MaxSessions = DefaultMaxSessions
 	}
-	if c.IngestBatch == 0 {
-		c.IngestBatch = DefaultIngestBatch
-	}
 	if c.TileCacheCapacity == 0 {
 		c.TileCacheCapacity = DefaultTileCacheCapacity
-	}
-	if c.TileThetaBands == 0 {
-		c.TileThetaBands = DefaultTileThetaBands
 	}
 	if c.TileRepairBudget == 0 {
 		c.TileRepairBudget = DefaultTileRepairBudget

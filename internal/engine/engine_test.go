@@ -45,7 +45,6 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{"negative RequestTimeout", func(c *Config) { c.RequestTimeout = -time.Second }, "RequestTimeout"},
 		{"negative MaxSessions", func(c *Config) { c.MaxSessions = -1 }, "MaxSessions"},
 		{"negative TileCacheCapacity", func(c *Config) { c.TileCacheCapacity = -1 }, "TileCacheCapacity"},
-		{"negative TileThetaBands", func(c *Config) { c.TileThetaBands = -2 }, "TileThetaBands"},
 		{"negative TileRepairBudget", func(c *Config) { c.TileRepairBudget = -0.1 }, "TileRepairBudget"},
 		{"TileRepairBudget at 1", func(c *Config) { c.TileRepairBudget = 1 }, "TileRepairBudget"},
 	}
@@ -76,9 +75,6 @@ func TestWithDefaults(t *testing.T) {
 	}
 	if got.TileCacheCapacity != DefaultTileCacheCapacity {
 		t.Errorf("TileCacheCapacity = %d, want %d", got.TileCacheCapacity, DefaultTileCacheCapacity)
-	}
-	if got.TileThetaBands != DefaultTileThetaBands {
-		t.Errorf("TileThetaBands = %d, want %d", got.TileThetaBands, DefaultTileThetaBands)
 	}
 	if got.TileRepairBudget != DefaultTileRepairBudget {
 		t.Errorf("TileRepairBudget = %v, want %v", got.TileRepairBudget, DefaultTileRepairBudget)

@@ -38,13 +38,15 @@ func (s *Store) Collection() *Collection { return s.col }
 // Len reports the number of indexed objects.
 func (s *Store) Len() int { return s.tree.Len() }
 
-// Region returns the indices of all objects inside r.
+// Region returns the indices of all objects inside r, in ascending
+// order (SortPositions) like every View.
 func (s *Store) Region(r geo.Rect) []int {
 	var out []int
 	s.tree.Search(r, func(it rtree.Item) bool {
 		out = append(out, it.ID)
 		return true
 	})
+	SortPositions(out)
 	return out
 }
 

@@ -10,7 +10,10 @@ import "geosel/internal/geo"
 // readers need no locking.
 //
 // Positions returned by Region (and accepted by Collection().Objects
-// indexing) are collection positions, exactly as with the static Store.
+// indexing) are collection positions, exactly as with the static Store,
+// and every implementation returns them in ascending order
+// (SortPositions): a selection stages a region in that order, so the
+// same objects in the same order select the same bits over any View.
 // The slice returned by Region is caller-owned; the Collection's Objects
 // backing is view-owned and must be treated as read-only (the snapfreeze
 // analyzer polices writes through it).
@@ -21,7 +24,8 @@ type View interface {
 	Collection() *Collection
 	// Len reports the number of live indexed objects.
 	Len() int
-	// Region returns the positions of all live objects inside r.
+	// Region returns the positions of all live objects inside r, in
+	// ascending order.
 	Region(r geo.Rect) []int
 	// CountRegion counts the live objects inside r.
 	CountRegion(r geo.Rect) int

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"geosel/internal/engine"
@@ -304,26 +303,12 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// ascendingStore is a static store whose Region answers in ascending
-// position order — the order the live store's grid answers in — so a
-// selection over it stages each region exactly as a live snapshot does.
-type ascendingStore struct{ *geodata.Store }
-
-func (a ascendingStore) Region(r geo.Rect) []int {
-	pos := a.Store.Region(r)
-	sort.Ints(pos)
-	return pos
-}
-
-func (a ascendingStore) Snapshot() (geodata.View, uint64) { return a, 0 }
-
 // TestChurnFreeLiveStoreMatchesStaticMatrix is the "no mutations →
 // bitwise identical" criterion: the same exploration over a static
-// store answering regions in ascending order and over an untouched live
-// store must produce equal Positions and bit-for-bit equal Scores in
-// both sync- and async-prefetch sessions. The live
-// store's version 0 reads its grid, not an R-tree, so the static side
-// is held to the grid's order rather than the R-tree's leaf order.
+// store and over an untouched live store must produce equal Positions
+// and bit-for-bit equal Scores in both sync- and async-prefetch
+// sessions. The R-tree and the live store's grid answer every region in
+// the same (ascending) order, so both stage every region alike.
 func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 	const n, seed = 1500, 44
 	rng := rand.New(rand.NewSource(seed))
@@ -333,11 +318,10 @@ func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 		text := words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))]
 		col.Add(i, geo.Pt(rng.Float64(), rng.Float64()), rng.Float64(), text)
 	}
-	store, err := geodata.NewStore(col)
+	static, err := geodata.NewStore(col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	static := ascendingStore{store}
 	live, err := livestore.New(col, engine.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,6 @@
 package livestore
 
 import (
-	"sort"
-
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
 )
@@ -143,7 +141,7 @@ func (g *cowGrid) cellRect(k int) geo.Rect {
 
 // rebuildGrid builds a grid from scratch over the live objects — the
 // cost an epoch commit avoids. Used at store construction, at every
-// compaction, and by RebuildIndex as the benchmark comparator.
+// compaction, and by BenchmarkEpochCommit as the comparator.
 func rebuildGrid(objs []geodata.Object, live []uint64) *cowGrid {
 	b := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}
 	first := true
@@ -253,7 +251,7 @@ func contains32(s []int32, v int32) bool {
 }
 
 // region appends to dst the positions of live objects inside r, in
-// ascending position order (the deterministic contract Region promises),
+// ascending position order (the order every View's Region answers in),
 // and returns the extended slice.
 func (g *cowGrid) region(objs []geodata.Object, r geo.Rect, dst []int) []int {
 	if !r.Valid() {
@@ -272,7 +270,7 @@ func (g *cowGrid) region(objs []geodata.Object, r geo.Rect, dst []int) []int {
 			}
 		}
 	}
-	sort.Ints(dst[start:])
+	geodata.SortPositions(dst[start:])
 	return dst
 }
 

@@ -39,10 +39,9 @@ import (
 	"geosel/internal/textsim"
 )
 
-// Store is the writer half of the live store. All mutation entry points
-// (Apply, Enqueue, Flush) serialize on an internal lock; any number of
-// concurrent readers obtain snapshots through Snapshot or Current
-// without locking.
+// Store is the writer half of the live store. Apply, its one mutation
+// entry point, serializes on an internal lock; any number of concurrent
+// readers obtain snapshots through Snapshot or Current without locking.
 type Store struct {
 	mu  sync.Mutex
 	cur atomic.Pointer[Snapshot]
@@ -57,10 +56,6 @@ type Store struct {
 	byID      map[int]int32
 	gr        *cowGrid
 	comp      *compaction
-
-	ingestBatch int
-
-	pending []Mutation
 
 	batches       uint64
 	mutations     uint64
@@ -85,8 +80,6 @@ type Stats struct {
 	Capacity int
 	// Compactions counts compaction epochs since construction.
 	Compactions uint64
-	// Pending is the number of queued mutations not yet committed.
-	Pending int
 	// Batches and Mutations count committed epochs and the mutations
 	// they carried.
 	Batches   uint64
@@ -109,13 +102,12 @@ type Stats struct {
 // readers would race).
 //
 // External IDs must be unique: mutations are keyed by geodata.Object.ID.
+//
+// No field of cfg configures the store; the parameter stays for the
+// callers that pass their serving config.
 func New(col *geodata.Collection, cfg engine.Config) (*Store, error) {
 	if col == nil {
 		return nil, fmt.Errorf("livestore: nil collection")
-	}
-	cfg = cfg.WithDefaults()
-	if cfg.IngestBatch <= 0 {
-		return nil, fmt.Errorf("livestore: IngestBatch = %d must be positive", cfg.IngestBatch)
 	}
 	if err := col.Validate(); err != nil {
 		return nil, err
@@ -126,10 +118,7 @@ func New(col *geodata.Collection, cfg engine.Config) (*Store, error) {
 	if vocab == nil {
 		vocab = textsim.NewVocabulary()
 	}
-	s := &Store{
-		vocab:       vocab,
-		ingestBatch: cfg.IngestBatch,
-	}
+	s := &Store{vocab: vocab}
 	s.seed(objs)
 	if len(s.byID) != len(objs) { // a repeated ID kept only its last position
 		for i, o := range objs {
@@ -196,7 +185,6 @@ func (s *Store) Stats() Stats {
 		DeadSlots:     len(s.objs) - s.liveCount,
 		Capacity:      cap(s.objs),
 		Compactions:   s.compactions,
-		Pending:       len(s.pending),
 		Batches:       s.batches,
 		Mutations:     s.mutations,
 		IndexCommitNs: s.indexCommitNs,
@@ -218,10 +206,6 @@ func (s *Store) Stats() Stats {
 func (s *Store) Apply(ctx context.Context, muts []Mutation) (uint64, Outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyLocked(muts)
-}
-
-func (s *Store) applyLocked(muts []Mutation) (uint64, Outcome, error) {
 	cur := s.cur.Load()
 	for i, m := range muts {
 		if err := m.validate(); err != nil {
@@ -456,45 +440,4 @@ func appendDirtyEpoch(hist []epochDirty, version uint64, cells []geo.Rect) []epo
 	out := make([]epochDirty, 0, len(hist)+1)
 	out = append(out, hist...)
 	return append(out, epochDirty{version: version, cells: cells})
-}
-
-// Enqueue buffers one mutation on the ingest queue and commits the
-// buffer as a single epoch once it reaches the configured batch size
-// (engine.Config.IngestBatch). It returns the published version (the
-// current one if the buffer did not flush), whether a flush happened,
-// and the flush outcome.
-func (s *Store) Enqueue(ctx context.Context, m Mutation) (uint64, bool, Outcome, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := m.validate(); err != nil {
-		return s.cur.Load().version, false, Outcome{}, err
-	}
-	s.pending = append(s.pending, m)
-	if len(s.pending) < s.ingestBatch {
-		return s.cur.Load().version, false, Outcome{}, nil
-	}
-	v, out, err := s.flushLocked()
-	return v, err == nil, out, err
-}
-
-// Flush commits any queued mutations immediately as one epoch.
-func (s *Store) Flush(ctx context.Context) (uint64, Outcome, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
-}
-
-func (s *Store) flushLocked() (uint64, Outcome, error) {
-	if len(s.pending) == 0 {
-		return s.cur.Load().version, Outcome{}, nil
-	}
-	batch := s.pending
-	v, out, err := s.applyLocked(batch)
-	if err != nil {
-		// The batch failed atomically; keep it queued rather than drop
-		// it silently.
-		return v, out, err
-	}
-	s.pending = s.pending[:0]
-	return v, out, nil
 }

@@ -276,39 +276,6 @@ func TestBoundsTracksLiveSet(t *testing.T) {
 	}
 }
 
-func TestEnqueueFlushesAtBatchSize(t *testing.T) {
-	ctx := context.Background()
-	col := testCollection(t, 5, 1)
-	s, err := New(col, engine.Config{IngestBatch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		_, flushed, _, err := s.Enqueue(ctx, Mutation{Op: OpInsert, ID: 100 + i, Loc: geo.Pt(0.5, 0.5), Weight: 0.5})
-		if err != nil || flushed {
-			t.Fatalf("enqueue %d: flushed=%v err=%v", i, flushed, err)
-		}
-	}
-	if st := s.Stats(); st.Pending != 2 {
-		t.Fatalf("pending = %d, want 2", st.Pending)
-	}
-	v, flushed, out, err := s.Enqueue(ctx, Mutation{Op: OpInsert, ID: 102, Loc: geo.Pt(0.5, 0.5), Weight: 0.5})
-	if err != nil || !flushed || v != 1 || out.Inserted != 3 {
-		t.Fatalf("third enqueue: v=%d flushed=%v out=%+v err=%v", v, flushed, out, err)
-	}
-	if st := s.Stats(); st.Pending != 0 || st.Version != 1 {
-		t.Fatalf("stats after flush: %+v", st)
-	}
-	// Manual flush of a partial buffer.
-	if _, _, _, err := s.Enqueue(ctx, Mutation{Op: OpDelete, ID: 100}); err != nil {
-		t.Fatal(err)
-	}
-	v, out, err = s.Flush(ctx)
-	if err != nil || v != 2 || out.Deleted != 1 {
-		t.Fatalf("flush: v=%d out=%+v err=%v", v, out, err)
-	}
-}
-
 func TestFreezePinsAVersion(t *testing.T) {
 	ctx := context.Background()
 	s := mustNew(t, testCollection(t, 50, 3))
@@ -509,20 +476,6 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadTrace(bytes.NewBufferString(`{"op":"noop","id":1}` + "\n")); err == nil {
 		t.Fatal("want unknown-op error")
-	}
-}
-
-func TestRebuildIndexCountsLiveObjects(t *testing.T) {
-	ctx := context.Background()
-	s := mustNew(t, testCollection(t, 64, 4))
-	if got := RebuildIndex(s.Current()); got != 64 {
-		t.Fatalf("v0 index entries = %d, want 64", got)
-	}
-	if _, _, err := s.Apply(ctx, []Mutation{{Op: OpDelete, ID: 0}, {Op: OpDelete, ID: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := RebuildIndex(s.Current()); got != 62 {
-		t.Fatalf("index entries = %d, want 62", got)
 	}
 }
 

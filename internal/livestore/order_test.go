@@ -1,0 +1,106 @@
+package livestore
+
+import (
+	"context"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"geosel/internal/engine"
+	"geosel/internal/geo"
+	"geosel/internal/geodata"
+)
+
+// FuzzRegionOrder holds every index to one region order. Points are
+// drawn on a coarse lattice so locations repeat; for random rects the
+// R-tree store, the live store's version 0 and its snapshot after a
+// random mutation batch must answer exactly what a linear scan over the
+// live objects answers, element by element — the scan is the ascending
+// reference. The same input also drives
+// geodata.SortPositions over both of its methods (small and large
+// inputs, narrow and wide spans) against slices.Sort.
+func FuzzRegionOrder(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint8(8), uint8(20))
+	f.Add(int64(2), uint16(1500), uint8(2), uint8(200))
+	f.Add(int64(3), uint16(1), uint8(0), uint8(0))
+	f.Add(int64(4), uint16(4000), uint8(255), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, grain, churn uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(size)%3000 + 1
+		lattice := float64(int(grain)%64 + 1)
+		at := func() geo.Point {
+			return geo.Pt(float64(rng.Intn(int(lattice)+1))/lattice, float64(rng.Intn(int(lattice)+1))/lattice)
+		}
+		col := geodata.NewCollection()
+		for i := 0; i < n; i++ {
+			col.Add(i, at(), 0.5, "")
+		}
+		static, err := geodata.NewStore(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, err := New(col, engine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v0 := ls.Current()
+
+		// A random batch of inserts, updates and deletes, some aimed at
+		// ids that do not exist.
+		muts := make([]Mutation, int(churn)*n/64)
+		for i := range muts {
+			muts[i] = Mutation{Op: Op(rng.Intn(3) + 1), ID: rng.Intn(n + n/4 + 1), Loc: at(), Weight: 0.5}
+		}
+		if _, _, err := ls.Apply(context.Background(), muts); err != nil {
+			t.Fatal(err)
+		}
+		v1 := ls.Current()
+
+		// reference is the ascending scan over the snapshot's live slots.
+		reference := func(sn *Snapshot, r geo.Rect) []int {
+			var out []int
+			for _, p := range sn.Collection().IndicesInRegion(r) {
+				if _, ok := sn.LivePos(p, sn.Version()); ok {
+					out = append(out, p)
+				}
+			}
+			return out
+		}
+		for i := 0; i < 16; i++ {
+			a, b := at(), at()
+			r := geo.Rect{Min: geo.Pt(min(a.X, b.X), min(a.Y, b.Y)), Max: geo.Pt(max(a.X, b.X), max(a.Y, b.Y))}
+			want := col.IndicesInRegion(r)
+			if got := static.Region(r); !slices.Equal(got, want) {
+				t.Fatalf("rect %v: R-tree store answers %v, scan %v", r, got, want)
+			}
+			if got := v0.Region(r); !slices.Equal(got, want) {
+				t.Fatalf("rect %v: live v0 answers %v, scan %v", r, got, want)
+			}
+			if got, want := v1.Region(r), reference(v1, r); !slices.Equal(got, want) {
+				t.Fatalf("rect %v after %d mutations: live v%d answers %v, scan %v", r, len(muts), v1.Version(), got, want)
+			}
+		}
+
+		// SortPositions: m distinct positions from a span of up to 512 m
+		// starting anywhere, drawn by Floyd's algorithm.
+		m := n
+		span := m + rng.Intn(512*m)
+		lo := rng.Intn(1 << 20)
+		seen := make(map[int]bool, m)
+		pos := make([]int, 0, m)
+		for j := span - m; j < span; j++ {
+			p := rng.Intn(j + 1)
+			if seen[p] {
+				p = j
+			}
+			seen[p] = true
+			pos = append(pos, lo+p)
+		}
+		want := slices.Clone(pos)
+		slices.Sort(want)
+		geodata.SortPositions(pos)
+		if !slices.Equal(pos, want) {
+			t.Fatalf("SortPositions over %d positions spanning %d disagrees with slices.Sort", m, span)
+		}
+	})
+}

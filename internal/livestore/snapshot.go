@@ -23,10 +23,10 @@ import (
 // version through it.
 //
 // Every version, 0 included, answers its region queries from the
-// incrementally maintained uniform grid, whose Region results are
-// sorted ascending (a deterministic order per snapshot). Because a
-// compaction keeps relative order, a region's staged order — and so its
-// selection — is the same before and after one.
+// incrementally maintained uniform grid, in ascending position order,
+// the order every geodata.View answers in. Because a compaction keeps
+// relative order, a region's staged order — and so its selection — is
+// the same before and after one.
 type Snapshot struct {
 	version   uint64
 	col       *geodata.Collection
@@ -108,7 +108,8 @@ func (sn *Snapshot) LivePos(pos int, pinned uint64) (int, bool) {
 	return pos, true
 }
 
-// Region returns the positions of all live objects inside r.
+// Region returns the positions of all live objects inside r, in
+// ascending order.
 func (sn *Snapshot) Region(r geo.Rect) []int {
 	return sn.gr.region(sn.col.Objects, r, nil)
 }
@@ -192,16 +193,3 @@ func (f frozen) Snapshot() (geodata.View, uint64) { return f.sn, f.sn.version }
 // store holding version V's data, no matter how far the parent store
 // advances concurrently.
 func Freeze(sn *Snapshot) geodata.Source { return frozen{sn: sn} }
-
-// RebuildIndex builds the snapshot's spatial index from scratch — the
-// full-rebuild cost that incremental epoch commits avoid — and returns
-// the number of entries indexed. It exists for tests; the returned
-// work is discarded.
-func RebuildIndex(sn *Snapshot) int {
-	g := rebuildGrid(sn.col.Objects, sn.live)
-	n := 0
-	for _, cell := range g.cells {
-		n += len(cell)
-	}
-	return n
-}

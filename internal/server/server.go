@@ -679,7 +679,6 @@ func (s *Server) handleStoreStats(w http.ResponseWriter, _ *http.Request) {
 		out["deadSlots"] = st.DeadSlots
 		out["capacity"] = st.Capacity
 		out["compactions"] = st.Compactions
-		out["pending"] = st.Pending
 		out["batches"] = st.Batches
 		out["mutations"] = st.Mutations
 		out["inserted"] = st.Totals.Inserted

@@ -110,7 +110,6 @@ func (sh *shard) drop(e *entry) {
 // New; all methods are safe for concurrent use.
 type Cache struct {
 	cfg      engine.Config
-	bands    int
 	budget   float64
 	perShard int
 
@@ -127,8 +126,8 @@ type Cache struct {
 }
 
 // New builds a cache from the engine config (which must carry the
-// Metric; K and θ arrive per request). TileCacheCapacity, TileThetaBands
-// and TileRepairBudget take their engine defaults when zero.
+// Metric; K and θ arrive per request). TileCacheCapacity and
+// TileRepairBudget take their engine defaults when zero.
 func New(cfg engine.Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -140,7 +139,6 @@ func New(cfg engine.Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:      cfg,
-		bands:    cfg.TileThetaBands,
 		budget:   cfg.TileRepairBudget,
 		perShard: per,
 	}
@@ -337,7 +335,7 @@ func (c *Cache) computeTile(ctx context.Context, view geodata.View, version uint
 	}
 	start := time.Now()
 	res, err := core.SelectRegion(ctx, c.cfg, view.Collection(), view.Region(key.T.Rect()),
-		int(key.K), bandTheta(key.T.Z, key.Band, c.bands), nil, nil, nil, nil)
+		int(key.K), bandTheta(key.T.Z, key.Band), nil, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -61,7 +61,7 @@ func (c *Cache) Tile(ctx context.Context, view geodata.View, version uint64, z, 
 	c.sync(dv, version)
 	key := Key{
 		T:    Tile{Z: int32(z), X: int32(x), Y: int32(y)},
-		Band: bandFor(theta, int32(z), c.bands),
+		Band: bandFor(theta, int32(z)),
 		K:    int32(k),
 	}
 	sc := c.getScratch()

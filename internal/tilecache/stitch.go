@@ -250,7 +250,7 @@ func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyVie
 		side = h
 	}
 	z := zoomFor(side)
-	band := bandFor(theta, z, c.bands)
+	band := bandFor(theta, z)
 	x0, y0, x1, y1, ok := coverRange(inner, z)
 	if !ok || int((x1-x0+1)*(y1-y0+1)) > maxStitchTiles {
 		return info, false, nil

@@ -121,17 +121,23 @@ const bandZero int32 = math.MaxInt32
 // side covers every float64 of practical interest.
 const bandClamp = 64
 
+// thetaBands is the θ-quantization resolution of the tile key: a
+// requested θ is rounded up to the nearest of thetaBands logarithmic
+// bands per halving, so near-duplicate viewports share cached tiles
+// while every served tile is at least as separated as requested.
+const thetaBands = 4
+
 // bandFor quantizes the requested θ at zoom z: band b represents
-// θ_b = Side(z) · 2^(-b / bands), and the request maps to the largest b
-// with θ_b >= θ — rounding θ *up* to its band representative, so every
-// cached tile is at least as separated as any request sharing its key.
-// bands is the per-halving resolution (engine.Config.TileThetaBands).
-func bandFor(theta float64, z int32, bands int) int32 {
+// θ_b = Side(z) · 2^(-b / thetaBands), and the request maps to the
+// largest b with θ_b >= θ — rounding θ *up* to its band representative,
+// so every cached tile is at least as separated as any request sharing
+// its key.
+func bandFor(theta float64, z int32) int32 {
 	if theta <= 0 {
 		return bandZero
 	}
-	b := math.Floor(float64(bands) * math.Log2(Side(z)/theta))
-	if lim := float64(bandClamp * bands); b > lim {
+	b := math.Floor(thetaBands * math.Log2(Side(z)/theta))
+	if lim := float64(bandClamp * thetaBands); b > lim {
 		b = lim
 	} else if b < -lim {
 		b = -lim
@@ -141,11 +147,11 @@ func bandFor(theta float64, z int32, bands int) int32 {
 
 // bandTheta returns the band's representative θ — the value the tile's
 // selection is actually computed with.
-func bandTheta(z, band int32, bands int) float64 {
+func bandTheta(z, band int32) float64 {
 	if band == bandZero {
 		return 0
 	}
-	return Side(z) * math.Pow(2, -float64(band)/float64(bands))
+	return Side(z) * math.Pow(2, -float64(band)/thetaBands)
 }
 
 // coverRange returns the inclusive tile-coordinate range of the zoom-z

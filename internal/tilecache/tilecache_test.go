@@ -73,26 +73,25 @@ func TestBandRoundsThetaUp(t *testing.T) {
 	// maps to its key: the band representative rounds θ up, and the next
 	// band down is strictly below the request.
 	rng := rand.New(rand.NewSource(3))
-	const bands = 4
 	for i := 0; i < 200; i++ {
 		z := int32(rng.Intn(12))
 		theta := math.Ldexp(rng.Float64(), -rng.Intn(20))
-		b := bandFor(theta, z, bands)
+		b := bandFor(theta, z)
 		if b == bandZero {
 			t.Fatalf("positive theta %v mapped to bandZero", theta)
 		}
-		rep := bandTheta(z, b, bands)
+		rep := bandTheta(z, b)
 		if rep < theta*(1-1e-12) {
 			t.Errorf("z %d theta %v: band %d representative %v below request", z, theta, b, rep)
 		}
-		if next := bandTheta(z, b+1, bands); next >= theta*(1+1e-12) && b+1 <= bandClamp*bands {
+		if next := bandTheta(z, b+1); next >= theta*(1+1e-12) && b+1 <= bandClamp*thetaBands {
 			t.Errorf("z %d theta %v: band %d is coarser than necessary (next rep %v)", z, theta, b, next)
 		}
 	}
-	if bandFor(0, 4, bands) != bandZero {
+	if bandFor(0, 4) != bandZero {
 		t.Error("theta 0 must map to bandZero")
 	}
-	if bandTheta(4, bandZero, bands) != 0 {
+	if bandTheta(4, bandZero) != 0 {
 		t.Error("bandZero must represent theta 0")
 	}
 }
