@@ -70,7 +70,8 @@ fuzz:
 	go test -run=NONE -fuzz=FuzzFillCosine -fuzztime=10s ./internal/sim
 	go test -run=NONE -fuzz=FuzzResidualWalk -fuzztime=10s ./internal/core
 	go test -run=NONE -fuzz=FuzzAppendObjectJSON -fuzztime=10s ./internal/geodata
-	go test -run=NONE -fuzz=FuzzDecodeTile -fuzztime=10s ./internal/tilecache
+	go test -run=NONE -fuzz='^FuzzDecodeTile$$' -fuzztime=10s ./internal/tilecache
+	go test -run=NONE -fuzz='^FuzzStitchMerge$$' -fuzztime=10s ./internal/tilecache
 	go test -run=NONE -fuzz=FuzzRequestBodies -fuzztime=10s ./internal/server
 	go test -run=NONE -fuzz='^FuzzReadTrace$$' -fuzztime=10s ./internal/livestore
 	go test -run=NONE -fuzz='^FuzzRegionOrder$$' -fuzztime=10s ./internal/livestore

@@ -42,8 +42,9 @@ func benchLikeRegions(t *testing.T) (col *geodata.Collection, regions [][]int, s
 	return col, regions, sides
 }
 
-// TestSharedTermDensity keeps ROADMAP item 3 (posting-list neighbor
-// lists for Cosine) closed as a negative result: on object-centred
+// TestSharedTermDensity keeps the shared-term density experiment
+// (posting-list neighbor lists for Cosine, the negative result in
+// EXPERIMENTS.md "Linear row sums") closed: on object-centred
 // squares of 100–1400 objects of the bench fixture, the share of pairs
 // with a term in common — the pairs such lists would still visit — is
 // above the 0.5 at which core's neighbor index falls back to dense. If
@@ -81,7 +82,7 @@ func TestSharedTermDensity(t *testing.T) {
 		mean += density / float64(len(regions))
 	}
 	if mean < 0.5 {
-		t.Errorf("mean shared-term density %.2f is under 0.5: posting-list pruning for Cosine may now pay (ROADMAP item 3)", mean)
+		t.Errorf("mean shared-term density %.2f is under 0.5: posting-list pruning for Cosine may now pay (the shared-term density experiment)", mean)
 	}
 }
 

@@ -85,21 +85,21 @@ func sqrtPos(x float64) float64 {
 }
 
 func (g *cowGrid) cellCoords(p geo.Point) (int, int) {
-	cx := int((p.X - g.bounds.Min.X) / g.cell)
-	cy := int((p.Y - g.bounds.Min.Y) / g.cell)
-	if cx < 0 {
-		cx = 0
+	return clampCell((p.X-g.bounds.Min.X)/g.cell, g.nx), clampCell((p.Y-g.bounds.Min.Y)/g.cell, g.ny)
+}
+
+// clampCell truncates the cell offset f into [0, n-1]. It clamps the
+// float before converting it: a float beyond int's range converts to an
+// implementation-defined value (the most negative int on amd64), which
+// would put a far-away point, or a query corner, in the wrong edge cell.
+func clampCell(f float64, n int) int {
+	if !(f >= 0) {
+		return 0
 	}
-	if cx >= g.nx {
-		cx = g.nx - 1
+	if f >= float64(n) {
+		return n - 1
 	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	return cx, cy
+	return int(f)
 }
 
 func (g *cowGrid) cellKey(p geo.Point) int {
@@ -250,6 +250,20 @@ func contains32(s []int32, v int32) bool {
 	return false
 }
 
+// Interior cells. A cell strictly inside the query's cell range on
+// both axes — cx0 < cx < cx1 and cy0 < cy < cy1, where (cx0, cy0) and
+// (cx1, cy1) are the cells of r.Min and r.Max — holds only points of r,
+// so region and countRegion take it whole, without a point test. Every
+// point p sits in cell cellCoords(p), and cellCoords is monotone on
+// each axis: a subtraction and a division by the positive cell side
+// each preserve order (rounding included), and so do clampCell's clamp
+// and truncation. A point with p.X < r.Min.X would therefore lie in a
+// column ≤ cx0, one with p.X > r.Max.X in a column ≥ cx1; a point of
+// column cx has neither, so r.Min.X ≤ p.X ≤ r.Max.X, and likewise on y.
+// Rect.Contains is inclusive, so that is containment. (Such a cell is
+// never a clamped edge cell either: 0 ≤ cx0 < cx < cx1 ≤ nx-1.) Only
+// the cells on the rim of the range test their points.
+
 // region appends to dst the positions of live objects inside r, in
 // ascending position order (the order every View's Region answers in),
 // and returns the extended slice.
@@ -262,7 +276,14 @@ func (g *cowGrid) region(objs []geodata.Object, r geo.Rect, dst []int) []int {
 	start := len(dst)
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * g.nx
+		innerRow := cy0 < cy && cy < cy1
 		for cx := cx0; cx <= cx1; cx++ {
+			if innerRow && cx0 < cx && cx < cx1 {
+				for _, id := range g.cells[row+cx] {
+					dst = append(dst, int(id))
+				}
+				continue
+			}
 			for _, id := range g.cells[row+cx] {
 				if r.Contains(objs[id].Loc) {
 					dst = append(dst, int(id))
@@ -284,7 +305,12 @@ func (g *cowGrid) countRegion(objs []geodata.Object, r geo.Rect) int {
 	n := 0
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * g.nx
+		innerRow := cy0 < cy && cy < cy1
 		for cx := cx0; cx <= cx1; cx++ {
+			if innerRow && cx0 < cx && cx < cx1 {
+				n += len(g.cells[row+cx])
+				continue
+			}
 			for _, id := range g.cells[row+cx] {
 				if r.Contains(objs[id].Loc) {
 					n++

@@ -16,7 +16,8 @@ import (
 // R-tree store, the live store's version 0 and its snapshot after a
 // random mutation batch must answer exactly what a linear scan over the
 // live objects answers, element by element — the scan is the ascending
-// reference. The same input also drives
+// reference — and count what the scan finds. A last rect reaches far
+// past the grid, whose corners clamp into the edge cells. The same input also drives
 // geodata.SortPositions over both of its methods (small and large
 // inputs, narrow and wide spans) against slices.Sort.
 func FuzzRegionOrder(f *testing.F) {
@@ -66,9 +67,12 @@ func FuzzRegionOrder(f *testing.F) {
 			}
 			return out
 		}
-		for i := 0; i < 16; i++ {
+		for i := 0; i <= 16; i++ {
 			a, b := at(), at()
 			r := geo.Rect{Min: geo.Pt(min(a.X, b.X), min(a.Y, b.Y)), Max: geo.Pt(max(a.X, b.X), max(a.Y, b.Y))}
+			if i == 16 {
+				r = geo.Rect{Min: geo.Pt(-1e300, a.Y), Max: geo.Pt(1e300, 1e300)}
+			}
 			want := col.IndicesInRegion(r)
 			if got := static.Region(r); !slices.Equal(got, want) {
 				t.Fatalf("rect %v: R-tree store answers %v, scan %v", r, got, want)
@@ -76,8 +80,15 @@ func FuzzRegionOrder(f *testing.F) {
 			if got := v0.Region(r); !slices.Equal(got, want) {
 				t.Fatalf("rect %v: live v0 answers %v, scan %v", r, got, want)
 			}
-			if got, want := v1.Region(r), reference(v1, r); !slices.Equal(got, want) {
+			if got := v0.CountRegion(r); got != len(want) {
+				t.Fatalf("rect %v: live v0 counts %d, scan %d", r, got, len(want))
+			}
+			want = reference(v1, r)
+			if got := v1.Region(r); !slices.Equal(got, want) {
 				t.Fatalf("rect %v after %d mutations: live v%d answers %v, scan %v", r, len(muts), v1.Version(), got, want)
+			}
+			if got := v1.CountRegion(r); got != len(want) {
+				t.Fatalf("rect %v after %d mutations: live v%d counts %d, scan %d", r, len(muts), v1.Version(), got, len(want))
 			}
 		}
 

@@ -10,6 +10,7 @@ import (
 	"geosel/internal/dataset"
 	"geosel/internal/engine"
 	"geosel/internal/geo"
+	"geosel/internal/livestore"
 	"geosel/internal/sim"
 )
 
@@ -28,14 +29,20 @@ func (w *discardWriter) Write(b []byte) (int, error) { w.n += len(b); return len
 // BenchmarkWarmSelectHandler is one /select of the end-to-end
 // benchmark's viewport_warm workload, in process: the real handler on a
 // filled tile cache, k = 100, θ = 0.003·side, over the densest
-// 0.034-side viewport of the 100 000-object POI dataset. It is the
+// 0.034-side viewport of the 100 000-object POI dataset, served from a
+// live store as geoselserver -live -tilecache serves it. It is the
 // encode layer's number: request decode, stitch, body build, one Write.
 func BenchmarkWarmSelectHandler(b *testing.B) {
-	store, err := dataset.GenerateStore(dataset.POISpec(100000, 1))
+	col, err := dataset.Generate(dataset.POISpec(100000, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(store, engine.Config{Metric: sim.Cosine{}, TileCache: true})
+	cfg := engine.Config{Metric: sim.Cosine{}, TileCache: true}
+	store, err := livestore.New(col, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(store, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,7 +53,7 @@ func BenchmarkWarmSelectHandler(b *testing.B) {
 	for x := 0.0; x+side <= 1; x += side {
 		for y := 0.0; y+side <= 1; y += side {
 			r := geo.Rect{Min: geo.Pt(x, y), Max: geo.Pt(x+side, y+side)}
-			if n := store.CountRegion(r); n > most {
+			if n := store.Current().CountRegion(r); n > most {
 				region, most = r, n
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"geosel/internal/engine"
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
+	"geosel/internal/invariant"
 )
 
 // DirtyView is the view capability epoch invalidation consumes:
@@ -30,9 +31,10 @@ type DirtyView interface {
 // power of two so shard selection is a mask.
 const numShards = 16
 
-// entry is one materialized tile selection. pos/gains/frag/score/count
-// are immutable after insert; ver advances under the shard lock when an
-// epoch sweep proves the tile untouched, so readers copy nothing.
+// entry is one materialized tile selection. pos/gains/locs/frag/score/
+// count are immutable after insert; ver advances under the shard lock
+// when an epoch sweep proves the tile untouched, so readers copy
+// nothing.
 type entry struct {
 	key Key
 	// born is the snapshot version the selection was computed at; it
@@ -42,10 +44,16 @@ type entry struct {
 	// ver is the newest version the entry is known valid at: the tile's
 	// cells were not dirtied by any epoch in (born, ver].
 	ver uint64
-	// pos holds the selected collection positions in selection order;
-	// gains the matching unnormalized marginal gains.
+	// pos holds the selected collection positions in selection order,
+	// gains the matching unnormalized marginal gains and locs their
+	// locations, so a stitch reads nothing of the object array.
+	// Selection order is the stitch's keep order (memberBefore): greedy
+	// gains never rise, a gain tie goes to the smaller staged index, and
+	// staged indices ascend with positions (every View's Region is
+	// ascending).
 	pos   []int32
 	gains []float64
+	locs  []geo.Point
 	// frag holds the members' rendered wire forms
 	// (geodata.AppendObjectJSON) back to back, member i at
 	// frag[fragOff[i]:fragOff[i+1]], so a stitched serve copies bytes
@@ -347,6 +355,7 @@ func (c *Cache) computeTile(ctx context.Context, view geodata.View, version uint
 		count:   int32(res.RegionObjects),
 		pos:     make([]int32, len(res.Positions)),
 		gains:   append([]float64(nil), res.Gains...),
+		locs:    make([]geo.Point, len(res.Positions)),
 		fragOff: make([]int32, len(res.Positions)+1),
 	}
 	objs := view.Collection().Objects
@@ -355,8 +364,15 @@ func (c *Cache) computeTile(ctx context.Context, view geodata.View, version uint
 	frag := make([]byte, 0, 128*len(res.Positions))
 	for i, p := range res.Positions {
 		ent.pos[i] = int32(p)
+		ent.locs[i] = objs[p].Loc
 		frag = geodata.AppendObjectJSON(frag, &objs[p])
 		ent.fragOff[i+1] = int32(len(frag))
+		if invariant.Enabled && i > 0 {
+			prev := member{pos: ent.pos[i-1], gain: ent.gains[i-1]}
+			invariant.Assertf(memberBefore(prev, member{pos: ent.pos[i], gain: ent.gains[i]}),
+				"tilecache: tile %v member %d (position %d, gain %v) does not follow member %d (position %d, gain %v) in keep order",
+				key, i, p, ent.gains[i], i-1, prev.pos, prev.gain)
+		}
 	}
 	// The entry keeps a copy without append's spare capacity.
 	ent.frag = bytes.Clone(frag)

@@ -15,12 +15,16 @@ import (
 // path. Every slice is reused append-style, so a warm hit allocates
 // nothing beyond the caller's response buffer.
 type scratch struct {
-	tiles   []*entry
+	tiles []*entry
+	// members holds the covering tiles' members inside the viewport,
+	// one run per tile in sc.tiles order.
 	members []member
 	keptPos []int32
 	keptRef []int32
 	keptLoc []geo.Point
-	rects   []geo.Rect
+	// kept is the set of keptPos, the repair pass's duplicate test.
+	kept  posSet
+	rects []geo.Rect
 }
 
 // member is one cached tile-selection member inside the viewport. ref
@@ -33,6 +37,67 @@ type member struct {
 	gain float64
 	loc  geo.Point
 }
+
+// memberBefore reports whether a precedes b in the keep order of the
+// repair pass: gain descending, position ascending. A tile entry lists
+// its members in this order already (computeTile).
+func memberBefore(a, b member) bool {
+	if a.gain != b.gain {
+		return a.gain > b.gain
+	}
+	return a.pos < b.pos
+}
+
+// posSet is an open-addressed set of collection positions: linear
+// probing over a power-of-two table whose slots hold position+1, so the
+// zero slot is empty. reset sizes the table to at least twice the
+// number of positions the pass may add, so every probe run ends at an
+// empty slot.
+type posSet struct {
+	slots []int32
+	shift uint32
+}
+
+// reset empties the set and sizes it for up to n positions.
+func (s *posSet) reset(n int) {
+	size, shift := 16, uint32(28)
+	for size < 2*n {
+		size <<= 1
+		shift--
+	}
+	if cap(s.slots) < size {
+		s.grow(size)
+	}
+	s.slots = s.slots[:size]
+	clear(s.slots)
+	s.shift = shift
+}
+
+// grow replaces the table with a larger one. It runs only while the
+// pooled scratch meets a larger request than any before it, and stays
+// out of line so that its allocation is not inlined into the stitch.
+//
+//go:noinline
+//geolint:coldpath
+func (s *posSet) grow(size int) {
+	s.slots = make([]int32, size)
+}
+
+// slot returns the index of p's slot: the one holding p, or the empty
+// one an insert of p takes. The probe starts at the top bits of p times
+// 2³²/φ (Fibonacci hashing), which spreads runs of nearby positions.
+func (s *posSet) slot(p int32) int {
+	mask := len(s.slots) - 1
+	i := int((uint32(p) * 0x9E3779B9) >> s.shift)
+	for v := s.slots[i]; v != 0 && v != p+1; v = s.slots[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func (s *posSet) has(p int32) bool { return s.slots[s.slot(p)] != 0 }
+
+func (s *posSet) add(p int32) { s.slots[s.slot(p)] = p + 1 }
 
 // Result describes one viewport served through the cache.
 type Result struct {
@@ -279,11 +344,13 @@ func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyVie
 }
 
 // stitch is the seam-repair pass: gather the cached members inside the
-// viewport, order them deterministically by (gain desc, position asc),
-// and keep greedily under the requested θ — the forced set (session
-// consistency D) is kept first, candidates outside gset (session
-// consistency G) are excluded. The pass touches only pooled scratch;
-// the steady state allocates nothing.
+// viewport, take them in the deterministic keep order (gain desc,
+// position asc), and keep greedily under the requested θ — the forced
+// set (session consistency D) is kept first, candidates outside gset
+// (session consistency G) are excluded. Each tile's members already
+// stand in keep order, so the gather leaves one sorted run per covering
+// tile and the order is their merge. The pass touches only pooled
+// scratch; the steady state allocates nothing.
 //
 // ok = false reports an unsalvageable stitch: the θ-conflict drops (or
 // the G-exclusions) carry more than the configured fraction of the
@@ -294,40 +361,43 @@ func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyVie
 //geolint:hotpath
 func (c *Cache) stitch(sc *scratch, objs []geodata.Object, region geo.Rect, k int, theta float64, forced []int, gset map[int32]struct{}, info *stitchInfo) bool {
 	sc.members = sc.members[:0]
+	var mg runMerge
 	base := int32(0)
 	for _, e := range sc.tiles {
-		for i, p := range e.pos {
-			loc := objs[p].Loc
+		start := int32(len(sc.members))
+		for i, loc := range e.locs {
 			if region.Contains(loc) {
-				sc.members = append(sc.members, member{pos: p, ref: base + int32(i), gain: e.gains[i], loc: loc})
+				sc.members = append(sc.members, member{pos: e.pos[i], ref: base + int32(i), gain: e.gains[i], loc: loc})
 			}
 		}
 		base += int32(len(e.pos))
+		mg.push(start, int32(len(sc.members)))
 	}
-	sortMembers(sc.members)
 
 	sc.keptPos = sc.keptPos[:0]
 	sc.keptRef = sc.keptRef[:0]
 	sc.keptLoc = sc.keptLoc[:0]
+	// The set never holds more than the forced set plus the members, nor
+	// more than max(k, |forced|): keeping stops at k.
+	sc.kept.reset(min(max(k, len(forced)), len(forced)+len(sc.members)))
 	for _, f := range forced {
 		sc.keptPos = append(sc.keptPos, int32(f))
 		sc.keptRef = append(sc.keptRef, -1)
 		sc.keptLoc = append(sc.keptLoc, objs[f].Loc)
+		sc.kept.add(int32(f))
 	}
 	th2 := theta * theta
-	for i := range sc.members {
+	for {
+		i, ok := mg.pop(sc.members)
+		if !ok {
+			break
+		}
 		m := &sc.members[i]
 		// Boundary objects appear in two tiles' selections; the second
 		// occurrence (and any member doubling a forced object) is a
-		// duplicate, not a conflict.
-		dup := false
-		for _, p := range sc.keptPos {
-			if p == m.pos {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		// duplicate, not a conflict. A member doubling a dropped one is
+		// not: it is tested, and counted, again.
+		if sc.kept.has(m.pos) {
 			continue
 		}
 		if gset != nil {
@@ -355,6 +425,7 @@ func (c *Cache) stitch(sc *scratch, objs []geodata.Object, region geo.Rect, k in
 		sc.keptPos = append(sc.keptPos, m.pos)
 		sc.keptRef = append(sc.keptRef, m.ref)
 		sc.keptLoc = append(sc.keptLoc, m.loc)
+		sc.kept.add(m.pos)
 		info.keptGain += m.gain
 	}
 
@@ -378,47 +449,43 @@ func (c *Cache) stitch(sc *scratch, objs []geodata.Object, region geo.Rect, k in
 	return true
 }
 
-// sortMembers orders members by gain descending, position ascending —
-// the deterministic keep order of the repair pass. Hand-rolled heapsort
-// because the hot path cannot afford sort.Slice's allocations.
-//
-//geolint:hotpath
-func sortMembers(ms []member) {
-	n := len(ms)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(ms, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		ms[0], ms[i] = ms[i], ms[0]
-		siftDown(ms, 0, i)
+// runMerge is the merge of stitch's per-tile runs: members[head[j]:
+// end[j]] is the unconsumed rest of the j-th non-empty run, in tile
+// order. Each pop scans the heads — at most maxStitchTiles of them —
+// and on equal keys takes the earliest tile's member.
+type runMerge struct {
+	head, end [maxStitchTiles]int32
+	n         int
+}
+
+// push appends the run members[start:end], unless it is empty.
+func (mg *runMerge) push(start, end int32) {
+	if end > start {
+		mg.head[mg.n], mg.end[mg.n] = start, end
+		mg.n++
 	}
 }
 
-// memberBefore reports whether a precedes b in the final keep order.
-func memberBefore(a, b member) bool {
-	if a.gain != b.gain {
-		return a.gain > b.gain
+// pop returns the index into ms of the next member in keep order, or
+// ok = false once every run is consumed.
+func (mg *runMerge) pop(ms []member) (int32, bool) {
+	if mg.n == 0 {
+		return 0, false
 	}
-	return a.pos < b.pos
-}
-
-// siftDown restores the max-heap property (the heap maximum is the
-// member sorting last) for the subtree rooted at i within ms[:n].
-func siftDown(ms []member, i, n int) {
-	for {
-		child := 2*i + 1
-		if child >= n {
-			return
+	b := 0
+	for j := 1; j < mg.n; j++ {
+		if memberBefore(ms[mg.head[j]], ms[mg.head[b]]) {
+			b = j
 		}
-		if r := child + 1; r < n && memberBefore(ms[child], ms[r]) {
-			child = r
-		}
-		if !memberBefore(ms[i], ms[child]) {
-			return
-		}
-		ms[i], ms[child] = ms[child], ms[i]
-		i = child
 	}
+	i := mg.head[b]
+	mg.head[b]++
+	if mg.head[b] == mg.end[b] {
+		copy(mg.head[b:mg.n-1], mg.head[b+1:mg.n])
+		copy(mg.end[b:mg.n-1], mg.end[b+1:mg.n])
+		mg.n--
+	}
+	return i, true
 }
 
 // WarmNavigate serves one session navigation from the cache under the
