@@ -81,6 +81,9 @@ fuzz:
 	go test -run=NONE -fuzz='^FuzzReadAuto$$' -fuzztime=10s ./internal/dataset
 	go test -run=NONE -fuzz='^FuzzTokenize$$' -fuzztime=10s ./internal/textsim
 
+# bench runs the in-process benchmarks: a cold select (core), a
+# prefetch bound pass (prefetch) and a warm /select (server). CI's test
+# job runs every one of them once (-benchtime=1x) so none can rot.
 bench:
 	go test -run=NONE -bench=. -benchmem ./internal/core ./internal/prefetch
 	go test -run=NONE -bench=WarmSelectHandler -benchmem ./internal/server

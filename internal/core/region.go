@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"geosel/internal/engine"
 	"geosel/internal/geodata"
@@ -48,12 +49,13 @@ type RegionResult struct {
 // k are trimmed in input order. A nil cands makes every staged object a
 // candidate (the plain sos problem); a non-nil cands, however short, is
 // the whole candidate set. bounds, consulted only with an explicit
-// cands, maps each candidate position to an upper bound on its initial
-// unnormalized gain (Lemmas 5.1–5.3) and must cover every candidate.
+// cands, holds an upper bound on each candidate's initial unnormalized
+// gain (Lemmas 5.1–5.3), aligned with cands — the shape of
+// Selector.InitialGains.
 //
 // dst (may be nil) is the buffer the selected positions are appended
 // to. ctx cancels the run as it does Selector.Run.
-func SelectRegion(ctx context.Context, cfg engine.Config, col *geodata.Collection, pos []int, k int, theta float64, forced, cands []int, bounds map[int]float64, dst []int) (RegionResult, error) {
+func SelectRegion(ctx context.Context, cfg engine.Config, col *geodata.Collection, pos []int, k int, theta float64, forced, cands []int, bounds []float64, dst []int) (RegionResult, error) {
 	cfg.K, cfg.Theta, cfg.ThetaFrac = k, theta, 0
 	sel := &Selector{Config: cfg, Objects: col.Subset(pos)}
 	out := RegionResult{RegionObjects: len(pos), CandidateCount: len(pos)}
@@ -76,18 +78,21 @@ func SelectRegion(ctx context.Context, cfg engine.Config, col *geodata.Collectio
 		out.ForcedCount = len(sel.Forced)
 	}
 	if cands != nil {
+		if bounds != nil && len(bounds) != len(cands) {
+			return RegionResult{}, fmt.Errorf("core: %d bounds for %d candidates", len(bounds), len(cands))
+		}
 		sel.Candidates = make([]int, 0, len(cands))
 		if bounds != nil {
 			sel.InitialGains = make([]float64, 0, len(cands))
 		}
-		for _, p := range cands {
+		for j, p := range cands {
 			i, ok := staged[p]
 			if !ok {
 				continue
 			}
 			sel.Candidates = append(sel.Candidates, i)
 			if bounds != nil {
-				sel.InitialGains = append(sel.InitialGains, bounds[p])
+				sel.InitialGains = append(sel.InitialGains, bounds[j])
 			}
 		}
 		out.CandidateCount = len(sel.Candidates)

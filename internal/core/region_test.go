@@ -16,7 +16,7 @@ import (
 // five callers used to: Subset, a position → subset-index map, D and G
 // re-indexed (strangers dropped, D trimmed to k), one Selector, and the
 // selection mapped back.
-func byHand(t *testing.T, cfg engine.Config, col *geodata.Collection, pos []int, k int, theta float64, forced, cands []int, bounds map[int]float64) (*Result, []int) {
+func byHand(t *testing.T, cfg engine.Config, col *geodata.Collection, pos []int, k int, theta float64, forced, cands []int, bounds []float64) (*Result, []int) {
 	t.Helper()
 	cfg.K, cfg.Theta = k, theta
 	sel := &Selector{Config: cfg, Objects: col.Subset(pos)}
@@ -34,14 +34,14 @@ func byHand(t *testing.T, cfg engine.Config, col *geodata.Collection, pos []int,
 	}
 	if cands != nil {
 		sel.Candidates = []int{}
-		for _, p := range cands {
+		for j, p := range cands {
 			i, ok := subsetOf[p]
 			if !ok {
 				continue
 			}
 			sel.Candidates = append(sel.Candidates, i)
 			if bounds != nil {
-				sel.InitialGains = append(sel.InitialGains, bounds[p])
+				sel.InitialGains = append(sel.InitialGains, bounds[j])
 			}
 		}
 	}
@@ -75,8 +75,9 @@ func TestSelectRegionMatchesSelector(t *testing.T) {
 
 	const k, theta = 12, 0.03
 	// D: a θ-separated set inside the region — the first picks of a
-	// plain run. G: every other region object, plus strangers. The
-	// bounds are the trivial ones (Sim <= 1).
+	// plain run. G: strangers, then every other region object. The
+	// bounds are the trivial one (Sim <= 1) scaled up by a per-candidate
+	// factor, so a bound read for the wrong candidate shows.
 	plain, err := SelectRegion(context.Background(), engine.Config{Metric: sim.Cosine{}},
 		col, sorted, k, theta, nil, nil, nil, nil)
 	if err != nil {
@@ -90,14 +91,14 @@ func TestSelectRegionMatchesSelector(t *testing.T) {
 		}
 	}
 	g := slices.Clone(strangers[:40])
-	bounds := make(map[int]float64)
 	for _, p := range sorted {
 		if !slices.Contains(d, p) {
 			g = append(g, p)
 		}
 	}
-	for _, p := range g {
-		bounds[p] = wsum
+	bounds := make([]float64, len(g))
+	for j := range bounds {
+		bounds[j] = wsum * (1 + float64(j%7)/8)
 	}
 	dWithStrangers := append(slices.Clone(strangers[40:43]), d...)
 
@@ -106,7 +107,7 @@ func TestSelectRegionMatchesSelector(t *testing.T) {
 		pos           []int
 		k             int
 		forced, cands []int
-		bounds        map[int]float64
+		bounds        []float64
 		wantForced    int
 		wantCands     int
 	}{

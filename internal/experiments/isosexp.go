@@ -64,8 +64,9 @@ func (e *Env) isosTrial(store *geodata.Store, mode isosMode, op geo.Op, region g
 	zoomScale, panOverlap float64, k int, thetaFrac float64, rngID string) (response, prefetchCost time.Duration, err error) {
 
 	rng := e.rng(rngID)
-	// Plain Lemma 5.1-5.3 bounds, as in the paper: their bound map is
-	// fully precomputed, so the response path pays nothing for them.
+	// Plain Lemma 5.1-5.3 bounds, as in the paper, computed during think
+	// time; the response path reads its candidates' bounds from them
+	// (on Cosine from the envelope aggregate, O(nnz) per candidate).
 	// Timed single-threaded, matching the paper's measurement setup.
 	ctx := context.Background()
 	cfg := isos.Config{Config: engine.Config{

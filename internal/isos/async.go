@@ -18,7 +18,8 @@
 //     needed.
 //   - join is wait-or-discard: a finished job's state is adopted; an
 //     unfinished one is cancelled, waited for (bounded by one bound
-//     row — the pool checks the context before every row), and
+//     row on a quadratic metric, which checks the context before every
+//     row; on Cosine by the rest of one sweep over an envelope), and
 //     discarded.
 //
 // Determinism is unaffected by any of this. Prefetched bounds enter the
@@ -81,9 +82,9 @@ func (s *Session) spawnPrefetch() {
 // joinPrefetch resolves the in-flight background job, if any: a
 // completed job's bounds are installed as the session's prefetch state,
 // an unfinished one is cancelled, waited for, and discarded. The brief
-// wait (one bound row at most) is what guarantees the goroutine is gone
-// before the owner proceeds — no stale computation ever outlives the
-// viewport it was computed for.
+// wait (one bound row or one envelope sweep at most) is what
+// guarantees the goroutine is gone before the owner proceeds — no stale
+// computation ever outlives the viewport it was computed for.
 func (s *Session) joinPrefetch() {
 	job := s.job
 	if job == nil {

@@ -636,6 +636,74 @@ func TestPrefetchFallbackBeyondEnvelope(t *testing.T) {
 	}
 }
 
+// TestPrefetchCoverageSliver pins the candidate coverage rule of
+// prefetchBounds. The envelope test allows the new region to stick out
+// of the prefetched envelope by 1e-12, so a pan can reach past the
+// envelope by one ulp of rounding. An object in that sliver is a
+// candidate with no envelope bound — on Cosine the envelope aggregate
+// lacks its own self term — so the step must run unseeded. The same pan
+// without that object is seeded: the sliver alone decides.
+func TestPrefetchCoverageSliver(t *testing.T) {
+	// A square region and a pan along x whose new region touches the old
+	// one and ends one ulp past the pan envelope (3× the side): each
+	// translated edge rounds on its own.
+	const a, b, dx = 0.3642791617747125, 0.3933120212396968, 0.029032859464984323
+	region := geo.Rect{Min: geo.Pt(a, a), Max: geo.Pt(b, b)}
+	env := geo.NewViewport(geo.WorldUnit, region).PanEnvelope()
+	moved := region.Translate(geo.Pt(dx, 0))
+	if !moved.Intersects(region) || env.ContainsRect(moved) || !env.ContainsRect(moved.Expand(-1e-12)) {
+		t.Fatalf("pan to %v does not stick out of the envelope %v by less than the slack", moved, env)
+	}
+	sliver := geo.Pt(moved.Max.X, (a+b)/2)
+	if env.Contains(sliver) || !moved.Contains(sliver) {
+		t.Fatalf("%v is not in the sliver between %v and %v", sliver, env, moved)
+	}
+	cfg := Config{Config: engine.Config{K: 4, ThetaFrac: 0.01, Metric: sim.Cosine{}}}
+	words := []string{"cafe", "bar", "park", "gym"}
+	pan := func(withSliver bool) *Selection {
+		t.Helper()
+		col := geodata.NewCollection()
+		// Two rows of objects across old and new region, and the
+		// envelope's corners so the view's bounds cover the envelope.
+		for i := range 16 {
+			x := a + (moved.Max.X-a)*float64(i)/16
+			col.Add(2*i, geo.Pt(x, a+(b-a)/3), 0.5, words[i%4])
+			col.Add(2*i+1, geo.Pt(x, a+2*(b-a)/3), 0.7, words[(i+1)%4])
+		}
+		col.Add(100, env.Min, 0.1, "pier")
+		col.Add(101, geo.Pt(moved.Max.X, moved.Max.Y+0.1), 0.1, "pier")
+		if withSliver {
+			col.Add(102, sliver, 1, "zoo")
+		}
+		store, err := geodata.NewStore(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(store, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if _, err := s.Start(ctx, region); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Prefetch(ctx, geo.OpPan); err != nil {
+			t.Fatal(err)
+		}
+		sel, err := s.Pan(ctx, geo.Pt(dx, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel
+	}
+	if !pan(false).Prefetched {
+		t.Fatal("without the sliver object the pan is covered and must be seeded")
+	}
+	if pan(true).Prefetched {
+		t.Error("a candidate outside the prefetched envelope was seeded from the envelope's bounds")
+	}
+}
+
 func TestPrefetchUnknownOpIgnored(t *testing.T) {
 	store := testStore(t, 500, 14)
 	s, err := NewSession(store, testConfig(t))

@@ -8,7 +8,7 @@ import (
 	"geosel/internal/prefetch"
 )
 
-// prefetchState caches the per-operation upper-bound data computed by
+// prefetchState caches the per-operation bound data computed by
 // Prefetch or the background prefetch goroutine; it is invalidated
 // after every navigation operation. Once installed on the session it is
 // read-only. version records the snapshot the bounds were computed
@@ -18,16 +18,18 @@ import (
 // prefetchBounds).
 type prefetchState struct {
 	version uint64
-	plain   map[geo.Op]map[int]float64
-	env     map[geo.Op]geo.Rect
+	ops     map[geo.Op]opBounds
+}
+
+// opBounds is one operation's prefetch: the envelope rectangle and the
+// bounds over the objects inside it.
+type opBounds struct {
+	env    geo.Rect
+	bounds *prefetch.Bounds
 }
 
 func newPrefetchState(version uint64) *prefetchState {
-	return &prefetchState{
-		version: version,
-		plain:   make(map[geo.Op]map[int]float64),
-		env:     make(map[geo.Op]geo.Rect),
-	}
+	return &prefetchState{version: version, ops: make(map[geo.Op]opBounds)}
 }
 
 // Prefetch synchronously precomputes marginal-gain upper bounds for the
@@ -38,11 +40,12 @@ func newPrefetchState(version uint64) *prefetchState {
 // O(|O|·|G|) initialization — on a metric that pays one: under Cosine
 // every selection already bounds its own heap from linear row sums, at
 // least as tightly, so prefetching buys nothing there and costs one
-// linear pass per operation. With Config.AsyncPrefetch the session
-// already does this on a background goroutine after every navigation —
-// an explicit Prefetch then first joins that background work (adopting
-// its result if it completed) and computes the requested ops
-// synchronously on top.
+// envelope query and one pass over the envelope's vectors per
+// operation, plus O(nnz) per candidate in G at the next navigation. With
+// Config.AsyncPrefetch the session already does this on a background
+// goroutine after every navigation — an explicit Prefetch then first
+// joins that background work (adopting its result if it completed) and
+// computes the requested ops synchronously on top.
 //
 // ctx cancels the computation cooperatively; bounds for operations
 // completed before the cancellation are kept (they remain valid), the
@@ -80,51 +83,48 @@ func (s *Session) computePrefetch(ctx context.Context, st *prefetchState, view g
 		default:
 			continue
 		}
-		var m map[int]float64
+		var b *prefetch.Bounds
 		var err error
 		switch op {
 		case geo.OpZoomIn:
-			m, err = prefetch.ZoomInBounds(ctx, view, vp.Region, s.cfg.Metric)
+			b, err = prefetch.ZoomInBounds(ctx, view, vp.Region, s.cfg.Metric)
 		case geo.OpZoomOut:
-			m, err = prefetch.ZoomOutBounds(ctx, view, vp, s.cfg.MaxZoomOutScale, s.cfg.Metric)
+			b, err = prefetch.ZoomOutBounds(ctx, view, vp, s.cfg.MaxZoomOutScale, s.cfg.Metric)
 		case geo.OpPan:
-			m, err = prefetch.PanBounds(ctx, view, vp, s.cfg.Metric)
+			b, err = prefetch.PanBounds(ctx, view, vp, s.cfg.Metric)
 		}
 		if err != nil {
 			return err
 		}
-		st.plain[op] = m
-		st.env[op] = env
+		st.ops[op] = opBounds{env: env, bounds: b}
 	}
 	return nil
 }
 
-// prefetchBounds returns the bound map for op and the concrete new
-// region when the prefetched data covers it, nil otherwise (the
-// selection then falls back to exact initialization). Misses happen
-// when nothing was prefetched, the bounds were computed against an
-// older snapshot than the one now pinned (an insert could add gain
-// terms the stale envelope sum never saw, so Lemma 5.1–5.3 domination
-// no longer holds — stale bounds are discarded wholesale), the new
-// region escapes the prefetched envelope (e.g. a zoom-out beyond
-// MaxZoomOutScale), or a candidate is not covered — a missing bound
-// cannot be trusted as zero.
-func (s *Session) prefetchBounds(op geo.Op, region geo.Rect, g []int) map[int]float64 {
+// prefetchBounds returns the prefetched bounds of the candidates g,
+// aligned with g, when the prefetched data covers the concrete new
+// region, nil otherwise (the selection then falls back to exact
+// initialization). Misses happen when nothing was prefetched, the
+// bounds were computed against an older snapshot than the one now
+// pinned (an insert could add gain terms the stale envelope sum never
+// saw, so Lemma 5.1–5.3 domination no longer holds — stale bounds are
+// discarded wholesale), the new region escapes the prefetched envelope
+// (e.g. a zoom-out beyond MaxZoomOutScale), or a candidate is not one
+// of the envelope's objects. The last check is what makes the slack on
+// the envelope test safe: a region may stick out of the envelope by
+// rounding, and an object in that sliver has no bound — on Cosine its
+// envelope sum would lack its own self term.
+func (s *Session) prefetchBounds(op geo.Op, region geo.Rect, g []int) []float64 {
 	if s.prefetch == nil || s.prefetch.version != s.version {
 		return nil
 	}
-	env, ok := s.prefetch.env[op]
-	if !ok || !env.ContainsRect(region.Expand(-1e-12)) {
+	ob, ok := s.prefetch.ops[op]
+	if !ok || !ob.env.ContainsRect(region.Expand(-1e-12)) {
 		return nil
 	}
-	m, ok := s.prefetch.plain[op]
-	if !ok {
+	out := make([]float64, len(g))
+	if !ob.bounds.For(out, g) {
 		return nil
 	}
-	for _, p := range g {
-		if _, ok := m[p]; !ok {
-			return nil
-		}
-	}
-	return m
+	return out
 }

@@ -377,9 +377,9 @@ func (s *Session) regionObjects(region geo.Rect) []int {
 
 // selectIn runs the constrained greedy for region. When unconstrained
 // is true, all region objects are candidates (the plain sos problem).
-// bounds, if non-nil, maps collection positions in G to prefetched
-// upper bounds. The session's visible set is updated only on success.
-func (s *Session) selectIn(ctx context.Context, region geo.Rect, d Derivation, unconstrained bool, bounds map[int]float64) (*Selection, error) {
+// bounds, if non-nil, holds the prefetched upper bounds of G, aligned
+// with d.G. The session's visible set is updated only on success.
+func (s *Session) selectIn(ctx context.Context, region geo.Rect, d Derivation, unconstrained bool, bounds []float64) (*Selection, error) {
 	if sel, ok := s.tryWarm(ctx, region, d, unconstrained); ok {
 		return sel, nil
 	}

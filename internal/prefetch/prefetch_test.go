@@ -70,7 +70,7 @@ func TestZoomInBoundsAreUpperBounds(t *testing.T) {
 			}
 		}
 		for _, c := range onPos {
-			b, ok := bounds[c]
+			b, ok := bounds.Of(c)
 			if !ok {
 				t.Fatalf("object %d in zoom target missing from bounds", c)
 			}
@@ -100,7 +100,7 @@ func TestZoomOutBoundsAreUpperBounds(t *testing.T) {
 		}
 		onPos := store.Region(outer)
 		for _, c := range onPos {
-			b, ok := bounds[c]
+			b, ok := bounds.Of(c)
 			if !ok {
 				t.Fatalf("object %d in zoom-out target missing from bounds", c)
 			}
@@ -136,7 +136,7 @@ func TestPanBoundsAreUpperBounds(t *testing.T) {
 			}
 		}
 		for _, c := range onPos {
-			b, ok := bounds[c]
+			b, ok := bounds.Of(c)
 			if !ok {
 				t.Fatalf("object %d in pan target missing from bounds", c)
 			}
@@ -153,8 +153,8 @@ func TestPairwiseBoundsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Errorf("empty envelope should give empty bounds, got %d", len(got))
+	if got.Len() != 0 {
+		t.Errorf("empty envelope should give empty bounds, got %d", got.Len())
 	}
 }
 
@@ -176,8 +176,10 @@ func TestPanBoundsSubsetOfPairwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range envPos {
-		if pan[p] > plain[p]+1e-9 {
-			t.Fatalf("pan bound %v exceeds plain envelope bound %v", pan[p], plain[p])
+		pb, _ := pan.Of(p)
+		b, _ := plain.Of(p)
+		if pb > b+1e-9 {
+			t.Fatalf("pan bound %v exceeds plain envelope bound %v", pb, b)
 		}
 	}
 }
@@ -207,11 +209,11 @@ func TestBoundsCostIndependentOfCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bounds) < 450 {
-		t.Fatalf("%d bounds", len(bounds))
+	if bounds.Len() < 450 {
+		t.Fatalf("%d bounds", bounds.Len())
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Fatalf("one ZoomInBounds over %d objects allocated %d bytes, want < 1 MiB", len(bounds), alloc)
+		t.Fatalf("one ZoomInBounds over %d objects allocated %d bytes, want < 1 MiB", bounds.Len(), alloc)
 	}
 }
 
@@ -242,8 +244,8 @@ func TestLinearBoundsSkipTheRows(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	linear, err := ZoomOutBounds(cancelled, store, vp, 2, sim.Cosine{})
 	runtime.ReadMemStats(&after)
-	if err != nil || len(linear) != n {
-		t.Fatalf("Cosine pass under a cancelled ctx: %d of %d bounds, err = %v", len(linear), n, err)
+	if err != nil || linear.Len() != n {
+		t.Fatalf("Cosine pass under a cancelled ctx: %d of %d bounds, err = %v", linear.Len(), n, err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Errorf("one ZoomOutBounds over %d objects allocated %d bytes, want < 1 MiB", n, alloc)
@@ -273,8 +275,9 @@ func TestLinearBoundsSkipTheRows(t *testing.T) {
 		maxnnz = max(maxnnz, len(store.Collection().Objects[p].Vec.Words))
 	}
 	slack := 1 + float64(n+maxnnz)*0x1p-23
-	for p, q := range quadratic {
-		if l := linear[p]; l < q || l > q*slack {
+	for _, p := range store.Region(vp.ZoomOutEnvelope(2)) {
+		q, _ := quadratic.Of(p)
+		if l, _ := linear.Of(p); l < q || l > q*slack {
 			t.Fatalf("position %d: linear bound %v, row bound %v", p, l, q)
 		}
 	}
@@ -284,10 +287,11 @@ func TestLinearBoundsSkipTheRows(t *testing.T) {
 	objs := store.Collection().Objects
 	for _, envelope := range [][]int{nil, store.Region(vp.Region)[:1]} {
 		got, err := PairwiseBounds(cancelled, store.Collection(), envelope, sim.Cosine{})
-		if err != nil || len(got) != len(envelope) {
-			t.Fatalf("envelope of %d: %d bounds, err = %v", len(envelope), len(got), err)
+		if err != nil || got.Len() != len(envelope) {
+			t.Fatalf("envelope of %d: %d bounds, err = %v", len(envelope), got.Len(), err)
 		}
-		for p, b := range got {
+		for _, p := range envelope {
+			b, _ := got.Of(p)
 			if w := objs[p].Weight; b < w || b > w*(1+float64(1+maxnnz)*0x1p-23) {
 				t.Errorf("one-object envelope: bound %v, want the object's weight %v", b, w)
 			}
@@ -350,13 +354,13 @@ func TestShortSupportBoundsAreTheLemmaSums(t *testing.T) {
 		t.Fatalf("pan envelope holds %d objects", len(pan))
 	}
 
-	same := func(what string, got, want map[int]float64) {
+	same := func(what string, got *Bounds, want map[int]float64) {
 		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d bounds, want %d", what, len(got), len(want))
+		if got.Len() != len(want) {
+			t.Fatalf("%s: %d bounds, want %d", what, got.Len(), len(want))
 		}
 		for p, w := range want {
-			if g, ok := got[p]; !ok || g != w {
+			if g, ok := got.Of(p); !ok || g != w {
 				t.Fatalf("%s: bound of position %d = %v (present %v), the lemma's sum is %v", what, p, g, ok, w)
 			}
 		}

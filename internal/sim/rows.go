@@ -203,58 +203,201 @@ func (r *Rows) Fill(dst []float64, lo, hi, c int) {
 
 // RowSums writes to dst[k], for each c = cs[k], an upper bound on the
 // weighted row sum Σ_i w[i]·Sim(o_i, o_c) over every compiled object —
-// o_c's initial marginal gain, or its Lemma 5.1–5.3 bound when the
-// objects are an envelope — in O(Σ nnz) instead of one Fill per c. It
-// reports false, with dst unspecified, when the metric has no such
+// o_c's initial marginal gain — in O(Σ nnz) instead of one Fill per c.
+// It reports false, with dst unspecified, when the metric has no such
 // shortcut; the caller then sums Fill rows as before.
 //
-// Only Cosine has one: its row sum is linear, ô_c·A with A = Σ_i w_i·ô_i
-// over the stored unit vectors ô. Three corrections keep the value above
-// what the chunked reductions make of Fill (DESIGN.md §5d). Sim(o_c, o_c)
-// is exactly 1 whatever float32 rounding makes of ô_c·ô_c, so the
-// shortfall is added back (an empty c gets w_c alone). A dot dominates
-// Fill's [0, 1] clamp only if it is non-negative, so a negative or NaN
-// term weight or w declines. And either summation order is within
-// n + maxnnz + 8 roundings of the real sum, so the result is inflated by
-// 1 + 4(n + maxnnz + 8)·2⁻⁵³.
+// Only Cosine has one: its row sum is linear. RowSums builds the Linear
+// aggregate of the compiled objects — its coordinates indexed by the
+// region-local term ids, so it hashes nothing — and reads it once per c,
+// under Linear's rules.
 func (r *Rows) RowSums(dst, w []float64, cs []int) bool {
 	if r.kind != rowsCosine {
 		return false
 	}
 	p := &r.vecs
-	n := len(p.Off) - 1
-	acc := make([]float64, len(r.postOff)-1) // A, by local term id
-	maxnnz := 0
-	for i := range n {
-		wi := w[i]
-		if !(wi >= 0) {
+	a := &Linear{acc: make([]float64, len(r.postOff)-1)}
+	for i := range len(p.Off) - 1 {
+		lo, hi := p.Off[i], p.Off[i+1]
+		if !a.add(w[i], p.Words[lo:hi], r.termOf[lo:hi]) {
 			return false
 		}
-		lo, hi := p.Off[i], p.Off[i+1]
-		maxnnz = max(maxnnz, int(hi-lo))
-		for k := lo; k < hi; k++ {
-			x := float64(textsim.UnpackWeight(p.Words[k]))
-			if !(x >= 0) {
-				return false
-			}
-			acc[r.termOf[k]] += wi * x
-		}
 	}
-	inflate := 1 + 4*float64(n+maxnnz+8)*0x1p-53
 	for k, c := range cs {
-		var dot, self float64
-		for k := p.Off[c]; k < p.Off[c+1]; k++ {
-			x := float64(textsim.UnpackWeight(p.Words[k]))
-			dot += x * acc[r.termOf[k]]
-			self += x * x
-		}
-		b := (dot + w[c]*max(0, 1-self)) * inflate
-		if !(b >= 0) {
-			return false // NaN out of an overflowed product
+		lo, hi := p.Off[c], p.Off[c+1]
+		b, ok := a.bound(w[c], p.Words[lo:hi], r.termOf[lo:hi])
+		if !ok {
+			return false
 		}
 		dst[k] = b
 	}
 	return true
+}
+
+// Linear is Cosine's linear row sum over a set R of objects (DESIGN.md
+// §5d): the aggregate A = Σ_{i∈R} ω_i·ô_i of their stored unit vectors
+// ô, with |R| = n and R's longest vector's length maxnnz. From it Bound
+// gives, for any c in R, an upper bound on the weighted row sum
+// Σ_{i∈R} ω_i·Sim(o_i, o_c) in O(nnz(c)): ô_c·A, corrected three ways so
+// that it stays above what the chunked reductions make of Fill.
+//
+//   - Sim(o_c, o_c) is exactly 1 whatever float32 rounding makes of
+//     ô_c·ô_c, so the shortfall ω_c·max(0, 1 − ô_c·ô_c) is added back (an
+//     empty c gets ω_c alone).
+//   - A dot dominates Fill's [0, 1] clamp only if it is non-negative, so
+//     a negative or NaN term weight or ω declines, and so do term ids
+//     that are not strictly ascending (Fill would not sum that vector's
+//     products in merge order).
+//   - Either summation order is within n + maxnnz + 8 roundings of the
+//     real sum, so the result is inflated by 1 + 4(n + maxnnz + 8)·2⁻⁵³.
+//
+// Each coordinate of A adds its products in the order the objects were
+// added and each bound dots c's terms in c's order, so the same objects
+// in the same order give the same bits by either route: Rows.RowSums
+// over a compiled slice, or NewLinear over positions of a collection.
+// A bound for a c outside R is not a bound: it lacks c's self term.
+type Linear struct {
+	// acc holds A's coordinates, one per slot. RowSums names a word's
+	// slot by its region-local term id; NewLinear's slots come from keys,
+	// an open-addressed table of term id + 1 at load at most 3/4, with
+	// one extra acc entry at the end for the one id (2³² − 1) that has no
+	// id + 1.
+	acc       []float64
+	keys      []uint32
+	shift     uint
+	terms     int
+	n, maxnnz int
+}
+
+// NewLinear aggregates the objects at positions pos of objs, in pos
+// order, in one pass over their vectors. Its size follows their
+// distinct terms, not the vocabulary's. It returns nil when m is not
+// Cosine or a decline rule applies.
+func NewLinear(m Metric, objs []geodata.Object, pos []int) *Linear {
+	if _, ok := m.(Cosine); !ok {
+		return nil
+	}
+	shift := uint(31)
+	for 3<<(32-shift) < 4*len(pos) {
+		shift--
+	}
+	a := &Linear{keys: make([]uint32, 1<<(32-shift)), shift: shift}
+	a.acc = make([]float64, len(a.keys)+1)
+	for _, p := range pos {
+		if o := &objs[p]; !a.add(o.Weight, o.Vec.Words, nil) {
+			return nil
+		}
+	}
+	return a
+}
+
+// add folds w·ô into A, ô being the vector stored as words; slots, when
+// not nil, names each word's slot. It reports false, leaving A
+// unusable, on a decline rule.
+func (a *Linear) add(w float64, words []uint64, slots []int32) bool {
+	if !(w >= 0) {
+		return false
+	}
+	a.n++
+	a.maxnnz = max(a.maxnnz, len(words))
+	acc := a.acc
+	for k, word := range words {
+		x := float64(textsim.UnpackWeight(word))
+		if !(x >= 0) || k > 0 && word>>32 <= words[k-1]>>32 {
+			return false
+		}
+		if slots != nil {
+			acc[slots[k]] += w * x
+		} else {
+			s := a.insert(uint32(word >> 32))
+			acc = a.acc // insert may have grown the table
+			acc[s] += w * x
+		}
+	}
+	return true
+}
+
+// insert returns term id's slot, claiming one — and growing the table
+// first when it is three quarters full — if the term is new.
+func (a *Linear) insert(id uint32) int {
+	if id == math.MaxUint32 {
+		return len(a.keys)
+	}
+	key := id + 1
+	for {
+		h := a.home(key)
+		for ; a.keys[h] != 0; h = (h + 1) & (len(a.keys) - 1) {
+			if a.keys[h] == key {
+				return h
+			}
+		}
+		if 4*(a.terms+1) <= 3*len(a.keys) {
+			a.keys[h] = key
+			a.terms++
+			return h
+		}
+		keys, acc := a.keys, a.acc
+		a.shift--
+		a.keys = make([]uint32, 2*len(keys))
+		a.acc = make([]float64, len(a.keys)+1)
+		a.acc[len(a.keys)] = acc[len(keys)]
+		a.terms = 0
+		for h, key := range keys {
+			if key != 0 {
+				a.acc[a.insert(key-1)] = acc[h]
+			}
+		}
+	}
+}
+
+func (a *Linear) home(key uint32) int {
+	return int(key * 0x9E3779B1 >> a.shift)
+}
+
+// coord returns A's coordinate for term id, 0 when no object of R holds
+// it.
+func (a *Linear) coord(id uint32) float64 {
+	if id == math.MaxUint32 {
+		return a.acc[len(a.keys)]
+	}
+	key := id + 1
+	for h := a.home(key); a.keys[h] != 0; h = (h + 1) & (len(a.keys) - 1) {
+		if a.keys[h] == key {
+			return a.acc[h]
+		}
+	}
+	return 0
+}
+
+// Bound returns the upper bound on Σ_{i∈R} ω_i·Sim(o_i, c) for an
+// object c of R; ok is false when it is NaN (an overflowed product),
+// which declines c.
+func (a *Linear) Bound(c *geodata.Object) (b float64, ok bool) {
+	return a.bound(c.Weight, c.Vec.Words, nil)
+}
+
+// bound is Bound for the vector stored as words, weighted wc; slots is
+// as for add.
+//
+//geolint:hotpath
+func (a *Linear) bound(wc float64, words []uint64, slots []int32) (float64, bool) {
+	var dot, self float64
+	if slots != nil {
+		acc := a.acc
+		for k, word := range words {
+			x := float64(textsim.UnpackWeight(word))
+			dot += x * acc[slots[k]]
+			self += x * x
+		}
+	} else {
+		for _, word := range words {
+			x := float64(textsim.UnpackWeight(word))
+			dot += x * a.coord(uint32(word>>32))
+			self += x * x
+		}
+	}
+	b := (dot + wc*max(0, 1-self)) * (1 + 4*float64(a.n+a.maxnnz+8)*0x1p-53)
+	return b, b >= 0
 }
 
 // euclidSim is EuclideanProximity.Sim for MaxDist > 0. The builtin max

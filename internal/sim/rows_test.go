@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"geosel/internal/geo"
@@ -373,10 +375,104 @@ func addFuzzSeeds(f *testing.F) {
 	f.Add([]byte("the same seven bytes, the same seven bytes, and then some others"))
 }
 
+// checkLinear holds the envelope route to the compiled one: NewLinear
+// over an ascending subset pos of objs answers, bound for bound and bit
+// for bit, what RowSums answers over the compiled Subset(pos), and the
+// two decline together. The subset is drawn from pick; each variant
+// rewrites one object of it — or all of them, to move the ids into the
+// hash table's far range — before both routes run.
+func checkLinear(t *testing.T, objs []geodata.Object, pick *rand.Rand) {
+	t.Helper()
+	var pos []int
+	for p := range objs {
+		if pick.Intn(3) > 0 {
+			pos = append(pos, p)
+		}
+	}
+	target := 0
+	if len(pos) > 0 {
+		target = pos[pick.Intn(len(pos))]
+	}
+	remap := func(o *geodata.Object, f func(k int, id int32, w float32) (int32, float32)) {
+		words := make([]uint64, len(o.Vec.Words))
+		for k, word := range o.Vec.Words {
+			id, w := f(k, int32(word>>32), textsim.UnpackWeight(word))
+			words[k] = textsim.PackWord(id, w)
+		}
+		o.Vec = textsim.Vector{Words: words}
+	}
+	variants := map[string]func([]geodata.Object){
+		"as is":      func([]geodata.Object) {},
+		"negative ω": func(o []geodata.Object) { o[target].Weight = -0.25 },
+		"NaN ω":      func(o []geodata.Object) { o[target].Weight = math.NaN() },
+		"infinite ω": func(o []geodata.Object) { o[target].Weight = math.Inf(1) },
+		"negative term": func(o []geodata.Object) {
+			remap(&o[target], func(_ int, id int32, w float32) (int32, float32) { return id, -w })
+		},
+		"NaN term": func(o []geodata.Object) {
+			remap(&o[target], func(_ int, id int32, w float32) (int32, float32) { return id, float32(math.NaN()) })
+		},
+		"repeated id": func(o []geodata.Object) {
+			remap(&o[target], func(_ int, _ int32, w float32) (int32, float32) { return 7, w })
+		},
+		"last id 2³²−1": func(o []geodata.Object) {
+			n := len(o[target].Vec.Words)
+			remap(&o[target], func(k int, id int32, w float32) (int32, float32) {
+				if k == n-1 {
+					return -1, w
+				}
+				return id, w
+			})
+		},
+		"spread ids": func(o []geodata.Object) {
+			for i := range o {
+				remap(&o[i], func(_ int, id int32, w float32) (int32, float32) { return id*0x01000193 + 5, w })
+			}
+		},
+	}
+	for name, rewrite := range variants {
+		mod := slices.Clone(objs)
+		if len(pos) > 0 {
+			rewrite(mod)
+		}
+		sub := geodata.Collection{Objects: mod}
+		staged := sub.Subset(pos)
+		w := make([]float64, len(staged))
+		all := make([]int, len(staged))
+		for i := range staged {
+			w[i], all[i] = staged[i].Weight, i
+		}
+		want := make([]float64, len(staged))
+		rowsOK := NewRows(Cosine{}, staged).RowSums(want, w, all)
+
+		lin := NewLinear(Cosine{}, mod, pos)
+		linOK := lin != nil
+		got := make([]float64, len(pos))
+		for k, p := range pos {
+			if !linOK {
+				break
+			}
+			got[k], linOK = lin.Bound(&mod[p])
+		}
+		if linOK != rowsOK {
+			t.Fatalf("%s: NewLinear answered %v, RowSums over the subset %v", name, linOK, rowsOK)
+		}
+		for k := range got {
+			if rowsOK && math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("%s: position %d: NewLinear bound %v, RowSums %v", name, pos[k], got[k], want[k])
+			}
+		}
+	}
+}
+
 func FuzzRowSums(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkRowSums(t, fuzzObjects(data), true)
+		objs := fuzzObjects(data)
+		checkRowSums(t, objs, true)
+		h := fnv.New64a()
+		h.Write(data)
+		checkLinear(t, objs, rand.New(rand.NewSource(int64(h.Sum64()))))
 	})
 }
 
