@@ -81,9 +81,12 @@ fuzz:
 	go test -run=NONE -fuzz='^FuzzReadAuto$$' -fuzztime=10s ./internal/dataset
 	go test -run=NONE -fuzz='^FuzzTokenize$$' -fuzztime=10s ./internal/textsim
 
-# bench runs the in-process benchmarks: a cold select (core), a
-# prefetch bound pass (prefetch) and a warm /select (server). CI's test
-# job runs every one of them once (-benchtime=1x) so none can rot.
+# bench runs the in-process benchmarks of the serving path: a cold
+# select and a grid region query (core), a prefetch bound pass
+# (prefetch) and a warm /select (server). CI's test job runs every
+# in-process benchmark once (-benchtime=1x) so none can rot — these,
+# the live store's commit and ingest benchmarks (livestore) and the
+# root package's per-exhibit benchmarks.
 bench:
 	go test -run=NONE -bench=. -benchmem ./internal/core ./internal/prefetch
 	go test -run=NONE -bench=WarmSelectHandler -benchmem ./internal/server

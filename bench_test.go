@@ -21,8 +21,6 @@ import (
 	"geosel/internal/geodata"
 	"geosel/internal/grid"
 	"geosel/internal/isos"
-	"geosel/internal/quadtree"
-	"geosel/internal/rtree"
 	"geosel/internal/sampling"
 	"geosel/internal/sim"
 )
@@ -310,29 +308,6 @@ func BenchmarkAblationConflictRemoval(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRTreeLoad compares STR bulk loading against
-// one-by-one insertion for the read-mostly workloads of the paper.
-func BenchmarkAblationRTreeLoad(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	pts := make([]geo.Point, 50000)
-	for i := range pts {
-		pts[i] = geo.Pt(rng.Float64(), rng.Float64())
-	}
-	b.Run("str-bulk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rtree.BulkLoadPoints(pts)
-		}
-	})
-	b.Run("insert", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t := rtree.New()
-			for id, p := range pts {
-				t.Insert(rtree.PointItem(id, p))
-			}
-		}
-	})
-}
-
 // BenchmarkAblationSampleBound compares the two sample-size
 // inequalities (Equations 6 and 7) end to end.
 func BenchmarkAblationSampleBound(b *testing.B) {
@@ -353,9 +328,9 @@ func BenchmarkAblationSampleBound(b *testing.B) {
 // timeNow returns a monotonic nanosecond reading for manual spans.
 func timeNow() int64 { return time.Now().UnixNano() }
 
-// BenchmarkSubstrateRTreeQuery times the region queries feeding every
+// BenchmarkSubstrateRegionQuery times the region queries feeding every
 // selection.
-func BenchmarkSubstrateRTreeQuery(b *testing.B) {
+func BenchmarkSubstrateRegionQuery(b *testing.B) {
 	e := env(b)
 	var n int
 	for i := 0; i < b.N; i++ {
@@ -393,52 +368,4 @@ func BenchmarkSubstrateCosine(b *testing.B) {
 		acc += m.Sim(a, c)
 	}
 	_ = acc
-}
-
-// BenchmarkAblationSpatialIndex compares the R-tree the paper uses
-// against a bucket PR quadtree for the viewport region queries.
-func BenchmarkAblationSpatialIndex(b *testing.B) {
-	e := env(b)
-	col := e.store.Collection()
-	qt, err := quadtree.New(geo.WorldUnit)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range col.Objects {
-		if err := qt.Insert(i, col.Objects[i].Loc); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("rtree-query", func(b *testing.B) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			n += len(e.store.Region(e.region))
-		}
-		_ = n
-	})
-	b.Run("quadtree-query", func(b *testing.B) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			n += len(qt.SearchCollect(e.region))
-		}
-		_ = n
-	})
-	b.Run("rtree-build", func(b *testing.B) {
-		items := make([]rtree.Item, len(col.Objects))
-		for i := range col.Objects {
-			items[i] = rtree.PointItem(i, col.Objects[i].Loc)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rtree.BulkLoad(items)
-		}
-	})
-	b.Run("quadtree-build", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			t, _ := quadtree.New(geo.WorldUnit)
-			for j := range col.Objects {
-				t.Insert(j, col.Objects[j].Loc)
-			}
-		}
-	})
 }

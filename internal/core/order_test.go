@@ -11,18 +11,18 @@ import (
 	"geosel/internal/dataset"
 	"geosel/internal/engine"
 	"geosel/internal/geo"
-	"geosel/internal/geodata"
 	"geosel/internal/livestore"
 	"geosel/internal/sim"
 )
 
 // TestRegionOrderSelectsAlikeOverBothIndexes holds the one-order
-// contract where it matters: the bulk-loaded R-tree store and a live
-// store's untouched version 0 (its grid) stage every region in the same
-// order, so SelectRegion over either returns the same positions, gains,
-// score, evaluations and rounds, bit for bit. The regions are squares of
-// the end-to-end benchmark's fixture holding 200 to 3 000 objects, where
-// the fixture's near-tied gains make any difference in staged order show.
+// contract where it matters: a static geodata.Store and a live store's
+// untouched version 0 — two constructors of the one grid — stage every
+// region in the same order, so SelectRegion over either returns the
+// same positions, gains, score, evaluations and rounds, bit for bit.
+// The regions are squares of the end-to-end benchmark's fixture holding
+// 200 to 3 000 objects, where the fixture's near-tied gains make any
+// difference in staged order show.
 func TestRegionOrderSelectsAlikeOverBothIndexes(t *testing.T) {
 	store, err := dataset.GenerateStore(dataset.POISpec(100000, 1))
 	if err != nil {
@@ -58,7 +58,7 @@ func TestRegionOrderSelectsAlikeOverBothIndexes(t *testing.T) {
 		if !slices.Equal(ra.Positions, rb.Positions) || !bitsEqual(ra.Gains, rb.Gains) ||
 			math.Float64bits(ra.Score) != math.Float64bits(rb.Score) ||
 			ra.Evals != rb.Evals || ra.Rounds != rb.Rounds {
-			t.Errorf("region %d (%d objects): R-tree store selects %v score %v evals %d rounds %d; live v0 %v score %v evals %d rounds %d",
+			t.Errorf("region %d (%d objects): static store selects %v score %v evals %d rounds %d; live v0 %v score %v evals %d rounds %d",
 				i, len(a), ra.Positions, ra.Score, ra.Evals, ra.Rounds, rb.Positions, rb.Score, rb.Evals, rb.Rounds)
 		}
 	}
@@ -69,35 +69,24 @@ func bitsEqual(a, b []float64) bool {
 }
 
 // BenchmarkRegion is one region query of the end-to-end benchmark's
-// fixture through each index — the bulk-loaded R-tree and a live
-// store's version-0 grid — at squares around the centre holding 200,
+// fixture through the grid, at squares around the centre holding 200,
 // 1 000 and 6 000 objects.
 func BenchmarkRegion(b *testing.B) {
 	store, err := dataset.GenerateStore(dataset.POISpec(100000, 1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	live, err := livestore.New(store.Collection(), engine.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	indexes := []struct {
-		name string
-		view geodata.View
-	}{{"rtree", store}, {"grid", live.Current()}}
 	for _, target := range []int{200, 1000, 6000} {
 		half := 0.001
 		for store.CountRegion(geo.RectAround(geo.Pt(0.5, 0.5), half)) < target {
 			half *= 1.02
 		}
 		r := geo.RectAround(geo.Pt(0.5, 0.5), half)
-		for _, ix := range indexes {
-			b.Run(fmt.Sprintf("%s/objects=%d", ix.name, target), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ix.view.Region(r)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("objects=%d", target), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				store.Region(r)
+			}
+		})
 	}
 }

@@ -199,7 +199,8 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// GenerateStore is Generate followed by R-tree indexing.
+// GenerateStore is Generate followed by geodata.NewStore, which builds
+// the grid over every object.
 func GenerateStore(spec Spec) (*geodata.Store, error) {
 	col, err := Generate(spec)
 	if err != nil {

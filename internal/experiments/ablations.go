@@ -11,8 +11,6 @@ import (
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
 	"geosel/internal/isos"
-	"geosel/internal/quadtree"
-	"geosel/internal/rtree"
 	"geosel/internal/sampling"
 )
 
@@ -32,7 +30,6 @@ func (e *Env) Ablations(id string) (*Table, error) {
 		Columns: []string{"mechanism", "variant", "runtime_s", "work"},
 		Notes: []string{
 			"lazy forward work = marginal evaluations; fewer is better",
-			"spatial index work = objects returned by the region query (identical by construction)",
 		},
 	}
 	rng := e.rng(id)
@@ -97,45 +94,6 @@ func (e *Env) Ablations(id string) (*Table, error) {
 		}
 		t.AddRow("sample-bound", bound.String(), fdur(d), fmt.Sprintf("%d samples", sres.SampleSize))
 	}
-
-	// R-tree (STR) vs quadtree: build + the experiment's region query.
-	col := store.Collection()
-	items := make([]rtree.Item, len(col.Objects))
-	for i := range col.Objects {
-		items[i] = rtree.PointItem(i, col.Objects[i].Loc)
-	}
-	var rt *rtree.Tree
-	dBuild := timeIt(func() { rt = rtree.BulkLoad(items) })
-	var got int
-	dQuery := timeIt(func() {
-		for i := 0; i < 100; i++ {
-			got = len(rt.SearchCollect(region))
-		}
-	})
-	t.AddRow("spatial-index", "rtree-str", fdur(dBuild), fmt.Sprintf("build; query100 %s, %d hits", fdur(dQuery), got))
-
-	var qt *quadtree.Tree
-	dBuild = timeIt(func() {
-		qt, err = quadtree.New(geo.WorldUnit)
-		if err != nil {
-			return
-		}
-		for i := range col.Objects {
-			if e := qt.Insert(i, col.Objects[i].Loc); e != nil {
-				err = e
-				return
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	dQuery = timeIt(func() {
-		for i := 0; i < 100; i++ {
-			got = len(qt.SearchCollect(region))
-		}
-	})
-	t.AddRow("spatial-index", "quadtree", fdur(dBuild), fmt.Sprintf("build; query100 %s, %d hits", fdur(dQuery), got))
 
 	// Lemma 5.1–5.3 prefetch bounds for a zoom-in: what the bound pass
 	// costs and what the bound-seeded response then takes.

@@ -234,7 +234,7 @@ func TestAblationsTable(t *testing.T) {
 	}
 	// prefetch-bounds is one row (bound pass and seeded response); its
 	// on/off comparison is Figure 13.
-	for mech, want := range map[string]int{"marginal-evaluation": 2, "conflict-removal": 2, "sample-bound": 2, "spatial-index": 2, "prefetch-bounds": 1} {
+	for mech, want := range map[string]int{"marginal-evaluation": 2, "conflict-removal": 2, "sample-bound": 2, "prefetch-bounds": 1} {
 		if mechanisms[mech] != want {
 			t.Errorf("mechanism %s has %d variants, want %d", mech, mechanisms[mech], want)
 		}

@@ -84,10 +84,6 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Area returns the area of r.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Perimeter returns half the perimeter of r (the conventional R-tree
-// "margin" measure).
-func (r Rect) Perimeter() float64 { return r.Width() + r.Height() }
-
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
@@ -156,21 +152,7 @@ func (r Rect) Translate(d Point) Rect {
 	return Rect{Min: r.Min.Add(d), Max: r.Max.Add(d)}
 }
 
-// DistToPoint returns the minimum Euclidean distance from p to r; zero if
-// p is inside r.
-func (r Rect) DistToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%v - %v]", r.Min, r.Max)
-}
-
-// EnlargementArea returns how much r's area grows if it is extended to
-// cover s. Used by R-tree insertion heuristics.
-func (r Rect) EnlargementArea(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
 }

@@ -156,36 +156,6 @@ func TestScaleAroundCenter(t *testing.T) {
 	}
 }
 
-func TestDistToPoint(t *testing.T) {
-	r := Rect{Min: Pt(0, 0), Max: Pt(2, 2)}
-	cases := []struct {
-		p    Point
-		want float64
-	}{
-		{Pt(1, 1), 0},
-		{Pt(0, 0), 0},
-		{Pt(3, 1), 1},
-		{Pt(1, -2), 2},
-		{Pt(5, 6), 5}, // dx=3 dy=4
-	}
-	for _, c := range cases {
-		if got := r.DistToPoint(c.p); !almostEq(got, c.want, 1e-12) {
-			t.Errorf("DistToPoint(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestEnlargementArea(t *testing.T) {
-	r := Rect{Min: Pt(0, 0), Max: Pt(1, 1)}
-	if got := r.EnlargementArea(r); !almostEq(got, 0, 1e-12) {
-		t.Errorf("self enlargement = %v", got)
-	}
-	s := Rect{Min: Pt(1, 0), Max: Pt(2, 1)}
-	if got := r.EnlargementArea(s); !almostEq(got, 1, 1e-12) {
-		t.Errorf("enlargement = %v, want 1", got)
-	}
-}
-
 func TestExpandTranslate(t *testing.T) {
 	r := Rect{Min: Pt(1, 1), Max: Pt(2, 2)}
 	e := r.Expand(0.5)

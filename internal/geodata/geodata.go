@@ -2,7 +2,9 @@
 // layer of the library. A geospatial object follows the paper's triple
 // o = ⟨λ, ω, A⟩ (Section 3.1): a location, a normalized weight, and a
 // set of attributes — here a text payload with its interned sparse term
-// vector, which is what the similarity metrics consume.
+// vector, which is what the similarity metrics consume. It also holds
+// the one spatial index every region query reads (Grid, grid.go), and
+// the static Store over it.
 package geodata
 
 import (

@@ -112,11 +112,14 @@ func TestStoreRegionAgainstLinear(t *testing.T) {
 	if s.Len() != 2000 {
 		t.Fatalf("store len = %d", s.Len())
 	}
+	wantB, _ := c.Bounds()
+	if got, ok := s.Bounds(); !ok || got != wantB {
+		t.Fatalf("store bounds = %v, %v; collection bounds %v", got, ok, wantB)
+	}
 	rng := rand.New(rand.NewSource(3))
 	for q := 0; q < 30; q++ {
 		r := geo.RectAround(geo.Pt(rng.Float64(), rng.Float64()), rng.Float64()*0.2)
-		got := s.Region(r)
-		sort.Ints(got)
+		got := s.Region(r) // ascending, like the scan
 		want := c.IndicesInRegion(r)
 		if len(got) != len(want) {
 			t.Fatalf("got %d, want %d", len(got), len(want))
@@ -129,22 +132,6 @@ func TestStoreRegionAgainstLinear(t *testing.T) {
 		if n := s.CountRegion(r); n != len(want) {
 			t.Fatalf("CountRegion = %d, want %d", n, len(want))
 		}
-	}
-}
-
-func TestStoreNearest(t *testing.T) {
-	c := NewCollection()
-	c.Add(0, geo.Pt(0.1, 0.1), 1, "")
-	c.Add(1, geo.Pt(0.9, 0.9), 1, "")
-	s, err := NewStore(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx, ok := s.Nearest(geo.Pt(0.2, 0.2)); !ok || idx != 0 {
-		t.Errorf("Nearest = %d, %v", idx, ok)
-	}
-	if idx, ok := s.Nearest(geo.Pt(0.8, 0.8)); !ok || idx != 1 {
-		t.Errorf("Nearest = %d, %v", idx, ok)
 	}
 }
 
@@ -166,9 +153,6 @@ func TestStoreEmpty(t *testing.T) {
 	}
 	if got := s.Region(geo.WorldUnit); len(got) != 0 {
 		t.Error("empty store should return nothing")
-	}
-	if _, ok := s.Nearest(geo.Pt(0, 0)); ok {
-		t.Error("Nearest on empty store should fail")
 	}
 	if _, ok := s.Bounds(); ok {
 		t.Error("Bounds on empty store should fail")

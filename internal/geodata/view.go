@@ -29,9 +29,6 @@ type View interface {
 	Region(r geo.Rect) []int
 	// CountRegion counts the live objects inside r.
 	CountRegion(r geo.Rect) int
-	// Nearest returns the position of the live object closest to p; ok
-	// is false for an empty view.
-	Nearest(p geo.Point) (int, bool)
 	// Bounds returns the bounding rectangle of the live objects; ok is
 	// false for an empty view.
 	Bounds() (geo.Rect, bool)

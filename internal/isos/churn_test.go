@@ -307,8 +307,8 @@ func equalInts(a, b []int) bool {
 // bitwise identical" criterion: the same exploration over a static
 // store and over an untouched live store must produce equal Positions
 // and bit-for-bit equal Scores in both sync- and async-prefetch
-// sessions. The R-tree and the live store's grid answer every region in
-// the same (ascending) order, so both stage every region alike.
+// sessions. Both stores read the same grid (geodata.Grid) and answer
+// every region in ascending order, so both stage every region alike.
 func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 	const n, seed = 1500, 44
 	rng := rand.New(rand.NewSource(seed))

@@ -306,7 +306,6 @@ func TestChurnConcurrentReadersOneWriter(t *testing.T) {
 					}
 				}
 				view.CountRegion(q)
-				view.Nearest(q.Min)
 			}
 		}(int64(100 + r))
 	}

@@ -86,24 +86,24 @@ func BenchmarkEpochCommit(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	s := benchStore(b, rng)
 	onePct := benchN / 100
-	dels := make([]posLoc, 0, onePct/2)
-	adds := make([]posLoc, 0, onePct)
+	dels := make([]geodata.PosLoc, 0, onePct/2)
+	adds := make([]geodata.PosLoc, 0, onePct)
 	objs := s.cur.Load().col.Objects
 	for i := 0; i < onePct/2; i++ {
 		p := rng.Intn(benchN)
-		dels = append(dels, posLoc{pos: int32(p), loc: objs[p].Loc})
-		adds = append(adds, posLoc{pos: int32(benchN + i), loc: geo.Pt(rng.Float64(), rng.Float64())})
+		dels = append(dels, geodata.PosLoc{Pos: int32(p), Loc: objs[p].Loc})
+		adds = append(adds, geodata.PosLoc{Pos: int32(benchN + i), Loc: geo.Pt(rng.Float64(), rng.Float64())})
 	}
 	gr := s.gr
 
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			gr.commit(dels, adds)
+			gr.Commit(dels, adds)
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rebuildGrid(objs, s.live)
+			geodata.NewGrid(objs)
 		}
 	})
 	b.Run("compaction", func(b *testing.B) {

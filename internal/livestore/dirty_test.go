@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"geosel/internal/geo"
+	"geosel/internal/geodata"
 )
 
 // coveredBy reports whether p lies inside at least one rect.
@@ -49,6 +50,48 @@ func TestDirtyCellsCoverMutations(t *testing.T) {
 	// An interval ending at the snapshot's own version is empty.
 	if got, ok := sn.DirtyCells(sn.Version(), nil); !ok || len(got) != 0 {
 		t.Errorf("DirtyCells(current) = %d rects, ok=%v; want 0, true", len(got), ok)
+	}
+}
+
+// TestDirtyCellsCoverInsertOverHugeSeedExtent seeds the store with two
+// corners whose extent's area overflows a float64 (w·h ≈ 4e400): the
+// grid has no finite cell size there and takes one cell unbounded on
+// every side. An insert between the corners must then dirty a rect that
+// covers it — a tile cache that found no dirty rect over the insert
+// would keep serving a tile without it — and regions must still answer
+// what a scan does.
+func TestDirtyCellsCoverInsertOverHugeSeedExtent(t *testing.T) {
+	ctx := context.Background()
+	col := geodata.NewCollection()
+	col.Add(1, geo.Pt(-1e200, -1e200), 0.5, "")
+	col.Add(2, geo.Pt(1e200, 1e200), 0.5, "")
+	s := mustNew(t, col)
+	v0 := s.Current().Version()
+	inserted := geo.Pt(0.5, 0.5)
+	if _, _, err := s.Apply(ctx, []Mutation{{Op: OpInsert, ID: 3, Loc: inserted, Weight: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Current()
+	rects, ok := sn.DirtyCells(v0, nil)
+	if !ok {
+		t.Fatalf("DirtyCells(%d) reported truncated history after one epoch", v0)
+	}
+	if !coveredBy(rects, inserted) {
+		t.Errorf("inserted location %v not covered by dirty rects %v", inserted, rects)
+	}
+	for _, r := range []geo.Rect{
+		{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)},
+		{Min: geo.Pt(-1e300, -1e300), Max: geo.Pt(1e300, 1e300)},
+		{Min: geo.Pt(-2e200, -2e200), Max: geo.Pt(0, 0)},
+		{Min: geo.Pt(0.6, 0.6), Max: geo.Pt(2e200, 2e200)},
+	} {
+		want := refRegion(sn, r)
+		if got := sn.Region(r); !equalInts(got, want) {
+			t.Errorf("Region(%v) = %v, scan %v", r, got, want)
+		}
+		if got := sn.CountRegion(r); got != len(want) {
+			t.Errorf("CountRegion(%v) = %d, scan %d", r, got, len(want))
+		}
 	}
 }
 

@@ -11,9 +11,10 @@
 // snapshots keep reading their shorter prefix of the shared backing
 // array (the writer appends strictly beyond every published length, so
 // there is no write under any reader's feet). The spatial index is
-// maintained incrementally: an epoch commit clones the grid's
-// cell-header table and rewrites only dirty cells, instead of
-// rebuilding the index — see grid.go and BenchmarkEpochCommit.
+// geodata's grid, maintained incrementally: an epoch commit clones the
+// grid's cell-header table and rewrites only dirty cells, instead of
+// rebuilding the index — see geodata.Grid.Commit and
+// BenchmarkEpochCommit.
 //
 // Memory follows the live objects. The seed array holds exactly the
 // seed; a batch that does not fit either grows the array by half or,
@@ -54,7 +55,7 @@ type Store struct {
 	live      []uint64
 	liveCount int
 	byID      map[int]int32
-	gr        *cowGrid
+	gr        *geodata.Grid
 	comp      *compaction
 
 	batches       uint64
@@ -144,7 +145,7 @@ func (s *Store) seed(objs []geodata.Object) {
 		setBit(live, i)
 	}
 	s.objs, s.live, s.liveCount, s.byID = objs, live, len(objs), byID
-	s.gr = rebuildGrid(objs, live)
+	s.gr = geodata.NewGrid(objs)
 }
 
 // publish cuts the writer's state into the snapshot of the given
@@ -336,18 +337,18 @@ func (s *Store) commitLocked(delSet map[int32]bool, appended []geodata.Object, a
 	// Grid delta. Dead staged slots (insert-then-delete within the
 	// batch) still occupy a position but never enter the index.
 	baseN := len(s.objs)
-	dels := make([]posLoc, 0, len(delSet))
+	dels := make([]geodata.PosLoc, 0, len(delSet))
 	for pos := range delSet {
-		dels = append(dels, posLoc{pos: pos, loc: s.objs[pos].Loc})
+		dels = append(dels, geodata.PosLoc{Pos: pos, Loc: s.objs[pos].Loc})
 	}
-	adds := make([]posLoc, 0, len(appended))
+	adds := make([]geodata.PosLoc, 0, len(appended))
 	for i, ob := range appended {
 		if appendedLive[i] {
-			adds = append(adds, posLoc{pos: int32(baseN + i), loc: ob.Loc})
+			adds = append(adds, geodata.PosLoc{Pos: int32(baseN + i), Loc: ob.Loc})
 		}
 	}
 	commitStart := time.Now()
-	nextGr, dirtyKeys := s.gr.commit(dels, adds)
+	nextGr, dirtyKeys := s.gr.Commit(dels, adds)
 	s.indexCommitNs += time.Since(commitStart).Nanoseconds()
 
 	// The epoch's dirty-cell set as world rectangles, recorded on the
@@ -355,7 +356,7 @@ func (s *Store) commitLocked(delSet map[int32]bool, appended []geodata.Object, a
 	// "what changed since version V" without holding the writer lock.
 	dirtyCells := make([]geo.Rect, len(dirtyKeys))
 	for i, k := range dirtyKeys {
-		dirtyCells[i] = s.gr.cellRect(k)
+		dirtyCells[i] = s.gr.CellRect(k)
 	}
 
 	// Appends go strictly beyond every published
@@ -441,3 +442,13 @@ func appendDirtyEpoch(hist []epochDirty, version uint64, cells []geo.Rect) []epo
 	out = append(out, hist...)
 	return append(out, epochDirty{version: version, cells: cells})
 }
+
+// bitset helpers shared by the store and its snapshots.
+
+func bitSet(bits []uint64, i int) bool {
+	w := i >> 6
+	return w < len(bits) && bits[w]&(1<<(uint(i)&63)) != 0
+}
+
+func setBit(bits []uint64, i int)   { bits[i>>6] |= 1 << (uint(i) & 63) }
+func clearBit(bits []uint64, i int) { bits[i>>6] &^= 1 << (uint(i) & 63) }

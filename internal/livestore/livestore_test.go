@@ -234,25 +234,6 @@ func TestRegionMatchesReferenceAcrossEpochs(t *testing.T) {
 				t.Fatalf("epoch %d: CountRegion = %d, want %d", epoch, c, len(want))
 			}
 		}
-		// Nearest against a linear scan.
-		p := geo.Pt(rng.Float64(), rng.Float64())
-		got, ok := sn.Nearest(p)
-		bestPos, bestD2 := -1, 0.0
-		for i, o := range sn.Collection().Objects {
-			if !isLive(sn, i) {
-				continue
-			}
-			d2 := o.Loc.Dist2(p)
-			if bestPos < 0 || d2 < bestD2 {
-				bestPos, bestD2 = i, d2
-			}
-		}
-		if !ok || got < 0 {
-			t.Fatalf("epoch %d: Nearest failed", epoch)
-		}
-		if d2 := sn.Collection().Objects[got].Loc.Dist2(p); d2 != bestD2 {
-			t.Fatalf("epoch %d: Nearest dist2 %v, want %v", epoch, d2, bestD2)
-		}
 	}
 }
 

@@ -11,26 +11,35 @@ import (
 	"geosel/internal/geodata"
 )
 
-// FuzzRegionOrder holds every index to one region order. Points are
-// drawn on a coarse lattice so locations repeat; for random rects the
-// R-tree store, the live store's version 0 and its snapshot after a
-// random mutation batch must answer exactly what a linear scan over the
-// live objects answers, element by element — the scan is the ascending
-// reference — and count what the scan finds. A last rect reaches far
-// past the grid, whose corners clamp into the edge cells. The same input also drives
-// geodata.SortPositions over both of its methods (small and large
-// inputs, narrow and wide spans) against slices.Sort.
+// FuzzRegionOrder holds every build of the one grid to one region
+// order. Points are drawn on a coarse lattice so locations repeat; for
+// random rects the static geodata.Store, the live store's version 0 and
+// its snapshot after a random mutation batch must answer exactly what a
+// linear scan over the live objects answers, element by element — the
+// scan is the ascending reference — and count what the scan finds. A
+// last rect reaches far past the grid, whose corners clamp into the
+// edge cells. far scales the lattice from the unit square out to 1e200,
+// where the extent's area overflows and the grid falls back to one
+// unbounded cell. Every slot the batch killed or added must lie in a
+// rect DirtyCells reports, unless the batch compacted. The same input
+// also drives geodata.SortPositions over both of its methods (small and
+// large inputs, narrow and wide spans) against slices.Sort.
 func FuzzRegionOrder(f *testing.F) {
-	f.Add(int64(1), uint16(300), uint8(8), uint8(20))
-	f.Add(int64(2), uint16(1500), uint8(2), uint8(200))
-	f.Add(int64(3), uint16(1), uint8(0), uint8(0))
-	f.Add(int64(4), uint16(4000), uint8(255), uint8(255))
-	f.Fuzz(func(t *testing.T, seed int64, size uint16, grain, churn uint8) {
+	f.Add(int64(1), uint16(300), uint8(8), uint8(20), false)
+	f.Add(int64(2), uint16(1500), uint8(2), uint8(200), false)
+	f.Add(int64(3), uint16(1), uint8(0), uint8(0), false)
+	f.Add(int64(4), uint16(4000), uint8(255), uint8(255), false)
+	f.Add(int64(5), uint16(800), uint8(16), uint8(8), true)
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, grain, churn uint8, far bool) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(size)%3000 + 1
 		lattice := float64(int(grain)%64 + 1)
+		scale := 1.0
+		if far {
+			scale = 1e200
+		}
 		at := func() geo.Point {
-			return geo.Pt(float64(rng.Intn(int(lattice)+1))/lattice, float64(rng.Intn(int(lattice)+1))/lattice)
+			return geo.Pt(float64(rng.Intn(int(lattice)+1))/lattice*scale, float64(rng.Intn(int(lattice)+1))/lattice*scale)
 		}
 		col := geodata.NewCollection()
 		for i := 0; i < n; i++ {
@@ -56,6 +65,14 @@ func FuzzRegionOrder(f *testing.F) {
 			t.Fatal(err)
 		}
 		v1 := ls.Current()
+		if dirty, ok := v1.DirtyCells(v0.Version(), nil); ok {
+			objs := v1.Collection().Objects
+			for p := range objs {
+				if (p < n && isLive(v0, p)) != isLive(v1, p) && !coveredBy(dirty, objs[p].Loc) {
+					t.Fatalf("slot %d at %v changed liveness in v%d outside every dirty rect %v", p, objs[p].Loc, v1.Version(), dirty)
+				}
+			}
+		}
 
 		// reference is the ascending scan over the snapshot's live slots.
 		reference := func(sn *Snapshot, r geo.Rect) []int {
@@ -75,7 +92,10 @@ func FuzzRegionOrder(f *testing.F) {
 			}
 			want := col.IndicesInRegion(r)
 			if got := static.Region(r); !slices.Equal(got, want) {
-				t.Fatalf("rect %v: R-tree store answers %v, scan %v", r, got, want)
+				t.Fatalf("rect %v: static store answers %v, scan %v", r, got, want)
+			}
+			if got := static.CountRegion(r); got != len(want) {
+				t.Fatalf("rect %v: static store counts %d, scan %d", r, got, len(want))
 			}
 			if got := v0.Region(r); !slices.Equal(got, want) {
 				t.Fatalf("rect %v: live v0 answers %v, scan %v", r, got, want)

@@ -23,7 +23,7 @@ import (
 // version through it.
 //
 // Every version, 0 included, answers its region queries from the
-// incrementally maintained uniform grid, in ascending position order,
+// incrementally maintained geodata.Grid, in ascending position order,
 // the order every geodata.View answers in. Because a compaction keeps
 // relative order, a region's staged order — and so its selection — is
 // the same before and after one.
@@ -32,7 +32,7 @@ type Snapshot struct {
 	col       *geodata.Collection
 	live      []uint64
 	liveCount int
-	gr        *cowGrid
+	gr        *geodata.Grid
 
 	// comp is the most recent compaction at or before this version, nil
 	// if the store never compacted.
@@ -111,18 +111,12 @@ func (sn *Snapshot) LivePos(pos int, pinned uint64) (int, bool) {
 // Region returns the positions of all live objects inside r, in
 // ascending order.
 func (sn *Snapshot) Region(r geo.Rect) []int {
-	return sn.gr.region(sn.col.Objects, r, nil)
+	return sn.gr.Region(sn.col.Objects, r)
 }
 
 // CountRegion counts the live objects inside r.
 func (sn *Snapshot) CountRegion(r geo.Rect) int {
-	return sn.gr.countRegion(sn.col.Objects, r)
-}
-
-// Nearest returns the position of the live object closest to p; ok is
-// false for an empty snapshot.
-func (sn *Snapshot) Nearest(p geo.Point) (int, bool) {
-	return sn.gr.nearest(sn.col.Objects, p)
+	return sn.gr.CountRegion(sn.col.Objects, r)
 }
 
 // Bounds returns the exact bounding rectangle of the live objects,
