@@ -19,7 +19,7 @@ check:
 	go test -tags geoselcheck ./...
 
 race:
-	go test -race ./internal/...
+	go test -race ./internal/... .
 
 # churn runs the snapshot-isolation suite — sessions navigating while
 # the live store ingests and compacts — under the race detector with the

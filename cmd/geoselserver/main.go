@@ -70,12 +70,13 @@ func main() {
 		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "per-request selection deadline (0 = none)")
 		sessionTTL  = flag.Duration("session-ttl", engine.DefaultSessionTTL, "evict sessions idle for this long (negative = never)")
 		maxSessions = flag.Int("max-sessions", engine.DefaultMaxSessions, "maximum live sessions; the idlest is evicted beyond this")
-		asyncPre    = flag.Bool("async-prefetch", true, "compute next-operation bounds on a background goroutine after each navigation")
 		live        = flag.Bool("live", false, "make the store mutable: enables POST /ingest and DELETE /objects/{id}")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled")
 		tileCache   = flag.Bool("tilecache", false, "materialize selections per map tile: warm /select and session serving, enables GET /tiles/{z}/{x}/{y} and GET /cache/stats")
 		tileCap     = flag.Int("tilecache-capacity", 0, "cached tile entries across all shards (0 = engine default)")
 		tileBudget  = flag.Float64("tile-repair-budget", 0, "seam-repair gain budget as a fraction of stitched gain mass before falling back to full greedy (0 = engine default)")
+		// Still accepted so existing command lines keep working.
+		_ = flag.Bool("async-prefetch", false, "ignored: sessions prefetch only on POST /sessions/{id}/prefetch")
 	)
 	flag.Parse()
 
@@ -107,7 +108,6 @@ func main() {
 	}
 	cfg := engine.Config{
 		Metric:            sim.Cosine{},
-		AsyncPrefetch:     *asyncPre,
 		RequestTimeout:    *reqTimeout,
 		SessionTTL:        *sessionTTL,
 		MaxSessions:       *maxSessions,
@@ -138,8 +138,7 @@ func main() {
 
 	// Serve until SIGINT/SIGTERM, then drain: Shutdown stops accepting
 	// and waits for in-flight selections (bounded by shutdownGrace —
-	// past it, request contexts are cancelled and handlers return 503),
-	// and Close cancels the sessions' background prefetch goroutines.
+	// past it, request contexts are cancelled and handlers return 503).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -156,7 +155,6 @@ func main() {
 	if err := httpServer.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Print("geoselserver: shutdown: ", err)
 	}
-	srv.Close()
 }
 
 func load(data, preset string, n int, seed int64) (*geodata.Collection, error) {

@@ -61,7 +61,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sess.Close()
 
 	region := geosel.RectAround(geosel.Pt(0.5, 0.5), 0.35)
 	sel, err := sess.Start(ctx, region)

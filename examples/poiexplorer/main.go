@@ -34,7 +34,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sess.Close()
 
 	show := func(step string, sel *geosel.Selection) {
 		vp := sess.Viewport()
@@ -53,8 +52,7 @@ func main() {
 	show("start", sel)
 
 	// 2. While the user looks around, prefetch bounds for whatever they
-	//    do next. (Setting EngineConfig.AsyncPrefetch instead makes the
-	//    session do this on a background goroutine automatically.)
+	//    do next. A session never does this on its own.
 	if err := sess.Prefetch(ctx); err != nil {
 		log.Fatal(err)
 	}

@@ -21,13 +21,12 @@
 //	sess, _ := geosel.NewSession(store, geosel.SessionConfig{
 //		Config: geosel.EngineConfig{K: 100, ThetaFrac: 0.003, Metric: geosel.Cosine()},
 //	})
-//	defer sess.Close()
 //	sess.Start(ctx, region)
 //	sess.Prefetch(ctx)            // while the user inspects the view
 //	sess.ZoomIn(ctx, subRegion)   // consistency-aware, prefetch-accelerated
 //
-// All engine knobs (K, θ, metric, prefetch behavior, serving limits)
-// live in one EngineConfig struct, embedded
+// All engine knobs (K, θ, metric, zoom-out prefetch envelope, serving
+// limits) live in one EngineConfig struct, embedded
 // by Options and SessionConfig and validated in one place. Every entry
 // point takes a context.Context: cancel it (or let a deadline expire)
 // and the selection stops cooperatively within one evaluation chunk,
@@ -104,7 +103,7 @@ type Metric = sim.Metric
 // EngineConfig is the unified configuration of the selection engine:
 // selection shape (K, Theta/ThetaFrac, Metric), ablation switches
 // (DisableLazy/DisableGrid), interactive-session tuning
-// (MaxZoomOutScale, AsyncPrefetch) and serving limits (RequestTimeout,
+// (MaxZoomOutScale) and serving limits (RequestTimeout,
 // SessionTTL, MaxSessions). Every selection runs on one core, the
 // caller's goroutine. See engine.Config for per-field documentation.
 type EngineConfig = engine.Config

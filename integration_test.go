@@ -385,7 +385,6 @@ func TestOneSelectionAcrossEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
 	started, err := sess.Start(ctx, region)
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,8 @@ type Selector struct {
 	// Config carries the unified engine knobs. Layers above forward
 	// their embedded config here wholesale, with Theta resolved to an
 	// absolute distance; core ignores the session/serving fields
-	// (ThetaFrac, MaxZoomOutScale, AsyncPrefetch, RequestTimeout,
-	// SessionTTL, MaxSessions).
+	// (ThetaFrac, MaxZoomOutScale, RequestTimeout, SessionTTL,
+	// MaxSessions).
 	engine.Config
 
 	// Objects is the set O of geospatial objects in the region of

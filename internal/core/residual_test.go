@@ -75,15 +75,10 @@ func TestResidualMatchesDense(t *testing.T) {
 	const k, theta = 12, 0.03
 	for _, n := range []int{255, 256, 257, 1000} {
 		objs := listObjects(n, int64(n))
-		pre, err := sim.NewPrecomputed(objs, sim.Cosine{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		metrics := map[string]sim.Metric{
-			"cosine":      sim.Cosine{},
-			"func":        sim.Func(sim.Cosine{}.Sim),
-			"hybrid":      hybridMetric(t),
-			"precomputed": pre,
+			"cosine": sim.Cosine{},
+			"func":   sim.Func(sim.Cosine{}.Sim),
+			"hybrid": hybridMetric(t),
 		}
 		// Forced objects must be θ-separated: two picks of a plain run.
 		forced := mustRun(t, &Selector{Config: engine.Config{K: 2, Theta: theta, Metric: sim.Cosine{}}, Objects: objs}).Selected

@@ -109,14 +109,10 @@ type Config struct {
 	// zoom-out envelopes; zoom-outs beyond it fall back to a cold
 	// selection. 0 means DefaultMaxZoomOutScale.
 	MaxZoomOutScale float64
-	// AsyncPrefetch makes sessions compute prefetch bounds in a
-	// background goroutine launched after each navigation response,
-	// cancelled and superseded the moment the user navigates again.
-	// Selections are identical either way — prefetched bounds only seed
-	// the lazy heap with upper bounds that are re-evaluated exactly
-	// before being trusted — so the knob trades goroutines for
-	// response-path latency only. Off, prefetching happens only through
-	// explicit synchronous Prefetch calls, exactly as before.
+	// AsyncPrefetch is ignored: sessions prefetch only through explicit
+	// synchronous Prefetch calls.
+	//
+	// Deprecated: ignored; drop it.
 	AsyncPrefetch bool
 
 	// TileCache enables the tile-grain materialized selection cache

@@ -121,7 +121,6 @@ func (e *Env) isosTrialPrefetch(store *geodata.Store, region, inner geo.Rect) (t
 	if err != nil {
 		return 0, 0, err
 	}
-	defer sess.Close()
 	if _, err := sess.Start(ctx, region); err != nil {
 		return 0, 0, err
 	}

@@ -81,7 +81,6 @@ func (e *Env) isosTrial(store *geodata.Store, mode isosMode, op geo.Op, region g
 	if err != nil {
 		return 0, 0, err
 	}
-	defer sess.Close()
 	if _, err = sess.Start(ctx, region); err != nil {
 		return 0, 0, err
 	}

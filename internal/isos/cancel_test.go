@@ -3,11 +3,12 @@ package isos
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
+	"time"
 
-	"geosel/internal/engine"
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
 	"geosel/internal/sim"
@@ -131,12 +132,11 @@ func TestPrefetchPreCancelled(t *testing.T) {
 	}
 }
 
-// TestAsyncPrefetchDeterministicHit pins the background-prefetch happy
-// path without sleeping: after Start the test waits on the job's done
-// channel (white-box), so the next navigation deterministically adopts
-// the finished bounds — and must select exactly what a cold session
-// selects, per the async.go determinism argument.
-func TestAsyncPrefetchDeterministicHit(t *testing.T) {
+// TestAsyncPrefetchFieldIgnored pins the deprecation of
+// engine.Config.AsyncPrefetch: a session with the field set starts no
+// background work, so once any goroutine Start might have left has had
+// time to finish, the next navigation still finds no bounds.
+func TestAsyncPrefetchFieldIgnored(t *testing.T) {
 	store := testStore(t, 3000, 33)
 	cfg := testConfig(t)
 	cfg.AsyncPrefetch = true
@@ -144,121 +144,22 @@ func TestAsyncPrefetchDeterministicHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.2)
+	before := runtime.NumGoroutine()
 	if _, err := s.Start(context.Background(), region); err != nil {
 		t.Fatal(err)
 	}
-	if s.job == nil {
-		t.Fatal("AsyncPrefetch session has no background job after Start")
-	}
-	<-s.job.done
-
-	inner := region.ScaleAroundCenter(0.5)
-	sel, err := s.ZoomIn(context.Background(), inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sel.Prefetched {
-		t.Fatal("navigation after a finished background prefetch did not use its bounds")
-	}
-
-	cold, err := NewSession(store, testConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cold.Start(context.Background(), region); err != nil {
-		t.Fatal(err)
-	}
-	want, err := cold.ZoomIn(context.Background(), inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Prefetched {
-		t.Fatal("cold session unexpectedly prefetched")
-	}
-	got := append([]int(nil), sel.Positions...)
-	exp := append([]int(nil), want.Positions...)
-	sort.Ints(got)
-	sort.Ints(exp)
-	if len(got) != len(exp) {
-		t.Fatalf("async-prefetched selection has %d pins, cold %d", len(got), len(exp))
-	}
-	for i := range got {
-		if got[i] != exp[i] {
-			t.Fatalf("async-prefetched selection differs from cold at %d: %d vs %d", i, got[i], exp[i])
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 10s after Start, %d before it", runtime.NumGoroutine(), before)
 		}
+		runtime.Gosched()
 	}
-}
-
-// TestAsyncPrefetchNavigateImmediately races navigation against the
-// background prefetch goroutine: every operation joins (cancelling an
-// unfinished job), so rapid navigation must stay correct and free of
-// data races (run under -race). A concurrent Close at the end exercises
-// the only cross-goroutine entry point.
-func TestAsyncPrefetchNavigateImmediately(t *testing.T) {
-	store := testStore(t, 4000, 34)
-	cfg := testConfig(t)
-	cfg.K = 6
-	cfg.AsyncPrefetch = true
-	// An opaque metric keeps the background bound pass on the quadratic
-	// rows, so a join has unfinished work to cancel.
-	cfg.Metric = sim.Func(cfg.Metric.Sim)
-	s, err := NewSession(store, cfg)
+	sel, err := s.ZoomIn(context.Background(), region.ScaleAroundCenter(0.5))
 	if err != nil {
 		t.Fatal(err)
-	}
-	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.3)
-	if _, err := s.Start(context.Background(), region); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for step := 0; step < 12; step++ {
-		var err error
-		switch step % 3 {
-		case 0:
-			_, err = s.ZoomIn(ctx, s.Viewport().Region.ScaleAroundCenter(0.7))
-		case 1:
-			_, err = s.Pan(ctx, geo.Pt(0.01, -0.01))
-		default:
-			_, err = s.ZoomOut(ctx, s.Viewport().Region.ScaleAroundCenter(1.4))
-		}
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-	}
-	// Close from another goroutine while a background job may be in
-	// flight, then keep navigating: a closed session must still work, it
-	// just stops gaining background bounds.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.Close()
-	}()
-	<-done
-	if _, err := s.Pan(ctx, geo.Pt(-0.01, 0.01)); err != nil {
-		t.Fatalf("Pan after Close: %v", err)
-	}
-	if s.job != nil {
-		<-s.job.done
-	}
-	sel, err := s.Pan(ctx, geo.Pt(0.01, 0))
-	if err != nil {
-		t.Fatalf("second Pan after Close: %v", err)
 	}
 	if sel.Prefetched {
-		t.Fatal("closed session adopted background prefetch bounds")
-	}
-}
-
-// TestAsyncPrefetchConfigValidated double-checks the config path: the
-// engine knob round-trips through isos.Config's embedded engine.Config.
-func TestAsyncPrefetchConfigValidated(t *testing.T) {
-	cfg := Config{Config: engine.Config{K: 5, ThetaFrac: 0.02, Metric: sim.Cosine{}, AsyncPrefetch: true}}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if !cfg.AsyncPrefetch {
-		t.Fatal("promoted AsyncPrefetch not readable")
+		t.Fatal("a session with AsyncPrefetch set found bounds nobody asked for")
 	}
 }

@@ -1,7 +1,7 @@
 package isos
 
-// Version-awareness tests for live stores: stale prefetch discard
-// (async and sync), repin filtering and translation across compactions,
+// Version-awareness tests for live stores: stale prefetch discard,
+// repin filtering and translation across compactions,
 // and the matrix proving a mutation-free live store selects
 // bitwise-identically to the static store engine given the same region
 // order. Named *Churn* so CI's churn-stress job
@@ -43,55 +43,11 @@ func oneInsert(id int) []livestore.Mutation {
 	}}
 }
 
-// TestChurnStalePrefetchDiscardedAsync is the acceptance criterion's
-// "stale async bounds provably discarded" half: a finished background
-// job whose version predates an ingested epoch must not seed the lazy
-// heap, while the identical navigation without the intervening epoch
-// must (positive control — proves the discard is the version check, not
-// a prefetch miss).
-func TestChurnStalePrefetchDiscardedAsync(t *testing.T) {
-	ctx := context.Background()
-	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.2)
-	inner := region.ScaleAroundCenter(0.5)
-
-	run := func(mutate bool) *Selection {
-		ls := testLiveStore(t, 1200, 41)
-		cfg := testConfig(t)
-		cfg.AsyncPrefetch = true
-		s, err := NewSession(ls, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, err := s.Start(ctx, region); err != nil {
-			t.Fatal(err)
-		}
-		if s.job == nil {
-			t.Fatal("no background job after Start")
-		}
-		<-s.job.done // bounds for version 0 are now finished
-		if mutate {
-			if _, _, err := ls.Apply(ctx, oneInsert(100000)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sel, err := s.ZoomIn(ctx, inner)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sel
-	}
-
-	if sel := run(false); !sel.Prefetched {
-		t.Fatal("positive control: finished background prefetch was not adopted")
-	}
-	if sel := run(true); sel.Prefetched {
-		t.Fatal("bounds computed against version 0 seeded a selection on version 1")
-	}
-}
-
-// TestChurnStalePrefetchDiscardedSync: same protocol for explicit
-// synchronous Prefetch — the installed prefetchState records its
+// TestChurnStalePrefetchDiscardedSync: bounds computed against a
+// version that an ingested epoch has since replaced must not seed the
+// lazy heap, while the identical navigation without the intervening
+// epoch must (positive control — proves the discard is the version
+// check, not a prefetch miss). The installed prefetchState records its
 // version, and prefetchBounds refuses it once an epoch lands.
 func TestChurnStalePrefetchDiscardedSync(t *testing.T) {
 	ctx := context.Background()
@@ -104,7 +60,6 @@ func TestChurnStalePrefetchDiscardedSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		if _, err := s.Start(ctx, region); err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +96,6 @@ func TestChurnRepinFiltersVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.25)
 	sel, err := s.Start(ctx, region)
 	if err != nil {
@@ -218,7 +172,6 @@ func TestChurnSessionAcrossCompactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.2)
 	if _, err := s.Start(ctx, region); err != nil {
 		t.Fatal(err)
@@ -306,8 +259,8 @@ func equalInts(a, b []int) bool {
 // TestChurnFreeLiveStoreMatchesStaticMatrix is the "no mutations →
 // bitwise identical" criterion: the same exploration over a static
 // store and over an untouched live store must produce equal Positions
-// and bit-for-bit equal Scores in both sync- and async-prefetch
-// sessions. Both stores read the same grid (geodata.Grid) and answer
+// and bit-for-bit equal Scores with and without a Prefetch before each
+// step. Both stores read the same grid (geodata.Grid) and answer
 // every region in ascending order, so both stage every region alike.
 func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 	const n, seed = 1500, 44
@@ -331,12 +284,11 @@ func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 		positions []int
 		score     float64
 	}
-	explore := func(src geodata.Source, cfg Config) []navResult {
+	explore := func(src geodata.Source, cfg Config, prefetch bool) []navResult {
 		s, err := NewSession(src, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		ctx := context.Background()
 		var out []navResult
 		record := func(sel *Selection, err error) {
@@ -344,6 +296,11 @@ func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			out = append(out, navResult{append([]int(nil), sel.Positions...), sel.Score})
+			if prefetch {
+				if err := s.Prefetch(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		region := geo.RectAround(geo.Pt(0.5, 0.5), 0.3)
 		record(s.Start(ctx, region))
@@ -354,12 +311,11 @@ func TestChurnFreeLiveStoreMatchesStaticMatrix(t *testing.T) {
 		return out
 	}
 
-	for _, async := range []bool{false, true} {
-		name := fmt.Sprintf("async=%v", async)
+	for _, prefetch := range []bool{false, true} {
+		name := fmt.Sprintf("prefetch=%v", prefetch)
 		cfg := testConfig(t)
-		cfg.AsyncPrefetch = async
-		want := explore(static, cfg)
-		got := explore(live, cfg)
+		want := explore(static, cfg, prefetch)
+		got := explore(live, cfg, prefetch)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d steps vs %d", name, len(got), len(want))
 		}

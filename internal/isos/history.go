@@ -39,16 +39,13 @@ func (s *Session) Back() (*Selection, error) {
 	if len(s.history) == 0 {
 		return nil, fmt.Errorf("isos: no history to go back to")
 	}
-	// Any background bounds were computed for the viewport being
-	// abandoned: join (cancelling if unfinished) and drop them, then
-	// prefetch for the restored viewport.
-	s.joinPrefetch()
+	// Any prefetched bounds were computed for the viewport being
+	// abandoned.
 	last := s.history[len(s.history)-1]
 	s.history = s.history[:len(s.history)-1]
 	s.viewport = last.viewport
 	s.visible = append([]int(nil), last.visible...)
 	s.prefetch = nil
-	s.spawnPrefetch()
 	return &Selection{
 		Positions:     append([]int(nil), last.visible...),
 		RegionObjects: len(s.regionObjects(last.viewport.Region)),

@@ -4,18 +4,16 @@ import (
 	"context"
 
 	"geosel/internal/geo"
-	"geosel/internal/geodata"
 	"geosel/internal/prefetch"
 )
 
 // prefetchState caches the per-operation bound data computed by
-// Prefetch or the background prefetch goroutine; it is invalidated
-// after every navigation operation. Once installed on the session it is
-// read-only. version records the snapshot the bounds were computed
-// against: a Lemma 5.1–5.3 envelope sum only dominates in-region gains
-// over the same object set, so bounds are discarded — never seeded into
-// the lazy heap — when a navigation pins a newer version (see
-// prefetchBounds).
+// Prefetch; it is invalidated after every navigation operation. Once
+// installed on the session it is read-only. version records the
+// snapshot the bounds were computed against: a Lemma 5.1–5.3 envelope
+// sum only dominates in-region gains over the same object set, so
+// bounds are discarded — never seeded into the lazy heap — when a
+// navigation pins a newer version (see prefetchBounds).
 type prefetchState struct {
 	version uint64
 	ops     map[geo.Op]opBounds
@@ -41,11 +39,9 @@ func newPrefetchState(version uint64) *prefetchState {
 // every selection already bounds its own heap from linear row sums, at
 // least as tightly, so prefetching buys nothing there and costs one
 // envelope query and one pass over the envelope's vectors per
-// operation, plus O(nnz) per candidate in G at the next navigation. With
-// Config.AsyncPrefetch the session already does this on a background
-// goroutine after every navigation — an explicit Prefetch then first
-// joins that background work (adopting its result if it completed) and
-// computes the requested ops synchronously on top.
+// operation, plus O(nnz) per candidate in G at the next navigation.
+// This is the only way a session gains bounds: it never prefetches on
+// its own.
 //
 // ctx cancels the computation cooperatively; bounds for operations
 // completed before the cancellation are kept (they remain valid), the
@@ -54,49 +50,34 @@ func (s *Session) Prefetch(ctx context.Context, ops ...geo.Op) error {
 	if err := s.requireStarted(); err != nil {
 		return err
 	}
-	s.joinPrefetch()
 	if len(ops) == 0 {
 		ops = []geo.Op{geo.OpZoomIn, geo.OpZoomOut, geo.OpPan}
 	}
 	if s.prefetch == nil || s.prefetch.version != s.version {
 		s.prefetch = newPrefetchState(s.version)
 	}
-	return s.computePrefetch(ctx, s.prefetch, s.view, s.viewport, ops)
-}
-
-// computePrefetch fills st with bound data for ops as seen from vp over
-// the given pinned view. It reads only immutable inputs — the view and
-// viewport are captured by the caller, cfg never changes — so the
-// background prefetch goroutine can run it concurrently with the
-// owner's navigation calls (which may repin s.view under its feet) on a
-// privately-owned st.
-func (s *Session) computePrefetch(ctx context.Context, st *prefetchState, view geodata.View, vp geo.Viewport, ops []geo.Op) error {
+	vp := s.viewport
 	for _, op := range ops {
 		var env geo.Rect
-		switch op {
-		case geo.OpZoomIn:
-			env = vp.Region
-		case geo.OpZoomOut:
-			env = vp.ZoomOutEnvelope(s.cfg.MaxZoomOutScale)
-		case geo.OpPan:
-			env = vp.PanEnvelope()
-		default:
-			continue
-		}
 		var b *prefetch.Bounds
 		var err error
 		switch op {
 		case geo.OpZoomIn:
-			b, err = prefetch.ZoomInBounds(ctx, view, vp.Region, s.cfg.Metric)
+			env = vp.Region
+			b, err = prefetch.ZoomInBounds(ctx, s.view, vp.Region, s.cfg.Metric)
 		case geo.OpZoomOut:
-			b, err = prefetch.ZoomOutBounds(ctx, view, vp, s.cfg.MaxZoomOutScale, s.cfg.Metric)
+			env = vp.ZoomOutEnvelope(s.cfg.MaxZoomOutScale)
+			b, err = prefetch.ZoomOutBounds(ctx, s.view, vp, s.cfg.MaxZoomOutScale, s.cfg.Metric)
 		case geo.OpPan:
-			b, err = prefetch.PanBounds(ctx, view, vp, s.cfg.Metric)
+			env = vp.PanEnvelope()
+			b, err = prefetch.PanBounds(ctx, s.view, vp, s.cfg.Metric)
+		default:
+			continue
 		}
 		if err != nil {
 			return err
 		}
-		st.ops[op] = opBounds{env: env, bounds: b}
+		s.prefetch.ops[op] = opBounds{env: env, bounds: b}
 	}
 	return nil
 }

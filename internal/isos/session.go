@@ -13,19 +13,20 @@ import (
 )
 
 // Config parameterizes a Session. The shared engine knobs — K,
-// ThetaFrac, Metric, Agg, MaxZoomOutScale, AsyncPrefetch — live in the embedded engine.Config (see that package
-// for per-field semantics) and are forwarded wholesale to every
-// selection the session runs; the fields declared here are
-// session-specific.
+// ThetaFrac, Metric, Agg, MaxZoomOutScale — live in the embedded
+// engine.Config (see that package for per-field semantics) and are
+// forwarded wholesale to every selection the session runs; the fields
+// declared here are session-specific.
 //
 // Of particular session relevance in engine.Config:
 //
 //   - ThetaFrac expresses the visibility threshold θ as a fraction of
 //     the viewport side length, so the on-screen separation is constant
 //     across zoom levels.
-//   - AsyncPrefetch launches the background prefetch goroutine after
-//     every navigation (see Prefetch for the sync API and async.go for
-//     the join protocol).
+//   - MaxZoomOutScale bounds the zoom-out envelope Prefetch covers.
+//
+// A session never prefetches on its own: bounds exist only after an
+// explicit Prefetch call (engine.Config.AsyncPrefetch is ignored).
 type Config struct {
 	engine.Config
 
@@ -73,12 +74,7 @@ type Selection struct {
 
 // Session is an interactive exploration of one dataset. A session
 // models a single user's map: its methods must not be called
-// concurrently with each other. The one exception is Close, which may
-// be called from any goroutine (a server evicting idle sessions) and
-// only cancels background work. The background prefetch goroutine
-// (Config.AsyncPrefetch) is managed internally and synchronized through
-// the join protocol in async.go — it never touches mutable session
-// state.
+// concurrently with each other, and it starts no goroutines of its own.
 type Session struct {
 	src geodata.Source
 	cfg Config
@@ -94,20 +90,12 @@ type Session struct {
 	version        uint64
 	visibleVersion uint64
 
-	// base is the session-lifetime context: background prefetch
-	// goroutines derive from it, so Close cancels them all.
-	base       context.Context
-	baseCancel context.CancelFunc
-
 	viewport geo.Viewport
 	visible  []int // collection positions currently displayed
 	started  bool
 	history  []histEntry
 
 	prefetch *prefetchState
-	// job is the in-flight background prefetch computation, nil when
-	// none is running; see async.go.
-	job *prefetchJob
 }
 
 // NewSession validates the configuration and returns a session over the
@@ -126,9 +114,8 @@ func NewSession(src geodata.Source, cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("isos: K must be positive, got %d", cfg.K)
 	}
 	cfg.Config = cfg.Config.WithDefaults()
-	base, cancel := context.WithCancel(context.Background())
 	view, ver := src.Snapshot()
-	return &Session{src: src, cfg: cfg, view: view, version: ver, visibleVersion: ver, base: base, baseCancel: cancel}, nil
+	return &Session{src: src, cfg: cfg, view: view, version: ver, visibleVersion: ver}, nil
 }
 
 // View returns the currently pinned snapshot and its version. The view
@@ -179,13 +166,11 @@ func translateLive(pos []int, lv geodata.LiveView, pinned uint64) []int {
 	return out
 }
 
-// Close cancels the session's background prefetch work. It is safe to
-// call from any goroutine — including concurrently with the owner's
-// navigation calls — because it only cancels the session-lifetime
-// context and touches no other session state. A closed session can
-// still navigate (navigation runs under the caller's context); it just
-// never gains prefetched bounds from background work again.
-func (s *Session) Close() { s.baseCancel() }
+// Close does nothing: a session holds no goroutines or other resources
+// to release.
+//
+// Deprecated: sessions need no closing; drop the call.
+func (s *Session) Close() {}
 
 // Viewport returns the current viewport; meaningful after Start.
 func (s *Session) Viewport() geo.Viewport { return s.viewport }
@@ -211,7 +196,6 @@ func (s *Session) Start(ctx context.Context, region geo.Rect) (*Selection, error
 		return nil, fmt.Errorf("isos: invalid start region %v", region)
 	}
 	s.repin()
-	s.joinPrefetch()
 	world := region
 	if b, ok := s.view.Bounds(); ok {
 		world = b
@@ -227,7 +211,6 @@ func (s *Session) Start(ctx context.Context, region geo.Rect) (*Selection, error
 	s.started = true
 	s.prefetch = nil
 	s.history = nil
-	s.spawnPrefetch()
 	return sel, nil
 }
 
@@ -244,7 +227,6 @@ func (s *Session) ZoomIn(ctx context.Context, inner geo.Rect) (*Selection, error
 		return nil, err
 	}
 	s.repin()
-	s.joinPrefetch()
 	sameVersion := s.visibleVersion == s.version
 	objs := s.regionObjects(inner)
 	d := DeriveZoomIn(s.visible, objs, inner, s.locate)
@@ -261,7 +243,6 @@ func (s *Session) ZoomIn(ctx context.Context, inner geo.Rect) (*Selection, error
 	s.trimHistory()
 	s.viewport = nv
 	s.prefetch = nil
-	s.spawnPrefetch()
 	return sel, nil
 }
 
@@ -278,7 +259,6 @@ func (s *Session) ZoomOut(ctx context.Context, outer geo.Rect) (*Selection, erro
 		return nil, err
 	}
 	s.repin()
-	s.joinPrefetch()
 	sameVersion := s.visibleVersion == s.version
 	objs := s.regionObjects(outer)
 	d := DeriveZoomOut(s.visible, objs, old, s.locate)
@@ -295,7 +275,6 @@ func (s *Session) ZoomOut(ctx context.Context, outer geo.Rect) (*Selection, erro
 	s.trimHistory()
 	s.viewport = nv
 	s.prefetch = nil
-	s.spawnPrefetch()
 	return sel, nil
 }
 
@@ -312,7 +291,6 @@ func (s *Session) Pan(ctx context.Context, delta geo.Point) (*Selection, error) 
 		return nil, err
 	}
 	s.repin()
-	s.joinPrefetch()
 	sameVersion := s.visibleVersion == s.version
 	objs := s.regionObjects(nv.Region)
 	d := DerivePan(s.visible, objs, old, s.locate)
@@ -329,7 +307,6 @@ func (s *Session) Pan(ctx context.Context, delta geo.Point) (*Selection, error) 
 	s.trimHistory()
 	s.viewport = nv
 	s.prefetch = nil
-	s.spawnPrefetch()
 	return sel, nil
 }
 

@@ -27,7 +27,6 @@ func TestSessionWarmNavigationConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ctx := context.Background()
 
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.15)
@@ -100,7 +99,6 @@ func TestSessionWarmDeclineFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ctx := context.Background()
 
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.2)

@@ -82,10 +82,12 @@ func navScript(t *testing.T, s *isos.Session) [][]int {
 // owner navigating, one writer applying mutation batches, no
 // synchronization between them beyond the store's snapshot publication.
 // Every selection must resolve against the session's pinned view with
-// all positions live there.
+// all positions live there. A Prefetch before every step puts the
+// version check on the session's prefetch state under concurrent
+// ingest.
 func TestChurnNavigateWhileIngesting(t *testing.T) {
-	// Sized for the race detector: async prefetch recomputes Lemma
-	// bounds on every step, which is the dominant cost here.
+	// Sized for the race detector: the prefetch before every step
+	// recomputes Lemma bounds, which is the dominant cost here.
 	col := churnCollection(t, 800, 1)
 	muts := churnMutations(t, col, 2000, 2)
 	ls, err := livestore.New(col, engine.Config{})
@@ -106,37 +108,32 @@ func TestChurnNavigateWhileIngesting(t *testing.T) {
 		}
 	}()
 
-	cfg := churnSessionCfg(12)
-	cfg.AsyncPrefetch = true
-	s, err := isos.NewSession(ls, cfg)
+	s, err := isos.NewSession(ls, churnSessionCfg(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	nav := context.Background()
 	if _, err := s.Start(nav, geo.RectAround(geo.Pt(0.5, 0.5), 0.3)); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 12; i++ {
+		if err := s.Prefetch(nav); err != nil {
+			t.Fatal(err)
+		}
 		region := s.Viewport().Region
 		var sel *isos.Selection
 		var err error
-		switch i % 4 {
+		switch i % 3 {
 		case 0:
 			sel, err = s.ZoomIn(nav, region.ScaleAroundCenter(0.7))
 		case 1:
 			sel, err = s.Pan(nav, geo.Pt((rng.Float64()-0.5)*0.1*region.Width(), (rng.Float64()-0.5)*0.1*region.Height()))
-		case 2:
-			sel, err = s.ZoomOut(nav, region.ScaleAroundCenter(1.3))
 		default:
-			err = s.Prefetch(nav)
+			sel, err = s.ZoomOut(nav, region.ScaleAroundCenter(1.3))
 		}
 		if err != nil {
 			t.Fatal(err)
-		}
-		if sel == nil {
-			continue
 		}
 		view, ver := s.View()
 		lv := view.(geodata.LiveView)
@@ -172,7 +169,6 @@ func TestChurnFrozenSnapshotIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		return navScript(t, s)
 	}
 	before := run()
@@ -217,7 +213,6 @@ func TestChurnDeletedObjectsNeverAppear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	sel, err := s.Start(ctx, geo.RectAround(geo.Pt(0.5, 0.5), 0.4))
 	if err != nil {
 		t.Fatal(err)

@@ -129,16 +129,12 @@ func New(src geodata.Source, cfg engine.Config) (*Server, error) {
 	return srv, nil
 }
 
-// Close cancels the background prefetch goroutines of every live
-// session and drops them all. Call it after http.Server.Shutdown has
-// drained in-flight requests.
+// Close drops every live session. Call it after http.Server.Shutdown
+// has drained in-flight requests.
 func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id, ent := range s.sessions {
-		ent.sess.Close()
-		delete(s.sessions, id)
-	}
+	clear(s.sessions)
 }
 
 // requestContext derives the context a handler's work runs under: the
@@ -386,17 +382,14 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 // evictLocked enforces the session lifecycle bounds; the caller holds
 // s.mu. Sessions idle past SessionTTL are dropped, and when the map is
 // still at MaxSessions the idlest sessions are dropped until one slot
-// is free for the caller's insert. Evicted sessions are Closed —
-// cancelling their background prefetch — which is safe even if an
-// in-flight request still holds the evicted entry's lock: Close only
-// cancels a context, and the entry itself stays valid for that last
-// request while future lookups 404.
+// is free for the caller's insert. An in-flight request that still
+// holds an evicted entry's lock finishes on it, while future lookups
+// 404.
 func (s *Server) evictLocked() {
 	now := s.now()
 	if ttl := s.cfg.SessionTTL; ttl > 0 {
 		for id, ent := range s.sessions {
 			if now.Sub(ent.last) > ttl {
-				ent.sess.Close()
 				delete(s.sessions, id)
 			}
 		}
@@ -416,7 +409,6 @@ func (s *Server) evictLocked() {
 		if oldestID == "" {
 			return
 		}
-		s.sessions[oldestID].sess.Close()
 		delete(s.sessions, oldestID)
 	}
 }
@@ -560,14 +552,13 @@ func (s *Server) handleBack(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	ent, ok := s.sessions[id]
+	_, ok := s.sessions[id]
 	delete(s.sessions, id)
 	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown session")
 		return
 	}
-	ent.sess.Close()
 	w.WriteHeader(http.StatusNoContent)
 }
 

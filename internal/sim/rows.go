@@ -15,9 +15,9 @@ const RowBlock = 256
 type rowsKind uint8
 
 const (
-	// rowsGeneric calls m.Sim per pair: custom metrics, Precomputed,
-	// and built-ins with degenerate parameters (whose extra per-pair
-	// branch is not worth a loop of its own).
+	// rowsGeneric calls m.Sim per pair: custom metrics and built-ins
+	// with degenerate parameters (whose extra per-pair branch is not
+	// worth a loop of its own).
 	rowsGeneric rowsKind = iota
 	rowsEuclid
 	rowsGauss

@@ -56,10 +56,6 @@ func TestCompileKernelMatchesInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	precomputed, err := NewPrecomputed(objs, hybrid)
-	if err != nil {
-		t.Fatal(err)
-	}
 	quarter := Func(func(a, b *geodata.Object) float64 { return 0.25 })
 	cases := []struct {
 		name string
@@ -76,7 +72,6 @@ func TestCompileKernelMatchesInterface(t *testing.T) {
 		{"hybrid-degenerate", Hybrid{Alpha: 0.3, Text: Cosine{}, Spatial: GaussianProximity{}}, rowsHybrid},
 		{"hybrid-custom-part", Hybrid{Alpha: 0.5, Text: quarter, Spatial: EuclideanProximity{MaxDist: 1}}, rowsHybrid},
 		{"custom", Func(func(a, b *geodata.Object) float64 { return a.Loc.X * b.Loc.X }), rowsGeneric},
-		{"precomputed", precomputed, rowsGeneric},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -312,10 +307,6 @@ func TestRowSumsDeclines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	precomputed, err := NewPrecomputed(objs, Cosine{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ones := func() []float64 {
 		w := make([]float64, len(objs))
 		for i := range w {
@@ -326,11 +317,10 @@ func TestRowSumsDeclines(t *testing.T) {
 	cs := []int{0, 7, 39}
 	dst := make([]float64, len(cs))
 	for name, m := range map[string]Metric{
-		"euclidean":   EuclideanProximity{MaxDist: 0.7},
-		"gaussian":    GaussianProximity{Sigma: 0.2},
-		"hybrid":      hybrid,
-		"func":        Func(Cosine{}.Sim),
-		"precomputed": precomputed,
+		"euclidean": EuclideanProximity{MaxDist: 0.7},
+		"gaussian":  GaussianProximity{Sigma: 0.2},
+		"hybrid":    hybrid,
+		"func":      Func(Cosine{}.Sim),
 	} {
 		if NewRows(m, objs).RowSums(dst, ones(), cs) {
 			t.Errorf("%s: RowSums answered for a metric with no linear row sum", name)

@@ -200,88 +200,3 @@ func TestDistance(t *testing.T) {
 		t.Errorf("Distance self = %v", got)
 	}
 }
-
-func TestPrecomputedMatchesBase(t *testing.T) {
-	vocab := textsim.NewVocabulary()
-	rng := rand.New(rand.NewSource(99))
-	words := []string{"a", "b", "c", "d"}
-	objs := make([]geodata.Object, 40)
-	for i := range objs {
-		objs[i] = geodata.Object{
-			Loc: geo.Pt(rng.Float64(), rng.Float64()),
-			Vec: textsim.FromText(vocab, words[rng.Intn(len(words))]),
-		}
-	}
-	base, err := NewHybrid(0.5, math.Sqrt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPrecomputed(objs, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range objs {
-		for j := range objs {
-			got := p.Sim(&objs[i], &objs[j])
-			want := base.Sim(&objs[i], &objs[j])
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("(%d,%d): %v vs %v", i, j, got, want)
-			}
-		}
-	}
-	// Foreign objects fall back to the base metric.
-	foreign := geodata.Object{Loc: geo.Pt(0.5, 0.5), Vec: textsim.FromText(vocab, "a")}
-	got := p.Sim(&foreign, &objs[0])
-	want := base.Sim(&foreign, &objs[0])
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("fallback: %v vs %v", got, want)
-	}
-}
-
-func TestPrecomputedValidation(t *testing.T) {
-	if _, err := NewPrecomputed(nil, nil); err == nil {
-		t.Error("nil base should fail")
-	}
-	p, err := NewPrecomputed(nil, Cosine{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &geodata.Object{}
-	if got := p.Sim(a, a); got != 1 {
-		t.Errorf("empty precompute fallback self-sim = %v", got)
-	}
-}
-
-func TestPrecomputedInGreedyPath(t *testing.T) {
-	// The cached metric must leave greedy selections unchanged. (Uses a
-	// metric closure that counts invocations to prove the cache absorbs
-	// the inner loop.)
-	vocab := textsim.NewVocabulary()
-	rng := rand.New(rand.NewSource(100))
-	objs := make([]geodata.Object, 60)
-	for i := range objs {
-		objs[i] = geodata.Object{
-			Loc:    geo.Pt(rng.Float64(), rng.Float64()),
-			Weight: 1,
-			Vec:    textsim.FromText(vocab, "w"+string(rune('a'+rng.Intn(6)))),
-		}
-	}
-	calls := 0
-	counting := Func(func(a, b *geodata.Object) float64 {
-		calls++
-		return Cosine{}.Sim(a, b)
-	})
-	p, err := NewPrecomputed(objs, counting)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := calls
-	for i := 0; i < 10; i++ {
-		for j := 0; j < 60; j++ {
-			p.Sim(&objs[i], &objs[j])
-		}
-	}
-	if calls != after {
-		t.Errorf("cache miss: %d extra base calls", calls-after)
-	}
-}
