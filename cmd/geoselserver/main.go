@@ -74,7 +74,6 @@ func main() {
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled")
 		tileCache   = flag.Bool("tilecache", false, "materialize selections per map tile: warm /select and session serving, enables GET /tiles/{z}/{x}/{y} and GET /cache/stats")
 		tileCap     = flag.Int("tilecache-capacity", 0, "cached tile entries across all shards (0 = engine default)")
-		tileBudget  = flag.Float64("tile-repair-budget", 0, "seam-repair gain budget as a fraction of stitched gain mass before falling back to full greedy (0 = engine default)")
 		// Still accepted so existing command lines keep working.
 		_ = flag.Bool("async-prefetch", false, "ignored: sessions prefetch only on POST /sessions/{id}/prefetch")
 	)
@@ -113,7 +112,6 @@ func main() {
 		MaxSessions:       *maxSessions,
 		TileCache:         *tileCache,
 		TileCacheCapacity: *tileCap,
-		TileRepairBudget:  *tileBudget,
 	}
 	// A frozen snapshot is not a *livestore.Store, so without -live the
 	// write routes answer 501.

@@ -149,7 +149,7 @@ func MetricFunc(f func(a, b *Object) float64) Metric { return sim.Func(f) }
 
 // Options parameterizes a one-shot Select: the embedded EngineConfig
 // carries the selection shape and execution knobs (K, Theta/ThetaFrac,
-// Metric, MinGain, ...); the remaining fields are Select-specific.
+// Metric, ...); the remaining fields are Select-specific.
 //
 // In Select, ThetaFrac is interpreted against the longest side of the
 // queried region, and Theta overrides it when positive.

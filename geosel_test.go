@@ -253,22 +253,3 @@ func TestSessionWithFilter(t *testing.T) {
 
 // newRand is a tiny helper for integration tests.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func TestSelectMinGain(t *testing.T) {
-	store := facadeStore(t)
-	region := RectAround(Pt(0.5, 0.5), 0.3)
-	full, err := Select(context.Background(), store, region, Options{Config: engine.Config{K: 20, Metric: Cosine()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut, err := Select(context.Background(), store, region, Options{Config: engine.Config{K: 20, Metric: Cosine(), MinGain: 1e18}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cut.Positions) != 0 {
-		t.Errorf("huge MinGain selected %d", len(cut.Positions))
-	}
-	if len(full.Positions) == 0 {
-		t.Error("full run selected nothing")
-	}
-}

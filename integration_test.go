@@ -311,8 +311,10 @@ func TestOneSelectionAcrossEntryPoints(t *testing.T) {
 	ctx := context.Background()
 	// Corners exact in binary, so Width, Height and the session's
 	// longest side are one number and every door derives the same θ.
+	// A θ of a quarter of the side conflicts tiles across their seams
+	// beyond the cache's repair budget, so the cache door falls back.
 	region := Rect{Min: Pt(0.125, 0.5625), Max: Pt(0.375, 0.8125)}
-	const k, thetaFrac = 20, 0.05
+	const k, thetaFrac = 6, 0.25
 	theta := thetaFrac * region.Width()
 
 	want, err := Select(ctx, store, region, Options{Config: engine.Config{K: k, ThetaFrac: thetaFrac, Metric: Cosine()}})
@@ -365,9 +367,7 @@ func TestOneSelectionAcrossEntryPoints(t *testing.T) {
 	}
 	same("/select", servedPos, served.Score)
 
-	// A repair budget of nearly nothing: the first seam conflict sends
-	// the viewport to the cache's fallback.
-	cache, err := tilecache.New(engine.Config{Metric: sim.Cosine{}, TileRepairBudget: 1e-9})
+	cache, err := tilecache.New(engine.Config{Metric: sim.Cosine{}})
 	if err != nil {
 		t.Fatal(err)
 	}

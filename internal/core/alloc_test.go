@@ -19,7 +19,7 @@ import (
 func steadyState(t testing.TB, ctx context.Context, s *Selector, warm int) (*evaluator, *runState, *Result) {
 	t.Helper()
 	n := len(s.Objects)
-	e := newEvaluator(ctx, s.Objects, s.Metric, s.Agg)
+	e := newEvaluator(ctx, s.Objects, s.Metric)
 	forced := make(map[int]bool)
 	for _, f := range s.Forced {
 		forced[f] = true
@@ -42,8 +42,8 @@ func steadyState(t testing.TB, ctx context.Context, s *Selector, warm int) (*eva
 		t.Fatal(err)
 	}
 	for i := 0; i < warm; i++ {
-		if done, err := s.lazyStep(e, res, st); err != nil || done {
-			t.Fatalf("warmup step %d: done=%v err=%v", i, done, err)
+		if err := s.lazyStep(e, res, st); err != nil {
+			t.Fatalf("warmup step %d: %v", i, err)
 		}
 	}
 	return e, st, res
@@ -92,8 +92,8 @@ func TestGreedySteadyStateAllocs(t *testing.T) {
 			e, st, res := steadyState(t, context.Background(), s, c.warm)
 			blocks := len(st.res.blocks)
 			avg := testing.AllocsPerRun(100, func() {
-				if done, err := s.lazyStep(e, res, st); err != nil || done {
-					t.Fatalf("measured step: done=%v err=%v", done, err)
+				if err := s.lazyStep(e, res, st); err != nil {
+					t.Fatalf("measured step: %v", err)
 				}
 			})
 			if avg != 0 {
@@ -131,7 +131,7 @@ func TestMarginalBatchReusesDst(t *testing.T) {
 		t.Skip("invariant assertions allocate their diagnostic arguments")
 	}
 	objs := testObjects(600, 5)
-	e := newEvaluator(nil, objs, sim.EuclideanProximity{MaxDist: 0.3}, AggMax)
+	e := newEvaluator(nil, objs, sim.EuclideanProximity{MaxDist: 0.3})
 	best := make([]float64, len(objs))
 	var sum float64
 	avg := testing.AllocsPerRun(100, func() {

@@ -122,26 +122,11 @@ func TestSimToSetAggregations(t *testing.T) {
 	sel := []int{1, 2}
 	s01 := m.Sim(&objs[0], &objs[1])
 	s02 := m.Sim(&objs[0], &objs[2])
-	if got, want := SimToSet(objs, 0, sel, m, AggMax), math.Max(s01, s02); math.Abs(got-want) > 1e-12 {
+	if got, want := SimToSet(objs, 0, sel, m), math.Max(s01, s02); math.Abs(got-want) > 1e-12 {
 		t.Errorf("max = %v, want %v", got, want)
 	}
-	if got, want := SimToSet(objs, 0, sel, m, AggSum), s01+s02; math.Abs(got-want) > 1e-12 {
-		t.Errorf("sum = %v, want %v", got, want)
-	}
-	if got, want := SimToSet(objs, 0, sel, m, AggAvg), (s01+s02)/2; math.Abs(got-want) > 1e-12 {
-		t.Errorf("avg = %v, want %v", got, want)
-	}
-	if got := SimToSet(objs, 0, nil, m, AggMax); got != 0 {
+	if got := SimToSet(objs, 0, nil, m); got != 0 {
 		t.Errorf("empty set = %v", got)
-	}
-}
-
-func TestAggString(t *testing.T) {
-	if AggMax.String() != "max" || AggSum.String() != "sum" || AggAvg.String() != "avg" {
-		t.Error("Agg.String mismatch")
-	}
-	if Agg(9).String() != "Agg(9)" {
-		t.Error("unknown Agg.String mismatch")
 	}
 }
 
@@ -345,7 +330,7 @@ func TestGreedyApproximationRatio(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, opt, err := Exact(objs, k, theta, m, AggMax)
+		_, opt, err := Exact(objs, k, theta, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,54 +489,6 @@ func TestGreedyTightInitialGainsReduceEvals(t *testing.T) {
 	}
 }
 
-func TestGreedySumAggregation(t *testing.T) {
-	objs := testObjects(50, 300)
-	m := hybridMetric(t)
-	sel := &Selector{Config: engine.Config{K: 5, Theta: 0.05, Metric: m, Agg: AggSum}, Objects: objs}
-	res, err := sel.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Score(objs, res.Selected, m, AggSum)
-	if math.Abs(res.Score-want) > 1e-9 {
-		t.Fatalf("sum score %v, recomputed %v", res.Score, want)
-	}
-	// Under AggSum the objective is modular: greedy is optimal among
-	// visibility-feasible sets built in gain order; at minimum, the
-	// picks must be sorted by descending initial gain when theta = 0.
-	sel0 := &Selector{Config: engine.Config{K: 5, Theta: 0, Metric: m, Agg: AggSum}, Objects: objs}
-	res0, err := sel0.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gain := func(c int) float64 {
-		var g float64
-		for j := range objs {
-			g += objs[j].Weight * m.Sim(&objs[j], &objs[c])
-		}
-		return g
-	}
-	for i := 1; i < len(res0.Selected); i++ {
-		if gain(res0.Selected[i]) > gain(res0.Selected[i-1])+1e-9 {
-			t.Fatalf("AggSum picks not in gain order at %d", i)
-		}
-	}
-}
-
-func TestGreedyAvgAggregation(t *testing.T) {
-	objs := testObjects(40, 301)
-	m := hybridMetric(t)
-	sel := &Selector{Config: engine.Config{K: 4, Theta: 0.05, Metric: m, Agg: AggAvg}, Objects: objs}
-	res, err := sel.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Score(objs, res.Selected, m, AggAvg)
-	if math.Abs(res.Score-want) > 1e-9 {
-		t.Fatalf("avg score %v, recomputed %v", res.Score, want)
-	}
-}
-
 func TestGreedyDeterministic(t *testing.T) {
 	objs := testObjects(100, 400)
 	m := hybridMetric(t)
@@ -583,7 +520,7 @@ func TestExactSmall(t *testing.T) {
 		mk(0.1, 0.1, "a"), mk(0.12, 0.1, "a"), mk(0.11, 0.12, "a"),
 		mk(0.9, 0.9, "b"), mk(0.88, 0.9, "b"),
 	}
-	selIdx, score, err := Exact(objs, 2, 0.01, sim.Cosine{}, AggMax)
+	selIdx, score, err := Exact(objs, 2, 0.01, sim.Cosine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,21 +542,21 @@ func TestExactSmall(t *testing.T) {
 
 func TestExactErrors(t *testing.T) {
 	objs := testObjects(30, 500)
-	if _, _, err := Exact(objs, 2, 0.1, sim.Cosine{}, AggMax); err == nil {
+	if _, _, err := Exact(objs, 2, 0.1, sim.Cosine{}); err == nil {
 		t.Error("oversized instance should fail")
 	}
 	small := testObjects(5, 501)
-	if _, _, err := Exact(small, 2, 0.1, nil, AggMax); err == nil {
+	if _, _, err := Exact(small, 2, 0.1, nil); err == nil {
 		t.Error("nil metric should fail")
 	}
-	if _, _, err := Exact(small, -1, 0.1, sim.Cosine{}, AggMax); err == nil {
+	if _, _, err := Exact(small, -1, 0.1, sim.Cosine{}); err == nil {
 		t.Error("negative k should fail")
 	}
 }
 
 func TestExactRespectsVisibility(t *testing.T) {
 	objs := testObjects(10, 502)
-	selIdx, _, err := Exact(objs, 4, 0.3, hybridMetric(t), AggMax)
+	selIdx, _, err := Exact(objs, 4, 0.3, hybridMetric(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,7 +641,7 @@ func TestPaperWorkedExample(t *testing.T) {
 		t.Errorf("second pick id = %d, want o4", second)
 	}
 	// The paper's marginal for o1: (1+0.9+0.2+0.5+0+0) = 2.6.
-	e := newEvaluator(nil, objs, metric, AggMax)
+	e := newEvaluator(nil, objs, metric)
 	if g := e.marginal(make([]float64, 6), 0); math.Abs(g-2.6) > 1e-9 {
 		t.Errorf("initial marginal of o1 = %v, want 2.6", g)
 	}
@@ -773,7 +710,7 @@ func TestQuickGreedyInvariants(t *testing.T) {
 			}
 			seen[s] = true
 		}
-		_, opt, err := Exact(objs, k, theta, m, AggMax)
+		_, opt, err := Exact(objs, k, theta, m)
 		if err != nil {
 			return false
 		}
@@ -794,49 +731,4 @@ func mod1(x float64) float64 {
 		x += 1
 	}
 	return x
-}
-
-func TestMinGainEarlyStop(t *testing.T) {
-	objs := testObjects(200, 700)
-	m := hybridMetric(t)
-	// Full run to learn the gain profile.
-	full := &Selector{Config: engine.Config{K: 30, Theta: 0.02, Metric: m}, Objects: objs}
-	fres, err := full.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fres.Gains) < 10 {
-		t.Skip("not enough picks to threshold")
-	}
-	cut := fres.Gains[9] // stop strictly before the 11th pick at latest
-	for _, naive := range []bool{false, true} {
-		sel := &Selector{Config: engine.Config{K: 30, Theta: 0.02, Metric: m, MinGain: cut, DisableLazy: naive}, Objects: objs}
-		res, err := sel.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Selected) > 10 {
-			t.Fatalf("naive=%v: %d picks, want <= 10 at MinGain %v", naive, len(res.Selected), cut)
-		}
-		for _, g := range res.Gains {
-			if g < cut {
-				t.Fatalf("naive=%v: selected gain %v below MinGain %v", naive, g, cut)
-			}
-		}
-		// The kept prefix must match the unthresholded run.
-		for i := range res.Selected {
-			if res.Selected[i] != fres.Selected[i] {
-				t.Fatalf("naive=%v: prefix differs at %d", naive, i)
-			}
-		}
-	}
-	// MinGain above every gain selects nothing.
-	none := &Selector{Config: engine.Config{K: 30, Theta: 0.02, Metric: m, MinGain: 1e18}, Objects: objs}
-	nres, err := none.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nres.Selected) != 0 {
-		t.Errorf("huge MinGain selected %d", len(nres.Selected))
-	}
 }

@@ -16,13 +16,10 @@ import (
 // dimension label used in failure messages.
 func matrixMetrics(t *testing.T) map[string]sim.Metric {
 	t.Helper()
-	hybridGauss := sim.Hybrid{Alpha: 0.4, Text: sim.Cosine{}, Spatial: sim.GaussianProximity{Sigma: 0.2}}
 	return map[string]sim.Metric{
-		"euclid":       sim.EuclideanProximity{MaxDist: 0.3},
-		"gauss":        sim.GaussianProximity{Sigma: 0.2},
-		"cosine":       sim.Cosine{},
-		"hybrid":       hybridMetric(t),
-		"hybrid-gauss": hybridGauss,
+		"euclid": sim.EuclideanProximity{MaxDist: 0.3},
+		"cosine": sim.Cosine{},
+		"hybrid": hybridMetric(t),
 	}
 }
 
@@ -32,7 +29,6 @@ func matrixMetrics(t *testing.T) map[string]sim.Metric {
 type metricOracle struct {
 	objs []geodata.Object
 	m    sim.Metric
-	sum  bool
 }
 
 // visit calls f for every object a pass over c touches, in index order.
@@ -44,9 +40,7 @@ func (o *metricOracle) visit(c int, f func(i int, v float64)) {
 
 func (o *metricOracle) absorb(best []float64, sel int) {
 	o.visit(sel, func(i int, v float64) {
-		if o.sum {
-			best[i] += v
-		} else if v > best[i] {
+		if v > best[i] {
 			best[i] = v
 		}
 	})
@@ -61,9 +55,7 @@ func (o *metricOracle) marginal(best []float64, c int) float64 {
 			part = 0
 			chunk = nc
 		}
-		if o.sum {
-			part += o.objs[i].Weight * v
-		} else if v > best[i] {
+		if v > best[i] {
 			part += o.objs[i].Weight * (v - best[i])
 		}
 	})
@@ -79,30 +71,26 @@ func TestEvaluatorMatchesMetric(t *testing.T) {
 	objs := testObjects(700, 31) // three chunks
 	metrics := matrixMetrics(t)
 	metrics["custom"] = sim.Func(sim.EuclideanProximity{MaxDist: 0.3}.Sim)
-	metrics["gauss-narrow"] = sim.GaussianProximity{Sigma: 0.05}
 	for name, m := range metrics {
-		for _, agg := range []Agg{AggMax, AggSum} {
-			e := newEvaluator(nil, objs, m, agg)
-			oracle := &metricOracle{objs: objs, m: m, sum: e.sumAgg()}
-			got := make([]float64, len(objs))
-			want := make([]float64, len(objs))
-			rng := rand.New(rand.NewSource(5))
-			for round := 0; round < 4; round++ {
-				sel := rng.Intn(len(objs))
-				e.absorb(got, sel)
-				oracle.absorb(want, sel)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s agg=%v: absorb state[%d] = %v, metric says %v",
-							name, agg, i, got[i], want[i])
-					}
+		e := newEvaluator(nil, objs, m)
+		oracle := &metricOracle{objs: objs, m: m}
+		got := make([]float64, len(objs))
+		want := make([]float64, len(objs))
+		rng := rand.New(rand.NewSource(5))
+		for round := 0; round < 4; round++ {
+			sel := rng.Intn(len(objs))
+			e.absorb(got, sel)
+			oracle.absorb(want, sel)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: absorb state[%d] = %v, metric says %v", name, i, got[i], want[i])
 				}
-				for probe := 0; probe < 20; probe++ {
-					c := rng.Intn(len(objs))
-					g, w := e.marginal(got, c), oracle.marginal(want, c)
-					if g != w {
-						t.Fatalf("%s agg=%v: marginal(%d) = %v, metric says %v", name, agg, c, g, w)
-					}
+			}
+			for probe := 0; probe < 20; probe++ {
+				c := rng.Intn(len(objs))
+				g, w := e.marginal(got, c), oracle.marginal(want, c)
+				if g != w {
+					t.Fatalf("%s: marginal(%d) = %v, metric says %v", name, c, g, w)
 				}
 			}
 		}
@@ -116,7 +104,6 @@ func shortSupportMetrics() map[string]sim.Metric {
 	euclid := sim.EuclideanProximity{MaxDist: 0.04}
 	return map[string]sim.Metric{
 		"euclid-short":   euclid,
-		"gauss-short":    sim.GaussianProximity{Sigma: 0.04},
 		"hybrid-spatial": sim.Hybrid{Alpha: 0, Text: sim.Cosine{}, Spatial: euclid},
 	}
 }

@@ -18,7 +18,7 @@ const maxExactObjects = 22
 // monotone (Lemma 4.2), searching subsets of size <= k rather than
 // exactly k loses nothing and handles instances where no k-subset is
 // feasible. It returns an error when len(objs) exceeds maxExactObjects.
-func Exact(objs []geodata.Object, k int, theta float64, m sim.Metric, agg Agg) ([]int, float64, error) {
+func Exact(objs []geodata.Object, k int, theta float64, m sim.Metric) ([]int, float64, error) {
 	n := len(objs)
 	if n > maxExactObjects {
 		return nil, 0, fmt.Errorf("core: Exact limited to %d objects, got %d", maxExactObjects, n)
@@ -45,7 +45,7 @@ func Exact(objs []geodata.Object, k int, theta float64, m sim.Metric, agg Agg) (
 
 	var recurse func(start int)
 	recurse = func(start int) {
-		if sc := Score(objs, cur, m, agg); sc > bestScore || bestSel == nil {
+		if sc := Score(objs, cur, m, AggMax); sc > bestScore || bestSel == nil {
 			bestScore = sc
 			bestSel = append([]int(nil), cur...)
 		}

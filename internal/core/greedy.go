@@ -12,13 +12,12 @@ import (
 )
 
 // Selector configures one run of the greedy selection algorithm. The
-// shared knobs — K, Theta, Metric, Agg, MinGain and the Disable*
-// ablation switches — live in the embedded
-// engine.Config (see that package for per-field semantics); the fields
-// declared here are the per-run inputs. The zero value is not runnable;
-// populate at least Objects and Config{K, Theta, Metric}. A Selector is
-// single-use: build a new one per query (a second Run returns an
-// error).
+// shared knobs — K, Theta, Metric and the Disable* ablation switches —
+// live in the embedded engine.Config (see that package for per-field
+// semantics); the fields declared here are the per-run inputs. The
+// zero value is not runnable; populate at least Objects and Config{K,
+// Theta, Metric}. A Selector is single-use: build a new one per query
+// (a second Run returns an error).
 type Selector struct {
 	// Config carries the unified engine knobs. Layers above forward
 	// their embedded config here wholesale, with Theta resolved to an
@@ -74,12 +73,12 @@ type Result struct {
 	// full selection (Equation 2).
 	Score float64
 	// Evals counts marginal-gain computations — the paper's n_c. A
-	// candidate's first costs one metric call per object in O; on a
-	// max-aggregation run its later ones walk the candidate's recorded
-	// residual support instead and call the metric not at all, but each
-	// still counts as one. Lazy forward keeps Evals far below |G|·K;
-	// exact heap initialization adds |G| of them, seeding the heap with
-	// bounds (InitialGains, or the metric's own linear row sums) none.
+	// candidate's first costs one metric call per object in O; its later
+	// ones walk the candidate's recorded residual support instead and
+	// call the metric not at all, but each still counts as one. Lazy
+	// forward keeps Evals far below |G|·K; exact heap initialization
+	// adds |G| of them, seeding the heap with bounds (InitialGains, or
+	// the metric's own linear row sums) none.
 	Evals int
 	// Rounds is the number of greedy iterations performed.
 	Rounds int
@@ -115,10 +114,9 @@ func (s *Selector) Run(ctx context.Context) (*Result, error) {
 	}
 	n := len(s.Objects)
 	res := &Result{}
-	e := newEvaluator(ctx, s.Objects, s.Metric, s.Agg)
+	e := newEvaluator(ctx, s.Objects, s.Metric)
 
 	// best[i] = current Sim(o_i, S): the aggregation state per object.
-	// For AggSum/AggAvg it accumulates the sum of similarities.
 	best := make([]float64, n)
 
 	candidates := s.Candidates
@@ -223,7 +221,7 @@ func (s *Selector) validate() error {
 // finish computes the final normalized score from the aggregation
 // state; on a cancelled run it reports the context error instead.
 func (s *Selector) finish(e *evaluator, res *Result, best []float64, selected []int) error {
-	sc := e.score(best, len(selected))
+	sc := e.score(best)
 	if err := e.fail(); err != nil {
 		return err
 	}
@@ -291,12 +289,8 @@ func (s *Selector) runLazy(e *evaluator, res *Result, best []float64, selected, 
 		return err
 	}
 	for len(st.selected) < s.K && st.h.Len() > 0 {
-		done, err := s.lazyStep(e, res, st)
-		if err != nil {
+		if err := s.lazyStep(e, res, st); err != nil {
 			return err
-		}
-		if done {
-			break
 		}
 	}
 	return s.finish(e, res, best, st.selected)
@@ -351,19 +345,18 @@ func (s *Selector) startLazy(e *evaluator, res *Result, best []float64, selected
 }
 
 // lazyStep performs one round of the lazy greedy loop: pop the top,
-// either refresh it if stale or select it if fresh.
-// It reports done = true when the MinGain cutoff fires. The steady
-// state allocates nothing — every buffer it touches lives in st.
+// either refresh it if stale or select it if fresh. The steady state
+// allocates nothing — every buffer it touches lives in st.
 //
 //geolint:hotpath
-func (s *Selector) lazyStep(e *evaluator, res *Result, st *runState) (bool, error) {
+func (s *Selector) lazyStep(e *evaluator, res *Result, st *runState) error {
 	t, _ := st.h.Pop()
 	if t.Iter != st.iter {
 		// Lazy re-evaluation: refresh the stale top and push it back;
 		// everything below it is bounded above by its old gain.
 		gain := st.res.marginal(t.ID)
 		if err := e.fail(); err != nil {
-			return false, err
+			return err
 		}
 		res.Evals++
 		if invariant.Enabled {
@@ -373,22 +366,19 @@ func (s *Selector) lazyStep(e *evaluator, res *Result, st *runState) (bool, erro
 			invariant.UpperBound(gain, t.Gain, "core: lazy re-evaluation of candidate gain")
 		}
 		st.h.Push(lazyheap.Tuple{ID: t.ID, Gain: gain, Iter: st.iter})
-		return false, nil
-	}
-	if s.MinGain > 0 && t.Gain < s.MinGain {
-		return true, nil // submodularity: no remaining candidate can reach MinGain
+		return nil
 	}
 	// t is up to date and maximal: select it.
 	st.selected = append(st.selected, t.ID)
 	res.Gains = append(res.Gains, t.Gain)
 	e.absorb(st.best, t.ID)
 	if err := e.fail(); err != nil {
-		return false, err
+		return err
 	}
 	s.removeConflicts(st, t.ID)
 	st.iter++
 	res.Rounds++
-	return false, nil
+	return nil
 }
 
 // runNaive recomputes every remaining candidate's marginal gain each
@@ -409,9 +399,6 @@ func (s *Selector) runNaive(e *evaluator, res *Result, best []float64, selected,
 			return err
 		}
 		res.Evals += len(alive)
-		if s.MinGain > 0 && bestGain < s.MinGain {
-			break
-		}
 		selected = append(selected, bestC)
 		res.Gains = append(res.Gains, bestGain)
 		e.absorb(best, bestC)

@@ -33,7 +33,6 @@ type evaluator struct {
 	// rows fills Sim(o_i, o_c) for a run of objects i against one c; the
 	// reductions of reduce.go consume what it writes.
 	rows *sim.Rows
-	agg  Agg
 	// ctx cancels the run; done caches ctx.Done() so the per-chunk
 	// cancellation probe is one channel poll.
 	ctx  context.Context
@@ -46,7 +45,7 @@ type evaluator struct {
 }
 
 // newEvaluator compiles the metric into rows. A nil ctx never cancels.
-func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric, agg Agg) *evaluator {
+func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric) *evaluator {
 	w := make([]float64, len(objs))
 	for i := range objs {
 		w[i] = objs[i].Weight
@@ -59,7 +58,6 @@ func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric, agg 
 		objs:    objs,
 		w:       w,
 		rows:    sim.NewRows(m, objs),
-		agg:     agg,
 		ctx:     ctx,
 		done:    done,
 		nChunks: (len(objs) + evalChunk - 1) / evalChunk,
@@ -92,12 +90,6 @@ func (e *evaluator) fail() error {
 	return e.err
 }
 
-// sumAgg reports whether the aggregation accumulates sums (AggSum and
-// AggAvg) rather than maxima.
-func (e *evaluator) sumAgg() bool {
-	return e.agg == AggSum || e.agg == AggAvg
-}
-
 // chunkBounds returns the half-open object range of a chunk.
 func chunkBounds(chunk, n int) (lo, hi int) {
 	lo = chunk * evalChunk
@@ -118,18 +110,14 @@ func (e *evaluator) absorb(best []float64, sel int) {
 		lo, hi := chunkBounds(chunk, len(e.objs))
 		s := buf[:hi-lo]
 		e.rows.Fill(s, lo, hi, sel)
-		if e.sumAgg() {
-			absorbSum(best[lo:hi], s)
-		} else {
-			absorbMax(best[lo:hi], s)
-		}
+		absorbMax(best[lo:hi], s)
 	}
 }
 
 // marginalChunk accumulates one chunk's contribution to the
 // unnormalized marginal gain of candidate c: Σ ω_i·(Sim(o_i, S∪{c}) −
-// Sim(o_i, S)) restricted to the chunk, which for AggMax is
-// Σ ω·max(0, Sim(o_i, o_c) − best[i]).
+// Sim(o_i, S)) restricted to the chunk, which under the max of
+// Equation 1 is Σ ω·max(0, Sim(o_i, o_c) − best[i]).
 //
 //geolint:hotpath
 func (e *evaluator) marginalChunk(best []float64, c, chunk int) float64 {
@@ -137,9 +125,6 @@ func (e *evaluator) marginalChunk(best []float64, c, chunk int) float64 {
 	var buf [evalChunk]float64
 	s := buf[:hi-lo]
 	e.rows.Fill(s, lo, hi, c)
-	if e.sumAgg() {
-		return marginalSum(e.w[lo:hi], s)
-	}
 	return marginalMax(e.w[lo:hi], best[lo:hi], s)
 }
 
@@ -159,21 +144,17 @@ func (e *evaluator) marginal(best []float64, c int) float64 {
 
 // score computes the normalized representative score from the
 // aggregation state (Equation 2).
-func (e *evaluator) score(best []float64, nSelected int) float64 {
+func (e *evaluator) score(best []float64) float64 {
 	n := len(e.objs)
 	if n == 0 {
 		return 0
-	}
-	div := 1.0
-	if e.agg == AggAvg && nSelected > 0 {
-		div = float64(nSelected)
 	}
 	var total float64
 	for chunk := 0; chunk < e.nChunks && !e.stop(); chunk++ {
 		lo, hi := chunkBounds(chunk, n)
 		var part float64
 		for i := lo; i < hi; i++ {
-			part += e.w[i] * best[i] / div
+			part += e.w[i] * best[i]
 		}
 		total += part
 	}

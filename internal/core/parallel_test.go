@@ -163,7 +163,6 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 	metrics := []metricCase{
 		{name: "cosine", m: sim.Cosine{}},
 		{name: "euclidean", m: sim.EuclideanProximity{MaxDist: math.Sqrt2}},
-		{name: "gaussian", m: sim.GaussianProximity{Sigma: 0.25}},
 		{name: "hybrid", m: hybrid},
 		// A custom metric exercises the generic sim.Rows kind.
 		{name: "custom", m: sim.Func(func(a, b *geodata.Object) float64 {
@@ -301,21 +300,19 @@ func TestSelfSeedingMatchesExactInit(t *testing.T) {
 		"forced+bounds":     {Forced: forced, Candidates: cands, InitialGains: bounds},
 	}
 	for name, shape := range shapes {
-		for _, agg := range []Agg{AggMax, AggSum} {
-			run := func(m sim.Metric) *Result {
-				s := shape
-				s.Objects = objs
-				s.Config = engine.Config{K: k, Theta: theta, Metric: m, Agg: agg}
-				return mustRun(t, &s)
-			}
-			want, got := run(opaque), run(sim.Cosine{})
-			assertIdenticalResults(t, want, got, name+"/"+agg.String(), 41, k, theta)
-			if len(got.Gains) != len(want.Gains) {
-				t.Fatalf("%s/%v: %d gains vs %d", name, agg, len(got.Gains), len(want.Gains))
-			}
-			if name == "plain" && got.Evals >= want.Evals {
-				t.Errorf("%s/%v: self-seeded run made %d evals, exact init %d", name, agg, got.Evals, want.Evals)
-			}
+		run := func(m sim.Metric) *Result {
+			s := shape
+			s.Objects = objs
+			s.Config = engine.Config{K: k, Theta: theta, Metric: m}
+			return mustRun(t, &s)
+		}
+		want, got := run(opaque), run(sim.Cosine{})
+		assertIdenticalResults(t, want, got, name, 41, k, theta)
+		if len(got.Gains) != len(want.Gains) {
+			t.Fatalf("%s: %d gains vs %d", name, len(got.Gains), len(want.Gains))
+		}
+		if name == "plain" && got.Evals >= want.Evals {
+			t.Errorf("%s: self-seeded run made %d evals, exact init %d", name, got.Evals, want.Evals)
 		}
 	}
 }
@@ -388,7 +385,7 @@ func TestScoreRepresentativesParallelPath(t *testing.T) {
 	}
 	var want float64
 	for i := range objs {
-		want += objs[i].Weight * SimToSet(objs, i, sel, m, AggMax)
+		want += objs[i].Weight * SimToSet(objs, i, sel, m)
 	}
 	want /= float64(len(objs))
 	if got := Score(objs, sel, m, AggMax); math.Abs(got-want) > 1e-9 {

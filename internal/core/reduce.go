@@ -3,12 +3,12 @@
 // the evaluator separates the two halves of every pass: sim.Rows writes
 // the run's similarities into a stack buffer (the only metric-specific
 // code), and the functions below fold that buffer into the aggregation
-// state or a partial gain. There are four reductions, absorb and
-// marginal gain under sum and max aggregation, each over a chunk whose
+// state or a partial gain. There are two reductions, absorb and
+// marginal gain under the max of Equation 1, each over a chunk whose
 // buffer lines up with pre-sliced columns. Every metric, built-in or
-// custom, runs these four loops — and, where a run keeps
-// residual-support lists (residual.go), the max-marginal loop's
-// recording twin.
+// custom, runs these two loops — and, where a run keeps
+// residual-support lists (residual.go), the marginal loop's recording
+// twin.
 //
 // The buffer is evalChunk = sim.RowBlock = 256 float64s: one reduction
 // chunk, so chunk boundaries (and with them the floating-point
@@ -17,20 +17,10 @@
 //
 // Bitwise contract: buffer entries are the bits m.Sim returns, and each
 // loop accumulates in index order, so a chunk partial is the same float
-// whichever pass computes it. The max loops rely on best[i] >= 0, which
-// holds because max state starts at +0.0 and similarities are
+// whichever pass computes it. The loops rely on best[i] >= 0, which
+// holds because the state starts at +0.0 and similarities are
 // non-negative.
 package core
-
-// absorbSum adds the chunk's similarities s to its aggregation state.
-//
-//geolint:hotpath
-func absorbSum(best, s []float64) {
-	best = best[:len(s)]
-	for i, v := range s {
-		best[i] += v
-	}
-}
 
 // absorbMax raises the chunk's aggregation state to s where s exceeds
 // it.
@@ -43,18 +33,6 @@ func absorbMax(best, s []float64) {
 			best[i] = v
 		}
 	}
-}
-
-// marginalSum returns the chunk partial Σ ω_i·s_i.
-//
-//geolint:hotpath
-func marginalSum(w, s []float64) float64 {
-	w = w[:len(s)]
-	var part float64
-	for i, v := range s {
-		part += w[i] * v
-	}
-	return part
 }
 
 // marginalMax returns the chunk partial Σ ω_i·max(0, s_i − best_i).

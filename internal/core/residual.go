@@ -1,5 +1,5 @@
 // Residual-support lists: submodularity per object, not only per
-// candidate. Under max aggregation
+// candidate. Under the max of Equation 1
 //
 //	Δ(c | S) = Σ_i ω_i·max(0, Sim(o_i, c) − best_i)
 //
@@ -45,9 +45,6 @@
 // A dense evaluation captures into one scratch buffer of |O| pairs,
 // which record then copies into the arena when the support is short
 // enough to keep.
-//
-// Only max-aggregation runs keep lists. AggSum/AggAvg gains do not
-// depend on best and pass straight through to evaluator.marginal.
 package core
 
 import "geosel/internal/invariant"
@@ -116,7 +113,7 @@ type residual struct {
 // the test-only Selector.residualPairs.
 func newResidual(e *evaluator, best []float64, pairs int) *residual {
 	r := &residual{e: e, best: best}
-	if pairs < 0 || e.sumAgg() {
+	if pairs < 0 {
 		return r
 	}
 	r.limit = residualMaxPairs
@@ -165,8 +162,8 @@ func (r *residual) marginal(c int) float64 {
 	return gain
 }
 
-// denseChunk is marginalChunk under max aggregation that also captures
-// the chunk's residual support into the scratch.
+// denseChunk is marginalChunk that also captures the chunk's residual
+// support into the scratch.
 //
 //geolint:hotpath
 func (r *residual) denseChunk(c, chunk int) float64 {

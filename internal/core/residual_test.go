@@ -132,7 +132,7 @@ func listed(r *residual) int {
 func finishRun(t *testing.T, s *Selector, e *evaluator, st *runState, res *Result) *Result {
 	t.Helper()
 	for len(st.selected) < s.K && st.h.Len() > 0 {
-		if _, err := s.lazyStep(e, res, st); err != nil {
+		if err := s.lazyStep(e, res, st); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +231,7 @@ func marginals(f func(c int) float64, cs []int) []float64 {
 // value, which the recorded supports (too short for it) would not give.
 func TestMarginalBatchIgnoresListsAcrossBests(t *testing.T) {
 	objs := listObjects(700, 5)
-	e := newEvaluator(nil, objs, sim.Cosine{}, AggMax)
+	e := newEvaluator(nil, objs, sim.Cosine{})
 	low := make([]float64, len(objs))
 	e.absorb(low, 11)
 	high := append([]float64(nil), low...)
@@ -249,7 +249,7 @@ func TestMarginalBatchIgnoresListsAcrossBests(t *testing.T) {
 		t.Fatal("nothing recorded against the high state")
 	}
 	walked := marginals(r.marginal, cs)
-	fresh := newEvaluator(nil, objs, sim.Cosine{}, AggMax)
+	fresh := newEvaluator(nil, objs, sim.Cosine{})
 	dense := func(best []float64) func(int) float64 {
 		return func(c int) float64 { return fresh.marginal(best, c) }
 	}
@@ -295,12 +295,12 @@ func TestResidualWalkCancelled(t *testing.T) {
 		if top.Iter != st.iter && st.res.lists[top.ID].blk != 0 {
 			break
 		}
-		if _, err := s.lazyStep(e, res, st); err != nil {
+		if err := s.lazyStep(e, res, st); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cancel()
-	if _, err := s.lazyStep(e, res, st); !errors.Is(err, context.Canceled) {
+	if err := s.lazyStep(e, res, st); !errors.Is(err, context.Canceled) {
 		t.Fatalf("walk under a cancelled context: err = %v, want context.Canceled", err)
 	}
 	if err := s.finish(e, res, st.best, st.selected); !errors.Is(err, context.Canceled) || res.Selected != nil {
@@ -348,7 +348,7 @@ func FuzzResidualWalk(f *testing.F) {
 		if len(objs) == 0 {
 			return
 		}
-		e := newEvaluator(nil, objs, sim.Cosine{}, AggMax)
+		e := newEvaluator(nil, objs, sim.Cosine{})
 		best := make([]float64, len(objs))
 		r := newResidual(e, best, 0)
 		for j := 0; j < len(data) && j < 6; j++ {

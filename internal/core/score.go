@@ -12,64 +12,47 @@ import (
 	"geosel/internal/sim"
 )
 
-// Agg aliases the engine package's aggregation selector, which is the
-// canonical definition shared by every layer; the constants are
-// re-exported so core callers keep reading core.AggMax.
+// Agg aliases engine.Agg.
+//
+// Deprecated: every selection aggregates by max; nothing reads an Agg.
 type Agg = engine.Agg
 
-// Supported aggregation metrics (see engine.Agg).
-const (
-	AggMax = engine.AggMax
-	AggSum = engine.AggSum
-	AggAvg = engine.AggAvg
-)
+// AggMax aliases engine.AggMax.
+//
+// Deprecated: every selection aggregates by max; nothing reads an Agg.
+const AggMax = engine.AggMax
 
-// SimToSet returns Sim(o, S) under the given aggregation: how well the
-// selected objects represent o (Equation 1 for AggMax).
-func SimToSet(objs []geodata.Object, o int, sel []int, m sim.Metric, agg Agg) float64 {
-	if len(sel) == 0 {
-		return 0
+// SimToSet returns Sim(o, S) of Equation 1: how well the selected
+// objects represent o, the similarity of its most similar one.
+func SimToSet(objs []geodata.Object, o int, sel []int, m sim.Metric) float64 {
+	best := 0.0
+	for _, s := range sel {
+		if v := m.Sim(&objs[o], &objs[s]); v > best {
+			best = v
+		}
 	}
-	switch agg {
-	case AggSum, AggAvg:
-		var sum float64
-		for _, s := range sel {
-			sum += m.Sim(&objs[o], &objs[s])
-		}
-		if agg == AggAvg {
-			sum /= float64(len(sel))
-		}
-		return sum
-	default:
-		best := 0.0
-		for _, s := range sel {
-			if v := m.Sim(&objs[o], &objs[s]); v > best {
-				best = v
-			}
-		}
-		return best
-	}
+	return best
 }
 
 // Score returns the representative score of selection sel over objs
 // (Equation 2): the weighted mean over all objects of Sim(o, S), by the
-// evaluator's chunked reductions.
+// evaluator's chunked reductions. The last parameter is ignored.
 //
 // Score is deliberately context-free: it is the ground-truth check the
 // rest of the system is measured against, it performs one bounded
 // reduction (no open-ended iteration to cancel), and threading a
 // context through its ~25 call sites would buy one chunk of latency at
 // most. Wrap it in a goroutine if a caller ever needs to abandon it.
-func Score(objs []geodata.Object, sel []int, m sim.Metric, agg Agg) float64 {
+func Score(objs []geodata.Object, sel []int, m sim.Metric, _ Agg) float64 {
 	if len(objs) == 0 {
 		return 0
 	}
-	e := newEvaluator(nil, objs, m, agg)
+	e := newEvaluator(nil, objs, m)
 	best := make([]float64, len(objs))
 	for _, s := range sel {
 		e.absorb(best, s)
 	}
-	return e.score(best, len(sel))
+	return e.score(best)
 }
 
 // SatisfiesVisibility reports whether every pair of selected objects is
@@ -86,9 +69,9 @@ func SatisfiesVisibility(objs []geodata.Object, sel []int, theta float64) bool {
 }
 
 // Representatives maps every object to the selected object that
-// represents it best under AggMax — the index used by the paper's
-// exploration feature, where clicking a displayed object highlights the
-// hidden objects it stands for (Figure 1(c)). The result has one entry
+// represents it best (the argmax of Equation 1) — the index used by the
+// paper's exploration feature, where clicking a displayed object
+// highlights the hidden objects it stands for (Figure 1(c)). The result has one entry
 // per object in objs; objects in sel map to themselves when the metric
 // obeys the self-similarity axiom. With an empty selection every object
 // maps to -1.

@@ -15,37 +15,16 @@ import (
 	"geosel/internal/sim"
 )
 
-// Agg selects how Sim(o, S) aggregates the similarities between an
-// object and the selected set. The paper presents max (Equation 1) and
-// notes the solution "can also be extended to handle other aggregation
-// metrics, such as sum or avg"; all three are provided.
+// Agg named an aggregation of Sim(o, S). Only the paper's max
+// (Equation 1) is implemented.
+//
+// Deprecated: every selection aggregates by max; nothing reads an Agg.
 type Agg int
 
-// Supported aggregation metrics.
-const (
-	// AggMax scores each object by its most similar selected object.
-	AggMax Agg = iota
-	// AggSum scores each object by the sum of similarities to the
-	// selected set. The resulting set function is modular.
-	AggSum
-	// AggAvg scores each object by the average similarity to the
-	// selected set.
-	AggAvg
-)
-
-// String implements fmt.Stringer.
-func (a Agg) String() string {
-	switch a {
-	case AggMax:
-		return "max"
-	case AggSum:
-		return "sum"
-	case AggAvg:
-		return "avg"
-	default:
-		return fmt.Sprintf("Agg(%d)", int(a))
-	}
-}
+// AggMax is the max aggregation of Equation 1.
+//
+// Deprecated: every selection aggregates by max; nothing reads an Agg.
+const AggMax Agg = 0
 
 // Defaults applied by WithDefaults for the zero values of the session
 // and serving fields.
@@ -62,11 +41,6 @@ const (
 	// DefaultTileCacheCapacity is the materialized-tile entry bound used
 	// when TileCacheCapacity is zero.
 	DefaultTileCacheCapacity = 4096
-	// DefaultTileRepairBudget is the seam-repair gain-loss fraction
-	// beyond which stitched serving falls back to a full greedy run,
-	// used when TileRepairBudget is zero — the 1/8 of the greedy
-	// approximation bound.
-	DefaultTileRepairBudget = 0.125
 )
 
 // Config is the unified engine configuration. Every layer of the
@@ -89,13 +63,6 @@ type Config struct {
 	ThetaFrac float64
 	// Metric is the similarity function Sim(·,·).
 	Metric sim.Metric
-	// Agg selects the aggregation for Sim(o, S); AggMax is the paper's
-	// default.
-	Agg Agg
-	// MinGain, when positive, stops the selection early once the best
-	// available (unnormalized) marginal gain falls below it — fewer
-	// pins, but only ones that still add representativeness.
-	MinGain float64
 
 	// DisableLazy switches off the lazy-forward strategy and recomputes
 	// every candidate's marginal gain in every iteration (the "naive
@@ -125,11 +92,6 @@ type Config struct {
 	// across the cache's shards; the least recently used entries are
 	// evicted beyond it. 0 means DefaultTileCacheCapacity.
 	TileCacheCapacity int
-	// TileRepairBudget is the largest fraction of the stitched tiles'
-	// total recorded gain that the seam-repair pass may drop before the
-	// cache declares the stitch unsalvageable and falls back to a full
-	// greedy run. 0 means DefaultTileRepairBudget; must stay below 1.
-	TileRepairBudget float64
 
 	// RequestTimeout, when positive, bounds the wall-clock time the
 	// server spends on one selection request; the request's context is
@@ -175,16 +137,13 @@ func (c Config) Validate() error {
 	if c.TileCacheCapacity < 0 {
 		return fmt.Errorf("engine: TileCacheCapacity = %d must be non-negative", c.TileCacheCapacity)
 	}
-	if c.TileRepairBudget < 0 || c.TileRepairBudget >= 1 {
-		return fmt.Errorf("engine: TileRepairBudget = %v outside [0, 1)", c.TileRepairBudget)
-	}
 	return nil
 }
 
 // WithDefaults returns the config with zero-valued session and serving
 // fields replaced by their documented defaults. Selection fields are
 // never touched: their zero values are meaningful (K = 0 selects
-// nothing, MinGain = 0 never stops early).
+// nothing).
 func (c Config) WithDefaults() Config {
 	if c.MaxZoomOutScale == 0 {
 		c.MaxZoomOutScale = DefaultMaxZoomOutScale
@@ -197,9 +156,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.TileCacheCapacity == 0 {
 		c.TileCacheCapacity = DefaultTileCacheCapacity
-	}
-	if c.TileRepairBudget == 0 {
-		c.TileRepairBudget = DefaultTileRepairBudget
 	}
 	return c
 }

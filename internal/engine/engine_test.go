@@ -45,8 +45,6 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{"negative RequestTimeout", func(c *Config) { c.RequestTimeout = -time.Second }, "RequestTimeout"},
 		{"negative MaxSessions", func(c *Config) { c.MaxSessions = -1 }, "MaxSessions"},
 		{"negative TileCacheCapacity", func(c *Config) { c.TileCacheCapacity = -1 }, "TileCacheCapacity"},
-		{"negative TileRepairBudget", func(c *Config) { c.TileRepairBudget = -0.1 }, "TileRepairBudget"},
-		{"TileRepairBudget at 1", func(c *Config) { c.TileRepairBudget = 1 }, "TileRepairBudget"},
 	}
 	for _, tc := range cases {
 		cfg := validConfig()
@@ -76,11 +74,8 @@ func TestWithDefaults(t *testing.T) {
 	if got.TileCacheCapacity != DefaultTileCacheCapacity {
 		t.Errorf("TileCacheCapacity = %d, want %d", got.TileCacheCapacity, DefaultTileCacheCapacity)
 	}
-	if got.TileRepairBudget != DefaultTileRepairBudget {
-		t.Errorf("TileRepairBudget = %v, want %v", got.TileRepairBudget, DefaultTileRepairBudget)
-	}
 	// Selection fields keep their meaningful zero values.
-	if got.K != 10 || got.MinGain != 0 {
+	if got.K != 10 || got.Theta != 0 {
 		t.Errorf("selection fields altered: %+v", got)
 	}
 	// TileCache stays an explicit opt-in: WithDefaults never flips it.
@@ -95,13 +90,5 @@ func TestWithDefaults(t *testing.T) {
 	got = cfg.WithDefaults()
 	if got.MaxZoomOutScale != 3 || got.SessionTTL != -1 || got.MaxSessions != 7 {
 		t.Errorf("explicit settings overridden: %+v", got)
-	}
-}
-
-func TestAggString(t *testing.T) {
-	for a, want := range map[Agg]string{AggMax: "max", AggSum: "sum", AggAvg: "avg", Agg(9): "Agg(9)"} {
-		if got := a.String(); got != want {
-			t.Errorf("Agg(%d).String() = %q, want %q", int(a), got, want)
-		}
 	}
 }

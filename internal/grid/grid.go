@@ -53,9 +53,6 @@ func New(bounds geo.Rect, cell float64) (*Grid, error) {
 // Len reports the number of points currently stored.
 func (g *Grid) Len() int { return g.size }
 
-// CellSide returns the configured cell side length.
-func (g *Grid) CellSide() float64 { return g.cell }
-
 func (g *Grid) cellCoords(p geo.Point) (int, int) {
 	cx := int((p.X - g.bounds.Min.X) / g.cell)
 	cy := int((p.Y - g.bounds.Min.Y) / g.cell)
@@ -109,11 +106,14 @@ func (g *Grid) Remove(id int, p geo.Point) bool {
 	return false
 }
 
-// Within calls fn for every stored point within Euclidean distance d of
-// q (inclusive). Iteration stops early if fn returns false.
-func (g *Grid) Within(q geo.Point, d float64, fn func(id int, p geo.Point) bool) {
+// AppendWithin appends the ids of all stored points within Euclidean
+// distance d of q (inclusive) to dst and returns the extended slice, in
+// grid-cell order, not sorted; d = 0 matches only points at exactly q,
+// and d < 0 matches nothing. With a reused buffer the query is
+// allocation-free (the greedy steady state calls this once per pick).
+func (g *Grid) AppendWithin(dst []int, q geo.Point, d float64) []int {
 	if d < 0 {
-		return
+		return dst
 	}
 	d2 := d * d
 	// Clamp the cell ring before converting to int: for d spanning the
@@ -135,66 +135,10 @@ func (g *Grid) Within(q geo.Point, d float64, fn func(id int, p geo.Point) bool)
 			}
 			for _, e := range g.cells[g.key(cx, cy)] {
 				if e.pt.Dist2(q) <= d2 {
-					if !fn(e.id, e.pt) {
-						return
-					}
-				}
-			}
-		}
-	}
-}
-
-// AppendWithin appends the ids of all stored points within Euclidean
-// distance d of q (inclusive) to dst and returns the extended slice, in
-// grid-cell order, not sorted; d = 0 matches only points at exactly q,
-// and d < 0 matches nothing. The cell walk is inlined rather than
-// delegated to Within so a reused buffer makes the whole query
-// allocation-free (the greedy steady state calls this once per pick).
-func (g *Grid) AppendWithin(dst []int, q geo.Point, d float64) []int {
-	if d < 0 {
-		return dst
-	}
-	d2 := d * d
-	r := g.nx + g.ny
-	if d < float64(r)*g.cell {
-		r = int(d/g.cell) + 1
-	}
-	qcx, qcy := g.cellCoords(q)
-	for cy := qcy - r; cy <= qcy+r; cy++ {
-		if cy < 0 || cy >= g.ny {
-			continue
-		}
-		for cx := qcx - r; cx <= qcx+r; cx++ {
-			if cx < 0 || cx >= g.nx {
-				continue
-			}
-			for _, e := range g.cells[g.key(cx, cy)] {
-				if e.pt.Dist2(q) <= d2 {
 					dst = append(dst, e.id)
 				}
 			}
 		}
 	}
 	return dst
-}
-
-// CollectWithin returns the ids of all stored points within distance d
-// of q.
-func (g *Grid) CollectWithin(q geo.Point, d float64) []int {
-	var out []int
-	g.Within(q, d, func(id int, _ geo.Point) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
-}
-
-// AnyWithin reports whether any stored point lies within distance d of q.
-func (g *Grid) AnyWithin(q geo.Point, d float64) bool {
-	found := false
-	g.Within(q, d, func(int, geo.Point) bool {
-		found = true
-		return false
-	})
-	return found
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatalf("degenerate bounds: %v", err)
 	}
 	g.Insert(1, geo.Pt(0.5, 0.5))
-	if !g.AnyWithin(geo.Pt(0.5, 0.5), 0) {
+	if len(g.AppendWithin(nil, geo.Pt(0.5, 0.5), 0)) == 0 {
 		t.Error("point at degenerate bound not found")
 	}
 }
@@ -74,12 +75,12 @@ func TestWithinExactBoundary(t *testing.T) {
 	g := mustGrid(t, geo.WorldUnit, 0.1)
 	g.Insert(1, geo.Pt(0.5, 0.5))
 	g.Insert(2, geo.Pt(0.6, 0.5)) // exactly 0.1 away
-	ids := g.CollectWithin(geo.Pt(0.5, 0.5), 0.1)
+	ids := g.AppendWithin(nil, geo.Pt(0.5, 0.5), 0.1)
 	sort.Ints(ids)
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Errorf("boundary point should be included, got %v", ids)
 	}
-	ids = g.CollectWithin(geo.Pt(0.5, 0.5), 0.0999)
+	ids = g.AppendWithin(nil, geo.Pt(0.5, 0.5), 0.0999)
 	if len(ids) != 1 || ids[0] != 1 {
 		t.Errorf("got %v", ids)
 	}
@@ -88,23 +89,8 @@ func TestWithinExactBoundary(t *testing.T) {
 func TestWithinNegativeRadius(t *testing.T) {
 	g := mustGrid(t, geo.WorldUnit, 0.1)
 	g.Insert(1, geo.Pt(0.5, 0.5))
-	if got := g.CollectWithin(geo.Pt(0.5, 0.5), -1); len(got) != 0 {
+	if got := g.AppendWithin(nil, geo.Pt(0.5, 0.5), -1); len(got) != 0 {
 		t.Errorf("negative radius should match nothing, got %v", got)
-	}
-}
-
-func TestWithinEarlyStop(t *testing.T) {
-	g := mustGrid(t, geo.WorldUnit, 0.1)
-	for i := 0; i < 10; i++ {
-		g.Insert(i, geo.Pt(0.5, 0.5))
-	}
-	calls := 0
-	g.Within(geo.Pt(0.5, 0.5), 0.01, func(int, geo.Point) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Errorf("early stop ignored: %d calls", calls)
 	}
 }
 
@@ -114,7 +100,7 @@ func TestPointsOutsideBounds(t *testing.T) {
 	g := mustGrid(t, geo.WorldUnit, 0.1)
 	out := geo.Pt(1.5, 1.5)
 	g.Insert(9, out)
-	if !g.AnyWithin(out, 0.001) {
+	if len(g.AppendWithin(nil, out, 0.001)) == 0 {
 		t.Error("out-of-bounds point not found at its own location")
 	}
 	if !g.Remove(9, out) {
@@ -122,7 +108,7 @@ func TestPointsOutsideBounds(t *testing.T) {
 	}
 }
 
-// TestAgainstLinearScan is the core correctness property: Within must
+// TestAgainstLinearScan is the core correctness property: AppendWithin must
 // agree exactly with a brute-force filter, across random configurations
 // of points, radii and query locations.
 func TestAgainstLinearScan(t *testing.T) {
@@ -144,7 +130,7 @@ func TestAgainstLinearScan(t *testing.T) {
 		for q := 0; q < 20; q++ {
 			qp := geo.Pt(rng.Float64(), rng.Float64())
 			d := rng.Float64() * 0.3
-			got := g.CollectWithin(qp, d)
+			got := g.AppendWithin(nil, qp, d)
 			sort.Ints(got)
 			var want []int
 			for _, r := range pts {
@@ -190,23 +176,8 @@ func TestRemoveInterleaved(t *testing.T) {
 	}
 	// Verify every remaining point is found by a zero-radius self query.
 	for id, p := range live {
-		found := false
-		g.Within(p, 1e-12, func(gotID int, _ geo.Point) bool {
-			if gotID == id {
-				found = true
-				return false
-			}
-			return true
-		})
-		if !found {
+		if !slices.Contains(g.AppendWithin(nil, p, 1e-12), id) {
 			t.Fatalf("live id %d lost", id)
 		}
-	}
-}
-
-func TestCellSide(t *testing.T) {
-	g := mustGrid(t, geo.WorldUnit, 0.25)
-	if g.CellSide() != 0.25 {
-		t.Errorf("CellSide = %v", g.CellSide())
 	}
 }

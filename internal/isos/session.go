@@ -13,7 +13,7 @@ import (
 )
 
 // Config parameterizes a Session. The shared engine knobs — K,
-// ThetaFrac, Metric, Agg, MaxZoomOutScale — live in the embedded
+// ThetaFrac, Metric, MaxZoomOutScale — live in the embedded
 // engine.Config (see that package for per-field semantics) and are
 // forwarded wholesale to every selection the session runs; the fields
 // declared here are session-specific.
@@ -203,7 +203,7 @@ func (s *Session) Start(ctx context.Context, region geo.Rect) (*Selection, error
 	vp := geo.NewViewport(world, region)
 	prevVP := s.viewport
 	s.viewport = vp
-	sel, err := s.selectIn(ctx, region, Derivation{G: nil}, true, nil)
+	sel, err := s.selectIn(ctx, region, nil, Derivation{G: nil}, true, nil)
 	if err != nil {
 		s.viewport = prevVP
 		return nil, err
@@ -219,89 +219,58 @@ func (s *Session) Start(ctx context.Context, region geo.Rect) (*Selection, error
 // ctx cancels the selection cooperatively; on error the session keeps
 // its previous state and stays usable.
 func (s *Session) ZoomIn(ctx context.Context, inner geo.Rect) (*Selection, error) {
-	if err := s.requireStarted(); err != nil {
-		return nil, err
-	}
-	nv, err := s.viewport.ZoomIn(inner)
-	if err != nil {
-		return nil, err
-	}
-	s.repin()
-	sameVersion := s.visibleVersion == s.version
-	objs := s.regionObjects(inner)
-	d := DeriveZoomIn(s.visible, objs, inner, s.locate)
-	bounds := s.prefetchBounds(geo.OpZoomIn, inner, d.G)
-	prev := histEntry{viewport: s.viewport, visible: append([]int(nil), s.visible...)}
-	sel, err := s.selectIn(ctx, inner, d, false, bounds)
-	if err != nil {
-		return nil, err
-	}
-	if invariant.Enabled && sameVersion {
-		s.assertTransition(geo.OpZoomIn, prev.viewport.Region, inner, prev.visible)
-	}
-	s.history = append(s.history, prev)
-	s.trimHistory()
-	s.viewport = nv
-	s.prefetch = nil
-	return sel, nil
+	return s.navigate(ctx, geo.OpZoomIn, func(v geo.Viewport) (geo.Viewport, error) { return v.ZoomIn(inner) })
 }
 
 // ZoomOut navigates to outer (which must contain the current region).
 // ctx cancels the selection cooperatively; on error the session keeps
 // its previous state and stays usable.
 func (s *Session) ZoomOut(ctx context.Context, outer geo.Rect) (*Selection, error) {
-	if err := s.requireStarted(); err != nil {
-		return nil, err
-	}
-	old := s.viewport.Region
-	nv, err := s.viewport.ZoomOut(outer)
-	if err != nil {
-		return nil, err
-	}
-	s.repin()
-	sameVersion := s.visibleVersion == s.version
-	objs := s.regionObjects(outer)
-	d := DeriveZoomOut(s.visible, objs, old, s.locate)
-	bounds := s.prefetchBounds(geo.OpZoomOut, outer, d.G)
-	prev := histEntry{viewport: s.viewport, visible: append([]int(nil), s.visible...)}
-	sel, err := s.selectIn(ctx, outer, d, false, bounds)
-	if err != nil {
-		return nil, err
-	}
-	if invariant.Enabled && sameVersion {
-		s.assertTransition(geo.OpZoomOut, prev.viewport.Region, outer, prev.visible)
-	}
-	s.history = append(s.history, prev)
-	s.trimHistory()
-	s.viewport = nv
-	s.prefetch = nil
-	return sel, nil
+	return s.navigate(ctx, geo.OpZoomOut, func(v geo.Viewport) (geo.Viewport, error) { return v.ZoomOut(outer) })
 }
 
 // Pan moves the viewport by delta (the new region must overlap the
 // old). ctx cancels the selection cooperatively; on error the session
 // keeps its previous state and stays usable.
 func (s *Session) Pan(ctx context.Context, delta geo.Point) (*Selection, error) {
+	return s.navigate(ctx, geo.OpPan, func(v geo.Viewport) (geo.Viewport, error) { return v.Pan(delta) })
+}
+
+// navigate is one navigation step: move computes the new viewport from
+// the current one, then the step pins the current snapshot, fetches
+// the new region's objects once, derives (D, G) for op from them, looks
+// up prefetched bounds and runs the constrained selection over the same
+// positions. On success the old state goes on the history.
+func (s *Session) navigate(ctx context.Context, op geo.Op, move func(geo.Viewport) (geo.Viewport, error)) (*Selection, error) {
 	if err := s.requireStarted(); err != nil {
 		return nil, err
 	}
 	old := s.viewport.Region
-	nv, err := s.viewport.Pan(delta)
+	nv, err := move(s.viewport)
 	if err != nil {
 		return nil, err
 	}
 	s.repin()
 	sameVersion := s.visibleVersion == s.version
-	objs := s.regionObjects(nv.Region)
-	d := DerivePan(s.visible, objs, old, s.locate)
-	bounds := s.prefetchBounds(geo.OpPan, nv.Region, d.G)
+	region := nv.Region
+	objs := s.regionObjects(region)
+	var d Derivation
+	switch op {
+	case geo.OpZoomIn:
+		d = DeriveZoomIn(s.visible, objs, region, s.locate)
+	case geo.OpZoomOut:
+		d = DeriveZoomOut(s.visible, objs, old, s.locate)
+	default:
+		d = DerivePan(s.visible, objs, old, s.locate)
+	}
+	bounds := s.prefetchBounds(op, region, d.G)
 	prev := histEntry{viewport: s.viewport, visible: append([]int(nil), s.visible...)}
-	sel, err := s.selectIn(ctx, nv.Region, d, false, bounds)
+	sel, err := s.selectIn(ctx, region, objs, d, false, bounds)
 	if err != nil {
 		return nil, err
 	}
 	if invariant.Enabled && sameVersion {
-		s.assertTransition(geo.OpPan, prev.viewport.Region, nv.Region, prev.visible)
+		s.assertTransition(op, old, region, prev.visible)
 	}
 	s.history = append(s.history, prev)
 	s.trimHistory()
@@ -352,13 +321,18 @@ func (s *Session) regionObjects(region geo.Rect) []int {
 	return out
 }
 
-// selectIn runs the constrained greedy for region. When unconstrained
-// is true, all region objects are candidates (the plain sos problem).
+// selectIn runs the constrained greedy for region. pos holds the
+// region's objects as regionObjects returns them; nil fetches them
+// here, and only when the warm path declines. When unconstrained is
+// true, all region objects are candidates (the plain sos problem).
 // bounds, if non-nil, holds the prefetched upper bounds of G, aligned
 // with d.G. The session's visible set is updated only on success.
-func (s *Session) selectIn(ctx context.Context, region geo.Rect, d Derivation, unconstrained bool, bounds []float64) (*Selection, error) {
+func (s *Session) selectIn(ctx context.Context, region geo.Rect, pos []int, d Derivation, unconstrained bool, bounds []float64) (*Selection, error) {
 	if sel, ok := s.tryWarm(ctx, region, d, unconstrained); ok {
 		return sel, nil
+	}
+	if pos == nil {
+		pos = s.regionObjects(region)
 	}
 	var forced, cands []int
 	if !unconstrained {
@@ -367,7 +341,6 @@ func (s *Session) selectIn(ctx context.Context, region geo.Rect, d Derivation, u
 			cands = []int{} // an empty G is still the whole candidate set
 		}
 	}
-	pos := s.regionObjects(region)
 	// Forward the whole engine config; θ is resolved from the
 	// viewport-relative ThetaFrac to an absolute distance.
 	start := time.Now()

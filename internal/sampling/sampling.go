@@ -84,7 +84,7 @@ func (b Bound) String() string {
 }
 
 // Config parameterizes SaSS. The sos parameters and perf knobs (K,
-// Theta, Metric, Agg, ...) live in the embedded
+// Theta, Metric, ...) live in the embedded
 // engine.Config and are forwarded wholesale to the greedy run on the
 // sample; the fields declared here are sampling-specific.
 type Config struct {

@@ -20,7 +20,6 @@ const (
 	// worth a loop of its own).
 	rowsGeneric rowsKind = iota
 	rowsEuclid
-	rowsGauss
 	rowsCosine
 	rowsHybrid
 )
@@ -29,7 +28,7 @@ const (
 // it: one object c against a run of other objects. It is compiled once
 // per (metric, object slice) and writes Sim(&objs[i], &objs[c]) into a
 // caller-owned buffer — bitwise the value m.Sim returns — reading flat
-// columns for the built-in metrics: x/y for the proximity metrics, one
+// columns for the built-in metrics: x/y for Euclidean proximity, one
 // packed CSR term arena and its inverted index for Cosine, two nested
 // Rows for Hybrid.
 //
@@ -47,9 +46,9 @@ type Rows struct {
 	m    Metric
 	objs []geodata.Object
 
-	// Euclid and Gauss: position columns and MaxDist or Sigma.
-	xs, ys []float64
-	scale  float64
+	// Euclid: position columns and MaxDist.
+	xs, ys  []float64
+	maxDist float64
 
 	// Cosine: the packed term arena; termOf, parallel to vecs.Words,
 	// renames each word's term to a dense region-local id; and the
@@ -78,11 +77,7 @@ func NewRows(m Metric, objs []geodata.Object) *Rows {
 		}
 	case EuclideanProximity:
 		if mt.MaxDist > 0 {
-			return spatialRows(rowsEuclid, objs, mt.MaxDist)
-		}
-	case GaussianProximity:
-		if mt.Sigma > 0 {
-			return spatialRows(rowsGauss, objs, mt.Sigma)
+			return euclidRows(objs, mt.MaxDist)
 		}
 	case Hybrid:
 		// A hand-built Hybrid with a nil part panics in Sim; compiling
@@ -157,8 +152,8 @@ func cosineRows(objs []geodata.Object) *Rows {
 	return r
 }
 
-func spatialRows(kind rowsKind, objs []geodata.Object, scale float64) *Rows {
-	r := &Rows{kind: kind, scale: scale, xs: make([]float64, len(objs)), ys: make([]float64, len(objs))}
+func euclidRows(objs []geodata.Object, maxDist float64) *Rows {
+	r := &Rows{kind: rowsEuclid, maxDist: maxDist, xs: make([]float64, len(objs)), ys: make([]float64, len(objs))}
 	for i := range objs {
 		r.xs[i] = objs[i].Loc.X
 		r.ys[i] = objs[i].Loc.Y
@@ -174,16 +169,10 @@ func (r *Rows) Fill(dst []float64, lo, hi, c int) {
 	dst = dst[:hi-lo]
 	switch r.kind {
 	case rowsEuclid:
-		xc, yc, maxDist := r.xs[c], r.ys[c], r.scale
+		xc, yc, maxDist := r.xs[c], r.ys[c], r.maxDist
 		xs, ys := r.xs[lo:hi], r.ys[lo:hi]
 		for k := range dst {
 			dst[k] = euclidSim(xs[k]-xc, ys[k]-yc, maxDist)
-		}
-	case rowsGauss:
-		xc, yc, sigma := r.xs[c], r.ys[c], r.scale
-		xs, ys := r.xs[lo:hi], r.ys[lo:hi]
-		for k := range dst {
-			dst[k] = gaussSim(xs[k]-xc, ys[k]-yc, sigma)
 		}
 	case rowsCosine:
 		r.fillCosine(dst, lo, hi, c)
@@ -405,12 +394,6 @@ func (a *Linear) bound(wc float64, words []uint64, slots []int32) (float64, bool
 // the bits of the metric's "if s < 0 { return 0 }".
 func euclidSim(dx, dy, maxDist float64) float64 {
 	return max(1-math.Sqrt(dx*dx+dy*dy)/maxDist, 0)
-}
-
-// gaussSim is GaussianProximity.Sim for Sigma > 0.
-func gaussSim(dx, dy, sigma float64) float64 {
-	d := math.Sqrt(dx*dx+dy*dy) / sigma
-	return math.Exp(-d * d)
 }
 
 // fillCosine is Fill for the Cosine kind. Instead of merge-joining c's

@@ -65,11 +65,8 @@ func TestCompileKernelMatchesInterface(t *testing.T) {
 		{"cosine", Cosine{}, rowsCosine},
 		{"euclidean", EuclideanProximity{MaxDist: 0.7}, rowsEuclid},
 		{"euclidean-degenerate", EuclideanProximity{}, rowsGeneric},
-		{"gaussian", GaussianProximity{Sigma: 0.2}, rowsGauss},
-		{"gaussian-degenerate", GaussianProximity{}, rowsGeneric},
 		{"hybrid", hybrid, rowsHybrid},
-		{"hybrid-gaussian", Hybrid{Alpha: 0.3, Text: Cosine{}, Spatial: GaussianProximity{Sigma: 0.2}}, rowsHybrid},
-		{"hybrid-degenerate", Hybrid{Alpha: 0.3, Text: Cosine{}, Spatial: GaussianProximity{}}, rowsHybrid},
+		{"hybrid-degenerate", Hybrid{Alpha: 0.3, Text: Cosine{}, Spatial: EuclideanProximity{}}, rowsHybrid},
 		{"hybrid-custom-part", Hybrid{Alpha: 0.5, Text: quarter, Spatial: EuclideanProximity{MaxDist: 1}}, rowsHybrid},
 		{"custom", Func(func(a, b *geodata.Object) float64 { return a.Loc.X * b.Loc.X }), rowsGeneric},
 	}
@@ -318,7 +315,6 @@ func TestRowSumsDeclines(t *testing.T) {
 	dst := make([]float64, len(cs))
 	for name, m := range map[string]Metric{
 		"euclidean": EuclideanProximity{MaxDist: 0.7},
-		"gaussian":  GaussianProximity{Sigma: 0.2},
 		"hybrid":    hybrid,
 		"func":      Func(Cosine{}.Sim),
 	} {

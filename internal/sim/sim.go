@@ -10,7 +10,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"geosel/internal/geodata"
 )
@@ -65,24 +64,6 @@ func (m EuclideanProximity) Sim(a, b *geodata.Object) float64 {
 		return 0
 	}
 	return s
-}
-
-// GaussianProximity maps spatial distance to similarity as
-// exp(-(dist/Sigma)²), a smooth alternative to EuclideanProximity.
-type GaussianProximity struct {
-	Sigma float64
-}
-
-// Sim implements Metric.
-func (m GaussianProximity) Sim(a, b *geodata.Object) float64 {
-	if m.Sigma <= 0 {
-		if a.Loc == b.Loc {
-			return 1
-		}
-		return 0
-	}
-	d := a.Loc.Dist(b.Loc) / m.Sigma
-	return math.Exp(-d * d)
 }
 
 // Hybrid mixes a textual and a spatial metric with weight Alpha on the

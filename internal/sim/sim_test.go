@@ -102,27 +102,6 @@ func TestEuclideanProximity(t *testing.T) {
 	}
 }
 
-func TestGaussianProximity(t *testing.T) {
-	vocab := textsim.NewVocabulary()
-	a := obj(vocab, 0, 0, "")
-	b := obj(vocab, 0.5, 0, "")
-	m := GaussianProximity{Sigma: 0.5}
-	if got := m.Sim(a, a); got != 1 {
-		t.Errorf("self: %v", got)
-	}
-	want := math.Exp(-1)
-	if got := m.Sim(a, b); math.Abs(got-want) > 1e-9 {
-		t.Errorf("got %v, want %v", got, want)
-	}
-	deg := GaussianProximity{}
-	if got := deg.Sim(a, b); got != 0 {
-		t.Errorf("zero sigma distinct points: %v", got)
-	}
-	if got := deg.Sim(a, obj(vocab, 0, 0, "")); got != 1 {
-		t.Errorf("zero sigma same point: %v", got)
-	}
-}
-
 func TestHybrid(t *testing.T) {
 	vocab := textsim.NewVocabulary()
 	a := obj(vocab, 0, 0, "coffee")
@@ -161,7 +140,6 @@ func TestMetricAxioms(t *testing.T) {
 	metrics := map[string]Metric{
 		"cosine":    Cosine{},
 		"euclidean": EuclideanProximity{MaxDist: math.Sqrt2},
-		"gaussian":  GaussianProximity{Sigma: 0.3},
 		"hybrid":    hybrid,
 	}
 	for name, m := range metrics {

@@ -31,6 +31,12 @@ type DirtyView interface {
 // power of two so shard selection is a mask.
 const numShards = 16
 
+// repairBudget is the largest fraction of the stitched tiles' total
+// recorded gain the seam-repair pass may drop before the stitch is
+// declared unsalvageable and the viewport falls back to a full greedy
+// run: the 1/8 of the greedy approximation bound.
+const repairBudget = 0.125
+
 // entry is one materialized tile selection. pos/gains/locs/frag/score/
 // count are immutable after insert; ver advances under the shard lock
 // when an epoch sweep proves the tile untouched, so readers copy
@@ -117,7 +123,8 @@ func (sh *shard) drop(e *entry) {
 // Cache is the tile-grain materialized selection cache. Construct with
 // New; all methods are safe for concurrent use.
 type Cache struct {
-	cfg      engine.Config
+	cfg engine.Config
+	// budget is repairBudget; tests vary it.
 	budget   float64
 	perShard int
 
@@ -134,8 +141,8 @@ type Cache struct {
 }
 
 // New builds a cache from the engine config (which must carry the
-// Metric; K and θ arrive per request). TileCacheCapacity and
-// TileRepairBudget take their engine defaults when zero.
+// Metric; K and θ arrive per request). TileCacheCapacity takes its
+// engine default when zero.
 func New(cfg engine.Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -147,7 +154,7 @@ func New(cfg engine.Config) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:      cfg,
-		budget:   cfg.TileRepairBudget,
+		budget:   repairBudget,
 		perShard: per,
 	}
 	for i := range c.shards {

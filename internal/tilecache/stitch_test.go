@@ -81,7 +81,7 @@ func TestStitchedSelectionProperties(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			served := core.Score(sub, sel, dcfg.Metric, dcfg.Agg)
+			served := core.Score(sub, sel, dcfg.Metric, core.AggMax)
 			if served < direct.Score/8-1e-12 {
 				t.Fatalf("q%d: served score %v below direct/8 = %v (direct %v)",
 					q, served, direct.Score/8, direct.Score)

@@ -12,10 +12,10 @@
 // the cached per-tile selections: members are re-kept greedily in
 // (gain desc, position asc) order under the *requested* θ, which
 // resolves cross-tile θ-conflicts along tile seams. When the repair
-// pass has to drop more gain mass than engine.Config.TileRepairBudget
-// allows, the stitch is declared unsalvageable and the cache falls back
-// to a full greedy run over the viewport — bitwise-identical to the
-// uncached path.
+// pass has to drop more than 1/8 of the stitched gain mass (the greedy
+// approximation bound), the stitch is declared unsalvageable and the
+// cache falls back to a full greedy run over the viewport —
+// bitwise-identical to the uncached path.
 //
 // Invalidation rides the livestore epoch machinery: a view exposing
 // DirtyCells (livestore.Snapshot does) reports which grid cells each

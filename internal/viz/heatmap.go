@@ -1,8 +1,6 @@
 package viz
 
 import (
-	"fmt"
-	"io"
 	"strings"
 
 	"geosel/internal/geo"
@@ -10,7 +8,7 @@ import (
 )
 
 // DensityGrid counts the objects of each cell of a w×h grid over
-// region — the input to the heatmap renderers and a quick way to see
+// region — the input to the ASCII heatmap and a quick way to see
 // the spatial skew the selection algorithms operate under. Cells are
 // row-major with row 0 at the north (top) edge, matching the ASCII
 // renderer.
@@ -100,50 +98,4 @@ func maxLevelClamp(l int) int {
 		return 1
 	}
 	return l
-}
-
-// WriteSVGHeatmap renders the density grid as an SVG of shaded cells.
-func WriteSVGHeatmap(w io.Writer, objs []geodata.Object, region geo.Rect, cells int, opts SVGOptions) error {
-	opts.fill()
-	if region.Width() <= 0 || region.Height() <= 0 {
-		return fmt.Errorf("viz: degenerate region %v", region)
-	}
-	if cells < 1 {
-		cells = 32
-	}
-	grid := DensityGrid(objs, region, cells, cells)
-	maxCount := 0
-	for _, row := range grid {
-		for _, c := range row {
-			if c > maxCount {
-				maxCount = c
-			}
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		opts.Width, opts.Height, opts.Width, opts.Height)
-	b.WriteString(`<rect width="100%" height="100%" fill="#fbfbf8"/>` + "\n")
-	cw := float64(opts.Width) / float64(cells)
-	ch := float64(opts.Height) / float64(cells)
-	for ry, row := range grid {
-		for cx, c := range row {
-			if c == 0 {
-				continue
-			}
-			opacity := float64(c) / float64(maxCount)
-			if opacity < 0.08 {
-				opacity = 0.08
-			}
-			fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="#b33" fill-opacity="%.3f"/>`+"\n",
-				float64(cx)*cw, float64(ry)*ch, cw, ch, opacity)
-		}
-	}
-	if opts.Title != "" {
-		fmt.Fprintf(&b, `<text x="8" y="16" font-family="sans-serif" font-size="13" fill="#333">%s</text>`+"\n",
-			escapeXML(opts.Title))
-	}
-	b.WriteString("</svg>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
 }

@@ -1,7 +1,6 @@
 package viz
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -91,25 +90,4 @@ func rampIndex(ch byte) int {
 		}
 	}
 	return -1
-}
-
-func TestWriteSVGHeatmap(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteSVGHeatmap(&buf, clusterObjects(), geo.WorldUnit, 16, SVGOptions{Title: "density"}); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if !strings.HasPrefix(s, "<svg") || !strings.Contains(s, "density") {
-		t.Error("malformed heatmap SVG")
-	}
-	if !strings.Contains(s, `fill="#b33"`) {
-		t.Error("no shaded cells")
-	}
-	if err := WriteSVGHeatmap(&buf, nil, geo.Rect{}, 8, SVGOptions{}); err == nil {
-		t.Error("degenerate region accepted")
-	}
-	// cells < 1 defaults without panic.
-	if err := WriteSVGHeatmap(&buf, clusterObjects(), geo.WorldUnit, 0, SVGOptions{}); err != nil {
-		t.Error(err)
-	}
 }
