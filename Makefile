@@ -67,7 +67,7 @@ escapebaseline:
 fuzz:
 	go test -run=NONE -fuzz=FuzzDeriveConsistency -fuzztime=10s ./internal/isos
 	go test -run=NONE -fuzz=FuzzRowSums -fuzztime=10s ./internal/sim
-	go test -run=NONE -fuzz=FuzzFillCosine -fuzztime=10s ./internal/sim
+	go test -run=NONE -fuzz=FuzzRowCosine -fuzztime=10s ./internal/sim
 	go test -run=NONE -fuzz=FuzzResidualWalk -fuzztime=10s ./internal/core
 	go test -run=NONE -fuzz=FuzzAppendObjectJSON -fuzztime=10s ./internal/geodata
 	go test -run=NONE -fuzz='^FuzzDecodeTile$$' -fuzztime=10s ./internal/tilecache

@@ -8,8 +8,10 @@ import (
 
 	"geosel/internal/dataset"
 	"geosel/internal/engine"
+	"geosel/internal/geo"
 	"geosel/internal/geodata"
 	"geosel/internal/sim"
+	"geosel/internal/textsim"
 )
 
 // matrixMetrics are the built-in metrics, each paired with the
@@ -62,16 +64,42 @@ func (o *metricOracle) marginal(best []float64, c int) float64 {
 	return gain + part
 }
 
+// twinObjects returns n objects most of which share one of three texts
+// whose unit weights, rounded to float32, give two distinct holders a
+// dot product above 1: the instances on which a Cosine row's dots need
+// the clamp that turns them into m.Sim. It fails t unless they do.
+func twinObjects(t testing.TB, n int, seed int64) []geodata.Object {
+	t.Helper()
+	texts := []map[int]float64{
+		{3: 1, 8: 1, 12: 2},
+		{3: 1, 8: 1, 12: 3},
+		{3: 1, 8: 2, 12: 2},
+	}
+	for _, tf := range texts {
+		if v := textsim.NewVector(tf); !(v.Dot(v) > 1) {
+			t.Fatalf("twins of %v have dot product %v, want one above 1", tf, v.Dot(v))
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	objs := make([]geodata.Object, n)
+	for i := range objs {
+		tf := texts[rng.Intn(len(texts))]
+		if rng.Intn(4) == 0 {
+			tf = map[int]float64{3: 1, 20 + rng.Intn(5): float64(1 + rng.Intn(3))}
+		}
+		objs[i] = geodata.Object{ID: i, Loc: geo.Pt(rng.Float64(), rng.Float64()), Weight: rng.Float64(), Vec: textsim.NewVector(tf)}
+	}
+	return objs
+}
+
 // TestEvaluatorMatchesMetric checks the core bitwise contract at the
 // evaluator level: for every built-in metric and a custom one (the
 // generic sim.Rows kind), filling a row and reducing it produces
 // exactly the floats of per-pair m.Sim calls — marginal gains and
-// absorb states.
+// absorb states — also where a Cosine row's dots exceed 1.
 func TestEvaluatorMatchesMetric(t *testing.T) {
-	objs := testObjects(700, 31) // three chunks
-	metrics := matrixMetrics(t)
-	metrics["custom"] = sim.Func(sim.EuclideanProximity{MaxDist: 0.3}.Sim)
-	for name, m := range metrics {
+	check := func(name string, objs []geodata.Object, m sim.Metric) {
+		t.Helper()
 		e := newEvaluator(nil, objs, m)
 		oracle := &metricOracle{objs: objs, m: m}
 		got := make([]float64, len(objs))
@@ -95,6 +123,15 @@ func TestEvaluatorMatchesMetric(t *testing.T) {
 			}
 		}
 	}
+	objs := testObjects(700, 31) // three chunks
+	metrics := matrixMetrics(t)
+	metrics["custom"] = sim.Func(sim.EuclideanProximity{MaxDist: 0.3}.Sim)
+	for name, m := range metrics {
+		check(name, objs, m)
+	}
+	twins := twinObjects(t, 700, 32)
+	check("cosine-twins", twins, sim.Cosine{})
+	check("hybrid-twins", twins, hybridMetric(t))
 }
 
 // shortSupportMetrics are zero, or nearly, on almost every pair of
@@ -138,6 +175,9 @@ func TestSelectionEquivalenceMatrix(t *testing.T) {
 	for name, m := range matrixMetrics(t) {
 		rows[name] = row{m: m, objs: uniform, theta: 0.05}
 	}
+	twins := twinObjects(t, 650, 79)
+	rows["cosine-twins"] = row{m: sim.Cosine{}, objs: twins, theta: 0.05}
+	rows["hybrid-twins"] = row{m: hybridMetric(t), objs: twins, theta: 0.05}
 	clustered := clusteredObjects(t, 2048, 77)
 	for name, m := range shortSupportMetrics() {
 		rows[name] = row{m: m, objs: clustered, theta: 0.01, short: true}
@@ -224,6 +264,36 @@ func TestSelectionEquivalenceWithBounds(t *testing.T) {
 	for i := range ref.Selected {
 		if got.Selected[i] != ref.Selected[i] {
 			t.Fatalf("pick %d = %d, ref %d", i, got.Selected[i], ref.Selected[i])
+		}
+	}
+}
+
+// TestRepresentativesMatchMetric holds Representatives to a per-pair
+// m.Sim reference, ties to the earliest member of sel included, on twins
+// whose Cosine row dots exceed 1: unclamped, a later twin's dot would
+// beat an earlier member's exact self-similarity of 1.
+func TestRepresentativesMatchMetric(t *testing.T) {
+	objs := twinObjects(t, 600, 80)
+	var sel []int
+	for i := range objs {
+		if i%37 == 0 {
+			sel = append(sel, i)
+		}
+	}
+	metrics := matrixMetrics(t)
+	metrics["custom"] = sim.Func(sim.Cosine{}.Sim)
+	for name, m := range metrics {
+		got := Representatives(objs, sel, m)
+		for i := range objs {
+			best, want := -1.0, -1
+			for _, s := range sel {
+				if v := m.Sim(&objs[i], &objs[s]); v > best {
+					best, want = v, s
+				}
+			}
+			if got[i] != want {
+				t.Fatalf("%s: object %d represented by %d, metric says %d", name, i, got[i], want)
+			}
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // The evaluation engine: every O(|O|) pass of the greedy algorithm —
 // absorbing a pick into the aggregation state, evaluating a candidate's
-// marginal gain, computing the final score — is a loop over the objects
-// split into fixed evalChunk-sized chunks, run on the calling goroutine.
-// Every chunk body fills one row of similarities and hands it to a
+// marginal gain, computing the final score — runs on the calling
+// goroutine. A pass fills one whole row of similarities into the run's
+// row buffer and hands it, split into fixed evalChunk-sized chunks, to a
 // reduction of reduce.go; every floating-point reduction accumulates a
 // per-chunk partial from +0.0 and adds the partials in chunk order, so
 // a pass's bits are a function of the object order alone.
@@ -15,12 +15,11 @@ import (
 	"geosel/internal/sim"
 )
 
-// evalChunk is the number of objects per reduction chunk, and the size
-// of the stack buffer one sim.Rows call fills. Chunk boundaries depend
-// only on the object count, which fixes the summation order of every
-// reduction. A chunk is also the unit of cancellation: the run's
-// context is probed at every chunk boundary.
-const evalChunk = sim.RowBlock
+// evalChunk is the number of objects per reduction chunk. Chunk
+// boundaries depend only on the object count, which fixes the summation
+// order of every reduction. The run's context is probed before every
+// row and at every chunk boundary.
+const evalChunk = 256
 
 // evaluator is the marginal-gain engine behind Selector.Run and Score:
 // the metric compiled once per run into sim.Rows and the weight column
@@ -30,14 +29,15 @@ type evaluator struct {
 	// w is the extracted weight column ω (the paper's mass), indexed
 	// like objs.
 	w []float64
-	// rows fills Sim(o_i, o_c) for a run of objects i against one c; the
-	// reductions of reduce.go consume what it writes.
+	// rows writes c's row, Sim(o_i, o_c) for every object i, into row;
+	// the reductions of reduce.go consume it.
 	rows *sim.Rows
-	// ctx cancels the run; done caches ctx.Done() so the per-chunk
-	// cancellation probe is one channel poll.
+	row  []float64
+	// ctx cancels the run; done caches ctx.Done() so a cancellation
+	// probe is one channel poll.
 	ctx  context.Context
 	done <-chan struct{}
-	// err latches the first context error a chunk boundary saw. Once
+	// err latches the first context error a probe saw. Once
 	// set, the aggregation state is garbage and the run must abort.
 	err error
 	// nChunks = ceil(len(objs)/evalChunk).
@@ -58,13 +58,14 @@ func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric) *eva
 		objs:    objs,
 		w:       w,
 		rows:    sim.NewRows(m, objs),
+		row:     make([]float64, len(objs)),
 		ctx:     ctx,
 		done:    done,
 		nChunks: (len(objs) + evalChunk - 1) / evalChunk,
 	}
 }
 
-// stop is the chunk-boundary probe: it reports whether the run must
+// stop is the cancellation probe: it reports whether the run must
 // stop, latching a context error into e.err the first time it sees one.
 // Once a run has failed every pass is a no-op — callers check e.fail()
 // at their next synchronization point instead of threading errors
@@ -100,44 +101,48 @@ func chunkBounds(chunk, n int) (lo, hi int) {
 	return lo, hi
 }
 
+// fill writes c's row into e.row, probing the context first; it
+// reports false when the run must stop.
+//
+//geolint:hotpath
+func (e *evaluator) fill(c int) bool {
+	if e.stop() {
+		return false
+	}
+	e.rows.Row(e.row, c, e.done)
+	return true
+}
+
 // absorb updates the per-object aggregation state after adding object
 // sel to the selection.
 //
 //geolint:hotpath
 func (e *evaluator) absorb(best []float64, sel int) {
-	var buf [evalChunk]float64
+	if !e.fill(sel) {
+		return
+	}
 	for chunk := 0; chunk < e.nChunks && !e.stop(); chunk++ {
 		lo, hi := chunkBounds(chunk, len(e.objs))
-		s := buf[:hi-lo]
-		e.rows.Fill(s, lo, hi, sel)
-		absorbMax(best[lo:hi], s)
+		absorbMax(best[lo:hi], e.row[lo:hi])
 	}
 }
 
-// marginalChunk accumulates one chunk's contribution to the
-// unnormalized marginal gain of candidate c: Σ ω_i·(Sim(o_i, S∪{c}) −
-// Sim(o_i, S)) restricted to the chunk, which under the max of
-// Equation 1 is Σ ω·max(0, Sim(o_i, o_c) − best[i]).
-//
-//geolint:hotpath
-func (e *evaluator) marginalChunk(best []float64, c, chunk int) float64 {
-	lo, hi := chunkBounds(chunk, len(e.objs))
-	var buf [evalChunk]float64
-	s := buf[:hi-lo]
-	e.rows.Fill(s, lo, hi, c)
-	return marginalMax(e.w[lo:hi], best[lo:hi], s)
-}
-
 // marginal returns the unnormalized marginal gain of candidate c
-// against the aggregation state best. It powers the exact O(|O|·|G|)
-// heap initialization, for metrics that need one; on a cancelled run
-// the value is garbage and e.fail() says so.
+// against the aggregation state best: Σ ω_i·(Sim(o_i, S∪{c}) −
+// Sim(o_i, S)), which under the max of Equation 1 is
+// Σ ω·max(0, Sim(o_i, o_c) − best[i]), summed chunk by chunk. It powers
+// the exact O(|O|·|G|) heap initialization, for metrics that need one;
+// on a cancelled run the value is garbage and e.fail() says so.
 //
 //geolint:hotpath
 func (e *evaluator) marginal(best []float64, c int) float64 {
+	if !e.fill(c) {
+		return 0
+	}
 	var gain float64
 	for chunk := 0; chunk < e.nChunks && !e.stop(); chunk++ {
-		gain += e.marginalChunk(best, c, chunk)
+		lo, hi := chunkBounds(chunk, len(e.objs))
+		gain += marginalMax(e.w[lo:hi], best[lo:hi], e.row[lo:hi])
 	}
 	return gain
 }

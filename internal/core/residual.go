@@ -151,30 +151,21 @@ func (r *residual) marginal(c int) float64 {
 		}
 		return gain
 	}
+	if !e.fill(c) {
+		return 0
+	}
 	var gain float64
 	for chunk := 0; chunk < e.nChunks; chunk++ {
 		if e.stop() {
 			return 0 // cancelled mid-row: the scratch is garbage
 		}
-		gain += r.denseChunk(c, chunk)
+		lo, hi := chunkBounds(chunk, len(e.objs))
+		part, n := marginalMaxRecord(e.w[lo:hi], r.best[lo:hi], e.row[lo:hi], r.at[lo:hi], r.val[lo:hi])
+		r.cnt[chunk] = uint16(n)
+		gain += part
 	}
 	r.record(c)
 	return gain
-}
-
-// denseChunk is marginalChunk that also captures the chunk's residual
-// support into the scratch.
-//
-//geolint:hotpath
-func (r *residual) denseChunk(c, chunk int) float64 {
-	e := r.e
-	lo, hi := chunkBounds(chunk, len(e.objs))
-	var buf [evalChunk]float64
-	s := buf[:hi-lo]
-	e.rows.Fill(s, lo, hi, c)
-	part, n := marginalMaxRecord(e.w[lo:hi], r.best[lo:hi], s, r.at[lo:hi], r.val[lo:hi])
-	r.cnt[chunk] = uint16(n)
-	return part
 }
 
 // record moves what the scratch captured for candidate c into the

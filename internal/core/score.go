@@ -10,6 +10,7 @@ import (
 	"geosel/internal/engine"
 	"geosel/internal/geodata"
 	"geosel/internal/sim"
+	"geosel/internal/textsim"
 )
 
 // Agg aliases engine.Agg.
@@ -82,20 +83,17 @@ func SatisfiesVisibility(objs []geodata.Object, sel []int, theta float64) bool {
 func Representatives(objs []geodata.Object, sel []int, m sim.Metric) []int {
 	rep := make([]int, len(objs))
 	rows := sim.NewRows(m, objs)
-	var buf, best [evalChunk]float64
-	for lo := 0; lo < len(objs); lo += evalChunk {
-		hi := min(lo+evalChunk, len(objs))
-		for i := range rep[lo:hi] {
-			rep[lo+i], best[i] = -1, -1
-		}
-		// Ties go to the earliest member of sel: later ones must be
-		// strictly better.
-		for _, s := range sel {
-			rows.Fill(buf[:], lo, hi, s)
-			for i, v := range buf[:hi-lo] {
-				if v > best[i] {
-					best[i], rep[lo+i] = v, s
-				}
+	row, best := make([]float64, len(objs)), make([]float64, len(objs))
+	for i := range rep {
+		rep[i], best[i] = -1, -1
+	}
+	// Ties go to the earliest member of sel: later ones must be strictly
+	// better.
+	for _, s := range sel {
+		rows.Row(row, s, nil)
+		for i, v := range row {
+			if v = textsim.Clamp01(v); v > best[i] {
+				best[i], rep[i] = v, s
 			}
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"geosel/internal/geodata"
 	"geosel/internal/lazyheap"
 	"geosel/internal/sim"
+	"geosel/internal/textsim"
 )
 
 // benchLikeRegions returns the bench fixture and 15 object-centred
@@ -135,12 +136,12 @@ func TestResidualSupport(t *testing.T) {
 		}
 		h := lazyheap.New(n)
 		h.Heapify(init)
-		// row fills Sim(o_i, c) for every i, a block at a time.
+		// fill writes Sim(o_i, c) for every i into row.
 		row := make([]float64, n)
 		fill := func(c int) {
-			for lo := 0; lo < n; lo += sim.RowBlock {
-				hi := min(lo+sim.RowBlock, n)
-				rows.Fill(row[lo:hi], lo, hi, c)
+			rows.Row(row, c, nil)
+			for i, v := range row {
+				row[i] = textsim.Clamp01(v)
 			}
 		}
 		best := make([]float64, n)
@@ -170,12 +171,13 @@ func TestResidualSupport(t *testing.T) {
 			}
 			c := top.ID
 			fill(c)
-			// The gain in core's summation order: a partial per block.
+			// The gain in core's summation order: a partial per
+			// 256-object chunk.
 			var gain float64
 			size := 0
-			for lo := 0; lo < n; lo += sim.RowBlock {
+			for lo := 0; lo < n; lo += 256 {
 				var part float64
-				for i := lo; i < min(lo+sim.RowBlock, n); i++ {
+				for i := lo; i < min(lo+256, n); i++ {
 					if row[i] > best[i] {
 						part += w[i] * (row[i] - best[i])
 						size++

@@ -33,6 +33,7 @@ import (
 	"geosel/internal/geodata"
 	"geosel/internal/invariant"
 	"geosel/internal/sim"
+	"geosel/internal/textsim"
 )
 
 // Bounds holds what one bound pass computed over an envelope: an upper
@@ -108,12 +109,12 @@ func pairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []
 		// Index equality in sub is object identity, which is all the
 		// built-in metrics need of the pointers m.Sim would see.
 		sub := col.Subset(b.pos)
-		w := make([]float64, len(sub))
+		w, row := make([]float64, len(sub)), make([]float64, len(sub))
 		for i := range sub {
 			w[i] = sub[i].Weight
 		}
 		b.sums = make([]float64, len(sub))
-		if err := quadraticRows(ctx, sub, w, sim.NewRows(m, sub), b.sums); err != nil {
+		if err := quadraticRows(ctx, w, sim.NewRows(m, sub), row, b.sums); err != nil {
 			return nil, err
 		}
 	}
@@ -123,23 +124,21 @@ func pairwiseBounds(ctx context.Context, col *geodata.Collection, envelopePos []
 	return b, nil
 }
 
-// quadraticRows fills sums[i] = Σ_j w[j]·Sim(sub[j], sub[i]), one
-// envelope row at a time, checking ctx before each.
+// quadraticRows fills sums[i] = Σ_j w[j]·Sim(o_j, o_i) over the objects
+// rows was compiled from, one envelope row at a time into row, checking
+// ctx after each.
 //
 //geolint:hotpath
-func quadraticRows(ctx context.Context, sub []geodata.Object, w []float64, rows *sim.Rows, sums []float64) error {
-	var buf [sim.RowBlock]float64
-	for i := range sub {
+func quadraticRows(ctx context.Context, w []float64, rows *sim.Rows, row, sums []float64) error {
+	done := ctx.Done()
+	for i := range sums {
+		rows.Row(row, i, done)
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		var sum float64
-		for lo := 0; lo < len(sub); lo += sim.RowBlock {
-			hi := min(lo+sim.RowBlock, len(sub))
-			rows.Fill(buf[:], lo, hi, i)
-			for k, v := range buf[:hi-lo] {
-				sum += w[lo+k] * v
-			}
+		for k, v := range row {
+			sum += w[k] * textsim.Clamp01(v)
 		}
 		sums[i] = sum
 	}

@@ -7,11 +7,6 @@ import (
 	"geosel/internal/textsim"
 )
 
-// RowBlock is the largest number of similarities one Fill call may
-// write. It equals the evaluation chunk of internal/core, so a
-// caller's row buffer is a fixed-size stack array.
-const RowBlock = 256
-
 type rowsKind uint8
 
 const (
@@ -25,20 +20,20 @@ const (
 )
 
 // Rows evaluates a metric the one way the selection algorithms consume
-// it: one object c against a run of other objects. It is compiled once
-// per (metric, object slice) and writes Sim(&objs[i], &objs[c]) into a
-// caller-owned buffer — bitwise the value m.Sim returns — reading flat
-// columns for the built-in metrics: x/y for Euclidean proximity, one
-// packed CSR term arena and its inverted index for Cosine, two nested
-// Rows for Hybrid.
+// it: one object c against every object. It is compiled once per
+// (metric, object slice) and writes the row Sim(&objs[i], &objs[c]) into
+// a caller-owned buffer of len(objs) float64s, reading flat columns for
+// the built-in metrics: x/y for Euclidean proximity, one packed CSR term
+// arena and its inverted index for Cosine, two nested Rows for Hybrid.
+// Every entry is bitwise the value m.Sim returns after the caller's
+// clamp to [0, 1] (see Row), which is the identity on a metric that
+// keeps the Metric contract.
 //
 // Rows is deliberately one concrete struct with a kind switch, called
-// statically: behind an interface or a func-valued field the caller's
-// stack buffer would escape to the heap, one allocation per chunk. The
-// switch runs once per call, not once per pair.
+// statically; the switch runs once per row, not once per pair.
 //
-// A Rows is safe for concurrent use whenever the source metric is; the
-// built-in metrics are stateless and always are.
+// A Rows is for one goroutine at a time: a Hybrid one writes its
+// spatial half into a buffer it owns.
 type Rows struct {
 	kind rowsKind
 
@@ -52,18 +47,21 @@ type Rows struct {
 
 	// Cosine: the packed term arena; termOf, parallel to vecs.Words,
 	// renames each word's term to a dense region-local id; and the
-	// inverted index over those ids, term t's postings being
-	// posts[postOff[t]:postOff[t+1]] — one word per object holding t,
-	// the object index in the high 32 bits, ascending, and t's float32
-	// weight bits in that object's vector in the low 32.
+	// inverted index over those ids, term t's postings being entries
+	// postOff[t]:postOff[t+1] of two columns — postObj, the index of each
+	// object holding t, ascending, and postW, t's weight in that object's
+	// vector, widened from float32 once.
 	vecs    textsim.Packed
 	termOf  []int32
 	postOff []int32
-	posts   []uint64
+	postObj []int32
+	postW   []float64
 
-	// Hybrid: alpha·text + (1−alpha)·spatial.
+	// Hybrid: alpha·text + (1−alpha)·spatial, the spatial half's row
+	// written to scratch.
 	alpha         float64
 	text, spatial *Rows
+	scratch       []float64
 }
 
 // NewRows compiles m over objs. Index equality on objs stands in for
@@ -83,7 +81,8 @@ func NewRows(m Metric, objs []geodata.Object) *Rows {
 		// A hand-built Hybrid with a nil part panics in Sim; compiling
 		// it must not, so it stays generic.
 		if mt.Text != nil && mt.Spatial != nil {
-			return &Rows{kind: rowsHybrid, alpha: mt.Alpha, text: NewRows(mt.Text, objs), spatial: NewRows(mt.Spatial, objs)}
+			return &Rows{kind: rowsHybrid, alpha: mt.Alpha, text: NewRows(mt.Text, objs), spatial: NewRows(mt.Spatial, objs),
+				scratch: make([]float64, len(objs))}
 		}
 	}
 	return &Rows{kind: rowsGeneric, m: m, objs: objs}
@@ -92,7 +91,7 @@ func NewRows(m Metric, objs []geodata.Object) *Rows {
 // cosineRows packs the term vectors of objs and inverts them, in
 // O(Σ nnz). It returns nil when some vector's term ids are not strictly
 // ascending — NewVector's guarantee, and what makes the merge-join of
-// Cosine.Sim and the posting-list scatter of Fill sum the same products
+// Cosine.Sim and the posting-list scatter of Row sum the same products
 // in the same order; such objects keep the generic kind.
 func cosineRows(objs []geodata.Object) *Rows {
 	vecs := make([]textsim.Vector, len(objs))
@@ -139,13 +138,15 @@ func cosineRows(objs []geodata.Object) *Rows {
 	for t, c := range count {
 		r.postOff[t+1] = r.postOff[t] + c
 	}
-	r.posts = make([]uint64, len(words))
+	r.postObj = make([]int32, len(words))
+	r.postW = make([]float64, len(words))
 	next := count // reused as each run's write cursor
 	copy(next, r.postOff)
 	for i := range objs {
 		for k := r.vecs.Off[i]; k < r.vecs.Off[i+1]; k++ {
 			t := r.termOf[k]
-			r.posts[next[t]] = uint64(i)<<32 | words[k]&(1<<32-1)
+			r.postObj[next[t]] = int32(i)
+			r.postW[next[t]] = float64(textsim.UnpackWeight(words[k]))
 			next[t]++
 		}
 	}
@@ -161,40 +162,56 @@ func euclidRows(objs []geodata.Object, maxDist float64) *Rows {
 	return r
 }
 
-// Fill writes Sim(o_i, o_c) to dst[i-lo] for every i in [lo, hi).
-// hi-lo must not exceed RowBlock or len(dst).
+// Row writes c's row into dst, whose length must be the number of
+// compiled objects: dst[i] is Sim(o_i, o_c) once clamped with
+// textsim.Clamp01 — or, where the consumer keeps a running maximum from
+// +0.0, with min(dst[i], 1): a negative or NaN entry never beats it
+// either way. Only the Cosine kind needs the clamp: it writes each dot
+// as summed (exactly 1 at c), every other kind the metric's own value.
+//
+// done, when not nil, cancels the row: the generic kind, the one whose
+// pairs may be slow, polls it every 256 pairs and returns early, with
+// dst garbage, once it is closed. A caller that passes it must probe it
+// again before trusting dst.
 //
 //geolint:hotpath
-func (r *Rows) Fill(dst []float64, lo, hi, c int) {
-	dst = dst[:hi-lo]
+func (r *Rows) Row(dst []float64, c int, done <-chan struct{}) {
 	switch r.kind {
 	case rowsEuclid:
 		xc, yc, maxDist := r.xs[c], r.ys[c], r.maxDist
-		xs, ys := r.xs[lo:hi], r.ys[lo:hi]
-		for k := range dst {
-			dst[k] = euclidSim(xs[k]-xc, ys[k]-yc, maxDist)
+		dst, ys := dst[:len(r.xs)], r.ys[:len(r.xs)]
+		for k, x := range r.xs {
+			dst[k] = euclidSim(x-xc, ys[k]-yc, maxDist)
 		}
 	case rowsCosine:
-		r.fillCosine(dst, lo, hi, c)
+		r.rowCosine(dst, c)
 	case rowsHybrid:
-		var buf [RowBlock]float64
-		spatial := buf[:len(dst)]
-		r.text.Fill(dst, lo, hi, c)
-		r.spatial.Fill(spatial, lo, hi, c)
-		r.mix(dst, spatial)
+		r.text.Row(dst, c, done)
+		r.spatial.Row(r.scratch, c, done)
+		alpha := r.alpha
+		for k, s := range r.scratch {
+			dst[k] = alpha*textsim.Clamp01(dst[k]) + (1-alpha)*s
+		}
 	default:
 		oc := &r.objs[c]
-		for k := range dst {
-			dst[k] = r.m.Sim(&r.objs[lo+k], oc)
+		for k := range r.objs {
+			if k%256 == 0 && done != nil {
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+			dst[k] = r.m.Sim(&r.objs[k], oc)
 		}
 	}
 }
 
 // RowSums writes to dst[k], for each c = cs[k], an upper bound on the
 // weighted row sum Σ_i w[i]·Sim(o_i, o_c) over every compiled object —
-// o_c's initial marginal gain — in O(Σ nnz) instead of one Fill per c.
+// o_c's initial marginal gain — in O(Σ nnz) instead of one Row per c.
 // It reports false, with dst unspecified, when the metric has no such
-// shortcut; the caller then sums Fill rows as before.
+// shortcut; the caller then sums rows as before.
 //
 // Only Cosine has one: its row sum is linear. RowSums builds the Linear
 // aggregate of the compiled objects — its coordinates indexed by the
@@ -228,14 +245,14 @@ func (r *Rows) RowSums(dst, w []float64, cs []int) bool {
 // ô, with |R| = n and R's longest vector's length maxnnz. From it Bound
 // gives, for any c in R, an upper bound on the weighted row sum
 // Σ_{i∈R} ω_i·Sim(o_i, o_c) in O(nnz(c)): ô_c·A, corrected three ways so
-// that it stays above what the chunked reductions make of Fill.
+// that it stays above what the chunked reductions make of Row.
 //
 //   - Sim(o_c, o_c) is exactly 1 whatever float32 rounding makes of
 //     ô_c·ô_c, so the shortfall ω_c·max(0, 1 − ô_c·ô_c) is added back (an
 //     empty c gets ω_c alone).
-//   - A dot dominates Fill's [0, 1] clamp only if it is non-negative, so
+//   - A dot dominates the [0, 1] clamp of a row only if it is non-negative, so
 //     a negative or NaN term weight or ω declines, and so do term ids
-//     that are not strictly ascending (Fill would not sum that vector's
+//     that are not strictly ascending (Row would not sum that vector's
 //     products in merge order).
 //   - Either summation order is within n + maxnnz + 8 roundings of the
 //     real sum, so the result is inflated by 1 + 4(n + maxnnz + 8)·2⁻⁵³.
@@ -396,53 +413,26 @@ func euclidSim(dx, dy, maxDist float64) float64 {
 	return max(1-math.Sqrt(dx*dx+dy*dy)/maxDist, 0)
 }
 
-// fillCosine is Fill for the Cosine kind. Instead of merge-joining c's
-// row with each of the hi−lo others, it scatters c's terms over their
-// posting runs inside [lo, hi): dst[i-lo] accumulates ô_i·ô_c for every
-// term i shares with c. Terms are walked in c's ascending id order and
-// every dst entry starts at +0.0, so each entry adds the products
-// DotWords(row_i, row_c) adds, in its order — the same float64, then the
-// same clamp as Cosine.Sim (the vectors are unit-length, so the clamped
-// dot is the cosine).
+// rowCosine is Row for the Cosine kind. Instead of merge-joining c's
+// vector with each other one, it scatters c's terms over their whole
+// posting runs: dst[i] accumulates ô_i·ô_c for every term i shares with
+// c. Terms are walked in c's ascending id order and every entry starts
+// at +0.0, so each entry adds the products DotWords(row_i, row_c) adds,
+// in its order — the same float64 Cosine.Sim clamps (the vectors are
+// unit-length, so the clamped dot is the cosine).
 //
 //geolint:hotpath
-func (r *Rows) fillCosine(dst []float64, lo, hi, c int) {
+func (r *Rows) rowCosine(dst []float64, c int) {
 	clear(dst)
-	words, termOf, posts := r.vecs.Words, r.termOf, r.posts
+	words, termOf, postObj, postW := r.vecs.Words, r.termOf, r.postObj, r.postW
 	for k := r.vecs.Off[c]; k < r.vecs.Off[c+1]; k++ {
 		wc := float64(textsim.UnpackWeight(words[k]))
 		t := termOf[k]
-		run := posts[r.postOff[t]:r.postOff[t+1]]
-		// Skip to the first posting at or beyond lo.
-		a, b := 0, len(run)
-		for a < b {
-			m := int(uint(a+b) >> 1)
-			if int(run[m]>>32) < lo {
-				a = m + 1
-			} else {
-				b = m
-			}
-		}
-		for _, p := range run[a:] {
-			i := int(p >> 32)
-			if i >= hi {
-				break
-			}
-			dst[i-lo] += float64(textsim.UnpackWeight(p)) * wc
+		lo, hi := r.postOff[t], r.postOff[t+1]
+		ws := postW[lo:hi]
+		for j, i := range postObj[lo:hi] {
+			dst[i] += ws[j] * wc
 		}
 	}
-	for k, d := range dst {
-		dst[k] = textsim.Clamp01(d)
-	}
-	if lo <= c && c < hi {
-		dst[c-lo] = 1
-	}
-}
-
-// mix folds the spatial part into dst, which holds the text part.
-func (r *Rows) mix(dst, spatial []float64) {
-	alpha := r.alpha
-	for k, s := range spatial {
-		dst[k] = alpha*dst[k] + (1-alpha)*s
-	}
+	dst[c] = 1
 }

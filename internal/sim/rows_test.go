@@ -43,15 +43,24 @@ func rawVector(ids []int32, weights []float32) textsim.Vector {
 	return v
 }
 
+// rowsTestN is not a multiple of the 256-object reduction chunk of
+// internal/core.
+const rowsTestN = 600
+
 // The one oracle of pair evaluation: whatever Rows compiles a metric
-// into, Fill writes bitwise the value of
-// m.Sim(&objs[i], &objs[c]) — for every pair including i == c, over
-// blocks that do not divide the object count, and for degenerate
-// parameters. (The test names predate Rows; the test floor list pins
-// them.)
+// into, Row writes, for every c and every i including c, what clamps to
+// bitwise the value of m.Sim(&objs[i], &objs[c]) — and the metric's own
+// value on every kind but Cosine — for degenerate parameters and twins
+// of identical text too. (The
+// test names predate Rows; the test floor list pins them.)
 func TestCompileKernelMatchesInterface(t *testing.T) {
-	const n = 2*RowBlock + 88
-	objs := rowsTestObjects(n, 7)
+	objs := rowsTestObjects(rowsTestN, 7)
+	for _, i := range []int{10, 300, 598} {
+		objs[i].Vec = textsim.NewVector(map[int]float64{1: 1, 2: 1, 3: 2})
+	}
+	if dot := objs[10].Vec.Dot(objs[598].Vec); !(dot > 1) {
+		t.Fatalf("twins 10 and 598 have dot product %v, want one the clamp to 1 must catch", dot)
+	}
 	hybrid, err := NewHybrid(0.4, 1.5)
 	if err != nil {
 		t.Fatal(err)
@@ -76,24 +85,20 @@ func TestCompileKernelMatchesInterface(t *testing.T) {
 			if r.kind != tc.kind {
 				t.Fatalf("compiled to kind %d, want %d", r.kind, tc.kind)
 			}
-			var buf [RowBlock]float64
+			row := make([]float64, len(objs))
 			for c := range objs {
-				for lo := 0; lo < n; lo += RowBlock {
-					hi := min(lo+RowBlock, n)
-					r.Fill(buf[:], lo, hi, c)
-					for i := lo; i < hi; i++ {
-						if got, want := buf[i-lo], tc.m.Sim(&objs[i], &objs[c]); got != want {
-							t.Fatalf("Fill: (%d,%d) = %v, Sim = %v", i, c, got, want)
-						}
+				for i := range row {
+					row[i] = math.NaN() // an entry Row skips fails below
+				}
+				r.Row(row, c, nil)
+				for i, v := range row {
+					if tc.kind == rowsCosine {
+						v = textsim.Clamp01(v)
+					}
+					if got, want := v, tc.m.Sim(&objs[i], &objs[c]); got != want {
+						t.Fatalf("Row: (%d,%d) = %v, Sim = %v", i, c, got, want)
 					}
 				}
-			}
-			// Empty ranges write nothing, with or without a buffer.
-			buf[0] = -1
-			r.Fill(buf[:], 5, 5, 3)
-			r.Fill(nil, n, n, 3)
-			if buf[0] != -1 {
-				t.Fatal("an empty range wrote to the buffer")
 			}
 		})
 	}
@@ -109,47 +114,37 @@ func TestCompileKernelHybridNilParts(t *testing.T) {
 	}
 }
 
-// checkCosineRows compares Fill on the compiled Cosine rows of objs with Cosine{}.Sim, bit for bit, for every c: over the RowBlock
-// chunk grid and over windows that start and end off it, so c falls
-// inside, before and after the window.
+// checkCosineRows compares Row on the compiled Cosine rows of objs with
+// Cosine{}.Sim, bit for bit, for every c, under both clamps a consumer
+// applies: textsim.Clamp01, and the reductions' min(v, 1), which may
+// leave an entry where Sim is 0 at or below 0 (or NaN) — an entry that
+// can never raise an aggregation state that starts at +0.0.
 func checkCosineRows(t *testing.T, objs []geodata.Object) {
 	t.Helper()
-	n := len(objs)
 	r := NewRows(Cosine{}, objs)
-	var windows [][2]int
-	for lo := 0; lo < n; lo += RowBlock {
-		windows = append(windows, [2]int{lo, min(lo+RowBlock, n)})
-	}
-	for _, lo := range []int{1, n / 3, n - n/4} {
-		for _, width := range []int{1, 13, RowBlock} {
-			if lo < n {
-				windows = append(windows, [2]int{lo, min(lo+width, n)})
-			}
-		}
-	}
-	var buf [RowBlock]float64
+	row := make([]float64, len(objs))
 	for c := range objs {
-		for _, win := range windows {
-			lo, hi := win[0], win[1]
-			r.Fill(buf[:], lo, hi, c)
-			for i := lo; i < hi; i++ {
-				want := Cosine{}.Sim(&objs[i], &objs[c])
-				if got := buf[i-lo]; math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("Fill[%d,%d): (%d,%d) = %v, Sim = %v", lo, hi, i, c, got, want)
-				}
+		r.Row(row, c, nil)
+		for i, v := range row {
+			want := Cosine{}.Sim(&objs[i], &objs[c])
+			if got := textsim.Clamp01(v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Clamp01(Row): (%d,%d) = %v, Sim = %v", i, c, got, want)
+			}
+			if got := min(v, 1); math.Float64bits(got) != math.Float64bits(want) && !(want == 0 && !(got > 0)) {
+				t.Fatalf("min(Row, 1): (%d,%d) = %v, Sim = %v", i, c, got, want)
 			}
 		}
 	}
 }
 
-// The posting-list scatter behind Cosine's Fill against the merge-join
+// The posting-list scatter behind Cosine's Row against the merge-join
 // of Cosine.Sim, on the vectors that set them apart: a term every
-// object holds (posting runs that span every window), a term only c
-// holds, empty vectors, a vector longer than 1, whose dot products
-// above 1 clamp to 1, and negative weights, whose negative dot products
-// clamp to 0.
-func TestFillCosineMatchesSim(t *testing.T) {
-	const n = 2*RowBlock + 88
+// object holds (posting runs that span the whole row), a term only c
+// holds, empty vectors, twins of identical text and a vector longer
+// than 1, whose dot products above 1 clamp to 1, and negative weights,
+// whose negative dot products clamp to 0.
+func TestRowCosineMatchesSim(t *testing.T) {
+	const n = rowsTestN
 	const everywhere, unique = 77_000, 5
 	rng := rand.New(rand.NewSource(23))
 	objs := make([]geodata.Object, n)
@@ -160,13 +155,16 @@ func TestFillCosineMatchesSim(t *testing.T) {
 		}
 		objs[i] = geodata.Object{ID: i, Vec: textsim.NewVector(tf)}
 	}
-	for _, i := range []int{0, 100, RowBlock - 1, RowBlock, n - 1} {
+	for _, i := range []int{0, 100, 255, 256, n - 1} {
 		objs[i].Vec = textsim.Vector{}
 	}
 	objs[300].Vec = textsim.NewVector(map[int]float64{unique: 2, everywhere: 1})
 	objs[301].Vec = rawVector([]int32{10, everywhere}, []float32{3, 3})
 	objs[40].Vec = rawVector([]int32{10, 110, everywhere}, []float32{-1, 0.5, -1})
-	objs[RowBlock+7].Vec = rawVector([]int32{everywhere}, []float32{-1})
+	objs[263].Vec = rawVector([]int32{everywhere}, []float32{-1})
+	for _, i := range []int{7, 420, 590} {
+		objs[i].Vec = textsim.NewVector(map[int]float64{10: 1, 110: 1, everywhere: 2})
+	}
 	if r := NewRows(Cosine{}, objs); r.kind != rowsCosine {
 		t.Fatalf("compiled to kind %d, want the Cosine kind", r.kind)
 	}
@@ -176,6 +174,9 @@ func TestFillCosineMatchesSim(t *testing.T) {
 	if dot := objs[301].Vec.Dot(objs[302].Vec); !(dot > 1) {
 		t.Fatalf("objects 301 and 302 have dot product %v, want one the clamp to 1 must catch", dot)
 	}
+	if dot := objs[7].Vec.Dot(objs[590].Vec); !(dot > 1) {
+		t.Fatalf("twins 7 and 590 have dot product %v, want one the clamp to 1 must catch", dot)
+	}
 	checkCosineRows(t, objs)
 	checkCosineRows(t, objs[:1])
 	checkCosineRows(t, nil)
@@ -183,17 +184,17 @@ func TestFillCosineMatchesSim(t *testing.T) {
 
 // Scatter ≡ merge only over strictly ascending term ids. One hand-built
 // vector that breaks the order keeps the whole Rows — and a Hybrid's
-// text half — on the generic kind, where Fill is m.Sim by construction.
+// text half — on the generic kind, where Row is m.Sim by construction.
 func TestUnsortedVectorsStayGeneric(t *testing.T) {
 	for name, bad := range map[string]textsim.Vector{
 		"duplicate": rawVector([]int32{2, 2, 3}, []float32{1, 1, 1}),
 		"unsorted":  rawVector([]int32{3, 2}, []float32{1, 1}),
 	} {
-		objs := rowsTestObjects(RowBlock+20, 9)
+		objs := rowsTestObjects(276, 9)
 		for i := range objs {
 			objs[i].Vec = textsim.NewVector(map[int]float64{2: 1, 3 + i%3: 2})
 		}
-		objs[RowBlock+3].Vec = bad
+		objs[259].Vec = bad
 		if r := NewRows(Cosine{}, objs); r.kind != rowsGeneric {
 			t.Errorf("%s ids compiled to kind %d, want generic", name, r.kind)
 		}
@@ -206,17 +207,16 @@ func TestUnsortedVectorsStayGeneric(t *testing.T) {
 }
 
 // chunkedRowSum is Σ_i w[i]·Sim(o_i, o_c) in the order internal/core
-// reduces it: Fill one RowBlock chunk, accumulate its partial in index
-// order, combine the partials in chunk order.
+// reduces it: one row, clamped, accumulated in index order within each
+// 256-object chunk, the chunk partials combined in chunk order.
 func chunkedRowSum(r *Rows, n int, w []float64, c int) float64 {
-	var buf [RowBlock]float64
+	row := make([]float64, n)
+	r.Row(row, c, nil)
 	var sum float64
-	for lo := 0; lo < n; lo += RowBlock {
-		hi := min(lo+RowBlock, n)
-		r.Fill(buf[:], lo, hi, c)
+	for lo := 0; lo < n; lo += 256 {
 		var part float64
-		for k, v := range buf[:hi-lo] {
-			part += w[lo+k] * v
+		for k := lo; k < min(lo+256, n); k++ {
+			part += w[k] * textsim.Clamp01(row[k])
 		}
 		sum += part
 	}
@@ -228,7 +228,7 @@ func chunkedRowSum(r *Rows, n int, w []float64, c int) float64 {
 // exact sum, and — when tight — exceeds it by no more than the float32
 // rounding of unit weights allows: (n + maxnnz)·2⁻²³ relative, for the
 // self-correction of ô_c·ô_c ≠ 1 and for dot products of identical
-// texts above 1 that Fill clamps.
+// texts above 1 that the row's clamp catches.
 func checkRowSums(t *testing.T, objs []geodata.Object, tight bool) {
 	t.Helper()
 	n := len(objs)
@@ -259,9 +259,9 @@ func checkRowSums(t *testing.T, objs []geodata.Object, tight bool) {
 }
 
 func TestRowSumsDominateExactRows(t *testing.T) {
-	// n is not a multiple of RowBlock; duplicates and identical texts
+	// n is not a multiple of the chunk; duplicates and identical texts
 	// put dot products within float32 rounding of 1 on either side.
-	const n = 2*RowBlock + 88
+	const n = rowsTestN
 	rng := rand.New(rand.NewSource(19))
 	objs := make([]geodata.Object, n)
 	for i := range objs {
@@ -462,7 +462,7 @@ func FuzzRowSums(f *testing.F) {
 	})
 }
 
-func FuzzFillCosine(f *testing.F) {
+func FuzzRowCosine(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkCosineRows(t, fuzzObjects(data))

@@ -449,3 +449,52 @@ func TestWarmHitDoesNotAllocate(t *testing.T) {
 		t.Fatalf("warm hit allocates %.2f objects per request; the steady state must be allocation-free", allocs)
 	}
 }
+
+// TestFarIngestReachesCachedAnswers ingests live objects far past the
+// ±1e300 that the grid widens its edge cells to (a location is valid up
+// to ±1e308), where the dirty rectangle of the cell an object clamps
+// into does not cover it. No cached answer may miss such an object: a
+// viewport served from the tiles before the write must, after it, answer
+// with the new object.
+func TestFarIngestReachesCachedAnswers(t *testing.T) {
+	ctx := context.Background()
+	for _, loc := range []geo.Point{geo.Pt(2e300, 0.5), geo.Pt(-5e307, 0.25), geo.Pt(0.5, 3e300)} {
+		ls, err := livestore.New(testCollection(400, 8), engine.Config{Metric: sim.Cosine{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newTestCache(t, engine.Config{})
+		region := geo.Rect{
+			Min: geo.Pt(min(0, loc.X), min(0, loc.Y)),
+			Max: geo.Pt(max(1, loc.X), max(1, loc.Y)),
+		}
+		// k above the object count and θ = 0 select every object, so the
+		// answer lists the new one exactly when it sees it.
+		const k = 500
+		view1, v1 := ls.Snapshot()
+		res, err := c.Select(ctx, view1, v1, region, k, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fallback || res.Tiles == 0 {
+			t.Fatalf("%v: the viewport before the write was not served from the tiles (fallback=%v, tiles=%d)", loc, res.Fallback, res.Tiles)
+		}
+		v2 := applyEpoch(t, ls, []livestore.Mutation{{Op: livestore.OpInsert, ID: 999999, Loc: loc, Weight: 0.9, Text: "harbour"}})
+		view2, sv2 := ls.Snapshot()
+		if sv2 != v2 {
+			t.Fatalf("snapshot version %d after epoch %d", sv2, v2)
+		}
+		res, err = c.Select(ctx, view2, v2, region, k, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs := view2.Collection().Objects
+		found := false
+		for _, p := range res.Positions {
+			found = found || objs[p].ID == 999999
+		}
+		if !found {
+			t.Fatalf("%v: the answer after the write misses the new object (%d positions, fallback=%v)", loc, len(res.Positions), res.Fallback)
+		}
+	}
+}
