@@ -29,8 +29,8 @@
 // limits) live in one EngineConfig struct, embedded
 // by Options and SessionConfig and validated in one place. Every entry
 // point takes a context.Context: cancel it (or let a deadline expire)
-// and the selection stops cooperatively within one evaluation chunk,
-// returning ctx.Err().
+// and the selection stops cooperatively within one row, returning
+// ctx.Err().
 package geosel
 
 import (
@@ -188,8 +188,8 @@ type Result struct {
 // representative score. It is the 1/8-approximation greedy of the
 // paper, optionally on a theoretically grounded sample (SaSS).
 //
-// ctx cancels the selection cooperatively (within one evaluation
-// chunk); a nil ctx behaves like context.Background().
+// ctx cancels the selection cooperatively (within one row); a nil ctx
+// behaves like context.Background().
 func Select(ctx context.Context, store *Store, region Rect, opts Options) (*Result, error) {
 	if store == nil {
 		return nil, fmt.Errorf("geosel: nil store")

@@ -12,6 +12,11 @@ import (
 	"geosel/internal/sim"
 )
 
+// rowPoll is the generic sim.Rows kind's poll interval: a row of
+// metric calls probes the context every rowPoll pairs, and the
+// evaluator probes it again once the row returns.
+const rowPoll = 256
+
 // countingMetric wraps a metric with an atomic call counter and an
 // optional trigger that fires once after n calls.
 type countingMetric struct {
@@ -68,17 +73,18 @@ func TestRunCancelledMidway(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// Cancellation latency is bounded by one chunk, so the cancelled run
-	// stops within evalChunk metric calls of the cutoff.
-	if got := calls.Load(); got > cutoff+evalChunk {
-		t.Fatalf("cancelled at call %d, the run made %d of %d metric calls — did not stop within a chunk",
+	// Cancellation latency is bounded by one poll interval of the row,
+	// so the cancelled run stops within rowPoll metric calls of the
+	// cutoff.
+	if got := calls.Load(); got > cutoff+rowPoll {
+		t.Fatalf("cancelled at call %d, the run made %d of %d metric calls — did not stop within one poll interval",
 			cutoff, got, full.Load())
 	}
 }
 
 // TestRunPreCancelled covers the fast path: a context cancelled before
 // Run starts must fail without evaluating the metric at all (beyond at
-// most one inline chunk).
+// most one poll interval of a row).
 func TestRunPreCancelled(t *testing.T) {
 	objs := testObjects(800, 4321)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -92,7 +98,7 @@ func TestRunPreCancelled(t *testing.T) {
 	if _, err := sel.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := calls.Load(); got > int64(evalChunk) {
+	if got := calls.Load(); got > rowPoll {
 		t.Fatalf("pre-cancelled Run made %d metric calls", got)
 	}
 }

@@ -583,10 +583,6 @@ func TestRepresentatives(t *testing.T) {
 	if got := Representatives(objs, nil, sim.Cosine{}); got[0] != -1 {
 		t.Errorf("empty selection should map to -1: %v", got)
 	}
-	hidden := RepresentedBy(objs, sel, sim.Cosine{}, 0)
-	if len(hidden) != 2 || hidden[0] != 0 || hidden[1] != 2 {
-		t.Errorf("RepresentedBy(0) = %v", hidden)
-	}
 }
 
 func TestPaperWorkedExample(t *testing.T) {

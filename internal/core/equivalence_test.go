@@ -26,8 +26,8 @@ func matrixMetrics(t *testing.T) map[string]sim.Metric {
 }
 
 // metricOracle recomputes the evaluator's passes the slow way: one
-// m.Sim interface call per pair, with the chunk-partial order spelled
-// out term by term. It shares nothing with the evaluator.
+// m.Sim interface call per pair, summed straight in index order. It
+// shares nothing with the evaluator.
 type metricOracle struct {
 	objs []geodata.Object
 	m    sim.Metric
@@ -49,19 +49,13 @@ func (o *metricOracle) absorb(best []float64, sel int) {
 }
 
 func (o *metricOracle) marginal(best []float64, c int) float64 {
-	var gain, part float64
-	chunk := 0
+	var gain float64
 	o.visit(c, func(i int, v float64) {
-		if nc := i / evalChunk; nc != chunk {
-			gain += part
-			part = 0
-			chunk = nc
-		}
 		if v > best[i] {
-			part += o.objs[i].Weight * (v - best[i])
+			gain += o.objs[i].Weight * (v - best[i])
 		}
 	})
-	return gain + part
+	return gain
 }
 
 // twinObjects returns n objects most of which share one of three texts
@@ -123,7 +117,7 @@ func TestEvaluatorMatchesMetric(t *testing.T) {
 			}
 		}
 	}
-	objs := testObjects(700, 31) // three chunks
+	objs := testObjects(700, 31)
 	metrics := matrixMetrics(t)
 	metrics["custom"] = sim.Func(sim.EuclideanProximity{MaxDist: 0.3}.Sim)
 	for name, m := range metrics {

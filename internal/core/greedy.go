@@ -95,9 +95,10 @@ type Result struct {
 // second time on the same Selector.
 //
 // The run is one serial loop on the calling goroutine. ctx cancels it
-// cooperatively: the context is checked at every evaluation-chunk
-// boundary, so a cancelled run stops within one chunk of work and
-// returns ctx.Err(). A nil ctx never cancels.
+// cooperatively: the context is checked before and after every row
+// (and, on a custom metric, every 256 pairs inside one), so a
+// cancelled run stops within one row of work and returns ctx.Err(). A
+// nil ctx never cancels.
 // Cancellation does not affect determinism — a run either completes
 // with the exact same result as every other completed run, or returns
 // an error and no result.

@@ -2,10 +2,10 @@
 // absorbing a pick into the aggregation state, evaluating a candidate's
 // marginal gain, computing the final score — runs on the calling
 // goroutine. A pass fills one whole row of similarities into the run's
-// row buffer and hands it, split into fixed evalChunk-sized chunks, to a
-// reduction of reduce.go; every floating-point reduction accumulates a
-// per-chunk partial from +0.0 and adds the partials in chunk order, so
-// a pass's bits are a function of the object order alone.
+// row buffer and hands it to a reduction of reduce.go; every
+// floating-point reduction sums in index order into one accumulator
+// that starts at +0.0, so a pass's bits are a function of the object
+// order alone.
 package core
 
 import (
@@ -14,12 +14,6 @@ import (
 	"geosel/internal/geodata"
 	"geosel/internal/sim"
 )
-
-// evalChunk is the number of objects per reduction chunk. Chunk
-// boundaries depend only on the object count, which fixes the summation
-// order of every reduction. The run's context is probed before every
-// row and at every chunk boundary.
-const evalChunk = 256
 
 // evaluator is the marginal-gain engine behind Selector.Run and Score:
 // the metric compiled once per run into sim.Rows and the weight column
@@ -40,8 +34,6 @@ type evaluator struct {
 	// err latches the first context error a probe saw. Once
 	// set, the aggregation state is garbage and the run must abort.
 	err error
-	// nChunks = ceil(len(objs)/evalChunk).
-	nChunks int
 }
 
 // newEvaluator compiles the metric into rows. A nil ctx never cancels.
@@ -55,13 +47,12 @@ func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric) *eva
 		done = ctx.Done()
 	}
 	return &evaluator{
-		objs:    objs,
-		w:       w,
-		rows:    sim.NewRows(m, objs),
-		row:     make([]float64, len(objs)),
-		ctx:     ctx,
-		done:    done,
-		nChunks: (len(objs) + evalChunk - 1) / evalChunk,
+		objs: objs,
+		w:    w,
+		rows: sim.NewRows(m, objs),
+		row:  make([]float64, len(objs)),
+		ctx:  ctx,
+		done: done,
 	}
 }
 
@@ -91,18 +82,9 @@ func (e *evaluator) fail() error {
 	return e.err
 }
 
-// chunkBounds returns the half-open object range of a chunk.
-func chunkBounds(chunk, n int) (lo, hi int) {
-	lo = chunk * evalChunk
-	hi = lo + evalChunk
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-// fill writes c's row into e.row, probing the context first; it
-// reports false when the run must stop.
+// fill writes c's row into e.row, probing the context before and
+// after: the generic kind returns early, with the row garbage, once the
+// context is done. It reports false when the run must stop.
 //
 //geolint:hotpath
 func (e *evaluator) fill(c int) bool {
@@ -110,7 +92,7 @@ func (e *evaluator) fill(c int) bool {
 		return false
 	}
 	e.rows.Row(e.row, c, e.done)
-	return true
+	return !e.stop()
 }
 
 // absorb updates the per-object aggregation state after adding object
@@ -118,19 +100,15 @@ func (e *evaluator) fill(c int) bool {
 //
 //geolint:hotpath
 func (e *evaluator) absorb(best []float64, sel int) {
-	if !e.fill(sel) {
-		return
-	}
-	for chunk := 0; chunk < e.nChunks && !e.stop(); chunk++ {
-		lo, hi := chunkBounds(chunk, len(e.objs))
-		absorbMax(best[lo:hi], e.row[lo:hi])
+	if e.fill(sel) {
+		absorbMax(best, e.row)
 	}
 }
 
 // marginal returns the unnormalized marginal gain of candidate c
 // against the aggregation state best: Σ ω_i·(Sim(o_i, S∪{c}) −
 // Sim(o_i, S)), which under the max of Equation 1 is
-// Σ ω·max(0, Sim(o_i, o_c) − best[i]), summed chunk by chunk. It powers
+// Σ ω·max(0, Sim(o_i, o_c) − best[i]), summed in index order. It powers
 // the exact O(|O|·|G|) heap initialization, for metrics that need one;
 // on a cancelled run the value is garbage and e.fail() says so.
 //
@@ -139,12 +117,7 @@ func (e *evaluator) marginal(best []float64, c int) float64 {
 	if !e.fill(c) {
 		return 0
 	}
-	var gain float64
-	for chunk := 0; chunk < e.nChunks && !e.stop(); chunk++ {
-		lo, hi := chunkBounds(chunk, len(e.objs))
-		gain += marginalMax(e.w[lo:hi], best[lo:hi], e.row[lo:hi])
-	}
-	return gain
+	return marginalMax(e.w, best, e.row)
 }
 
 // score computes the normalized representative score from the
@@ -154,14 +127,10 @@ func (e *evaluator) score(best []float64) float64 {
 	if n == 0 {
 		return 0
 	}
+	w := e.w
 	var total float64
-	for chunk := 0; chunk < e.nChunks && !e.stop(); chunk++ {
-		lo, hi := chunkBounds(chunk, n)
-		var part float64
-		for i := lo; i < hi; i++ {
-			part += e.w[i] * best[i]
-		}
-		total += part
+	for i, b := range best[:len(w)] {
+		total += w[i] * b
 	}
 	return total / float64(n)
 }

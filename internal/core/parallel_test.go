@@ -12,13 +12,11 @@ import (
 
 // assertMatchesReference replays a Result against the textbook
 // arithmetic: straight left-to-right sums, metric interface calls, no
-// kernels, no chunks. Every engine pick must be the straight-sum argmax
-// of the surviving candidates (ties broken by smallest id), and the
-// reported gains and score must match the straight-sum values within
-// 1e-9. Exact ties at ulp scale — e.g. two objects with identical term
-// vectors, whose gains differ only through summation order — may resolve
-// to either object, so an argmax mismatch is accepted only when the two
-// straight-sum gains agree within 1e-12.
+// kernels. The engine sums the same terms in the same order into one
+// accumulator, so every engine pick must be the straight-sum argmax of
+// the surviving candidates (ties broken by smallest id), and the
+// reported gains and score must equal the straight-sum values bit for
+// bit.
 //
 // Alongside, the replay runs lazy forward on its own straight-sum heap:
 // seeded with each candidate's linear row sum where the metric has one
@@ -100,13 +98,12 @@ func assertMatchesReference(t *testing.T, objs []geodata.Object, k int, theta fl
 				bestC, bestGain = c, g
 			}
 		}
-		pickGain := marginal(pick)
-		if bestC != pick && bestGain-pickGain > 1e-12 {
+		if bestC != pick {
 			t.Fatalf("pick %d chose %d (gain %v) but the reference argmax is %d (gain %v)",
-				pi, pick, pickGain, bestC, bestGain)
+				pi, pick, marginal(pick), bestC, bestGain)
 		}
-		if math.Abs(pickGain-res.Gains[pi]) > 1e-9 {
-			t.Fatalf("pick %d gain = %v, reference straight-sum gain %v", pi, res.Gains[pi], pickGain)
+		if math.Float64bits(bestGain) != math.Float64bits(res.Gains[pi]) {
+			t.Fatalf("pick %d gain = %v, reference straight-sum gain %v", pi, res.Gains[pi], bestGain)
 		}
 		lazyRound(pi)
 		for i := range objs {
@@ -138,7 +135,7 @@ func assertMatchesReference(t *testing.T, objs []geodata.Object, k int, theta fl
 	if n > 0 {
 		score = total / float64(n)
 	}
-	if math.Abs(score-res.Score) > 1e-9 {
+	if math.Float64bits(score) != math.Float64bits(res.Score) {
 		t.Fatalf("score = %v, reference straight-sum score %v", res.Score, score)
 	}
 }
@@ -146,8 +143,9 @@ func assertMatchesReference(t *testing.T, objs []geodata.Object, k int, theta fl
 // TestParallelDeterminismMatrix is the determinism guarantee of the
 // engine: for a grid of seeds × (K, θ, metric) configurations, two runs
 // return bitwise-identical Selected, Score, Gains, Evals and Rounds
-// (fixed chunk-ordered partial-sum reduction), and the selections and
-// evaluation counts match the straight-sum replay.
+// (every reduction sums in index order into one accumulator), and the
+// selections, gains, score and evaluation counts match the straight-sum
+// replay bit for bit.
 func TestParallelDeterminismMatrix(t *testing.T) {
 	hybrid, err := sim.NewHybrid(0.5, math.Sqrt2)
 	if err != nil {
@@ -174,7 +172,6 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 		metrics = append(metrics, metricCase{name, m, true})
 	}
 	clustered := clusteredObjects(t, 2048, 900)
-	// n = 700 spans three chunks, so the chunked reductions engage.
 	for seed := int64(0); seed < 3; seed++ {
 		uniform := testObjects(700, 900+seed)
 		for _, mc := range metrics {
@@ -318,7 +315,7 @@ func TestSelfSeedingMatchesExactInit(t *testing.T) {
 }
 
 // TestParallelNaiveMatchesLazy pins the DisableLazy ablation to the
-// lazy path bit for bit on a three-chunk instance.
+// lazy path bit for bit on a 600-object instance.
 func TestParallelNaiveMatchesLazy(t *testing.T) {
 	objs := testObjects(600, 31)
 	m := hybridMetric(t)
@@ -375,7 +372,7 @@ func TestGreedyThetaZeroGridless(t *testing.T) {
 }
 
 // TestScoreRepresentativesParallelPath checks Score and Representatives
-// on a five-chunk instance against their definitions.
+// on a 1 200-object instance against their definitions.
 func TestScoreRepresentativesParallelPath(t *testing.T) {
 	objs := testObjects(1200, 66)
 	m := hybridMetric(t)

@@ -37,8 +37,8 @@ type RegionResult struct {
 //
 // pos lists the region's objects as positions into col, in the order
 // the view returned them. That order is part of the contract: the
-// objects are staged in exactly pos order, which fixes the chunk
-// partials of every floating-point reduction and the (gain, id)
+// objects are staged in exactly pos order, which fixes the summation
+// order of every floating-point reduction and the (gain, id)
 // tie-breaks, so the same pos yields bitwise the same result as a
 // hand-built Selector over col.Subset(pos) — and a reordered pos may
 // not. k and theta (absolute) override cfg's K, Theta and ThetaFrac;

@@ -60,7 +60,7 @@ func byHand(t *testing.T, cfg engine.Config, col *geodata.Collection, pos []int,
 func TestSelectRegionMatchesSelector(t *testing.T) {
 	col := &geodata.Collection{Objects: testObjects(1500, 91)}
 	rng := rand.New(rand.NewSource(92))
-	// The region: 700 of the 1500 positions (three chunks), ascending
+	// The region: 700 of the 1500 positions, ascending
 	// the way a grid scan might return them.
 	sorted := rng.Perm(len(col.Objects))[:700]
 	slices.Sort(sorted)

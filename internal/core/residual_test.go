@@ -69,8 +69,7 @@ func assertSameRun(t *testing.T, want, got *Result, what string) {
 // the dense pass of the parent commit) and on, a run returns the same
 // Selected, Gains, Score, Evals and Rounds — on every dense
 // max-aggregation metric kind, lazy and naive, with and without forced
-// objects and prefetched bounds, and at object counts either side of a
-// chunk edge.
+// objects and prefetched bounds, and at several object counts.
 func TestResidualMatchesDense(t *testing.T) {
 	const k, theta = 12, 0.03
 	for _, n := range []int{255, 256, 257, 1000} {
@@ -310,7 +309,7 @@ func TestResidualWalkCancelled(t *testing.T) {
 
 // fuzzListObjects decodes data[1:] as objects of up to three (term,
 // weight) pairs plus an ω, seven bytes each, and tiles them 1 + data[0]%48
-// times so a short input still spans several evalChunk chunks.
+// times so a short input still makes long rows, most of them twins.
 func fuzzListObjects(data []byte) []geodata.Object {
 	if len(data) < 8 {
 		return nil

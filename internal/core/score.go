@@ -37,12 +37,12 @@ func SimToSet(objs []geodata.Object, o int, sel []int, m sim.Metric) float64 {
 
 // Score returns the representative score of selection sel over objs
 // (Equation 2): the weighted mean over all objects of Sim(o, S), by the
-// evaluator's chunked reductions. The last parameter is ignored.
+// evaluator's index-order reductions. The last parameter is ignored.
 //
 // Score is deliberately context-free: it is the ground-truth check the
 // rest of the system is measured against, it performs one bounded
 // reduction (no open-ended iteration to cancel), and threading a
-// context through its ~25 call sites would buy one chunk of latency at
+// context through its ~25 call sites would buy one row of latency at
 // most. Wrap it in a goroutine if a caller ever needs to abandon it.
 func Score(objs []geodata.Object, sel []int, m sim.Metric, _ Agg) float64 {
 	if len(objs) == 0 {
@@ -98,17 +98,4 @@ func Representatives(objs []geodata.Object, sel []int, m sim.Metric) []int {
 		}
 	}
 	return rep
-}
-
-// RepresentedBy inverts Representatives for one selected object: the
-// indices of all objects whose best representative is s.
-func RepresentedBy(objs []geodata.Object, sel []int, m sim.Metric, s int) []int {
-	rep := Representatives(objs, sel, m)
-	var out []int
-	for i, r := range rep {
-		if r == s {
-			out = append(out, i)
-		}
-	}
-	return out
 }

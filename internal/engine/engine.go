@@ -95,8 +95,8 @@ type Config struct {
 
 	// RequestTimeout, when positive, bounds the wall-clock time the
 	// server spends on one selection request; the request's context is
-	// cancelled at the deadline and the selection stops within one
-	// evaluation chunk. 0 means no deadline beyond the client's own.
+	// cancelled at the deadline and the selection stops within one row.
+	// 0 means no deadline beyond the client's own.
 	RequestTimeout time.Duration
 	// SessionTTL is the idle lifetime of a server session: sessions
 	// untouched for longer are evicted and subsequent requests for them

@@ -171,19 +171,15 @@ func TestResidualSupport(t *testing.T) {
 			}
 			c := top.ID
 			fill(c)
-			// The gain in core's summation order: a partial per
-			// 256-object chunk.
+			// The gain in core's summation order: index order, one
+			// accumulator.
 			var gain float64
 			size := 0
-			for lo := 0; lo < n; lo += 256 {
-				var part float64
-				for i := lo; i < min(lo+256, n); i++ {
-					if row[i] > best[i] {
-						part += w[i] * (row[i] - best[i])
-						size++
-					}
+			for i, v := range row {
+				if v > best[i] {
+					gain += w[i] * (v - best[i])
+					size++
 				}
-				gain += part
 			}
 			if seen[c] {
 				repeat++

@@ -40,9 +40,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns the vector from q to p.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p with both coordinates multiplied by f.
-func (p Point) Scale(f float64) Point { return Point{p.X * f, p.Y * f} }
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%.6g, %.6g)", p.X, p.Y) }
 

@@ -47,9 +47,6 @@ func TestPointVectorOps(t *testing.T) {
 	if got := p.Sub(Pt(3, 4)); got != Pt(-2, -2) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := p.Scale(2); got != Pt(2, 4) {
-		t.Errorf("Scale = %v", got)
-	}
 }
 
 func TestRectFromPoints(t *testing.T) {
@@ -288,22 +285,6 @@ func TestMercatorClamp(t *testing.T) {
 	clamped := Mercator(LonLat{Lon: 0, Lat: maxMercatorLat})
 	if north != clamped {
 		t.Errorf("latitudes beyond bound should clamp: %v vs %v", north, clamped)
-	}
-}
-
-func TestHaversine(t *testing.T) {
-	// London to Paris is about 344 km.
-	london := LonLat{Lon: -0.1278, Lat: 51.5074}
-	paris := LonLat{Lon: 2.3522, Lat: 48.8566}
-	d := HaversineMeters(london, paris)
-	if d < 330000 || d > 360000 {
-		t.Errorf("London-Paris = %v m, want ~344 km", d)
-	}
-	if got := HaversineMeters(london, london); !almostEq(got, 0, 1e-6) {
-		t.Errorf("self distance = %v", got)
-	}
-	if a, b := HaversineMeters(london, paris), HaversineMeters(paris, london); !almostEq(a, b, 1e-6) {
-		t.Errorf("asymmetric: %v vs %v", a, b)
 	}
 }
 

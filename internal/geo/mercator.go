@@ -45,18 +45,3 @@ func InverseMercator(p Point) LonLat {
 	lat := 180 / math.Pi * math.Asin(math.Tanh((p.Y-0.5)*2*math.Pi))
 	return LonLat{Lon: lon, Lat: lat}
 }
-
-// HaversineMeters returns the great-circle distance between two geodetic
-// coordinates in meters, using a spherical earth of radius 6371 km. It is
-// provided for applications that feed real longitude/latitude data into
-// the library and want the visibility threshold expressed in meters.
-func HaversineMeters(a, b LonLat) float64 {
-	const r = 6371000.0
-	la1 := a.Lat * math.Pi / 180
-	la2 := b.Lat * math.Pi / 180
-	dla := (b.Lat - a.Lat) * math.Pi / 180
-	dlo := (b.Lon - a.Lon) * math.Pi / 180
-	h := math.Sin(dla/2)*math.Sin(dla/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dlo/2)*math.Sin(dlo/2)
-	return 2 * r * math.Asin(math.Min(1, math.Sqrt(h)))
-}

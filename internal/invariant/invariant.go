@@ -115,8 +115,8 @@ func PackingBound(k int, dist func(i, j int) float64, theta float64, what string
 // ResidualGain asserts the residual-support contract on one marginal
 // gain: walking a candidate's recorded support must return, bit for
 // bit, what the dense pass returns against the same aggregation state —
-// the walk adds the same terms in the same order into the same chunk
-// partials, and the chunks it skips contribute exactly +0.0.
+// the walk adds the same terms in the same order into one accumulator
+// that starts at +0.0.
 func ResidualGain(walked, dense float64, what string) {
 	if math.Float64bits(walked) != math.Float64bits(dense) {
 		panic(fmt.Sprintf("geoselcheck: %s: walked gain %v differs bitwise from dense gain %v", what, walked, dense))

@@ -13,12 +13,11 @@
 // the same data gets the same bytes.
 //
 // Every request runs under its context: the client disconnecting (or a
-// server Shutdown draining) cancels the selection within one evaluation
-// chunk, and engine.Config.RequestTimeout adds a server-side deadline
-// on top. Sessions are evicted after engine.Config.SessionTTL of
-// idleness and capped at engine.Config.MaxSessions (idlest evicted
-// first); requests for an evicted session return 404 like any unknown
-// id.
+// server Shutdown draining) cancels the selection within one row, and
+// engine.Config.RequestTimeout adds a server-side deadline on top.
+// Sessions are evicted after engine.Config.SessionTTL of idleness and
+// capped at engine.Config.MaxSessions (idlest evicted first); requests
+// for an evicted session return 404 like any unknown id.
 package server
 
 import (

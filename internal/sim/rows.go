@@ -245,7 +245,8 @@ func (r *Rows) RowSums(dst, w []float64, cs []int) bool {
 // ô, with |R| = n and R's longest vector's length maxnnz. From it Bound
 // gives, for any c in R, an upper bound on the weighted row sum
 // Σ_{i∈R} ω_i·Sim(o_i, o_c) in O(nnz(c)): ô_c·A, corrected three ways so
-// that it stays above what the chunked reductions make of Row.
+// that it stays above what internal/core's reductions make of Row: one
+// accumulator, in index order.
 //
 //   - Sim(o_c, o_c) is exactly 1 whatever float32 rounding makes of
 //     ô_c·ô_c, so the shortfall ω_c·max(0, 1 − ô_c·ô_c) is added back (an
@@ -255,7 +256,9 @@ func (r *Rows) RowSums(dst, w []float64, cs []int) bool {
 //     that are not strictly ascending (Row would not sum that vector's
 //     products in merge order).
 //   - Either summation order is within n + maxnnz + 8 roundings of the
-//     real sum, so the result is inflated by 1 + 4(n + maxnnz + 8)·2⁻⁵³.
+//     real sum — a sequential sum of the row's n terms, as core makes
+//     it, takes n − 1 of them — so the result is inflated by
+//     1 + 4(n + maxnnz + 8)·2⁻⁵³.
 //
 // Each coordinate of A adds its products in the order the objects were
 // added and each bound dots c's terms in c's order, so the same objects

@@ -43,8 +43,7 @@ func rawVector(ids []int32, weights []float32) textsim.Vector {
 	return v
 }
 
-// rowsTestN is not a multiple of the 256-object reduction chunk of
-// internal/core.
+// rowsTestN is the object count of the randomized Rows instances.
 const rowsTestN = 600
 
 // The one oracle of pair evaluation: whatever Rows compiles a metric
@@ -206,25 +205,20 @@ func TestUnsortedVectorsStayGeneric(t *testing.T) {
 	}
 }
 
-// chunkedRowSum is Σ_i w[i]·Sim(o_i, o_c) in the order internal/core
-// reduces it: one row, clamped, accumulated in index order within each
-// 256-object chunk, the chunk partials combined in chunk order.
-func chunkedRowSum(r *Rows, n int, w []float64, c int) float64 {
+// rowSum is Σ_i w[i]·Sim(o_i, o_c) in the order internal/core reduces
+// it: one row, clamped, accumulated in index order into one sum.
+func rowSum(r *Rows, n int, w []float64, c int) float64 {
 	row := make([]float64, n)
 	r.Row(row, c, nil)
 	var sum float64
-	for lo := 0; lo < n; lo += 256 {
-		var part float64
-		for k := lo; k < min(lo+256, n); k++ {
-			part += w[k] * textsim.Clamp01(row[k])
-		}
-		sum += part
+	for k, v := range row {
+		sum += w[k] * textsim.Clamp01(v)
 	}
 	return sum
 }
 
 // checkRowSums asserts the RowSums contract over objs for every index
-// (twice, so cs may repeat): each bound dominates the chunk-ordered
+// (twice, so cs may repeat): each bound dominates the index-ordered
 // exact sum, and — when tight — exceeds it by no more than the float32
 // rounding of unit weights allows: (n + maxnnz)·2⁻²³ relative, for the
 // self-correction of ô_c·ô_c ≠ 1 and for dot products of identical
@@ -248,7 +242,7 @@ func checkRowSums(t *testing.T, objs []geodata.Object, tight bool) {
 		t.Fatal("RowSums declined a non-negative Cosine instance")
 	}
 	for k, c := range cs {
-		exact := chunkedRowSum(r, n, w, c)
+		exact := rowSum(r, n, w, c)
 		if dst[k] < exact {
 			t.Fatalf("c = %d: bound %v below the exact row sum %v", c, dst[k], exact)
 		}
@@ -259,8 +253,8 @@ func checkRowSums(t *testing.T, objs []geodata.Object, tight bool) {
 }
 
 func TestRowSumsDominateExactRows(t *testing.T) {
-	// n is not a multiple of the chunk; duplicates and identical texts
-	// put dot products within float32 rounding of 1 on either side.
+	// Duplicates and identical texts put dot products within float32
+	// rounding of 1 on either side.
 	const n = rowsTestN
 	rng := rand.New(rand.NewSource(19))
 	objs := make([]geodata.Object, n)

@@ -4,8 +4,8 @@
 // its input alone (DESIGN.md §5b). Accumulating into a float across a
 // range over a map breaks that promise — map iteration order is
 // randomized, so the sum's rounding changes from run to run — and is
-// reported. The blessed pattern is per-chunk partials combined in chunk
-// order over a slice.
+// reported. The blessed pattern is a reduction over a slice in index
+// order into one accumulator.
 package floatorder
 
 import (
@@ -55,7 +55,7 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 		return
 	}
 	reportEscapingFloatAccum(pass, rng.Body, rng.Pos(), rng.End(),
-		"float accumulation over map iteration order is nondeterministic; iterate a sorted slice or accumulate per-chunk partials")
+		"float accumulation over map iteration order is nondeterministic; iterate a sorted slice in index order")
 }
 
 // reportEscapingFloatAccum reports compound float assignments inside
@@ -79,7 +79,7 @@ func reportEscapingFloatAccum(pass *analysis.Pass, body *ast.BlockStmt, lo, hi t
 				continue
 			}
 			if obj.Pos() >= lo && obj.Pos() < hi {
-				continue // loop-local accumulator: order within one chunk is fixed
+				continue // loop-local accumulator: reset every iteration, so order cannot leak
 			}
 			if pass.Suppressed(as.Pos(), "floatorder") {
 				continue
