@@ -82,9 +82,12 @@ fuzz:
 	go test -run=NONE -fuzz='^FuzzTokenize$$' -fuzztime=10s ./internal/textsim
 
 # bench runs the in-process benchmarks of the serving path: a cold
-# select and a grid region query (core), a prefetch bound pass
-# (prefetch) and a warm /select (server). CI's test job runs every
-# in-process benchmark once (-benchtime=1x) so none can rot — these,
+# select, a served select through SelectRegion that reports gc/op, and
+# a grid region query (core), a prefetch bound pass (prefetch) and a
+# warm /select (server). Run the served select with -cpu 1 as well: on
+# 2 Ps the idle P absorbs the collector's mark work and hides it from
+# ns/op. CI's test job runs every in-process benchmark once
+# (-benchtime=1x, ./internal/core included) so none can rot — these,
 # the live store's commit and ingest benchmarks (livestore) and the
 # root package's per-exhibit benchmarks.
 bench:

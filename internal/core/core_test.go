@@ -318,6 +318,37 @@ func TestGreedyGridMatchesLinear(t *testing.T) {
 	}
 }
 
+// TestTinyThetaKeepsSeparation runs four objects, two of them
+// co-located with different text, so that without the visibility
+// constraint the greedy takes both: at every θ, however small, the
+// selection must keep them apart. A θ whose grid would need more cells
+// than an int can count (1e-300 over a 0.6-wide region) must still
+// find the co-located conflict.
+func TestTinyThetaKeepsSeparation(t *testing.T) {
+	vocab := textsim.NewVocabulary()
+	objs := []geodata.Object{
+		{ID: 0, Loc: geo.Pt(0.2, 0.2), Weight: 1, Vec: textsim.FromText(vocab, "pier")},
+		{ID: 1, Loc: geo.Pt(0.5, 0.5), Weight: 1, Vec: textsim.FromText(vocab, "cafe")},
+		{ID: 2, Loc: geo.Pt(0.5, 0.5), Weight: 1, Vec: textsim.FromText(vocab, "museum")},
+		{ID: 3, Loc: geo.Pt(0.8, 0.8), Weight: 1, Vec: textsim.FromText(vocab, "zoo")},
+	}
+	for _, theta := range []float64{1e-3, 1e-17, 1e-300} {
+		for _, lazy := range []bool{true, false} {
+			s := &Selector{
+				Config:  engine.Config{K: 4, Theta: theta, Metric: sim.Cosine{}, DisableLazy: !lazy},
+				Objects: objs,
+			}
+			res, err := s.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Selected) != 3 || !SatisfiesVisibility(objs, res.Selected, theta) {
+				t.Fatalf("θ = %v, lazy %v: selected %v, want three θ-separated objects", theta, lazy, res.Selected)
+			}
+		}
+	}
+}
+
 func TestGreedyApproximationRatio(t *testing.T) {
 	// Theorem 4.4: greedy achieves at least OPT/8. On random small
 	// instances it is usually much better; we assert the guarantee.

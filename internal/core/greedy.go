@@ -6,7 +6,6 @@ import (
 
 	"geosel/internal/engine"
 	"geosel/internal/geodata"
-	"geosel/internal/grid"
 	"geosel/internal/invariant"
 	"geosel/internal/lazyheap"
 )
@@ -102,7 +101,18 @@ type Result struct {
 // Cancellation does not affect determinism — a run either completes
 // with the exact same result as every other completed run, or returns
 // an error and no result.
+//
+// Its scratch comes from a pooled arena (arena.go); the Result never
+// points into it.
 func (s *Selector) Run(ctx context.Context) (*Result, error) {
+	a := getArena()
+	defer a.release()
+	return s.run(ctx, a)
+}
+
+// run is Run on a borrowed arena, which SelectRegion has already staged
+// the objects into.
+func (s *Selector) run(ctx context.Context, a *arena) (*Result, error) {
 	if s.ran {
 		return nil, fmt.Errorf("core: Selector is single-use: Run already called (build a new Selector per query)")
 	}
@@ -115,37 +125,31 @@ func (s *Selector) Run(ctx context.Context) (*Result, error) {
 	}
 	n := len(s.Objects)
 	res := &Result{}
-	e := newEvaluator(ctx, s.Objects, s.Metric)
-
-	// best[i] = current Sim(o_i, S): the aggregation state per object.
-	best := make([]float64, n)
+	e := &a.e
+	e.reset(ctx, s.Objects, s.Metric)
+	a.best = resize(a.best, n)
+	clear(a.best)
 
 	candidates := s.Candidates
 	if candidates == nil {
-		candidates = make([]int, n)
-		for i := range candidates {
-			candidates[i] = i
+		a.cands = resize(a.cands, n)
+		for i := range a.cands {
+			a.cands[i] = i
 		}
+		candidates = a.cands
 	}
 
 	// Filter out candidates that duplicate or conflict with forced
 	// objects.
-	active := make([]int, 0, len(candidates))
+	a.active = resize(a.active, len(candidates))[:0]
 	var activeBound []float64
 	if s.InitialGains != nil {
-		activeBound = make([]float64, 0, len(candidates))
-	}
-	inForced := make(map[int]bool, len(s.Forced))
-	for _, f := range s.Forced {
-		inForced[f] = true
+		a.bounds = resize(a.bounds, len(candidates))[:0]
 	}
 	for ci, c := range candidates {
-		if inForced[c] {
-			continue
-		}
 		ok := true
 		for _, f := range s.Forced {
-			if s.Objects[c].Loc.Dist(s.Objects[f].Loc) < s.Theta {
+			if c == f || s.Objects[c].Loc.Dist(s.Objects[f].Loc) < s.Theta {
 				ok = false
 				break
 			}
@@ -153,31 +157,34 @@ func (s *Selector) Run(ctx context.Context) (*Result, error) {
 		if !ok {
 			continue
 		}
-		active = append(active, c)
+		a.active = append(a.active, c)
 		if s.InitialGains != nil {
-			activeBound = append(activeBound, s.InitialGains[ci])
+			a.bounds = append(a.bounds, s.InitialGains[ci])
 		}
+	}
+	if s.InitialGains != nil {
+		activeBound = a.bounds
 	}
 
 	// Seed with the forced set D. The selection holds at most every
 	// forced and active object, so K — a request number — never sizes an
 	// allocation on its own.
-	selected := make([]int, 0, min(s.K, len(s.Forced)+len(active)))
+	selected := make([]int, 0, min(s.K, len(s.Forced)+len(a.active)))
 	for _, f := range s.Forced {
 		selected = append(selected, f)
-		e.absorb(best, f)
+		e.absorb(a.best, f)
 	}
 	if err := e.fail(); err != nil {
 		return nil, err
 	}
 
 	if s.DisableLazy {
-		if err := s.runNaive(e, res, best, selected, active); err != nil {
+		if err := s.runNaive(a, res, selected); err != nil {
 			return nil, err
 		}
 		return res, nil
 	}
-	if err := s.runLazy(e, res, best, selected, active, activeBound); err != nil {
+	if err := s.runLazy(a, res, selected, activeBound); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -243,119 +250,88 @@ func (s *Selector) finish(e *evaluator, res *Result, best []float64, selected []
 	return nil
 }
 
-// runState is the arena of one lazy greedy run: the heap, the conflict
-// grid, and every scratch buffer the steady-state iteration touches.
-// All buffers are sized once; after the first few iterations a lazyStep
-// performs zero heap allocations (guarded by
-// TestGreedySteadyStateAllocs).
-type runState struct {
-	h        *lazyheap.Heap
-	cg       *grid.Grid
-	active   []int
-	selected []int
-	best     []float64
-	// res evaluates gains against best, through the run's
-	// residual-support lists where it keeps them.
-	res  *residual
-	iter int
-	// doomed is the conflict-removal scratch.
-	doomed []int
-}
-
-// newRunState builds the arena: the heap, the conflict grid, and the
-// reusable scratch buffers.
-func (s *Selector) newRunState(e *evaluator, best []float64, selected, active []int) (*runState, error) {
-	cg, err := s.conflictGrid(active)
-	if err != nil {
-		return nil, err
-	}
-	return &runState{
-		h:        lazyheap.New(len(s.Objects)),
-		cg:       cg,
-		active:   active,
-		selected: selected,
-		best:     best,
-		res:      newResidual(e, best, s.residualPairs),
-	}, nil
-}
-
 // runLazy is Algorithm 1: heap of ⟨o, Δ(o), Iter⟩ tuples, re-evaluating
 // only stale tops, with grid-accelerated conflict removal. A refreshed
 // gain is exact and a stale one an upper bound (submodularity), so the
 // first fresh tuple to surface is the true argmax under the heap's
 // deterministic (gain, id) ordering.
-func (s *Selector) runLazy(e *evaluator, res *Result, best []float64, selected, active []int, bounds []float64) error {
-	st, err := s.startLazy(e, res, best, selected, active, bounds)
-	if err != nil {
+func (s *Selector) runLazy(a *arena, res *Result, selected []int, bounds []float64) error {
+	if err := s.startLazy(a, res, selected, bounds); err != nil {
 		return err
 	}
-	for len(st.selected) < s.K && st.h.Len() > 0 {
-		if err := s.lazyStep(e, res, st); err != nil {
+	for len(a.selected) < s.K && a.h.Len() > 0 {
+		if err := s.lazyStep(a, res); err != nil {
 			return err
 		}
 	}
-	return s.finish(e, res, best, st.selected)
+	return s.finish(&a.e, res, a.best, a.selected)
 }
 
-// startLazy builds the run's arena and seeds its heap, leaving the run
-// ready for its first lazyStep.
-func (s *Selector) startLazy(e *evaluator, res *Result, best []float64, selected, active []int, bounds []float64) (*runState, error) {
-	st, err := s.newRunState(e, best, selected, active)
-	if err != nil {
-		return nil, err
+// startLazy rebuilds the arena's heap, conflict grid and residual
+// lists for the run over a.active and seeds the heap, leaving the run
+// ready for its first lazyStep. The evaluator and a.best must already
+// hold the run's objects and the forced set's state.
+func (s *Selector) startLazy(a *arena, res *Result, selected []int, bounds []float64) error {
+	e, active := &a.e, a.active
+	a.selected, a.iter, a.doomed = selected, 0, a.doomed[:0]
+	a.h.Reset(len(s.Objects))
+	if err := s.conflictGrid(a); err != nil {
+		return err
 	}
+	a.res.reset(e, a.best, s.residualPairs)
 	// Self-seeding: on a metric with linear row sums the run bounds its
 	// own initial gains, Σ_{o∈O} ω·Sim(o, c) ≥ Δ(c | D), in one pass over
 	// O — at least as tight as any Lemma 5.1–5.3 envelope sum, up to
 	// rounding, so prefetched bounds are kept only where they are lower.
-	if seeds := make([]float64, len(active)); e.rows.RowSums(seeds, e.w, active) {
+	a.seeds = resize(a.seeds, len(active))
+	if e.rows.RowSums(a.seeds, e.w, active) {
 		for i, b := range bounds {
-			seeds[i] = min(seeds[i], b)
+			a.seeds[i] = min(a.seeds[i], b)
 		}
-		bounds = seeds
+		bounds = a.seeds
 	}
+	a.init = resize(a.init, len(active))
 	if bounds != nil {
-		init := make([]lazyheap.Tuple, len(active))
 		for i, c := range active {
 			// An upper bound, not a gain: mark it stale (Iter -1) so it
 			// is re-evaluated before being trusted.
-			init[i] = lazyheap.Tuple{ID: c, Gain: bounds[i], Iter: -1}
+			a.init[i] = lazyheap.Tuple{ID: c, Gain: bounds[i], Iter: -1}
 		}
-		st.h.Heapify(init)
+		a.h.Heapify(a.init)
 	} else if len(active) > 0 {
 		// Exact O(|O|·|G|) heap initialization, Algorithm 1 as published
 		// — the bottleneck on a metric without row sums — then bulk-loaded
 		// in O(n). It runs on the bare evaluator and records no residual
 		// support: against the forced set alone a support is most of what
 		// the candidate resembles — too long to keep.
-		init := make([]lazyheap.Tuple, len(active))
 		for i, c := range active {
-			init[i] = lazyheap.Tuple{ID: c, Gain: e.marginal(best, c), Iter: 0}
+			a.init[i] = lazyheap.Tuple{ID: c, Gain: e.marginal(a.best, c), Iter: 0}
 		}
 		if err := e.fail(); err != nil {
-			return nil, err
+			return err
 		}
 		res.Evals += len(active)
-		st.h.Heapify(init)
+		a.h.Heapify(a.init)
 	}
 	if err := e.fail(); err != nil {
-		return nil, err
+		return err
 	}
 	res.Gains = make([]float64, 0, min(s.K-len(selected), len(active)))
-	return st, nil
+	return nil
 }
 
-// lazyStep performs one round of the lazy greedy loop: pop the top,
-// either refresh it if stale or select it if fresh. The steady state
-// allocates nothing — every buffer it touches lives in st.
+// lazyStep performs one round of the lazy greedy loop: look at the top,
+// either refresh it in place if stale or select it if fresh. The steady
+// state allocates nothing — every buffer it touches lives in the arena.
 //
 //geolint:hotpath
-func (s *Selector) lazyStep(e *evaluator, res *Result, st *runState) error {
-	t, _ := st.h.Pop()
-	if t.Iter != st.iter {
-		// Lazy re-evaluation: refresh the stale top and push it back;
-		// everything below it is bounded above by its old gain.
-		gain := st.res.marginal(t.ID)
+func (s *Selector) lazyStep(a *arena, res *Result) error {
+	e := &a.e
+	t, _ := a.h.Peek()
+	if t.Iter != a.iter {
+		// Lazy re-evaluation: refresh the stale top where it stands — one
+		// sift down; everything below it is bounded above by its old gain.
+		gain := a.res.marginal(t.ID)
 		if err := e.fail(); err != nil {
 			return err
 		}
@@ -366,18 +342,19 @@ func (s *Selector) lazyStep(e *evaluator, res *Result, st *runState) error {
 			// recorded gain must upper-bound the fresh exact gain.
 			invariant.UpperBound(gain, t.Gain, "core: lazy re-evaluation of candidate gain")
 		}
-		st.h.Push(lazyheap.Tuple{ID: t.ID, Gain: gain, Iter: st.iter})
+		a.h.RefreshTop(gain, a.iter)
 		return nil
 	}
-	// t is up to date and maximal: select it.
-	st.selected = append(st.selected, t.ID)
+	// t is up to date and maximal: select it. It leaves the heap with
+	// its conflicts.
+	a.selected = append(a.selected, t.ID)
 	res.Gains = append(res.Gains, t.Gain)
-	e.absorb(st.best, t.ID)
+	e.absorb(a.best, t.ID)
 	if err := e.fail(); err != nil {
 		return err
 	}
-	s.removeConflicts(st, t.ID)
-	st.iter++
+	s.removeConflicts(a, t.ID)
+	a.iter++
 	res.Rounds++
 	return nil
 }
@@ -386,9 +363,10 @@ func (s *Selector) lazyStep(e *evaluator, res *Result, st *runState) error {
 // iteration — the strawman the lazy-forward strategy improves on. The
 // winner is the smallest-id candidate among the maximal gains, matching
 // the lazy path's tie-breaking.
-func (s *Selector) runNaive(e *evaluator, res *Result, best []float64, selected, active []int) error {
-	alive := append([]int(nil), active...)
-	r := newResidual(e, best, s.residualPairs)
+func (s *Selector) runNaive(a *arena, res *Result, selected []int) error {
+	e, best, alive := &a.e, a.best, a.active
+	r := &a.res
+	r.reset(e, best, s.residualPairs)
 	for len(selected) < s.K && len(alive) > 0 {
 		bestC, bestGain := -1, -1.0
 		for _, c := range alive {
@@ -419,67 +397,57 @@ func (s *Selector) runNaive(e *evaluator, res *Result, best []float64, selected,
 	return s.finish(e, res, best, selected)
 }
 
-// conflictGrid builds the grid index over the active candidates, or
-// returns nil when grids are disabled or pointless (theta == 0).
-func (s *Selector) conflictGrid(active []int) (*grid.Grid, error) {
-	if s.DisableGrid || s.Theta <= 0 || len(active) == 0 {
-		return nil, nil
+// conflictGrid rebuilds the arena's grid over the active candidates and
+// points a.cg at it, or leaves a.cg nil when grids are disabled or
+// pointless (theta == 0).
+func (s *Selector) conflictGrid(a *arena) error {
+	a.cg = nil
+	if s.DisableGrid || s.Theta <= 0 || len(a.active) == 0 {
+		return nil
 	}
-	bounds := geoBounds(s.Objects, active)
-	g, err := grid.New(bounds, s.Theta)
-	if err != nil {
-		return nil, fmt.Errorf("core: building conflict grid: %w", err)
+	if err := a.grid.Reset(geoBounds(s.Objects, a.active), s.Theta); err != nil {
+		return fmt.Errorf("core: building conflict grid: %w", err)
 	}
-	for _, c := range active {
-		g.Insert(c, s.Objects[c].Loc)
+	for _, c := range a.active {
+		a.grid.Insert(c, s.Objects[c].Loc)
 	}
-	return g, nil
+	a.cg = &a.grid
+	return nil
 }
 
 // removeConflicts drops from the heap every candidate within Theta of
-// the just-selected object (Algorithm 1 lines 11–12), including the
-// object itself. Each id is removed from the heap and the grid exactly
-// once: on the grid path the picked object sits at distance 0 < Theta
-// and is collected with its conflicts, so no separate removal runs. The
-// grid query fills st.doomed (reused across iterations) via the
-// closure-free AppendWithin, keeping the steady state allocation-free.
-func (s *Selector) removeConflicts(st *runState, picked int) {
+// the just-selected object (Algorithm 1 lines 11–12), and the object
+// itself. The grid keeps every candidate for the whole run, so a query
+// also returns candidates already gone from the heap; they are skipped
+// by membership. The order of the removals does not matter: the pop
+// order is a function of the heap's entries alone. The grid query fills
+// a.doomed (reused across iterations) via the closure-free
+// AppendWithin, keeping the steady state allocation-free.
+func (s *Selector) removeConflicts(a *arena, picked int) {
 	loc := s.Objects[picked].Loc
-	if st.cg == nil {
+	if a.cg == nil {
 		// Gridless: with Theta <= 0 the visibility constraint is
 		// vacuous and only the pick itself leaves the pool; otherwise
 		// (grids disabled) scan the candidates linearly.
 		if s.Theta > 0 {
-			for _, c := range st.active {
-				if c != picked && st.h.Contains(c) && s.Objects[c].Loc.Dist(loc) < s.Theta {
-					st.h.Remove(c)
+			for _, c := range a.active {
+				if c != picked && a.h.Contains(c) && s.Objects[c].Loc.Dist(loc) < s.Theta {
+					a.h.Remove(c)
 				}
 			}
 		}
-		st.h.Remove(picked)
+		a.h.Remove(picked)
 		return
 	}
 	// AppendWithin is inclusive (dist <= Theta); the visibility
-	// constraint is strict, so re-filter in place.
-	st.doomed = st.cg.AppendWithin(st.doomed[:0], loc, s.Theta)
-	doomed := st.doomed[:0]
-	sawPicked := false
-	for _, id := range st.doomed {
-		if s.Objects[id].Loc.Dist(loc) < s.Theta {
-			doomed = append(doomed, id)
-			if id == picked {
-				sawPicked = true
-			}
+	// constraint is strict, so re-filter.
+	a.doomed = a.cg.AppendWithin(a.doomed[:0], loc, s.Theta)
+	for _, id := range a.doomed {
+		if a.h.Contains(id) && s.Objects[id].Loc.Dist(loc) < s.Theta {
+			a.h.Remove(id)
 		}
 	}
-	if !sawPicked {
-		// Defensive: the pick must leave the pool even if a Theta edge
-		// case excluded it from its own conflict neighborhood.
-		doomed = append(doomed, picked)
-	}
-	for _, id := range doomed {
-		st.cg.Remove(id, s.Objects[id].Loc)
-		st.h.Remove(id)
-	}
-	st.doomed = doomed
+	// The pick leaves the pool even if a Theta edge case excluded it
+	// from its own conflict neighborhood.
+	a.h.Remove(picked)
 }

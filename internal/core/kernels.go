@@ -17,7 +17,8 @@ import (
 
 // evaluator is the marginal-gain engine behind Selector.Run and Score:
 // the metric compiled once per run into sim.Rows and the weight column
-// extracted once.
+// extracted once. A run's evaluator lives in its arena and is rebuilt
+// in place by reset.
 type evaluator struct {
 	objs []geodata.Object
 	// w is the extracted weight column ω (the paper's mass), indexed
@@ -25,7 +26,7 @@ type evaluator struct {
 	w []float64
 	// rows writes c's row, Sim(o_i, o_c) for every object i, into row;
 	// the reductions of reduce.go consume it.
-	rows *sim.Rows
+	rows sim.Rows
 	row  []float64
 	// ctx cancels the run; done caches ctx.Done() so a cancellation
 	// probe is one channel poll.
@@ -36,23 +37,26 @@ type evaluator struct {
 	err error
 }
 
-// newEvaluator compiles the metric into rows. A nil ctx never cancels.
+// newEvaluator compiles the metric into a new evaluator. A nil ctx
+// never cancels.
 func newEvaluator(ctx context.Context, objs []geodata.Object, m sim.Metric) *evaluator {
-	w := make([]float64, len(objs))
+	e := new(evaluator)
+	e.reset(ctx, objs, m)
+	return e
+}
+
+// reset recompiles e for m over objs, keeping its columns' storage.
+func (e *evaluator) reset(ctx context.Context, objs []geodata.Object, m sim.Metric) {
+	e.objs = objs
+	e.w = resize(e.w, len(objs))
 	for i := range objs {
-		w[i] = objs[i].Weight
+		e.w[i] = objs[i].Weight
 	}
-	var done <-chan struct{}
+	e.rows.Reset(m, objs)
+	e.row = resize(e.row, len(objs))
+	e.ctx, e.done, e.err = ctx, nil, nil
 	if ctx != nil {
-		done = ctx.Done()
-	}
-	return &evaluator{
-		objs: objs,
-		w:    w,
-		rows: sim.NewRows(m, objs),
-		row:  make([]float64, len(objs)),
-		ctx:  ctx,
-		done: done,
+		e.done = ctx.Done()
 	}
 }
 

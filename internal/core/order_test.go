@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"geosel/internal/dataset"
 	"geosel/internal/engine"
 	"geosel/internal/geo"
 	"geosel/internal/livestore"
@@ -24,10 +23,7 @@ import (
 // 200 to 3 000 objects, where the fixture's near-tied gains make any
 // difference in staged order show.
 func TestRegionOrderSelectsAlikeOverBothIndexes(t *testing.T) {
-	store, err := dataset.GenerateStore(dataset.POISpec(100000, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := fixtureStore(t)
 	live, err := livestore.New(store.Collection(), engine.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -72,10 +68,7 @@ func bitsEqual(a, b []float64) bool {
 // fixture through the grid, at squares around the centre holding 200,
 // 1 000 and 6 000 objects.
 func BenchmarkRegion(b *testing.B) {
-	store, err := dataset.GenerateStore(dataset.POISpec(100000, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	store := fixtureStore(b)
 	for _, target := range []int{200, 1000, 6000} {
 		half := 0.001
 		for store.CountRegion(geo.RectAround(geo.Pt(0.5, 0.5), half)) < target {

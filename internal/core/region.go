@@ -56,51 +56,49 @@ type RegionResult struct {
 // dst (may be nil) is the buffer the selected positions are appended
 // to. ctx cancels the run as it does Selector.Run.
 func SelectRegion(ctx context.Context, cfg engine.Config, col *geodata.Collection, pos []int, k int, theta float64, forced, cands []int, bounds []float64, dst []int) (RegionResult, error) {
-	cfg.K, cfg.Theta, cfg.ThetaFrac = k, theta, 0
-	sel := &Selector{Config: cfg, Objects: col.Subset(pos)}
-	out := RegionResult{RegionObjects: len(pos), CandidateCount: len(pos)}
-	// The position → staged-index table is paid for only by a run that
-	// names positions.
-	var staged map[int]int
-	if forced != nil || cands != nil {
-		staged = make(map[int]int, len(pos))
-		for i, p := range pos {
-			staged[p] = i
-		}
+	if cands != nil && bounds != nil && len(bounds) != len(cands) {
+		return RegionResult{}, fmt.Errorf("core: %d bounds for %d candidates", len(bounds), len(cands))
 	}
+	cfg.K, cfg.Theta, cfg.ThetaFrac = k, theta, 0
+	a := getArena()
+	defer a.release()
+	// Position lookups are paid for only by a run that names positions.
+	sel := &Selector{Config: cfg, Objects: a.stage(col, pos, forced != nil || cands != nil)}
+	out := RegionResult{RegionObjects: len(pos), CandidateCount: len(pos)}
 	if forced != nil {
-		sel.Forced = make([]int, 0, len(forced))
+		a.forced = a.forced[:0]
 		for _, p := range forced {
-			if i, ok := staged[p]; ok && len(sel.Forced) < k {
-				sel.Forced = append(sel.Forced, i)
+			if i, ok := a.staged(pos, p); ok && len(a.forced) < k {
+				a.forced = append(a.forced, i)
 			}
 		}
+		sel.Forced = a.forced
 		out.ForcedCount = len(sel.Forced)
 	}
 	if cands != nil {
-		if bounds != nil && len(bounds) != len(cands) {
-			return RegionResult{}, fmt.Errorf("core: %d bounds for %d candidates", len(bounds), len(cands))
-		}
-		sel.Candidates = make([]int, 0, len(cands))
-		if bounds != nil {
-			sel.InitialGains = make([]float64, 0, len(cands))
-		}
+		// A non-nil cands, however short, is the whole candidate set, and
+		// a non-nil bounds is InitialGains: neither may turn nil.
+		a.gcands, a.gains = a.gcands[:0], a.gains[:0]
 		for j, p := range cands {
-			i, ok := staged[p]
+			i, ok := a.staged(pos, p)
 			if !ok {
 				continue
 			}
-			sel.Candidates = append(sel.Candidates, i)
+			a.gcands = append(a.gcands, i)
 			if bounds != nil {
-				sel.InitialGains = append(sel.InitialGains, bounds[j])
+				a.gains = append(a.gains, bounds[j])
 			}
+		}
+		sel.Candidates = nonNil(a.gcands)
+		if bounds != nil {
+			sel.InitialGains = nonNil(a.gains)
 		}
 		out.CandidateCount = len(sel.Candidates)
 		if invariant.Enabled && bounds != nil {
 			assertBoundsDominate(sel.Objects, sel.Candidates, sel.InitialGains, cfg.Metric)
 		}
 	}
-	res, err := sel.Run(ctx)
+	res, err := sel.run(ctx, a)
 	if err != nil {
 		return RegionResult{}, err
 	}
@@ -115,6 +113,14 @@ func SelectRegion(ctx context.Context, cfg engine.Config, col *geodata.Collectio
 	out.Positions = dst
 	out.Score, out.Gains, out.Evals, out.Rounds = res.Score, res.Gains, res.Evals, res.Rounds
 	return out, nil
+}
+
+// nonNil returns s, or an empty non-nil slice in place of a nil one.
+func nonNil[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s
 }
 
 // assertBoundsDominate checks, under the geoselcheck tag, the heart of

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"geosel/internal/engine"
@@ -200,4 +201,60 @@ func TestHugeKReservesNothing(t *testing.T) {
 			t.Errorf("lazy=%v: Gains reserved %d slots for %d objects", lazy, c, len(objs))
 		}
 	}
+}
+
+// TestConcurrentSelectRegionsShareNoArena runs selections of different
+// sizes, metrics and shapes from several goroutines at once, each
+// borrowing and returning pooled arenas, and holds every result to the
+// one computed alone: a run must see nothing of another's arena.
+func TestConcurrentSelectRegionsShareNoArena(t *testing.T) {
+	col := &geodata.Collection{Objects: testObjects(1200, 95)}
+	type job struct {
+		m             sim.Metric
+		pos           []int
+		forced, cands []int
+	}
+	var jobs []job
+	for i, n := range []int{60, 400, 1200, 150, 900} {
+		pos := make([]int, n)
+		for j := range pos {
+			pos[j] = j * len(col.Objects) / n
+		}
+		m := sim.Metric(sim.Cosine{})
+		if i%2 == 1 {
+			m = hybridMetric(t)
+		}
+		jobs = append(jobs, job{m: m, pos: pos})
+		jobs = append(jobs, job{m: m, pos: pos, forced: pos[:2], cands: pos[n/3:]})
+	}
+	run := func(j job) RegionResult {
+		res, err := SelectRegion(context.Background(), engine.Config{Metric: j.m}, col, j.pos, 10, 0.02, j.forced, j.cands, nil, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		return res
+	}
+	want := make([]RegionResult, len(jobs))
+	for i, j := range jobs {
+		want[i] = run(j)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				for k := range jobs {
+					i := (k*7 + g + r) % len(jobs)
+					got := run(jobs[i])
+					if !slices.Equal(got.Positions, want[i].Positions) || !slices.Equal(got.Gains, want[i].Gains) ||
+						math.Float64bits(got.Score) != math.Float64bits(want[i].Score) || got.Evals != want[i].Evals {
+						t.Errorf("goroutine %d job %d: result differs from the one computed alone", g, i)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -39,7 +39,9 @@
 //
 // A dense evaluation captures into one scratch buffer of |O| pairs,
 // which record then copies into the arena when the support is short
-// enough to keep.
+// enough to keep. The residual, its scratch and its blocks live in the
+// run's arena (arena.go) and are reused by the next run: the blocks
+// are uniform, so any block an earlier run left serves any later one.
 package core
 
 import "geosel/internal/invariant"
@@ -51,10 +53,10 @@ const (
 	// at most 1/residualShare of the objects. A longer one is evaluated
 	// densely once more and recorded then, when best has risen.
 	residualShare = 4
-	// residualBlock is the arena's growth step in pairs (12 bytes each),
-	// so that a run allocates about what it records. The first blocks
-	// are smaller — each as large as all before it, from 1/16 of a step
-	// — so that a run which records little allocates little.
+	// residualBlock is the size in pairs (12 bytes each) of every block
+	// of the arena, which grows a block at a time and keeps its blocks
+	// across runs. A list never straddles blocks, so a support longer
+	// than a block is not recorded.
 	residualBlock = 4096
 	// residualMaxPairs caps the arena of one run (12 MiB). A candidate
 	// whose support does not fit stays dense.
@@ -70,7 +72,7 @@ type resList struct {
 	off, n int32
 }
 
-// resBlock is one growth step of the arena: parallel index and value
+// resBlock is one block of the arena: parallel index and value
 // columns, filled from the front.
 type resBlock struct {
 	at   []int32
@@ -83,35 +85,42 @@ type resBlock struct {
 type residual struct {
 	e    *evaluator
 	best []float64
-	// lists is indexed by object id; nil switches the lists off and
-	// every call falls through to the evaluator.
-	lists  []resList
+	// lists is indexed by object id; empty, it switches the lists off
+	// and every call falls through to the evaluator.
+	lists []resList
+	// blocks are the run's blocks; blocks[len:cap] are the free ones
+	// earlier runs left, each with its columns still allocated.
 	blocks []resBlock
-	// pairs is the arena's allocated capacity, bounded by limit.
-	pairs, limit int
+	// pairs is the capacity of the run's blocks, bounded by limit;
+	// block is the pairs a block holds, residualBlock unless the limit
+	// is smaller.
+	pairs, limit, block int
 
 	// Capture scratch of a dense evaluation, |O| pairs.
 	at  []int32
 	val []float64
 }
 
-// newResidual binds the lists to best. pairs overrides the arena cap
-// (0: residualMaxPairs) and, when negative, switches the lists off —
-// the test-only Selector.residualPairs.
-func newResidual(e *evaluator, best []float64, pairs int) *residual {
-	r := &residual{e: e, best: best}
+// reset binds the lists to best for a new run, keeping the blocks as
+// free ones. pairs overrides the arena cap (0: residualMaxPairs), and
+// a block is never larger than the cap; negative pairs switches the
+// lists off — the test-only Selector.residualPairs.
+func (r *residual) reset(e *evaluator, best []float64, pairs int) {
+	r.e, r.best = e, best
+	r.lists, r.blocks, r.pairs = r.lists[:0], r.blocks[:0], 0
 	if pairs < 0 {
-		return r
+		return
 	}
 	r.limit = residualMaxPairs
 	if pairs > 0 {
 		r.limit = pairs
 	}
+	r.block = min(residualBlock, r.limit)
 	n := len(e.objs)
-	r.lists = make([]resList, n)
-	r.at = make([]int32, n)
-	r.val = make([]float64, n)
-	return r
+	r.lists = resize(r.lists, n)
+	clear(r.lists)
+	r.at = resize(r.at, n)
+	r.val = resize(r.val, n)
 }
 
 // marginal is evaluator.marginal against the run's state: the
@@ -121,7 +130,7 @@ func newResidual(e *evaluator, best []float64, pairs int) *residual {
 //geolint:hotpath
 func (r *residual) marginal(c int) float64 {
 	e := r.e
-	if r.lists == nil {
+	if len(r.lists) == 0 {
 		return e.marginal(r.best, c)
 	}
 	if l := &r.lists[c]; l.blk != 0 {
@@ -176,19 +185,28 @@ func (r *residual) record(c, n int) {
 	}
 }
 
-// grow appends a block with room for need pairs and returns it, or nil
-// when that would take the arena past its cap. It is where a warmed-up
-// lazyStep can allocate.
+// grow appends a block with room for need pairs and returns it — a
+// free one when an earlier run left one — or nil when need exceeds a
+// block or another block would take the arena past its cap. It is
+// where a warmed-up lazyStep can allocate.
 //
 //geolint:coldpath
 func (r *residual) grow(need int) *resBlock {
-	size := max(need, min(residualBlock, max(r.pairs, residualBlock/16)))
-	if r.pairs+size > r.limit {
+	if need > r.block || r.pairs+r.block > r.limit {
 		return nil
 	}
-	r.pairs += size
-	r.blocks = append(r.blocks, resBlock{at: make([]int32, size), val: make([]float64, size)})
-	return &r.blocks[len(r.blocks)-1]
+	r.pairs += r.block
+	if len(r.blocks) < cap(r.blocks) {
+		r.blocks = r.blocks[:len(r.blocks)+1]
+	} else {
+		r.blocks = append(r.blocks, resBlock{})
+	}
+	b := &r.blocks[len(r.blocks)-1]
+	if b.at == nil {
+		b.at, b.val = make([]int32, residualBlock), make([]float64, residualBlock)
+	}
+	b.at, b.val, b.used = b.at[:r.block], b.val[:r.block], 0
+	return b
 }
 
 // walk returns c's gain from its recorded support and compacts the

@@ -128,14 +128,14 @@ func listed(r *residual) int {
 }
 
 // finishRun drives a steadyState run to its end and returns its result.
-func finishRun(t *testing.T, s *Selector, e *evaluator, st *runState, res *Result) *Result {
+func finishRun(t *testing.T, s *Selector, st *arena, res *Result) *Result {
 	t.Helper()
 	for len(st.selected) < s.K && st.h.Len() > 0 {
-		if err := s.lazyStep(e, res, st); err != nil {
+		if err := s.lazyStep(st, res); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.finish(e, res, st.best, st.selected); err != nil {
+	if err := s.finish(&st.e, res, st.best, st.selected); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -157,20 +157,20 @@ func TestResidualArenaFull(t *testing.T) {
 	assertSameRun(t, want, mustRun(t, sel(600)), "capped arena")
 
 	s := sel(600)
-	e, st, res := steadyState(t, context.Background(), s, 0)
-	assertSameRun(t, want, finishRun(t, s, e, st, res), "capped arena, driven by hand")
+	st, res := steadyState(t, context.Background(), s, 0)
+	assertSameRun(t, want, finishRun(t, s, st, res), "capped arena, driven by hand")
 	if st.res.pairs > 600 || st.res.grow(1) != nil {
 		t.Fatalf("arena holds %d pairs and can still grow past a cap of 600", st.res.pairs)
 	}
-	if got := listed(st.res); got == 0 || got >= res.Evals/3 {
+	if got := listed(&st.res); got == 0 || got >= res.Evals/3 {
 		t.Fatalf("%d candidates listed over %d evaluations; want some, and most left dense by the cap", got, res.Evals)
 	}
 
 	// The same run uncapped lists nearly every candidate it evaluates.
 	s = sel(0)
-	e, st, res = steadyState(t, context.Background(), s, 0)
-	assertSameRun(t, want, finishRun(t, s, e, st, res), "default arena, driven by hand")
-	if got := listed(st.res); got < len(objs)/2 {
+	st, res = steadyState(t, context.Background(), s, 0)
+	assertSameRun(t, want, finishRun(t, s, st, res), "default arena, driven by hand")
+	if got := listed(&st.res); got < len(objs)/2 {
 		t.Fatalf("only %d of %d candidates listed without a cap", got, len(objs))
 	}
 }
@@ -203,14 +203,14 @@ func TestResidualLongListsStayDense(t *testing.T) {
 	assertSameRun(t, want, mustRun(t, sel(0)), "long supports")
 
 	s := sel(0)
-	e, st, res := steadyState(t, context.Background(), s, 0)
-	got := finishRun(t, s, e, st, res)
+	st, res := steadyState(t, context.Background(), s, 0)
+	got := finishRun(t, s, st, res)
 	assertSameRun(t, want, got, "long supports, driven by hand")
 	if got.Evals == 0 {
 		t.Fatal("the run evaluated nothing")
 	}
-	if listed(st.res) != 0 || len(st.res.blocks) != 0 {
-		t.Fatalf("%d supports recorded in %d blocks; every one is longer than |O|/%d", listed(st.res), len(st.res.blocks), residualShare)
+	if listed(&st.res) != 0 || len(st.res.blocks) != 0 {
+		t.Fatalf("%d supports recorded in %d blocks; every one is longer than |O|/%d", listed(&st.res), len(st.res.blocks), residualShare)
 	}
 }
 
@@ -242,7 +242,8 @@ func TestMarginalBatchIgnoresListsAcrossBests(t *testing.T) {
 		cs = append(cs, c)
 	}
 
-	r := newResidual(e, high, 0)
+	r := new(residual)
+	r.reset(e, high, 0)
 	recorded := marginals(r.marginal, cs)
 	if listed(r) == 0 {
 		t.Fatal("nothing recorded against the high state")
@@ -285,7 +286,7 @@ func TestResidualWalkCancelled(t *testing.T) {
 		Config:  engine.Config{K: 50, Theta: 0.02, Metric: sim.Cosine{}},
 		Objects: listObjects(900, 21),
 	}
-	e, st, res := steadyState(t, ctx, s, 0)
+	st, res := steadyState(t, ctx, s, 0)
 	for {
 		top, ok := st.h.Peek()
 		if !ok || len(st.selected) == s.K {
@@ -294,15 +295,15 @@ func TestResidualWalkCancelled(t *testing.T) {
 		if top.Iter != st.iter && st.res.lists[top.ID].blk != 0 {
 			break
 		}
-		if err := s.lazyStep(e, res, st); err != nil {
+		if err := s.lazyStep(st, res); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cancel()
-	if err := s.lazyStep(e, res, st); !errors.Is(err, context.Canceled) {
+	if err := s.lazyStep(st, res); !errors.Is(err, context.Canceled) {
 		t.Fatalf("walk under a cancelled context: err = %v, want context.Canceled", err)
 	}
-	if err := s.finish(e, res, st.best, st.selected); !errors.Is(err, context.Canceled) || res.Selected != nil {
+	if err := s.finish(&st.e, res, st.best, st.selected); !errors.Is(err, context.Canceled) || res.Selected != nil {
 		t.Fatalf("cancelled run finished: err = %v, selected = %v", err, res.Selected)
 	}
 }
@@ -349,7 +350,8 @@ func FuzzResidualWalk(f *testing.F) {
 		}
 		e := newEvaluator(nil, objs, sim.Cosine{})
 		best := make([]float64, len(objs))
-		r := newResidual(e, best, 0)
+		r := new(residual)
+		r.reset(e, best, 0)
 		for j := 0; j < len(data) && j < 6; j++ {
 			e.absorb(best, (int(data[j])*131+j*17)%len(objs))
 			for c := range objs {

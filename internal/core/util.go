@@ -18,3 +18,12 @@ func geoBounds(objs []geodata.Object, idx []int) geo.Rect {
 	}
 	return r
 }
+
+// resize returns s with length n, reallocated only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

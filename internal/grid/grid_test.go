@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -41,36 +42,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestInsertRemove(t *testing.T) {
-	g := mustGrid(t, geo.WorldUnit, 0.1)
-	p := geo.Pt(0.42, 0.42)
-	g.Insert(7, p)
-	if g.Len() != 1 {
-		t.Fatalf("len = %d", g.Len())
-	}
-	if !g.Remove(7, p) {
-		t.Fatal("Remove should find the point")
-	}
-	if g.Remove(7, p) {
-		t.Fatal("second Remove should fail")
-	}
-	if g.Len() != 0 {
-		t.Fatalf("len = %d after remove", g.Len())
-	}
-}
-
-func TestRemoveWrongCell(t *testing.T) {
-	g := mustGrid(t, geo.WorldUnit, 0.1)
-	g.Insert(1, geo.Pt(0.05, 0.05))
-	// Wrong coordinates: different cell, must not find it.
-	if g.Remove(1, geo.Pt(0.95, 0.95)) {
-		t.Error("Remove with wrong location should fail")
-	}
-	if g.Len() != 1 {
-		t.Error("point should still be present")
-	}
-}
-
 func TestWithinExactBoundary(t *testing.T) {
 	g := mustGrid(t, geo.WorldUnit, 0.1)
 	g.Insert(1, geo.Pt(0.5, 0.5))
@@ -102,9 +73,6 @@ func TestPointsOutsideBounds(t *testing.T) {
 	g.Insert(9, out)
 	if len(g.AppendWithin(nil, out, 0.001)) == 0 {
 		t.Error("out-of-bounds point not found at its own location")
-	}
-	if !g.Remove(9, out) {
-		t.Error("out-of-bounds point not removable")
 	}
 }
 
@@ -150,34 +118,62 @@ func TestAgainstLinearScan(t *testing.T) {
 	}
 }
 
-func TestRemoveInterleaved(t *testing.T) {
+// TestResetInterleaved reuses one grid across rounds of different
+// bounds and cell sides, interleaving inserts with queries (each query
+// after an insert re-sorts), and holds every query to a linear scan.
+func TestResetInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := mustGrid(t, geo.WorldUnit, 0.05)
-	live := map[int]geo.Point{}
-	nextID := 0
-	for step := 0; step < 3000; step++ {
-		if rng.Intn(3) != 0 || len(live) == 0 {
-			p := geo.Pt(rng.Float64(), rng.Float64())
-			g.Insert(nextID, p)
-			live[nextID] = p
-			nextID++
-		} else {
-			for id, p := range live {
-				if !g.Remove(id, p) {
-					t.Fatalf("failed to remove live id %d", id)
+	for round := 0; round < 20; round++ {
+		lo := geo.Pt(rng.Float64()-0.5, rng.Float64()-0.5)
+		bounds := geo.Rect{Min: lo, Max: geo.Pt(lo.X+0.1+rng.Float64(), lo.Y+0.1+rng.Float64())}
+		if err := g.Reset(bounds, 0.005+rng.Float64()*0.2); err != nil {
+			t.Fatal(err)
+		}
+		var pts []geo.Point
+		for step := 0; step < 150; step++ {
+			if rng.Intn(3) != 0 {
+				p := geo.Pt(bounds.Min.X+rng.Float64()*bounds.Width(), bounds.Min.Y+rng.Float64()*bounds.Height())
+				g.Insert(len(pts), p)
+				pts = append(pts, p)
+				continue
+			}
+			q := geo.Pt(bounds.Min.X+rng.Float64()*bounds.Width(), bounds.Min.Y+rng.Float64()*bounds.Height())
+			d := rng.Float64() * 0.3
+			got := g.AppendWithin(nil, q, d)
+			sort.Ints(got)
+			var want []int
+			for id, p := range pts {
+				if p.Dist2(q) <= d*d {
+					want = append(want, id)
 				}
-				delete(live, id)
-				break
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d step %d: got %v, want %v", round, step, got, want)
 			}
 		}
-		if g.Len() != len(live) {
-			t.Fatalf("size mismatch: %d vs %d", g.Len(), len(live))
+		if g.Len() != len(pts) {
+			t.Fatalf("round %d: Len = %d, inserted %d", round, g.Len(), len(pts))
 		}
 	}
-	// Verify every remaining point is found by a zero-radius self query.
-	for id, p := range live {
-		if !slices.Contains(g.AppendWithin(nil, p, 1e-12), id) {
-			t.Fatalf("live id %d lost", id)
+}
+
+// TestTinyCellClamped asks for sides so small that width/side overflows
+// an int: the grid raises the side (the clamp) and still finds
+// co-located and nearby points.
+func TestTinyCellClamped(t *testing.T) {
+	for _, cell := range []float64{1e-3, 1e-17, 1e-300, math.SmallestNonzeroFloat64} {
+		g := mustGrid(t, geo.WorldUnit, cell)
+		g.Insert(0, geo.Pt(0.25, 0.75))
+		g.Insert(1, geo.Pt(0.25, 0.75))
+		g.Insert(2, geo.Pt(0.75, 0.25))
+		got := g.AppendWithin(nil, geo.Pt(0.25, 0.75), cell)
+		sort.Ints(got)
+		if !slices.Equal(got, []int{0, 1}) {
+			t.Fatalf("cell %v: got %v, want [0 1]", cell, got)
+		}
+		if got := g.AppendWithin(nil, geo.Pt(0.5, 0.5), 1); len(got) != 3 {
+			t.Fatalf("cell %v: radius 1 found %v, want all three", cell, got)
 		}
 	}
 }

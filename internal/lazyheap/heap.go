@@ -28,7 +28,8 @@ type Tuple struct {
 // Heap is a max-heap over a dense id space, popping in (gain desc,
 // id asc) order. That order is total, so the pop sequence is a function
 // of the entries alone, whatever order they were pushed in. The zero
-// value is not usable; construct with New.
+// value holds no id space; construct one with New, or Reset a reused
+// one.
 //
 //geolint:hotpath
 type Heap struct {
@@ -39,11 +40,26 @@ type Heap struct {
 
 // New returns an empty heap over ids in [0, idSpace).
 func New(idSpace int) *Heap {
-	h := &Heap{pos: make([]int32, idSpace)}
+	h := new(Heap)
+	h.Reset(idSpace)
+	return h
+}
+
+// Reset empties the heap and sizes it for ids in [0, idSpace), keeping
+// its storage: a heap reused across runs allocates only when a run's
+// id space or entry count outgrows every earlier one. It is setup, run
+// once per selection, not part of the steady state.
+//
+//geolint:coldpath
+func (h *Heap) Reset(idSpace int) {
+	h.entries = h.entries[:0]
+	if cap(h.pos) < idSpace {
+		h.pos = make([]int32, idSpace)
+	}
+	h.pos = h.pos[:idSpace]
 	for i := range h.pos {
 		h.pos[i] = -1
 	}
-	return h
 }
 
 // Len reports the number of entries.
@@ -90,6 +106,20 @@ func (h *Heap) Peek() (Tuple, bool) {
 		return Tuple{}, false
 	}
 	return h.entries[0], true
+}
+
+// RefreshTop replaces the top entry's gain and iteration in place and
+// restores the heap property with one sift down — the lazy re-evaluation
+// of a stale top, which would otherwise be a Pop and a Push. The root
+// has no parent, so any gain is safe. It reports false on an empty
+// heap.
+func (h *Heap) RefreshTop(gain float64, iter int) bool {
+	if len(h.entries) == 0 {
+		return false
+	}
+	h.entries[0].Gain, h.entries[0].Iter = gain, iter
+	h.siftDown(0)
+	return true
 }
 
 // Pop removes and returns the best tuple.

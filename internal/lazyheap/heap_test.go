@@ -9,18 +9,22 @@ import (
 )
 
 // TestStripedMatchesHeapModel drives the flat-map model and the heap
-// through an identical random operation sequence and asserts the
+// through an identical random operation sequence — push, pop, remove
+// and RefreshTop — and asserts the
 // observable behavior — pop order, membership, stored gains, length —
 // never diverges. The (gain desc, id asc) order is total, so the heap
 // must pop exactly what the model's argmax scan picks.
 func TestStripedMatchesHeapModel(t *testing.T) {
 	const idSpace = 200
+	// One heap serves every seed, Reset between them, as a pooled heap
+	// serves one selection after another.
+	h := New(idSpace / 2)
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ref := flatModel{}
-		h := New(idSpace)
+		h.Reset(idSpace)
 		for op := 0; op < 3000; op++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0, 1: // push (may replace)
 				tu := Tuple{ID: rng.Intn(idSpace), Gain: float64(rng.Intn(50)), Iter: rng.Intn(4)}
 				ref.push(tu)
@@ -41,6 +45,11 @@ func TestStripedMatchesHeapModel(t *testing.T) {
 					tu := Tuple{ID: rng.Intn(idSpace), Gain: rng.Float64() * 40, Iter: rng.Intn(4)}
 					ref.push(tu)
 					h.Push(tu)
+				}
+			case 5: // refresh the top in place, up or down
+				g, it := float64(rng.Intn(50)), rng.Intn(4)
+				if ref.refreshTop(g, it) != h.RefreshTop(g, it) {
+					t.Fatalf("seed=%d op %d: refreshTop mismatch", seed, op)
 				}
 			}
 			if len(ref) != h.Len() {

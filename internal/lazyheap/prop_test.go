@@ -32,6 +32,17 @@ func (m flatModel) pop() (Tuple, bool) {
 	return t, ok
 }
 
+// refreshTop replaces the maximum's gain and iteration, as
+// Heap.RefreshTop does.
+func (m flatModel) refreshTop(gain float64, iter int) bool {
+	t, ok := modelMax(m)
+	if ok {
+		t.Gain, t.Iter = gain, iter
+		m[t.ID] = t
+	}
+	return ok
+}
+
 func (m flatModel) remove(id int) bool {
 	_, ok := m[id]
 	delete(m, id)
@@ -55,8 +66,8 @@ func randomKey(model map[int]Tuple, rng *rand.Rand) int {
 }
 
 // TestRandomInterleavings drives the heap through random
-// interleavings of push, replace, pop and remove against a flat map
-// model. It checks
+// interleavings of push, replace, refresh of the top, pop and remove
+// against a flat map model. It checks
 // the two contracts the lazy-forward greedy depends on: pops follow the
 // deterministic (gain desc, id asc) order, and a popped gain never
 // exceeds the highest gain ever recorded for that id — the heap
@@ -88,6 +99,15 @@ func TestRandomInterleavings(t *testing.T) {
 				h.Push(tu)
 				model[tu.ID] = tu
 				record(tu)
+			case r < 5 && len(model) > 0:
+				// Refresh the top downward in place, as the greedy does
+				// when it re-evaluates a stale top.
+				top, _ := modelMax(model)
+				g := top.Gain * rng.Float64()
+				if !h.RefreshTop(g, step) {
+					t.Fatalf("trial %d step %d: RefreshTop on a non-empty heap = false", trial, step)
+				}
+				flatModel(model).refreshTop(g, step)
 			case r < 6 && len(model) > 0:
 				// Refresh an existing entry downward, like a lazy
 				// re-evaluation of a stale upper bound.

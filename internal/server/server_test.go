@@ -12,6 +12,7 @@ import (
 
 	"geosel/internal/dataset"
 	"geosel/internal/engine"
+	"geosel/internal/geo"
 	"geosel/internal/geodata"
 	"geosel/internal/sim"
 )
@@ -142,6 +143,47 @@ func TestSelectEndpoint(t *testing.T) {
 	}
 	if n := field[int](t, out, "regionObjects"); n <= 0 {
 		t.Errorf("regionObjects = %d", n)
+	}
+}
+
+// TestSelectTinyThetaSeparates serves /select with a thetaFrac so small
+// that the conflict grid would need more cells than an int counts, over
+// a region holding two co-located objects of different text: the
+// response must still keep them apart.
+func TestSelectTinyThetaSeparates(t *testing.T) {
+	col := geodata.NewCollection()
+	col.Add(10, geo.Pt(0.2, 0.2), 1, "pier")
+	col.Add(11, geo.Pt(0.5, 0.5), 1, "cafe")
+	col.Add(12, geo.Pt(0.5, 0.5), 1, "museum")
+	col.Add(13, geo.Pt(0.8, 0.8), 1, "zoo")
+	store, err := geodata.NewStore(col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(store, engine.Config{Metric: sim.Cosine{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	resp, out := post(t, ts.URL+"/select", map[string]any{
+		"region":    map[string]float64{"minX": 0, "minY": 0, "maxX": 1, "maxY": 1},
+		"k":         4,
+		"thetaFrac": 1e-300,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %v", resp.StatusCode, out)
+	}
+	objs := field[[]map[string]any](t, out, "objects")
+	colocated := 0
+	for _, o := range objs {
+		if o["x"].(float64) == 0.5 && o["y"].(float64) == 0.5 {
+			colocated++
+		}
+	}
+	if len(objs) != 3 || colocated != 1 {
+		t.Fatalf("selected %v; want three objects, one of the co-located pair", objs)
 	}
 }
 

@@ -21,10 +21,11 @@ const (
 
 // Rows evaluates a metric the one way the selection algorithms consume
 // it: one object c against every object. It is compiled once per
-// (metric, object slice) and writes the row Sim(&objs[i], &objs[c]) into
-// a caller-owned buffer of len(objs) float64s, reading flat columns for
-// the built-in metrics: x/y for Euclidean proximity, one packed CSR term
-// arena and its inverted index for Cosine, two nested Rows for Hybrid.
+// (metric, object slice) — by NewRows, or in place by Reset — and
+// writes the row Sim(&objs[i], &objs[c]) into a caller-owned buffer of
+// len(objs) float64s, reading flat columns for the built-in metrics:
+// x/y for Euclidean proximity, one packed CSR term arena and its
+// inverted index for Cosine, two nested Rows for Hybrid.
 // Every entry is bitwise the value m.Sim returns after the caller's
 // clamp to [0, 1] (see Row), which is the identity on a metric that
 // keeps the Metric contract.
@@ -56,6 +57,13 @@ type Rows struct {
 	postOff []int32
 	postObj []int32
 	postW   []float64
+	// Compile-time scratch of the Cosine kind, kept for the next Reset:
+	// the term-localising table (keys, local), the document frequencies
+	// (count) and RowSums' aggregate (lin).
+	keys  []uint64
+	local []int32
+	count []int32
+	lin   Linear
 
 	// Hybrid: alpha·text + (1−alpha)·spatial, the spatial half's row
 	// written to scratch.
@@ -68,38 +76,71 @@ type Rows struct {
 // the pointer identity m.Sim sees, which preserves Cosine's
 // self-similarity special case.
 func NewRows(m Metric, objs []geodata.Object) *Rows {
+	r := new(Rows)
+	r.Reset(m, objs)
+	return r
+}
+
+// Reset recompiles r for m over objs in place, as NewRows compiles a
+// new one, keeping every column's storage: a Rows reused across runs
+// allocates only where a run outgrows all earlier ones. Reset(nil, nil)
+// drops the references a generic Rows holds to its metric and objects.
+func (r *Rows) Reset(m Metric, objs []geodata.Object) {
+	text, spatial := r.text, r.spatial
+	r.kind, r.m, r.objs, r.text, r.spatial = rowsGeneric, nil, nil, nil, nil
 	switch mt := m.(type) {
 	case Cosine:
-		if r := cosineRows(objs); r != nil {
-			return r
+		if r.resetCosine(objs) {
+			r.kind = rowsCosine
 		}
 	case EuclideanProximity:
 		if mt.MaxDist > 0 {
-			return euclidRows(objs, mt.MaxDist)
+			r.kind, r.maxDist = rowsEuclid, mt.MaxDist
+			r.xs, r.ys = resize(r.xs, len(objs)), resize(r.ys, len(objs))
+			for i := range objs {
+				r.xs[i] = objs[i].Loc.X
+				r.ys[i] = objs[i].Loc.Y
+			}
 		}
 	case Hybrid:
 		// A hand-built Hybrid with a nil part panics in Sim; compiling
 		// it must not, so it stays generic.
 		if mt.Text != nil && mt.Spatial != nil {
-			return &Rows{kind: rowsHybrid, alpha: mt.Alpha, text: NewRows(mt.Text, objs), spatial: NewRows(mt.Spatial, objs),
-				scratch: make([]float64, len(objs))}
+			if text == nil {
+				text, spatial = new(Rows), new(Rows)
+			}
+			text.Reset(mt.Text, objs)
+			spatial.Reset(mt.Spatial, objs)
+			r.kind, r.alpha, r.text, r.spatial = rowsHybrid, mt.Alpha, text, spatial
+			r.scratch = resize(r.scratch, len(objs))
 		}
 	}
-	return &Rows{kind: rowsGeneric, m: m, objs: objs}
+	if r.kind == rowsGeneric {
+		r.m, r.objs = m, objs
+	}
 }
 
-// cosineRows packs the term vectors of objs and inverts them, in
-// O(Σ nnz). It returns nil when some vector's term ids are not strictly
-// ascending — NewVector's guarantee, and what makes the merge-join of
-// Cosine.Sim and the posting-list scatter of Row sum the same products
-// in the same order; such objects keep the generic kind.
-func cosineRows(objs []geodata.Object) *Rows {
-	vecs := make([]textsim.Vector, len(objs))
-	for i := range objs {
-		vecs[i] = objs[i].Vec
+// resize returns s with length n, reallocated only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	r := &Rows{kind: rowsCosine, vecs: textsim.Pack(vecs)}
-	words := r.vecs.Words
+	return s[:n]
+}
+
+// resetCosine packs the term vectors of objs and inverts them, in
+// O(Σ nnz). It reports false when some vector's term ids are not
+// strictly ascending — NewVector's guarantee, and what makes the
+// merge-join of Cosine.Sim and the posting-list scatter of Row sum the
+// same products in the same order; such objects keep the generic kind.
+func (r *Rows) resetCosine(objs []geodata.Object) bool {
+	p := &r.vecs
+	p.Reset()
+	for i := range objs {
+		p.Append(objs[i].Vec.Words)
+	}
+	words := p.Words
 
 	// Localise the terms through an open-addressed table at load ≤ 1/2,
 	// so every size below follows the region's terms, not the
@@ -108,16 +149,18 @@ func cosineRows(objs []geodata.Object) *Rows {
 	for 1<<(64-shift) < 2*len(words) {
 		shift--
 	}
-	keys := make([]uint64, 1<<(64-shift))
-	local := make([]int32, len(keys))
-	var count []int32
-	r.termOf = make([]int32, len(words))
+	keys := resize(r.keys, 1<<(64-shift))
+	clear(keys)
+	local := resize(r.local, len(keys))
+	count := r.count[:0]
+	r.keys, r.local = keys, local
+	r.termOf = resize(r.termOf, len(words))
 	for i := range objs {
-		lo, hi := r.vecs.Off[i], r.vecs.Off[i+1]
+		lo, hi := p.Off[i], p.Off[i+1]
 		for k := lo; k < hi; k++ {
 			key := words[k]>>32 + 1 // 0 marks an empty slot
 			if k > lo && key <= words[k-1]>>32+1 {
-				return nil
+				return false
 			}
 			h := int(key * 0x9E3779B97F4A7C15 >> shift)
 			for keys[h] != key && keys[h] != 0 {
@@ -131,35 +174,28 @@ func cosineRows(objs []geodata.Object) *Rows {
 			count[local[h]]++
 		}
 	}
+	r.count = count
 
 	// Counting sort by term. Objects are visited in index order, so each
 	// posting run comes out ascending.
-	r.postOff = make([]int32, len(count)+1)
+	r.postOff = resize(r.postOff, len(count)+1)
+	r.postOff[0] = 0
 	for t, c := range count {
 		r.postOff[t+1] = r.postOff[t] + c
 	}
-	r.postObj = make([]int32, len(words))
-	r.postW = make([]float64, len(words))
+	r.postObj = resize(r.postObj, len(words))
+	r.postW = resize(r.postW, len(words))
 	next := count // reused as each run's write cursor
 	copy(next, r.postOff)
 	for i := range objs {
-		for k := r.vecs.Off[i]; k < r.vecs.Off[i+1]; k++ {
+		for k := p.Off[i]; k < p.Off[i+1]; k++ {
 			t := r.termOf[k]
 			r.postObj[next[t]] = int32(i)
 			r.postW[next[t]] = float64(textsim.UnpackWeight(words[k]))
 			next[t]++
 		}
 	}
-	return r
-}
-
-func euclidRows(objs []geodata.Object, maxDist float64) *Rows {
-	r := &Rows{kind: rowsEuclid, maxDist: maxDist, xs: make([]float64, len(objs)), ys: make([]float64, len(objs))}
-	for i := range objs {
-		r.xs[i] = objs[i].Loc.X
-		r.ys[i] = objs[i].Loc.Y
-	}
-	return r
+	return true
 }
 
 // Row writes c's row into dst, whose length must be the number of
@@ -222,7 +258,9 @@ func (r *Rows) RowSums(dst, w []float64, cs []int) bool {
 		return false
 	}
 	p := &r.vecs
-	a := &Linear{acc: make([]float64, len(r.postOff)-1)}
+	a := &r.lin
+	*a = Linear{acc: resize(a.acc, len(r.postOff)-1)}
+	clear(a.acc)
 	for i := range len(p.Off) - 1 {
 		lo, hi := p.Off[i], p.Off[i+1]
 		if !a.add(w[i], p.Words[lo:hi], r.termOf[lo:hi]) {

@@ -103,6 +103,60 @@ func TestCompileKernelMatchesInterface(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNewRows reuses one Rows across metrics and object
+// sets that grow, shrink and fall back to the generic kind, and holds
+// every row and every RowSums bound to a freshly compiled Rows, bit for
+// bit: a Rows rebuilt in place keeps nothing of the run before.
+func TestResetMatchesNewRows(t *testing.T) {
+	hybrid, err := NewHybrid(0.4, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsorted := rowsTestObjects(90, 4)
+	unsorted[5].Vec = rawVector([]int32{9, 2}, []float32{0.6, 0.8})
+	steps := []struct {
+		m    Metric
+		objs []geodata.Object
+	}{
+		{Cosine{}, rowsTestObjects(300, 1)},
+		{Cosine{}, rowsTestObjects(40, 2)},
+		{hybrid, rowsTestObjects(200, 3)},
+		{Cosine{}, unsorted},
+		{EuclideanProximity{MaxDist: 0.5}, rowsTestObjects(120, 5)},
+		{Cosine{}, rowsTestObjects(500, 6)},
+		{Func(func(a, b *geodata.Object) float64 { return a.Weight * b.Weight }), rowsTestObjects(30, 7)},
+		{Cosine{}, rowsTestObjects(70, 8)},
+	}
+	reused := new(Rows)
+	for k, st := range steps {
+		reused.Reset(st.m, st.objs)
+		fresh := NewRows(st.m, st.objs)
+		if reused.kind != fresh.kind {
+			t.Fatalf("step %d: kind %d, fresh %d", k, reused.kind, fresh.kind)
+		}
+		got, want := make([]float64, len(st.objs)), make([]float64, len(st.objs))
+		for c := range st.objs {
+			reused.Row(got, c, nil)
+			fresh.Row(want, c, nil)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("step %d: row %d entry %d = %v, fresh %v", k, c, i, got[i], want[i])
+				}
+			}
+		}
+		w := make([]float64, len(st.objs))
+		cs := make([]int, len(st.objs))
+		for i := range st.objs {
+			w[i], cs[i] = st.objs[i].Weight, i
+		}
+		okGot := reused.RowSums(got, w, cs)
+		okWant := fresh.RowSums(want, w, cs)
+		if okGot != okWant || okGot && !slices.Equal(got, want) {
+			t.Fatalf("step %d: RowSums (%v) differ from a fresh Rows' (%v)", k, okGot, okWant)
+		}
+	}
+}
+
 func TestCompileKernelHybridNilParts(t *testing.T) {
 	objs := rowsTestObjects(3, 8)
 	// A hand-built Hybrid with nil parts must compile to the generic

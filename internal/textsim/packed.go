@@ -43,20 +43,27 @@ func UnpackWeight(word uint64) float32 {
 
 // Pack concatenates vecs into the CSR arena layout.
 func Pack(vecs []Vector) Packed {
-	total := 0
+	var p Packed
+	p.Reset()
 	for i := range vecs {
-		total += len(vecs[i].Words)
+		p.Append(vecs[i].Words)
 	}
-	p := Packed{
-		Off:   make([]int32, len(vecs)+1),
-		Words: make([]uint64, 0, total),
-	}
-	for i := range vecs {
-		p.Off[i] = int32(len(p.Words))
-		p.Words = append(p.Words, vecs[i].Words...)
-	}
-	p.Off[len(vecs)] = int32(len(p.Words))
 	return p
+}
+
+// Reset empties p, keeping its storage for the vectors Appended next.
+//
+//geolint:coldpath
+func (p *Packed) Reset() {
+	p.Off, p.Words = append(p.Off[:0], 0), p.Words[:0]
+}
+
+// Append adds words as p's next vector.
+//
+//geolint:coldpath
+func (p *Packed) Append(words []uint64) {
+	p.Words = append(p.Words, words...)
+	p.Off = append(p.Off, int32(len(p.Words)))
 }
 
 // Row returns vector i's packed words.
