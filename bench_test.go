@@ -344,8 +344,8 @@ func BenchmarkSubstrateRegionQuery(b *testing.B) {
 func BenchmarkSubstrateGridConflict(b *testing.B) {
 	e := env(b)
 	bounds, _ := e.store.Bounds()
-	g, err := grid.New(bounds, e.theta)
-	if err != nil {
+	var g grid.Grid
+	if err := g.Reset(bounds, e.theta); err != nil {
 		b.Fatal(err)
 	}
 	for i := range e.objs {

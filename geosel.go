@@ -210,11 +210,7 @@ func Select(ctx context.Context, store *Store, region Rect, opts Options) (*Resu
 	}
 	cfg := opts.Config
 	if cfg.Theta <= 0 {
-		side := region.Width()
-		if h := region.Height(); h > side {
-			side = h
-		}
-		cfg.Theta = cfg.ThetaFrac * side
+		cfg.Theta = cfg.ThetaFrac * region.Side()
 	}
 	cfg.ThetaFrac = 0 // resolved into Theta above
 	out := &Result{RegionObjects: len(regionPos), SampleSize: len(regionPos)}

@@ -135,6 +135,10 @@ func TestSelectRegionReusesArena(t *testing.T) {
 	col := store.Collection()
 	cfg := engine.Config{Metric: sim.Cosine{}}
 	dst := make([]int, 0, 100)
+	// AllocsPerRun pins GOMAXPROCS to 1; pin the warm calls too, so that
+	// they put the arena back in the pool slot of the one P the measured
+	// calls take it from, not in another P's, out of their reach.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var counts []float64
 	for _, target := range []int{374, 1400} {
 		pos, side := benchPositions(t, store, target)
@@ -149,8 +153,8 @@ func TestSelectRegionReusesArena(t *testing.T) {
 		const runs = 10
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		// AllocsPerRun pins GOMAXPROCS to 1, so every call finds the
-		// arena the previous one put back; it also makes one extra call.
+		// Every call finds the arena the previous one put back;
+		// AllocsPerRun also makes one extra call.
 		allocs := testing.AllocsPerRun(runs, sel)
 		runtime.ReadMemStats(&after)
 		perCall := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)

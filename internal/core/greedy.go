@@ -22,7 +22,7 @@ type Selector struct {
 	// their embedded config here wholesale, with Theta resolved to an
 	// absolute distance; core ignores the session/serving fields
 	// (ThetaFrac, MaxZoomOutScale, RequestTimeout, SessionTTL,
-	// MaxSessions).
+	// MaxSessions, AsyncPrefetch, TileCache, TileCacheCapacity).
 	engine.Config
 
 	// Objects is the set O of geospatial objects in the region of
@@ -354,6 +354,11 @@ func (s *Selector) lazyStep(a *arena, res *Result) error {
 		return err
 	}
 	s.removeConflicts(a, t.ID)
+	if invariant.Enabled {
+		// The pop-order contract, on the heap the run actually takes its
+		// picks from.
+		a.h.CheckTaken(t)
+	}
 	a.iter++
 	res.Rounds++
 	return nil

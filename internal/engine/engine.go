@@ -55,11 +55,12 @@ type Config struct {
 	// fractions (sessions, geosel.Select) derive it from ThetaFrac and
 	// override this field per region.
 	Theta float64
-	// ThetaFrac expresses θ as a fraction of the region side length
-	// (the paper uses 0.003 of the query region "by length", Table 2),
-	// so the on-screen separation is constant across zoom levels. Used
-	// by the session and facade layers; ignored by core, which consumes
-	// the resolved Theta.
+	// ThetaFrac expresses θ as a fraction of the region side length,
+	// the longer of its width and height (geo.Rect.Side; the paper
+	// uses 0.003 of the query region "by length", Table 2), so the
+	// on-screen separation is constant across zoom levels. Used by the
+	// server, session and facade layers; ignored by core, which
+	// consumes the resolved Theta.
 	ThetaFrac float64
 	// Metric is the similarity function Sim(·,·).
 	Metric sim.Metric

@@ -134,7 +134,8 @@ func TestResidualSupport(t *testing.T) {
 		for i := range init {
 			init[i] = lazyheap.Tuple{ID: i, Gain: seeds[i], Iter: -1}
 		}
-		h := lazyheap.New(n)
+		var h lazyheap.Heap
+		h.Reset(n)
 		h.Heapify(init)
 		// fill writes Sim(o_i, c) for every i into row.
 		row := make([]float64, n)
@@ -154,9 +155,10 @@ func TestResidualSupport(t *testing.T) {
 		var first, repeat, walks, recorded int
 		var firstShare, repeatShare float64
 		for iter := 0; len(selected) < k && h.Len() > 0; {
-			top, _ := h.Pop()
+			top, _ := h.Peek()
 			if top.Iter == iter {
 				selected = append(selected, top.ID)
+				h.Remove(top.ID)
 				fill(top.ID)
 				for i, v := range row {
 					best[i] = max(best[i], v)
@@ -196,7 +198,7 @@ func TestResidualSupport(t *testing.T) {
 				recorded += size
 				support[c] = size
 			}
-			h.Push(lazyheap.Tuple{ID: c, Gain: gain, Iter: iter})
+			h.RefreshTop(gain, iter)
 		}
 		if first+repeat != want.Evals || len(selected) != len(want.Selected) {
 			t.Fatalf("region %d: the replica made %d evaluations and %d picks, core %d and %d", r, first+repeat, len(selected), want.Evals, len(want.Selected))

@@ -78,6 +78,17 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the extent of r along the Y axis.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
+// Side returns the longer of r's width and height: the side length a
+// region's visibility threshold θ = ThetaFrac × Side and its tile zoom
+// are taken from, whichever entry point serves it.
+func (r Rect) Side() float64 {
+	side := r.Width()
+	if h := r.Height(); h > side {
+		side = h
+	}
+	return side
+}
+
 // Area returns the area of r.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 

@@ -12,10 +12,11 @@
 // a cell) on the first query after an Insert. The cells of one grid row
 // are consecutive keys, so a query finds each row's stretch of its ring
 // with one hand-rolled binary search and scans it; there is no map and
-// no per-cell slice. Reset empties the grid and keeps the entries'
-// storage, so a grid reused across runs allocates nothing once it has
-// held the largest of them. There is no Remove: the selector filters
-// query hits by its heap's membership instead.
+// no per-cell slice. Reset lays a grid out — there is no other
+// constructor — and keeps the entries' storage, so a grid reused across
+// runs allocates nothing once it has held the largest of them. There is
+// no Remove: the selector filters query hits by its heap's membership
+// instead.
 //
 // The clamp. The side is raised until neither axis has more than 2³⁰
 // cells, so cy·nx + cx cannot overflow however small the requested
@@ -35,8 +36,8 @@ import (
 // maxAxisCells bounds the cells along either axis; see the clamp.
 const maxAxisCells = 1 << 30
 
-// Grid is a uniform spatial hash of point ids. Create one with New, or
-// Reset a reused one; the zero value is not usable.
+// Grid is a uniform spatial hash of point ids. The zero value is not
+// usable until Reset lays it out.
 type Grid struct {
 	bounds geo.Rect
 	cell   float64
@@ -52,19 +53,10 @@ type entry struct {
 	pt      geo.Point
 }
 
-// New returns a grid covering bounds with the given cell side length.
-// Cell must be positive; bounds with zero extent are padded so every
-// point of the (degenerate) region still maps to a valid cell.
-func New(bounds geo.Rect, cell float64) (*Grid, error) {
-	g := new(Grid)
-	if err := g.Reset(bounds, cell); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // Reset empties the grid and lays it over bounds with the given cell
-// side, as New does, keeping the entries' storage.
+// side, keeping the entries' storage. Cell must be positive; bounds
+// with zero extent still map every point of the (degenerate) region to
+// a valid cell.
 func (g *Grid) Reset(bounds geo.Rect, cell float64) error {
 	if !(cell > 0) {
 		return fmt.Errorf("grid: cell side must be positive, got %v", cell)
@@ -89,9 +81,6 @@ func axisCells(w, cell float64) int {
 	}
 	return int(f) + 1
 }
-
-// Len reports the number of points stored.
-func (g *Grid) Len() int { return len(g.ents) }
 
 // axis returns the cell index of coordinate offset off along an axis
 // of n cells, clamped into [0, n) before any float-to-int conversion.

@@ -12,28 +12,29 @@ import (
 
 func mustGrid(t *testing.T, bounds geo.Rect, cell float64) *Grid {
 	t.Helper()
-	g, err := New(bounds, cell)
-	if err != nil {
+	g := new(Grid)
+	if err := g.Reset(bounds, cell); err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
+// TestNewValidation pins what laying out a new grid (Reset) accepts.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(geo.WorldUnit, 0); err == nil {
+	var g Grid
+	if err := g.Reset(geo.WorldUnit, 0); err == nil {
 		t.Error("zero cell side should fail")
 	}
-	if _, err := New(geo.WorldUnit, -1); err == nil {
+	if err := g.Reset(geo.WorldUnit, -1); err == nil {
 		t.Error("negative cell side should fail")
 	}
 	bad := geo.Rect{Min: geo.Pt(1, 1), Max: geo.Pt(0, 0)}
-	if _, err := New(bad, 0.1); err == nil {
+	if err := g.Reset(bad, 0.1); err == nil {
 		t.Error("invalid bounds should fail")
 	}
 	// Degenerate but valid bounds are fine.
 	deg := geo.Rect{Min: geo.Pt(0.5, 0.5), Max: geo.Pt(0.5, 0.5)}
-	g, err := New(deg, 0.1)
-	if err != nil {
+	if err := g.Reset(deg, 0.1); err != nil {
 		t.Fatalf("degenerate bounds: %v", err)
 	}
 	g.Insert(1, geo.Pt(0.5, 0.5))
@@ -130,6 +131,7 @@ func TestResetInterleaved(t *testing.T) {
 		if err := g.Reset(bounds, 0.005+rng.Float64()*0.2); err != nil {
 			t.Fatal(err)
 		}
+		q0 := bounds.Center()
 		var pts []geo.Point
 		for step := 0; step < 150; step++ {
 			if rng.Intn(3) != 0 {
@@ -152,8 +154,8 @@ func TestResetInterleaved(t *testing.T) {
 				t.Fatalf("round %d step %d: got %v, want %v", round, step, got, want)
 			}
 		}
-		if g.Len() != len(pts) {
-			t.Fatalf("round %d: Len = %d, inserted %d", round, g.Len(), len(pts))
+		if got := g.AppendWithin(nil, q0, math.Inf(1)); len(got) != len(pts) {
+			t.Fatalf("round %d: an unbounded query finds %d points, inserted %d", round, len(got), len(pts))
 		}
 	}
 }

@@ -122,15 +122,3 @@ func ResidualGain(walked, dense float64, what string) {
 		panic(fmt.Sprintf("geoselcheck: %s: walked gain %v differs bitwise from dense gain %v", what, walked, dense))
 	}
 }
-
-// SortedByGainDesc asserts entries listed with their gains are in
-// non-increasing gain order with ties broken by ascending id — the heap
-// pop order contract that makes every selection deterministic.
-func SortedByGainDesc(ids []int, gains []float64, what string) {
-	for i := 1; i < len(ids); i++ {
-		if gains[i] > gains[i-1] || (gains[i] == gains[i-1] && ids[i] < ids[i-1]) {
-			panic(fmt.Sprintf("geoselcheck: %s: entry %d (id %d, gain %v) out of deterministic pop order after id %d (gain %v)",
-				what, i, ids[i], gains[i], ids[i-1], gains[i-1]))
-		}
-	}
-}

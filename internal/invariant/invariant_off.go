@@ -25,6 +25,3 @@ func PackingBound(k int, dist func(i, j int) float64, theta float64, what string
 
 // ResidualGain does nothing in release builds.
 func ResidualGain(walked, dense float64, what string) {}
-
-// SortedByGainDesc does nothing in release builds.
-func SortedByGainDesc(ids []int, gains []float64, what string) {}

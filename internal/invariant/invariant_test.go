@@ -66,17 +66,6 @@ func TestPackingBound(t *testing.T) {
 	PackingBound(n, tight, 0, "vacuous")
 }
 
-func TestSortedByGainDesc(t *testing.T) {
-	SortedByGainDesc([]int{3, 1, 2}, []float64{5, 4, 4}, "ok")
-	SortedByGainDesc(nil, nil, "empty")
-	expectPanic(t, "deterministic pop order", func() {
-		SortedByGainDesc([]int{1, 2}, []float64{1, 2}, "rising")
-	})
-	expectPanic(t, "deterministic pop order", func() {
-		SortedByGainDesc([]int{2, 1}, []float64{3, 3}, "tie broken wrong")
-	})
-}
-
 func TestResidualGain(t *testing.T) {
 	ResidualGain(0, 0, "zero")
 	ResidualGain(2.5, 2.5, "equal")

@@ -181,11 +181,7 @@ func (s *Session) Visible() []int { return append([]int(nil), s.visible...) }
 
 // theta returns the world-space visibility threshold for a region.
 func (s *Session) theta(region geo.Rect) float64 {
-	side := region.Width()
-	if h := region.Height(); h > side {
-		side = h
-	}
-	return s.cfg.ThetaFrac * side
+	return s.cfg.ThetaFrac * region.Side()
 }
 
 // Start begins the session at the given region with an unconstrained

@@ -1,14 +1,17 @@
 // Package lazyheap implements the max-heap of ⟨object, Δ, iter⟩ tuples
-// that powers the paper's "lazy forward" (CELF-style) greedy selection
-// (Algorithm 1), with removal of arbitrary entries by id, which the
-// greedy algorithm needs when discarding candidates that violate the
-// visibility constraint after a selection.
+// behind the paper's "lazy forward" (CELF-style) greedy selection
+// (Algorithm 1). It has exactly the operations Algorithm 1 performs:
+// bulk-load the initial bounds (Heapify), look at the top (Peek),
+// re-evaluate a stale top in place (RefreshTop), and drop the pick and
+// the candidates that violate the visibility constraint after a
+// selection (Contains, Remove). Its pop-order contract is asserted
+// where the greedy takes a top out (CheckTaken).
 //
 // Heap is built for a dense id space (object positions of one run):
 // membership and position live in a flat int32 column instead of a map,
 // and the sift loops are hand-rolled rather than container/heap, so no
-// per-push interface boxing — the greedy steady state performs zero
-// heap allocations.
+// interface boxing — the greedy steady state performs zero heap
+// allocations.
 package lazyheap
 
 import "geosel/internal/invariant"
@@ -17,7 +20,7 @@ import "geosel/internal/invariant"
 // exact value) of its marginal gain Δ, and the greedy iteration at which
 // that Δ was computed. A Δ computed at an earlier iteration is only an
 // upper bound on the current marginal gain (submodularity, Lemma 4.1 of
-// the paper), so the algorithm re-evaluates a popped tuple whose Iter is
+// the paper), so the algorithm re-evaluates a top tuple whose Iter is
 // stale before trusting it.
 type Tuple struct {
 	ID   int
@@ -25,24 +28,16 @@ type Tuple struct {
 	Iter int
 }
 
-// Heap is a max-heap over a dense id space, popping in (gain desc,
-// id asc) order. That order is total, so the pop sequence is a function
-// of the entries alone, whatever order they were pushed in. The zero
-// value holds no id space; construct one with New, or Reset a reused
-// one.
+// Heap is a max-heap over a dense id space, its top the best entry in
+// (gain desc, id asc) order. That order is total, so the top is a
+// function of the entries alone, whatever order they were loaded or
+// removed in. The zero value holds no id space; Reset sizes it.
 //
 //geolint:hotpath
 type Heap struct {
 	entries []Tuple
 	// pos[id] is the entry index of id, -1 when absent.
 	pos []int32
-}
-
-// New returns an empty heap over ids in [0, idSpace).
-func New(idSpace int) *Heap {
-	h := new(Heap)
-	h.Reset(idSpace)
-	return h
 }
 
 // Reset empties the heap and sizes it for ids in [0, idSpace), keeping
@@ -65,25 +60,10 @@ func (h *Heap) Reset(idSpace int) {
 // Len reports the number of entries.
 func (h *Heap) Len() int { return len(h.entries) }
 
-// Push inserts t, replacing any existing entry with the same id.
-func (h *Heap) Push(t Tuple) {
-	if i := h.pos[t.ID]; i >= 0 {
-		h.entries[i] = t
-		if !h.siftDown(int(i)) {
-			h.siftUp(int(i))
-		}
-		return
-	}
-	h.pos[t.ID] = int32(len(h.entries))
-	h.entries = append(h.entries, t)
-	h.siftUp(len(h.entries) - 1)
-}
-
 // Heapify bulk-loads ts into an empty heap with Floyd's O(n)
 // construction. It panics if the heap is not empty; ts must not contain
 // duplicate ids (the greedy init tuples are distinct by construction).
-// Equivalent to (but faster than) pushing every tuple; the pop order is
-// identical.
+// The top depends on the tuples alone, not on their order in ts.
 func (h *Heap) Heapify(ts []Tuple) {
 	if len(h.entries) != 0 {
 		// API misuse by the caller, not a data-dependent condition; the
@@ -110,9 +90,9 @@ func (h *Heap) Peek() (Tuple, bool) {
 
 // RefreshTop replaces the top entry's gain and iteration in place and
 // restores the heap property with one sift down — the lazy re-evaluation
-// of a stale top, which would otherwise be a Pop and a Push. The root
-// has no parent, so any gain is safe. It reports false on an empty
-// heap.
+// of a stale top, which would otherwise be a removal and a re-insertion.
+// The root has no parent, so any gain is safe. It reports false on an
+// empty heap.
 func (h *Heap) RefreshTop(gain float64, iter int) bool {
 	if len(h.entries) == 0 {
 		return false
@@ -120,27 +100,6 @@ func (h *Heap) RefreshTop(gain float64, iter int) bool {
 	h.entries[0].Gain, h.entries[0].Iter = gain, iter
 	h.siftDown(0)
 	return true
-}
-
-// Pop removes and returns the best tuple.
-func (h *Heap) Pop() (Tuple, bool) {
-	if len(h.entries) == 0 {
-		return Tuple{}, false
-	}
-	t := h.entries[0]
-	h.removeAt(0)
-	if invariant.Enabled {
-		// Deterministic pop-order contract: the popped tuple dominates
-		// the remaining top under the (gain desc, id asc) ordering that
-		// makes every selection reproducible.
-		if u, ok := h.Peek(); ok {
-			invariant.Assertf(tupleLess(t, u),
-				"lazyheap: pop (id %d, gain %v) does not dominate the remaining top (id %d, gain %v)",
-				t.ID, t.Gain, u.ID, u.Gain)
-		}
-		invariant.Assertf(!h.Contains(t.ID), "lazyheap: pop id %d still present", t.ID)
-	}
-	return t, true
 }
 
 // Remove deletes the entry with the given id, reporting whether it was
@@ -157,26 +116,20 @@ func (h *Heap) Remove(id int) bool {
 // Contains reports whether an entry with the given id is present.
 func (h *Heap) Contains(id int) bool { return h.pos[id] >= 0 }
 
-// Gain returns the stored gain for id; false when id is absent.
-func (h *Heap) Gain(id int) (float64, bool) {
-	i := h.pos[id]
-	if i < 0 {
-		return 0, false
+// CheckTaken asserts the deterministic pop-order contract on t, a top
+// the caller has just taken out of the heap with Remove (together with
+// any other entries it removed): t is gone, and it dominates the new
+// top under the (gain desc, id asc) order that makes every selection
+// reproducible. It checks nothing unless invariant.Enabled.
+func (h *Heap) CheckTaken(t Tuple) {
+	if invariant.Enabled {
+		invariant.Assertf(!h.Contains(t.ID), "lazyheap: taken id %d still present", t.ID)
+		if u, ok := h.Peek(); ok {
+			invariant.Assertf(tupleLess(t, u),
+				"lazyheap: taken (id %d, gain %v) does not dominate the new top (id %d, gain %v)",
+				t.ID, t.Gain, u.ID, u.Gain)
+		}
 	}
-	return h.entries[i].Gain, true
-}
-
-// IDs returns the ids of all entries in unspecified order. It
-// allocates; intended for tests and diagnostics, never called from the
-// selection loop.
-//
-//geolint:coldpath
-func (h *Heap) IDs() []int {
-	out := make([]int, 0, len(h.entries))
-	for _, t := range h.entries {
-		out = append(out, t.ID)
-	}
-	return out
 }
 
 // removeAt deletes entry i, restoring the heap property.

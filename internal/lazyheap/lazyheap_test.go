@@ -7,19 +7,24 @@ import (
 	"testing/quick"
 )
 
-// flat returns a heap over ids in [0, idSpace).
-func flat(idSpace int) *Heap { return New(idSpace) }
+// loaded returns a heap over ids in [0, idSpace) bulk-loaded with ts.
+func loaded(idSpace int, ts ...Tuple) *Heap {
+	h := new(Heap)
+	h.Reset(idSpace)
+	h.Heapify(ts)
+	return h
+}
 
 func TestEmpty(t *testing.T) {
-	h := flat(4)
+	h := loaded(4)
 	if h.Len() != 0 {
 		t.Error("new heap should be empty")
 	}
 	if _, ok := h.Peek(); ok {
 		t.Error("Peek on empty should report false")
 	}
-	if _, ok := h.Pop(); ok {
-		t.Error("Pop on empty should report false")
+	if h.RefreshTop(1, 0) {
+		t.Error("RefreshTop on empty should report false")
 	}
 	if h.Remove(1) {
 		t.Error("Remove on empty should report false")
@@ -27,26 +32,27 @@ func TestEmpty(t *testing.T) {
 	if h.Contains(1) {
 		t.Error("Contains on empty should report false")
 	}
-	h.Push(Tuple{ID: 1, Gain: 0.5})
+	h = loaded(4, Tuple{ID: 1, Gain: 0.5})
 	if h.Len() != 1 || !h.Contains(1) {
-		t.Error("push into empty heap failed")
+		t.Error("loading an empty heap failed")
 	}
 }
 
 func TestPopOrder(t *testing.T) {
-	h := flat(8)
 	gains := []float64{0.3, 0.9, 0.1, 0.7, 0.5}
+	ts := make([]Tuple, len(gains))
 	for i, g := range gains {
-		h.Push(Tuple{ID: i, Gain: g})
+		ts[i] = Tuple{ID: i, Gain: g}
 	}
+	h := loaded(8, ts...)
 	want := []float64{0.9, 0.7, 0.5, 0.3, 0.1}
 	for i, w := range want {
-		got, ok := h.Pop()
+		got, ok := take(h)
 		if !ok {
-			t.Fatalf("pop %d: heap empty", i)
+			t.Fatalf("take %d: heap empty", i)
 		}
 		if got.Gain != w {
-			t.Fatalf("pop %d: gain %v, want %v", i, got.Gain, w)
+			t.Fatalf("take %d: gain %v, want %v", i, got.Gain, w)
 		}
 	}
 	if h.Len() != 0 {
@@ -55,45 +61,25 @@ func TestPopOrder(t *testing.T) {
 }
 
 func TestTieBreakDeterministic(t *testing.T) {
-	h := flat(8)
-	h.Push(Tuple{ID: 7, Gain: 0.5})
-	h.Push(Tuple{ID: 3, Gain: 0.5})
-	h.Push(Tuple{ID: 5, Gain: 0.5})
+	h := loaded(8, Tuple{ID: 7, Gain: 0.5}, Tuple{ID: 3, Gain: 0.5}, Tuple{ID: 5, Gain: 0.5})
+	// A refresh that lands on an equal gain must not jump the id order.
+	h.RefreshTop(0.5, 1)
 	var ids []int
 	for h.Len() > 0 {
-		tu, _ := h.Pop()
+		tu, _ := take(h)
 		ids = append(ids, tu.ID)
 	}
 	if !sort.IntsAreSorted(ids) {
-		t.Errorf("equal gains should pop in id order, got %v", ids)
-	}
-}
-
-func TestPushUpdatesExisting(t *testing.T) {
-	h := flat(8)
-	h.Push(Tuple{ID: 1, Gain: 0.9, Iter: 0})
-	h.Push(Tuple{ID: 2, Gain: 0.5, Iter: 0})
-	// Re-push id 1 with lower gain, as lazy-forward does after
-	// recomputation.
-	h.Push(Tuple{ID: 1, Gain: 0.1, Iter: 3})
-	if h.Len() != 2 {
-		t.Fatalf("len = %d, want 2 (update, not duplicate)", h.Len())
-	}
-	top, _ := h.Pop()
-	if top.ID != 2 {
-		t.Errorf("top = %v, want id 2", top)
-	}
-	next, _ := h.Pop()
-	if next.ID != 1 || next.Gain != 0.1 || next.Iter != 3 {
-		t.Errorf("updated tuple = %+v", next)
+		t.Errorf("equal gains should come out in id order, got %v", ids)
 	}
 }
 
 func TestRemove(t *testing.T) {
-	h := flat(8)
+	var ts []Tuple
 	for i := 0; i < 6; i++ {
-		h.Push(Tuple{ID: i, Gain: float64(i)})
+		ts = append(ts, Tuple{ID: i, Gain: float64(i)})
 	}
+	h := loaded(8, ts...)
 	if !h.Remove(3) {
 		t.Fatal("Remove(3) should succeed")
 	}
@@ -105,7 +91,7 @@ func TestRemove(t *testing.T) {
 	}
 	var ids []int
 	for h.Len() > 0 {
-		tu, _ := h.Pop()
+		tu, _ := take(h)
 		ids = append(ids, tu.ID)
 	}
 	want := []int{5, 4, 2, 1, 0}
@@ -116,61 +102,33 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestGainLookup(t *testing.T) {
-	h := flat(64)
-	h.Push(Tuple{ID: 42, Gain: 0.25})
-	if g, ok := h.Gain(42); !ok || g != 0.25 {
-		t.Errorf("Gain(42) = %v, %v", g, ok)
-	}
-	if _, ok := h.Gain(1); ok {
-		t.Error("Gain of absent id should report false")
-	}
-}
-
-func TestIDs(t *testing.T) {
-	h := flat(64)
-	for i := 0; i < 4; i++ {
-		h.Push(Tuple{ID: i * 10, Gain: float64(i)})
-	}
-	ids := h.IDs()
-	sort.Ints(ids)
-	want := []int{0, 10, 20, 30}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("IDs = %v", ids)
-		}
-	}
-}
-
 // TestAgainstSort drives the heap with random operations and checks that
-// pops always come out in descending gain order among the live entries.
+// the top is always the highest gain among the live entries.
 func TestAgainstSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const steps = 5000
-	h := flat(steps) // at most one new id per step
+	const n = 5000
+	ts := make([]Tuple, n)
 	live := map[int]float64{}
-	nextID := 0
-	for step := 0; step < steps; step++ {
+	for i := range ts {
+		ts[i] = Tuple{ID: i, Gain: rng.Float64()}
+		live[i] = ts[i].Gain
+	}
+	h := loaded(n, ts...)
+	for step := 0; h.Len() > 0; step++ {
 		switch op := rng.Intn(10); {
-		case op < 6: // push new
-			g := rng.Float64()
-			h.Push(Tuple{ID: nextID, Gain: g})
-			live[nextID] = g
-			nextID++
-		case op < 8: // remove random live id
-			for id := range live {
-				h.Remove(id)
-				delete(live, id)
-				break
+		case op < 3: // remove a random live id
+			id := rng.Intn(n)
+			if _, in := live[id]; h.Remove(id) != in {
+				t.Fatalf("step %d: Remove(%d) disagrees with the model", step, id)
 			}
-		default: // pop max and verify
-			tu, ok := h.Pop()
-			if !ok {
-				if len(live) != 0 {
-					t.Fatalf("heap empty but %d live", len(live))
-				}
-				continue
-			}
+			delete(live, id)
+		case op < 6: // refresh the top downward
+			top, _ := h.Peek()
+			g := top.Gain * rng.Float64()
+			h.RefreshTop(g, step)
+			live[top.ID] = g
+		default: // take the max and verify
+			tu, _ := take(h)
 			max := -1.0
 			for _, g := range live {
 				if g > max {
@@ -178,7 +136,7 @@ func TestAgainstSort(t *testing.T) {
 				}
 			}
 			if tu.Gain != max {
-				t.Fatalf("pop gain %v, want max %v", tu.Gain, max)
+				t.Fatalf("step %d: took gain %v, want max %v", step, tu.Gain, max)
 			}
 			delete(live, tu.ID)
 		}
@@ -190,13 +148,14 @@ func TestAgainstSort(t *testing.T) {
 
 func TestQuickHeapProperty(t *testing.T) {
 	f := func(gains []float64) bool {
-		h := flat(len(gains))
+		ts := make([]Tuple, len(gains))
 		for i, g := range gains {
-			h.Push(Tuple{ID: i, Gain: g})
+			ts[i] = Tuple{ID: i, Gain: g}
 		}
+		h := loaded(len(gains), ts...)
 		prev, first := 0.0, true
 		for h.Len() > 0 {
-			tu, _ := h.Pop()
+			tu, _ := take(h)
 			if !first && tu.Gain > prev {
 				return false
 			}

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// modelMax returns the tuple a correct heap must pop next: maximum gain,
-// ties broken by smaller id. ok is false when the model is empty.
+// modelMax returns the tuple a correct heap must have on top: maximum
+// gain, ties broken by smaller id. ok is false when the model is empty.
 func modelMax(model map[int]Tuple) (Tuple, bool) {
 	var best Tuple
 	ok := false
@@ -24,12 +24,11 @@ func modelMax(model map[int]Tuple) (Tuple, bool) {
 // the live tuple per id, its maximum found by a scan (modelMax).
 type flatModel map[int]Tuple
 
-func (m flatModel) push(t Tuple) { m[t.ID] = t }
-
-func (m flatModel) pop() (Tuple, bool) {
-	t, ok := modelMax(m)
-	delete(m, t.ID)
-	return t, ok
+// load fills the model with ts, as Heapify fills the heap.
+func (m flatModel) load(ts []Tuple) {
+	for _, t := range ts {
+		m[t.ID] = t
+	}
 }
 
 // refreshTop replaces the maximum's gain and iteration, as
@@ -49,9 +48,34 @@ func (m flatModel) remove(id int) bool {
 	return ok
 }
 
-func (m flatModel) gain(id int) (float64, bool) {
-	t, ok := m[id]
-	return t.Gain, ok
+// take is the greedy's selection step on a heap: take the top out with
+// Remove, then drop each of conflicts still present (removeConflicts
+// filters its grid hits by Contains the same way), then check the
+// pop-order contract on what was taken.
+func take(h *Heap, conflicts ...int) (Tuple, bool) {
+	t, ok := h.Peek()
+	if !ok {
+		return t, false
+	}
+	h.Remove(t.ID)
+	for _, id := range conflicts {
+		if h.Contains(id) {
+			h.Remove(id)
+		}
+	}
+	h.CheckTaken(t)
+	return t, true
+}
+
+// randomTuples returns n tuples with distinct ids drawn from
+// [0, idSpace), in random order, their gains quantized to force ties.
+func randomTuples(rng *rand.Rand, n, idSpace int) []Tuple {
+	ids := rng.Perm(idSpace)[:n]
+	ts := make([]Tuple, n)
+	for i, id := range ids {
+		ts[i] = Tuple{ID: id, Gain: math.Round(rng.Float64()*8) / 2, Iter: -1}
+	}
+	return ts
 }
 
 // randomKey picks a uniformly random id from the model, deterministically
@@ -65,40 +89,32 @@ func randomKey(model map[int]Tuple, rng *rand.Rand) int {
 	return keys[rng.Intn(len(keys))]
 }
 
-// TestRandomInterleavings drives the heap through random
-// interleavings of push, replace, refresh of the top, pop and remove
-// against a flat map model. It checks
-// the two contracts the lazy-forward greedy depends on: pops follow the
-// deterministic (gain desc, id asc) order, and a popped gain never
-// exceeds the highest gain ever recorded for that id — the heap
-// analogue of Lemma 4.1, where an entry refreshed downward (a stale
-// upper bound re-evaluated) must never resurface above its bound.
+// TestRandomInterleavings drives the heap through random interleavings
+// of the lazy-forward moves — refresh of a stale top, selection of the
+// top with its conflicts, removal of arbitrary and absent ids — against
+// a flat map model. It checks the two contracts the greedy depends on:
+// the top follows the deterministic (gain desc, id asc) order, and a
+// top's gain never exceeds the highest gain ever recorded for that id —
+// the heap analogue of Lemma 4.1, where an entry refreshed downward (a
+// stale upper bound re-evaluated) must never resurface above its bound.
 func TestRandomInterleavings(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const steps = 500
+	const n, idSpace, steps = 300, 600, 500
+	var h Heap
 	for trial := 0; trial < 40; trial++ {
-		// Ids stay below steps; the absent-id probe reaches 1000 past them.
-		h := New(steps + 1001)
-		model := make(map[int]Tuple)
-		bound := make(map[int]float64) // highest gain ever pushed per id
-		nextID := 0
-
-		record := func(tu Tuple) {
-			if b, ok := bound[tu.ID]; !ok || tu.Gain > b {
-				bound[tu.ID] = tu.Gain
-			}
+		// Ids stay below idSpace; the absent-id probe reaches past them.
+		h.Reset(idSpace + 1)
+		ts := randomTuples(rng, n, idSpace)
+		model := flatModel{}
+		model.load(ts)
+		bound := make(map[int]float64) // highest gain ever recorded per id
+		for _, tu := range ts {
+			bound[tu.ID] = tu.Gain
 		}
-		// Quantized gains force ties so the id tiebreak is exercised.
-		gain := func() float64 { return math.Round(rng.Float64()*8) / 2 }
+		h.Heapify(ts)
 
 		for step := 0; step < steps; step++ {
 			switch r := rng.Intn(10); {
-			case r < 4:
-				tu := Tuple{ID: nextID, Gain: gain(), Iter: step}
-				nextID++
-				h.Push(tu)
-				model[tu.ID] = tu
-				record(tu)
 			case r < 5 && len(model) > 0:
 				// Refresh the top downward in place, as the greedy does
 				// when it re-evaluates a stale top.
@@ -107,31 +123,28 @@ func TestRandomInterleavings(t *testing.T) {
 				if !h.RefreshTop(g, step) {
 					t.Fatalf("trial %d step %d: RefreshTop on a non-empty heap = false", trial, step)
 				}
-				flatModel(model).refreshTop(g, step)
-			case r < 6 && len(model) > 0:
-				// Refresh an existing entry downward, like a lazy
-				// re-evaluation of a stale upper bound.
-				id := randomKey(model, rng)
-				tu := Tuple{ID: id, Gain: model[id].Gain * rng.Float64(), Iter: step}
-				h.Push(tu)
-				model[id] = tu
+				model.refreshTop(g, step)
 			case r < 8:
-				got, ok := h.Pop()
+				var conflicts []int
+				for j := rng.Intn(4); j > 0; j-- {
+					conflicts = append(conflicts, rng.Intn(idSpace))
+				}
 				want, wantOK := modelMax(model)
-				if ok != wantOK {
-					t.Fatalf("trial %d step %d: Pop ok=%v, model says %v", trial, step, ok, wantOK)
+				got, ok := take(&h, conflicts...)
+				if ok != wantOK || got != want {
+					t.Fatalf("trial %d step %d: took (%+v, %v), model max (%+v, %v)", trial, step, got, ok, want, wantOK)
 				}
 				if !ok {
 					break
 				}
-				if got != want {
-					t.Fatalf("trial %d step %d: Pop = %+v, model max %+v", trial, step, got, want)
-				}
 				if got.Gain > bound[got.ID] {
-					t.Fatalf("trial %d step %d: popped gain %v exceeds recorded bound %v for id %d",
+					t.Fatalf("trial %d step %d: taken gain %v exceeds recorded bound %v for id %d",
 						trial, step, got.Gain, bound[got.ID], got.ID)
 				}
 				delete(model, got.ID)
+				for _, id := range conflicts {
+					delete(model, id)
+				}
 			case len(model) > 0:
 				id := randomKey(model, rng)
 				if !h.Remove(id) {
@@ -139,19 +152,13 @@ func TestRandomInterleavings(t *testing.T) {
 				}
 				delete(model, id)
 			default:
-				// Removing an id that was never inserted must be a no-op.
-				if h.Remove(nextID + 1000) {
-					t.Fatalf("trial %d step %d: Remove of absent id reported true", trial, step)
+				// Removing an id that was never loaded must be a no-op.
+				if h.Remove(idSpace) || h.Contains(idSpace) {
+					t.Fatalf("trial %d step %d: absent id reported present", trial, step)
 				}
 			}
 			if h.Len() != len(model) {
 				t.Fatalf("trial %d step %d: Len = %d, model has %d", trial, step, h.Len(), len(model))
-			}
-			if len(model) > 0 {
-				id := randomKey(model, rng)
-				if g, ok := h.Gain(id); !ok || g != model[id].Gain {
-					t.Fatalf("trial %d step %d: Gain(%d) = (%v, %v), model %v", trial, step, id, g, ok, model[id].Gain)
-				}
 			}
 		}
 
@@ -159,13 +166,13 @@ func TestRandomInterleavings(t *testing.T) {
 		// and match the model exactly.
 		prev, havePrev := Tuple{}, false
 		for h.Len() > 0 {
-			got, _ := h.Pop()
 			want, _ := modelMax(model)
+			got, _ := take(&h)
 			if got != want {
-				t.Fatalf("trial %d drain: Pop = %+v, model max %+v", trial, got, want)
+				t.Fatalf("trial %d drain: took %+v, model max %+v", trial, got, want)
 			}
 			if havePrev && (got.Gain > prev.Gain || (got.Gain == prev.Gain && got.ID < prev.ID)) {
-				t.Fatalf("trial %d drain: %+v popped after %+v breaks the pop order", trial, got, prev)
+				t.Fatalf("trial %d drain: %+v taken after %+v breaks the pop order", trial, got, prev)
 			}
 			prev, havePrev = got, true
 			delete(model, got.ID)

@@ -57,8 +57,8 @@ func BenchmarkPrefetchBounds(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if bounds.Len() < target {
-						b.Fatalf("%d bounds, want at least %d", bounds.Len(), target)
+					if len(bounds.pos) < target {
+						b.Fatalf("%d bounds, want at least %d", len(bounds.pos), target)
 					}
 				}
 				b.ReportMetric(float64(n), "objects")

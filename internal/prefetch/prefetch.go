@@ -49,9 +49,6 @@ type Bounds struct {
 	sums []float64 // aligned with pos when lin is nil
 }
 
-// Len reports the number of envelope positions the bounds cover.
-func (b *Bounds) Len() int { return len(b.pos) }
-
 // Of returns the bound of collection position p; ok is false when p is
 // not in the envelope or its bound declines (sim.Linear.Bound).
 func (b *Bounds) Of(p int) (v float64, ok bool) {

@@ -153,8 +153,8 @@ func TestPairwiseBoundsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 0 {
-		t.Errorf("empty envelope should give empty bounds, got %d", got.Len())
+	if len(got.pos) != 0 {
+		t.Errorf("empty envelope should give empty bounds, got %d", len(got.pos))
 	}
 }
 
@@ -209,11 +209,11 @@ func TestBoundsCostIndependentOfCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bounds.Len() < 450 {
-		t.Fatalf("%d bounds", bounds.Len())
+	if len(bounds.pos) < 450 {
+		t.Fatalf("%d bounds", len(bounds.pos))
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-		t.Fatalf("one ZoomInBounds over %d objects allocated %d bytes, want < 1 MiB", bounds.Len(), alloc)
+		t.Fatalf("one ZoomInBounds over %d objects allocated %d bytes, want < 1 MiB", len(bounds.pos), alloc)
 	}
 }
 
@@ -244,8 +244,8 @@ func TestLinearBoundsSkipTheRows(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	linear, err := ZoomOutBounds(cancelled, store, vp, 2, sim.Cosine{})
 	runtime.ReadMemStats(&after)
-	if err != nil || linear.Len() != n {
-		t.Fatalf("Cosine pass under a cancelled ctx: %d of %d bounds, err = %v", linear.Len(), n, err)
+	if err != nil || len(linear.pos) != n {
+		t.Fatalf("Cosine pass under a cancelled ctx: %d of %d bounds, err = %v", len(linear.pos), n, err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Errorf("one ZoomOutBounds over %d objects allocated %d bytes, want < 1 MiB", n, alloc)
@@ -287,8 +287,8 @@ func TestLinearBoundsSkipTheRows(t *testing.T) {
 	objs := store.Collection().Objects
 	for _, envelope := range [][]int{nil, store.Region(vp.Region)[:1]} {
 		got, err := PairwiseBounds(cancelled, store.Collection(), envelope, sim.Cosine{})
-		if err != nil || got.Len() != len(envelope) {
-			t.Fatalf("envelope of %d: %d bounds, err = %v", len(envelope), got.Len(), err)
+		if err != nil || len(got.pos) != len(envelope) {
+			t.Fatalf("envelope of %d: %d bounds, err = %v", len(envelope), len(got.pos), err)
 		}
 		for _, p := range envelope {
 			b, _ := got.Of(p)
@@ -356,8 +356,8 @@ func TestShortSupportBoundsAreTheLemmaSums(t *testing.T) {
 
 	same := func(what string, got *Bounds, want map[int]float64) {
 		t.Helper()
-		if got.Len() != len(want) {
-			t.Fatalf("%s: %d bounds, want %d", what, got.Len(), len(want))
+		if len(got.pos) != len(want) {
+			t.Fatalf("%s: %d bounds, want %d", what, len(got.pos), len(want))
 		}
 		for p, w := range want {
 			if g, ok := got.Of(p); !ok || g != w {

@@ -310,7 +310,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if reject(w, checkRegion(region), checkK(req.K), checkTheta("thetaFrac", req.ThetaFrac)) {
 		return
 	}
-	theta := req.ThetaFrac * region.Width()
+	theta := req.ThetaFrac * region.Side()
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	// Pin one snapshot for the whole request: region fetch, selection
@@ -330,7 +330,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			score:         res.Score,
 			regionObjects: res.RegionObjects,
 			warm:          !res.Fallback,
-			scoreApprox:   res.ScoreApprox,
+			scoreApprox:   !res.Fallback,
 		})
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -184,6 +185,40 @@ func TestSelectTinyThetaSeparates(t *testing.T) {
 	}
 	if len(objs) != 3 || colocated != 1 {
 		t.Fatalf("selected %v; want three objects, one of the co-located pair", objs)
+	}
+}
+
+// TestSelectAndSessionShareTheta serves one non-square region through
+// /select and through a session's start, cache off: both resolve the
+// same thetaFrac against the region's longer side, so they select the
+// same objects.
+func TestSelectAndSessionShareTheta(t *testing.T) {
+	ts := testServer(t)
+	const k, thetaFrac = 20, 0.05
+	region := map[string]float64{"minX": 0.3, "minY": 0.2, "maxX": 0.5, "maxY": 0.7}
+	ids := func(out map[string]json.RawMessage) []float64 {
+		var got []float64
+		for _, o := range field[[]map[string]any](t, out, "objects") {
+			got = append(got, o["id"].(float64))
+		}
+		return got
+	}
+	resp, out := post(t, ts.URL+"/select", map[string]any{"region": region, "k": k, "thetaFrac": thetaFrac})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("select status %d: %v", resp.StatusCode, out)
+	}
+	selected := ids(out)
+	resp, out = post(t, ts.URL+"/sessions", map[string]any{"k": k, "thetaFrac": thetaFrac})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d: %v", resp.StatusCode, out)
+	}
+	id := field[string](t, out, "sessionId")
+	resp, out = post(t, ts.URL+"/sessions/"+id+"/start", map[string]any{"region": region})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("start status %d: %v", resp.StatusCode, out)
+	}
+	if started := ids(out); !slices.Equal(selected, started) {
+		t.Fatalf("/select chose %v, a session start over the same region %v", selected, started)
 	}
 }
 

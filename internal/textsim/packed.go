@@ -21,7 +21,10 @@ package textsim
 import "math"
 
 // Packed is a CSR arena of term vectors: vector i's words are
-// Words[Off[i]:Off[i+1]], in the Vector's own order.
+// Words[Off[i]:Off[i+1]], in the Vector's own order. It is only a
+// layout, filled by Reset and Append: sim.Rows reads the runs straight
+// out of Words and Off, and its posting scatter adds the products
+// DotWords adds.
 //
 //geolint:hotpath
 type Packed struct {
@@ -41,16 +44,6 @@ func UnpackWeight(word uint64) float32 {
 	return math.Float32frombits(uint32(word))
 }
 
-// Pack concatenates vecs into the CSR arena layout.
-func Pack(vecs []Vector) Packed {
-	var p Packed
-	p.Reset()
-	for i := range vecs {
-		p.Append(vecs[i].Words)
-	}
-	return p
-}
-
 // Reset empties p, keeping its storage for the vectors Appended next.
 //
 //geolint:coldpath
@@ -64,16 +57,6 @@ func (p *Packed) Reset() {
 func (p *Packed) Append(words []uint64) {
 	p.Words = append(p.Words, words...)
 	p.Off = append(p.Off, int32(len(p.Words)))
-}
-
-// Row returns vector i's packed words.
-func (p *Packed) Row(i int) []uint64 {
-	return p.Words[p.Off[i]:p.Off[i+1]]
-}
-
-// Dot returns the dot product of packed vectors i and j.
-func (p *Packed) Dot(i, j int) float64 {
-	return DotWords(p.Row(i), p.Row(j))
 }
 
 // DotWords returns the dot product of two term rows via an
@@ -98,10 +81,4 @@ func DotWords(a, b []uint64) float64 {
 		}
 	}
 	return dot
-}
-
-// Cosine returns the cosine similarity of packed vectors i and j,
-// bitwise-equal to Vector.Cosine on the source vectors.
-func (p *Packed) Cosine(i, j int) float64 {
-	return Clamp01(p.Dot(i, j))
 }

@@ -3,6 +3,7 @@ package textsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -43,41 +44,56 @@ func TestPackWordRoundTrip(t *testing.T) {
 	}
 }
 
+// pack lays vecs out in p, reusing its storage.
+func pack(p *Packed, vecs []Vector) {
+	p.Reset()
+	for i := range vecs {
+		p.Append(vecs[i].Words)
+	}
+}
+
 // TestPackedMatchesVector verifies the bitwise contract of the packed
-// CSR arena: Dot and Cosine agree exactly — not approximately — with
-// the Vector implementations, because the packed words preserve the
-// float32 weights and the merge accumulates in the same id order.
+// CSR arena across reuse: every run holds exactly its vector's words,
+// so a dot product over the runs agrees exactly — not approximately —
+// with the Vector's own, and a Reset leaves nothing of the previous
+// vectors behind.
 func TestPackedMatchesVector(t *testing.T) {
+	var p Packed // one arena, Reset for every seed as sim.Rows reuses it
 	for seed := int64(0); seed < 3; seed++ {
-		vecs := randomVectors(60, seed)
-		p := Pack(vecs)
+		vecs := randomVectors(60-20*int(seed), seed)
+		pack(&p, vecs)
+		if len(p.Off) != len(vecs)+1 {
+			t.Fatalf("seed %d: %d offsets for %d vectors", seed, len(p.Off), len(vecs))
+		}
+		row := func(i int) []uint64 { return p.Words[p.Off[i]:p.Off[i+1]] }
 		for i := range vecs {
-			if len(p.Row(i)) != len(vecs[i].Words) {
-				t.Fatalf("seed %d: row %d has %d words for %d terms", seed, i, len(p.Row(i)), len(vecs[i].Words))
+			if !slices.Equal(row(i), vecs[i].Words) {
+				t.Fatalf("seed %d: run %d = %x, want %x", seed, i, row(i), vecs[i].Words)
 			}
 			for j := range vecs {
-				if got, want := p.Dot(i, j), vecs[i].Dot(vecs[j]); got != want {
+				if got, want := DotWords(row(i), row(j)), vecs[i].Dot(vecs[j]); got != want {
 					t.Fatalf("seed %d: Dot(%d,%d) = %v, want %v", seed, i, j, got, want)
-				}
-				if got, want := p.Cosine(i, j), vecs[i].Cosine(vecs[j]); got != want {
-					t.Fatalf("seed %d: Cosine(%d,%d) = %v, want %v", seed, i, j, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestPackedNoAllocQueries pins that row queries and similarity
-// evaluations on a packed arena are allocation-free.
+// TestPackedNoAllocQueries pins that a reused arena repacks the same
+// vectors without allocating, and that dot products over its runs are
+// allocation-free.
 func TestPackedNoAllocQueries(t *testing.T) {
 	vecs := randomVectors(50, 9)
-	p := Pack(vecs)
+	var p Packed
+	pack(&p, vecs)
 	avg := testing.AllocsPerRun(100, func() {
+		pack(&p, vecs)
 		for i := 0; i < 50; i++ {
-			p.Cosine(i, (i+7)%50)
+			j := (i + 7) % 50
+			DotWords(p.Words[p.Off[i]:p.Off[i+1]], p.Words[p.Off[j]:p.Off[j+1]])
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("packed cosine allocates %v per sweep, want 0", avg)
+		t.Fatalf("repack and dot sweep allocates %v per run, want 0", avg)
 	}
 }

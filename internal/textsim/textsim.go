@@ -27,8 +27,7 @@ func Tokenize(s string) []string {
 // Vocabulary interns term strings to dense integer ids. The zero value
 // is ready to use.
 type Vocabulary struct {
-	ids   map[string]int
-	terms []string
+	ids map[string]int
 }
 
 // NewVocabulary returns an empty vocabulary.
@@ -44,9 +43,8 @@ func (v *Vocabulary) ID(term string) int {
 	if id, ok := v.ids[term]; ok {
 		return id
 	}
-	id := len(v.terms)
+	id := len(v.ids)
 	v.ids[term] = id
-	v.terms = append(v.terms, term)
 	return id
 }
 
@@ -57,16 +55,8 @@ func (v *Vocabulary) Lookup(term string) (int, bool) {
 	return id, ok
 }
 
-// Term returns the term string for id; ok is false for out-of-range ids.
-func (v *Vocabulary) Term(id int) (string, bool) {
-	if id < 0 || id >= len(v.terms) {
-		return "", false
-	}
-	return v.terms[id], true
-}
-
 // Len reports the number of distinct terms seen.
-func (v *Vocabulary) Len() int { return len(v.terms) }
+func (v *Vocabulary) Len() int { return len(v.ids) }
 
 // Vector is a unit-length sparse term vector in the packed layout every
 // similarity loop reads (packed.go): one word per term, the term id in

@@ -36,8 +36,8 @@ func TestVocabulary(t *testing.T) {
 	v := NewVocabulary()
 	a := v.ID("alpha")
 	b := v.ID("beta")
-	if a == b {
-		t.Fatal("distinct terms share an id")
+	if a != 0 || b != 1 {
+		t.Fatalf("ids %d, %d; want the dense 0, 1", a, b)
 	}
 	if got := v.ID("alpha"); got != a {
 		t.Errorf("re-intern changed id: %d vs %d", got, a)
@@ -50,12 +50,6 @@ func TestVocabulary(t *testing.T) {
 	}
 	if _, ok := v.Lookup("gamma"); ok {
 		t.Error("Lookup of unknown term should fail")
-	}
-	if s, ok := v.Term(a); !ok || s != "alpha" {
-		t.Errorf("Term(%d) = %q, %v", a, s, ok)
-	}
-	if _, ok := v.Term(99); ok {
-		t.Error("Term out of range should fail")
 	}
 	// Zero value usable.
 	var zero Vocabulary

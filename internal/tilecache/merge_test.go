@@ -211,8 +211,16 @@ func checkStitchMatchesHeapsort(t *testing.T, sc *scratch, seed int64) {
 	tc := newStitchCase(seed)
 	c := &Cache{budget: tc.budget}
 	sc.tiles = append(sc.tiles[:0], tc.tiles...)
+	var gset *posSet
+	if tc.gset != nil {
+		sc.gset.reset(len(tc.gset))
+		for p := range tc.gset {
+			sc.gset.add(p)
+		}
+		gset = &sc.gset
+	}
 	var info stitchInfo
-	ok := c.stitch(sc, tc.objs, tc.region, tc.k, tc.theta, tc.forced, tc.gset, &info)
+	ok := c.stitch(sc, tc.objs, tc.region, tc.k, tc.theta, tc.forced, gset, &info)
 	wantPos, wantRef, wantInfo, wantOK := heapsortStitch(tc.budget, tc.tiles, tc.objs, tc.region, tc.k, tc.theta, tc.forced, tc.gset)
 
 	if ok != wantOK {

@@ -23,7 +23,9 @@ type scratch struct {
 	keptRef []int32
 	keptLoc []geo.Point
 	// kept is the set of keptPos, the repair pass's duplicate test.
-	kept  posSet
+	kept posSet
+	// gset is a warm navigation's candidate set G.
+	gset  posSet
 	rects []geo.Rect
 }
 
@@ -108,12 +110,12 @@ type Result struct {
 	// objects instead, leaves it nil.
 	Positions []int
 	// Score is the selection's representative score. On the stitched
-	// path it is the gain-mass approximation Σ kept gains / |O_region|
-	// and ScoreApprox is true; on fallback it is the exact greedy score.
-	Score       float64
-	ScoreApprox bool
+	// path it is the gain-mass approximation Σ kept gains / |O_region|;
+	// on fallback it is the exact greedy score.
+	Score float64
 	// Fallback reports that the stitch was abandoned and the result is
-	// a full greedy run, bitwise-identical to the uncached path.
+	// a full greedy run, bitwise-identical to the uncached path; its
+	// Score is exact exactly when Fallback is set.
 	Fallback bool
 	// RegionObjects counts the objects in the viewport.
 	RegionObjects int
@@ -232,7 +234,6 @@ func (c *Cache) warmResult(view geodata.View, version uint64, region geo.Rect, i
 	regionObjects := view.CountRegion(region)
 	res := Result{
 		Score:         normalizeGain(info.keptGain, regionObjects),
-		ScoreApprox:   true,
 		RegionObjects: regionObjects,
 		Version:       version,
 		Tiles:         info.tiles,
@@ -299,7 +300,7 @@ func (c *Cache) fallbackSelect(ctx context.Context, view geodata.View, version u
 // sc.keptPos/keptRef/keptLoc. ok = false means the viewport cannot be
 // served from tiles (objects outside the tiled unit square, a degenerate
 // cover, or a repair budget violation) and the caller must fall back.
-func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyView, version uint64, region geo.Rect, k int, theta float64, forced []int, gset map[int32]struct{}, sc *scratch) (stitchInfo, bool, error) {
+func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyView, version uint64, region geo.Rect, k int, theta float64, forced []int, gset *posSet, sc *scratch) (stitchInfo, bool, error) {
 	var info stitchInfo
 	inner, overlaps := region.Intersect(unitRect)
 	if !overlaps {
@@ -310,11 +311,7 @@ func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyVie
 		// them.
 		return info, false, nil
 	}
-	side := region.Width()
-	if h := region.Height(); h > side {
-		side = h
-	}
-	z := zoomFor(side)
+	z := zoomFor(region.Side())
 	band := bandFor(theta, z)
 	x0, y0, x1, y1, ok := coverRange(inner, z)
 	if !ok || int((x1-x0+1)*(y1-y0+1)) > maxStitchTiles {
@@ -346,8 +343,8 @@ func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyVie
 // stitch is the seam-repair pass: gather the cached members inside the
 // viewport, take them in the deterministic keep order (gain desc,
 // position asc), and keep greedily under the requested θ — the forced
-// set (session consistency D) is kept first, candidates outside gset
-// (session consistency G) are excluded. Each tile's members already
+// set (session consistency D) is kept first, members outside gset
+// (session consistency G; nil admits every member) are excluded. Each tile's members already
 // stand in keep order, so the gather leaves one sorted run per covering
 // tile and the order is their merge. The pass touches only pooled
 // scratch; the steady state allocates nothing.
@@ -359,7 +356,7 @@ func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyVie
 // materially better than the stitched approximation.
 //
 //geolint:hotpath
-func (c *Cache) stitch(sc *scratch, objs []geodata.Object, region geo.Rect, k int, theta float64, forced []int, gset map[int32]struct{}, info *stitchInfo) bool {
+func (c *Cache) stitch(sc *scratch, objs []geodata.Object, region geo.Rect, k int, theta float64, forced []int, gset *posSet, info *stitchInfo) bool {
 	sc.members = sc.members[:0]
 	var mg runMerge
 	base := int32(0)
@@ -400,11 +397,9 @@ func (c *Cache) stitch(sc *scratch, objs []geodata.Object, region geo.Rect, k in
 		if sc.kept.has(m.pos) {
 			continue
 		}
-		if gset != nil {
-			if _, in := gset[m.pos]; !in {
-				info.excludedGain += m.gain
-				continue
-			}
+		if gset != nil && !gset.has(m.pos) {
+			info.excludedGain += m.gain
+			continue
 		}
 		info.totalGain += m.gain
 		if len(sc.keptPos) >= k {
@@ -505,14 +500,15 @@ func (c *Cache) WarmNavigate(ctx context.Context, view geodata.View, version uin
 	}
 	dv, _ := view.(DirtyView)
 	c.sync(dv, version)
-	var gset map[int32]struct{}
-	if candidates != nil {
-		gset = make(map[int32]struct{}, len(candidates))
-		for _, p := range candidates {
-			gset[int32(p)] = struct{}{}
-		}
-	}
 	sc := c.getScratch()
+	var gset *posSet
+	if candidates != nil {
+		sc.gset.reset(len(candidates))
+		for _, p := range candidates {
+			sc.gset.add(int32(p))
+		}
+		gset = &sc.gset
+	}
 	info, ok, err := c.stitchRegion(ctx, view, dv, version, region, k, theta, forced, gset, sc)
 	if err != nil || !ok {
 		c.putScratch(sc)

@@ -8,6 +8,7 @@ import (
 	"geosel/internal/core"
 	"geosel/internal/engine"
 	"geosel/internal/geo"
+	"geosel/internal/invariant"
 	"geosel/internal/sim"
 )
 
@@ -156,5 +157,19 @@ func TestWarmNavigateConsistency(t *testing.T) {
 	}
 	if c.Stats().WarmNavigations == 0 || c.Stats().WarmNavMisses == 0 {
 		t.Errorf("warm navigation counters not recorded: %+v", c.Stats())
+	}
+
+	// The candidate set lives in the pooled scratch: a warm navigation
+	// allocates its result and nothing else.
+	if raceEnabled || invariant.Enabled {
+		return // the race detector drops pooled items; assertions allocate
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, _, ok := c.WarmNavigate(ctx, view, version, region, k, theta, forced, candidates); !ok {
+			panic("constrained warm navigation declined mid-measurement")
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a constrained warm navigation allocates %v objects, want 1 (its positions)", allocs)
 	}
 }
