@@ -135,9 +135,8 @@ func BenchmarkFig7Baselines(b *testing.B) {
 // (Figures 9-10); compare with BenchmarkFig7Greedy for the speedup.
 func BenchmarkFig9SaSS(b *testing.B) {
 	e := env(b)
-	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < b.N; i++ {
-		_, err := sampling.Run(context.Background(), e.objs, sampling.Config{Config: engine.Config{K: 100, Theta: e.theta, Metric: e.metric}, Eps: 0.05, Delta: 0.1, Rng: rng})
+		_, err := sampling.Run(context.Background(), e.objs, sampling.Config{Config: engine.Config{K: 100, Theta: e.theta, Metric: e.metric}, Eps: 0.05, Delta: 0.1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,9 +313,8 @@ func BenchmarkAblationSampleBound(b *testing.B) {
 	e := env(b)
 	for _, bound := range []sampling.Bound{sampling.BoundSerfling, sampling.BoundHoeffding} {
 		b.Run(bound.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(8))
 			for i := 0; i < b.N; i++ {
-				_, err := sampling.Run(context.Background(), e.objs, sampling.Config{Config: engine.Config{K: 100, Theta: e.theta, Metric: e.metric}, Eps: 0.05, Delta: 0.1, Bound: bound, Rng: rng})
+				_, err := sampling.Run(context.Background(), e.objs, sampling.Config{Config: engine.Config{K: 100, Theta: e.theta, Metric: e.metric}, Eps: 0.05, Delta: 0.1, Bound: bound})
 				if err != nil {
 					b.Fatal(err)
 				}

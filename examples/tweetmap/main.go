@@ -63,7 +63,7 @@ func main() {
 	start = time.Now()
 	sampled, err := geosel.Select(ctx, store, region, geosel.Options{
 		Config: geosel.EngineConfig{K: 100, ThetaFrac: 0.003, Metric: geosel.Cosine()},
-		Sample: true, Eps: 0.05, Delta: 0.1, Rng: rand.New(rand.NewSource(11)),
+		Sample: true, Eps: 0.05, Delta: 0.1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -36,7 +36,6 @@ package geosel
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"geosel/internal/core"
 	"geosel/internal/engine"
@@ -157,11 +156,10 @@ type Options struct {
 	engine.Config
 	// Sample, when true, runs the SaSS sampling extension with the
 	// given Eps/Delta (defaults 0.05/0.1), which is the practical
-	// choice for very dense regions.
+	// choice for very dense regions. The sample is deterministic: the
+	// same region's objects sample alike on every call and every store.
 	Sample     bool
 	Eps, Delta float64
-	// Rng drives sampling; defaults to a fixed-seed source.
-	Rng *rand.Rand
 	// Filter optionally restricts selection (and scoring) to objects
 	// satisfying the predicate — e.g. only objects mentioning a
 	// keyword. Nil admits all.
@@ -223,13 +221,9 @@ func Select(ctx context.Context, store *Store, region Rect, opts Options) (*Resu
 		if delta == 0 {
 			delta = 0.1
 		}
-		rng := opts.Rng
-		if rng == nil {
-			rng = rand.New(rand.NewSource(1))
-		}
 		objs := store.Collection().Subset(regionPos)
 		sres, err := sampling.Run(ctx, objs, sampling.Config{
-			Config: cfg, Eps: eps, Delta: delta, Rng: rng,
+			Config: cfg, Eps: eps, Delta: delta,
 		})
 		if err != nil {
 			return nil, err

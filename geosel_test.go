@@ -5,6 +5,7 @@ import (
 	"geosel/internal/engine"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"geosel/internal/dataset"
@@ -73,7 +74,7 @@ func TestSelectAbsoluteTheta(t *testing.T) {
 func TestSelectSampled(t *testing.T) {
 	store := facadeStore(t)
 	region := RectAround(Pt(0.5, 0.5), 0.35)
-	res, err := Select(context.Background(), store, region, Options{Config: engine.Config{K: 15, ThetaFrac: 0.003, Metric: Cosine()}, Sample: true, Rng: rand.New(rand.NewSource(2))})
+	res, err := Select(context.Background(), store, region, Options{Config: engine.Config{K: 15, ThetaFrac: 0.003, Metric: Cosine()}, Sample: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +83,54 @@ func TestSelectSampled(t *testing.T) {
 	}
 	if len(res.Positions) == 0 {
 		t.Fatal("no selections")
+	}
+}
+
+// TestSelectSampledCoveringIsExact: a sample that covers the region
+// (Serfling's m reaches |O| for a tiny ε) is every object in position
+// order, so Sample: true answers as the exact path, bit for bit.
+func TestSelectSampledCoveringIsExact(t *testing.T) {
+	store := facadeStore(t)
+	region := RectAround(Pt(0.5, 0.5), 0.2)
+	cfg := engine.Config{K: 20, ThetaFrac: 0.003, Metric: Cosine()}
+	exact, err := Select(context.Background(), store, region, Options{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled, err := Select(context.Background(), store, region, Options{Config: cfg, Sample: true, Eps: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sampled.SampleSize != sampled.RegionObjects || sampled.RegionObjects < 500 {
+		t.Fatalf("sampled %d of %d region objects", sampled.SampleSize, sampled.RegionObjects)
+	}
+	if !slices.Equal(sampled.Positions, exact.Positions) {
+		t.Errorf("sampled selection %v, exact %v", sampled.Positions, exact.Positions)
+	}
+	if math.Float64bits(sampled.Score) != math.Float64bits(exact.Score) {
+		t.Errorf("sampled score %v, exact %v", sampled.Score, exact.Score)
+	}
+}
+
+// TestSelectSampledAlikeAcrossStores: the sample is a function of the
+// data, so two stores built apart over the same data answer alike.
+func TestSelectSampledAlikeAcrossStores(t *testing.T) {
+	region := RectAround(Pt(0.5, 0.5), 0.35)
+	opts := Options{Config: engine.Config{K: 15, ThetaFrac: 0.003, Metric: Cosine()}, Sample: true}
+	var got [2]*Result
+	for i := range got {
+		res, err := Select(context.Background(), facadeStore(t), region, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = res
+	}
+	if got[0].SampleSize >= got[0].RegionObjects {
+		t.Fatalf("sampled %d of %d: the region does not sample", got[0].SampleSize, got[0].RegionObjects)
+	}
+	if !slices.Equal(got[0].Positions, got[1].Positions) || math.Float64bits(got[0].Score) != math.Float64bits(got[1].Score) {
+		t.Errorf("two stores over one dataset sampled apart: %v %v, %v %v",
+			got[0].Positions, got[0].Score, got[1].Positions, got[1].Score)
 	}
 }
 

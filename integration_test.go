@@ -272,7 +272,7 @@ func TestPipelineSamplingAtScale(t *testing.T) {
 		t.Skipf("region too sparse (%d objects)", len(objs))
 	}
 	theta := 0.003 * region.Width()
-	sres, err := sampling.Run(context.Background(), objs, sampling.Config{Config: engine.Config{K: 50, Theta: theta, Metric: sim.Cosine{}}, Eps: 0.05, Delta: 0.1, Rng: newRand(12)})
+	sres, err := sampling.Run(context.Background(), objs, sampling.Config{Config: engine.Config{K: 50, Theta: theta, Metric: sim.Cosine{}}, Eps: 0.05, Delta: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

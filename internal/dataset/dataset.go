@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
@@ -108,6 +109,38 @@ func POISpec(n int, seed int64) Spec {
 		TopicsPerCluster: 8, WordsPerObject: 4, TopicWordFrac: 0.7,
 		TailVocab: 8000, Seed: seed,
 	}
+}
+
+// presets maps each preset name to its Spec constructor.
+var presets = map[string]func(n int, seed int64) Spec{"uk": UKSpec, "us": USSpec, "poi": POISpec}
+
+// PresetSpec returns the Spec of the named preset ("uk", "us" or "poi")
+// at the given size and seed.
+func PresetSpec(name string, n int, seed int64) (Spec, error) {
+	if spec, ok := presets[name]; ok {
+		return spec(n, seed), nil
+	}
+	return Spec{}, fmt.Errorf("dataset: unknown preset %q (want uk, us or poi)", name)
+}
+
+// Load reads the dataset file at path, in any format ReadAuto
+// recognizes, or, with an empty path, generates the named preset.
+func Load(path, preset string, n int, seed int64) (*geodata.Collection, error) {
+	if path == "" {
+		spec, err := PresetSpec(preset, n, seed)
+		if err != nil {
+			return nil, err
+		}
+		return Generate(spec)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	// Read-only file: the data's integrity is established by ReadAuto,
+	// not by Close.
+	defer f.Close() //geolint:errok
+	return ReadAuto(f)
 }
 
 // Generate builds the collection described by spec.

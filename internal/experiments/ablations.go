@@ -38,7 +38,7 @@ func (e *Env) Ablations(id string) (*Table, error) {
 		return nil, err
 	}
 	objs := store.Collection().Subset(store.Region(region))
-	theta := DefaultThetaFrac * region.Width()
+	theta := DefaultThetaFrac * region.Side()
 	m := Metric()
 
 	// Lazy forward vs naive greedy. The naive variant is O(k·|G|)
@@ -86,7 +86,7 @@ func (e *Env) Ablations(id string) (*Table, error) {
 		d := timeIt(func() {
 			sres, err = sampling.Run(context.Background(), objs, sampling.Config{
 				Config: engine.Config{K: DefaultK, Theta: theta, Metric: m},
-				Eps:    DefaultEps, Delta: DefaultDelta, Bound: bound, Rng: rng,
+				Eps:    DefaultEps, Delta: DefaultDelta, Bound: bound,
 			})
 		})
 		if err != nil {

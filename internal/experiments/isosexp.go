@@ -109,7 +109,7 @@ func (e *Env) isosTrial(store *geodata.Store, mode isosMode, op geo.Op, region g
 
 	if mode == modeFullReselect {
 		objs := store.Collection().Subset(store.Region(target))
-		theta := thetaFrac * target.Width()
+		theta := thetaFrac * target.Side()
 		response = timeIt(func() {
 			s := &core.Selector{Config: engine.Config{K: k, Theta: theta, Metric: mode.metric()}, Objects: objs}
 			_, err = s.Run(ctx)

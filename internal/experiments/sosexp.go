@@ -47,7 +47,7 @@ func runMethod(method string, objs []geodata.Object, k int, theta float64, rng *
 			var res *sampling.Result
 			res, err = sampling.Run(context.Background(), objs, sampling.Config{
 				Config: engine.Config{K: k, Theta: theta, Metric: m},
-				Eps:    DefaultEps, Delta: DefaultDelta, Rng: rng,
+				Eps:    DefaultEps, Delta: DefaultDelta,
 			})
 			if err == nil {
 				sel = res.Selected
@@ -105,7 +105,7 @@ func (e *Env) averageMethod(store *geodata.Store, method string, regions []geo.R
 	var acc sosRun
 	for _, region := range regions {
 		objs := store.Collection().Subset(store.Region(region))
-		theta := thetaFrac * region.Width()
+		theta := thetaFrac * region.Side()
 		r, err := runMethod(method, objs, k, theta, rng)
 		if err != nil {
 			return sosRun{}, err
@@ -203,13 +203,13 @@ func (e *Env) SamplingSweep(id string, varyEps bool) (*Table, error) {
 		for q := 0; q < e.Cfg.Queries; q++ {
 			region := regions[q]
 			objs := store.Collection().Subset(store.Region(region))
-			theta := DefaultThetaFrac * region.Width()
+			theta := DefaultThetaFrac * region.Side()
 			var err error
 			var sres *sampling.Result
 			accS += timeIt(func() {
 				sres, err = sampling.Run(context.Background(), objs, sampling.Config{
 					Config: engine.Config{K: DefaultK, Theta: theta, Metric: Metric()},
-					Eps:    eps, Delta: delta, Rng: rng,
+					Eps:    eps, Delta: delta,
 				})
 			})
 			if err != nil {

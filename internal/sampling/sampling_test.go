@@ -135,7 +135,7 @@ func TestRunBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Config: engine.Config{K: 10, Theta: 0.03, Metric: m}, Eps: 0.05, Delta: 0.1, Rng: rand.New(rand.NewSource(2))}
+	cfg := Config{Config: engine.Config{K: 10, Theta: 0.03, Metric: m}, Eps: 0.05, Delta: 0.1}
 	res, err := Run(context.Background(), objs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestRunScoreCloseToFullGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Config: engine.Config{K: k, Theta: theta, Metric: m}, Eps: 0.05, Delta: 0.1, Rng: rand.New(rand.NewSource(4))}
+	cfg := Config{Config: engine.Config{K: k, Theta: theta, Metric: m}, Eps: 0.05, Delta: 0.1}
 	sres, err := Run(context.Background(), objs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestRunSmallPopulation(t *testing.T) {
 	// bound the whole population is sampled.
 	objs := testObjects(50, 5)
 	m, _ := sim.NewHybrid(0.5, math.Sqrt2)
-	cfg := Config{Config: engine.Config{K: 5, Theta: 0.01, Metric: m}, Eps: 0.05, Delta: 0.1, Rng: rand.New(rand.NewSource(6))}
+	cfg := Config{Config: engine.Config{K: 5, Theta: 0.01, Metric: m}, Eps: 0.05, Delta: 0.1}
 	res, err := Run(context.Background(), objs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,6 @@ func TestRunSmallPopulation(t *testing.T) {
 		t.Errorf("sample size %d, want %d (<= 50)", res.SampleSize, want)
 	}
 	cfg.Bound = BoundHoeffding
-	cfg.Rng = rand.New(rand.NewSource(7))
 	res, err = Run(context.Background(), objs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -219,13 +218,10 @@ func TestRunSmallPopulation(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	objs := testObjects(10, 7)
 	m, _ := sim.NewHybrid(0.5, math.Sqrt2)
-	if _, err := Run(context.Background(), objs, Config{Config: engine.Config{K: 2, Metric: m}, Eps: 0.05, Delta: 0.1}); err == nil {
-		t.Error("nil rng should fail")
-	}
-	if _, err := Run(context.Background(), objs, Config{Config: engine.Config{K: 2, Metric: m}, Eps: 2, Delta: 0.1, Rng: rand.New(rand.NewSource(1))}); err == nil {
+	if _, err := Run(context.Background(), objs, Config{Config: engine.Config{K: 2, Metric: m}, Eps: 2, Delta: 0.1}); err == nil {
 		t.Error("bad eps should fail")
 	}
-	res, err := Run(context.Background(), nil, Config{Config: engine.Config{K: 2, Metric: m}, Eps: 0.05, Delta: 0.1, Rng: rand.New(rand.NewSource(1))})
+	res, err := Run(context.Background(), nil, Config{Config: engine.Config{K: 2, Metric: m}, Eps: 0.05, Delta: 0.1})
 	if err != nil || len(res.Selected) != 0 {
 		t.Errorf("empty objects: %v, %v", res, err)
 	}
@@ -234,7 +230,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunHoeffdingBound(t *testing.T) {
 	objs := testObjects(3000, 8)
 	m, _ := sim.NewHybrid(0.5, math.Sqrt2)
-	cfg := Config{Config: engine.Config{K: 5, Theta: 0.02, Metric: m}, Eps: 0.05, Delta: 0.1, Bound: BoundHoeffding, Rng: rand.New(rand.NewSource(9))}
+	cfg := Config{Config: engine.Config{K: 5, Theta: 0.02, Metric: m}, Eps: 0.05, Delta: 0.1, Bound: BoundHoeffding}
 	res, err := Run(context.Background(), objs, cfg)
 	if err != nil {
 		t.Fatal(err)
