@@ -3,7 +3,7 @@
 
 GEOLINT := $(CURDIR)/bin/geolint
 
-.PHONY: all build test check race churn tilecache lint hotlint escapecheck escapebaseline fuzz bench bench-e2e bench-e2e-quick clean
+.PHONY: all build test check race churn tilecache lint escapecheck escapebaseline fuzz bench bench-e2e bench-e2e-quick clean
 
 all: build lint test
 
@@ -35,22 +35,18 @@ tilecache:
 	go test -tags geoselcheck ./internal/tilecache
 	go test -race -run Churn -count=1 ./internal/tilecache
 
-# lint runs the project's own analyzers (tools/geolint) through the
-# go vet driver, plus the stock vet checks.
+# lint runs the stock vet checks, the project's own analyzers
+# (tools/geolint) through the go vet driver, and the hot-path escape
+# check (see escapecheck) as CI's lint job runs it.
 lint: $(GEOLINT)
 	go vet ./...
 	go vet -vettool=$(GEOLINT) ./...
+	go run ./tools/escapediff -strict
 
 $(GEOLINT): FORCE
 	go build -o $(GEOLINT) ./tools/geolint
 
 FORCE:
-
-# hotlint runs only the hot-path enforcement analyzer (call-graph
-# allocation discipline) — a faster inner loop than the full suite
-# when iterating on kernel code. See DESIGN.md §10.
-hotlint:
-	go run ./tools/geolint -analyzers=hotalloc ./...
 
 # escapecheck diffs the compiler's escape analysis over the hot-path
 # packages against the committed baseline; new heap escapes inside

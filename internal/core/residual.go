@@ -189,8 +189,6 @@ func (r *residual) record(c, n int) {
 // free one when an earlier run left one — or nil when need exceeds a
 // block or another block would take the arena past its cap. It is
 // where a warmed-up lazyStep can allocate.
-//
-//geolint:coldpath
 func (r *residual) grow(need int) *resBlock {
 	if need > r.block || r.pairs+r.block > r.limit {
 		return nil

@@ -100,8 +100,12 @@ func (e *Env) regionSet(store *geodata.Store, regionFrac float64, rng *rand.Rand
 }
 
 // averageMethod runs a method over the given query regions and averages
-// the measurements.
-func (e *Env) averageMethod(store *geodata.Store, method string, regions []geo.Rect, k int, thetaFrac float64, rng *rand.Rand) (sosRun, error) {
+// the measurements. A method that draws random numbers draws them from
+// its own stream, e.rng(stream + "/" + method), stream being the id
+// that seeded the regions: one method's draws cannot move another
+// method's rows, nor the regions a sweep draws after it.
+func (e *Env) averageMethod(store *geodata.Store, method string, regions []geo.Rect, k int, thetaFrac float64, stream string) (sosRun, error) {
+	rng := e.rng(stream + "/" + method)
 	var acc sosRun
 	for _, region := range regions {
 		objs := store.Collection().Subset(store.Region(region))
@@ -131,7 +135,6 @@ func (e *Env) MethodComparison(id, storeName string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := e.rng(id)
 	t := &Table{
 		ID:      id,
 		Title:   fmt.Sprintf("Comparing methods on %s (runtime & representative score)", storeName),
@@ -145,12 +148,12 @@ func (e *Env) MethodComparison(id, storeName string) (*Table, error) {
 		baselines.NameKMeans, baselines.NameMaxMin, baselines.NameMaxSum,
 		baselines.NameDisC,
 	}
-	regions, err := e.regionSet(store, DefaultRegionFrac*regionScale(storeName), rng)
+	regions, err := e.regionSet(store, DefaultRegionFrac*regionScale(storeName), e.rng(id))
 	if err != nil {
 		return nil, err
 	}
 	for _, method := range methods {
-		r, err := e.averageMethod(store, method, regions, DefaultK, DefaultThetaFrac, rng)
+		r, err := e.averageMethod(store, method, regions, DefaultK, DefaultThetaFrac, id)
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +252,8 @@ func (e *Env) RegionSizeSweep(id string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rng := e.rng(id + spec.name)
+		stream := id + spec.name
+		rng := e.rng(stream)
 		for _, s := range sizes {
 			frac := s / 100 * sweepRegionScale(spec.name)
 			regions, err := e.regionSet(store, frac, rng)
@@ -257,7 +261,7 @@ func (e *Env) RegionSizeSweep(id string) (*Table, error) {
 				return nil, err
 			}
 			for _, method := range []string{spec.method, baselines.NameRandom} {
-				r, err := e.averageMethod(store, method, regions, DefaultK, DefaultThetaFrac, rng)
+				r, err := e.averageMethod(store, method, regions, DefaultK, DefaultThetaFrac, stream)
 				if err != nil {
 					return nil, err
 				}
@@ -301,15 +305,15 @@ func (e *Env) paramSweep(id, param string, values []float64, note string, decode
 		if err != nil {
 			return nil, err
 		}
-		rng := e.rng(id + spec.name)
-		regions, err := e.regionSet(store, DefaultRegionFrac*regionScale(spec.name), rng)
+		stream := id + spec.name
+		regions, err := e.regionSet(store, DefaultRegionFrac*regionScale(spec.name), e.rng(stream))
 		if err != nil {
 			return nil, err
 		}
 		for _, v := range values {
 			k, thetaFrac := decode(v)
 			for _, method := range []string{spec.method, baselines.NameRandom} {
-				r, err := e.averageMethod(store, method, regions, k, thetaFrac, rng)
+				r, err := e.averageMethod(store, method, regions, k, thetaFrac, stream)
 				if err != nil {
 					return nil, err
 				}
@@ -342,7 +346,8 @@ func (e *Env) Scalability(id string) (*Table, error) {
 		{"UK", e.Cfg.UKSize, baselines.NameGreedy, dataset.UKSpec},
 		{"US", e.Cfg.USSize, baselines.NameSaSS, dataset.USSpec},
 	} {
-		rng := e.rng(id + specCase.name)
+		stream := id + specCase.name
+		rng := e.rng(stream)
 		for _, sc := range scales {
 			n := int(float64(specCase.base) * sc)
 			store, err := dataset.GenerateStore(tuneSpec(specCase.mk(n, e.Cfg.Seed+7)))
@@ -354,7 +359,7 @@ func (e *Env) Scalability(id string) (*Table, error) {
 				return nil, err
 			}
 			for _, method := range []string{specCase.method, baselines.NameRandom} {
-				r, err := e.averageMethod(store, method, regions, DefaultK, DefaultThetaFrac, rng)
+				r, err := e.averageMethod(store, method, regions, DefaultK, DefaultThetaFrac, stream)
 				if err != nil {
 					return nil, err
 				}

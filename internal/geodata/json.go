@@ -92,7 +92,6 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-//geolint:coldpath
 func appendEscapedJSONString(dst []byte, s string) []byte {
 	quoted, err := json.Marshal(s)
 	if err != nil {

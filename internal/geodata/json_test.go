@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"geosel/internal/geo"
@@ -91,10 +92,13 @@ func TestAppendObjectsJSONMatchesEncodingJSON(t *testing.T) {
 
 // TestAppendObjectJSONDoesNotAllocate: with room in dst and a text that
 // needs no escaping — what every generated dataset holds — rendering is
-// allocation-free.
+// allocation-free, for a text longer than the 32 bytes a temporary
+// string may keep on the stack too.
 func TestAppendObjectJSONDoesNotAllocate(t *testing.T) {
-	objs := buildCollection(50, 5).Objects
-	positions := []int{1, 7, 22, 49}
+	c := buildCollection(50, 5)
+	c.Add(50, geo.Pt(0.5, 0.5), 0.5, strings.Repeat("museum coffee ", 6))
+	objs := c.Objects
+	positions := []int{1, 7, 22, 49, 50}
 	dst := make([]byte, 0, 1024)
 	if allocs := testing.AllocsPerRun(100, func() {
 		dst = AppendObjectsJSON(dst[:0], objs, positions)

@@ -108,8 +108,6 @@ func (g *Grid) Insert(id int, p geo.Point) {
 
 // index sorts the entries after Inserts. The first query of a rebuilt
 // grid pays it; steady-state queries find the entries sorted.
-//
-//geolint:coldpath
 func (g *Grid) index() {
 	slices.SortFunc(g.ents, compareEntries)
 	g.sorted = true

@@ -145,3 +145,35 @@ func TestStripedSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state refresh/take allocates %v per cycle, want 0", avg)
 	}
 }
+
+// TestHeapCycleAllocatesNothing drives every method but Reset through
+// whole cycles on storage an earlier cycle sized: bulk load, refresh the
+// top, then take entries out with the pop-order check until none is
+// left.
+func TestHeapCycleAllocatesNothing(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("invariant assertions allocate their diagnostic arguments")
+	}
+	const n = 256
+	var h Heap
+	h.Reset(n)
+	init := make([]Tuple, n)
+	for i := range init {
+		init[i] = Tuple{ID: i, Gain: float64(i % 37)}
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		h.Heapify(init)
+		h.RefreshTop(-1, 1)
+		for h.Len() > 0 {
+			tu, _ := h.Peek()
+			h.Remove(tu.ID)
+			if h.Contains(tu.ID) {
+				panic("a removed id is still present")
+			}
+			h.CheckTaken(tu)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a heap cycle allocates %v, want 0", avg)
+	}
+}

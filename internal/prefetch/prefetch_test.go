@@ -376,3 +376,48 @@ func TestShortSupportBoundsAreTheLemmaSums(t *testing.T) {
 	}
 	same("PanBounds", got, pan)
 }
+
+// TestBoundReadsAllocateNothing pins the hot reads of a bound pass: a
+// navigation's Bounds.For over its candidates, on a linear (Cosine) and
+// on a summed (Euclidean) pass, and the quadratic row sweep that fills
+// the sums of the latter.
+func TestBoundReadsAllocateNothing(t *testing.T) {
+	ctx := context.Background()
+	store := testStore(t, 600, 6)
+	col := store.Collection()
+	envPos := store.Region(geo.WorldUnit)
+	if len(envPos) < 500 {
+		t.Fatalf("envelope holds %d objects, want at least 500", len(envPos))
+	}
+	cands := envPos[len(envPos)/4:]
+	dst := make([]float64, len(cands))
+	for _, m := range []sim.Metric{sim.Cosine{}, sim.EuclideanProximity{MaxDist: 0.05}} {
+		b, err := PairwiseBounds(ctx, col, envPos, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			if !b.For(dst, cands) {
+				panic("an envelope candidate has no bound")
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%T: Bounds.For allocates %v per %d candidates, want 0", m, avg, len(cands))
+		}
+	}
+
+	sub := col.Subset(envPos)
+	rows := sim.NewRows(sim.EuclideanProximity{MaxDist: 0.05}, sub)
+	w, row, sums := make([]float64, len(sub)), make([]float64, len(sub)), make([]float64, len(sub))
+	for i := range sub {
+		w[i] = sub[i].Weight
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if err := quadraticRows(ctx, w, rows, row, sums); err != nil {
+			panic(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("quadraticRows allocates %v per %d-object sweep, want 0", avg, len(sub))
+	}
+}

@@ -211,3 +211,19 @@ func TestBodyWithTrailingDataRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendMetaAllocatesNothing: closing a selection body whose buffer
+// has room allocates nothing, with every optional field written.
+func TestAppendMetaAllocatesNothing(t *testing.T) {
+	m := selectionMeta{score: 0.4375, regionObjects: 1400, prefetched: true, responseMs: 1.25, warm: true, scoreApprox: true}
+	dst := make([]byte, 0, 256)
+	avg := testing.AllocsPerRun(100, func() {
+		var ok bool
+		if dst, ok = appendMeta(dst[:0], m); !ok {
+			panic("a finite score was refused")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("appendMeta allocates %v per body, want 0", avg)
+	}
+}

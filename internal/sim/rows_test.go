@@ -516,3 +516,48 @@ func FuzzRowCosine(f *testing.F) {
 		checkCosineRows(t, fuzzObjects(data))
 	})
 }
+
+// TestRowAndBoundAllocateNothing pins the hot reads of this package:
+// Row, on every kind it compiles a metric into, and a Linear aggregate's
+// Bound write into the caller's storage and allocate nothing.
+func TestRowAndBoundAllocateNothing(t *testing.T) {
+	objs := rowsTestObjects(300, 4)
+	hybrid, err := NewHybrid(0.5, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, len(objs))
+	for _, m := range []Metric{Cosine{}, EuclideanProximity{MaxDist: 0.3}, hybrid, Func(Cosine{}.Sim)} {
+		rows := NewRows(m, objs)
+		avg := testing.AllocsPerRun(20, func() {
+			for c := 0; c < len(objs); c += 7 {
+				rows.Row(dst, c, nil)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%T: Row allocates %v per 43 rows, want 0", m, avg)
+		}
+	}
+
+	pos := make([]int, len(objs))
+	for i := range pos {
+		pos[i] = i
+	}
+	lin := NewLinear(Cosine{}, objs, pos)
+	if lin == nil {
+		t.Fatal("NewLinear declined the test objects")
+	}
+	var sum float64
+	avg := testing.AllocsPerRun(100, func() {
+		for i := range objs {
+			b, _ := lin.Bound(&objs[i])
+			sum += b
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Bound allocates %v per %d objects, want 0", avg, len(objs))
+	}
+	if sum <= 0 {
+		t.Fatal("the measured bounds summed to nothing")
+	}
+}

@@ -80,20 +80,30 @@ func TestPackedMatchesVector(t *testing.T) {
 }
 
 // TestPackedNoAllocQueries pins that a reused arena repacks the same
-// vectors without allocating, and that dot products over its runs are
+// vectors without allocating, and that dot products over its runs, the
+// Vector-level cosine and clamped dot, and weight unpacking are
 // allocation-free.
 func TestPackedNoAllocQueries(t *testing.T) {
 	vecs := randomVectors(50, 9)
 	var p Packed
 	pack(&p, vecs)
+	var sum float64
 	avg := testing.AllocsPerRun(100, func() {
 		pack(&p, vecs)
 		for i := 0; i < 50; i++ {
 			j := (i + 7) % 50
-			DotWords(p.Words[p.Off[i]:p.Off[i+1]], p.Words[p.Off[j]:p.Off[j+1]])
+			run := p.Words[p.Off[i]:p.Off[i+1]]
+			sum += DotWords(run, p.Words[p.Off[j]:p.Off[j+1]])
+			sum += vecs[i].Cosine(vecs[j]) - Clamp01(vecs[i].Dot(vecs[j]))
+			for _, word := range run {
+				sum += float64(UnpackWeight(word))
+			}
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("repack and dot sweep allocates %v per run, want 0", avg)
+		t.Fatalf("repack and read sweep allocates %v per run, want 0", avg)
+	}
+	if sum <= 0 {
+		t.Fatal("the measured reads summed to nothing")
 	}
 }

@@ -80,7 +80,6 @@ func (s *posSet) reset(n int) {
 // out of line so that its allocation is not inlined into the stitch.
 //
 //go:noinline
-//geolint:coldpath
 func (s *posSet) grow(size int) {
 	s.slots = make([]int32, size)
 }

@@ -29,20 +29,6 @@ import (
 	"geosel/tools/internal/hotpath"
 )
 
-// hotPackages is the default enforcement surface: the packages on the
-// greedy selection hot path and on the warm serving path (see DESIGN.md
-// §10).
-var hotPackages = []string{
-	"./internal/core",
-	"./internal/geodata",
-	"./internal/lazyheap",
-	"./internal/prefetch",
-	"./internal/server",
-	"./internal/sim",
-	"./internal/textsim",
-	"./internal/tilecache",
-}
-
 func main() {
 	var (
 		dir      = flag.String("dir", ".", "repository root to build in")
@@ -53,7 +39,13 @@ func main() {
 	flag.Parse()
 	pkgs := flag.Args()
 	if len(pkgs) == 0 {
-		pkgs = hotPackages
+		// The enforcement surface: every package under ./internal that
+		// annotates a hot function (see DESIGN.md §10).
+		var err error
+		if pkgs, err = hotpath.Packages(*dir); err != nil {
+			fmt.Fprintf(os.Stderr, "escapediff: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	if err := run(*dir, *baseline, pkgs, *update, *strict); err != nil {
 		fmt.Fprintf(os.Stderr, "escapediff: %v\n", err)
@@ -93,7 +85,7 @@ func run(dir, baselinePath string, pkgs []string, update, strict bool) error {
 
 	path := filepath.Join(dir, filepath.FromSlash(baselinePath))
 	if update {
-		b := &escape.Baseline{GoVersion: runtime.Version(), Packages: pkgs, Entries: cur}
+		b := &escape.Baseline{GoVersion: runtime.Version(), Entries: cur}
 		if err := escape.WriteBaseline(path, b); err != nil {
 			return err
 		}

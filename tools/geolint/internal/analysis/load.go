@@ -140,10 +140,9 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp *listPackage) (*Packa
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)

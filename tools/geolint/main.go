@@ -19,8 +19,6 @@
 //	nopanic     panic in library packages
 //	snapfreeze  mutation of snapshot-owned collections or slices
 //	            obtained from a geodata.View outside the owning packages
-//	hotalloc    allocation-inducing constructs reachable from
-//	            //geolint:hotpath roots (//geolint:coldpath opts out)
 //
 // Standalone mode accepts -analyzers=a,b to run a subset; the package
 // graph is loaded once and shared across the selected analyzers.
@@ -34,7 +32,6 @@ import (
 	"geosel/tools/geolint/internal/analysis"
 	"geosel/tools/geolint/internal/analyzers/errlite"
 	"geosel/tools/geolint/internal/analyzers/floatorder"
-	"geosel/tools/geolint/internal/analyzers/hotalloc"
 	"geosel/tools/geolint/internal/analyzers/knobplumb"
 	"geosel/tools/geolint/internal/analyzers/nopanic"
 	"geosel/tools/geolint/internal/analyzers/snapfreeze"
@@ -47,7 +44,6 @@ var All = []*analysis.Analyzer{
 	errlite.Analyzer,
 	nopanic.Analyzer,
 	snapfreeze.Analyzer,
-	hotalloc.Analyzer,
 }
 
 func main() {

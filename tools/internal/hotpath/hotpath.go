@@ -1,23 +1,27 @@
 // Package hotpath is the syntax-level reader of the repository's
 // hot-path annotation vocabulary, shared by tools that cannot (or need
 // not) type-check: escapediff maps compiler escape diagnostics onto hot
-// functions, and the analyzer cross-check test compares AllocsPerRun
-// guard coverage against annotated roots.
+// functions and takes its package list from Packages, and the
+// cross-check test holds every annotated root to an AllocsPerRun guard.
 //
 // A function is hot when its declaration carries "//geolint:hotpath" on
 // the line above or the same line, when it is a method of a type so
 // annotated, or when it is a function literal annotated at its opening
-// line. "//geolint:coldpath" on a declaration removes it. Unlike the
-// hotalloc analyzer this package performs no call-graph reachability:
-// the annotated set is the stable contract surface — reachability would
-// make escape baselines churn with every refactor of a helper.
+// line. "//geolint:coldpath" on a declaration removes it, and must: a
+// declaration-level coldpath on a function that is not hot is an error,
+// so the vocabulary holds no token that nothing reads. The package
+// performs no call-graph reachability: the annotated set is the stable
+// contract surface — reachability would make escape baselines churn with
+// every refactor of a helper.
 package hotpath
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,11 +44,42 @@ type Set struct {
 	directives map[string]map[int]map[string]bool
 }
 
+// Packages returns, as "./internal/..." patterns in lexical order, every
+// package directory under root/internal whose non-test files hold a hot
+// function. Every directory there is scanned, so a dead coldpath
+// directive anywhere under internal is an error.
+func Packages(root string) ([]string, error) {
+	var pkgs []string
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		set, err := ScanDir(path)
+		if err != nil {
+			return err
+		}
+		if len(set.Funcs) > 0 {
+			rel, err := filepath.Rel(root, path)
+			if err != nil {
+				return err
+			}
+			pkgs = append(pkgs, "./"+filepath.ToSlash(rel))
+		}
+		return nil
+	})
+	return pkgs, err
+}
+
 // ScanDir parses every non-test .go file directly inside each dir and
 // returns the merged hot set. File paths in the result are the join of
-// dir and the base name.
+// dir and the base name. A declaration-level coldpath that removes
+// nothing from the hot set is an error.
 func ScanDir(dirs ...string) (*Set, error) {
 	set := &Set{directives: make(map[string]map[int]map[string]bool)}
+	var dead []error
 	for _, dir := range dirs {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -61,8 +96,11 @@ func ScanDir(dirs ...string) (*Set, error) {
 			if err != nil {
 				return nil, fmt.Errorf("parsing %s: %w", path, err)
 			}
-			set.scanFile(fset, path, f)
+			dead = append(dead, set.scanFile(fset, path, f)...)
 		}
+	}
+	if len(dead) > 0 {
+		return nil, errors.Join(dead...)
 	}
 	sort.Slice(set.Funcs, func(i, j int) bool {
 		a, b := set.Funcs[i], set.Funcs[j]
@@ -74,8 +112,10 @@ func ScanDir(dirs ...string) (*Set, error) {
 	return set, nil
 }
 
-// scanFile records the file's directives and hot functions.
-func (s *Set) scanFile(fset *token.FileSet, path string, f *ast.File) {
+// scanFile records the file's directives and hot functions, and returns
+// an error for each declaration-level coldpath on a function that is not
+// hot.
+func (s *Set) scanFile(fset *token.FileSet, path string, f *ast.File) (dead []error) {
 	lines := make(map[int]map[string]bool)
 	s.directives[path] = lines
 	for _, cg := range f.Comments {
@@ -126,7 +166,12 @@ func (s *Set) scanFile(fset *token.FileSet, path string, f *ast.File) {
 			name = recv + "." + name
 		}
 		hot := directiveAt(fn.Pos(), "hotpath") || (recv != "" && hotTypes[recv])
-		if hot && !directiveAt(fn.Pos(), "coldpath") {
+		cold := directiveAt(fn.Pos(), "coldpath")
+		if cold && !hot {
+			dead = append(dead, fmt.Errorf("%s:%d: //geolint:coldpath on %s removes nothing: it is neither annotated //geolint:hotpath nor a method of a hot type",
+				path, fset.Position(fn.Pos()).Line, name))
+		}
+		if hot && !cold {
 			s.Funcs = append(s.Funcs, Func{
 				File:      path,
 				Name:      name,
@@ -154,6 +199,7 @@ func (s *Set) scanFile(fset *token.FileSet, path string, f *ast.File) {
 			return true
 		})
 	}
+	return dead
 }
 
 // recvTypeName returns the receiver's base type name, or "".
