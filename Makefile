@@ -76,6 +76,7 @@ fuzz:
 	go test -run=NONE -fuzz='^FuzzReadBinary$$' -fuzztime=10s ./internal/dataset
 	go test -run=NONE -fuzz='^FuzzReadAuto$$' -fuzztime=10s ./internal/dataset
 	go test -run=NONE -fuzz='^FuzzTokenize$$' -fuzztime=10s ./internal/textsim
+	go test -run=NONE -fuzz='^FuzzFromText$$' -fuzztime=10s ./internal/textsim
 	go test -run=NONE -fuzz='^FuzzSample$$' -fuzztime=10s ./internal/sampling
 
 # bench runs the in-process benchmarks of the serving path: a cold

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
@@ -27,6 +28,14 @@ const (
 	binaryVersion = 1
 	// maxBinaryText guards against corrupt length prefixes.
 	maxBinaryText = 1 << 20
+	// minBinaryRecord is the smallest encoded object: a one-byte id,
+	// the three floats and a one-byte text length. A stream with b
+	// unread bytes holds at most b/minBinaryRecord objects, whatever
+	// its count says, so a corrupt count cannot force a large array.
+	minBinaryRecord = 1 + 3*8 + 1
+	// unsizedStart caps the array a stream of unknown length starts
+	// with; past it the array grows by append.
+	unsizedStart = 1 << 12
 )
 
 // WriteBinary streams the collection to w in the snapshot format.
@@ -83,9 +92,37 @@ func WriteBinary(w io.Writer, col *geodata.Collection) error {
 }
 
 // ReadBinary loads a collection from the snapshot format, rebuilding
-// term vectors against a fresh vocabulary.
+// term vectors against a fresh vocabulary. When r can tell how many
+// bytes it holds (an in-memory reader, a regular file), the objects
+// array is allocated once, exactly the header's count long.
 func ReadBinary(r io.Reader) (*geodata.Collection, error) {
-	br := bufio.NewReader(r)
+	return readBinary(bufio.NewReader(r), unreadBytes(r))
+}
+
+// unreadBytes returns how many bytes r has left, or -1 when it cannot
+// tell: an in-memory reader reports its Len, a regular file its size
+// past the current offset.
+func unreadBytes(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return max(fi.Size()-off, 0)
+	}
+	return -1
+}
+
+// readBinary is ReadBinary over br, whose stream has avail unread
+// bytes (-1: unknown).
+func readBinary(br *bufio.Reader, avail int64) (*geodata.Collection, error) {
 	magic := make([]byte, len(binaryMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("dataset: reading magic: %w", err)
@@ -104,14 +141,19 @@ func ReadBinary(r io.Reader) (*geodata.Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading count: %w", err)
 	}
+	b := make([]byte, 8) // one buffer for every float: a per-read array escapes into io.ReadFull
 	readFloat := func() (float64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
+		if _, err := io.ReadFull(br, b); err != nil {
 			return 0, err
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
+		return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
+	}
+	size := min(count, unsizedStart)
+	if avail >= 0 {
+		size = min(count, uint64(avail)/minBinaryRecord)
 	}
 	col := geodata.NewCollection()
+	col.Objects = make([]geodata.Object, 0, size)
 	text := make([]byte, 0, 256)
 	for i := uint64(0); i < count; i++ {
 		id, err := binary.ReadVarint(br)
@@ -152,6 +194,7 @@ func ReadBinary(r io.Reader) (*geodata.Collection, error) {
 // ReadAuto sniffs the stream format (binary snapshot, JSON lines or
 // CSV) and dispatches to the matching reader.
 func ReadAuto(r io.Reader) (*geodata.Collection, error) {
+	avail := unreadBytes(r)
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
 	if err != nil && len(head) == 0 {
@@ -159,7 +202,7 @@ func ReadAuto(r io.Reader) (*geodata.Collection, error) {
 	}
 	switch {
 	case string(head) == binaryMagic:
-		return ReadBinary(br)
+		return readBinary(br, avail)
 	case len(head) > 0 && head[0] == '{':
 		return ReadJSONL(br)
 	default:

@@ -150,6 +150,7 @@ func Generate(spec Spec) (*geodata.Collection, error) {
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	col := geodata.NewCollection()
+	col.Objects = make([]geodata.Object, 0, spec.N)
 
 	// Cluster centers and power-law masses.
 	type cluster struct {

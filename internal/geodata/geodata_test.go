@@ -3,6 +3,7 @@ package geodata
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -181,4 +182,31 @@ func TestApplyTFIDF(t *testing.T) {
 	// No-ops on empty collections.
 	NewCollection().ApplyTFIDF()
 	(&Collection{}).ApplyTFIDF()
+}
+
+// TestNewGridMatchesAppendBuild holds the counting-sort build to the
+// per-object append it replaced: every cell holds the same positions in
+// the same ascending order, and no cell can append into its neighbour.
+func TestNewGridMatchesAppendBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 7, 500, 5000} {
+		objs := make([]Object, n)
+		for i := range objs {
+			objs[i].Loc = geo.Pt(rng.Float64(), rng.Float64()*rng.Float64())
+		}
+		g := NewGrid(objs)
+		want := make([][]int32, len(g.cells))
+		for i := range objs {
+			k := g.cellKey(objs[i].Loc)
+			want[k] = append(want[k], int32(i))
+		}
+		for k := range want {
+			if !slices.Equal(g.cells[k], want[k]) {
+				t.Fatalf("n=%d cell %d: %v, want %v", n, k, g.cells[k], want[k])
+			}
+			if cap(g.cells[k]) != len(g.cells[k]) {
+				t.Fatalf("n=%d cell %d: cap %d over len %d", n, k, cap(g.cells[k]), len(g.cells[k]))
+			}
+		}
+	}
 }

@@ -149,6 +149,12 @@ func (g *Grid) CellRect(k int) geo.Rect {
 // layout derived from their bounding rectangle and count. A static
 // Store builds one; a live store builds one at version 0 and at every
 // compaction, and commits every other epoch incrementally.
+//
+// The cells are filled by a counting sort: one pass counts each cell's
+// positions, a prefix sum turns the counts into offsets, and a second
+// pass places every position, ascending within its cell, into one
+// int32 arena that every cell slices with its capacity capped at its
+// length.
 func NewGrid(objs []Object) *Grid {
 	b := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}
 	for i := range objs {
@@ -161,9 +167,28 @@ func NewGrid(objs []Object) *Grid {
 	}
 	bounds, cell, nx, ny := gridGeometry(b, len(objs))
 	g := &Grid{bounds: bounds, cell: cell, nx: nx, ny: ny, cells: make([][]int32, nx*ny)}
+	end := make([]int32, nx*ny) // cell k's count, then the arena offset past it
 	for i := range objs {
+		end[g.cellKey(objs[i].Loc)]++
+	}
+	var off int32
+	for k, c := range end {
+		off += c
+		end[k] = off
+	}
+	arena := make([]int32, len(objs))
+	for i := len(objs) - 1; i >= 0; i-- {
 		k := g.cellKey(objs[i].Loc)
-		g.cells[k] = append(g.cells[k], int32(i))
+		end[k]--
+		arena[end[k]] = int32(i)
+	}
+	// end[k] is now cell k's start, and cell k ends where cell k+1 starts.
+	for k := range g.cells {
+		hi := int32(len(arena))
+		if k+1 < len(end) {
+			hi = end[k+1]
+		}
+		g.cells[k] = arena[end[k]:hi:hi]
 	}
 	return g
 }

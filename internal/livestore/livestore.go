@@ -119,32 +119,32 @@ func New(col *geodata.Collection, cfg engine.Config) (*Store, error) {
 	if vocab == nil {
 		vocab = textsim.NewVocabulary()
 	}
-	s := &Store{vocab: vocab}
-	s.seed(objs)
-	if len(s.byID) != len(objs) { // a repeated ID kept only its last position
-		for i, o := range objs {
-			if p := int(s.byID[o.ID]); p != i {
-				return nil, fmt.Errorf("livestore: duplicate external id %d at positions %d and %d", o.ID, i, p)
-			}
-		}
-	}
-	s.publish(0, nil)
-	return s, nil
-}
-
-// seed makes objs, every slot live, the writer's state: a full bitset,
-// the ID index and a grid built from scratch. It is version 0's
-// construction and every compaction's.
-func (s *Store) seed(objs []geodata.Object) {
 	byID := make(map[int]int32, len(objs))
 	for i, o := range objs {
 		byID[o.ID] = int32(i)
 	}
+	if len(byID) != len(objs) { // a repeated ID kept only its last position
+		for i, o := range objs {
+			if p := int(byID[o.ID]); p != i {
+				return nil, fmt.Errorf("livestore: duplicate external id %d at positions %d and %d", o.ID, i, p)
+			}
+		}
+	}
+	s := &Store{vocab: vocab, byID: byID}
+	s.seed(objs)
+	s.publish(0, nil)
+	return s, nil
+}
+
+// seed makes objs, every slot live, the writer's state: a full bitset
+// and a grid built from scratch. It is version 0's construction and
+// every compaction's; each caller brings byID in line with objs.
+func (s *Store) seed(objs []geodata.Object) {
 	live := make([]uint64, (len(objs)+63)/64)
 	for i := range objs {
 		setBit(live, i)
 	}
-	s.objs, s.live, s.liveCount, s.byID = objs, live, len(objs), byID
+	s.objs, s.live, s.liveCount = objs, live, len(objs)
 	s.gr = geodata.NewGrid(objs)
 }
 
@@ -415,8 +415,19 @@ func (s *Store) compact(version uint64, delSet map[int32]bool, appended []geodat
 		remap[pos] = int32(len(objs))
 		objs = append(objs, s.objs[pos])
 	}
+	// byID moves with the slots, in place: an ID whose slot this batch
+	// tombstoned leaves it, and the batch's live slots enter it at
+	// their new positions.
+	for id, pos := range s.byID {
+		if p := remap[pos]; p >= 0 {
+			s.byID[id] = p
+		} else {
+			delete(s.byID, id)
+		}
+	}
 	for i, ob := range appended {
 		if appendedLive[i] {
+			s.byID[ob.ID] = int32(len(objs))
 			objs = append(objs, ob)
 		}
 	}

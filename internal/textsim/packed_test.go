@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func randomVectors(n int, seed int64) []Vector {
 		for j := range terms {
 			terms[j] = words[rng.Intn(len(words))]
 		}
-		vecs[i] = FromTerms(vocab, terms)
+		vecs[i] = FromText(vocab, strings.Join(terms, " "))
 	}
 	return vecs
 }

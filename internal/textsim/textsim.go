@@ -1,7 +1,7 @@
 // Package textsim provides the textual-similarity substrate: a
-// tokenizer, a vocabulary that interns terms to dense ids, unit-length
-// sparse term vectors, and cosine similarity as their clamped dot
-// product. The paper
+// vocabulary that interns terms to dense ids, unit-length sparse term
+// vectors built from text in one pass, and cosine similarity as their
+// clamped dot product. The paper
 // measures the similarity of two geo-tagged tweets or POIs by the cosine
 // similarity of their keyword vectors (Section 7.1); this package makes
 // that metric cheap enough to sit inside the greedy algorithm's inner
@@ -10,19 +10,11 @@ package textsim
 
 import (
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
-
-// Tokenize lower-cases s and splits it into maximal runs of letters and
-// digits. It is deliberately simple: the algorithms only need a stable
-// bag-of-words representation.
-func Tokenize(s string) []string {
-	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-}
 
 // Vocabulary interns term strings to dense integer ids. The zero value
 // is ready to use.
@@ -48,6 +40,15 @@ func (v *Vocabulary) ID(term string) int {
 	return id
 }
 
+// intern is ID for a term spelled in bytes: a known term costs one map
+// lookup and no allocation; only a new term copies its bytes.
+func (v *Vocabulary) intern(term []byte) int32 {
+	if id, ok := v.ids[string(term)]; ok {
+		return int32(id)
+	}
+	return int32(v.ID(string(term)))
+}
+
 // Lookup returns the id for term without interning; ok is false when the
 // term is unknown.
 func (v *Vocabulary) Lookup(term string) (int, bool) {
@@ -69,6 +70,31 @@ type Vector struct {
 	Words []uint64
 }
 
+// term is one (id, raw weight) pair on its way into a Vector.
+type term struct {
+	id int32
+	w  float64
+}
+
+// unit packs terms — positive weights, strictly ascending ids — into
+// their unit Vector: every weight divided by the norm (its squares
+// summed in id order) and rounded to float32, a weight that rounds to
+// zero dropped. It is the one normalization of the package.
+func unit(terms []term) Vector {
+	var norm2 float64
+	for _, t := range terms {
+		norm2 += t.w * t.w
+	}
+	norm := math.Sqrt(norm2)
+	v := Vector{Words: make([]uint64, 0, len(terms))}
+	for _, t := range terms {
+		if u := float32(t.w / norm); u > 0 {
+			v.Words = append(v.Words, PackWord(t.id, u))
+		}
+	}
+	return v
+}
+
 // NewVector builds the unit vector of a term-id -> weight map. Zero,
 // negative and NaN weights are dropped (cosine over non-negative term
 // frequencies is the intended use, keeping similarities in [0, 1]); a
@@ -81,38 +107,65 @@ func NewVector(tf map[int]float64) Vector {
 		}
 	}
 	sort.Ints(ids)
-	var norm2 float64
-	for _, id := range ids {
-		norm2 += tf[id] * tf[id]
+	terms := make([]term, len(ids))
+	for k, id := range ids {
+		terms[k] = term{int32(id), tf[id]}
 	}
-	norm := math.Sqrt(norm2)
-	v := Vector{Words: make([]uint64, 0, len(ids))}
-	for _, id := range ids {
-		if u := float32(tf[id] / norm); u > 0 {
-			v.Words = append(v.Words, PackWord(int32(id), u))
+	return unit(terms)
+}
+
+// FromText returns the term-frequency vector of s, interning its terms
+// into vocab in order of first appearance. A term is a maximal run of
+// letters and digits after lower-casing: every rune is mapped by
+// unicode.ToLower, as strings.ToLower maps it (invalid UTF-8 reads as
+// U+FFFD, which separates), and any rune that is then neither a letter
+// nor a digit ends the run.
+//
+// It is one pass over s with no per-text map: a term's bytes collect in
+// a stack buffer and find their id without allocating, the ids collect
+// in another, and sorting them counts each term's frequency.
+func FromText(vocab *Vocabulary, s string) Vector {
+	var tokBuf [64]byte
+	var idBuf [64]int32
+	tok, ids := tokBuf[:0], idBuf[:0]
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			i++
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if 'a' <= c && c <= 'z' || '0' <= c && c <= '9' {
+				tok = append(tok, c)
+				continue
+			}
+		} else {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			i += size
+			if r = unicode.ToLower(r); unicode.IsLetter(r) || unicode.IsDigit(r) {
+				tok = utf8.AppendRune(tok, r)
+				continue
+			}
+		}
+		if len(tok) > 0 {
+			ids = append(ids, vocab.intern(tok))
+			tok = tok[:0]
 		}
 	}
-	return v
-}
-
-// FromText tokenizes s, interns the tokens into vocab and returns the
-// term-frequency vector.
-func FromText(vocab *Vocabulary, s string) Vector {
-	tf := make(map[int]float64)
-	for _, tok := range Tokenize(s) {
-		tf[vocab.ID(tok)]++
+	if len(tok) > 0 {
+		ids = append(ids, vocab.intern(tok))
 	}
-	return NewVector(tf)
-}
-
-// FromTerms interns the given pre-tokenized terms and returns the
-// term-frequency vector.
-func FromTerms(vocab *Vocabulary, terms []string) Vector {
-	tf := make(map[int]float64)
-	for _, term := range terms {
-		tf[vocab.ID(term)]++
+	slices.Sort(ids)
+	var termBuf [64]term
+	terms := termBuf[:0]
+	for k := 0; k < len(ids); {
+		j := k + 1
+		for j < len(ids) && ids[j] == ids[k] {
+			j++
+		}
+		terms = append(terms, term{ids[k], float64(j - k)})
+		k = j
 	}
-	return NewVector(tf)
+	return unit(terms)
 }
 
 // IsZero reports whether the vector has no terms.

@@ -3,12 +3,15 @@ package textsim
 import (
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
+// TestTokenize pins FromText's terms: each case's text gives the
+// vector, and the vocabulary, of its expected term list.
 func TestTokenize(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -20,14 +23,17 @@ func TestTokenize(t *testing.T) {
 		{"café au-lait №5", []string{"café", "au", "lait", "5"}},
 		{"ONE one OnE", []string{"one", "one", "one"}},
 		{"a1b2", []string{"a1b2"}},
+		{"İSTANBUL", []string{"istanbul"}},
+		{"STRAẞE straße", []string{"straße", "straße"}},
+		{"ΟΔΟΣ", []string{"οδοσ"}},
+		{"a\xffb\xc3", []string{"a", "b"}},
 	}
 	for _, c := range cases {
-		got := Tokenize(c.in)
-		if len(got) == 0 && len(c.want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Tokenize(%q) = %v, want %v", c.in, got, c.want)
+		vocab, ref := NewVocabulary(), NewVocabulary()
+		got, want := FromText(vocab, c.in), referenceFromTerms(ref, c.want)
+		if !slices.Equal(got.Words, want.Words) || !slices.Equal(VocabTerms(vocab), VocabTerms(ref)) {
+			t.Errorf("FromText(%q): terms %q words %x, want terms %q words %x",
+				c.in, VocabTerms(vocab), got.Words, VocabTerms(ref), want.Words)
 		}
 	}
 }
@@ -111,7 +117,6 @@ func TestVectorsAreUnit(t *testing.T) {
 		}
 		v := NewVector(tf)
 		checkUnit(t, "NewVector", v)
-		checkUnit(t, "FromTerms", FromTerms(vocab, terms))
 		checkUnit(t, "FromText", FromText(vocab, strings.Join(terms, " ")))
 		factors := make([]float64, 40)
 		for id := range factors {
@@ -238,36 +243,85 @@ func TestFromText(t *testing.T) {
 	}
 }
 
+// TestFromTerms holds FromText over a shared vocabulary to the
+// reference built from each text's term list: the same words, and ids
+// assigned in the same order across texts.
 func TestFromTerms(t *testing.T) {
-	vocab := NewVocabulary()
-	a := FromTerms(vocab, []string{"x", "y", "x"})
-	b := FromText(vocab, "x y x")
-	if !reflect.DeepEqual(a.Words, b.Words) {
-		t.Errorf("FromTerms and FromText disagree: %x vs %x", a.Words, b.Words)
+	vocab, ref := NewVocabulary(), NewVocabulary()
+	for _, terms := range [][]string{
+		{"x", "y", "x"},
+		nil,
+		{"y", "z", "z", "z", "w"},
+		{strings.Repeat("long", 40), "x"},
+	} {
+		got := FromText(vocab, strings.Join(terms, " "))
+		want := referenceFromTerms(ref, terms)
+		if !slices.Equal(got.Words, want.Words) {
+			t.Errorf("terms %q: words %x, want %x", terms, got.Words, want.Words)
+		}
+		if len(terms) == 0 && !got.IsZero() {
+			t.Error("no terms should give the empty vector")
+		}
 	}
-	empty := FromTerms(vocab, nil)
-	if !empty.IsZero() {
-		t.Error("empty terms should give zero vector")
+	if got, want := VocabTerms(vocab), VocabTerms(ref); !slices.Equal(got, want) {
+		t.Errorf("vocabulary %q, want %q", got, want)
 	}
 }
 
+// FuzzTokenize checks what FromText interns: non-empty terms of
+// letters and digits that lower-casing leaves as they are, and an
+// empty vector exactly when there is no term.
 func FuzzTokenize(f *testing.F) {
 	f.Add("Hello, World!")
 	f.Add("")
 	f.Add("日本語 text ñ")
 	f.Add("a1b2 c3-d4_e5")
 	f.Fuzz(func(t *testing.T, s string) {
-		toks := Tokenize(s)
-		for _, tok := range toks {
-			if tok == "" {
-				t.Fatal("empty token")
+		vocab := NewVocabulary()
+		v := FromText(vocab, s)
+		for _, term := range VocabTerms(vocab) {
+			if term == "" {
+				t.Fatal("empty term")
+			}
+			for _, r := range term {
+				if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+					t.Fatalf("term %q holds %q", term, r)
+				}
+			}
+			if strings.ToLower(term) != term {
+				t.Fatalf("term %q is not lower-case", term)
 			}
 		}
-		// Tokenizing must be idempotent under rejoining.
-		vocab := NewVocabulary()
-		v := FromTerms(vocab, toks)
-		if len(toks) == 0 && !v.IsZero() {
-			t.Fatal("no tokens but non-zero vector")
+		if v.IsZero() != (vocab.Len() == 0) {
+			t.Fatalf("%d terms but words %x", vocab.Len(), v.Words)
+		}
+		if len(v.Words) != vocab.Len() {
+			t.Fatalf("%d terms in a fresh vocabulary, %d words", vocab.Len(), len(v.Words))
+		}
+	})
+}
+
+// FuzzFromText holds FromText to the map-based reference over two texts
+// interned into one vocabulary: the same words, bit for bit, and the
+// same ids in the same order.
+func FuzzFromText(f *testing.F) {
+	f.Add("İstanbul İSTANBUL", "i̇stanbul")
+	f.Add("Straße STRASSE ẞ", "ß")
+	f.Add("ΟΔΟΣ ὁδός Σ σ ς", "ΣΊΣΥΦΟΣ")
+	f.Add("\xff\xfeab\xc3(cd", "a\x80b\xed\xa0\x80c")
+	f.Add("42 ٤٢ ४२ 3rd x1", "Ⅻ ½ ²")
+	f.Add("", "")
+	f.Add(strings.Repeat("w0 w1 w2 ", 40), strings.Repeat("ü", 50))
+	f.Fuzz(func(t *testing.T, a, b string) {
+		vocab, ref := NewVocabulary(), NewVocabulary()
+		for _, s := range []string{a, b} {
+			got, want := FromText(vocab, s), ReferenceFromText(ref, s)
+			if !slices.Equal(got.Words, want.Words) {
+				t.Fatalf("FromText(%q) = %x, reference %x", s, got.Words, want.Words)
+			}
+		}
+		if got, want := VocabTerms(vocab), VocabTerms(ref); !slices.Equal(got, want) {
+			t.Fatalf("vocabulary %q, reference %q", got, want)
 		}
 	})
 }

@@ -27,20 +27,25 @@ func IDF(df []int, n int) []float64 {
 	return idf
 }
 
-// Reweight returns NewVector of v's weights each multiplied by
+// Reweight returns the unit vector of v's weights each multiplied by
 // factors[id] (terms whose id is out of range keep their weight):
 // renormalized, with every term whose weight is no longer positive
-// dropped. Used to turn raw term-frequency vectors into TF-IDF vectors,
-// which sharpens cosine similarity on corpora where a few terms
-// dominate.
+// dropped. v's words are already in ascending id order, so no sort or
+// map is needed. Used to turn raw term-frequency vectors into TF-IDF
+// vectors, which sharpens cosine similarity on corpora where a few
+// terms dominate.
 func (v Vector) Reweight(factors []float64) Vector {
-	tf := make(map[int]float64, len(v.Words))
+	var buf [64]term
+	terms := buf[:0]
 	for _, word := range v.Words {
 		id := int(word >> 32)
-		tf[id] = float64(UnpackWeight(word))
+		w := float64(UnpackWeight(word))
 		if id < len(factors) {
-			tf[id] *= factors[id]
+			w *= factors[id]
+		}
+		if w > 0 {
+			terms = append(terms, term{int32(id), w})
 		}
 	}
-	return NewVector(tf)
+	return unit(terms)
 }
