@@ -19,7 +19,6 @@ import (
 	"geosel/internal/dataset"
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
-	"geosel/internal/grid"
 	"geosel/internal/isos"
 	"geosel/internal/sampling"
 	"geosel/internal/sim"
@@ -338,21 +337,15 @@ func BenchmarkSubstrateRegionQuery(b *testing.B) {
 }
 
 // BenchmarkSubstrateGridConflict times a θ-conflict query on the grid
-// as greedy makes it: AppendWithin into a reused buffer.
+// as greedy makes it: the square of half-side θ around an object,
+// appended into a reused buffer.
 func BenchmarkSubstrateGridConflict(b *testing.B) {
 	e := env(b)
-	bounds, _ := e.store.Bounds()
-	var g grid.Grid
-	if err := g.Reset(bounds, e.theta); err != nil {
-		b.Fatal(err)
-	}
-	for i := range e.objs {
-		g.Insert(i, e.objs[i].Loc)
-	}
+	g := geodata.NewGrid(e.objs)
 	var buf []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = g.AppendWithin(buf[:0], e.objs[i%len(e.objs)].Loc, e.theta)
+		buf = g.AppendRegion(buf[:0], e.objs, geo.RectAround(e.objs[i%len(e.objs)].Loc, e.theta))
 	}
 }
 

@@ -146,6 +146,12 @@ func TestSelectValidation(t *testing.T) {
 	if _, err := Select(context.Background(), store, region, Options{Config: engine.Config{K: -2, Metric: Cosine()}}); err == nil {
 		t.Error("negative K should fail")
 	}
+	for _, sample := range []bool{false, true} {
+		opts := Options{Config: engine.Config{K: 5, ThetaFrac: math.NaN(), Metric: Cosine()}, Sample: sample}
+		if _, err := Select(context.Background(), store, region, opts); err == nil {
+			t.Errorf("NaN ThetaFrac (sample %v) should fail", sample)
+		}
+	}
 }
 
 func TestFacadeCollectionRoundTrip(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"geosel/internal/geodata"
-	"geosel/internal/grid"
 	"geosel/internal/lazyheap"
 )
 
@@ -47,13 +46,14 @@ type arena struct {
 	seeds []float64
 	init  []lazyheap.Tuple
 
-	// The lazy greedy's state: the heap, the conflict grid (cg is nil
-	// when the run has none, else &grid), the residual lists, the
-	// selection so far (the Result's own slice, not the arena's), the
-	// iteration, and the conflict query's scratch.
+	// The lazy greedy's state: the heap, the conflict grid over the run's
+	// objects (cg is nil when the run has none, else &grid; the arena
+	// owns it, so Reset may rebuild it in place), the residual lists,
+	// the selection so far (the Result's own slice, not the arena's),
+	// the iteration, and the conflict query's scratch.
 	h        lazyheap.Heap
-	grid     grid.Grid
-	cg       *grid.Grid
+	grid     geodata.Grid
+	cg       *geodata.Grid
 	res      residual
 	selected []int
 	iter     int

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -293,26 +294,84 @@ func TestGreedyMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestGreedyGridMatchesLinear holds the grid's conflict removal to the
+// linear scan (DisableGrid), bit for bit: the same picks, Gains and
+// Score bits, Evals and Rounds. It runs θ from 1e-300 to +Inf, the
+// benchmark's 0.003·side, the grid's own cell side and the lattice's
+// spacing (pairs exactly θ apart do not conflict), over random
+// objects, objects stacked on a 4×4 lattice, the same lattice shrunk
+// to 1e-200 (where Dist underflows to 0), and objects on the grid's
+// cell boundaries; each with every object a candidate, with only the
+// even ones (the odd ones, non-candidates, lie within θ of them), and
+// with a forced non-candidate on top.
 func TestGreedyGridMatchesLinear(t *testing.T) {
+	m := hybridMetric(t)
 	for seed := int64(0); seed < 8; seed++ {
-		objs := testObjects(150, 40+seed)
-		m := hybridMetric(t)
-		withGrid := &Selector{Config: engine.Config{K: 15, Theta: 0.06, Metric: m}, Objects: objs}
-		noGrid := &Selector{Config: engine.Config{K: 15, Theta: 0.06, Metric: m, DisableGrid: true}, Objects: objs}
-		r1, err := withGrid.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
+		random := testObjects(150, 40+seed)
+		stacked := testObjects(150, 40+seed)
+		tiny := testObjects(150, 40+seed)
+		rng := rand.New(rand.NewSource(seed))
+		for i := range stacked {
+			x, y := float64(rng.Intn(4))/3, float64(rng.Intn(4))/3
+			stacked[i].Loc = geo.Pt(x, y)
+			// 1e-200 apart, whose squares underflow: Dist reads 0.
+			tiny[i].Loc = geo.Pt(x*1e-200, y*1e-200)
 		}
-		r2, err := noGrid.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
+		// Pinning the corners fixes the grid over [0,1]², so every object
+		// moved inside the square keeps the layout CellRect reports; the
+		// square layout has the same boundaries on both axes.
+		edges := testObjects(150, 40+seed)
+		edges[0].Loc, edges[1].Loc = geo.Pt(0, 0), geo.Pt(1, 1)
+		g := geodata.NewGrid(edges)
+		var bounds []float64
+		for k := 1; ; k++ {
+			x := g.CellRect(k).Min.X
+			if x >= 1 || (len(bounds) > 0 && x <= bounds[len(bounds)-1]) {
+				break
+			}
+			bounds = append(bounds, x)
 		}
-		if len(r1.Selected) != len(r2.Selected) {
-			t.Fatalf("seed %d: %d vs %d picks", seed, len(r1.Selected), len(r2.Selected))
+		if len(bounds) < 2 {
+			t.Fatalf("seed %d: cell boundaries %v; want at least two inside the unit square", seed, bounds)
 		}
-		for i := range r1.Selected {
-			if r1.Selected[i] != r2.Selected[i] {
-				t.Fatalf("seed %d: pick %d differs", seed, i)
+		for i := 2; i < len(edges); i++ {
+			x, y := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
+			if i%3 == 0 {
+				y = rng.Float64()
+			}
+			edges[i].Loc = geo.Pt(x, y)
+		}
+		cell := bounds[1] - bounds[0]
+
+		evens := []int{}
+		for i := 0; i < 150; i += 2 {
+			evens = append(evens, i)
+		}
+		for _, layout := range []struct {
+			name string
+			objs []geodata.Object
+		}{{"random", random}, {"stacked", stacked}, {"tiny", tiny}, {"edges", edges}} {
+			for _, theta := range []float64{1e-300, 0.003, 0.06, cell, 1.0 / 3, 1e300, math.Inf(1)} {
+				for _, run := range []struct {
+					name          string
+					cands, forced []int
+				}{{"all", nil, nil}, {"evens", evens, nil}, {"forced", evens, []int{1}}} {
+					var res [2]*Result
+					for j, disable := range []bool{true, false} {
+						s := &Selector{
+							Config:     engine.Config{K: 15, Theta: theta, Metric: m, DisableGrid: disable},
+							Objects:    layout.objs,
+							Candidates: run.cands,
+							Forced:     run.forced,
+						}
+						r, err := s.Run(context.Background())
+						if err != nil {
+							t.Fatal(err)
+						}
+						res[j] = r
+					}
+					assertSameRun(t, res[0], res[1], fmt.Sprintf("seed %d, %s, θ = %v, %s: grid vs linear", seed, layout.name, theta, run.name))
+				}
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"geosel/internal/engine"
+	"geosel/internal/geo"
 	"geosel/internal/geodata"
 	"geosel/internal/invariant"
 	"geosel/internal/lazyheap"
@@ -275,9 +276,7 @@ func (s *Selector) startLazy(a *arena, res *Result, selected []int, bounds []flo
 	e, active := &a.e, a.active
 	a.selected, a.iter, a.doomed = selected, 0, a.doomed[:0]
 	a.h.Reset(len(s.Objects))
-	if err := s.conflictGrid(a); err != nil {
-		return err
-	}
+	s.conflictGrid(a)
 	a.res.reset(e, a.best, s.residualPairs)
 	// Self-seeding: on a metric with linear row sums the run bounds its
 	// own initial gains, Σ_{o∈O} ω·Sim(o, c) ≥ Δ(c | D), in one pass over
@@ -402,32 +401,35 @@ func (s *Selector) runNaive(a *arena, res *Result, selected []int) error {
 	return s.finish(e, res, best, selected)
 }
 
-// conflictGrid rebuilds the arena's grid over the active candidates and
+// conflictGrid rebuilds the arena's grid over the run's objects and
 // points a.cg at it, or leaves a.cg nil when grids are disabled or
-// pointless (theta == 0).
-func (s *Selector) conflictGrid(a *arena) error {
+// pointless (theta == 0, or no candidate left).
+func (s *Selector) conflictGrid(a *arena) {
 	a.cg = nil
 	if s.DisableGrid || s.Theta <= 0 || len(a.active) == 0 {
-		return nil
+		return
 	}
-	if err := a.grid.Reset(geoBounds(s.Objects, a.active), s.Theta); err != nil {
-		return fmt.Errorf("core: building conflict grid: %w", err)
-	}
-	for _, c := range a.active {
-		a.grid.Insert(c, s.Objects[c].Loc)
-	}
+	a.grid.Reset(s.Objects)
 	a.cg = &a.grid
-	return nil
 }
+
+// conflictHalfMin is the least half-side of a conflict query. Dist
+// squares the offsets, and below 2⁻⁵¹¹ a square underflows: two points
+// 1e-200 apart measure 0, within any positive Theta. A larger offset
+// squares in the normal range and Dist is no less than it, so a square
+// of half-side max(Theta, 2⁻⁵¹¹) holds every point Dist puts within
+// Theta.
+const conflictHalfMin = 0x1p-511
 
 // removeConflicts drops from the heap every candidate within Theta of
 // the just-selected object (Algorithm 1 lines 11–12), and the object
-// itself. The grid keeps every candidate for the whole run, so a query
-// also returns candidates already gone from the heap; they are skipped
-// by membership. The order of the removals does not matter: the pop
-// order is a function of the heap's entries alone. The grid query fills
-// a.doomed (reused across iterations) via the closure-free
-// AppendWithin, keeping the steady state allocation-free.
+// itself. The grid holds every object of the run for the whole run, so
+// a query also returns forced objects, non-candidates and candidates
+// already gone from the heap; they are skipped by membership. The order
+// of the removals does not matter: the pop order is a function of the
+// heap's entries alone. The grid query fills a.doomed (reused across
+// iterations) via AppendRegion, keeping the steady state
+// allocation-free.
 func (s *Selector) removeConflicts(a *arena, picked int) {
 	loc := s.Objects[picked].Loc
 	if a.cg == nil {
@@ -444,9 +446,9 @@ func (s *Selector) removeConflicts(a *arena, picked int) {
 		a.h.Remove(picked)
 		return
 	}
-	// AppendWithin is inclusive (dist <= Theta); the visibility
-	// constraint is strict, so re-filter.
-	a.doomed = a.cg.AppendWithin(a.doomed[:0], loc, s.Theta)
+	// The square holds every point within Theta and more; the
+	// visibility constraint is strict, so re-filter.
+	a.doomed = a.cg.AppendRegion(a.doomed[:0], s.Objects, geo.RectAround(loc, max(s.Theta, conflictHalfMin)))
 	for _, id := range a.doomed {
 		if a.h.Contains(id) && s.Objects[id].Loc.Dist(loc) < s.Theta {
 			a.h.Remove(id)

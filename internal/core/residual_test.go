@@ -39,28 +39,28 @@ func listObjects(n int, seed int64) []geodata.Object {
 	return objs
 }
 
-// assertSameRun requires two runs to agree in everything a Result
-// reports, floats by bits.
+// assertSameRun requires a run to agree with the reference run want in
+// everything a Result reports, floats by bits.
 func assertSameRun(t *testing.T, want, got *Result, what string) {
 	t.Helper()
 	if len(want.Selected) != len(got.Selected) || len(want.Gains) != len(got.Gains) {
-		t.Fatalf("%s: %d picks / %d gains, dense run %d / %d", what, len(got.Selected), len(got.Gains), len(want.Selected), len(want.Gains))
+		t.Fatalf("%s: %d picks / %d gains, want %d / %d", what, len(got.Selected), len(got.Gains), len(want.Selected), len(want.Gains))
 	}
 	for i := range want.Selected {
 		if want.Selected[i] != got.Selected[i] {
-			t.Fatalf("%s: pick %d = %d, dense run %d", what, i, got.Selected[i], want.Selected[i])
+			t.Fatalf("%s: pick %d = %d, want %d", what, i, got.Selected[i], want.Selected[i])
 		}
 	}
 	for i := range want.Gains {
 		if math.Float64bits(want.Gains[i]) != math.Float64bits(got.Gains[i]) {
-			t.Fatalf("%s: gain %d = %v, dense run %v", what, i, got.Gains[i], want.Gains[i])
+			t.Fatalf("%s: gain %d = %v, want %v", what, i, got.Gains[i], want.Gains[i])
 		}
 	}
 	if math.Float64bits(want.Score) != math.Float64bits(got.Score) {
-		t.Fatalf("%s: score %v, dense run %v", what, got.Score, want.Score)
+		t.Fatalf("%s: score %v, want %v", what, got.Score, want.Score)
 	}
 	if want.Evals != got.Evals || want.Rounds != got.Rounds {
-		t.Fatalf("%s: %d evals / %d rounds, dense run %d / %d", what, got.Evals, got.Rounds, want.Evals, want.Rounds)
+		t.Fatalf("%s: %d evals / %d rounds, want %d / %d", what, got.Evals, got.Rounds, want.Evals, want.Rounds)
 	}
 }
 

@@ -117,10 +117,13 @@ func (c Config) Validate() error {
 	if c.K < 0 {
 		return fmt.Errorf("engine: K = %d must be non-negative", c.K)
 	}
-	if c.Theta < 0 {
+	// Written !(x >= 0) so that NaN, which compares false to
+	// everything, is rejected too; +Inf is a valid (everything-conflicts)
+	// threshold.
+	if !(c.Theta >= 0) {
 		return fmt.Errorf("engine: Theta = %v must be non-negative", c.Theta)
 	}
-	if c.ThetaFrac < 0 {
+	if !(c.ThetaFrac >= 0) {
 		return fmt.Errorf("engine: ThetaFrac = %v must be non-negative", c.ThetaFrac)
 	}
 	if c.Metric == nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +30,11 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("negative SessionTTL rejected: %v", err)
 	}
+	// An infinite θ is a threshold every pair of objects falls within.
+	cfg.Theta, cfg.ThetaFrac = math.Inf(1), math.Inf(1)
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("infinite Theta and ThetaFrac rejected: %v", err)
+	}
 }
 
 func TestValidateRejectsOutOfRange(t *testing.T) {
@@ -40,6 +46,9 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		{"negative K", func(c *Config) { c.K = -1 }, "K"},
 		{"negative Theta", func(c *Config) { c.Theta = -0.1 }, "Theta"},
 		{"negative ThetaFrac", func(c *Config) { c.ThetaFrac = -0.1 }, "ThetaFrac"},
+		{"NaN Theta", func(c *Config) { c.Theta = math.NaN() }, "Theta"},
+		{"NaN ThetaFrac", func(c *Config) { c.ThetaFrac = math.NaN() }, "ThetaFrac"},
+		{"-Inf Theta", func(c *Config) { c.Theta = math.Inf(-1) }, "Theta"},
 		{"nil Metric", func(c *Config) { c.Metric = nil }, "Metric"},
 		{"MaxZoomOutScale below 1", func(c *Config) { c.MaxZoomOutScale = 0.5 }, "MaxZoomOutScale"},
 		{"negative RequestTimeout", func(c *Config) { c.RequestTimeout = -time.Second }, "RequestTimeout"},

@@ -118,6 +118,7 @@ func TestStoreRegionAgainstLinear(t *testing.T) {
 		t.Fatalf("store bounds = %v, %v; collection bounds %v", got, ok, wantB)
 	}
 	rng := rand.New(rand.NewSource(3))
+	buf := make([]int, 0, len(c.Objects))
 	for q := 0; q < 30; q++ {
 		r := geo.RectAround(geo.Pt(rng.Float64(), rng.Float64()), rng.Float64()*0.2)
 		got := s.Region(r) // ascending, like the scan
@@ -132,6 +133,22 @@ func TestStoreRegionAgainstLinear(t *testing.T) {
 		}
 		if n := s.CountRegion(r); n != len(want) {
 			t.Fatalf("CountRegion = %d, want %d", n, len(want))
+		}
+		// AppendRegion finds the same positions in cell order, after
+		// dst's prefix, and allocates nothing with room in dst.
+		buf = append(buf[:0], -1)
+		if allocs := testing.AllocsPerRun(5, func() {
+			buf = s.grid.AppendRegion(buf[:1], c.Objects, r)
+		}); allocs > 0 {
+			t.Fatalf("AppendRegion allocates %.2f objects per call", allocs)
+		}
+		if buf[0] != -1 {
+			t.Fatalf("AppendRegion overwrote dst's prefix: %d", buf[0])
+		}
+		appended := slices.Clone(buf[1:])
+		slices.Sort(appended)
+		if !slices.Equal(appended, want) {
+			t.Fatalf("AppendRegion found %v, want %v", appended, want)
 		}
 	}
 }

@@ -8,6 +8,11 @@
 // every object; the incremental commit is O(batch + cells), which is
 // what makes high-frequency small batches affordable (see
 // BenchmarkEpochCommit and BenchmarkApply in internal/livestore).
+//
+// The greedy (internal/core) reads the same index for Algorithm 1's
+// θ-conflict removal: each run Resets a grid its arena owns over the
+// run's objects, and every pick asks AppendRegion for the square of
+// half-side θ around it.
 
 package geodata
 
@@ -31,6 +36,8 @@ type Grid struct {
 	cell   float64
 	nx, ny int
 	cells  [][]int32
+	// arena backs every built cell; end is the build's count scratch.
+	arena, end []int32
 }
 
 // gridGeometry derives the fixed cell layout from the build bounds and
@@ -149,13 +156,24 @@ func (g *Grid) CellRect(k int) geo.Rect {
 // layout derived from their bounding rectangle and count. A static
 // Store builds one; a live store builds one at version 0 and at every
 // compaction, and commits every other epoch incrementally.
+func NewGrid(objs []Object) *Grid {
+	g := new(Grid)
+	g.Reset(objs)
+	return g
+}
+
+// Reset rebuilds g in place over every position of objs, as NewGrid
+// builds a new grid, keeping the storage of its cell table, arena and
+// count scratch. It is only for a grid no reader shares: it rewrites
+// the arena every cell slices, and grids Commit derives from g share
+// those cells across epochs.
 //
 // The cells are filled by a counting sort: one pass counts each cell's
 // positions, a prefix sum turns the counts into offsets, and a second
-// pass places every position, ascending within its cell, into one
+// pass places every position, ascending within its cell, into the
 // int32 arena that every cell slices with its capacity capped at its
 // length.
-func NewGrid(objs []Object) *Grid {
+func (g *Grid) Reset(objs []Object) {
 	b := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}
 	for i := range objs {
 		pr := geo.Rect{Min: objs[i].Loc, Max: objs[i].Loc}
@@ -165,9 +183,10 @@ func NewGrid(objs []Object) *Grid {
 			b = b.Union(pr)
 		}
 	}
-	bounds, cell, nx, ny := gridGeometry(b, len(objs))
-	g := &Grid{bounds: bounds, cell: cell, nx: nx, ny: ny, cells: make([][]int32, nx*ny)}
-	end := make([]int32, nx*ny) // cell k's count, then the arena offset past it
+	g.bounds, g.cell, g.nx, g.ny = gridGeometry(b, len(objs))
+	g.cells = resize(g.cells, g.nx*g.ny)
+	end := resize(g.end, len(g.cells)) // cell k's count, then the arena offset past it
+	clear(end)
 	for i := range objs {
 		end[g.cellKey(objs[i].Loc)]++
 	}
@@ -176,7 +195,7 @@ func NewGrid(objs []Object) *Grid {
 		off += c
 		end[k] = off
 	}
-	arena := make([]int32, len(objs))
+	arena := resize(g.arena, len(objs))
 	for i := len(objs) - 1; i >= 0; i-- {
 		k := g.cellKey(objs[i].Loc)
 		end[k]--
@@ -190,7 +209,16 @@ func NewGrid(objs []Object) *Grid {
 		}
 		g.cells[k] = arena[end[k]:hi:hi]
 	}
-	return g
+	g.arena, g.end = arena, end
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // PosLoc pairs a collection position with its location, the unit of a
@@ -276,11 +304,11 @@ func contains32(s []int32, v int32) bool {
 // Interior cells. A cell strictly inside the query's cell range on
 // both axes — cx0 < cx < cx1 and cy0 < cy < cy1, where (cx0, cy0) and
 // (cx1, cy1) are the cells of r.Min and r.Max — holds only points of r,
-// so Region and CountRegion take it whole, without a point test. Every
-// point p sits in cell cellCoords(p), and cellCoords is monotone on
-// each axis: a subtraction and a division by the positive cell side
-// each preserve order (rounding included), and so do clampCell's clamp
-// and truncation. A point with p.X < r.Min.X would therefore lie in a
+// so AppendRegion and CountRegion take it whole, without a point
+// test. Every point p sits in cell cellCoords(p), and cellCoords is
+// monotone on each axis: a subtraction and a division by the positive
+// cell side each preserve order (rounding included), and so do
+// clampCell's clamp and truncation. A point with p.X < r.Min.X would therefore lie in a
 // column ≤ cx0, one with p.X > r.Max.X in a column ≥ cx1; a point of
 // column cx has neither, so r.Min.X ≤ p.X ≤ r.Max.X, and likewise on y.
 // Rect.Contains is inclusive, so that is containment. (Such a cell is
@@ -292,12 +320,23 @@ func contains32(s []int32, v int32) bool {
 // Region answers in). objs must be the slice the grid's positions
 // index.
 func (g *Grid) Region(objs []Object, r geo.Rect) []int {
+	dst := g.AppendRegion(nil, objs, r)
+	SortPositions(dst)
+	return dst
+}
+
+// AppendRegion appends to dst the indexed positions whose objs location
+// lies inside r, in cell order — row by row, ascending within a cell —
+// and returns the extended slice. With room in dst it allocates
+// nothing: the greedy's conflict query calls it once per pick.
+//
+//geolint:hotpath
+func (g *Grid) AppendRegion(dst []int, objs []Object, r geo.Rect) []int {
 	if !r.Valid() {
-		return nil
+		return dst
 	}
 	cx0, cy0 := g.cellCoords(r.Min)
 	cx1, cy1 := g.cellCoords(r.Max)
-	var dst []int
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * g.nx
 		innerRow := cy0 < cy && cy < cy1
@@ -315,7 +354,6 @@ func (g *Grid) Region(objs []Object, r geo.Rect) []int {
 			}
 		}
 	}
-	SortPositions(dst)
 	return dst
 }
 

@@ -61,6 +61,11 @@ func TestNewSessionValidation(t *testing.T) {
 		t.Error("negative theta should fail")
 	}
 	bad = good
+	bad.ThetaFrac = math.NaN()
+	if _, err := NewSession(store, bad); err == nil {
+		t.Error("NaN theta should fail")
+	}
+	bad = good
 	bad.Metric = nil
 	if _, err := NewSession(store, bad); err == nil {
 		t.Error("nil metric should fail")

@@ -13,10 +13,12 @@ import (
 
 // FuzzRegionOrder holds every build of the one grid to one region
 // order. Points are drawn on a coarse lattice so locations repeat; for
-// random rects the static geodata.Store, the live store's version 0 and
-// its snapshot after a random mutation batch must answer exactly what a
-// linear scan over the live objects answers, element by element — the
-// scan is the ascending reference — and count what the scan finds. A
+// random rects the static geodata.Store, the live store's version 0, a
+// grid Reset in place after a build over a different object set (as the
+// greedy's conflict grid is reused across runs), and the live snapshot
+// after a random mutation batch must answer exactly what a linear scan
+// over the live objects answers, element by element — the scan is the
+// ascending reference — and count what the scan finds. A
 // last rect reaches far past the grid, whose corners clamp into the
 // edge cells. far scales the lattice from the unit square out to 1e200,
 // where the extent's area overflows and the grid falls back to one
@@ -54,6 +56,16 @@ func FuzzRegionOrder(f *testing.F) {
 			t.Fatal(err)
 		}
 		v0 := ls.Current()
+		// The other object set has its own source, so the draws below
+		// stay what each input drew before.
+		orng := rand.New(rand.NewSource(^seed))
+		var reset geodata.Grid
+		other := make([]geodata.Object, orng.Intn(2*n+1))
+		for i := range other {
+			other[i].Loc = geo.Pt(orng.Float64()*scale, orng.Float64()*scale)
+		}
+		reset.Reset(other)
+		reset.Reset(col.Objects)
 
 		// A random batch of inserts, updates and deletes, some aimed at
 		// ids that do not exist.
@@ -102,6 +114,12 @@ func FuzzRegionOrder(f *testing.F) {
 			}
 			if got := v0.CountRegion(r); got != len(want) {
 				t.Fatalf("rect %v: live v0 counts %d, scan %d", r, got, len(want))
+			}
+			if got := reset.Region(col.Objects, r); !slices.Equal(got, want) {
+				t.Fatalf("rect %v: grid Reset after %d other objects answers %v, scan %v", r, len(other), got, want)
+			}
+			if got := reset.CountRegion(col.Objects, r); got != len(want) {
+				t.Fatalf("rect %v: grid Reset after %d other objects counts %d, scan %d", r, len(other), got, len(want))
 			}
 			want = reference(v1, r)
 			if got := v1.Region(r); !slices.Equal(got, want) {
