@@ -85,9 +85,10 @@ fuzz:
 # warm /select (server). Run the served select with -cpu 1 as well: on
 # 2 Ps the idle P absorbs the collector's mark work and hides it from
 # ns/op. CI's test job runs every in-process benchmark once
-# (-benchtime=1x, ./internal/core included) so none can rot — these,
-# the live store's commit and ingest benchmarks (livestore) and the
-# root package's per-exhibit benchmarks.
+# (-benchtime=1x) so none can rot — these, the live store's commit and
+# ingest benchmarks (livestore), the load path's snapshot read (dataset)
+# and per-text vector build (textsim), and the root package's
+# per-exhibit benchmarks.
 bench:
 	go test -run=NONE -bench=. -benchmem ./internal/core ./internal/prefetch
 	go test -run=NONE -bench=WarmSelectHandler -benchmem ./internal/server

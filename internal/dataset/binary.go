@@ -36,6 +36,9 @@ const (
 	// unsizedStart caps the array a stream of unknown length starts
 	// with; past it the array grows by append.
 	unsizedStart = 1 << 12
+	// maxRecordHead is the longest head a record can have: the id and
+	// the text length as ten-byte varints around the three floats.
+	maxRecordHead = 2*binary.MaxVarintLen64 + 3*8
 )
 
 // WriteBinary streams the collection to w in the snapshot format.
@@ -141,54 +144,107 @@ func readBinary(br *bufio.Reader, avail int64) (*geodata.Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading count: %w", err)
 	}
-	b := make([]byte, 8) // one buffer for every float: a per-read array escapes into io.ReadFull
-	readFloat := func() (float64, error) {
-		if _, err := io.ReadFull(br, b); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
-	}
 	size := min(count, unsizedStart)
 	if avail >= 0 {
 		size = min(count, uint64(avail)/minBinaryRecord)
 	}
-	col := geodata.NewCollection()
-	col.Objects = make([]geodata.Object, 0, size)
-	text := make([]byte, 0, 256)
+	b := newBuilder(int(size))
+	buf := make([]byte, 8) // the floats of every head readHead reads
 	for i := uint64(0); i < count; i++ {
-		id, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: object %d id: %w", i, err)
+		h, ok := peekHead(br)
+		if !ok {
+			if h, err = readHead(br, i, buf); err != nil {
+				return nil, err
+			}
 		}
-		x, err := readFloat()
-		if err != nil {
-			return nil, fmt.Errorf("dataset: object %d x: %w", i, err)
+		if h.tlen > maxBinaryText {
+			return nil, fmt.Errorf("dataset: object %d text length %d exceeds limit", i, h.tlen)
 		}
-		y, err := readFloat()
-		if err != nil {
-			return nil, fmt.Errorf("dataset: object %d y: %w", i, err)
-		}
-		w, err := readFloat()
-		if err != nil {
-			return nil, fmt.Errorf("dataset: object %d weight: %w", i, err)
-		}
-		tlen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: object %d text length: %w", i, err)
-		}
-		if tlen > maxBinaryText {
-			return nil, fmt.Errorf("dataset: object %d text length %d exceeds limit", i, tlen)
-		}
-		if uint64(cap(text)) < tlen {
-			text = make([]byte, tlen)
-		}
-		text = text[:tlen]
-		if _, err := io.ReadFull(br, text); err != nil {
+		if err := readText(br, b.add(int(h.id), geo.Pt(h.x, h.y), h.w, int(h.tlen))); err != nil {
 			return nil, fmt.Errorf("dataset: object %d text: %w", i, err)
 		}
-		col.Add(int(id), geo.Pt(x, y), w, string(text))
 	}
-	return col, nil
+	return b.collection(), nil
+}
+
+// recordHead is what a record holds ahead of its text's bytes.
+type recordHead struct {
+	id      int64
+	x, y, w float64
+	tlen    uint64
+}
+
+// peekHead decodes the next record's head straight from the bytes br
+// has buffered, and discards it. ok is false, and nothing is consumed,
+// unless the whole head is buffered and well formed: readHead then
+// reads it through br, filling the buffer as it goes, and reports what
+// is wrong with it.
+func peekHead(br *bufio.Reader) (h recordHead, ok bool) {
+	buf, err := br.Peek(min(br.Buffered(), maxRecordHead))
+	if err != nil {
+		return h, false
+	}
+	id, n := binary.Varint(buf)
+	if n <= 0 || len(buf) < n+3*8 {
+		return h, false
+	}
+	tlen, m := binary.Uvarint(buf[n+3*8:])
+	if m <= 0 {
+		return h, false
+	}
+	h = recordHead{
+		id:   id,
+		x:    math.Float64frombits(binary.LittleEndian.Uint64(buf[n:])),
+		y:    math.Float64frombits(binary.LittleEndian.Uint64(buf[n+8:])),
+		w:    math.Float64frombits(binary.LittleEndian.Uint64(buf[n+16:])),
+		tlen: tlen,
+	}
+	// The bytes are buffered, so discarding them cannot fail.
+	_, _ = br.Discard(n + 3*8 + m) //geolint:errok
+	return h, true
+}
+
+// readHead reads object i's head field by field, each float through
+// buf, for a head that is not whole in br's buffer or is malformed;
+// each error names the object and the field.
+func readHead(br *bufio.Reader, i uint64, buf []byte) (recordHead, error) {
+	readFloat := func() (float64, error) {
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return 0, err
+		}
+		return math.Float64frombits(binary.LittleEndian.Uint64(buf)), nil
+	}
+	var h recordHead
+	var err error
+	if h.id, err = binary.ReadVarint(br); err != nil {
+		return h, fmt.Errorf("dataset: object %d id: %w", i, err)
+	}
+	if h.x, err = readFloat(); err != nil {
+		return h, fmt.Errorf("dataset: object %d x: %w", i, err)
+	}
+	if h.y, err = readFloat(); err != nil {
+		return h, fmt.Errorf("dataset: object %d y: %w", i, err)
+	}
+	if h.w, err = readFloat(); err != nil {
+		return h, fmt.Errorf("dataset: object %d weight: %w", i, err)
+	}
+	if h.tlen, err = binary.ReadUvarint(br); err != nil {
+		return h, fmt.Errorf("dataset: object %d text length: %w", i, err)
+	}
+	return h, nil
+}
+
+// readText fills dst with the next len(dst) bytes of br: copied out of
+// its buffer when they fit there, read through it otherwise (a text
+// longer than the buffer, or one the stream ends inside).
+func readText(br *bufio.Reader, dst []byte) error {
+	if t, err := br.Peek(len(dst)); err == nil {
+		copy(dst, t)
+		_, err = br.Discard(len(dst))
+		return err
+	}
+	_, err := io.ReadFull(br, dst)
+	return err
 }
 
 // ReadAuto sniffs the stream format (binary snapshot, JSON lines or

@@ -7,7 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+	"testing/iotest"
+
+	"geosel/internal/geo"
+	"geosel/internal/geodata"
 )
 
 // TestReadBinaryHugeCount: a header claiming 2⁴⁰ objects ahead of one
@@ -44,11 +49,53 @@ func TestReadBinaryHugeCount(t *testing.T) {
 	}
 }
 
-// TestReadBinaryExactCap: a snapshot of known length loads into an
-// objects array exactly its count long, through ReadBinary and through
-// Load's file path alike.
-func TestReadBinaryExactCap(t *testing.T) {
+// TestReadExactCap: every reader loads into an objects array exactly
+// as long as its records, whether or not the format carries a count,
+// through the reader on a stream and through Load's file path alike.
+func TestReadExactCap(t *testing.T) {
 	col, err := Generate(POISpec(3000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	formats := []struct {
+		name  string
+		write func(io.Writer, *geodata.Collection) error
+		read  func(io.Reader) (*geodata.Collection, error)
+	}{
+		{"binary", WriteBinary, ReadBinary},
+		{"csv", WriteCSV, ReadCSV},
+		{"jsonl", WriteJSONL, ReadJSONL},
+	}
+	for _, f := range formats {
+		var buf bytes.Buffer
+		if err := f.write(&buf, col); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "poi."+f.name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.read(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(path, "", 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]*geodata.Collection{"reader": got, "Load": loaded} {
+			if n := len(c.Objects); n != col.Len() || cap(c.Objects) != n {
+				t.Errorf("%s via %s: len %d cap %d, want both %d", f.name, name, n, cap(c.Objects), col.Len())
+			}
+		}
+	}
+}
+
+// TestReadBinaryAllocs: a load allocates per chunk of texts and words,
+// not per object. At 20 000 objects the parent's per-object strings and
+// arrays came to about 41 600 allocations.
+func TestReadBinaryAllocs(t *testing.T) {
+	col, err := Generate(POISpec(20000, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,25 +103,57 @@ func TestReadBinaryExactCap(t *testing.T) {
 	if err := WriteBinary(&buf, col); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "poi.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	var textBytes, words int
+	for i := range col.Objects {
+		textBytes += len(col.Objects[i].Text)
+		words += len(col.Objects[i].Vec.Words)
 	}
-	got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path, "", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, c := range map[string][]int{
-		"ReadBinary": {len(got.Objects), cap(got.Objects)},
-		"Load":       {len(loaded.Objects), cap(loaded.Objects)},
-	} {
-		if c[0] != col.Len() || c[1] != c[0] {
-			t.Errorf("%s: len %d cap %d, want both %d", name, c[0], c[1], col.Len())
+	// Texts fill chunks of textChunk bytes and words chunks of 64 KiB;
+	// the rest (reader, vocabulary growth, objects array) does not
+	// depend on the object count.
+	const fixed = 120
+	bound := fixed + textBytes/textChunk + 8*words/(64<<10) + 2
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if allocs > float64(bound) {
+		t.Errorf("ReadBinary of %d objects: %v allocations, want at most %d", col.Len(), allocs, bound)
+	}
+	t.Logf("%v allocations, bound %d", allocs, bound)
+}
+
+// TestReadBinaryErrorsWherever: a snapshot cut at any byte fails with
+// the error the field-by-field reader gives, whether the record heads
+// are decoded from the buffer or read one field at a time (a stream
+// that delivers one byte per read never buffers a whole head), and
+// texts longer than the buffer fail the same way as short ones.
+func TestReadBinaryErrorsWherever(t *testing.T) {
+	col, err := Generate(POISpec(4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.Add(-7, geo.Pt(0.5, 0.5), 0.5, strings.Repeat("long text ", 500))
+	col.Add(8, geo.Pt(0.25, 0.75), 1, "")
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, col); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for n := 0; n < len(data); n++ {
+		_, fast := ReadBinary(bytes.NewReader(data[:n]))
+		_, slow := ReadBinary(iotest.OneByteReader(bytes.NewReader(data[:n])))
+		if fast == nil || slow == nil || fast.Error() != slow.Error() {
+			t.Fatalf("cut at %d of %d bytes: error %v, one byte per read %v", n, len(data), fast, slow)
+		}
+	}
+	for _, r := range []io.Reader{bytes.NewReader(data), iotest.OneByteReader(bytes.NewReader(data))} {
+		back, err := ReadBinary(r)
+		if err != nil || back.Len() != col.Len() {
+			t.Fatalf("whole snapshot: %v", err)
+		}
+		checkVectors(t, back, col)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strconv"
 
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
@@ -149,8 +150,7 @@ func Generate(spec Spec) (*geodata.Collection, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	col := geodata.NewCollection()
-	col.Objects = make([]geodata.Object, 0, spec.N)
+	b := newBuilder(spec.N)
 
 	// Cluster centers and power-law masses.
 	type cluster struct {
@@ -192,6 +192,7 @@ func Generate(spec Spec) (*geodata.Collection, error) {
 		return len(clusters) - 1
 	}
 
+	var text []byte
 	for i := 0; i < spec.N; i++ {
 		var loc geo.Point
 		var cl *cluster
@@ -207,20 +208,20 @@ func Generate(spec Spec) (*geodata.Collection, error) {
 				clamp01(cl.center.Y+rng.NormFloat64()*cl.sigma),
 			)
 		}
-		text := ""
+		text = text[:0]
 		for w := 0; w < spec.WordsPerObject; w++ {
 			if w > 0 {
-				text += " "
+				text = append(text, ' ')
 			}
 			if rng.Float64() < spec.TopicWordFrac {
-				text += cl.topics[int(topicZipf.Uint64())]
+				text = append(text, cl.topics[int(topicZipf.Uint64())]...)
 			} else {
-				text += fmt.Sprintf("r%d", rng.Intn(spec.TailVocab))
+				text = strconv.AppendInt(append(text, 'r'), int64(rng.Intn(spec.TailVocab)), 10)
 			}
 		}
-		col.Add(i, loc, rng.Float64(), text)
+		copy(b.add(i, loc, rng.Float64(), len(text)), text)
 	}
-	return col, nil
+	return b.collection(), nil
 }
 
 func clamp01(x float64) float64 {

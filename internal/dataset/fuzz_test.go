@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
+	"geosel/internal/geo"
 	"geosel/internal/geodata"
 )
 
@@ -14,7 +17,9 @@ import (
 // own format must carry back bit for bit.
 
 // checkRoundTrip fails unless col, written with write and read back with
-// read, comes back with the same objects: IDs, float bits and text.
+// read, comes back with the same objects: IDs, float bits and text. The
+// term vectors and the vocabulary of col and of what comes back must be
+// what Collection.Add builds from the same records one at a time.
 func checkRoundTrip(t *testing.T, col *geodata.Collection,
 	write func(io.Writer, *geodata.Collection) error,
 	read func(io.Reader) (*geodata.Collection, error)) {
@@ -37,6 +42,31 @@ func checkRoundTrip(t *testing.T, col *geodata.Collection,
 			math.Float64bits(b.Loc.Y) != math.Float64bits(o.Loc.Y) ||
 			math.Float64bits(b.Weight) != math.Float64bits(o.Weight) {
 			t.Fatalf("round trip: object %d = %+v, want %+v", i, b, o)
+		}
+	}
+	ref := geodata.NewCollection()
+	for _, o := range col.Objects {
+		ref.Add(o.ID, o.Loc, o.Weight, o.Text)
+	}
+	checkVectors(t, col, ref)
+	checkVectors(t, back, col)
+}
+
+// checkVectors fails unless got's objects carry want's term vectors, bit
+// for bit, and got's vocabulary holds want's terms in the same id order.
+func checkVectors(t *testing.T, got, want *geodata.Collection) {
+	t.Helper()
+	for i := range want.Objects {
+		if g, w := got.Objects[i].Vec.Words, want.Objects[i].Vec.Words; !slices.Equal(g, w) {
+			t.Fatalf("object %d %q: words %x, want %x", i, want.Objects[i].Text, g, w)
+		}
+	}
+	if got.Vocab.Len() != want.Vocab.Len() {
+		t.Fatalf("vocabulary of %d terms, want %d", got.Vocab.Len(), want.Vocab.Len())
+	}
+	for id := 0; id < want.Vocab.Len(); id++ {
+		if g, w := got.Vocab.Term(id), want.Vocab.Term(id); g != w {
+			t.Fatalf("term %d is %q, want %q", id, g, w)
 		}
 	}
 }
@@ -102,6 +132,14 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("GSNP"))
 	f.Add([]byte("GSNP\x01\x00"))
+	// A text longer than the reader's 4 KiB buffer, between short ones.
+	col.Add(9, geo.Pt(0.5, 0.5), 0.5, strings.Repeat("Größe ", 1000)+"end")
+	col.Add(10, geo.Pt(0.5, 0.5), 0.5, "after")
+	buf.Reset()
+	if err := WriteBinary(&buf, col); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		col, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

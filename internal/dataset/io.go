@@ -43,6 +43,7 @@ func WriteCSV(w io.Writer, col *geodata.Collection) error {
 func ReadCSV(r io.Reader) (*geodata.Collection, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = csvColumns
+	cr.ReuseRecord = true // the builder copies each text out
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
@@ -50,7 +51,7 @@ func ReadCSV(r io.Reader) (*geodata.Collection, error) {
 	if header[0] != "id" {
 		return nil, fmt.Errorf("dataset: unexpected CSV header %v", header)
 	}
-	col := geodata.NewCollection()
+	b := newBuilder(0)
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -75,9 +76,9 @@ func ReadCSV(r io.Reader) (*geodata.Collection, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d: bad weight %q", line, rec[3])
 		}
-		col.Add(id, geo.Pt(x, y), w, rec[4])
+		copy(b.add(id, geo.Pt(x, y), w, len(rec[4])), rec[4])
 	}
-	return col, nil
+	return b.collection(), nil
 }
 
 // jsonObject is the JSON-lines record shape.
@@ -107,7 +108,7 @@ func WriteJSONL(w io.Writer, col *geodata.Collection) error {
 
 // ReadJSONL loads a collection from JSON lines produced by WriteJSONL.
 func ReadJSONL(r io.Reader) (*geodata.Collection, error) {
-	col := geodata.NewCollection()
+	b := newBuilder(0)
 	dec := json.NewDecoder(r)
 	for line := 1; ; line++ {
 		var jo jsonObject
@@ -116,7 +117,7 @@ func ReadJSONL(r io.Reader) (*geodata.Collection, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("dataset: decoding JSON line %d: %w", line, err)
 		}
-		col.Add(jo.ID, geo.Pt(jo.X, jo.Y), jo.Weight, jo.Text)
+		copy(b.add(jo.ID, geo.Pt(jo.X, jo.Y), jo.Weight, len(jo.Text)), jo.Text)
 	}
-	return col, nil
+	return b.collection(), nil
 }

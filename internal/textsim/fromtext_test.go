@@ -20,14 +20,14 @@ func TestFromTextMatchesReferenceOnPOI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := textsim.NewVocabulary()
+	ref := textsim.NewReferenceVocab()
 	for i := range col.Objects {
 		o := &col.Objects[i]
 		if want := textsim.ReferenceFromText(ref, o.Text); !slices.Equal(o.Vec.Words, want.Words) {
 			t.Fatalf("object %d %q: words %x, reference %x", i, o.Text, o.Vec.Words, want.Words)
 		}
 	}
-	if got, want := textsim.VocabTerms(col.Vocab), textsim.VocabTerms(ref); !slices.Equal(got, want) {
+	if got, want := textsim.VocabTerms(col.Vocab), ref.Terms; !slices.Equal(got, want) {
 		t.Fatalf("vocabulary order differs: %d terms, reference %d", len(got), len(want))
 	}
 }

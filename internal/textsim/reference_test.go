@@ -10,7 +10,32 @@ import (
 // The map-based FromText that the one-pass FromText replaced, kept as
 // the reference the tests hold it to bit for bit: lower-case the whole
 // text, split it on every rune that is neither a letter nor a digit,
-// count the terms in a map, then sort the ids and normalize.
+// count the terms in a map, then sort the ids and normalize. Its
+// vocabulary is a map of its own, so a fault in Vocabulary's table
+// shows as different ids rather than being shared by both sides.
+
+// ReferenceVocab interns terms through a map, assigning ids in order of
+// first appearance.
+type ReferenceVocab struct {
+	ids   map[string]int
+	Terms []string // the terms in id order
+}
+
+// NewReferenceVocab returns an empty reference vocabulary.
+func NewReferenceVocab() *ReferenceVocab {
+	return &ReferenceVocab{ids: make(map[string]int)}
+}
+
+// ID returns term's id, assigning the next one on first sight.
+func (r *ReferenceVocab) ID(term string) int {
+	id, ok := r.ids[term]
+	if !ok {
+		id = len(r.Terms)
+		r.ids[term] = id
+		r.Terms = append(r.Terms, term)
+	}
+	return id
+}
 
 func referenceTokenize(s string) []string {
 	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
@@ -18,7 +43,7 @@ func referenceTokenize(s string) []string {
 	})
 }
 
-func referenceFromTerms(vocab *Vocabulary, terms []string) Vector {
+func referenceFromTerms(vocab *ReferenceVocab, terms []string) Vector {
 	tf := make(map[int]float64)
 	for _, t := range terms {
 		tf[vocab.ID(t)]++
@@ -46,15 +71,15 @@ func referenceFromTerms(vocab *Vocabulary, terms []string) Vector {
 
 // ReferenceFromText is the replaced FromText, exported to the package's
 // external tests.
-func ReferenceFromText(vocab *Vocabulary, s string) Vector {
+func ReferenceFromText(vocab *ReferenceVocab, s string) Vector {
 	return referenceFromTerms(vocab, referenceTokenize(s))
 }
 
 // VocabTerms lists the vocabulary's terms in id order.
 func VocabTerms(v *Vocabulary) []string {
-	terms := make([]string, len(v.ids))
-	for t, id := range v.ids {
-		terms[id] = t
+	terms := make([]string, v.Len())
+	for id := range terms {
+		terms[id] = v.Term(id)
 	}
 	return terms
 }

@@ -10,54 +10,128 @@ package textsim
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"unicode"
 	"unicode/utf8"
 )
 
-// Vocabulary interns term strings to dense integer ids. The zero value
-// is ready to use.
+// Vocabulary interns term strings to dense integer ids, assigned in
+// order of first appearance. Its terms' spellings sit back to back in
+// one byte arena, and an open-addressed table of ids finds them by an
+// FNV-1a hash of their bytes, which FromText folds in while it reads
+// the text. The zero value is ready to use.
 type Vocabulary struct {
-	ids map[string]int
+	spell []byte  // every term's bytes, in id order
+	ends  []int   // term id's spelling ends at ends[id] in spell
+	table []int32 // id+1 per occupied slot, 0 per free one; a power of two long, at most half full
+	shift uint    // 64 − log₂ len(table)
 }
+
+// A term's hash is 64-bit FNV-1a over its bytes: hashInit folded with
+// each byte by hashByte.
+const (
+	hashInit  uint64 = 14695981039346656037
+	hashPrime uint64 = 1099511628211
+)
+
+// tableMin is the table length a vocabulary's first term makes.
+const tableMin = 64
+
+func hashByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * hashPrime }
+
+func hashOf[T string | []byte](term T) uint64 {
+	h := hashInit
+	for i := 0; i < len(term); i++ {
+		h = hashByte(h, term[i])
+	}
+	return h
+}
+
+// home is the slot where hash h's probe sequence starts. FNV-1a mixes
+// its top bits poorly on terms of a few bytes, so h is first folded by
+// a Fibonacci multiply, whose top bits depend on all of h's.
+func (v *Vocabulary) home(h uint64) int { return int((h * 0x9e3779b97f4a7c15) >> v.shift) }
 
 // NewVocabulary returns an empty vocabulary.
-func NewVocabulary() *Vocabulary {
-	return &Vocabulary{ids: make(map[string]int)}
-}
+func NewVocabulary() *Vocabulary { return &Vocabulary{} }
 
 // ID returns the id for term, assigning the next free id on first sight.
-func (v *Vocabulary) ID(term string) int {
-	if v.ids == nil {
-		v.ids = make(map[string]int)
-	}
-	if id, ok := v.ids[term]; ok {
-		return id
-	}
-	id := len(v.ids)
-	v.ids[term] = id
-	return id
-}
-
-// intern is ID for a term spelled in bytes: a known term costs one map
-// lookup and no allocation; only a new term copies its bytes.
-func (v *Vocabulary) intern(term []byte) int32 {
-	if id, ok := v.ids[string(term)]; ok {
-		return int32(id)
-	}
-	return int32(v.ID(string(term)))
-}
+func (v *Vocabulary) ID(term string) int { return int(intern(v, term, hashOf(term))) }
 
 // Lookup returns the id for term without interning; ok is false when the
 // term is unknown.
 func (v *Vocabulary) Lookup(term string) (int, bool) {
-	id, ok := v.ids[term]
-	return id, ok
+	if len(v.table) == 0 {
+		return 0, false
+	}
+	id := v.table[find(v, term, hashOf(term))] - 1
+	return int(id), id >= 0
 }
 
 // Len reports the number of distinct terms seen.
-func (v *Vocabulary) Len() int { return len(v.ids) }
+func (v *Vocabulary) Len() int { return len(v.ends) }
+
+// Term returns the spelling of term id, which must be in [0, Len()).
+func (v *Vocabulary) Term(id int) string { return string(v.term(id)) }
+
+// term is the spelling of id inside the arena.
+func (v *Vocabulary) term(id int) []byte {
+	start := 0
+	if id > 0 {
+		start = v.ends[id-1]
+	}
+	return v.spell[start:v.ends[id]]
+}
+
+// find returns the slot of term, whose hash is h: the slot holding its
+// id, or the free slot that ends its probe sequence when it is unknown.
+// The table must not be empty.
+func find[T string | []byte](v *Vocabulary, term T, h uint64) int {
+	mask := len(v.table) - 1
+	for i := v.home(h); ; i = (i + 1) & mask {
+		slot := v.table[i]
+		if slot == 0 || string(v.term(int(slot-1))) == string(term) {
+			return i
+		}
+	}
+}
+
+// intern is ID for a term spelled in a string or in bytes, whose hash
+// is h: a known term costs one probe sequence and no allocation; a new
+// one appends its bytes to the arena. The table grows first whenever
+// one more term would fill more than half of it, so the probe always
+// ends.
+func intern[T string | []byte](v *Vocabulary, term T, h uint64) int32 {
+	if 2*(len(v.ends)+1) > len(v.table) {
+		v.grow()
+	}
+	i := find(v, term, h)
+	if slot := v.table[i]; slot != 0 {
+		return slot - 1
+	}
+	v.spell = append(v.spell, term...)
+	v.ends = append(v.ends, len(v.spell))
+	v.table[i] = int32(len(v.ends))
+	return int32(len(v.ends) - 1)
+}
+
+// grow doubles the table (or makes its first) and places every known
+// term again.
+func (v *Vocabulary) grow() {
+	n := max(2*len(v.table), tableMin)
+	v.table = make([]int32, n)
+	v.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	mask := n - 1
+	for id := range v.ends {
+		i := v.home(hashOf(v.term(id)))
+		for v.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		v.table[i] = int32(id + 1)
+	}
+}
 
 // Vector is a unit-length sparse term vector in the packed layout every
 // similarity loop reads (packed.go): one word per term, the term id in
@@ -79,20 +153,59 @@ type term struct {
 // unit packs terms — positive weights, strictly ascending ids — into
 // their unit Vector: every weight divided by the norm (its squares
 // summed in id order) and rounded to float32, a weight that rounds to
-// zero dropped. It is the one normalization of the package.
-func unit(terms []term) Vector {
+// zero dropped. It is the one normalization of the package. The words
+// come from a, or from an array of their own when a is nil.
+func unit(a *Arena, terms []term) Vector {
 	var norm2 float64
 	for _, t := range terms {
 		norm2 += t.w * t.w
 	}
 	norm := math.Sqrt(norm2)
-	v := Vector{Words: make([]uint64, 0, len(terms))}
+	words := a.take(len(terms))
 	for _, t := range terms {
 		if u := float32(t.w / norm); u > 0 {
-			v.Words = append(v.Words, PackWord(t.id, u))
+			words = append(words, PackWord(t.id, u))
 		}
 	}
-	return v
+	return Vector{Words: a.keep(words)}
+}
+
+// Arena hands out the Words of many vectors from shared chunks, so a
+// bulk load allocates once per chunk rather than once per vector. A
+// vector's words never straddle two chunks, and each is capped at its
+// length, so appending to one cannot reach the next. A chunk lives as
+// long as any vector in it. The zero value is ready to use.
+type Arena struct {
+	free []uint64 // the unused tail of the current chunk
+}
+
+// arenaChunk is the length of an arena chunk in words (64 KiB); a
+// vector longer than that gets a chunk of its own length.
+const arenaChunk = 1 << 13
+
+// take returns an empty slice with room for n words: from a's current
+// chunk, a new chunk when that lacks the room, or an array of its own
+// when a is nil. The words appended to it, at most n, go to one vector
+// through keep.
+func (a *Arena) take(n int) []uint64 {
+	if a == nil {
+		return make([]uint64, 0, n)
+	}
+	if len(a.free) < n {
+		a.free = make([]uint64, max(n, arenaChunk))
+	}
+	return a.free[:0:n]
+}
+
+// keep takes words, filled from the last take, out of a's chunk and
+// returns them capped at their length: a vector that kept fewer words
+// than it took cannot grow into the next one.
+func (a *Arena) keep(words []uint64) []uint64 {
+	if a == nil {
+		return words
+	}
+	a.free = a.free[len(words):]
+	return words[:len(words):len(words)]
 }
 
 // NewVector builds the unit vector of a term-id -> weight map. Zero,
@@ -111,7 +224,7 @@ func NewVector(tf map[int]float64) Vector {
 	for k, id := range ids {
 		terms[k] = term{int32(id), tf[id]}
 	}
-	return unit(terms)
+	return unit(nil, terms)
 }
 
 // FromText returns the term-frequency vector of s, interning its terms
@@ -122,12 +235,19 @@ func NewVector(tf map[int]float64) Vector {
 // nor a digit ends the run.
 //
 // It is one pass over s with no per-text map: a term's bytes collect in
-// a stack buffer and find their id without allocating, the ids collect
-// in another, and sorting them counts each term's frequency.
+// a stack buffer while its hash folds them in, it finds its id in the
+// vocabulary's table without allocating, the ids collect in another
+// buffer, and sorting them counts each term's frequency.
 func FromText(vocab *Vocabulary, s string) Vector {
+	return (*Arena)(nil).FromText(vocab, s)
+}
+
+// FromText is the package's FromText with the vector's words taken
+// from a.
+func (a *Arena) FromText(vocab *Vocabulary, s string) Vector {
 	var tokBuf [64]byte
 	var idBuf [64]int32
-	tok, ids := tokBuf[:0], idBuf[:0]
+	tok, ids, h := tokBuf[:0], idBuf[:0], hashInit
 	for i := 0; i < len(s); {
 		if c := s[i]; c < utf8.RuneSelf {
 			i++
@@ -135,24 +255,28 @@ func FromText(vocab *Vocabulary, s string) Vector {
 				c += 'a' - 'A'
 			}
 			if 'a' <= c && c <= 'z' || '0' <= c && c <= '9' {
-				tok = append(tok, c)
+				tok, h = append(tok, c), hashByte(h, c)
 				continue
 			}
 		} else {
 			r, size := utf8.DecodeRuneInString(s[i:])
 			i += size
 			if r = unicode.ToLower(r); unicode.IsLetter(r) || unicode.IsDigit(r) {
+				n := len(tok)
 				tok = utf8.AppendRune(tok, r)
+				for _, c := range tok[n:] {
+					h = hashByte(h, c)
+				}
 				continue
 			}
 		}
 		if len(tok) > 0 {
-			ids = append(ids, vocab.intern(tok))
-			tok = tok[:0]
+			ids = append(ids, intern(vocab, tok, h))
+			tok, h = tok[:0], hashInit
 		}
 	}
 	if len(tok) > 0 {
-		ids = append(ids, vocab.intern(tok))
+		ids = append(ids, intern(vocab, tok, h))
 	}
 	slices.Sort(ids)
 	var termBuf [64]term
@@ -165,7 +289,7 @@ func FromText(vocab *Vocabulary, s string) Vector {
 		terms = append(terms, term{ids[k], float64(j - k)})
 		k = j
 	}
-	return unit(terms)
+	return unit(a, terms)
 }
 
 // IsZero reports whether the vector has no terms.

@@ -1,6 +1,7 @@
 package textsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -29,11 +30,11 @@ func TestTokenize(t *testing.T) {
 		{"a\xffb\xc3", []string{"a", "b"}},
 	}
 	for _, c := range cases {
-		vocab, ref := NewVocabulary(), NewVocabulary()
+		vocab, ref := NewVocabulary(), NewReferenceVocab()
 		got, want := FromText(vocab, c.in), referenceFromTerms(ref, c.want)
-		if !slices.Equal(got.Words, want.Words) || !slices.Equal(VocabTerms(vocab), VocabTerms(ref)) {
+		if !slices.Equal(got.Words, want.Words) || !slices.Equal(VocabTerms(vocab), ref.Terms) {
 			t.Errorf("FromText(%q): terms %q words %x, want terms %q words %x",
-				c.in, VocabTerms(vocab), got.Words, VocabTerms(ref), want.Words)
+				c.in, VocabTerms(vocab), got.Words, ref.Terms, want.Words)
 		}
 	}
 }
@@ -61,6 +62,94 @@ func TestVocabulary(t *testing.T) {
 	var zero Vocabulary
 	if zero.ID("x") != 0 {
 		t.Error("zero-value vocabulary broken")
+	}
+}
+
+// TestVocabularyAgainstMap interns 100 000 distinct random terms, each
+// met twice, in random order, so the table runs every growth step from
+// its first one, and holds ID, Lookup, Term and Len to a map at every
+// step — on a NewVocabulary and on a zero value.
+func TestVocabularyAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const n = 100000
+	seen := make(map[string]bool, n)
+	var terms []string
+	for len(terms) < n {
+		b := make([]byte, 1+rng.Intn(12))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+		}
+		if s := string(b); !seen[s] {
+			seen[s] = true
+			terms = append(terms, s, s)
+		}
+	}
+	rng.Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+	var zero Vocabulary
+	for name, v := range map[string]*Vocabulary{"new": NewVocabulary(), "zero": &zero} {
+		ref := NewReferenceVocab()
+		if _, ok := v.Lookup(terms[0]); ok || v.Len() != 0 {
+			t.Fatalf("%s: empty vocabulary knows %q or has Len %d", name, terms[0], v.Len())
+		}
+		for k, term := range terms {
+			if _, ok := ref.ids[term]; !ok {
+				if _, ok := v.Lookup(term); ok {
+					t.Fatalf("%s: Lookup(%q) found a term never interned", name, term)
+				}
+			}
+			if got, want := v.ID(term), ref.ID(term); got != want {
+				t.Fatalf("%s: step %d: ID(%q) = %d, want %d", name, k, term, got, want)
+			}
+			if v.Len() != len(ref.Terms) {
+				t.Fatalf("%s: step %d: Len %d, want %d", name, k, v.Len(), len(ref.Terms))
+			}
+		}
+		for id, term := range ref.Terms {
+			if got, ok := v.Lookup(term); !ok || got != id {
+				t.Fatalf("%s: Lookup(%q) = %d, %v, want %d", name, term, got, ok, id)
+			}
+			if got := v.Term(id); got != term {
+				t.Fatalf("%s: Term(%d) = %q, want %q", name, id, got, term)
+			}
+		}
+	}
+}
+
+// TestArenaFromText: vectors built from one Arena carry the words the
+// reference builds, each capped at its length, so appending to one
+// leaves the others alone — a vector longer than a chunk included.
+func TestArenaFromText(t *testing.T) {
+	var long strings.Builder
+	for i := 0; i < arenaChunk+100; i++ {
+		fmt.Fprintf(&long, "w%d ", i)
+	}
+	texts := []string{"a b a", "", long.String(), "b c", strings.Repeat("x y z ", 3000)}
+	for i := 0; i < 5000; i++ {
+		texts = append(texts, fmt.Sprintf("p%d q%d r%d", i%7, i%11, i))
+	}
+	var a Arena
+	vocab, ref := NewVocabulary(), NewReferenceVocab()
+	vecs := make([]Vector, len(texts))
+	for i, s := range texts {
+		vecs[i] = a.FromText(vocab, s)
+		if want := ReferenceFromText(ref, s); !slices.Equal(vecs[i].Words, want.Words) {
+			t.Fatalf("text %d: words %x, reference %x", i, vecs[i].Words, want.Words)
+		}
+		if cap(vecs[i].Words) != len(vecs[i].Words) {
+			t.Fatalf("text %d: cap %d for %d words", i, cap(vecs[i].Words), len(vecs[i].Words))
+		}
+	}
+	saved := make([][]uint64, len(vecs))
+	for i, v := range vecs {
+		saved[i] = slices.Clone(v.Words)
+	}
+	for i := range vecs {
+		vecs[i].Words = append(vecs[i].Words, PackWord(1<<30, 1))
+	}
+	for i, v := range vecs {
+		if !slices.Equal(v.Words[:len(saved[i])], saved[i]) {
+			t.Fatalf("vector %d changed when its neighbours grew", i)
+		}
 	}
 }
 
@@ -247,7 +336,7 @@ func TestFromText(t *testing.T) {
 // reference built from each text's term list: the same words, and ids
 // assigned in the same order across texts.
 func TestFromTerms(t *testing.T) {
-	vocab, ref := NewVocabulary(), NewVocabulary()
+	vocab, ref := NewVocabulary(), NewReferenceVocab()
 	for _, terms := range [][]string{
 		{"x", "y", "x"},
 		nil,
@@ -263,7 +352,7 @@ func TestFromTerms(t *testing.T) {
 			t.Error("no terms should give the empty vector")
 		}
 	}
-	if got, want := VocabTerms(vocab), VocabTerms(ref); !slices.Equal(got, want) {
+	if got, want := VocabTerms(vocab), ref.Terms; !slices.Equal(got, want) {
 		t.Errorf("vocabulary %q, want %q", got, want)
 	}
 }
@@ -313,14 +402,14 @@ func FuzzFromText(f *testing.F) {
 	f.Add("", "")
 	f.Add(strings.Repeat("w0 w1 w2 ", 40), strings.Repeat("ü", 50))
 	f.Fuzz(func(t *testing.T, a, b string) {
-		vocab, ref := NewVocabulary(), NewVocabulary()
+		vocab, ref := NewVocabulary(), NewReferenceVocab()
 		for _, s := range []string{a, b} {
 			got, want := FromText(vocab, s), ReferenceFromText(ref, s)
 			if !slices.Equal(got.Words, want.Words) {
 				t.Fatalf("FromText(%q) = %x, reference %x", s, got.Words, want.Words)
 			}
 		}
-		if got, want := VocabTerms(vocab), VocabTerms(ref); !slices.Equal(got, want) {
+		if got, want := VocabTerms(vocab), ref.Terms; !slices.Equal(got, want) {
 			t.Fatalf("vocabulary %q, reference %q", got, want)
 		}
 	})

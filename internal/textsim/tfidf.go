@@ -47,5 +47,5 @@ func (v Vector) Reweight(factors []float64) Vector {
 			terms = append(terms, term{int32(id), w})
 		}
 	}
-	return unit(terms)
+	return unit(nil, terms)
 }
