@@ -81,17 +81,19 @@ fuzz:
 
 # bench runs the in-process benchmarks of the serving path: a cold
 # select, a served select through SelectRegion that reports gc/op, and
-# a grid region query (core), a prefetch bound pass (prefetch) and a
-# warm /select (server). Run the served select with -cpu 1 as well: on
-# 2 Ps the idle P absorbs the collector's mark work and hides it from
-# ns/op. CI's test job runs every in-process benchmark once
-# (-benchtime=1x) so none can rot — these, the live store's commit and
+# a grid region query (core), a prefetch bound pass (prefetch), a
+# warm /select (server) and warm viewports served from every P through
+# the tile cache's one lock (tilecache). Run the served select with
+# -cpu 1 as well: on 2 Ps the idle P absorbs the collector's mark work
+# and hides it from ns/op. CI's test job runs every in-process benchmark
+# once (-benchtime=1x) so none can rot — these, the live store's commit and
 # ingest benchmarks (livestore), the load path's snapshot read (dataset)
 # and per-text vector build (textsim), and the root package's
 # per-exhibit benchmarks.
 bench:
 	go test -run=NONE -bench=. -benchmem ./internal/core ./internal/prefetch
 	go test -run=NONE -bench=WarmSelectHandler -benchmem ./internal/server
+	go test -run=NONE -bench=WarmSelectParallel -benchmem -cpu 1,2 ./internal/tilecache
 
 # bench-e2e runs the end-to-end benchmark BENCHMARK.json declares: the
 # real geoselserver under closed-loop HTTP load, four workloads, one

@@ -72,7 +72,7 @@ func main() {
 		live        = flag.Bool("live", false, "make the store mutable: enables POST /ingest and DELETE /objects/{id}")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty = disabled")
 		tileCache   = flag.Bool("tilecache", false, "materialize selections per map tile: warm /select and session serving, enables GET /tiles/{z}/{x}/{y} and GET /cache/stats")
-		tileCap     = flag.Int("tilecache-capacity", 0, "cached tile entries across all shards (0 = engine default)")
+		tileCap     = flag.Int("tilecache-capacity", 0, "cached tile entries, least recently used evicted first (0 = engine default)")
 		// Still accepted so existing command lines keep working.
 		_ = flag.Bool("async-prefetch", false, "ignored: sessions prefetch only on POST /sessions/{id}/prefetch")
 	)

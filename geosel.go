@@ -273,7 +273,9 @@ func NewSession(src Source, cfg SessionConfig) (*Session, error) {
 }
 
 // NewLiveStore builds a mutable, versioned store seeded with the
-// collection's objects (copied; the vocabulary becomes writer-owned).
+// collection's objects. The store reads them in place, so the caller
+// must not modify them afterwards (the vocabulary becomes
+// writer-owned).
 // Its regions come back in ascending position order, as NewStore's do,
 // so with no mutations applied the two select bit for bit alike. Its
 // memory follows the live objects (see LiveStore.Stats).

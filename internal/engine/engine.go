@@ -89,9 +89,9 @@ type Config struct {
 	// pass, falling back to a full greedy run when the repair budget is
 	// exceeded. Off, every request runs greedy from scratch.
 	TileCache bool
-	// TileCacheCapacity bounds the number of materialized tile entries
-	// across the cache's shards; the least recently used entries are
-	// evicted beyond it. 0 means DefaultTileCacheCapacity.
+	// TileCacheCapacity is the exact number of materialized tile entries
+	// the cache holds; the least recently used entry is evicted beyond
+	// it. 0 means DefaultTileCacheCapacity.
 	TileCacheCapacity int
 
 	// RequestTimeout, when positive, bounds the wall-clock time the

@@ -16,11 +16,12 @@
 // rebuilding the index — see geodata.Grid.Commit and
 // BenchmarkEpochCommit.
 //
-// Memory follows the live objects. The seed array holds exactly the
-// seed; a batch that does not fit either grows the array by half or,
-// when at least a quarter of its slots are dead, compacts: the live
-// slots (in position order) and the batch move to a fresh array with
-// half again as much headroom, indexed by the same build as version 0.
+// Memory follows the live objects. Version 0 reads the caller's seed
+// array in place, capped at its length; a batch that does not fit
+// either grows the array by half or, when at least a quarter of its
+// slots are dead, compacts: the live slots (in position order) and the
+// batch move to a fresh array with half again as much headroom,
+// indexed by the same build as version 0.
 // Both copy amortized O(1) slots per mutation. Pinned snapshots keep
 // the arrays they were cut from. A compaction renumbers positions;
 // Snapshot.LivePos and Snapshot.DirtyCells carry readers across it.
@@ -94,10 +95,10 @@ type Stats struct {
 }
 
 // New builds a live store seeded with the collection's objects and
-// publishes its version-0 snapshot. The objects are copied out of col
-// (and the grid geometry derived from them, as again at every
-// compaction), so the caller keeps ownership of its collection, which
-// must pass geodata.Collection.Validate; the vocabulary is shared and
+// publishes its version-0 snapshot. The store reads col's objects in
+// place (it never writes below a published length), so the caller must
+// not modify them afterwards; the collection must pass
+// geodata.Collection.Validate. The vocabulary is shared too and
 // becomes writer-owned — the caller must not tokenize against it, and
 // must call ApplyTFIDF before New or never (reweighting under live
 // readers would race).
@@ -113,8 +114,8 @@ func New(col *geodata.Collection, cfg engine.Config) (*Store, error) {
 	if err := col.Validate(); err != nil {
 		return nil, err
 	}
-	objs := make([]geodata.Object, len(col.Objects))
-	copy(objs, col.Objects)
+	n := len(col.Objects)
+	objs := col.Objects[:n:n]
 	vocab := col.Vocab
 	if vocab == nil {
 		vocab = textsim.NewVocabulary()

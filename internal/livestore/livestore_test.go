@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -110,6 +112,30 @@ func TestApplySemantics(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("id 3 not live after update chain")
+	}
+}
+
+// TestSeedIsReadInPlace: version 0 reads the caller's objects without
+// a copy, and no later epoch writes to them.
+func TestSeedIsReadInPlace(t *testing.T) {
+	col := testCollection(t, 10, 1)
+	before := slices.Clone(col.Objects)
+	for i := range before {
+		before[i].Vec.Words = slices.Clone(before[i].Vec.Words)
+	}
+	s := mustNew(t, col)
+	if v0 := s.Current().Collection().Objects; &v0[0] != &col.Objects[0] || len(v0) != len(col.Objects) {
+		t.Fatal("version 0 does not alias the seed collection's objects")
+	}
+	if _, _, err := s.Apply(context.Background(), []Mutation{
+		{Op: OpInsert, ID: 100, Loc: geo.Pt(0.5, 0.5), Weight: 0.5, Text: "new"},
+		{Op: OpUpdate, ID: 3, Loc: geo.Pt(0.1, 0.1), Weight: 0.9, Text: "moved"},
+		{Op: OpDelete, ID: 7},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(col.Objects, before) {
+		t.Fatal("an epoch wrote to the seed collection's objects")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"geosel/internal/core"
@@ -27,10 +26,6 @@ type DirtyView interface {
 	DirtyCells(sinceVersion uint64, dst []geo.Rect) ([]geo.Rect, bool)
 }
 
-// numShards spreads the cache over independently locked shards; a
-// power of two so shard selection is a mask.
-const numShards = 16
-
 // repairBudget is the largest fraction of the stitched tiles' total
 // recorded gain the seam-repair pass may drop before the stitch is
 // declared unsalvageable and the viewport falls back to a full greedy
@@ -38,9 +33,8 @@ const numShards = 16
 const repairBudget = 0.125
 
 // entry is one materialized tile selection. pos/gains/locs/frag/score/
-// count are immutable after insert; ver advances under the shard lock
-// when an epoch sweep proves the tile untouched, so readers copy
-// nothing.
+// count are immutable after insert; ver advances under the cache lock
+// when entryValid proves the tile untouched, so readers copy nothing.
 type entry struct {
 	key Key
 	// born is the snapshot version the selection was computed at; it
@@ -77,64 +71,25 @@ type entry struct {
 }
 
 // flight coalesces concurrent computes of one key: latecomers wait for
-// the leader and then re-read the shard map. The leader sets err and
+// the leader and then re-read the entry map. The leader sets err and
 // then closes done.
 type flight struct {
 	done chan struct{}
 	err  error
 }
 
-type shard struct {
+// Cache is the tile-grain materialized selection cache: one LRU of at
+// most TileCacheCapacity entries under one lock. Construct with New;
+// all methods are safe for concurrent use.
+type Cache struct {
+	cfg engine.Config
+	// budget is repairBudget; tests vary it.
+	budget float64
+
 	mu      sync.Mutex
 	entries map[Key]*entry
 	flights map[Key]*flight
 	root    entry // LRU sentinel: root.next is most recent
-}
-
-func (sh *shard) init() {
-	sh.entries = make(map[Key]*entry)
-	sh.flights = make(map[Key]*flight)
-	sh.root.prev, sh.root.next = &sh.root, &sh.root
-}
-
-func (sh *shard) pushFront(e *entry) {
-	e.prev, e.next = &sh.root, sh.root.next
-	e.prev.next, e.next.prev = e, e
-}
-
-func (sh *shard) unlink(e *entry) {
-	e.prev.next, e.next.prev = e.next, e.prev
-	e.prev, e.next = nil, nil
-}
-
-func (sh *shard) touch(e *entry) {
-	if sh.root.next == e {
-		return
-	}
-	sh.unlink(e)
-	sh.pushFront(e)
-}
-
-func (sh *shard) drop(e *entry) {
-	sh.unlink(e)
-	delete(sh.entries, e.key)
-}
-
-// Cache is the tile-grain materialized selection cache. Construct with
-// New; all methods are safe for concurrent use.
-type Cache struct {
-	cfg engine.Config
-	// budget is repairBudget; tests vary it.
-	budget   float64
-	perShard int
-
-	shards [numShards]shard
-
-	// watermark is the newest version an eager sweep has brought every
-	// retained entry up to; serving at a version <= watermark needs no
-	// sweep. Entry-level validity is still re-checked at lookup time.
-	watermark atomic.Uint64
-	sweepMu   sync.Mutex
 
 	stats   counters
 	scratch sync.Pool
@@ -148,61 +103,40 @@ func New(cfg engine.Config) (*Cache, error) {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	per := cfg.TileCacheCapacity / numShards
-	if per < 1 {
-		per = 1
-	}
 	c := &Cache{
-		cfg:      cfg,
-		budget:   repairBudget,
-		perShard: per,
+		cfg:     cfg,
+		budget:  repairBudget,
+		entries: make(map[Key]*entry),
+		flights: make(map[Key]*flight),
 	}
-	for i := range c.shards {
-		c.shards[i].init()
-	}
+	c.root.prev, c.root.next = &c.root, &c.root
 	c.scratch.New = func() any { return &scratch{} }
 	return c, nil
 }
 
-// sync eagerly reconciles the cache with the serving version: entries
-// in cells dirtied since the last sweep are evicted, untouched entries
-// have their validity watermark bumped, so steady-state lookups hit the
-// e.ver == version fast path. With a truncated dirty history (or no
-// DirtyView at all) everything older is evicted — correct, just cold.
-func (c *Cache) sync(dv DirtyView, version uint64) {
-	if c.watermark.Load() >= version {
+// The LRU list operations; the caller holds c.mu.
+
+func (c *Cache) pushFront(e *entry) {
+	e.prev, e.next = &c.root, c.root.next
+	e.prev.next, e.next.prev = e, e
+}
+
+func (c *Cache) unlink(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+func (c *Cache) touch(e *entry) {
+	if c.root.next == e {
 		return
 	}
-	c.sweepMu.Lock()
-	defer c.sweepMu.Unlock()
-	w := c.watermark.Load()
-	if w >= version {
-		return
-	}
-	var rects []geo.Rect
-	covered := false
-	if dv != nil {
-		rects, covered = dv.DirtyCells(w, nil)
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.ver >= version {
-				continue
-			}
-			// Entries behind the previous watermark would need their own
-			// dirty interval; evict them rather than widen the query.
-			if !covered || e.ver < w || anyIntersects(rects, e.key.T.Rect()) {
-				sh.drop(e)
-				c.stats.invalidations.Add(1)
-				continue
-			}
-			e.ver = version
-		}
-		sh.mu.Unlock()
-	}
-	c.watermark.Store(version)
+	c.unlink(e)
+	c.pushFront(e)
+}
+
+func (c *Cache) drop(e *entry) {
+	c.unlink(e)
+	delete(c.entries, e.key)
 }
 
 func anyIntersects(rects []geo.Rect, r geo.Rect) bool {
@@ -214,19 +148,21 @@ func anyIntersects(rects []geo.Rect, r geo.Rect) bool {
 	return false
 }
 
-// entryValid re-establishes e's validity at the serving version under
-// the shard lock — the authoritative, race-proof check: even an entry
-// inserted by a laggard compute after a sweep is validated against the
-// serving snapshot's own dirty history before it is ever served.
-func (c *Cache) entryValid(e *entry, dv DirtyView, version uint64, sc *scratch) bool {
+// entryValid reports, under c.mu, whether e may be served at version:
+// whether the pinned view's DirtyCells history covers (e.ver, version]
+// and no cell it lists meets e's tile, in which case e.ver advances.
+// Without that history (no DirtyView, a truncated history, or a
+// compaction, which renumbers every position) e is invalid. It is the
+// cache's only validity check.
+func (c *Cache) entryValid(e *entry, view geodata.View, version uint64, sc *scratch) bool {
 	if e.ver == version {
 		return true
 	}
-	if dv == nil {
+	dv, ok := view.(DirtyView)
+	if !ok {
 		return false
 	}
-	sc.rects = sc.rects[:0]
-	rects, covered := dv.DirtyCells(e.ver, sc.rects)
+	rects, covered := dv.DirtyCells(e.ver, sc.rects[:0])
 	sc.rects = rects
 	if !covered || anyIntersects(rects, e.key.T.Rect()) {
 		return false
@@ -248,37 +184,41 @@ func (c *Cache) entryValid(e *entry, dv DirtyView, version uint64, sc *scratch) 
 // ctx ended, at most one budget later. A request pinned to an older
 // version than a cached entry computes uncached instead of thrashing
 // the newer entry.
-func (c *Cache) getTile(ctx context.Context, view geodata.View, dv DirtyView, version uint64, key Key, sc *scratch) (e *entry, hit bool, err error) {
-	sh := &c.shards[key.hash()&(numShards-1)]
+//
+// The cache's whole policy is here and in entryValid: an entry is
+// served only while entryValid holds and is dropped otherwise, a hit
+// moves it to the front of the LRU list, and an insert evicts from the
+// back down to TileCacheCapacity entries.
+func (c *Cache) getTile(ctx context.Context, view geodata.View, version uint64, key Key, sc *scratch) (e *entry, hit bool, err error) {
 	var lead *flight
 	for {
-		sh.mu.Lock()
-		if e := sh.entries[key]; e != nil {
+		c.mu.Lock()
+		if e := c.entries[key]; e != nil {
 			if e.born > version {
 				// Entry from a newer epoch; serve this older-pinned
 				// request uncached rather than evict fresher work.
-				sh.mu.Unlock()
+				c.mu.Unlock()
 				c.stats.bypasses.Add(1)
 				e, err := c.computeTile(ctx, view, version, key)
 				return e, false, err
 			}
-			if c.entryValid(e, dv, version, sc) {
-				sh.touch(e)
-				sh.mu.Unlock()
+			if c.entryValid(e, view, version, sc) {
+				c.touch(e)
+				c.mu.Unlock()
 				c.stats.tileHits.Add(1)
 				return e, true, nil
 			}
-			sh.drop(e)
+			c.drop(e)
 			c.stats.invalidations.Add(1)
 		}
-		f := sh.flights[key]
+		f := c.flights[key]
 		if f == nil {
 			lead = &flight{done: make(chan struct{})}
-			sh.flights[key] = lead
-			sh.mu.Unlock()
+			c.flights[key] = lead
+			c.mu.Unlock()
 			break // this goroutine computes
 		}
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		select {
 		case <-f.done:
 		case <-ctx.Done():
@@ -305,28 +245,28 @@ func (c *Cache) getTile(ctx context.Context, view geodata.View, dv DirtyView, ve
 		defer cancel()
 	}
 	ent, err := c.computeTile(cctx, view, version, key)
-	sh.mu.Lock()
-	delete(sh.flights, key)
+	c.mu.Lock()
+	delete(c.flights, key)
 	if err == nil {
-		if old := sh.entries[key]; old != nil {
-			// A sweep-surviving or competing entry; keep the newer one.
-			if old.born >= ent.born {
-				sh.mu.Unlock()
-				close(lead.done)
-				c.stats.tileMisses.Add(1)
-				return ent, false, nil
-			}
-			sh.drop(old)
+		if invariant.Enabled {
+			// The flight kept every other goroutine from inserting key.
+			invariant.Assertf(c.entries[key] == nil, "tilecache: tile %v inserted twice under one flight", key)
 		}
-		sh.entries[key] = ent
-		sh.pushFront(ent)
-		for len(sh.entries) > c.perShard {
-			tail := sh.root.prev
-			sh.drop(tail)
-			c.stats.evictions.Add(1)
+		c.entries[key] = ent
+		c.pushFront(ent)
+		for len(c.entries) > c.cfg.TileCacheCapacity {
+			tail := c.root.prev
+			c.drop(tail)
+			// A tail an epoch already dirtied leaves by that dirt, as it
+			// would have at its next lookup, not by the capacity.
+			if c.entryValid(tail, view, version, sc) {
+				c.stats.evictions.Add(1)
+			} else {
+				c.stats.invalidations.Add(1)
+			}
 		}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	lead.err = err
 	close(lead.done)
 	if err != nil {

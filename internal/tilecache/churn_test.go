@@ -332,14 +332,11 @@ func TestChurnCleanEpochKeepsEntryAndBytes(t *testing.T) {
 	}
 	entries := func() map[*entry]uint64 {
 		out := make(map[*entry]uint64)
-		for i := range c.shards {
-			sh := &c.shards[i]
-			sh.mu.Lock()
-			for _, e := range sh.entries {
-				out[e] = e.born
-			}
-			sh.mu.Unlock()
+		c.mu.Lock()
+		for _, e := range c.entries {
+			out[e] = e.born
 		}
+		c.mu.Unlock()
 		return out
 	}
 	had := entries()
@@ -470,4 +467,123 @@ func TestChurnWarmBodiesMatchPinnedView(t *testing.T) {
 	if !t.Failed() && (served.Load() == 0 || warm.Load() == 0) {
 		t.Errorf("%d bodies checked, %d of them fully warm: the test measured nothing", served.Load(), warm.Load())
 	}
+}
+
+// TestChurnCompactionRecomputesCachedTiles: an entry is served only
+// while the pinned view's dirty history covers every epoch since the
+// entry was last validated. A compaction renumbers every position, and
+// a history truncated past the entry says nothing; in both cases the
+// tiles are recomputed, even though no epoch dirtied them, and the body
+// is what a fresh cache serves.
+func TestChurnCompactionRecomputesCachedTiles(t *testing.T) {
+	ctx := context.Background()
+	// The viewport's zoom-3 tiles cover [0.5, 0.875]²; every epoch below
+	// dirties only cells left of x = 0.45 or around (0.1, 0.1).
+	region := geo.Rect{Min: geo.Pt(0.6, 0.6), Max: geo.Pt(0.85, 0.82)}
+	theta := 0.003 * region.Width()
+	const k = 12
+	serve := func(t *testing.T, c *Cache, ls *livestore.Store) ([]byte, Result) {
+		t.Helper()
+		view, version := ls.Snapshot()
+		body, res, err := c.AppendSelectJSON(ctx, view, version, region, k, theta, nil)
+		if err != nil || res.Fallback {
+			t.Fatalf("serve at v%d: err=%v fallback=%v", version, err, res.Fallback)
+		}
+		checkBodyAgainstView(t, body, view, region)
+		return body, res
+	}
+	// recomputed serves the viewport again and requires every covering
+	// tile computed at the serving version, an invalidation counted, and
+	// the body a fresh cache serves.
+	recomputed := func(t *testing.T, c *Cache, ls *livestore.Store, invalidated uint64) {
+		t.Helper()
+		body, res := serve(t, c, ls)
+		if res.TileMisses != res.Tiles {
+			t.Errorf("%d of %d covering tiles served from the cache", res.Tiles-res.TileMisses, res.Tiles)
+		}
+		if got := c.Stats().Invalidations; got <= invalidated {
+			t.Errorf("invalidations %d → %d: no entry was dropped", invalidated, got)
+		}
+		view, version := ls.Snapshot()
+		z := zoomFor(region.Side())
+		x0, y0, x1, y1, _ := coverRange(region, z)
+		for y := y0; y <= y1; y++ {
+			for x := x0; x <= x1; x++ {
+				payload, _, err := c.TilePayload(ctx, view, version, int(z), int(x), int(y), theta, k, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d, err := DecodeTile(payload); err != nil || d.Version != version {
+					t.Errorf("tile (%d, %d, %d) computed at v%d, want v%d (err %v)", z, x, y, d.Version, version, err)
+				}
+			}
+		}
+		fresh, _ := serve(t, newTestCache(t, engine.Config{}), ls)
+		if !bytes.Equal(body, fresh) {
+			t.Errorf("body differs from a fresh cache's:\n got %s\nwant %s", body, fresh)
+		}
+	}
+
+	t.Run("compaction", func(t *testing.T) {
+		ls, err := livestore.New(testCollection(3000, 5), engine.Config{Metric: sim.Cosine{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newTestCache(t, engine.Config{})
+		serve(t, c, ls)
+		// Kill the objects left of x = 0.45 (far more than a quarter of
+		// the slots): a plain epoch that leaves the viewport's tiles
+		// clean and warm.
+		view, _ := ls.Snapshot()
+		var dels []livestore.Mutation
+		for _, o := range view.Collection().Objects {
+			if o.Loc.X < 0.45 {
+				dels = append(dels, livestore.Mutation{Op: livestore.OpDelete, ID: o.ID})
+			}
+		}
+		if 4*len(dels) < view.Collection().Len() {
+			t.Fatalf("%d deletes of %d slots cannot trigger a compaction", len(dels), view.Collection().Len())
+		}
+		applyEpoch(t, ls, dels)
+		if _, res := serve(t, c, ls); res.TileMisses != 0 {
+			t.Fatalf("%d tiles recomputed by deletes outside them", res.TileMisses)
+		}
+		// The seed array holds exactly its objects, so one insert
+		// overflows it and the dead quarter compacts it.
+		invalidated := c.Stats().Invalidations
+		applyEpoch(t, ls, []livestore.Mutation{{Op: livestore.OpInsert, ID: 1 << 20, Loc: geo.Pt(0.1, 0.1), Weight: 0.5, Text: "far away"}})
+		if n := ls.Stats().Compactions; n != 1 {
+			t.Fatalf("%d compactions, want 1", n)
+		}
+		recomputed(t, c, ls, invalidated)
+	})
+
+	t.Run("truncated history", func(t *testing.T) {
+		ls, err := livestore.New(testCollection(3000, 5), engine.Config{Metric: sim.Cosine{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newTestCache(t, engine.Config{})
+		serve(t, c, ls)
+		_, v0 := ls.Snapshot()
+		// Clean epochs: each moves one far object within the far cell,
+		// until the history no longer reaches back to the entries.
+		view, _ := ls.Snapshot()
+		id := view.Collection().Objects[view.Region(geo.Rect{Min: geo.Pt(0.05, 0.05), Max: geo.Pt(0.15, 0.15)})[0]].ID
+		for i := 0; ; i++ {
+			if _, covered := ls.Current().DirtyCells(v0, nil); !covered {
+				if i <= 128 {
+					t.Fatalf("history truncated after %d epochs", i)
+				}
+				break
+			}
+			applyEpoch(t, ls, []livestore.Mutation{{
+				Op: livestore.OpUpdate, ID: id, Loc: geo.Pt(0.1+1e-4*float64(i%2), 0.1), Weight: 0.5, Text: "far away",
+			}})
+		}
+		if n := ls.Stats().Compactions; n != 0 {
+			t.Fatalf("%d compactions: the entries would be dropped by those, not by the truncation", n)
+		}
+		recomputed(t, c, ls, c.Stats().Invalidations)
+	})
 }

@@ -57,15 +57,13 @@ func (c *Cache) Tile(ctx context.Context, view geodata.View, version uint64, z, 
 	if theta < 0 {
 		return CachedTile{}, fmt.Errorf("tilecache: theta = %v must be non-negative", theta)
 	}
-	dv, _ := view.(DirtyView)
-	c.sync(dv, version)
 	key := Key{
 		T:    Tile{Z: int32(z), X: int32(x), Y: int32(y)},
 		Band: bandFor(theta, int32(z)),
 		K:    int32(k),
 	}
 	sc := c.getScratch()
-	e, _, err := c.getTile(ctx, view, dv, version, key, sc)
+	e, _, err := c.getTile(ctx, view, version, key, sc)
 	c.putScratch(sc)
 	if err != nil {
 		return CachedTile{}, err

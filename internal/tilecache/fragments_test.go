@@ -114,7 +114,7 @@ func TestAppendKeptRendersForcedMembers(t *testing.T) {
 	}
 	sc := c.getScratch()
 	defer c.putScratch(sc)
-	_, ok, err := c.stitchRegion(ctx, view, nil, version, region, k, theta, forced, nil, sc)
+	_, ok, err := c.stitchRegion(ctx, view, version, region, k, theta, forced, nil, sc)
 	if err != nil || !ok {
 		t.Fatalf("forced stitch: ok=%v err=%v", ok, err)
 	}

@@ -47,7 +47,7 @@ type counters struct {
 	coalesced  atomic.Uint64 // lookups that waited on another compute
 	bypasses   atomic.Uint64 // old-version lookups served uncached
 
-	evictions     atomic.Uint64 // entries dropped by the LRU capacity
+	evictions     atomic.Uint64 // clean entries dropped by the LRU capacity
 	invalidations atomic.Uint64 // entries dropped by epoch dirt
 
 	repairDropped atomic.Uint64 // members dropped by seam repair
@@ -89,9 +89,8 @@ func (h *histogram) snapshot() HistogramStats {
 // Stats is a point-in-time summary of the cache, shaped for the
 // GET /cache/stats endpoint.
 type Stats struct {
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-	Watermark uint64 `json:"watermark"`
+	Entries  int `json:"entries"`
+	Capacity int `json:"capacity"`
 
 	Requests   uint64 `json:"requests"`
 	WarmServes uint64 `json:"warmServes"`
@@ -120,17 +119,12 @@ type Stats struct {
 // Stats returns a consistent-enough snapshot of the counters (each
 // counter is read atomically; the set is not a single atomic cut).
 func (c *Cache) Stats() Stats {
-	entries := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		entries += len(sh.entries)
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	entries := len(c.entries)
+	c.mu.Unlock()
 	return Stats{
 		Entries:         entries,
-		Capacity:        c.perShard * numShards,
-		Watermark:       c.watermark.Load(),
+		Capacity:        c.cfg.TileCacheCapacity,
 		Requests:        c.stats.requests.Load(),
 		WarmServes:      c.stats.warmServes.Load(),
 		Fallbacks:       c.stats.fallbacks.Load(),

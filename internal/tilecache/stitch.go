@@ -196,7 +196,7 @@ func (c *Cache) AppendSelectJSON(ctx context.Context, view geodata.View, version
 }
 
 // stitchViewport is the part Select and AppendSelectJSON share: check
-// the request, bring the cache to the serving version and stitch. A nil
+// the request and stitch. A nil
 // scratch (with a nil error) means the viewport cannot be served from
 // tiles and the caller falls back; otherwise the kept members are in
 // the returned scratch, which the caller puts back once it has emitted
@@ -212,11 +212,8 @@ func (c *Cache) stitchViewport(ctx context.Context, view geodata.View, version u
 		return nil, stitchInfo{}, fmt.Errorf("tilecache: invalid region %v", region)
 	}
 	c.stats.requests.Add(1)
-	dv, _ := view.(DirtyView)
-	c.sync(dv, version)
-
 	sc := c.getScratch()
-	info, ok, err := c.stitchRegion(ctx, view, dv, version, region, k, theta, nil, nil, sc)
+	info, ok, err := c.stitchRegion(ctx, view, version, region, k, theta, nil, nil, sc)
 	if err != nil || !ok {
 		c.putScratch(sc)
 		if err == nil {
@@ -299,7 +296,7 @@ func (c *Cache) fallbackSelect(ctx context.Context, view geodata.View, version u
 // sc.keptPos/keptRef/keptLoc. ok = false means the viewport cannot be
 // served from tiles (objects outside the tiled unit square, a degenerate
 // cover, or a repair budget violation) and the caller must fall back.
-func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyView, version uint64, region geo.Rect, k int, theta float64, forced []int, gset *posSet, sc *scratch) (stitchInfo, bool, error) {
+func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, version uint64, region geo.Rect, k int, theta float64, forced []int, gset *posSet, sc *scratch) (stitchInfo, bool, error) {
 	var info stitchInfo
 	inner, overlaps := region.Intersect(unitRect)
 	if !overlaps {
@@ -320,7 +317,7 @@ func (c *Cache) stitchRegion(ctx context.Context, view geodata.View, dv DirtyVie
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
 			key := Key{T: Tile{Z: z, X: x, Y: y}, Band: band, K: int32(k)}
-			e, hit, err := c.getTile(ctx, view, dv, version, key, sc)
+			e, hit, err := c.getTile(ctx, view, version, key, sc)
 			if err != nil {
 				return info, false, err
 			}
@@ -497,8 +494,6 @@ func (c *Cache) WarmNavigate(ctx context.Context, view geodata.View, version uin
 	if k <= 0 || theta < 0 || len(forced) > k || !region.Valid() {
 		return nil, 0, 0, false
 	}
-	dv, _ := view.(DirtyView)
-	c.sync(dv, version)
 	sc := c.getScratch()
 	var gset *posSet
 	if candidates != nil {
@@ -508,7 +503,7 @@ func (c *Cache) WarmNavigate(ctx context.Context, view geodata.View, version uin
 		}
 		gset = &sc.gset
 	}
-	info, ok, err := c.stitchRegion(ctx, view, dv, version, region, k, theta, forced, gset, sc)
+	info, ok, err := c.stitchRegion(ctx, view, version, region, k, theta, forced, gset, sc)
 	if err != nil || !ok {
 		c.putScratch(sc)
 		c.stats.warmNavMisses.Add(1)

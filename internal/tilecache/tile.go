@@ -7,8 +7,8 @@
 //
 // The pipeline per viewport: quantize (zoom level from the viewport
 // side, θ-band from the requested visibility threshold), fetch the
-// covering tiles through a sharded LRU with per-key singleflight
-// (computing misses through the ordinary core.Selector), then stitch
+// covering tiles through one LRU under one lock, with per-key
+// singleflight (computing misses through core.SelectRegion), then stitch
 // the cached per-tile selections: members are re-kept greedily in
 // (gain desc, position asc) order under the *requested* θ, which
 // resolves cross-tile θ-conflicts along tile seams. When the repair
@@ -79,20 +79,6 @@ type Key struct {
 	Band int32
 	// K is the per-tile selection size, taken verbatim from the request.
 	K int32
-}
-
-// hash mixes the key into a shard index seed (fmix64 finalizer over the
-// packed fields).
-func (k Key) hash() uint64 {
-	h := uint64(uint32(k.T.Z)) | uint64(uint32(k.T.X))<<5 | uint64(uint32(k.T.Y))<<29
-	h ^= uint64(uint32(k.Band)) << 53
-	h ^= uint64(uint32(k.K)) << 11
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
 }
 
 // zoomFor picks the tile zoom for a viewport of the given side length:

@@ -219,28 +219,87 @@ func TestFallbackBitwiseIdenticalToDirect(t *testing.T) {
 	}
 }
 
+// TestEvictionBoundedByCapacity: the cache holds exactly
+// TileCacheCapacity entries, whatever the capacity, evicts the least
+// recently used one first, and counts an evicted entry an epoch
+// dirtied as an invalidation.
 func TestEvictionBoundedByCapacity(t *testing.T) {
 	store := testStore(t, 2000, 3)
 	view, version := store.Snapshot()
-	c := newTestCache(t, engine.Config{TileCacheCapacity: 16}) // one entry per shard
 	ctx := context.Background()
-	for x := int32(0); x < 8; x++ {
-		for y := int32(0); y < 8; y++ {
-			key := Key{T: Tile{Z: 3, X: x, Y: y}, Band: bandZero, K: 5}
+	tile := func(x, y int32) Key { return Key{T: Tile{Z: 3, X: x, Y: y}, Band: bandZero, K: 5} }
+	get := func(t *testing.T, c *Cache, key Key) bool {
+		t.Helper()
+		sc := c.getScratch()
+		defer c.putScratch(sc)
+		_, hit, err := c.getTile(ctx, view, version, key, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hit
+	}
+
+	t.Run("exact capacity", func(t *testing.T) {
+		c := newTestCache(t, engine.Config{TileCacheCapacity: 5})
+		for x := int32(0); x < 8; x++ {
+			for y := int32(0); y < 8; y++ {
+				get(t, c, tile(x, y))
+			}
+		}
+		if st := c.Stats(); st.Entries != 5 || st.Capacity != 5 || st.Evictions != 59 {
+			t.Fatalf("64 tiles through capacity 5: %d entries, capacity %d, %d evictions; want 5, 5, 59",
+				st.Entries, st.Capacity, st.Evictions)
+		}
+	})
+
+	t.Run("least recently used goes", func(t *testing.T) {
+		c := newTestCache(t, engine.Config{TileCacheCapacity: 3})
+		a, b, cc, d := tile(0, 0), tile(1, 0), tile(2, 0), tile(3, 0)
+		for _, key := range []Key{a, b, cc} {
+			get(t, c, key)
+		}
+		if !get(t, c, a) {
+			t.Fatal("A missed before any eviction")
+		}
+		get(t, c, d)
+		if st := c.Stats(); st.Entries != 3 || st.Evictions != 1 {
+			t.Fatalf("%d entries, %d evictions; want 3, 1", st.Entries, st.Evictions)
+		}
+		// A first: a hit only moves it up, a miss on B then evicts C.
+		if hitA, hitB := get(t, c, a), get(t, c, b); !hitA || hitB {
+			t.Fatalf("after A, B, C, A, D at capacity 3: A hit %v, B hit %v; want B evicted and A kept", hitA, hitB)
+		}
+	})
+
+	t.Run("a dirtied tail leaves as an invalidation", func(t *testing.T) {
+		ls, err := livestore.New(testCollection(2000, 3), engine.Config{Metric: sim.Cosine{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newTestCache(t, engine.Config{TileCacheCapacity: 2})
+		getAt := func(key Key) {
+			t.Helper()
+			view, version := ls.Snapshot()
 			sc := c.getScratch()
-			if _, _, err := c.getTile(ctx, view, nil, version, key, sc); err != nil {
+			defer c.putScratch(sc)
+			if _, _, err := c.getTile(ctx, view, version, key, sc); err != nil {
 				t.Fatal(err)
 			}
-			c.putScratch(sc)
 		}
-	}
-	st := c.Stats()
-	if st.Entries > st.Capacity {
-		t.Fatalf("%d entries above capacity %d", st.Entries, st.Capacity)
-	}
-	if st.Evictions == 0 {
-		t.Error("64 tiles through capacity 16 evicted nothing")
-	}
+		getAt(tile(0, 0))
+		getAt(tile(7, 7))
+		// Dirty tile (0, 0) only; it is the tail, and two inserts push
+		// out both entries.
+		view, _ := ls.Snapshot()
+		o := view.Collection().Objects[view.Region(tile(0, 0).T.Rect())[0]]
+		applyEpoch(t, ls, []livestore.Mutation{{Op: livestore.OpUpdate, ID: o.ID, Loc: o.Loc, Weight: 0.9, Text: "dirt"}})
+		getAt(tile(3, 4))
+		getAt(tile(4, 3))
+		if st := c.Stats(); st.Invalidations != 1 || st.Evictions != 1 {
+			t.Fatalf("%d invalidations, %d evictions; want the dirtied tile counted as an invalidation and the clean one as an eviction",
+				st.Invalidations, st.Evictions)
+		}
+	})
 }
 
 func TestWireRoundTrip(t *testing.T) {
