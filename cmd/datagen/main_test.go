@@ -7,12 +7,11 @@ import (
 	"testing"
 
 	"geosel/internal/dataset"
-	"geosel/internal/livestore"
 )
 
 func TestRunCSV(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "d.csv")
-	if err := run("poi", 200, 1, "csv", out, dataset.ChurnSpec{}); err != nil {
+	if err := run("poi", 200, 1, "csv", out); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -31,7 +30,7 @@ func TestRunCSV(t *testing.T) {
 
 func TestRunJSONL(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "d.jsonl")
-	if err := run("uk", 100, 2, "jsonl", out, dataset.ChurnSpec{}); err != nil {
+	if err := run("uk", 100, 2, "jsonl", out); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -49,38 +48,13 @@ func TestRunJSONL(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("mars", 10, 1, "csv", "", dataset.ChurnSpec{}); err == nil || !strings.Contains(err.Error(), "preset") {
+	if err := run("mars", 10, 1, "csv", ""); err == nil || !strings.Contains(err.Error(), "preset") {
 		t.Errorf("bad preset: %v", err)
 	}
-	if err := run("us", 10, 1, "xml", filepath.Join(t.TempDir(), "x"), dataset.ChurnSpec{}); err == nil || !strings.Contains(err.Error(), "format") {
+	if err := run("us", 10, 1, "xml", filepath.Join(t.TempDir(), "x")); err == nil || !strings.Contains(err.Error(), "format") {
 		t.Errorf("bad format: %v", err)
 	}
-	if err := run("us", 10, 1, "csv", "/nonexistent-dir/file.csv", dataset.ChurnSpec{}); err == nil {
+	if err := run("us", 10, 1, "csv", "/nonexistent-dir/file.csv"); err == nil {
 		t.Error("unwritable path should fail")
-	}
-}
-
-func TestRunChurnTrace(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "trace.jsonl")
-	spec := dataset.ChurnSpec{Mutations: 50, Seed: 3}
-	if err := run("poi", 300, 1, "jsonl", out, spec); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	trace, err := livestore.ReadTrace(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trace) != 50 {
-		t.Errorf("trace len = %d, want 50", len(trace))
-	}
-	for i := 1; i < len(trace); i++ {
-		if trace[i].AtMs < trace[i-1].AtMs {
-			t.Fatalf("timestamps not monotone at %d: %d < %d", i, trace[i].AtMs, trace[i-1].AtMs)
-		}
 	}
 }

@@ -7,7 +7,6 @@
 package baselines
 
 import (
-	"fmt"
 	"math/rand"
 
 	"geosel/internal/geodata"
@@ -330,12 +329,3 @@ const (
 	NameDisC   = "DisC"
 	NameKMeans = "K-means"
 )
-
-// ValidateK returns an error when k is not positive; shared by callers
-// that surface baseline configuration errors to users.
-func ValidateK(k int) error {
-	if k <= 0 {
-		return fmt.Errorf("baselines: k must be positive, got %d", k)
-	}
-	return nil
-}

@@ -302,12 +302,3 @@ func TestGreedyBeatsBaselinesOnScore(t *testing.T) {
 		}
 	}
 }
-
-func TestValidateK(t *testing.T) {
-	if err := ValidateK(0); err == nil {
-		t.Error("k=0 should fail")
-	}
-	if err := ValidateK(5); err != nil {
-		t.Errorf("k=5 should pass: %v", err)
-	}
-}

@@ -80,7 +80,7 @@ func WriteBinary(w io.Writer, col *geodata.Collection) error {
 			}
 		}
 		if len(o.Text) > maxBinaryText {
-			// ReadBinary refuses such a length, so writing it would
+			// readBinary refuses such a length, so writing it would
 			// produce a snapshot nothing can load.
 			return fmt.Errorf("dataset: object %d text length %d exceeds limit %d", i, len(o.Text), maxBinaryText)
 		}
@@ -92,14 +92,6 @@ func WriteBinary(w io.Writer, col *geodata.Collection) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadBinary loads a collection from the snapshot format, rebuilding
-// term vectors against a fresh vocabulary. When r can tell how many
-// bytes it holds (an in-memory reader, a regular file), the objects
-// array is allocated once, exactly the header's count long.
-func ReadBinary(r io.Reader) (*geodata.Collection, error) {
-	return readBinary(bufio.NewReader(r), unreadBytes(r))
 }
 
 // unreadBytes returns how many bytes r has left, or -1 when it cannot
@@ -123,8 +115,12 @@ func unreadBytes(r io.Reader) int64 {
 	return -1
 }
 
-// readBinary is ReadBinary over br, whose stream has avail unread
-// bytes (-1: unknown).
+// readBinary loads a collection from the snapshot format on br, whose
+// stream has avail unread bytes (-1: unknown), rebuilding term vectors
+// against a fresh vocabulary. ReadAuto calls it once it has seen the
+// magic. When the stream's length is known (an in-memory reader, a
+// regular file), the objects array is allocated once, exactly the
+// header's count long.
 func readBinary(br *bufio.Reader, avail int64) (*geodata.Collection, error) {
 	magic := make([]byte, len(binaryMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {

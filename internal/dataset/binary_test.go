@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -15,6 +16,13 @@ import (
 	"geosel/internal/geodata"
 )
 
+// readSnapshot reads r as a snapshot, as ReadAuto does once it has seen
+// the magic: a stream that is not one fails here rather than reading
+// as CSV, so the snapshot reader's own errors can be checked.
+func readSnapshot(r io.Reader) (*geodata.Collection, error) {
+	return readBinary(bufio.NewReader(r), unreadBytes(r))
+}
+
 // TestReadBinaryHugeCount: a header claiming 2⁴⁰ objects ahead of one
 // truncated record fails without a large allocation, whether the
 // stream's length is known (in memory, a file) or not.
@@ -28,9 +36,9 @@ func TestReadBinaryHugeCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := map[string]func() error{
-		"bytes": func() error { _, err := ReadBinary(bytes.NewReader(data)); return err },
+		"bytes": func() error { _, err := readSnapshot(bytes.NewReader(data)); return err },
 		"opaque": func() error {
-			_, err := ReadBinary(struct{ io.Reader }{bytes.NewReader(data)})
+			_, err := readSnapshot(struct{ io.Reader }{bytes.NewReader(data)})
 			return err
 		},
 		"file": func() error { _, err := Load(path, "", 0, 0); return err },
@@ -62,7 +70,7 @@ func TestReadExactCap(t *testing.T) {
 		write func(io.Writer, *geodata.Collection) error
 		read  func(io.Reader) (*geodata.Collection, error)
 	}{
-		{"binary", WriteBinary, ReadBinary},
+		{"binary", WriteBinary, ReadAuto},
 		{"csv", WriteCSV, ReadCSV},
 		{"jsonl", WriteJSONL, ReadJSONL},
 	}
@@ -114,12 +122,12 @@ func TestReadBinaryAllocs(t *testing.T) {
 	const fixed = 120
 	bound := fixed + textBytes/textChunk + 8*words/(64<<10) + 2
 	allocs := testing.AllocsPerRun(2, func() {
-		if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := ReadAuto(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > float64(bound) {
-		t.Errorf("ReadBinary of %d objects: %v allocations, want at most %d", col.Len(), allocs, bound)
+		t.Errorf("ReadAuto of a %d-object snapshot: %v allocations, want at most %d", col.Len(), allocs, bound)
 	}
 	t.Logf("%v allocations, bound %d", allocs, bound)
 }
@@ -142,14 +150,14 @@ func TestReadBinaryErrorsWherever(t *testing.T) {
 	}
 	data := buf.Bytes()
 	for n := 0; n < len(data); n++ {
-		_, fast := ReadBinary(bytes.NewReader(data[:n]))
-		_, slow := ReadBinary(iotest.OneByteReader(bytes.NewReader(data[:n])))
+		_, fast := readSnapshot(bytes.NewReader(data[:n]))
+		_, slow := readSnapshot(iotest.OneByteReader(bytes.NewReader(data[:n])))
 		if fast == nil || slow == nil || fast.Error() != slow.Error() {
 			t.Fatalf("cut at %d of %d bytes: error %v, one byte per read %v", n, len(data), fast, slow)
 		}
 	}
 	for _, r := range []io.Reader{bytes.NewReader(data), iotest.OneByteReader(bytes.NewReader(data))} {
-		back, err := ReadBinary(r)
+		back, err := readSnapshot(r)
 		if err != nil || back.Len() != col.Len() {
 			t.Fatalf("whole snapshot: %v", err)
 		}
@@ -158,7 +166,8 @@ func TestReadBinaryErrorsWherever(t *testing.T) {
 }
 
 // BenchmarkReadBinary loads the benchmark's 100 000-object POI snapshot
-// from memory: parse, tokenize, intern and build every term vector.
+// from memory through ReadAuto, as every program loads it: parse,
+// tokenize, intern and build every term vector.
 func BenchmarkReadBinary(b *testing.B) {
 	col, err := Generate(POISpec(100000, 1))
 	if err != nil {
@@ -172,7 +181,7 @@ func BenchmarkReadBinary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := ReadAuto(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

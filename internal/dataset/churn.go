@@ -9,11 +9,10 @@ import (
 	"geosel/internal/livestore"
 )
 
-// ChurnSpec parameterizes a synthetic mutation trace over a base
-// collection — the workload the live store ingests in the churn tests
-// and that cmd/datagen -churn writes out.
+// ChurnSpec parameterizes a synthetic mutation sequence over a base
+// collection: the workload the live store ingests in the churn tests.
 type ChurnSpec struct {
-	// Mutations is the trace length.
+	// Mutations is the sequence length.
 	Mutations int
 	// InsertWeight, UpdateWeight and DeleteWeight set the relative mix
 	// of operation kinds; all zero means the default 3:4:3 mix. Deletes
@@ -21,50 +20,31 @@ type ChurnSpec struct {
 	// IDs, so with a balanced mix the live count stays near the base
 	// size.
 	InsertWeight, UpdateWeight, DeleteWeight float64
-	// RatePerSec spaces the trace timestamps (TimedMutation.AtMs);
-	// 0 means 1000 mutations/s. Replayers are free to ignore the
-	// timeline.
-	RatePerSec float64
 	// Seed drives all randomness; equal specs over equal collections
-	// generate identical traces.
+	// generate identical sequences.
 	Seed int64
 }
 
-// Validate reports the first invalid field.
-func (s ChurnSpec) Validate() error {
-	switch {
-	case s.Mutations < 0:
-		return fmt.Errorf("dataset: Mutations = %d must be non-negative", s.Mutations)
-	case s.InsertWeight < 0 || s.UpdateWeight < 0 || s.DeleteWeight < 0:
-		return fmt.Errorf("dataset: churn mix weights must be non-negative")
-	case s.RatePerSec < 0:
-		return fmt.Errorf("dataset: RatePerSec = %v must be non-negative", s.RatePerSec)
-	}
-	return nil
-}
-
-// GenerateChurn derives a mutation trace from the base collection.
+// GenerateChurn derives a mutation sequence from the base collection.
 // Inserts clone a random base object's text and perturb its location
 // (new points stay plausible under the base's spatial/textual skew
 // without re-running the full generator); updates move a live object by
 // a small delta and re-draw its weight; deletes remove a live object.
-// The trace is internally consistent: updates and deletes only ever
-// target IDs that are live at that point of the trace, so replaying it
-// from the base collection yields Outcome.Missed == 0.
-func GenerateChurn(col *geodata.Collection, spec ChurnSpec) ([]livestore.TimedMutation, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if col == nil || len(col.Objects) == 0 {
+// The sequence is internally consistent: updates and deletes only ever
+// target IDs that are live at that point of it, so applying it to the
+// base collection yields Outcome.Missed == 0.
+func GenerateChurn(col *geodata.Collection, spec ChurnSpec) ([]livestore.Mutation, error) {
+	switch {
+	case spec.Mutations < 0:
+		return nil, fmt.Errorf("dataset: Mutations = %d must be non-negative", spec.Mutations)
+	case spec.InsertWeight < 0 || spec.UpdateWeight < 0 || spec.DeleteWeight < 0:
+		return nil, fmt.Errorf("dataset: churn mix weights must be non-negative")
+	case col == nil || len(col.Objects) == 0:
 		return nil, fmt.Errorf("dataset: churn needs a non-empty base collection")
 	}
 	iw, uw, dw := spec.InsertWeight, spec.UpdateWeight, spec.DeleteWeight
 	if iw == 0 && uw == 0 && dw == 0 {
 		iw, uw, dw = 3, 4, 3
-	}
-	rate := spec.RatePerSec
-	if rate == 0 {
-		rate = 1000
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 
@@ -118,8 +98,8 @@ func GenerateChurn(col *geodata.Collection, spec ChurnSpec) ([]livestore.TimedMu
 	}
 
 	total := iw + uw + dw
-	out := make([]livestore.TimedMutation, 0, spec.Mutations)
-	for i := 0; i < spec.Mutations; i++ {
+	out := make([]livestore.Mutation, 0, spec.Mutations)
+	for range spec.Mutations {
 		r := rng.Float64() * total
 		var m livestore.Mutation
 		switch {
@@ -145,11 +125,7 @@ func GenerateChurn(col *geodata.Collection, spec ChurnSpec) ([]livestore.TimedMu
 			dropLive(id)
 			delete(objects, id)
 		}
-		out = append(out, livestore.TimedMutation{
-			Seq:      i,
-			AtMs:     int64(float64(i) * 1000 / rate),
-			Mutation: m,
-		})
+		out = append(out, m)
 	}
 	return out, nil
 }

@@ -101,7 +101,7 @@ func TestGenerateBasicProperties(t *testing.T) {
 		if !geo.WorldUnit.Contains(o.Loc) {
 			t.Fatalf("object %d at %v outside unit square", i, o.Loc)
 		}
-		if o.Vec.IsZero() {
+		if len(o.Vec.Words) == 0 {
 			t.Fatalf("object %d has empty term vector", i)
 		}
 	}
@@ -312,7 +312,7 @@ func TestRandomPan(t *testing.T) {
 		if !ok {
 			t.Fatalf("overlap %v: no intersection", overlap)
 		}
-		got := inter.Area() / region.Area()
+		got := inter.Width() * inter.Height() / (region.Width() * region.Height())
 		if math.Abs(got-overlap) > 1e-9 {
 			t.Fatalf("overlap %v: got %v", overlap, got)
 		}
@@ -346,7 +346,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		if a.ID != b.ID || a.Loc != b.Loc || a.Weight != b.Weight || a.Text != b.Text {
 			t.Fatalf("object %d differs after round trip: %+v vs %+v", i, a, b)
 		}
-		if c := a.Vec.Cosine(b.Vec); c < 1-0x1p-20 && !a.Vec.IsZero() {
+		if c := a.Vec.Cosine(b.Vec); c < 1-0x1p-20 && len(a.Vec.Words) != 0 {
 			t.Fatalf("object %d term vector changed: cosine %v", i, c)
 		}
 	}
@@ -413,7 +413,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := WriteBinary(&buf, col); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := ReadAuto(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestReadBinaryErrors(t *testing.T) {
 		{"truncated", good[:len(good)/2]},
 	}
 	for _, c := range cases {
-		if _, err := ReadBinary(bytes.NewReader(c.data)); err == nil {
+		if _, err := readSnapshot(bytes.NewReader(c.data)); err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", c.name)
 		}
 	}
@@ -475,12 +475,12 @@ func TestReadBinaryErrors(t *testing.T) {
 	evil.Write([]byte{2})                                  // id = 1 zigzag
 	evil.Write(make([]byte, 24))                           // x, y, weight
 	evil.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // huge text length
-	if _, err := ReadBinary(&evil); err == nil {
+	if _, err := readSnapshot(&evil); err == nil {
 		t.Error("oversized text length accepted")
 	}
 }
 
-// WriteBinary refuses a text ReadBinary would refuse to load, rather
+// WriteBinary refuses a text the snapshot reader would refuse to load, rather
 // than writing a snapshot nothing can read back.
 func TestWriteBinaryRejectsUnreadableText(t *testing.T) {
 	col := geodata.NewCollection()
@@ -493,7 +493,7 @@ func TestWriteBinaryRejectsUnreadableText(t *testing.T) {
 	if err := WriteBinary(&buf, col); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := ReadAuto(&buf)
 	if err != nil || len(back.Objects) != 1 || back.Objects[0].Text != col.Objects[0].Text {
 		t.Fatalf("text at the limit did not round-trip: err %v", err)
 	}

@@ -141,14 +141,14 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		col, err := ReadBinary(bytes.NewReader(data))
+		col, err := readSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		if col == nil {
 			t.Fatal("nil collection without error")
 		}
-		checkRoundTrip(t, col, WriteBinary, ReadBinary)
+		checkRoundTrip(t, col, WriteBinary, ReadAuto)
 	})
 }
 

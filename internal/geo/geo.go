@@ -51,14 +51,6 @@ type Rect struct {
 	Min, Max Point
 }
 
-// RectFromPoints returns the smallest Rect containing both p and q.
-func RectFromPoints(p, q Point) Rect {
-	return Rect{
-		Min: Point{math.Min(p.X, q.X), math.Min(p.Y, q.Y)},
-		Max: Point{math.Max(p.X, q.X), math.Max(p.Y, q.Y)},
-	}
-}
-
 // RectAround returns the square of side 2*half centered at c.
 func RectAround(c Point, half float64) Rect {
 	return Rect{
@@ -88,9 +80,6 @@ func (r Rect) Side() float64 {
 	}
 	return side
 }
-
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
 // Center returns the center point of r.
 func (r Rect) Center() Point {

@@ -37,11 +37,3 @@ func Mercator(ll LonLat) Point {
 	y := 0.5 + math.Log((1+s)/(1-s))/(4*math.Pi)
 	return Point{X: x, Y: y}
 }
-
-// InverseMercator maps a unit-square point back to longitude/latitude.
-func InverseMercator(p Point) LonLat {
-	lon := p.X*360 - 180
-	// The forward transform is y-0.5 = atanh(sin(lat))/(2π).
-	lat := 180 / math.Pi * math.Asin(math.Tanh((p.Y-0.5)*2*math.Pi))
-	return LonLat{Lon: lon, Lat: lat}
-}

@@ -31,7 +31,7 @@ func TestAddAndLen(t *testing.T) {
 	if o.ID != 42 || o.Weight != 0.7 || o.Text != "coffee shop" {
 		t.Errorf("object = %+v", o)
 	}
-	if o.Vec.IsZero() {
+	if len(o.Vec.Words) == 0 {
 		t.Error("term vector should not be zero")
 	}
 	if c.Vocab.Len() != 2 {

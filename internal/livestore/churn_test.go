@@ -38,13 +38,9 @@ func churnCollection(t *testing.T, n int, seed int64) *geodata.Collection {
 
 func churnMutations(t *testing.T, col *geodata.Collection, n int, seed int64) []livestore.Mutation {
 	t.Helper()
-	trace, err := dataset.GenerateChurn(col, dataset.ChurnSpec{Mutations: n, Seed: seed})
+	muts, err := dataset.GenerateChurn(col, dataset.ChurnSpec{Mutations: n, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
-	}
-	muts := make([]livestore.Mutation, len(trace))
-	for i, tm := range trace {
-		muts[i] = tm.Mutation
 	}
 	return muts
 }

@@ -1,7 +1,6 @@
 package livestore
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -459,30 +458,16 @@ func TestSlotArrayGrowthAndCompactionPolicy(t *testing.T) {
 	checkPinned(t, pinned, want)
 }
 
-func TestTraceRoundTrip(t *testing.T) {
-	in := []TimedMutation{
-		{Seq: 0, AtMs: 0, Mutation: Mutation{Op: OpInsert, ID: 1, Loc: geo.Pt(0.25, 0.75), Weight: 0.5, Text: "a b"}},
-		{Seq: 1, AtMs: 3, Mutation: Mutation{Op: OpUpdate, ID: 1, Loc: geo.Pt(0.5, 0.5), Weight: 0.25}},
-		{Seq: 2, AtMs: 9, Mutation: Mutation{Op: OpDelete, ID: 1}},
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("len = %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, out[i], in[i])
+// TestParseOpInvertsString: every mutation kind's name parses back to
+// it, and an unknown name is an error (what /ingest answers 400 for).
+func TestParseOpInvertsString(t *testing.T) {
+	for _, op := range []Op{OpInsert, OpUpdate, OpDelete} {
+		if got, err := ParseOp(op.String()); err != nil || got != op {
+			t.Errorf("ParseOp(%q) = %v, %v", op.String(), got, err)
 		}
 	}
-	if _, err := ReadTrace(bytes.NewBufferString(`{"op":"noop","id":1}` + "\n")); err == nil {
-		t.Fatal("want unknown-op error")
+	if _, err := ParseOp("noop"); err == nil {
+		t.Error("unknown op accepted")
 	}
 }
 

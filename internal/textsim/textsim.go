@@ -57,9 +57,6 @@ func (v *Vocabulary) home(h uint64) int { return int((h * 0x9e3779b97f4a7c15) >>
 // NewVocabulary returns an empty vocabulary.
 func NewVocabulary() *Vocabulary { return &Vocabulary{} }
 
-// ID returns the id for term, assigning the next free id on first sight.
-func (v *Vocabulary) ID(term string) int { return int(intern(v, term, hashOf(term))) }
-
 // Lookup returns the id for term without interning; ok is false when the
 // term is unknown.
 func (v *Vocabulary) Lookup(term string) (int, bool) {
@@ -291,9 +288,6 @@ func (a *Arena) FromText(vocab *Vocabulary, s string) Vector {
 	}
 	return unit(a, terms)
 }
-
-// IsZero reports whether the vector has no terms.
-func (a Vector) IsZero() bool { return len(a.Words) == 0 }
 
 // Dot returns the dot product of a and b via a sorted merge.
 //

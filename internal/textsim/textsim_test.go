@@ -39,14 +39,25 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
+// internTerm interns term through FromText, the way every program
+// interns, and returns its id; term must be one token of FromText.
+func internTerm(t *testing.T, v *Vocabulary, term string) int {
+	t.Helper()
+	words := FromText(v, term).Words
+	if len(words) != 1 {
+		t.Fatalf("%q is %d terms, want one", term, len(words))
+	}
+	return int(int32(words[0] >> 32))
+}
+
 func TestVocabulary(t *testing.T) {
 	v := NewVocabulary()
-	a := v.ID("alpha")
-	b := v.ID("beta")
+	a := internTerm(t, v, "alpha")
+	b := internTerm(t, v, "beta")
 	if a != 0 || b != 1 {
 		t.Fatalf("ids %d, %d; want the dense 0, 1", a, b)
 	}
-	if got := v.ID("alpha"); got != a {
+	if got := internTerm(t, v, "alpha"); got != a {
 		t.Errorf("re-intern changed id: %d vs %d", got, a)
 	}
 	if v.Len() != 2 {
@@ -60,24 +71,26 @@ func TestVocabulary(t *testing.T) {
 	}
 	// Zero value usable.
 	var zero Vocabulary
-	if zero.ID("x") != 0 {
+	if internTerm(t, &zero, "x") != 0 {
 		t.Error("zero-value vocabulary broken")
 	}
 }
 
-// TestVocabularyAgainstMap interns 100 000 distinct random terms, each
-// met twice, in random order, so the table runs every growth step from
-// its first one, and holds ID, Lookup, Term and Len to a map at every
-// step — on a NewVocabulary and on a zero value.
+// TestVocabularyAgainstMap interns 100 000 distinct random terms of
+// letters and digits (what FromText interns), each met twice, in random
+// order, so the table runs every growth step from its first one, and
+// holds the ids FromText assigns, Lookup, Term and Len to a map at
+// every step — on a NewVocabulary and on a zero value.
 func TestVocabularyAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 100000
 	seen := make(map[string]bool, n)
 	var terms []string
 	for len(terms) < n {
+		const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
 		b := make([]byte, 1+rng.Intn(12))
 		for i := range b {
-			b[i] = byte(rng.Intn(256))
+			b[i] = alphabet[rng.Intn(len(alphabet))]
 		}
 		if s := string(b); !seen[s] {
 			seen[s] = true
@@ -97,8 +110,8 @@ func TestVocabularyAgainstMap(t *testing.T) {
 					t.Fatalf("%s: Lookup(%q) found a term never interned", name, term)
 				}
 			}
-			if got, want := v.ID(term), ref.ID(term); got != want {
-				t.Fatalf("%s: step %d: ID(%q) = %d, want %d", name, k, term, got, want)
+			if got, want := internTerm(t, v, term), ref.ID(term); got != want {
+				t.Fatalf("%s: step %d: FromText(%q) interned id %d, want %d", name, k, term, got, want)
 			}
 			if v.Len() != len(ref.Terms) {
 				t.Fatalf("%s: step %d: Len %d, want %d", name, k, v.Len(), len(ref.Terms))
@@ -218,7 +231,7 @@ func TestVectorsAreUnit(t *testing.T) {
 		"negative": {-1, -1, -1},
 		"NaN":      {math.NaN(), math.NaN(), math.NaN()},
 	} {
-		if r := NewVector(map[int]float64{0: 1, 2: 3}).Reweight(factors); !r.IsZero() {
+		if r := NewVector(map[int]float64{0: 1, 2: 3}).Reweight(factors); len(r.Words) != 0 {
 			t.Errorf("%s factors: Reweight = %x, want the empty vector", name, r.Words)
 		}
 	}
@@ -250,8 +263,8 @@ func TestCosineZeroVector(t *testing.T) {
 	if got := zero.Cosine(zero); got != 0 {
 		t.Errorf("zero-zero cosine = %v", got)
 	}
-	if !zero.IsZero() || a.IsZero() {
-		t.Error("IsZero misreports")
+	if len(zero.Words) != 0 || len(a.Words) == 0 {
+		t.Error("the zero Vector has words, or a one-term vector has none")
 	}
 }
 
@@ -348,7 +361,7 @@ func TestFromTerms(t *testing.T) {
 		if !slices.Equal(got.Words, want.Words) {
 			t.Errorf("terms %q: words %x, want %x", terms, got.Words, want.Words)
 		}
-		if len(terms) == 0 && !got.IsZero() {
+		if len(terms) == 0 && len(got.Words) != 0 {
 			t.Error("no terms should give the empty vector")
 		}
 	}
@@ -381,7 +394,7 @@ func FuzzTokenize(f *testing.F) {
 				t.Fatalf("term %q is not lower-case", term)
 			}
 		}
-		if v.IsZero() != (vocab.Len() == 0) {
+		if (len(v.Words) == 0) != (vocab.Len() == 0) {
 			t.Fatalf("%d terms but words %x", vocab.Len(), v.Words)
 		}
 		if len(v.Words) != vocab.Len() {
