@@ -5,6 +5,12 @@
 // Usage:
 //
 //	datagen -preset uk -n 100000 -seed 1 -format csv -o uk.csv
+//	datagen -preset uk -n 2000000 -seed 1 -format binary -o uk2m.bin
+//
+// A binary snapshot (version 2) carries the vocabulary and every
+// object's term counts, tokenized once here, so a program that loads it
+// tokenizes nothing. Version 1 snapshots, which carried texts only, are
+// refused by every reader: write them again with this command.
 package main
 
 import (
@@ -22,7 +28,7 @@ func main() {
 		preset = flag.String("preset", "uk", "dataset preset: uk, us or poi")
 		n      = flag.Int("n", 100000, "number of objects")
 		seed   = flag.Int64("seed", 1, "generator seed")
-		format = flag.String("format", "csv", "output format: csv, jsonl or binary")
+		format = flag.String("format", "csv", "output format: csv, jsonl or binary (snapshot version 2)")
 		out    = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()

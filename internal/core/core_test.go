@@ -294,6 +294,44 @@ func TestGreedyMatchesNaive(t *testing.T) {
 	}
 }
 
+// columnStarts returns where the grid NewGrid builds over objs puts its
+// columns after the first, inside (0, 1]: for each, the smallest x it
+// holds. Probes at positions 2 and 3 do not move the layout as long as
+// the corners pin the bounds and the count stays. AppendRegion lists a
+// row's cells left to right and the positions inside one cell
+// ascending, so with x at position 2 and the reference at position 3,
+// position 3 comes first exactly when x lies in a later column; a
+// bisection over
+// the bit patterns of positive floats, which order as the floats do,
+// finds each column's first x.
+func columnStarts(objs []geodata.Object) []float64 {
+	probe := append([]geodata.Object(nil), objs...)
+	unit := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(1, 1)}
+	later := func(x, than float64) bool {
+		probe[2].Loc, probe[3].Loc = geo.Pt(x, 0.5), geo.Pt(than, 0.5)
+		for _, p := range geodata.NewGrid(probe).AppendRegion(nil, probe, unit) {
+			if p == 2 || p == 3 {
+				return p == 3
+			}
+		}
+		return false
+	}
+	var starts []float64
+	for from := 0.0; later(1, from); {
+		lo, hi := math.Float64bits(from), math.Float64bits(1)
+		for hi-lo > 1 {
+			if mid := lo + (hi-lo)/2; later(math.Float64frombits(mid), from) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		from = math.Float64frombits(hi)
+		starts = append(starts, from)
+	}
+	return starts
+}
+
 // TestGreedyGridMatchesLinear holds the grid's conflict removal to the
 // linear scan (DisableGrid), bit for bit: the same picks, Gains and
 // Score bits, Evals and Rounds. It runs θ from 1e-300 to +Inf, the
@@ -318,19 +356,11 @@ func TestGreedyGridMatchesLinear(t *testing.T) {
 			tiny[i].Loc = geo.Pt(x*1e-200, y*1e-200)
 		}
 		// Pinning the corners fixes the grid over [0,1]², so every object
-		// moved inside the square keeps the layout CellRect reports; the
+		// moved inside the square keeps the layout columnStarts finds; the
 		// square layout has the same boundaries on both axes.
 		edges := testObjects(150, 40+seed)
 		edges[0].Loc, edges[1].Loc = geo.Pt(0, 0), geo.Pt(1, 1)
-		g := geodata.NewGrid(edges)
-		var bounds []float64
-		for k := 1; ; k++ {
-			x := g.CellRect(k).Min.X
-			if x >= 1 || (len(bounds) > 0 && x <= bounds[len(bounds)-1]) {
-				break
-			}
-			bounds = append(bounds, x)
-		}
+		bounds := columnStarts(edges)
 		if len(bounds) < 2 {
 			t.Fatalf("seed %d: cell boundaries %v; want at least two inside the unit square", seed, bounds)
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,37 +24,148 @@ func readSnapshot(r io.Reader) (*geodata.Collection, error) {
 	return readBinary(bufio.NewReader(r), unreadBytes(r))
 }
 
+// snapshotHead is the start of a snapshot: the magic, the version and
+// a vocabulary of the given terms.
+func snapshotHead(terms ...string) []byte {
+	data := append([]byte(binaryMagic), binaryVersion)
+	data = binary.AppendUvarint(data, uint64(len(terms)))
+	for _, term := range terms {
+		data = binary.AppendUvarint(data, uint64(len(term)))
+		data = append(data, term...)
+	}
+	return data
+}
+
 // TestReadBinaryHugeCount: a header claiming 2⁴⁰ objects ahead of one
-// truncated record fails without a large allocation, whether the
-// stream's length is known (in memory, a file) or not.
+// truncated record, 2⁴⁰ vocabulary terms ahead of one, or a record
+// claiming 2⁴⁰ terms ahead of one, fails without a large allocation,
+// whether the stream's length is known (in memory, a file) or not.
 func TestReadBinaryHugeCount(t *testing.T) {
+	objects := binary.AppendUvarint(snapshotHead(), 1<<40)
+	objects = append(objects, 2) // id 1, then the stream ends inside x
+	objects = append(objects, make([]byte, 10)...)
+
+	terms := append([]byte(binaryMagic), binaryVersion)
+	terms = binary.AppendUvarint(terms, 1<<40)
+	terms = append(terms, 1, 'a') // one term, then the stream ends
+
+	counts := binary.AppendUvarint(snapshotHead("a", "b"), 1)
+	counts = append(counts, 2)                   // id 1
+	counts = append(counts, make([]byte, 24)...) // x, y, weight
+	counts = binary.AppendUvarint(counts, 1<<40) // its term count
+	counts = append(counts, 0)                   // one term, then the stream ends
+
+	for what, data := range map[string][]byte{"objects": objects, "terms": terms, "term counts": counts} {
+		path := filepath.Join(t.TempDir(), "huge.bin")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		read := map[string]func() error{
+			"bytes": func() error { _, err := readSnapshot(bytes.NewReader(data)); return err },
+			"opaque": func() error {
+				_, err := readSnapshot(struct{ io.Reader }{bytes.NewReader(data)})
+				return err
+			},
+			"file": func() error { _, err := Load(path, "", 0, 0); return err },
+		}
+		for name, f := range read {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := f()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s, %s: a count the stream cannot hold was accepted", what, name)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("%s, %s: failing read allocated %d bytes", what, name, got)
+			}
+		}
+	}
+}
+
+// TestReadBinaryRefusesVersion1: a snapshot of the first version,
+// which stored texts only, is refused with an error that names its
+// version, not read as something else.
+func TestReadBinaryRefusesVersion1(t *testing.T) {
 	data := []byte("GSNP\x01")
-	data = binary.AppendUvarint(data, 1<<40)
-	data = append(data, 2) // id 1, then the stream ends inside x
-	data = append(data, make([]byte, 10)...)
-	path := filepath.Join(t.TempDir(), "huge.bin")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	data = binary.AppendUvarint(data, 1)
+	data = append(data, 2)                   // id 1
+	data = append(data, make([]byte, 24)...) // x, y, weight
+	data = append(data, 2, 'h', 'i')         // text "hi"
+	for name, read := range map[string]func(io.Reader) (*geodata.Collection, error){"snapshot": readSnapshot, "ReadAuto": ReadAuto} {
+		_, err := read(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Errorf("%s of a version 1 snapshot: %v, want an error naming version 1", name, err)
+		}
+	}
+}
+
+// TestReadBinaryCorruptTerms: a vocabulary or term counts the records
+// cannot refer to consistently are refused.
+func TestReadBinaryCorruptTerms(t *testing.T) {
+	record := func(head []byte, terms ...byte) []byte {
+		data := binary.AppendUvarint(head, 1)
+		data = append(data, 2)                   // id 1
+		data = append(data, make([]byte, 24)...) // x, y, weight
+		data = append(data, terms...)
+		return append(data, 1, 'a') // text "a"
+	}
+	cases := map[string][]byte{
+		"repeated term":              record(snapshotHead("a", "b", "a"), 0),
+		"empty term":                 record(snapshotHead("a", ""), 0),
+		"id past vocabulary":         record(snapshotHead("a", "b"), 1, 2<<1),
+		"second id past":             record(snapshotHead("a", "b"), 2, 1<<1, 0),
+		"more terms than vocabulary": record(snapshotHead("a"), 2, 0, 0),
+		"count past limit": record(snapshotHead("a"),
+			binary.AppendUvarint([]byte{1, 1}, maxBinaryText-1)...),
+	}
+	for name, data := range cases {
+		if _, err := readSnapshot(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	for _, terms := range [][]byte{{1, 0}, binary.AppendUvarint([]byte{1, 1}, maxBinaryText-2)} {
+		if _, err := readSnapshot(bytes.NewReader(record(snapshotHead("a"), terms...))); err != nil {
+			t.Errorf("the well-formed terms %x the cases corrupt: %v", terms, err)
+		}
+	}
+}
+
+// TestBinaryMatchesTextPath: a written snapshot loads into exactly the
+// vocabulary and vectors Collection.Add builds from its texts in order
+// — the ids, the spellings and every Words bit — for a generated
+// collection, for one whose vocabulary has grown past its objects'
+// terms (ingested objects, some then dropped, so its ids are not in the
+// objects' order of first appearance), and for one whose vectors were
+// reweighted by TF-IDF, which a snapshot does not carry.
+func TestBinaryMatchesTextPath(t *testing.T) {
+	generated, err := Generate(UKSpec(3000, 21))
+	if err != nil {
 		t.Fatal(err)
 	}
-	read := map[string]func() error{
-		"bytes": func() error { _, err := readSnapshot(bytes.NewReader(data)); return err },
-		"opaque": func() error {
-			_, err := readSnapshot(struct{ io.Reader }{bytes.NewReader(data)})
-			return err
-		},
-		"file": func() error { _, err := Load(path, "", 0, 0); return err },
+	grown, err := Generate(POISpec(2000, 22))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, f := range read {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := f()
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Errorf("%s: a count the stream cannot hold was accepted", name)
+	for i := 0; i < 300; i++ {
+		grown.Add(100000+i, geo.Pt(0.5, 0.5), 0.5, fmt.Sprintf("ingested%d Straße %d", i%17, i))
+	}
+	grown.Objects = grown.Objects[500:]
+	tfidf, err := Generate(POISpec(2000, 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tfidf.ApplyTFIDF()
+	for name, col := range map[string]*geodata.Collection{"generated": generated, "grown": grown, "tfidf": tfidf} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, col); err != nil {
+			t.Fatal(err)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-			t.Errorf("%s: failing read allocated %d bytes", name, got)
+		back, err := ReadAuto(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		t.Run(name, func(t *testing.T) { checkVectors(t, back, textPath(col)) })
 	}
 }
 
@@ -167,7 +279,8 @@ func TestReadBinaryErrorsWherever(t *testing.T) {
 
 // BenchmarkReadBinary loads the benchmark's 100 000-object POI snapshot
 // from memory through ReadAuto, as every program loads it: parse,
-// tokenize, intern and build every term vector.
+// intern the stored vocabulary and rebuild every term vector from its
+// stored counts.
 func BenchmarkReadBinary(b *testing.B) {
 	col, err := Generate(POISpec(100000, 1))
 	if err != nil {

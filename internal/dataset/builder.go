@@ -18,12 +18,17 @@ const textChunk = 1 << 16
 // allocates per chunk rather than per object, and interns terms in the
 // order Collection.Add would. A text never straddles two chunks, and a
 // chunk lives as long as any object that points into it.
+//
+// The snapshot reader's builder is counted: its texts are not
+// tokenized, and the reader builds each Vec from the record's stored
+// term counts through vec as it adds the object.
 type builder struct {
-	col   *geodata.Collection
-	words textsim.Arena
-	text  []byte // the texts of objects first, first+1, … back to back
-	ends  []int  // ends[k] is where object first+k's text ends in text
-	first int
+	col     *geodata.Collection
+	words   textsim.Arena
+	counted bool
+	text    []byte // the texts of objects first, first+1, … back to back
+	ends    []int  // ends[k] is where object first+k's text ends in text
+	first   int
 }
 
 // newBuilder starts a collection whose objects array has room for size
@@ -50,15 +55,24 @@ func (b *builder) add(id int, loc geo.Point, weight float64, n int) []byte {
 	return b.text[start:]
 }
 
-// seal gives every object added since the last seal its Text and Vec,
-// and empties the buffer for the next chunk.
+// vec builds the Vec of the object added last from its term counts,
+// for a counted builder.
+func (b *builder) vec(counts []textsim.Count) {
+	b.col.Objects[len(b.col.Objects)-1].Vec = b.words.FromCounts(counts)
+}
+
+// seal gives every object added since the last seal its Text (and,
+// unless the builder is counted, its Vec), and empties the buffer for
+// the next chunk.
 func (b *builder) seal() {
 	chunk := string(b.text)
 	start := 0
 	for k, end := range b.ends {
 		o := &b.col.Objects[b.first+k]
 		o.Text = chunk[start:end]
-		o.Vec = b.words.FromText(b.col.Vocab, o.Text)
+		if !b.counted {
+			o.Vec = b.words.FromText(b.col.Vocab, o.Text)
+		}
 		start = end
 	}
 	b.first += len(b.ends)

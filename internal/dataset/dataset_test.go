@@ -469,11 +469,11 @@ func TestReadBinaryErrors(t *testing.T) {
 	}
 	// Oversized text-length prefix.
 	var evil bytes.Buffer
-	evil.WriteString("GSNP")
-	evil.WriteByte(1)
+	evil.Write(snapshotHead())                             // an empty vocabulary
 	evil.Write([]byte{1})                                  // count = 1
 	evil.Write([]byte{2})                                  // id = 1 zigzag
 	evil.Write(make([]byte, 24))                           // x, y, weight
+	evil.Write([]byte{0})                                  // no terms
 	evil.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}) // huge text length
 	if _, err := readSnapshot(&evil); err == nil {
 		t.Error("oversized text length accepted")

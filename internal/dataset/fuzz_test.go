@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
+	"geosel/internal/textsim"
 )
 
 // The three readers must never panic on arbitrary input — they are the
@@ -17,9 +19,9 @@ import (
 // own format must carry back bit for bit.
 
 // checkRoundTrip fails unless col, written with write and read back with
-// read, comes back with the same objects: IDs, float bits and text. The
-// term vectors and the vocabulary of col and of what comes back must be
-// what Collection.Add builds from the same records one at a time.
+// read, comes back with the same objects: IDs, float bits and text. What
+// comes back must carry the term vectors and the vocabulary that
+// Collection.Add builds from the same records one at a time.
 func checkRoundTrip(t *testing.T, col *geodata.Collection,
 	write func(io.Writer, *geodata.Collection) error,
 	read func(io.Reader) (*geodata.Collection, error)) {
@@ -44,12 +46,49 @@ func checkRoundTrip(t *testing.T, col *geodata.Collection,
 			t.Fatalf("round trip: object %d = %+v, want %+v", i, b, o)
 		}
 	}
+	checkVectors(t, back, textPath(col))
+}
+
+// textPath is col's records added one at a time by Collection.Add,
+// which tokenizes each text against one fresh vocabulary.
+func textPath(col *geodata.Collection) *geodata.Collection {
 	ref := geodata.NewCollection()
 	for _, o := range col.Objects {
 		ref.Add(o.ID, o.Loc, o.Weight, o.Text)
 	}
-	checkVectors(t, col, ref)
-	checkVectors(t, back, col)
+	return ref
+}
+
+// checkValid fails unless every vector of col is one a text could
+// give against col's vocabulary: term ids strictly ascending and below
+// its length, positive weights of unit length (or no words), and every
+// term of the vocabulary non-empty and found under its own id.
+func checkValid(t *testing.T, col *geodata.Collection) {
+	t.Helper()
+	n := col.Vocab.Len()
+	for id := 0; id < n; id++ {
+		term := col.Vocab.Term(id)
+		if got, ok := col.Vocab.Lookup(term); term == "" || !ok || got != id {
+			t.Fatalf("term %d %q looks up as %d, %v", id, term, got, ok)
+		}
+	}
+	for i, o := range col.Objects {
+		var norm2 float64
+		for k, w := range o.Vec.Words {
+			id := int(w >> 32)
+			if id >= n || k > 0 && id <= int(o.Vec.Words[k-1]>>32) {
+				t.Fatalf("object %d: words %x not ascending below %d", i, o.Vec.Words, n)
+			}
+			u := float64(textsim.UnpackWeight(w))
+			if !(u > 0) {
+				t.Fatalf("object %d: weight %v", i, u)
+			}
+			norm2 += u * u
+		}
+		if len(o.Vec.Words) > 0 && math.Abs(norm2-1) > 1e-5 {
+			t.Fatalf("object %d: squared norm %v", i, norm2)
+		}
+	}
 }
 
 // checkVectors fails unless got's objects carry want's term vectors, bit
@@ -92,6 +131,7 @@ func FuzzReadCSV(f *testing.F) {
 		if col == nil {
 			t.Fatal("nil collection without error")
 		}
+		checkVectors(t, col, textPath(col))
 		checkRoundTrip(t, col, WriteCSV, ReadCSV)
 	})
 }
@@ -116,10 +156,15 @@ func FuzzReadJSONL(f *testing.F) {
 		if col == nil {
 			t.Fatal("nil collection without error")
 		}
+		checkVectors(t, col, textPath(col))
 		checkRoundTrip(t, col, WriteJSONL, ReadJSONL)
 	})
 }
 
+// FuzzReadBinary: a snapshot's vectors come from its stored counts,
+// not its texts, so an accepted stream need not match its texts; its
+// vectors must still be valid ones (checkValid), and writing it back
+// must give the snapshot of its texts.
 func FuzzReadBinary(f *testing.F) {
 	col, err := Generate(POISpec(5, 3))
 	if err != nil {
@@ -131,10 +176,14 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte("GSNP"))
+	f.Add([]byte("GSNP\x02\x00\x00"))
 	f.Add([]byte("GSNP\x01\x00"))
-	// A text longer than the reader's 4 KiB buffer, between short ones.
+	f.Add(binary.AppendUvarint(snapshotHead("a", "b"), 0))
+	// A text and a term longer than the reader's 4 KiB buffer, between
+	// short ones.
 	col.Add(9, geo.Pt(0.5, 0.5), 0.5, strings.Repeat("Größe ", 1000)+"end")
 	col.Add(10, geo.Pt(0.5, 0.5), 0.5, "after")
+	col.Add(11, geo.Pt(0.5, 0.5), 0.5, strings.Repeat("x", 5000)+" after")
 	buf.Reset()
 	if err := WriteBinary(&buf, col); err != nil {
 		f.Fatal(err)
@@ -148,12 +197,13 @@ func FuzzReadBinary(f *testing.F) {
 		if col == nil {
 			t.Fatal("nil collection without error")
 		}
+		checkValid(t, col)
 		checkRoundTrip(t, col, WriteBinary, ReadAuto)
 	})
 }
 
 func FuzzReadAuto(f *testing.F) {
-	f.Add([]byte("GSNP\x01\x00"))
+	f.Add([]byte("GSNP\x02\x00\x00"))
 	f.Add([]byte(`{"id":1}`))
 	f.Add([]byte("id,x,y,weight,text\n1,0,0,0.5,hi\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -45,8 +45,7 @@ type Grid struct {
 // later inserts outside the padded bounds clamp to edge cells, which
 // region queries handle by filtering on true coordinates. An extent
 // whose area overflows (corners near ±1e200 or beyond) has no finite
-// cell size: it gets one cell, which CellRect makes unbounded on every
-// side.
+// cell size: it gets one cell.
 func gridGeometry(b geo.Rect, n int) (geo.Rect, float64, int, int) {
 	w, h := b.Width(), b.Height()
 	pad := 0.005 * (w + h)
@@ -120,37 +119,9 @@ func (g *Grid) cellKey(p geo.Point) int {
 	return cy*g.nx + cx
 }
 
-// hugeCoord stands in for infinity when widening edge-cell rectangles
-// (the package deliberately avoids a math import; geo.Rect arithmetic
-// treats the sentinel exactly like an unbounded edge at this magnitude).
+// hugeCoord bounds a finite cell side: an extent whose area overflows
+// gets one cell (the package deliberately avoids a math import).
 const hugeCoord = 1e300
-
-// CellRect returns the world-space rectangle of cell k, a key Commit
-// reported dirty. Edge cells are widened to an unbounded extent on
-// their outer sides: cellCoords clamps out-of-bounds locations into
-// them, so an edge cell's true catchment area extends past the grid
-// bounds and invalidation consumers must see that full extent.
-func (g *Grid) CellRect(k int) geo.Rect {
-	cx := k % g.nx
-	cy := k / g.nx
-	r := geo.Rect{
-		Min: geo.Pt(g.bounds.Min.X+float64(cx)*g.cell, g.bounds.Min.Y+float64(cy)*g.cell),
-		Max: geo.Pt(g.bounds.Min.X+float64(cx+1)*g.cell, g.bounds.Min.Y+float64(cy+1)*g.cell),
-	}
-	if cx == 0 {
-		r.Min.X = -hugeCoord
-	}
-	if cx == g.nx-1 {
-		r.Max.X = hugeCoord
-	}
-	if cy == 0 {
-		r.Min.Y = -hugeCoord
-	}
-	if cy == g.ny-1 {
-		r.Max.Y = hugeCoord
-	}
-	return r
-}
 
 // NewGrid builds a grid from scratch over every position of objs, its
 // layout derived from their bounding rectangle and count. A static
@@ -228,12 +199,18 @@ type PosLoc struct {
 	Loc geo.Point
 }
 
-// Commit returns the next epoch's grid: the cell table cloned, plus the
-// delta applied cell by cell, and the keys of the cells the delta
-// touched (the epoch's dirty-cell set; CellRect turns a key into its
-// rectangle). dels and adds carry the positions leaving and entering
-// the index with their locations. g itself is not modified.
-func (g *Grid) Commit(dels, adds []PosLoc) (*Grid, []int) {
+// Commit returns the next epoch's grid — the cell table cloned, plus
+// the delta applied cell by cell — and, for each cell the delta
+// touched, the bounding box of the delta's locations in it: the epoch's
+// dirty rectangles. dels and adds carry the positions leaving and
+// entering the index with their locations. g itself is not modified.
+//
+// The boxes are exact where cells are not: a region that meets none of
+// them holds the same positions before and after the commit, whatever
+// cells it shares with the delta, and a location clamped into an edge
+// cell from far outside the grid is covered by the box of the location
+// itself. A NaN location lies in no region, so it widens no box.
+func (g *Grid) Commit(dels, adds []PosLoc) (*Grid, []geo.Rect) {
 	next := &Grid{bounds: g.bounds, cell: g.cell, nx: g.nx, ny: g.ny}
 	next.cells = make([][]int32, len(g.cells))
 	copy(next.cells, g.cells)
@@ -248,22 +225,34 @@ func (g *Grid) Commit(dels, adds []PosLoc) (*Grid, []int) {
 		key  int
 		dels []int32
 		adds []int32
+		box  geo.Rect
+		some bool // box holds at least one location
 	}
 	at := make([]int32, len(g.cells)) // key -> index+1 into deltas
 	var deltas []cellDelta
-	touch := func(k int) *cellDelta {
+	touch := func(p geo.Point) *cellDelta {
+		k := g.cellKey(p)
 		if at[k] == 0 {
 			deltas = append(deltas, cellDelta{key: k})
 			at[k] = int32(len(deltas))
 		}
-		return &deltas[at[k]-1]
+		d := &deltas[at[k]-1]
+		switch {
+		case p.X != p.X || p.Y != p.Y:
+		case !d.some:
+			d.box, d.some = geo.Rect{Min: p, Max: p}, true
+		default:
+			d.box.Min.X, d.box.Max.X = min(d.box.Min.X, p.X), max(d.box.Max.X, p.X)
+			d.box.Min.Y, d.box.Max.Y = min(d.box.Min.Y, p.Y), max(d.box.Max.Y, p.Y)
+		}
+		return d
 	}
 	for _, pl := range dels {
-		d := touch(g.cellKey(pl.Loc))
+		d := touch(pl.Loc)
 		d.dels = append(d.dels, pl.Pos)
 	}
 	for _, pl := range adds {
-		d := touch(g.cellKey(pl.Loc))
+		d := touch(pl.Loc)
 		d.adds = append(d.adds, pl.Pos)
 	}
 
@@ -275,7 +264,7 @@ func (g *Grid) Commit(dels, adds []PosLoc) (*Grid, []int) {
 		size += len(next.cells[deltas[i].key]) + len(deltas[i].adds)
 	}
 	arena := make([]int32, 0, size)
-	dirty := make([]int, len(deltas))
+	dirty := make([]geo.Rect, 0, len(deltas))
 	for i := range deltas {
 		d := &deltas[i]
 		start := len(arena)
@@ -286,7 +275,9 @@ func (g *Grid) Commit(dels, adds []PosLoc) (*Grid, []int) {
 		}
 		arena = append(arena, d.adds...)
 		next.cells[d.key] = arena[start:len(arena):len(arena)]
-		dirty[i] = d.key
+		if d.some {
+			dirty = append(dirty, d.box)
+		}
 	}
 	return next, dirty
 }

@@ -33,12 +33,12 @@ func TestDirtyCellsCoverMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := s.Current()
-	rects, ok := sn.DirtyCells(v0, nil)
+	rects, ok := sn.DirtyRects(v0, nil)
 	if !ok {
-		t.Fatalf("DirtyCells(%d) reported truncated history after one epoch", v0)
+		t.Fatalf("DirtyRects(%d) reported truncated history after one epoch", v0)
 	}
 	if len(rects) == 0 {
-		t.Fatal("DirtyCells returned no rects for a mutating epoch")
+		t.Fatal("DirtyRects returned no rects for a mutating epoch")
 	}
 	// Every mutated location — the old slot, the new slot, the insert —
 	// must be covered by some dirty rect.
@@ -48,8 +48,8 @@ func TestDirtyCellsCoverMutations(t *testing.T) {
 		}
 	}
 	// An interval ending at the snapshot's own version is empty.
-	if got, ok := sn.DirtyCells(sn.Version(), nil); !ok || len(got) != 0 {
-		t.Errorf("DirtyCells(current) = %d rects, ok=%v; want 0, true", len(got), ok)
+	if got, ok := sn.DirtyRects(sn.Version(), nil); !ok || len(got) != 0 {
+		t.Errorf("DirtyRects(current) = %d rects, ok=%v; want 0, true", len(got), ok)
 	}
 }
 
@@ -72,9 +72,9 @@ func TestDirtyCellsCoverInsertOverHugeSeedExtent(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := s.Current()
-	rects, ok := sn.DirtyCells(v0, nil)
+	rects, ok := sn.DirtyRects(v0, nil)
 	if !ok {
-		t.Fatalf("DirtyCells(%d) reported truncated history after one epoch", v0)
+		t.Fatalf("DirtyRects(%d) reported truncated history after one epoch", v0)
 	}
 	if !coveredBy(rects, inserted) {
 		t.Errorf("inserted location %v not covered by dirty rects %v", inserted, rects)
@@ -106,7 +106,7 @@ func TestDirtyCellsLocalized(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rects, ok := s.Current().DirtyCells(v0, nil)
+	rects, ok := s.Current().DirtyRects(v0, nil)
 	if !ok {
 		t.Fatal("history truncated after one epoch")
 	}
@@ -131,7 +131,7 @@ func TestDirtyCellsAccumulateAcrossEpochs(t *testing.T) {
 		}
 	}
 	sn := s.Current()
-	all, ok := sn.DirtyCells(v0, nil)
+	all, ok := sn.DirtyRects(v0, nil)
 	if !ok {
 		t.Fatal("history truncated within maxDirtyHistory epochs")
 	}
@@ -141,7 +141,7 @@ func TestDirtyCellsAccumulateAcrossEpochs(t *testing.T) {
 		}
 	}
 	// The suffix interval only covers the later epochs.
-	tail, ok := sn.DirtyCells(v0+2, nil)
+	tail, ok := sn.DirtyRects(v0+2, nil)
 	if !ok {
 		t.Fatal("suffix interval reported truncated")
 	}
@@ -167,11 +167,11 @@ func TestDirtyCellsHistoryCap(t *testing.T) {
 		}
 	}
 	sn := s.Current()
-	if _, ok := sn.DirtyCells(v0, nil); ok {
-		t.Error("DirtyCells reported full coverage past the history cap")
+	if _, ok := sn.DirtyRects(v0, nil); ok {
+		t.Error("DirtyRects reported full coverage past the history cap")
 	}
-	if _, ok := sn.DirtyCells(sn.Version()-uint64(maxDirtyHistory), nil); !ok {
-		t.Error("DirtyCells reported truncation inside the retained horizon")
+	if _, ok := sn.DirtyRects(sn.Version()-uint64(maxDirtyHistory), nil); !ok {
+		t.Error("DirtyRects reported truncation inside the retained horizon")
 	}
 	if len(sn.dirty) != maxDirtyHistory {
 		t.Errorf("retained history length = %d, want the cap %d", len(sn.dirty), maxDirtyHistory)
@@ -186,7 +186,7 @@ func TestDirtyCellsNoOpEpoch(t *testing.T) {
 	if v, _, err := s.Apply(ctx, []Mutation{{Op: OpDelete, ID: 777777}}); err != nil || v != v0 {
 		t.Fatalf("no-op batch: version %d err %v, want %d nil", v, err, v0)
 	}
-	rects, ok := s.Current().DirtyCells(v0, nil)
+	rects, ok := s.Current().DirtyRects(v0, nil)
 	if !ok || len(rects) != 0 {
 		t.Errorf("no-op batch produced dirty history: %d rects, ok=%v", len(rects), ok)
 	}
@@ -203,11 +203,11 @@ func TestDirtyCellsAppendsToDst(t *testing.T) {
 	}
 	sentinel := geo.Rect{Min: geo.Pt(-1, -1), Max: geo.Pt(-1, -1)}
 	dst := []geo.Rect{sentinel}
-	out, ok := s.Current().DirtyCells(v0, dst)
+	out, ok := s.Current().DirtyRects(v0, dst)
 	if !ok || len(out) < 2 {
-		t.Fatalf("append-style DirtyCells: %d rects, ok=%v", len(out), ok)
+		t.Fatalf("append-style DirtyRects: %d rects, ok=%v", len(out), ok)
 	}
 	if out[0] != sentinel {
-		t.Error("DirtyCells clobbered the caller's prefix")
+		t.Error("DirtyRects clobbered the caller's prefix")
 	}
 }

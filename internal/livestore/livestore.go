@@ -24,7 +24,7 @@
 // indexed by the same build as version 0.
 // Both copy amortized O(1) slots per mutation. Pinned snapshots keep
 // the arrays they were cut from. A compaction renumbers positions;
-// Snapshot.LivePos and Snapshot.DirtyCells carry readers across it.
+// Snapshot.LivePos and Snapshot.DirtyRects carry readers across it.
 package livestore
 
 import (
@@ -333,7 +333,8 @@ func (s *Store) Apply(ctx context.Context, muts []Mutation) (uint64, Outcome, er
 
 // commitLocked applies a staged batch in place: the grid commit, the
 // appends (growing the array by half when they do not fit) and the
-// bitset and ID-index updates. It returns the epoch's dirty cells.
+// bitset and ID-index updates. It returns the epoch's dirty rectangles
+// (geodata.Grid.Commit).
 func (s *Store) commitLocked(delSet map[int32]bool, appended []geodata.Object, appendedLive []bool) []geo.Rect {
 	// Grid delta. Dead staged slots (insert-then-delete within the
 	// batch) still occupy a position but never enter the index.
@@ -349,16 +350,11 @@ func (s *Store) commitLocked(delSet map[int32]bool, appended []geodata.Object, a
 		}
 	}
 	commitStart := time.Now()
-	nextGr, dirtyKeys := s.gr.Commit(dels, adds)
+	// The epoch's dirty rectangles are recorded on the next snapshot's
+	// capped history, so readers (the tile cache) can ask "what changed
+	// since version V" without holding the writer lock.
+	nextGr, dirtyRects := s.gr.Commit(dels, adds)
 	s.indexCommitNs += time.Since(commitStart).Nanoseconds()
-
-	// The epoch's dirty-cell set as world rectangles, recorded on the
-	// next snapshot's capped history so readers (the tile cache) can ask
-	// "what changed since version V" without holding the writer lock.
-	dirtyCells := make([]geo.Rect, len(dirtyKeys))
-	for i, k := range dirtyKeys {
-		dirtyCells[i] = s.gr.CellRect(k)
-	}
 
 	// Appends go strictly beyond every published
 	// snapshot's length, so concurrent readers of older epochs never
@@ -389,7 +385,7 @@ func (s *Store) commitLocked(delSet map[int32]bool, appended []geodata.Object, a
 		s.byID[ob.ID] = int32(pos)
 	}
 	s.gr = nextGr
-	return dirtyCells
+	return dirtyRects
 }
 
 // compact applies a staged batch by moving the surviving slots, in
@@ -397,7 +393,7 @@ func (s *Store) commitLocked(delSet map[int32]bool, appended []geodata.Object, a
 // with half again as much room, rebuilt by seed. It records the old →
 // new position table for the compaction epoch of the given version;
 // the snapshot published for it starts an empty dirty history, which
-// tells DirtyCells readers that every position moved.
+// tells DirtyRects readers that every position moved.
 func (s *Store) compact(version uint64, delSet map[int32]bool, appended []geodata.Object, appendedLive []bool) {
 	baseN := len(s.objs)
 	n := s.liveCount - len(delSet)
@@ -446,13 +442,13 @@ func (s *Store) compact(version uint64, delSet map[int32]bool, appended []geodat
 // history is copied, never shared mutably: every snapshot owns its
 // header slice, while the per-epoch rect slices (immutable once built)
 // are shared across snapshots.
-func appendDirtyEpoch(hist []epochDirty, version uint64, cells []geo.Rect) []epochDirty {
+func appendDirtyEpoch(hist []epochDirty, version uint64, rects []geo.Rect) []epochDirty {
 	if len(hist) >= maxDirtyHistory {
 		hist = hist[len(hist)-maxDirtyHistory+1:]
 	}
 	out := make([]epochDirty, 0, len(hist)+1)
 	out = append(out, hist...)
-	return append(out, epochDirty{version: version, cells: cells})
+	return append(out, epochDirty{version: version, rects: rects})
 }
 
 // bitset helpers shared by the store and its snapshots.

@@ -331,7 +331,7 @@ func checkPinned(t *testing.T, sn *Snapshot, want []geodata.Object) {
 // The slot array holds exactly the seed, grows by half while few slots
 // are dead, and compacts once a quarter are: the survivors keep their
 // relative order, LivePos translates across one compaction and reports
-// everything gone across two, DirtyCells fences the compaction epoch,
+// everything gone across two, DirtyRects fences the compaction epoch,
 // and a snapshot pinned before any of it keeps reading its old array.
 func TestSlotArrayGrowthAndCompactionPolicy(t *testing.T) {
 	ctx := context.Background()
@@ -425,11 +425,11 @@ func TestSlotArrayGrowthAndCompactionPolicy(t *testing.T) {
 			t.Fatalf("position %d translated to %d holding a different object", p, q)
 		}
 	}
-	if _, ok := cur.DirtyCells(pre.Version(), nil); ok {
-		t.Fatal("DirtyCells covered an interval across a compaction epoch")
+	if _, ok := cur.DirtyRects(pre.Version(), nil); ok {
+		t.Fatal("DirtyRects covered an interval across a compaction epoch")
 	}
-	if _, ok := cur.DirtyCells(cur.Version(), nil); !ok {
-		t.Fatal("DirtyCells at the compaction epoch itself reported truncation")
+	if _, ok := cur.DirtyRects(cur.Version(), nil); !ok {
+		t.Fatal("DirtyRects at the compaction epoch itself reported truncation")
 	}
 	checkPinned(t, pinned, want)
 

@@ -23,7 +23,7 @@ import (
 // edge cells. far scales the lattice from the unit square out to 1e200,
 // where the extent's area overflows and the grid falls back to one
 // unbounded cell. Every slot the batch killed or added must lie in a
-// rect DirtyCells reports, unless the batch compacted. The same input
+// rect DirtyRects reports, unless the batch compacted. The same input
 // also drives geodata.SortPositions over both of its methods (small and
 // large inputs, narrow and wide spans) against slices.Sort.
 func FuzzRegionOrder(f *testing.F) {
@@ -77,7 +77,7 @@ func FuzzRegionOrder(f *testing.F) {
 			t.Fatal(err)
 		}
 		v1 := ls.Current()
-		if dirty, ok := v1.DirtyCells(v0.Version(), nil); ok {
+		if dirty, ok := v1.DirtyRects(v0.Version(), nil); ok {
 			objs := v1.Collection().Objects
 			for p := range objs {
 				if (p < n && isLive(v0, p)) != isLive(v1, p) && !coveredBy(dirty, objs[p].Loc) {

@@ -38,8 +38,8 @@ type Snapshot struct {
 	// if the store never compacted.
 	comp *compaction
 
-	// dirty is the capped per-epoch dirty-cell history ending at this
-	// snapshot's version, newest last; see DirtyCells. A compaction
+	// dirty is the capped per-epoch dirty-rectangle history ending at this
+	// snapshot's version, newest last; see DirtyRects. A compaction
 	// epoch starts an empty history.
 	dirty []epochDirty
 
@@ -62,16 +62,18 @@ type compaction struct {
 	remap   []int32
 }
 
-// epochDirty records the grid cells one epoch's commit rewrote, as
-// world-space rectangles. The rect slice is immutable once published
-// and shared by every later snapshot that still retains the epoch.
+// epochDirty records one epoch's dirty rectangles: for each grid cell
+// its commit rewrote, the bounding box of the locations it removed
+// from or added to that cell (geodata.Grid.Commit). The rect slice is
+// immutable once published and shared by every later snapshot that
+// still retains the epoch.
 type epochDirty struct {
 	version uint64
-	cells   []geo.Rect
+	rects   []geo.Rect
 }
 
-// maxDirtyHistory caps how many recent epochs of dirty-cell sets a
-// snapshot retains. Callers asking DirtyCells about an older horizon get
+// maxDirtyHistory caps how many recent epochs of dirty rectangles a
+// snapshot retains. Callers asking DirtyRects about an older horizon get
 // ok = false and must treat everything as dirty; the cap keeps snapshot
 // publication O(1)-ish and bounds the memory pinned by long chains.
 const maxDirtyHistory = 128
@@ -141,8 +143,8 @@ func (sn *Snapshot) Bounds() (geo.Rect, bool) {
 	return sn.boundsRect, sn.boundsOK
 }
 
-// DirtyCells appends to dst the world-space rectangles of every grid
-// cell dirtied by the epochs in (sinceVersion, sn.Version()] and reports
+// DirtyRects appends to dst the dirty rectangles of the epochs in
+// (sinceVersion, sn.Version()] and reports
 // whether the snapshot's history actually covers that whole interval.
 // ok = false means the history was truncated (the store committed more
 // than maxDirtyHistory epochs since sinceVersion, or sinceVersion
@@ -152,12 +154,14 @@ func (sn *Snapshot) Bounds() (geo.Rect, bool) {
 // snapshot's own version returns dst unchanged with ok = true — nothing
 // happened in an empty interval.
 //
-// Rectangles are cell-granular and may overlap; edge cells extend to an
-// effectively unbounded rect on their outer sides because out-of-bounds
-// locations clamp into them. The appended slices alias the snapshot's
+// An epoch's rectangles are the bounding boxes, one per grid cell its
+// commit rewrote, of the slots it killed (at their old locations) and
+// added (at their new ones) in that cell, so a region that meets none
+// of them answers the same positions at both ends of the interval. The
+// rectangles may overlap; the appended slices alias the snapshot's
 // immutable history, so dst's new elements are safe to read from any
 // goroutine but the interval union is not deduplicated.
-func (sn *Snapshot) DirtyCells(sinceVersion uint64, dst []geo.Rect) ([]geo.Rect, bool) {
+func (sn *Snapshot) DirtyRects(sinceVersion uint64, dst []geo.Rect) ([]geo.Rect, bool) {
 	if sinceVersion >= sn.version {
 		return dst, true
 	}
@@ -169,7 +173,7 @@ func (sn *Snapshot) DirtyCells(sinceVersion uint64, dst []geo.Rect) ([]geo.Rect,
 	}
 	for _, e := range sn.dirty {
 		if e.version > sinceVersion {
-			dst = append(dst, e.cells...)
+			dst = append(dst, e.rects...)
 		}
 	}
 	return dst, true

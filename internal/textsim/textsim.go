@@ -114,6 +114,15 @@ func intern[T string | []byte](v *Vocabulary, term T, h uint64) int32 {
 	return int32(len(v.ends) - 1)
 }
 
+// Intern returns term's id, giving it the next one when it is new;
+// added reports whether it was. A snapshot reader rebuilds a stored
+// vocabulary with it, one term at a time in id order.
+func (v *Vocabulary) Intern(term []byte) (id int, added bool) {
+	n := v.Len()
+	id = int(intern(v, term, hashOf(term)))
+	return id, id == n
+}
+
 // grow doubles the table (or makes its first) and places every known
 // term again.
 func (v *Vocabulary) grow() {
@@ -225,16 +234,7 @@ func NewVector(tf map[int]float64) Vector {
 }
 
 // FromText returns the term-frequency vector of s, interning its terms
-// into vocab in order of first appearance. A term is a maximal run of
-// letters and digits after lower-casing: every rune is mapped by
-// unicode.ToLower, as strings.ToLower maps it (invalid UTF-8 reads as
-// U+FFFD, which separates), and any rune that is then neither a letter
-// nor a digit ends the run.
-//
-// It is one pass over s with no per-text map: a term's bytes collect in
-// a stack buffer while its hash folds them in, it finds its id in the
-// vocabulary's table without allocating, the ids collect in another
-// buffer, and sorting them counts each term's frequency.
+// into vocab in order of first appearance: Counts, then FromCounts.
 func FromText(vocab *Vocabulary, s string) Vector {
 	return (*Arena)(nil).FromText(vocab, s)
 }
@@ -242,6 +242,30 @@ func FromText(vocab *Vocabulary, s string) Vector {
 // FromText is the package's FromText with the vector's words taken
 // from a.
 func (a *Arena) FromText(vocab *Vocabulary, s string) Vector {
+	var buf [64]Count
+	return a.FromCounts(Counts(buf[:0], vocab, s))
+}
+
+// Count is one distinct term of a text: its vocabulary id and the
+// number of times the text holds it.
+type Count struct {
+	ID int32
+	N  int32
+}
+
+// Counts appends to dst the distinct terms of s, ascending by id, each
+// with its count, interning new terms into vocab in order of first
+// appearance. A term is a maximal run of letters and digits after
+// lower-casing: every rune is mapped by unicode.ToLower, as
+// strings.ToLower maps it (invalid UTF-8 reads as U+FFFD, which
+// separates), and any rune that is then neither a letter nor a digit
+// ends the run.
+//
+// It is one pass over s with no per-text map: a term's bytes collect in
+// a stack buffer while its hash folds them in, it finds its id in the
+// vocabulary's table without allocating, the ids collect in another
+// buffer, and sorting them counts each term.
+func Counts(dst []Count, vocab *Vocabulary, s string) []Count {
 	var tokBuf [64]byte
 	var idBuf [64]int32
 	tok, ids, h := tokBuf[:0], idBuf[:0], hashInit
@@ -276,15 +300,26 @@ func (a *Arena) FromText(vocab *Vocabulary, s string) Vector {
 		ids = append(ids, intern(vocab, tok, h))
 	}
 	slices.Sort(ids)
-	var termBuf [64]term
-	terms := termBuf[:0]
 	for k := 0; k < len(ids); {
 		j := k + 1
 		for j < len(ids) && ids[j] == ids[k] {
 			j++
 		}
-		terms = append(terms, term{ids[k], float64(j - k)})
+		dst = append(dst, Count{ids[k], int32(j - k)})
 		k = j
+	}
+	return dst
+}
+
+// FromCounts returns the unit vector of a text's term counts — ids
+// strictly ascending, every count at least 1, as Counts gives them —
+// with its words taken from a. It is the tail of FromText, so a vector
+// rebuilt from stored counts carries FromText's bits.
+func (a *Arena) FromCounts(counts []Count) Vector {
+	var buf [64]term
+	terms := buf[:0]
+	for _, c := range counts {
+		terms = append(terms, term{c.ID, float64(c.N)})
 	}
 	return unit(a, terms)
 }

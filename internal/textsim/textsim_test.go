@@ -427,3 +427,35 @@ func FuzzFromText(f *testing.F) {
 		}
 	})
 }
+
+// TestCountsRebuildFromText: a text's Counts, kept and replayed through
+// FromCounts, give FromText's words, and a vocabulary rebuilt term by
+// term with Intern, in id order, gives every term its id again.
+func TestCountsRebuildFromText(t *testing.T) {
+	texts := []string{"b a b", "", "ΟΔΟΣ a c c c", strings.Repeat("w1 w2 ", 50) + "w3"}
+	vocab := NewVocabulary()
+	var stored [][]Count
+	for _, s := range texts {
+		stored = append(stored, Counts(nil, vocab, s))
+	}
+	rebuilt := NewVocabulary()
+	for id := 0; id < vocab.Len(); id++ {
+		if got, added := rebuilt.Intern([]byte(vocab.Term(id))); got != id || !added {
+			t.Fatalf("Intern(%q) = %d, %v; want %d, true", vocab.Term(id), got, added, id)
+		}
+	}
+	if got, added := rebuilt.Intern([]byte("a")); added || got != 1 {
+		t.Fatalf("Intern of a known term = %d, %v; want 1, false", got, added)
+	}
+	check := NewVocabulary()
+	var a Arena
+	for i, s := range texts {
+		want := FromText(check, s)
+		if got := a.FromCounts(stored[i]); !slices.Equal(got.Words, want.Words) {
+			t.Errorf("%q: FromCounts words %x, FromText %x", s, got.Words, want.Words)
+		}
+	}
+	if want := []Count{{0, 2}, {1, 1}}; !slices.Equal(stored[0], want) {
+		t.Errorf("Counts(%q) = %v, want %v", texts[0], stored[0], want)
+	}
+}

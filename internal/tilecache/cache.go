@@ -16,14 +16,15 @@ import (
 )
 
 // DirtyView is the view capability epoch invalidation consumes:
-// DirtyCells appends the world-space rectangles rewritten by the epochs
-// in (sinceVersion, current] and reports whether the view's history
+// DirtyRects appends the dirty rectangles of the epochs in
+// (sinceVersion, current] — boxes around every location an epoch
+// removed or added — and reports whether the view's history
 // covers that whole interval (livestore.Snapshot implements it). Views
 // without the capability — the static Store — are only ever served at
 // version 0, where entries never go stale.
 type DirtyView interface {
 	geodata.View
-	DirtyCells(sinceVersion uint64, dst []geo.Rect) ([]geo.Rect, bool)
+	DirtyRects(sinceVersion uint64, dst []geo.Rect) ([]geo.Rect, bool)
 }
 
 // repairBudget is the largest fraction of the stitched tiles' total
@@ -41,8 +42,8 @@ type entry struct {
 	// never changes and identifies the entry's content (the /tiles
 	// ETag).
 	born uint64
-	// ver is the newest version the entry is known valid at: the tile's
-	// cells were not dirtied by any epoch in (born, ver].
+	// ver is the newest version the entry is known valid at: no dirty
+	// rectangle of an epoch in (born, ver] meets the tile.
 	ver uint64
 	// pos holds the selected collection positions in selection order,
 	// gains the matching unnormalized marginal gains and locs their
@@ -149,8 +150,9 @@ func anyIntersects(rects []geo.Rect, r geo.Rect) bool {
 }
 
 // entryValid reports, under c.mu, whether e may be served at version:
-// whether the pinned view's DirtyCells history covers (e.ver, version]
-// and no cell it lists meets e's tile, in which case e.ver advances.
+// whether the pinned view's DirtyRects history covers (e.ver, version]
+// and no rectangle it lists meets e's tile, in which case e.ver
+// advances.
 // Without that history (no DirtyView, a truncated history, or a
 // compaction, which renumbers every position) e is invalid. It is the
 // cache's only validity check.
@@ -162,7 +164,7 @@ func (c *Cache) entryValid(e *entry, view geodata.View, version uint64, sc *scra
 	if !ok {
 		return false
 	}
-	rects, covered := dv.DirtyCells(e.ver, sc.rects[:0])
+	rects, covered := dv.DirtyRects(e.ver, sc.rects[:0])
 	sc.rects = rects
 	if !covered || anyIntersects(rects, e.key.T.Rect()) {
 		return false

@@ -10,8 +10,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -571,7 +573,7 @@ func TestChurnCompactionRecomputesCachedTiles(t *testing.T) {
 		view, _ := ls.Snapshot()
 		id := view.Collection().Objects[view.Region(geo.Rect{Min: geo.Pt(0.05, 0.05), Max: geo.Pt(0.15, 0.15)})[0]].ID
 		for i := 0; ; i++ {
-			if _, covered := ls.Current().DirtyCells(v0, nil); !covered {
+			if _, covered := ls.Current().DirtyRects(v0, nil); !covered {
 				if i <= 128 {
 					t.Fatalf("history truncated after %d epochs", i)
 				}
@@ -586,4 +588,96 @@ func TestChurnCompactionRecomputesCachedTiles(t *testing.T) {
 		}
 		recomputed(t, c, ls, c.Stats().Invalidations)
 	})
+}
+
+// TestChurnKeptEntriesRecomputeIdentically: across random batches of
+// inserts, updates and deletes, every entry entryValid keeps at the new
+// version recomputes there to the same members, gain bits and rendered
+// bytes. Entries it drops are computed afresh, so later batches check
+// entries born at many versions. The tiles are small against the
+// mutations' spread (zooms 4 to 6 over a 4 000-object store), so most
+// batches keep some entries and drop others.
+func TestChurnKeptEntriesRecomputeIdentically(t *testing.T) {
+	ctx := context.Background()
+	const n = 4000
+	ls, err := livestore.New(testCollection(n, 11), engine.Config{Metric: sim.Cosine{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCache(t, engine.Config{TileCacheCapacity: 1 << 12})
+	var keys []Key
+	for z := int32(4); z <= 6; z++ {
+		band := bandFor(0.003, z)
+		for y := int32(0); y < 1<<z; y += 1 + z - 4 {
+			for x := int32(0); x < 1<<z; x += 1 + z - 4 {
+				keys = append(keys, Key{T: Tile{Z: z, X: x, Y: y}, Band: band, K: 8})
+			}
+		}
+	}
+	view, version := ls.Snapshot()
+	for _, key := range keys {
+		e, err := c.computeTile(ctx, view, version, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.entries[key] = e
+	}
+	rng := rand.New(rand.NewSource(12))
+	nextID := n
+	var kept, dropped int
+	sc := &scratch{}
+	for batch := 0; batch < 40; batch++ {
+		// A few mutations around one spot, some of them far moves.
+		cx, cy := rng.Float64(), rng.Float64()
+		near := func() geo.Point {
+			return geo.Pt(cx+0.02*rng.NormFloat64(), cy+0.02*rng.NormFloat64())
+		}
+		muts := make([]livestore.Mutation, 1+rng.Intn(6))
+		for i := range muts {
+			switch rng.Intn(3) {
+			case 0:
+				muts[i] = livestore.Mutation{Op: livestore.OpInsert, ID: nextID, Loc: near(), Weight: 0.5, Text: "cafe new"}
+				nextID++
+			case 1:
+				muts[i] = livestore.Mutation{Op: livestore.OpUpdate, ID: rng.Intn(n), Loc: near(), Weight: 0.7, Text: "bar moved"}
+			default:
+				muts[i] = livestore.Mutation{Op: livestore.OpDelete, ID: rng.Intn(n)}
+			}
+		}
+		version = applyEpoch(t, ls, muts)
+		view, _ = ls.Snapshot()
+		for _, key := range keys {
+			e := c.entries[key]
+			if !c.entryValid(e, view, version, sc) {
+				dropped++
+				if c.entries[key], err = c.computeTile(ctx, view, version, key); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			kept++
+			fresh, err := c.computeTile(ctx, view, version, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(fresh.pos, e.pos) || !slices.Equal(gainBits(fresh.gains), gainBits(e.gains)) ||
+				!bytes.Equal(fresh.frag, e.frag) {
+				t.Fatalf("batch %d: tile %v kept from v%d recomputes at v%d to positions %v, cached %v",
+					batch, key.T, e.born, version, fresh.pos, e.pos)
+			}
+		}
+	}
+	t.Logf("%d entries kept, %d dropped", kept, dropped)
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("%d entries kept and %d dropped: the batches did not exercise both", kept, dropped)
+	}
+}
+
+// gainBits is gains as their float bits, for a bitwise comparison.
+func gainBits(gains []float64) []uint64 {
+	bits := make([]uint64, len(gains))
+	for i, g := range gains {
+		bits[i] = math.Float64bits(g)
+	}
+	return bits
 }

@@ -57,11 +57,16 @@ type counters struct {
 	repairNs histogram // stitch+repair pass latency
 }
 
-// HistogramStats is the JSON-ready form of a latency histogram.
+// HistogramStats is the JSON-ready form of a latency histogram. Every
+// bucket is listed, empty or not, so two scrapes of any server line up
+// bucket for bucket.
 type HistogramStats struct {
 	Count uint64 `json:"count"`
 	SumNs uint64 `json:"sumNs"`
-	// Buckets[i] counts observations up to UpperNs[i]; the last bucket
+	// UpperNs holds the fixed bound of every bounded bucket: Buckets[i]
+	// counts the observations in (UpperNs[i-1], UpperNs[i]] (bucket 0
+	// from zero). Buckets has one more entry than UpperNs: the last
+	// bucket counts every observation above UpperNs' last bound, and
 	// is unbounded.
 	UpperNs []uint64 `json:"upperNs"`
 	Buckets []uint64 `json:"buckets"`
@@ -71,17 +76,14 @@ func (h *histogram) snapshot() HistogramStats {
 	out := HistogramStats{
 		Count:   h.count.Load(),
 		SumNs:   h.sumNs.Load(),
-		UpperNs: make([]uint64, 0, histBuckets),
-		Buckets: make([]uint64, 0, histBuckets),
+		UpperNs: make([]uint64, histBuckets-1),
+		Buckets: make([]uint64, histBuckets),
 	}
-	limit := uint64(histBase)
-	for i := 0; i < histBuckets; i++ {
-		n := h.buckets[i].Load()
-		if n > 0 {
-			out.UpperNs = append(out.UpperNs, limit)
-			out.Buckets = append(out.Buckets, n)
-		}
-		limit <<= 1
+	for i := range out.UpperNs {
+		out.UpperNs[i] = histBase << i
+	}
+	for i := range out.Buckets {
+		out.Buckets[i] = h.buckets[i].Load()
 	}
 	return out
 }

@@ -151,7 +151,7 @@ type stitchInfo struct {
 //
 // The version must be the one the view was pinned at (Source.Snapshot);
 // entries cached at other versions are revalidated against the view's
-// dirty-cell history, never served stale.
+// dirty-rectangle history, never served stale.
 func (c *Cache) Select(ctx context.Context, view geodata.View, version uint64, region geo.Rect, k int, theta float64, dst []int) (Result, error) {
 	sc, info, err := c.stitchViewport(ctx, view, version, region, k, theta)
 	if err != nil {

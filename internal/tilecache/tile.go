@@ -18,9 +18,12 @@
 // bitwise-identical to the uncached path.
 //
 // Invalidation rides the livestore epoch machinery: a view exposing
-// DirtyCells (livestore.Snapshot does) reports which grid cells each
-// epoch rewrote, and a tile entry stays valid across epochs exactly
-// when no dirty cell intersects it. Validity is (re)established at
+// DirtyRects (livestore.Snapshot does) reports each epoch's dirty
+// rectangles — per grid cell it rewrote, the bounding box of the
+// locations it removed or added there — and a tile entry stays valid
+// across epochs exactly when no dirty rectangle meets it: its region
+// then holds the same positions, so it would recompute to the same
+// selection and bytes. Validity is (re)established at
 // lookup time against the serving snapshot, so a stitched viewport can
 // never mix tiles from different effective epochs.
 package tilecache

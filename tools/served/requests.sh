@@ -13,8 +13,8 @@
 # NN-name, holding the status line, the ETag (or "-") and the body.
 # The only masked bytes are the timings that differ run to run: the
 # "responseMs" field, /store/stats "uptimeSeconds", and the /cache/stats
-# latency histograms' "sumNs", "upperNs" and "buckets" (only the
-# "count"s stay). Exits non-zero if a
+# latency histograms' "sumNs" and "buckets" (the "count"s and the fixed
+# bucket bounds "upperNs" stay). Exits non-zero if a
 # request gets no HTTP answer at all; statuses are recorded, not judged.
 set -eu
 
@@ -55,7 +55,6 @@ req() {
 		sed -e 's/,"responseMs":[-+.0-9eE]*//g' \
 			-e 's/"uptimeSeconds":[-+.0-9eE]*/"uptimeSeconds":0/g' \
 			-e 's/"sumNs":[0-9]*/"sumNs":0/g' \
-			-e 's/"upperNs":\[[0-9,]*\]/"upperNs":[]/g' \
 			-e 's/"buckets":\[[0-9,]*\]/"buckets":[]/g' "$body"
 	} >"$f"
 	last_etag=$etag
