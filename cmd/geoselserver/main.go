@@ -65,7 +65,6 @@ func main() {
 		n           = flag.Int("n", 50000, "generated dataset size")
 		seed        = flag.Int64("seed", 1, "generation seed")
 		addr        = flag.String("addr", ":8080", "listen address")
-		tfidf       = flag.Bool("tfidf", false, "apply TF-IDF reweighting to the term vectors")
 		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "per-request selection deadline (0 = none)")
 		sessionTTL  = flag.Duration("session-ttl", engine.DefaultSessionTTL, "evict sessions idle for this long (negative = never)")
 		maxSessions = flag.Int("max-sessions", engine.DefaultMaxSessions, "maximum live sessions; the idlest is evicted beyond this")
@@ -100,9 +99,6 @@ func main() {
 	col, err := dataset.Load(*data, *preset, *n, *seed)
 	if err != nil {
 		log.Fatal("geoselserver: ", err)
-	}
-	if *tfidf {
-		col.ApplyTFIDF()
 	}
 	cfg := engine.Config{
 		Metric:            sim.Cosine{},

@@ -53,7 +53,9 @@ type (
 	Point = geo.Point
 	// Rect is an axis-aligned rectangle (a map region).
 	Rect = geo.Rect
-	// Viewport is a displayed region with its zoom level.
+	// Viewport is a displayed region with its zoom level, log2 of the
+	// unit square's side over the region's Side(): a function of the
+	// region alone, whatever navigation led to it.
 	Viewport = geo.Viewport
 	// LonLat is a geodetic coordinate; project with Mercator.
 	LonLat = geo.LonLat

@@ -17,8 +17,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
 	"sync"
 
 	"geosel/internal/geodata"
@@ -59,14 +57,12 @@ type arena struct {
 	iter     int
 	doomed   []int
 
-	// SelectRegion's staging: the staged objects, the run's D, G and
-	// bounds in staged indices, and — when pos is not strictly
-	// ascending — the staged indices sorted by (position, index).
+	// SelectRegion's staging: the staged objects, and the run's D, G
+	// and bounds in staged indices.
 	objs   []geodata.Object
 	forced []int
 	gcands []int
 	gains  []float64
-	order  []int
 }
 
 var arenas = sync.Pool{New: func() any { return new(arena) }}
@@ -90,57 +86,11 @@ func (a *arena) release() {
 }
 
 // stage copies the objects at positions pos of col into the arena, in
-// pos order, and prepares position lookups (staged) when the run names
-// forced or candidate positions.
-func (a *arena) stage(col *geodata.Collection, pos []int, lookups bool) []geodata.Object {
+// pos order.
+func (a *arena) stage(col *geodata.Collection, pos []int) []geodata.Object {
 	a.objs = resize(a.objs, len(pos))
 	for i, p := range pos {
 		a.objs[i] = col.Objects[p]
 	}
-	a.order = a.order[:0]
-	if !lookups {
-		return a.objs
-	}
-	for i := 1; i < len(pos); i++ {
-		if pos[i] <= pos[i-1] {
-			a.order = resize(a.order, len(pos))
-			for j := range a.order {
-				a.order[j] = j
-			}
-			slices.SortFunc(a.order, func(x, y int) int {
-				if c := cmp.Compare(pos[x], pos[y]); c != 0 {
-					return c
-				}
-				return cmp.Compare(x, y)
-			})
-			break
-		}
-	}
 	return a.objs
-}
-
-// staged returns the staged index of collection position p — the last
-// one, where pos repeats p — and whether pos holds p, by binary search
-// over pos (strictly ascending, as every View's Region is) or over
-// a.order.
-func (a *arena) staged(pos []int, p int) (int, bool) {
-	at := func(k int) int {
-		if len(a.order) > 0 {
-			return a.order[k]
-		}
-		return k
-	}
-	lo, hi := 0, len(pos)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if pos[at(m)] <= p {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo == 0 || pos[at(lo-1)] != p {
-		return 0, false
-	}
-	return at(lo - 1), true
 }

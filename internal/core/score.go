@@ -23,18 +23,6 @@ type Agg = engine.Agg
 // Deprecated: every selection aggregates by max; nothing reads an Agg.
 const AggMax = engine.AggMax
 
-// SimToSet returns Sim(o, S) of Equation 1: how well the selected
-// objects represent o, the similarity of its most similar one.
-func SimToSet(objs []geodata.Object, o int, sel []int, m sim.Metric) float64 {
-	best := 0.0
-	for _, s := range sel {
-		if v := m.Sim(&objs[o], &objs[s]); v > best {
-			best = v
-		}
-	}
-	return best
-}
-
 // Score returns the representative score of selection sel over objs
 // (Equation 2): the weighted mean over all objects of Sim(o, S), by the
 // evaluator's index-order reductions. The last parameter is ignored.

@@ -163,7 +163,7 @@ func TestExpandTranslate(t *testing.T) {
 }
 
 func TestViewportZoomIn(t *testing.T) {
-	v := NewViewport(WorldUnit, Rect{Min: Pt(0, 0), Max: Pt(0.5, 0.5)})
+	v := NewViewport(Rect{Min: Pt(0, 0), Max: Pt(0.5, 0.5)})
 	if !almostEq(v.Level, 1, 1e-9) {
 		t.Fatalf("level = %v, want 1", v.Level)
 	}
@@ -183,8 +183,54 @@ func TestViewportZoomIn(t *testing.T) {
 	}
 }
 
+// TestViewportLevelIsAFunctionOfSide pins the level to the region's
+// side against the unit square, whatever navigation led to the region:
+// a zoom-in that narrows a square to a half-width strip keeps Side(),
+// so it keeps the level.
+func TestViewportLevelIsAFunctionOfSide(t *testing.T) {
+	for _, tc := range []struct {
+		r    Rect
+		want float64
+	}{
+		{WorldUnit, 0},
+		{Rect{Min: Pt(0.25, 0.5), Max: Pt(0.5, 0.625)}, 2}, // width 1/4, height 1/8
+		{Rect{Min: Pt(0.25, 0.5), Max: Pt(0.375, 1)}, 1},   // width 1/8, height 1/2
+		{Rect{Min: Pt(-1, -1), Max: Pt(1, 1)}, -1},         // twice the unit square
+		{Rect{Min: Pt(0.5, 0.5), Max: Pt(0.5, 0.5)}, 0},    // degenerate
+		{Rect{Min: Pt(0, 0), Max: Pt(0.3, 0.2)}, -math.Log2(0.3)},
+	} {
+		if got := NewViewport(tc.r).Level; got != tc.want {
+			t.Errorf("NewViewport(%v).Level = %v, want %v", tc.r, got, tc.want)
+		}
+	}
+
+	v := NewViewport(WorldUnit)
+	strip := Rect{Min: Pt(0, 0), Max: Pt(0.5, 1)}
+	in, err := v.ZoomIn(strip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Level != 0 {
+		t.Errorf("zoom-in to a strip of the same side moved the level to %v", in.Level)
+	}
+	in, err = in.ZoomIn(Rect{Min: Pt(0, 0.5), Max: Pt(0.5, 0.75)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Level != 1 {
+		t.Errorf("zoom-in to side 1/2 gave level %v, want 1", in.Level)
+	}
+	out, err := in.ZoomOut(WorldUnit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Level != 0 {
+		t.Errorf("zoom-out to the unit square gave level %v, want 0", out.Level)
+	}
+}
+
 func TestViewportZoomOut(t *testing.T) {
-	v := NewViewport(WorldUnit, Rect{Min: Pt(0.25, 0.25), Max: Pt(0.5, 0.5)})
+	v := NewViewport(Rect{Min: Pt(0.25, 0.25), Max: Pt(0.5, 0.5)})
 	outer := Rect{Min: Pt(0, 0), Max: Pt(1, 1)}
 	nv, err := v.ZoomOut(outer)
 	if err != nil {
@@ -199,12 +245,14 @@ func TestViewportZoomOut(t *testing.T) {
 }
 
 func TestViewportPan(t *testing.T) {
-	v := NewViewport(WorldUnit, Rect{Min: Pt(0.2, 0.2), Max: Pt(0.4, 0.4)})
+	v := NewViewport(Rect{Min: Pt(0.2, 0.2), Max: Pt(0.4, 0.4)})
 	nv, err := v.Pan(Pt(0.1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nv.Level != v.Level {
+	// Pan keeps the side up to the rounding of the translated corners,
+	// and with it the level.
+	if !almostEq(nv.Level, v.Level, 1e-12) || nv.Level != NewViewport(nv.Region).Level {
 		t.Errorf("pan changed level: %v -> %v", v.Level, nv.Level)
 	}
 	want := Rect{Min: Pt(0.3, 0.2), Max: Pt(0.5, 0.4)}
@@ -329,7 +377,7 @@ func TestMercatorMonotone(t *testing.T) {
 
 func TestViewportZoomRoundTrip(t *testing.T) {
 	// Zooming in and back out to the same region restores the level.
-	v := NewViewport(WorldUnit, RectAround(Pt(0.5, 0.5), 0.2))
+	v := NewViewport(RectAround(Pt(0.5, 0.5), 0.2))
 	inner := RectAround(Pt(0.5, 0.5), 0.1)
 	in, err := v.ZoomIn(inner)
 	if err != nil {
@@ -348,7 +396,7 @@ func TestViewportZoomRoundTrip(t *testing.T) {
 }
 
 func TestPanInverse(t *testing.T) {
-	v := NewViewport(WorldUnit, RectAround(Pt(0.4, 0.6), 0.15))
+	v := NewViewport(RectAround(Pt(0.4, 0.6), 0.15))
 	d := Pt(0.05, -0.03)
 	moved, err := v.Pan(d)
 	if err != nil {

@@ -2,10 +2,6 @@ package geo
 
 import "math"
 
-// ln is math.Log, aliased so viewport.go can use it without a second
-// import statement in that file.
-func ln(x float64) float64 { return math.Log(x) }
-
 // WorldUnit is the canonical unit-square world rectangle that the
 // generators and experiments use. All synthetic datasets are normalized
 // into it, matching the paper's relative parameterization (Table 2 sizes

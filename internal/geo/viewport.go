@@ -1,6 +1,9 @@
 package geo
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Op identifies a map navigation operation (Section 3.4 of the paper).
 type Op int
@@ -33,35 +36,22 @@ func (op Op) String() string {
 // map thinning).
 type Viewport struct {
 	Region Rect
-	Level  float64 // log2(world side / viewport side); larger = finer
+	Level  float64 // log2(1 / Region.Side()): 0 for the unit square, larger = finer
 }
 
 // NewViewport returns a viewport at the given region. The zoom level is
-// derived from the ratio of world side length to region side length.
-func NewViewport(world, region Rect) Viewport {
-	side := region.Width()
-	if h := region.Height(); h > side {
-		side = h
-	}
-	wside := world.Width()
-	if h := world.Height(); h > wside {
-		wside = h
-	}
+// a function of the region's side alone, measured against the unit
+// square (the tile pyramid's zoom 0); it is 0 for a degenerate region.
+func NewViewport(region Rect) Viewport {
 	lvl := 0.0
-	if side > 0 && wside > 0 {
-		lvl = log2(wside / side)
+	if side := region.Side(); side > 0 {
+		lvl = -math.Log2(side)
 	}
 	return Viewport{Region: region, Level: lvl}
 }
 
-func log2(x float64) float64 {
-	// tiny local helper; math.Log2 pulled in via geo.go already importing math
-	return ln(x) / ln(2)
-}
-
 // ZoomIn returns the viewport displaying region inner, which must lie
-// inside v.Region (a zoom-in never leaves the old region). The zoom level
-// increases by log2 of the shrink factor.
+// inside v.Region (a zoom-in never leaves the old region).
 func (v Viewport) ZoomIn(inner Rect) (Viewport, error) {
 	if !v.Region.ContainsRect(inner) {
 		return Viewport{}, fmt.Errorf("geo: zoom-in target %v not inside current region %v", inner, v.Region)
@@ -69,10 +59,7 @@ func (v Viewport) ZoomIn(inner Rect) (Viewport, error) {
 	if inner.Width() <= 0 || inner.Height() <= 0 {
 		return Viewport{}, fmt.Errorf("geo: zoom-in target %v is degenerate", inner)
 	}
-	return Viewport{
-		Region: inner,
-		Level:  v.Level + log2(v.Region.Width()/inner.Width()),
-	}, nil
+	return NewViewport(inner), nil
 }
 
 // ZoomOut returns the viewport displaying region outer, which must contain
@@ -84,10 +71,7 @@ func (v Viewport) ZoomOut(outer Rect) (Viewport, error) {
 	if outer.Width() <= v.Region.Width()*(1-1e-12) {
 		return Viewport{}, fmt.Errorf("geo: zoom-out target narrower than current region")
 	}
-	return Viewport{
-		Region: outer,
-		Level:  v.Level - log2(outer.Width()/v.Region.Width()),
-	}, nil
+	return NewViewport(outer), nil
 }
 
 // Pan returns the viewport after moving the displayed region by the
@@ -99,7 +83,7 @@ func (v Viewport) Pan(d Point) (Viewport, error) {
 	if !nr.Intersects(v.Region) {
 		return Viewport{}, fmt.Errorf("geo: pan by %v leaves no overlap with %v", d, v.Region)
 	}
-	return Viewport{Region: nr, Level: v.Level}, nil
+	return NewViewport(nr), nil
 }
 
 // PanEnvelope returns the union of all possible panned regions that still

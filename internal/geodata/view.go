@@ -29,9 +29,6 @@ type View interface {
 	Region(r geo.Rect) []int
 	// CountRegion counts the live objects inside r.
 	CountRegion(r geo.Rect) int
-	// Bounds returns the bounding rectangle of the live objects; ok is
-	// false for an empty view.
-	Bounds() (geo.Rect, bool)
 }
 
 // Source yields consistent views of a dataset: every Snapshot call

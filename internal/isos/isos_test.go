@@ -654,7 +654,7 @@ func TestPrefetchCoverageSliver(t *testing.T) {
 	// translated edge rounds on its own.
 	const a, b, dx = 0.3642791617747125, 0.3933120212396968, 0.029032859464984323
 	region := geo.Rect{Min: geo.Pt(a, a), Max: geo.Pt(b, b)}
-	env := geo.NewViewport(geo.WorldUnit, region).PanEnvelope()
+	env := geo.NewViewport(region).PanEnvelope()
 	moved := region.Translate(geo.Pt(dx, 0))
 	if !moved.Intersects(region) || env.ContainsRect(moved) || !env.ContainsRect(moved.Expand(-1e-12)) {
 		t.Fatalf("pan to %v does not stick out of the envelope %v by less than the slack", moved, env)

@@ -192,13 +192,8 @@ func (s *Session) Start(ctx context.Context, region geo.Rect) (*Selection, error
 		return nil, fmt.Errorf("isos: invalid start region %v", region)
 	}
 	s.repin()
-	world := region
-	if b, ok := s.view.Bounds(); ok {
-		world = b
-	}
-	vp := geo.NewViewport(world, region)
 	prevVP := s.viewport
-	s.viewport = vp
+	s.viewport = geo.NewViewport(region)
 	sel, err := s.selectIn(ctx, region, nil, Derivation{G: nil}, true, nil)
 	if err != nil {
 		s.viewport = prevVP

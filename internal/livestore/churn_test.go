@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"geosel/internal/core"
-	"geosel/internal/dataset"
 	"geosel/internal/engine"
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
@@ -36,13 +35,103 @@ func churnCollection(t *testing.T, n int, seed int64) *geodata.Collection {
 	return col
 }
 
+// churnMutations derives n mutations from the base collection, in a
+// 3:4:3 mix of inserts, updates and deletes drawn from seed. Inserts
+// clone a random base object's text and perturb its location (new
+// points stay plausible under the base's spatial/textual skew without
+// re-running the full generator); updates move a live object by a
+// small delta and re-draw its weight; deletes remove a live object.
+// Updates and deletes only ever target IDs that are live at that point
+// of the sequence, so applying it to the base collection yields
+// Outcome.Missed == 0; inserts mint fresh IDs, so the live count stays
+// near the base size.
 func churnMutations(t *testing.T, col *geodata.Collection, n int, seed int64) []livestore.Mutation {
 	t.Helper()
-	muts, err := dataset.GenerateChurn(col, dataset.ChurnSpec{Mutations: n, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
+	if len(col.Objects) == 0 {
+		t.Fatal("churn needs a non-empty base collection")
 	}
-	return muts
+	const iw, uw, dw = 3, 4, 3
+	rng := rand.New(rand.NewSource(seed))
+
+	bounds, _ := col.Bounds()
+	// Perturbation scale: a small fraction of the world, so churn stays
+	// inside the spatial structure rather than teleporting objects.
+	step := 0.01 * (bounds.Width() + bounds.Height())
+	if step <= 0 {
+		step = 1e-3
+	}
+
+	type state struct {
+		loc    geo.Point
+		weight float64
+		text   string
+	}
+	liveIDs := make([]int, 0, len(col.Objects))
+	liveAt := make(map[int]int, len(col.Objects)) // id -> index in liveIDs
+	objects := make(map[int]state, len(col.Objects))
+	nextID := 0
+	for _, o := range col.Objects {
+		liveAt[o.ID] = len(liveIDs)
+		liveIDs = append(liveIDs, o.ID)
+		objects[o.ID] = state{loc: o.Loc, weight: o.Weight, text: o.Text}
+		if o.ID >= nextID {
+			nextID = o.ID + 1
+		}
+	}
+	dropLive := func(id int) {
+		i := liveAt[id]
+		last := len(liveIDs) - 1
+		liveIDs[i] = liveIDs[last]
+		liveAt[liveIDs[i]] = i
+		liveIDs = liveIDs[:last]
+		delete(liveAt, id)
+	}
+	clamp := func(v, lo, hi float64) float64 {
+		if v < lo {
+			return lo
+		}
+		if v > hi {
+			return hi
+		}
+		return v
+	}
+	perturb := func(p geo.Point) geo.Point {
+		return geo.Pt(
+			clamp(p.X+rng.NormFloat64()*step, bounds.Min.X, bounds.Max.X),
+			clamp(p.Y+rng.NormFloat64()*step, bounds.Min.Y, bounds.Max.Y),
+		)
+	}
+
+	out := make([]livestore.Mutation, 0, n)
+	for range n {
+		r := rng.Float64() * (iw + uw + dw)
+		var m livestore.Mutation
+		switch {
+		case r < iw || len(liveIDs) == 0:
+			tmpl := col.Objects[rng.Intn(len(col.Objects))]
+			id := nextID
+			nextID++
+			st := state{loc: perturb(tmpl.Loc), weight: rng.Float64(), text: tmpl.Text}
+			m = livestore.Mutation{Op: livestore.OpInsert, ID: id, Loc: st.loc, Weight: st.weight, Text: st.text}
+			liveAt[id] = len(liveIDs)
+			liveIDs = append(liveIDs, id)
+			objects[id] = st
+		case r < iw+uw:
+			id := liveIDs[rng.Intn(len(liveIDs))]
+			st := objects[id]
+			st.loc = perturb(st.loc)
+			st.weight = rng.Float64()
+			m = livestore.Mutation{Op: livestore.OpUpdate, ID: id, Loc: st.loc, Weight: st.weight, Text: st.text}
+			objects[id] = st
+		default:
+			id := liveIDs[rng.Intn(len(liveIDs))]
+			m = livestore.Mutation{Op: livestore.OpDelete, ID: id}
+			dropLive(id)
+			delete(objects, id)
+		}
+		out = append(out, m)
+	}
+	return out
 }
 
 func churnSessionCfg(k int) isos.Config {

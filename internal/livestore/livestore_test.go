@@ -262,26 +262,6 @@ func TestRegionMatchesReferenceAcrossEpochs(t *testing.T) {
 	}
 }
 
-func TestBoundsTracksLiveSet(t *testing.T) {
-	ctx := context.Background()
-	col := geodata.NewCollection()
-	col.Add(1, geo.Pt(0.1, 0.1), 0.5, "")
-	col.Add(2, geo.Pt(0.9, 0.9), 0.5, "")
-	col.Add(3, geo.Pt(0.5, 0.5), 0.5, "")
-	s := mustNew(t, col)
-	if _, _, err := s.Apply(ctx, []Mutation{{Op: OpDelete, ID: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	b, ok := s.Current().Bounds()
-	if !ok {
-		t.Fatal("bounds not ok")
-	}
-	want := geo.Rect{Min: geo.Pt(0.1, 0.1), Max: geo.Pt(0.5, 0.5)}
-	if b != want {
-		t.Fatalf("bounds = %v, want %v", b, want)
-	}
-}
-
 func TestFreezePinsAVersion(t *testing.T) {
 	ctx := context.Background()
 	s := mustNew(t, testCollection(t, 50, 3))

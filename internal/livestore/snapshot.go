@@ -1,8 +1,6 @@
 package livestore
 
 import (
-	"sync"
-
 	"geosel/internal/geo"
 	"geosel/internal/geodata"
 )
@@ -42,10 +40,6 @@ type Snapshot struct {
 	// snapshot's version, newest last; see DirtyRects. A compaction
 	// epoch starts an empty history.
 	dirty []epochDirty
-
-	boundsOnce sync.Once
-	boundsRect geo.Rect
-	boundsOK   bool
 }
 
 // Sessions find LivePos by a type check on the view; this keeps a
@@ -119,28 +113,6 @@ func (sn *Snapshot) Region(r geo.Rect) []int {
 // CountRegion counts the live objects inside r.
 func (sn *Snapshot) CountRegion(r geo.Rect) int {
 	return sn.gr.CountRegion(sn.col.Objects, r)
-}
-
-// Bounds returns the exact bounding rectangle of the live objects,
-// computed lazily once per snapshot; ok is false when empty.
-func (sn *Snapshot) Bounds() (geo.Rect, bool) {
-	sn.boundsOnce.Do(func() {
-		objs := sn.col.Objects
-		first := true
-		for i := range objs {
-			if !bitSet(sn.live, i) {
-				continue
-			}
-			pr := geo.Rect{Min: objs[i].Loc, Max: objs[i].Loc}
-			if first {
-				sn.boundsRect, first = pr, false
-			} else {
-				sn.boundsRect = sn.boundsRect.Union(pr)
-			}
-		}
-		sn.boundsOK = !first
-	})
-	return sn.boundsRect, sn.boundsOK
 }
 
 // DirtyRects appends to dst the dirty rectangles of the epochs in

@@ -37,7 +37,7 @@ func BenchmarkPrefetchBounds(b *testing.B) {
 		var vp geo.Viewport
 		n := 0
 		for half := 0.001; n < target; half *= 1.01 {
-			vp = geo.NewViewport(geo.WorldUnit, geo.RectAround(geo.Pt(0.5, 0.5), half))
+			vp = geo.NewViewport(geo.RectAround(geo.Pt(0.5, 0.5), half))
 			n = view.CountRegion(vp.PanEnvelope())
 		}
 		ops := []struct {

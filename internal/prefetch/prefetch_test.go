@@ -87,7 +87,7 @@ func TestZoomOutBoundsAreUpperBounds(t *testing.T) {
 	m := sim.Cosine{}
 	rng := rand.New(rand.NewSource(4))
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.1)
-	vp := geo.NewViewport(geo.WorldUnit, region)
+	vp := geo.NewViewport(region)
 	const maxScale = 2
 	bounds, err := ZoomOutBounds(context.Background(), store, vp, maxScale, m)
 	if err != nil {
@@ -117,7 +117,7 @@ func TestPanBoundsAreUpperBounds(t *testing.T) {
 	m := sim.Cosine{}
 	rng := rand.New(rand.NewSource(6))
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.12)
-	vp := geo.NewViewport(geo.WorldUnit, region)
+	vp := geo.NewViewport(region)
 	bounds, err := PanBounds(context.Background(), store, vp, m)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestPanBoundsSubsetOfPairwise(t *testing.T) {
 	store := testStore(t, 1500, 12)
 	m := sim.Cosine{}
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.1)
-	vp := geo.NewViewport(geo.WorldUnit, region)
+	vp := geo.NewViewport(region)
 	env := vp.PanEnvelope()
 	envPos := store.Region(env)
 	plain, err := PairwiseBounds(context.Background(), store.Collection(), envPos, m)
@@ -231,7 +231,7 @@ func TestLinearBoundsSkipTheRows(t *testing.T) {
 	var vp geo.Viewport
 	n := 0
 	for side := 0.002; n < 1800; side *= 1.1 {
-		vp = geo.NewViewport(geo.WorldUnit, geo.RectAround(center, side))
+		vp = geo.NewViewport(geo.RectAround(center, side))
 		n = len(store.Region(vp.ZoomOutEnvelope(2)))
 	}
 	if n > 3000 {
@@ -334,7 +334,7 @@ func TestShortSupportBoundsAreTheLemmaSums(t *testing.T) {
 	}
 
 	region := geo.RectAround(geo.Pt(0.5, 0.5), 0.1)
-	vp := geo.NewViewport(geo.WorldUnit, region)
+	vp := geo.NewViewport(region)
 	env := vp.PanEnvelope()
 	pan := make(map[int]float64)
 	for _, p := range store.Region(env) {

@@ -10,22 +10,20 @@ import (
 type rowsKind uint8
 
 const (
-	// rowsGeneric calls m.Sim per pair: custom metrics and built-ins
-	// with degenerate parameters (whose extra per-pair branch is not
-	// worth a loop of its own).
+	// rowsGeneric calls m.Sim per pair: every metric but Cosine, and
+	// Cosine over vectors whose term ids are not strictly ascending.
 	rowsGeneric rowsKind = iota
-	rowsEuclid
 	rowsCosine
-	rowsHybrid
 )
 
 // Rows evaluates a metric the one way the selection algorithms consume
 // it: one object c against every object. It is compiled once per
 // (metric, object slice) — by NewRows, or in place by Reset — and
 // writes the row Sim(&objs[i], &objs[c]) into a caller-owned buffer of
-// len(objs) float64s, reading flat columns for the built-in metrics:
-// x/y for Euclidean proximity, one packed CSR term arena and its
-// inverted index for Cosine, two nested Rows for Hybrid.
+// len(objs) float64s. Cosine, the one metric the serving stack runs,
+// has a specialised kind that reads one packed CSR term arena and its
+// inverted index; every other metric is called per pair, which gives
+// the same bits by construction.
 // Every entry is bitwise the value m.Sim returns after the caller's
 // clamp to [0, 1] (see Row), which is the identity on a metric that
 // keeps the Metric contract.
@@ -33,18 +31,13 @@ const (
 // Rows is deliberately one concrete struct with a kind switch, called
 // statically; the switch runs once per row, not once per pair.
 //
-// A Rows is for one goroutine at a time: a Hybrid one writes its
-// spatial half into a buffer it owns.
+// A Rows is for one goroutine at a time.
 type Rows struct {
 	kind rowsKind
 
 	// Generic kind: the metric itself over the source objects.
 	m    Metric
 	objs []geodata.Object
-
-	// Euclid: position columns and MaxDist.
-	xs, ys  []float64
-	maxDist float64
 
 	// Cosine: the packed term arena; termOf, parallel to vecs.Words,
 	// renames each word's term to a dense region-local id; and the
@@ -64,12 +57,6 @@ type Rows struct {
 	local []int32
 	count []int32
 	lin   Linear
-
-	// Hybrid: alpha·text + (1−alpha)·spatial, the spatial half's row
-	// written to scratch.
-	alpha         float64
-	text, spatial *Rows
-	scratch       []float64
 }
 
 // NewRows compiles m over objs. Index equality on objs stands in for
@@ -86,38 +73,12 @@ func NewRows(m Metric, objs []geodata.Object) *Rows {
 // allocates only where a run outgrows all earlier ones. Reset(nil, nil)
 // drops the references a generic Rows holds to its metric and objects.
 func (r *Rows) Reset(m Metric, objs []geodata.Object) {
-	text, spatial := r.text, r.spatial
-	r.kind, r.m, r.objs, r.text, r.spatial = rowsGeneric, nil, nil, nil, nil
-	switch mt := m.(type) {
-	case Cosine:
-		if r.resetCosine(objs) {
-			r.kind = rowsCosine
-		}
-	case EuclideanProximity:
-		if mt.MaxDist > 0 {
-			r.kind, r.maxDist = rowsEuclid, mt.MaxDist
-			r.xs, r.ys = resize(r.xs, len(objs)), resize(r.ys, len(objs))
-			for i := range objs {
-				r.xs[i] = objs[i].Loc.X
-				r.ys[i] = objs[i].Loc.Y
-			}
-		}
-	case Hybrid:
-		// A hand-built Hybrid with a nil part panics in Sim; compiling
-		// it must not, so it stays generic.
-		if mt.Text != nil && mt.Spatial != nil {
-			if text == nil {
-				text, spatial = new(Rows), new(Rows)
-			}
-			text.Reset(mt.Text, objs)
-			spatial.Reset(mt.Spatial, objs)
-			r.kind, r.alpha, r.text, r.spatial = rowsHybrid, mt.Alpha, text, spatial
-			r.scratch = resize(r.scratch, len(objs))
-		}
+	r.kind, r.m, r.objs = rowsGeneric, nil, nil
+	if _, ok := m.(Cosine); ok && r.resetCosine(objs) {
+		r.kind = rowsCosine
+		return
 	}
-	if r.kind == rowsGeneric {
-		r.m, r.objs = m, objs
-	}
+	r.m, r.objs = m, objs
 }
 
 // resize returns s with length n, reallocated only when its capacity is
@@ -203,7 +164,7 @@ func (r *Rows) resetCosine(objs []geodata.Object) bool {
 // textsim.Clamp01 — or, where the consumer keeps a running maximum from
 // +0.0, with min(dst[i], 1): a negative or NaN entry never beats it
 // either way. Only the Cosine kind needs the clamp: it writes each dot
-// as summed (exactly 1 at c), every other kind the metric's own value.
+// as summed (exactly 1 at c), the generic kind the metric's own value.
 //
 // done, when not nil, cancels the row: the generic kind, the one whose
 // pairs may be slow, polls it every 256 pairs and returns early, with
@@ -212,34 +173,20 @@ func (r *Rows) resetCosine(objs []geodata.Object) bool {
 //
 //geolint:hotpath
 func (r *Rows) Row(dst []float64, c int, done <-chan struct{}) {
-	switch r.kind {
-	case rowsEuclid:
-		xc, yc, maxDist := r.xs[c], r.ys[c], r.maxDist
-		dst, ys := dst[:len(r.xs)], r.ys[:len(r.xs)]
-		for k, x := range r.xs {
-			dst[k] = euclidSim(x-xc, ys[k]-yc, maxDist)
-		}
-	case rowsCosine:
+	if r.kind == rowsCosine {
 		r.rowCosine(dst, c)
-	case rowsHybrid:
-		r.text.Row(dst, c, done)
-		r.spatial.Row(r.scratch, c, done)
-		alpha := r.alpha
-		for k, s := range r.scratch {
-			dst[k] = alpha*textsim.Clamp01(dst[k]) + (1-alpha)*s
-		}
-	default:
-		oc := &r.objs[c]
-		for k := range r.objs {
-			if k%256 == 0 && done != nil {
-				select {
-				case <-done:
-					return
-				default:
-				}
+		return
+	}
+	oc := &r.objs[c]
+	for k := range r.objs {
+		if k%256 == 0 && done != nil {
+			select {
+			case <-done:
+				return
+			default:
 			}
-			dst[k] = r.m.Sim(&r.objs[k], oc)
 		}
+		dst[k] = r.m.Sim(&r.objs[k], oc)
 	}
 }
 
@@ -445,13 +392,6 @@ func (a *Linear) bound(wc float64, words []uint64, slots []int32) (float64, bool
 	}
 	b := (dot + wc*max(0, 1-self)) * (1 + 4*float64(a.n+a.maxnnz+8)*0x1p-53)
 	return b, b >= 0
-}
-
-// euclidSim is EuclideanProximity.Sim for MaxDist > 0. The builtin max
-// compiles branch-free, and 1−d/maxDist is never −0.0, so it returns
-// the bits of the metric's "if s < 0 { return 0 }".
-func euclidSim(dx, dy, maxDist float64) float64 {
-	return max(1-math.Sqrt(dx*dx+dy*dy)/maxDist, 0)
 }
 
 // rowCosine is Row for the Cosine kind. Instead of merge-joining c's

@@ -71,11 +71,11 @@ func TestCompileKernelMatchesInterface(t *testing.T) {
 		kind rowsKind
 	}{
 		{"cosine", Cosine{}, rowsCosine},
-		{"euclidean", EuclideanProximity{MaxDist: 0.7}, rowsEuclid},
+		{"euclidean", EuclideanProximity{MaxDist: 0.7}, rowsGeneric},
 		{"euclidean-degenerate", EuclideanProximity{}, rowsGeneric},
-		{"hybrid", hybrid, rowsHybrid},
-		{"hybrid-degenerate", Hybrid{Alpha: 0.3, Text: Cosine{}, Spatial: EuclideanProximity{}}, rowsHybrid},
-		{"hybrid-custom-part", Hybrid{Alpha: 0.5, Text: quarter, Spatial: EuclideanProximity{MaxDist: 1}}, rowsHybrid},
+		{"hybrid", hybrid, rowsGeneric},
+		{"hybrid-degenerate", Hybrid{Alpha: 0.3, Text: Cosine{}, Spatial: EuclideanProximity{}}, rowsGeneric},
+		{"hybrid-custom-part", Hybrid{Alpha: 0.5, Text: quarter, Spatial: EuclideanProximity{MaxDist: 1}}, rowsGeneric},
 		{"custom", Func(func(a, b *geodata.Object) float64 { return a.Loc.X * b.Loc.X }), rowsGeneric},
 	}
 	for _, tc := range cases {
@@ -236,8 +236,8 @@ func TestRowCosineMatchesSim(t *testing.T) {
 }
 
 // Scatter ≡ merge only over strictly ascending term ids. One hand-built
-// vector that breaks the order keeps the whole Rows — and a Hybrid's
-// text half — on the generic kind, where Row is m.Sim by construction.
+// vector that breaks the order keeps the whole Rows on the generic
+// kind, where Row is m.Sim by construction.
 func TestUnsortedVectorsStayGeneric(t *testing.T) {
 	for name, bad := range map[string]textsim.Vector{
 		"duplicate": rawVector([]int32{2, 2, 3}, []float32{1, 1, 1}),
@@ -250,10 +250,6 @@ func TestUnsortedVectorsStayGeneric(t *testing.T) {
 		objs[259].Vec = bad
 		if r := NewRows(Cosine{}, objs); r.kind != rowsGeneric {
 			t.Errorf("%s ids compiled to kind %d, want generic", name, r.kind)
-		}
-		hybrid := Hybrid{Alpha: 0.5, Text: Cosine{}, Spatial: EuclideanProximity{MaxDist: 1}}
-		if r := NewRows(hybrid, objs); r.text.kind != rowsGeneric {
-			t.Errorf("%s ids: hybrid text half compiled to kind %d, want generic", name, r.text.kind)
 		}
 		checkCosineRows(t, objs)
 	}

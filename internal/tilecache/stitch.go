@@ -118,17 +118,12 @@ type Result struct {
 	Fallback bool
 	// RegionObjects counts the objects in the viewport.
 	RegionObjects int
-	// Version is the snapshot version the viewport was served at.
-	Version uint64
 	// Tiles and TileMisses count the covering tiles and how many of
 	// them had to be computed cold for this request.
 	Tiles      int
 	TileMisses int
-	// RepairDropped counts stitched members dropped for θ-conflicts;
-	// RepairDroppedGainFrac is the gain mass they carried, as a
-	// fraction of the total stitched gain mass.
-	RepairDropped         int
-	RepairDroppedGainFrac float64
+	// RepairDropped counts stitched members dropped for θ-conflicts.
+	RepairDropped int
 }
 
 // stitchInfo accumulates the repair pass bookkeeping.
@@ -158,13 +153,13 @@ func (c *Cache) Select(ctx context.Context, view geodata.View, version uint64, r
 		return Result{}, err
 	}
 	if sc == nil {
-		return c.fallbackSelect(ctx, view, version, region, k, theta, dst)
+		return c.fallbackSelect(ctx, view, region, k, theta, dst)
 	}
 	for _, p := range sc.keptPos {
 		dst = append(dst, int(p))
 	}
 	c.putScratch(sc)
-	res := c.warmResult(view, version, region, info)
+	res := c.warmResult(view, region, info)
 	res.Positions = dst
 	return res, nil
 }
@@ -182,7 +177,7 @@ func (c *Cache) AppendSelectJSON(ctx context.Context, view geodata.View, version
 	}
 	objs := view.Collection().Objects
 	if sc == nil {
-		res, err := c.fallbackSelect(ctx, view, version, region, k, theta, nil)
+		res, err := c.fallbackSelect(ctx, view, region, k, theta, nil)
 		if err != nil {
 			return dst, Result{}, err
 		}
@@ -192,7 +187,7 @@ func (c *Cache) AppendSelectJSON(ctx context.Context, view geodata.View, version
 	}
 	dst = appendKept(dst, sc, objs)
 	c.putScratch(sc)
-	return dst, c.warmResult(view, version, region, info), nil
+	return dst, c.warmResult(view, region, info), nil
 }
 
 // stitchViewport is the part Select and AppendSelectJSON share: check
@@ -226,20 +221,15 @@ func (c *Cache) stitchViewport(ctx context.Context, view geodata.View, version u
 }
 
 // warmResult describes a stitched serve (all of Result but Positions).
-func (c *Cache) warmResult(view geodata.View, version uint64, region geo.Rect, info stitchInfo) Result {
+func (c *Cache) warmResult(view geodata.View, region geo.Rect, info stitchInfo) Result {
 	regionObjects := view.CountRegion(region)
-	res := Result{
+	return Result{
 		Score:         normalizeGain(info.keptGain, regionObjects),
 		RegionObjects: regionObjects,
-		Version:       version,
 		Tiles:         info.tiles,
 		TileMisses:    info.misses,
 		RepairDropped: info.droppedCount,
 	}
-	if info.totalGain > 0 {
-		res.RepairDroppedGainFrac = info.droppedGain / info.totalGain
-	}
-	return res
 }
 
 // appendKept appends the kept members as a JSON array: a cached
@@ -278,7 +268,7 @@ func normalizeGain(gain float64, regionObjects int) float64 {
 // fallbackSelect is the uncached path: the same core.SelectRegion call
 // over the same region fetch as the server's direct /select handler, so
 // the results are bitwise-identical.
-func (c *Cache) fallbackSelect(ctx context.Context, view geodata.View, version uint64, region geo.Rect, k int, theta float64, dst []int) (Result, error) {
+func (c *Cache) fallbackSelect(ctx context.Context, view geodata.View, region geo.Rect, k int, theta float64, dst []int) (Result, error) {
 	res, err := core.SelectRegion(ctx, c.cfg, view.Collection(), view.Region(region), k, theta, nil, nil, nil, dst)
 	if err != nil {
 		return Result{}, err
@@ -288,7 +278,6 @@ func (c *Cache) fallbackSelect(ctx context.Context, view geodata.View, version u
 		Score:         res.Score,
 		Fallback:      true,
 		RegionObjects: res.RegionObjects,
-		Version:       version,
 	}, nil
 }
 

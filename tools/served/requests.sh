@@ -9,7 +9,10 @@
 #	diff -r out-a out-b
 #
 # Start each server fresh: session ids, versions and cache counters
-# depend on what the server has seen. Each request writes one file,
+# depend on what the server has seen. The script names objects by the
+# ids a generated dataset gives (0 to n-1) and expects n = 20000: its
+# last requests delete a quarter of them and then insert past the
+# store's capacity, which compacts it. Each request writes one file,
 # NN-name, holding the status line, the ETag (or "-") and the body.
 # The only masked bytes are the timings that differ run to run: the
 # "responseMs" field, /store/stats "uptimeSeconds", and the /cache/stats
@@ -27,12 +30,13 @@ out=$2
 mkdir -p "$out"
 hdr=$(mktemp)
 body=$(mktemp)
-trap 'rm -f "$hdr" "$body"' EXIT
+batch=$(mktemp)
+trap 'rm -f "$hdr" "$body" "$batch"' EXIT
 
 n=0
 
 # req NAME METHOD PATH [BODY [CURL_ARGS...]] sends one request and
-# writes OUT/NN-NAME.
+# writes OUT/NN-NAME. A BODY of @FILE sends the file's bytes.
 req() {
 	name=$1 method=$2 path=$3
 	shift 3
@@ -85,3 +89,29 @@ req bad-request POST /select '{"region":{"minX":0,"minY":0,"maxX":0,"maxY":0},"k
 req not-found POST /sessions/99/pan '{"dx":0.1,"dy":0}'
 req store-stats GET /store/stats
 req cache-stats GET /cache/stats
+
+# A compaction. The first ingest grew the array to 30 000 slots; one
+# batch deletes a quarter of the objects (ids 10000-14999), and the next
+# inserts more than the array holds, so the store compacts instead of
+# growing it again (/store/stats "compactions": 1). The inserts lie
+# outside the unit square, where no tile reaches: a /select there is
+# declined by the stitch and answered by the direct path.
+awk 'BEGIN {
+	printf "{\"mutations\":["
+	for (i = 10000; i < 15000; i++)
+		printf "%s{\"op\":\"delete\",\"id\":%d}", (i > 10000 ? "," : ""), i
+	print "]}"
+}' >"$batch"
+req ingest-delete-quarter POST /ingest "@$batch"
+awk 'BEGIN {
+	split("pier cafe harbour market", words, " ")
+	printf "{\"mutations\":["
+	for (i = 0; i < 10000; i++)
+		printf "%s{\"op\":\"insert\",\"id\":%d,\"x\":%.3f,\"y\":%.3f,\"weight\":%.2f,\"text\":\"%s %s\"}",
+			(i > 0 ? "," : ""), 9100000 + i, 1.2 + (i % 100) * 0.006, 1.2 + int(i / 100) * 0.006,
+			0.1 + (i % 9) * 0.1, words[i % 4 + 1], words[int(i / 7) % 4 + 1]
+	print "]}"
+}' >"$batch"
+req ingest-past-capacity POST /ingest "@$batch"
+req store-stats-after-compaction GET /store/stats
+req select-outside-world POST /select '{"region":{"minX":1.1,"minY":1.1,"maxX":1.9,"maxY":1.9},"k":12,"thetaFrac":0.003}'
