@@ -1,5 +1,6 @@
-# Development entry points. CI (.github/workflows/ci.yml) runs the same
-# commands; keep the two in sync.
+# Development entry points. CI (.github/workflows/ci.yml) runs the race,
+# churn, check, lint and fuzz targets by name, so each command list lives
+# here once.
 
 GEOLINT := $(CURDIR)/bin/geolint
 

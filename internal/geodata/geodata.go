@@ -75,23 +75,33 @@ func (c *Collection) Bounds() (geo.Rect, bool) {
 	return r, true
 }
 
-// Validate checks that weights are in [0, 1] and locations are finite,
-// returning a descriptive error for the first offending object.
+// Validate checks every object against CheckValues, returning a
+// descriptive error for the first offending object.
 func (c *Collection) Validate() error {
 	for i, o := range c.Objects {
-		if o.Weight < 0 || o.Weight > 1 || o.Weight != o.Weight {
-			return fmt.Errorf("geodata: object %d (id %d) has weight %v outside [0,1]", i, o.ID, o.Weight)
-		}
-		if !finite(o.Loc.X) || !finite(o.Loc.Y) {
-			return fmt.Errorf("geodata: object %d (id %d) has non-finite location %v", i, o.ID, o.Loc)
+		if err := CheckValues(o.Loc, o.Weight); err != nil {
+			return fmt.Errorf("geodata: object %d (id %d): %w", i, o.ID, err)
 		}
 	}
 	return nil
 }
 
-func finite(x float64) bool {
-	return x == x && x < 1e308 && x > -1e308
+// CheckValues is the value contract of one object: a weight in [0, 1]
+// and both coordinates strictly inside (−1e308, 1e308). The bound lies
+// below the largest float64 (≈1.8e308), so it rejects NaN, ±Inf and
+// finite coordinates from 1e308 up alike. Every store checks its
+// objects with it.
+func CheckValues(loc geo.Point, weight float64) error {
+	if weight < 0 || weight > 1 || weight != weight {
+		return fmt.Errorf("weight %v outside [0,1]", weight)
+	}
+	if !inBound(loc.X) || !inBound(loc.Y) {
+		return fmt.Errorf("location %v outside (-1e308, 1e308)", loc)
+	}
+	return nil
 }
+
+func inBound(x float64) bool { return x < 1e308 && x > -1e308 }
 
 // Subset returns the objects at the given indices as a new slice (the
 // Object values are copied; term vectors share backing arrays, which is

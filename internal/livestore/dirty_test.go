@@ -2,6 +2,7 @@ package livestore
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"geosel/internal/geo"
@@ -209,5 +210,51 @@ func TestDirtyCellsAppendsToDst(t *testing.T) {
 	}
 	if out[0] != sentinel {
 		t.Error("DirtyRects clobbered the caller's prefix")
+	}
+}
+
+// TestDirtyRectsOneOrder feeds two stores built from one seed the same
+// batch of deletes, one per grid cell and out of position order. Their
+// epochs must list the same dirty rectangles in the same order: the
+// order in which the batch first touches each cell.
+func TestDirtyRectsOneOrder(t *testing.T) {
+	ctx := context.Background()
+	col := testCollection(t, 2000, 17)
+	// The object nearest each target; the targets lie far more than a
+	// cell apart (2000 objects make cells of ~0.06), so each delete
+	// dirties a cell of its own, and its rectangle is its location.
+	var batch []Mutation
+	var want []geo.Rect
+	for _, target := range []geo.Point{
+		geo.Pt(0.9, 0.9), geo.Pt(0.1, 0.1), geo.Pt(0.5, 0.5), geo.Pt(0.1, 0.9),
+		geo.Pt(0.9, 0.1), geo.Pt(0.3, 0.7), geo.Pt(0.7, 0.3),
+	} {
+		best := 0
+		for i, o := range col.Objects {
+			if o.Loc.Dist(target) < col.Objects[best].Loc.Dist(target) {
+				best = i
+			}
+		}
+		o := col.Objects[best]
+		batch = append(batch, Mutation{Op: OpDelete, ID: o.ID})
+		want = append(want, geo.Rect{Min: o.Loc, Max: o.Loc})
+	}
+	var got [2][]geo.Rect
+	for i := range got {
+		s := mustNew(t, testCollection(t, 2000, 17))
+		if _, _, err := s.Apply(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+		rects, ok := s.Current().DirtyRects(0, nil)
+		if !ok {
+			t.Fatal("history truncated after one epoch")
+		}
+		got[i] = rects
+	}
+	if !slices.Equal(got[0], got[1]) {
+		t.Fatalf("two stores fed one batch list different dirty rects:\n%v\n%v", got[0], got[1])
+	}
+	if !slices.Equal(got[0], want) {
+		t.Fatalf("dirty rects %v, want the batch's delete order %v", got[0], want)
 	}
 }

@@ -10,7 +10,11 @@
 // updates tombstone the old slot, inserts and updates append, and older
 // snapshots keep reading their shorter prefix of the shared backing
 // array (the writer appends strictly beyond every published length, so
-// there is no write under any reader's feet). The spatial index is
+// there is no write under any reader's feet). Apply walks a batch over
+// the writer's own state — the ID index and the live bitset change in
+// place, new slots collect in one slice and the grid's deletes in batch
+// order — and publishing copies the bitset, so no reader sees the walk.
+// The spatial index is
 // geodata's grid, maintained incrementally: an epoch commit clones the
 // grid's cell-header table and rewrites only dirty cells, instead of
 // rebuilding the index — see geodata.Grid.Commit and
@@ -66,8 +70,10 @@ type Store struct {
 	totals        Outcome
 }
 
-// Stats is a point-in-time summary of the store, served by the HTTP
-// endpoint GET /store/stats.
+// Stats is a point-in-time summary of the store. GET /store/stats
+// serves every field but IndexCommitNs, with Totals spread into its
+// four counts; IndexCommitNs is read in process (the benchmark's
+// livestore.index_commit_ms).
 type Stats struct {
 	// Version is the currently published snapshot's epoch.
 	Version uint64
@@ -203,8 +209,8 @@ func (s *Store) Stats() Stats {
 // goroutine and runs to completion: ctx is not consulted.
 //
 // Mutations are applied in order within the batch, so a later mutation
-// sees the staged effect of an earlier one (insert then delete of the
-// same ID nets out to nothing).
+// sees the effect of an earlier one (insert then delete of the same ID
+// nets out to nothing).
 func (s *Store) Apply(ctx context.Context, muts []Mutation) (uint64, Outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -215,43 +221,42 @@ func (s *Store) Apply(ctx context.Context, muts []Mutation) (uint64, Outcome, er
 		}
 	}
 
-	// Stage the batch without touching writer state: a sequential walk
-	// over an overlay, so in-batch mutations compose (upsert chains,
-	// insert-then-delete). Tombstoning a slot staged in this same batch
-	// kills the staged slot before it ever reaches the index.
-	baseN := len(s.objs)
+	// Walk the batch over the writer's own state. byID and the live
+	// bitset change in place (publish copies the bitset, so no reader
+	// sees the walk); new slots collect in appended, at positions from
+	// baseN on, and the grid's deletes in batch order. A slot appended
+	// and tombstoned within the batch keeps its position but never
+	// reaches the index.
+	baseN, liveBefore := len(s.objs), s.liveCount
 	var (
-		appended     []geodata.Object
-		appendedLive []bool
-		delSet       map[int32]bool
-		overlay      map[int]int32 // external ID -> staged pos, -1 = deleted
-		out          Outcome
+		appended []geodata.Object
+		dels     []geodata.PosLoc
+		out      Outcome
 	)
-	resolve := func(id int) (int32, bool) {
-		if p, ok := overlay[id]; ok {
-			return p, p >= 0
+	for _, m := range muts {
+		pos, live := s.byID[m.ID]
+		if !live && m.Op != OpInsert {
+			out.Missed++
+			continue
 		}
-		p, ok := s.byID[id]
-		return p, ok
-	}
-	tombstone := func(pos int32) {
-		if int(pos) >= baseN {
-			appendedLive[int(pos)-baseN] = false
-			return
+		if live {
+			clearBit(s.live, int(pos))
+			s.liveCount--
+			if int(pos) < baseN {
+				dels = append(dels, geodata.PosLoc{Pos: pos, Loc: s.objs[pos].Loc})
+			}
 		}
-		if delSet == nil {
-			delSet = make(map[int32]bool)
+		switch {
+		case m.Op == OpDelete:
+			delete(s.byID, m.ID)
+			out.Deleted++
+			continue
+		case live:
+			out.Updated++
+		default:
+			out.Inserted++
 		}
-		delSet[pos] = true
-	}
-	stage := func(id int, pos int32) {
-		if overlay == nil {
-			overlay = make(map[int]int32)
-		}
-		overlay[id] = pos
-	}
-	appendObj := func(m Mutation) int32 {
-		pos := int32(baseN + len(appended))
+		p := baseN + len(appended)
 		appended = append(appended, geodata.Object{
 			ID:     m.ID,
 			Loc:    m.Loc,
@@ -259,35 +264,15 @@ func (s *Store) Apply(ctx context.Context, muts []Mutation) (uint64, Outcome, er
 			Vec:    textsim.FromText(s.vocab, m.Text),
 			Text:   m.Text,
 		})
-		appendedLive = append(appendedLive, true)
-		return pos
-	}
-	for _, m := range muts {
-		pos, liveNow := resolve(m.ID)
-		switch m.Op {
-		case OpInsert, OpUpdate:
-			if liveNow {
-				tombstone(pos)
-				stage(m.ID, appendObj(m))
-				out.Updated++
-			} else if m.Op == OpInsert {
-				stage(m.ID, appendObj(m))
-				out.Inserted++
-			} else {
-				out.Missed++
-			}
-		case OpDelete:
-			if !liveNow {
-				out.Missed++
-				continue
-			}
-			tombstone(pos)
-			stage(m.ID, -1)
-			out.Deleted++
+		if p>>6 == len(s.live) { // positions grow by one, words with them
+			s.live = append(s.live, 0)
 		}
+		setBit(s.live, p)
+		s.liveCount++
+		s.byID[m.ID] = int32(p)
 	}
 
-	if len(appended) == 0 && len(delSet) == 0 {
+	if len(appended) == 0 && len(dels) == 0 {
 		// Nothing changed (empty batch or all Missed): keep the version.
 		return cur.version, out, nil
 	}
@@ -296,19 +281,14 @@ func (s *Store) Apply(ctx context.Context, muts []Mutation) (uint64, Outcome, er
 	// quarter of its slots are dead once the batch lands, and otherwise
 	// grows it (commitLocked).
 	version := cur.version + 1
-	dead := baseN - s.liveCount + len(delSet)
+	dead := baseN - liveBefore + len(dels)
 	var dirty []epochDirty
 	if baseN+len(appended) > cap(s.objs) && dead > 0 && 4*dead >= baseN {
 		start := time.Now()
-		s.compact(version, delSet, appended, appendedLive)
+		s.compact(version, appended)
 		s.indexCommitNs += time.Since(start).Nanoseconds()
 	} else {
-		dirty = appendDirtyEpoch(cur.dirty, version, s.commitLocked(delSet, appended, appendedLive))
-	}
-	for id, pos := range overlay {
-		if pos < 0 {
-			delete(s.byID, id)
-		}
+		dirty = appendDirtyEpoch(cur.dirty, version, s.commitLocked(dels, appended))
 	}
 	s.batches++
 	s.mutations += uint64(len(muts))
@@ -331,22 +311,16 @@ func (s *Store) Apply(ctx context.Context, muts []Mutation) (uint64, Outcome, er
 	return version, out, nil
 }
 
-// commitLocked applies a staged batch in place: the grid commit, the
-// appends (growing the array by half when they do not fit) and the
-// bitset and ID-index updates. It returns the epoch's dirty rectangles
+// commitLocked lands a walked batch in place: the grid commit of dels
+// and the appended slots still live, then the appends (growing the array
+// by half when they do not fit). It returns the epoch's dirty rectangles
 // (geodata.Grid.Commit).
-func (s *Store) commitLocked(delSet map[int32]bool, appended []geodata.Object, appendedLive []bool) []geo.Rect {
-	// Grid delta. Dead staged slots (insert-then-delete within the
-	// batch) still occupy a position but never enter the index.
+func (s *Store) commitLocked(dels []geodata.PosLoc, appended []geodata.Object) []geo.Rect {
 	baseN := len(s.objs)
-	dels := make([]geodata.PosLoc, 0, len(delSet))
-	for pos := range delSet {
-		dels = append(dels, geodata.PosLoc{Pos: pos, Loc: s.objs[pos].Loc})
-	}
 	adds := make([]geodata.PosLoc, 0, len(appended))
 	for i, ob := range appended {
-		if appendedLive[i] {
-			adds = append(adds, geodata.PosLoc{Pos: int32(baseN + i), Loc: ob.Loc})
+		if pos := baseN + i; bitSet(s.live, pos) {
+			adds = append(adds, geodata.PosLoc{Pos: int32(pos), Loc: ob.Loc})
 		}
 	}
 	commitStart := time.Now()
@@ -367,73 +341,44 @@ func (s *Store) commitLocked(delSet map[int32]bool, appended []geodata.Object, a
 		s.objs = grown
 	}
 	s.objs = append(s.objs, appended...)
-	for len(s.live) < (len(s.objs)+63)/64 {
-		s.live = append(s.live, 0)
-	}
-	for pos := range delSet {
-		clearBit(s.live, int(pos))
-		s.liveCount--
-	}
-	for i, ob := range appended {
-		pos := baseN + i
-		if appendedLive[i] {
-			setBit(s.live, pos)
-			s.liveCount++
-		}
-		// byID tracks the newest slot for the ID even when it is dead;
-		// the caller's overlay pass fixes up deletions.
-		s.byID[ob.ID] = int32(pos)
-	}
 	s.gr = nextGr
 	return dirtyRects
 }
 
-// compact applies a staged batch by moving the surviving slots, in
-// position order, and then the batch's live slots into a fresh array
-// with half again as much room, rebuilt by seed. It records the old →
-// new position table for the compaction epoch of the given version;
-// the snapshot published for it starts an empty dirty history, which
-// tells DirtyRects readers that every position moved.
-func (s *Store) compact(version uint64, delSet map[int32]bool, appended []geodata.Object, appendedLive []bool) {
-	baseN := len(s.objs)
-	n := s.liveCount - len(delSet)
-	for _, l := range appendedLive {
-		if l {
-			n++
-		}
-	}
+// compact lands a walked batch by moving the live slots, old positions
+// and then appended ones in position order, into a fresh array with half
+// again as much room, indexed by seed. Every ID index entry the walk
+// left is live, so each is rewritten in place to its new position. It
+// records the old → new position table for the compaction epoch of the
+// given version; the snapshot published for it starts an empty dirty
+// history, which tells DirtyRects readers that every position moved.
+func (s *Store) compact(version uint64, appended []geodata.Object) {
+	baseN, n := len(s.objs), s.liveCount
 	objs := make([]geodata.Object, 0, n+n/2)
-	remap := make([]int32, baseN)
+	remap := make([]int32, baseN+len(appended))
 	for pos := range remap {
-		if !bitSet(s.live, pos) || delSet[int32(pos)] {
-			remap[pos] = -1
+		remap[pos] = -1
+		if !bitSet(s.live, pos) {
 			continue
 		}
 		remap[pos] = int32(len(objs))
-		objs = append(objs, s.objs[pos])
-	}
-	// byID moves with the slots, in place: an ID whose slot this batch
-	// tombstoned leaves it, and the batch's live slots enter it at
-	// their new positions.
-	for id, pos := range s.byID {
-		if p := remap[pos]; p >= 0 {
-			s.byID[id] = p
+		if pos < baseN {
+			objs = append(objs, s.objs[pos])
 		} else {
-			delete(s.byID, id)
+			objs = append(objs, appended[pos-baseN])
 		}
 	}
-	for i, ob := range appended {
-		if appendedLive[i] {
-			s.byID[ob.ID] = int32(len(objs))
-			objs = append(objs, ob)
-		}
+	// In the map's own order: a rewrite in position order hashes into
+	// the map at random and made a 100k compaction a third slower.
+	for id, pos := range s.byID {
+		s.byID[id] = remap[pos]
 	}
 	var since uint64
 	if s.comp != nil {
 		since = s.comp.version
 	}
 	s.seed(objs)
-	s.comp = &compaction{version: version, since: since, remap: remap}
+	s.comp = &compaction{version: version, since: since, remap: remap[:baseN]}
 	s.compactions++
 }
 

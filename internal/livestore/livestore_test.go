@@ -180,19 +180,26 @@ func TestEmptyAndNoopBatchesKeepVersion(t *testing.T) {
 
 func TestApplyIsAtomicOnInvalidMutation(t *testing.T) {
 	ctx := context.Background()
-	s := mustNew(t, testCollection(t, 5, 1))
-	_, _, err := s.Apply(ctx, []Mutation{
-		{Op: OpInsert, ID: 50, Loc: geo.Pt(0.5, 0.5), Weight: 0.5},
-		{Op: OpInsert, ID: 51, Loc: geo.Pt(0.5, 0.5), Weight: 1.5}, // invalid weight
-	})
-	if err == nil {
-		t.Fatal("want validation error")
-	}
-	if _, ver := s.Snapshot(); ver != 0 {
-		t.Fatalf("failed batch advanced version to %d", ver)
-	}
-	if s.Current().Len() != 5 {
-		t.Fatal("failed batch changed the object set")
+	for name, bad := range map[string]Mutation{
+		"weight":        {Op: OpInsert, ID: 51, Loc: geo.Pt(0.5, 0.5), Weight: 1.5},
+		"huge location": {Op: OpUpdate, ID: 2, Loc: geo.Pt(1.5e308, 0.5), Weight: 0.5},
+		"NaN location":  {Op: OpInsert, ID: 51, Loc: geo.Pt(0.5, math.NaN()), Weight: 0.5},
+		"unknown op":    {Op: OpDelete + 1, ID: 2},
+	} {
+		s := mustNew(t, testCollection(t, 5, 1))
+		_, _, err := s.Apply(ctx, []Mutation{
+			{Op: OpInsert, ID: 50, Loc: geo.Pt(0.5, 0.5), Weight: 0.5},
+			bad,
+		})
+		if err == nil {
+			t.Errorf("%s: want validation error", name)
+		}
+		if _, ver := s.Snapshot(); ver != 0 {
+			t.Errorf("%s: failed batch advanced version to %d", name, ver)
+		}
+		if s.Current().Len() != 5 {
+			t.Errorf("%s: failed batch changed the object set", name)
+		}
 	}
 }
 
@@ -209,8 +216,9 @@ func TestDuplicateSeedIDRejected(t *testing.T) {
 // as every later mutation.
 func TestInvalidSeedRejected(t *testing.T) {
 	for name, o := range map[string]geodata.Object{
-		"weight":   {ID: 2, Loc: geo.Pt(0.5, 0.5), Weight: 1.5},
-		"location": {ID: 2, Loc: geo.Pt(math.NaN(), 0.5), Weight: 0.5},
+		"weight":        {ID: 2, Loc: geo.Pt(0.5, 0.5), Weight: 1.5},
+		"NaN location":  {ID: 2, Loc: geo.Pt(math.NaN(), 0.5), Weight: 0.5},
+		"huge location": {ID: 2, Loc: geo.Pt(0.5, -1.5e308), Weight: 0.5},
 	} {
 		col := geodata.NewCollection()
 		col.Add(1, geo.Pt(0.1, 0.1), 0.5, "")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"geosel/internal/geo"
+	"geosel/internal/geodata"
 )
 
 // Op identifies one kind of mutation.
@@ -63,26 +64,19 @@ type Mutation struct {
 }
 
 // validate checks one mutation against the geodata value contract
-// (weights in [0, 1], finite locations) before anything is committed.
+// (geodata.CheckValues) before anything is committed.
 func (m Mutation) validate() error {
 	switch m.Op {
 	case OpDelete:
 		return nil
 	case OpInsert, OpUpdate:
-		if m.Weight < 0 || m.Weight > 1 || m.Weight != m.Weight {
-			return fmt.Errorf("livestore: %v id %d has weight %v outside [0,1]", m.Op, m.ID, m.Weight)
-		}
-		if !finite(m.Loc.X) || !finite(m.Loc.Y) {
-			return fmt.Errorf("livestore: %v id %d has non-finite location %v", m.Op, m.ID, m.Loc)
+		if err := geodata.CheckValues(m.Loc, m.Weight); err != nil {
+			return fmt.Errorf("livestore: %v id %d: %w", m.Op, m.ID, err)
 		}
 		return nil
 	default:
 		return fmt.Errorf("livestore: invalid mutation op %d for id %d", int(m.Op), m.ID)
 	}
-}
-
-func finite(x float64) bool {
-	return x == x && x < 1e308 && x > -1e308
 }
 
 // Outcome reports what one committed batch did, mutation by mutation.
